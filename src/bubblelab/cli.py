@@ -234,13 +234,14 @@ def cmd_spectrum(args) -> int:
     params = load_cluster(args.cluster)
     graph = _graph_for(params, args)
     system = assemble_jacobi(build_graph(params, graph), args.h)
-    spec = eigen_count_positive(system)
+    spec = eigen_count_positive(system, k_top=24)
     payload = _base_report(args, cluster=params.label,
                            count_positive=spec.count_positive,
                            kernel_dim=spec.kernel_dim,
                            converged=spec.converged,
                            counts_at_resolutions=list(spec.counts_at_resolutions),
-                           eigenvalues=np.sort(spec.eigenvalues)[::-1][:24])
+                           method=spec.method,
+                           eigenvalues=spec.eigenvalues)
     _emit(payload, args.out)
     return 0
 

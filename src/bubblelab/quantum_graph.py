@@ -27,8 +27,6 @@ from .measure import Arc, extract_arcs
 SQRT3 = math.sqrt(3.0)
 NORM_S2 = 4.0 * math.pi
 VERTEX_TOL = 1e-7
-DENSE_LIMIT = 4200
-KERNEL_TOL = 1e-6
 
 
 class GraphBuildError(RuntimeError):
@@ -66,9 +64,6 @@ class QuantumGraph:
     @property
     def q(self) -> int:
         return self.params.q
-
-    def total_length(self) -> float:
-        return sum(a.length for a in self.arcs)
 
 
 def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
@@ -153,6 +148,8 @@ class JacobiSystem:
     mass: sp.csr_matrix
     constraint_basis: sp.csr_matrix
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _form_lu: spla.SuperLU | None = field(default=None, repr=False)
+    _kernels: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
@@ -161,10 +158,6 @@ class JacobiSystem:
     @property
     def reduced_size(self) -> int:
         return self.constraint_basis.shape[1]
-
-    def node_index(self, arc_index: int, k: int) -> int:
-        count = self.counts[arc_index]
-        return self.offsets[arc_index] + (k % count if self.cyclic[arc_index] else k)
 
     def arc_values(self, x: np.ndarray, arc_index: int) -> np.ndarray:
         off, cnt = self.offsets[arc_index], self.counts[arc_index]
@@ -182,12 +175,42 @@ class JacobiSystem:
         return (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenpairs of the reduced pencil (dense; cached)."""
+        """All eigenpairs of the reduced pencil (dense reference; cached)."""
         if self._eig is None:
             a_r, m_r = self.reduced()
             lam, vec = scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
             self._eig = (lam, vec)
         return self._eig
+
+    def form_factor(self) -> spla.SuperLU:
+        """Sparse LU factorization of the reduced form A_r (cached)."""
+        if self._form_lu is None:
+            self._form_lu = spla.splu(self.reduced()[0].tocsc())
+        return self._form_lu
+
+    def near_kernel(self, kernel_tol: float) -> np.ndarray:
+        """M_r-orthonormal eigenvectors with |lam| <= kernel_tol, as columns (cached, read-only).
+
+        Their number is the inertia difference at -kernel_tol and +kernel_tol;
+        the vectors come from one shift-invert Lanczos run at 0 that reuses
+        the factorization of A_r.
+        """
+        if kernel_tol not in self._kernels:
+            a_r, m_r = self.reduced()
+            dim = _count_above(a_r, m_r, -kernel_tol)[0] - _count_above(a_r, m_r, kernel_tol)[0]
+            vec = np.zeros((self.reduced_size, 0))
+            if dim:
+                lu = self.form_factor()
+                op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
+                lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0,
+                                      OPinv=op, which="LM", v0=np.ones(self.reduced_size))
+                if np.max(np.abs(lam)) > kernel_tol:
+                    raise SpectrumError(
+                        f"Lanczos found eigenvalues {lam} nearest 0, but inertia puts "
+                        f"{dim} within {kernel_tol:g}")
+            vec.flags.writeable = False
+            self._kernels[kernel_tol] = vec
+        return self._kernels[kernel_tol]
 
 
 def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
@@ -295,10 +318,6 @@ def piecewise_constant_field(system: JacobiSystem, a) -> np.ndarray:
     return field_from_pointwise(system, lambda arc, pts: a[arc.i] - a[arc.j])
 
 
-def satisfies_constraints(system: JacobiSystem, x: np.ndarray, tol: float = 1e-9) -> bool:
-    return kirchhoff_residual(system, x) <= tol
-
-
 def kirchhoff_residual(system: JacobiSystem, x: np.ndarray) -> float:
     worst = 0.0
     for vertex in system.graph.vertices:
@@ -387,26 +406,33 @@ def index_form_value(system: JacobiSystem, x: np.ndarray) -> float:
 # Eigenvalues and solves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpectrumReport:
-    count_positive: int
-    eigenvalues: np.ndarray
-    kernel_dim: int
-    converged: bool
-    counts_at_resolutions: tuple[int, int]
+class SpectrumError(RuntimeError):
+    pass
 
 
-def _eigenvalues(system: JacobiSystem, k_top: int, shift_tol: float) -> np.ndarray:
-    a_r, m_r = system.reduced()
-    if system.reduced_size <= DENSE_LIMIT:
-        lam, vec = system.eigendecomposition()
-        return lam[::-1]  # descending
-    kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
-    sigma = 1.0 + kappa_max ** 2 + 3.0
-    lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
-                     M=m_r.tocsc(), sigma=sigma, which="LM",
-                     return_eigenvectors=False)
-    return np.sort(lam)[::-1]
+def positive_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
+    """Number of positive eigenvalues of a symmetric sparse matrix (Sylvester's law).
+
+    SuperLU with a symmetric fill-reducing ordering and diagonal pivoting gives
+    P K P^T = L U with U = D L^T, so the positive entries of diag(U) = D count
+    the positive eigenvalues. Returns (count, method). The guard
+    perm_r == perm_c confirms that no off-diagonal pivot was taken; when it
+    trips, the count comes from a dense Bunch-Kaufman LDL^T instead, whose
+    block-diagonal D (1x1 and 2x2 blocks) is tridiagonal, and the method is
+    "dense_ldl".
+    """
+    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        return int(np.count_nonzero(lu.U.diagonal() > 0.0)), "sparse_ldl"
+    _, d, _ = scipy.linalg.ldl(matrix.toarray())
+    blocks = scipy.linalg.eigvalsh_tridiagonal(np.diagonal(d).copy(), np.diagonal(d, -1).copy())
+    return int(np.count_nonzero(blocks > 0.0)), "dense_ldl"
+
+
+def _count_above(a_r: sp.spmatrix, m_r: sp.spmatrix, value: float) -> tuple[int, str]:
+    """Number of eigenvalues lam > value of the pencil -A_r x = lam M_r x."""
+    return positive_inertia(-a_r - value * m_r)
 
 
 def kernel_tolerance(system: JacobiSystem, floor: float = 1e-6) -> float:
@@ -415,24 +441,61 @@ def kernel_tolerance(system: JacobiSystem, floor: float = 1e-6) -> float:
     return max(floor, 50.0 * system.h ** 2)
 
 
+@dataclass
+class SpectrumReport:
+    count_positive: int
+    eigenvalues: np.ndarray  # the top k_top eigenvalues, descending
+    kernel_dim: int
+    converged: bool
+    counts_at_resolutions: tuple[int, int]
+    method: str  # "sparse_ldl", or "dense_ldl" if any inertia guard tripped
+
+
+def _top_eigenvalues(system: JacobiSystem, a_r: sp.spmatrix, m_r: sp.spmatrix,
+                     k_top: int) -> np.ndarray:
+    """The k_top largest eigenvalues, descending, by one shift-invert Lanczos
+    run from a fixed start vector (so reruns give identical bits)."""
+    kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
+    sigma = 1.0 + kappa_max ** 2 + 3.0
+    lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
+                     M=m_r.tocsc(), sigma=sigma, which="LM",
+                     v0=np.ones(system.reduced_size), return_eigenvectors=False)
+    return np.sort(lam)[::-1]
+
+
 def eigen_count_positive(system: JacobiSystem, shift_tol: float = 1e-6,
                          k_top: int = 16) -> SpectrumReport:
-    """Count positive eigenvalues, with an h/2 refinement consistency check.
+    """Count positive eigenvalues by Sylvester inertia, with an h/2 refinement check.
 
-    Eigenvalues above max(shift_tol, the kernel tolerance) are counted as
-    positive; those below the kernel tolerance in absolute value as kernel.
-    The count must agree between the given grid and its refinement;
-    disagreement is flagged as inconclusive.
+    With cut = max(shift_tol, the kernel tolerance), count_positive is the
+    number of eigenvalues above cut, i.e. the positive inertia of
+    -A_r - cut M_r; kernel_dim is the number in (-cut, cut], the difference of
+    the inertias at -cut and +cut. Both are exact for the discrete pencil at
+    any size. The count must agree with that of the h/2 refinement;
+    disagreement is reported as converged=False. k_top only sets how many of
+    the largest eigenvalues are reported; when they reach below the kernel,
+    the number of them above cut must equal count_positive.
     """
-    def count_at(sys_: JacobiSystem) -> tuple[int, int, np.ndarray]:
-        lam = _eigenvalues(sys_, k_top, shift_tol)
-        cut = max(shift_tol, kernel_tolerance(sys_, shift_tol))
-        return (int(np.sum(lam > cut)), int(np.sum(np.abs(lam) <= cut)), lam)
+    a_r, m_r = system.reduced()
+    cut = max(shift_tol, kernel_tolerance(system, shift_tol))
+    count, method_plus = _count_above(a_r, m_r, cut)
+    above_minus, method_minus = _count_above(a_r, m_r, -cut)
+    kernel = above_minus - count
 
-    count, kernel, lam = count_at(system)
     fine = assemble_jacobi(system.graph, system.h / 2.0)
-    count_fine, _, _ = count_at(fine)
-    return SpectrumReport(count, lam, kernel, count == count_fine, (count, count_fine))
+    a_f, m_f = fine.reduced()
+    count_fine, method_fine = _count_above(
+        a_f, m_f, max(shift_tol, kernel_tolerance(fine, shift_tol)))
+    methods = {method_plus, method_minus, method_fine}
+    method = "dense_ldl" if "dense_ldl" in methods else "sparse_ldl"
+
+    lam = _top_eigenvalues(system, a_r, m_r, k_top)
+    above_cut = int(np.count_nonzero(lam > cut))
+    if lam.size > count + kernel and above_cut != count:
+        raise SpectrumError(f"{above_cut} of the top {lam.size} eigenvalues exceed "
+                            f"{cut:g}, but the inertia count is {count}")
+    return SpectrumReport(count, lam, kernel, count == count_fine, (count, count_fine),
+                          method)
 
 
 @dataclass
@@ -448,11 +511,12 @@ def conformal_jacobi_solve(system: JacobiSystem, a,
                            kernel_tol: float | None = None) -> ConformalSolveReport:
     """Solve the vertex-matched problem L f = (n-1) a_ij per arc; return f and its volume column.
 
-    The reduced system is solved through the full eigendecomposition so that
-    kernel components (discrete Jacobi fields) are projected out of both the
-    right-hand side and the solution; the removed fraction is reported. The
-    volume column of the returned field is one column of the discrete
-    conformal-to-volume operator.
+    The near-kernel eigenvectors V0 (discrete Jacobi fields, |lam| <= kernel_tol,
+    M_r-orthonormal) are projected out of the right-hand side, the reduced
+    system is solved with a sparse LU of A_r, and V0 is projected out of the
+    solution. The removed fraction |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is
+    reported. The volume column of the returned field is one column of the
+    discrete conformal-to-volume operator.
     """
     a = np.asarray(a, dtype=float)
     a = a - a.mean()
@@ -463,18 +527,16 @@ def conformal_jacobi_solve(system: JacobiSystem, a,
     rhs_full = -n_minus_1 * (system.mass @ g)
     z = system.constraint_basis
     rhs = z.T @ rhs_full
-    # -A vec_k = lam_k M vec_k with vec^T M vec = Id, so A y = rhs is solved by
-    # y = vec @ c with c_k = -(vec^T rhs)_k / lam_k
-    lam, vec = system.eigendecomposition()
-    coeffs = vec.T @ rhs
-    keep = np.abs(lam) > kernel_tol
-    kernel_dim = int(np.sum(~keep))
-    sol_coeffs = np.zeros_like(coeffs)
-    sol_coeffs[keep] = -coeffs[keep] / lam[keep]
-    removed = float(np.linalg.norm(coeffs[~keep]) / max(np.linalg.norm(coeffs), 1e-300))
-    y = vec @ sol_coeffs
+    m_r = system.reduced()[1].tocsc()
+    kernel = system.near_kernel(kernel_tol)
+    # with -A v_k = lam_k M v_k and V^T M V = Id, rhs = M V c for c = V^T rhs
+    coeffs = kernel.T @ rhs
+    total = math.sqrt(max(float(rhs @ spla.spsolve(m_r, rhs)), 0.0))
+    removed = float(np.linalg.norm(coeffs) / max(total, 1e-300))
+    y = system.form_factor().solve(rhs - m_r @ (kernel @ coeffs))
+    y -= kernel @ (kernel.T @ (m_r @ y))
     x = z @ y
-    return ConformalSolveReport(x, volume_derivative(system, x), kernel_dim, removed, a)
+    return ConformalSolveReport(x, volume_derivative(system, x), kernel.shape[1], removed, a)
 
 
 def remove_kernel_component(system: JacobiSystem, x: np.ndarray,
@@ -487,8 +549,7 @@ def remove_kernel_component(system: JacobiSystem, x: np.ndarray,
     if kernel_tol is None:
         kernel_tol = kernel_tolerance(system)
     z = system.constraint_basis
-    lam, vec = system.eigendecomposition()
-    kernel = vec[:, np.abs(lam) <= kernel_tol]
+    kernel = system.near_kernel(kernel_tol)
     y = spla.spsolve((z.T @ z).tocsc(), z.T @ x)
     m_r = system.reduced()[1]
     proj = kernel @ (kernel.T @ (m_r @ y))

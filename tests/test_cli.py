@@ -103,6 +103,20 @@ class TestAnalysisCommands:
         assert payload["count_positive"] == 2
         assert payload["converged"] is True
 
+    def test_spectrum_byte_identical_rerun(self, tmp_path):
+        # at h = 1e-3 the reduced system has over 6k unknowns
+        cluster = tmp_path / "hemispheres.json"
+        assert run_cli("standard", "--n", "2", "--q", "2", "--volumes", "0.5,0.5",
+                       "--out", str(cluster)) == 0
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run_cli("spectrum", str(cluster), "--h", "1e-3", "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert payload["count_positive"] == 1
+        assert payload["method"] == "sparse_ldl"
+        assert len(payload["eigenvalues"]) == 24
+
     def test_profile_csv(self, tmp_path):
         out = tmp_path / "profile.csv"
         assert run_cli("profile", "--n", "2", "--q", "2", "--grid", "2",

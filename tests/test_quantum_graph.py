@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from bubblelab import (assemble_jacobi, build_graph, conformal_jacobi_solve,
                        conformal_to_volume_pcf, detect_interfaces,
@@ -12,9 +14,11 @@ from bubblelab import (assemble_jacobi, build_graph, conformal_jacobi_solve,
                        standard_of_volume, volume_derivative)
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import measure_exact_s2
-from bubblelab.quantum_graph import (GraphBuildError, field_from_pointwise,
-                                     index_form_value, kirchhoff_residual,
-                                     piecewise_constant_field,
+from bubblelab import quantum_graph
+from bubblelab.quantum_graph import (GraphBuildError, SpectrumError,
+                                     field_from_pointwise, index_form_value,
+                                     kirchhoff_residual, kernel_tolerance,
+                                     piecewise_constant_field, positive_inertia,
                                      remove_kernel_component, robin_residual,
                                      strong_residual)
 
@@ -133,11 +137,64 @@ class TestCircleSpectrum:
         assert errors[1] < 0.3 * errors[0]
 
 
+class TestInertia:
+    def test_off_diagonal_pivot_falls_back_to_dense(self):
+        # SuperLU pivots off the diagonal here (perm_r != perm_c), and its raw
+        # U diagonal has 3 positive entries; the true inertia is 2
+        k = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+        assert positive_inertia(k) == (2, "dense_ldl")
+
+    def test_agrees_with_dense_eigh(self):
+        rng = np.random.default_rng(0)
+        methods = set()
+        for trial in range(12):
+            n = int(rng.integers(3, 12))
+            a = sp.random(n, n, density=0.4, random_state=rng)
+            a = (a + a.T).toarray()
+            if trial % 2:  # hollow matrices force off-diagonal pivots
+                np.fill_diagonal(a, 0.0)
+                m, cut = np.eye(n), 0.0
+            else:
+                b = rng.standard_normal((n, n))
+                m, cut = b @ b.T + n * np.eye(n), float(rng.uniform(-0.5, 0.5))
+            lam = scipy.linalg.eigh(-a, m, eigvals_only=True)
+            count, method = positive_inertia(sp.csr_matrix(-a - cut * m))
+            assert count == int(np.sum(lam > cut))
+            methods.add(method)
+        assert methods == {"sparse_ldl", "dense_ldl"}
+
+
 class TestDoubleBubbleSpectrum:
     def test_exactly_two_positive(self, double_system):
         report = eigen_count_positive(double_system)
         assert report.count_positive == 2
         assert report.converged
+
+    def test_counts_match_dense_reference(self, double_system):
+        report = eigen_count_positive(double_system)
+        assert report.method == "sparse_ldl"
+        lam = double_system.eigendecomposition()[0]
+        cut = kernel_tolerance(double_system)
+        assert report.count_positive == int(np.sum(lam > cut))
+        assert report.kernel_dim == int(np.sum(np.abs(lam) <= cut))
+        top = np.sort(lam)[::-1][:report.eigenvalues.size]
+        assert np.max(np.abs(report.eigenvalues - top)) < 1e-9
+
+    def test_top_eigenvalues_must_agree_with_inertia(self, double_system, monkeypatch):
+        monkeypatch.setattr(quantum_graph, "_top_eigenvalues",
+                            lambda *args: -np.ones(16))
+        with pytest.raises(SpectrumError):
+            eigen_count_positive(double_system)
+
+    def test_count_does_not_saturate_at_k_top(self):
+        params = equal_volume_standard(2, 4)
+        graph = detect_interfaces(params, rng_seed=0)
+        system = assemble_jacobi(build_graph(params, graph), 2e-3)
+        assert system.reduced_size > 5000
+        report = eigen_count_positive(system, k_top=1)
+        assert report.count_positive == 3
+        assert report.converged
+        assert report.eigenvalues.size == 1
 
     def test_kernel_contains_skew_fields(self, double_system):
         report = eigen_count_positive(double_system)
@@ -227,6 +284,32 @@ class TestVolumeDerivative:
 
 
 class TestConformalJacobiSolve:
+    def test_matches_dense_eigendecomposition(self, double_system):
+        a = np.array([0.7, -0.2, -0.5])
+        solve = conformal_jacobi_solve(double_system, a)
+        # reference: expand in all eigenpairs, drop the kernel ones
+        lam, vec = double_system.eigendecomposition()
+        z = double_system.constraint_basis
+        rhs = z.T @ (-(double_system.mass @ piecewise_constant_field(double_system, a)))
+        coeffs = vec.T @ rhs
+        keep = np.abs(lam) > kernel_tolerance(double_system)
+        reference = z @ (vec[:, keep] @ (-coeffs[keep] / lam[keep]))
+        assert solve.kernel_dim == int(np.sum(~keep))
+        assert np.max(np.abs(solve.field - reference)) < 1e-9
+        assert abs(solve.removed_rhs_fraction - np.linalg.norm(coeffs[~keep])
+                   / np.linalg.norm(coeffs)) < 1e-9
+
+    def test_near_kernel_is_mass_orthonormal_and_read_only(self, double_system):
+        tol = kernel_tolerance(double_system)
+        kernel = double_system.near_kernel(tol)
+        a_r, m_r = double_system.reduced()
+        assert kernel.shape[1] == eigen_count_positive(double_system).kernel_dim
+        assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-10
+        assert np.max(np.abs(a_r @ kernel)) < tol
+        assert double_system.near_kernel(tol) is kernel
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
     def test_reproduces_compatible_closed_form(self, double_bubble, double_system):
         params, graph, _ = double_bubble
         xi = pcf_detect(params).xi
