@@ -19,7 +19,7 @@ from . import __version__, gallery, suites
 from .cluster import (detect_interfaces, load_cluster, perpendicular_pole,
                       save_cluster, validate_spherical)
 from .deform import conformal_step, gram_invariance_check, gram_path, pcf_detect
-from .measure import measure_exact_s2, measure_mc
+from .measure import measure_exact_s2, measure_mc, resolve_backend
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,
                         normal_moment_operator, quasi_center_operator,
@@ -95,7 +95,7 @@ def cmd_standard(args) -> int:
 def cmd_measure(args) -> int:
     params = load_cluster(args.cluster)
     graph = _graph_for(params, args)
-    if args.backend == "exact" or (args.backend == "auto" and params.n == 2):
+    if resolve_backend(args.backend, params.n) == "exact":
         report = measure_exact_s2(params, graph)
     else:
         report = measure_mc(params, graph, samples=args.samples, seed=args.seed)
@@ -166,8 +166,7 @@ def cmd_deform(args) -> int:
 def cmd_operators(args) -> int:
     params = load_cluster(args.cluster)
     graph = _graph_for(params, args)
-    backend = "exact" if (args.backend == "auto" and params.n == 2) else \
-        ("mc" if args.backend == "auto" else args.backend)
+    backend = resolve_backend(args.backend, params.n)
     checks = args.checks.split(",")
     payload = _base_report(args, cluster=params.label, checks=checks)
     pcf = pcf_detect(params)

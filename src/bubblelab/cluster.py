@@ -146,9 +146,55 @@ def classify_point(params: ClusterParams, p, tie_tol: float = DEFAULT_TIE_TOL) -
     return np.flatnonzero(values <= values.min() + tie_tol)
 
 
+def cell_values(params: ClusterParams, points: np.ndarray) -> np.ndarray:
+    """<c_i, p> + kappa_i laid out cell-major: shape (q, m) for m points.
+
+    Bit for bit the transpose of params.affine_values(points); each cell's
+    values form one contiguous row, so per-cell reductions run over rows
+    rather than along a short last axis.
+    """
+    values = params.quasi_centers @ np.asarray(points, dtype=float).T
+    values += params.curvatures[:, None]
+    return values
+
+
 def classify_many(params: ClusterParams, points: np.ndarray) -> np.ndarray:
-    """Argmin cell index for each row of points (ties resolved to lowest index)."""
-    return np.argmin(params.affine_values(points), axis=-1)
+    """Index of the cell with the least affine value, for each row of points.
+
+    A running minimum over the cell-major rows of cell_values; the strict <
+    gives a tie to the lowest index, as np.argmin would. Parameters are finite
+    and points are unit vectors, so no value is NaN.
+    """
+    values = cell_values(params, points)
+    if params.q == 2:
+        return (values[1] < values[0]).astype(np.intp)
+    best = values[0]
+    labels = np.zeros(values.shape[1], dtype=np.intp)
+    lower = np.empty(values.shape[1], dtype=bool)
+    for k in range(1, params.q):
+        np.less(values[k], best, out=lower)
+        np.putmask(labels, lower, k)
+        np.minimum(best, values[k], out=best)
+    return labels
+
+
+def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
+                  tie_tol: float = 0.0) -> np.ndarray:
+    """Mask of the points at which no third cell reaches min(h_i, h_j) + tie_tol.
+
+    h_k is the affine value of cell k. A running minimum over the cell-major
+    rows of the other cells; with two cells every point is interior.
+    """
+    if params.q == 2:
+        return np.ones(len(points), dtype=bool)
+    values = cell_values(params, points)
+    lead = np.minimum(values[i], values[j])
+    lead += tie_tol
+    others = [k for k in range(params.q) if k not in (i, j)]
+    low = values[others[0]]
+    for k in others[1:]:
+        np.minimum(low, values[k], out=low)
+    return low > lead
 
 
 def spherical_residuals(params: ClusterParams) -> np.ndarray:
@@ -240,11 +286,7 @@ def detect_interfaces(params: ClusterParams, samples_per_pair: int = 4096,
             for chunk, count in sampling.chunk_layout(samples_per_pair):
                 pts = sampling.subsphere_chunk(rng_seed, pair_label, chunk, count,
                                                center, radius, basis)
-                values = params.affine_values(pts)
-                lead = np.minimum(values[:, i], values[:, j])
-                others = np.delete(values, [i, j], axis=1)
-                ok = others.min(axis=1) > lead + tie_tol if others.size else np.ones(count, bool)
-                hits = np.flatnonzero(ok)
+                hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
                 if hits.size:
                     found = True
                     w = pts[hits[0]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many
+from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
 from .simplex import pair_weight_matrix, restrict, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -72,6 +72,18 @@ class EigenReport:
     positive_definite: bool
 
 
+def resolve_backend(backend: str, n: int) -> str:
+    """The backend that runs for a requested one on S^n: "exact" or "mc".
+
+    "auto" picks the exact arc backend on S^2 and Monte Carlo otherwise.
+    """
+    if backend == "auto":
+        return "exact" if n == 2 else "mc"
+    if backend not in ("exact", "mc"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend
+
+
 def check_positive_definite(lap: WeightedLaplacian, tol: float = 1e-11) -> EigenReport:
     """Eigenvalues of the Laplacian restricted to E^(q-1) and a definiteness flag."""
     w = np.linalg.eigvalsh(restrict(lap.matrix))
@@ -108,20 +120,22 @@ def _interface_fraction(params: ClusterParams, i: int, j: int, samples: int,
     weight=None integrates the constant 1 (plain area). The wall measure is the
     raw H^(n-1) measure of the full wall sphere.
     """
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     n = params.n
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
     if frame is None:
         return 0.0, 0.0, 0.0
     center, radius, basis = frame
     wall_measure = sphere_surface_measure(n - 1) * radius ** (n - 1)
+    if weight is None and params.q == 2:
+        # no third cell: every sample is a hit, and the sampled mean is exactly 1
+        return 1.0, 0.0, wall_measure
     label = i * params.q + j + 1
     sums, sq_sums = [], []
     for chunk, count in sampling.chunk_layout(samples):
         pts = sampling.subsphere_chunk(seed, label, chunk, count, center, radius, basis)
-        values = params.affine_values(pts)
-        lead = np.minimum(values[:, i], values[:, j])
-        others = np.delete(values, [i, j], axis=1)
-        inside = others.min(axis=1) > lead if others.size else np.ones(count, bool)
+        inside = wall_interior(params, i, j, pts)
         contrib = inside.astype(float) if weight is None else inside * weight(pts)
         sums.append(np.array([contrib.sum()]))
         sq_sums.append(np.array([(contrib ** 2).sum()]))
@@ -415,8 +429,7 @@ def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
     weight maps an (m, n+1) array of points to m values. backend "exact"
     requires n = 2; "auto" picks exact on S^2 and Monte Carlo otherwise.
     """
-    if backend == "auto":
-        backend = "exact" if params.n == 2 else "mc"
+    backend = resolve_backend(backend, params.n)
     q = params.q
     weights: dict[tuple[int, int], float] = {}
     err: dict[tuple[int, int], float] = {}
@@ -427,13 +440,11 @@ def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
             key = (arc.i, arc.j)
             weights[key] = weights.get(key, 0.0) + _arc_integral(arc, weight) / norm
         err = {k: 0.0 for k in weights}
-    elif backend == "mc":
+    else:
         for i, j in graph.pairs():
             mean, stderr, wall = _interface_fraction(params, i, j, samples, seed, weight)
             weights[(i, j)] = mean * wall / norm
             err[(i, j)] = stderr * wall / norm
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     entry_err = np.zeros((q, q))
     for (i, j), e in err.items():
         entry_err[i, j] = entry_err[j, i] = e

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterParams, InterfaceGraph
-from .measure import WeightedLaplacian, weighted_laplacian
+from .measure import weighted_laplacian
 from .simplex import pair_decomposition, sum_zero_projector
 
 
@@ -119,10 +119,6 @@ def conformal_to_volume_relaxed(params: ClusterParams, graph: InterfaceGraph,
     n = params.n
     err = None if lap.entry_stderr is None else n * lap.entry_stderr
     return SimplexOperator(n * lap.matrix, "conformal-to-volume-relaxed", err)
-
-
-def from_weighted_laplacian(lap: WeightedLaplacian, label: str = "") -> SimplexOperator:
-    return SimplexOperator(lap.matrix, label or lap.weight_label, lap.entry_stderr)
 
 
 # ---------------------------------------------------------------------------

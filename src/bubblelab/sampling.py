@@ -2,10 +2,12 @@
 
 Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
-on (seed, sample count), never on chunking order or worker count. Raw Gaussian
-chunks are memoized (bounded budget), which makes repeated common-random-number
-evaluations (volume Newton, finite differences) reuse identical draws at no
-generation cost.
+on (seed, sample count), never on chunking order or worker count. Normalized
+unit-direction chunks are memoized per address within a bounded budget, which
+makes repeated common-random-number evaluations (volume Newton, finite
+differences) reuse identical directions at no generation cost. Cached arrays
+are read-only, so no caller can change what later callers at the same address
+receive; when the budget is exceeded the oldest entries are evicted first.
 """
 
 from __future__ import annotations
@@ -38,18 +40,26 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
 
 
 def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), memoized per address."""
+    """Uniform unit directions in R^dim, shape (count, dim), memoized per address.
+
+    The returned array is read-only; it may be a view of a cached array.
+    """
     global _unit_cache_floats
     key = (seed, label, chunk, dim)
     arr = _unit_cache.get(key)
     if arr is None or arr.shape[0] < count:
+        if arr is not None:
+            # a longer draw from the same stream replaces the short entry
+            del _unit_cache[key]
+            _unit_cache_floats -= arr.size
         full = max(CHUNK if count > CHUNK // 2 else count, count)
         arr = stream(seed, label, chunk).standard_normal((full, dim))
         arr /= np.linalg.norm(arr, axis=1, keepdims=True)
+        arr.setflags(write=False)
         if arr.size <= UNIT_CACHE_BUDGET:
             while (_unit_cache_floats + arr.size > UNIT_CACHE_BUDGET
                    and _unit_cache):
-                _, old = _unit_cache.popitem()
+                old = _unit_cache.pop(next(iter(_unit_cache)))
                 _unit_cache_floats -= old.size
             _unit_cache[key] = arr
             _unit_cache_floats += arr.size
@@ -128,4 +138,9 @@ def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
                     center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
     """Uniform points on the geodesic subsphere described by subsphere_frame."""
     w = unit_chunk(seed, label, chunk, count, frame.shape[1])
-    return center[None, :] + radius * (w @ frame.T)
+    # built in place and kept C-ordered: the bits of products that weight
+    # callbacks take, such as pts @ xi, depend on the memory layout
+    pts = w @ frame.T
+    pts *= radius
+    pts += center
+    return pts

@@ -83,17 +83,6 @@ def restrict(m: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     return b.T @ m @ b
 
 
-def trace_on_sum_zero(m: np.ndarray) -> float:
-    """Trace of a q x q operator restricted to E^(q-1)."""
-    return float(np.trace(restrict(m)))
-
-
-def eigvalsh_on_sum_zero(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric part of m restricted to E^(q-1), ascending."""
-    r = restrict(m)
-    return np.linalg.eigvalsh(0.5 * (r + r.T))
-
-
 def psd_sqrtm(g: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 

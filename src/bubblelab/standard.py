@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterParams, complete_graph, recentered
-from .measure import cell_volumes_mc, measure_exact_s2
+from .measure import cell_volumes_mc, measure_exact_s2, resolve_backend
 from .simplex import psd_sqrtm, sum_zero_basis, sum_zero_projector
 
 
@@ -178,10 +178,7 @@ class NewtonError(RuntimeError):
 
 def _volumes_of_curvature(n: int, q: int, kappa: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
     params = standard_of_curvature(n, q, kappa)
-    backend = cfg.backend
-    if backend == "auto":
-        backend = "exact" if n == 2 else "mc"
-    if backend == "exact":
+    if resolve_backend(cfg.backend, n) == "exact":
         return measure_exact_s2(params, complete_graph(q)).volumes
     vols, _ = cell_volumes_mc(params, cfg.mc_samples, cfg.mc_seed)
     return vols
@@ -196,7 +193,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
     of nearby solves (finite-difference grids) skip most Jacobian rebuilds.
     """
     basis = sum_zero_basis(q)
-    exact = cfg.backend == "exact" or (cfg.backend == "auto" and n == 2)
+    exact = resolve_backend(cfg.backend, n) == "exact"
     tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
     fd_step = cfg.fd_step if exact else max(cfg.fd_step, cfg.mc_fd_step)
 
@@ -263,7 +260,7 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     v_target = np.asarray(volumes, dtype=float)
     if v_target.shape != (q,) or np.any(v_target <= 0) or abs(v_target.sum() - 1.0) > 1e-9:
         raise ValueError("volumes must be positive and sum to 1")
-    exact = cfg.backend == "exact" or (cfg.backend == "auto" and n == 2)
+    exact = resolve_backend(cfg.backend, n) == "exact"
     tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
     y, _, res = _volume_newton(n, q, v_target, cfg)
     if res > 3 * tol:
@@ -298,7 +295,7 @@ class ModelProfilePoint:
 
 def _perimeter_of(params: ClusterParams, cfg: NewtonConfig) -> float:
     graph = complete_graph(params.q)
-    if cfg.backend == "exact" or (cfg.backend == "auto" and params.n == 2):
+    if resolve_backend(cfg.backend, params.n) == "exact":
         return measure_exact_s2(params, graph).total_perimeter
     from .measure import _interface_fraction
     from .simplex import sphere_surface_measure
@@ -325,7 +322,7 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     margin = min(v.min(), (1.0 - v).min())
     if fd_step_hess * np.abs(basis).max() * 2 >= margin:
         raise ValueError("fd step too large for this volume vector")
-    exact = cfg.backend == "exact" or (cfg.backend == "auto" and n == 2)
+    exact = resolve_backend(cfg.backend, n) == "exact"
     tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
 
     # center solve cold, perturbed solves warm-started from it

@@ -17,7 +17,7 @@ from . import __version__, gallery
 from .cluster import (ClusterParams, detect_interfaces, perpendicular_pole,
                       validate_spherical)
 from .deform import conformal_step, gram_eigenvalue_floor, gram_invariance_check, pcf_detect
-from .measure import measure_exact_s2, measure_mc
+from .measure import measure_exact_s2, measure_mc, resolve_backend
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, normal_moment_operator,
                         quasi_center_operator, trace_identity_allowance,
@@ -225,7 +225,7 @@ def suite_trace(seed: int = 4, samples: int = 400_000) -> SuiteReport:
     rep = SuiteReport("trace", config={"seed": seed, "samples": samples})
     worst_prod_pull = worst_trace_pull = 0.0
     for idx, (params, xi) in enumerate(_pcf_cluster_pool(seed)):
-        backend = "exact" if params.n == 2 else "mc"
+        backend = resolve_backend("auto", params.n)
         graph = detect_interfaces(params, rng_seed=seed + idx)
         f_op = conformal_to_volume_pcf(params, graph, xi, backend=backend,
                                        samples=samples, seed=seed + idx)

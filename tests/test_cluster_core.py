@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from bubblelab import (ClusterParams, classify_point, detect_interfaces,
                        equal_volume_standard, load_cluster, perpendicular_pole,
-                       recentered, save_cluster, validate_spherical)
-from bubblelab import gallery
-from bubblelab.cluster import classify_many, spherical_residuals
-from bubblelab.simplex import random_orthogonal
+                       recentered, save_cluster, standard_of_curvature,
+                       validate_spherical)
+from bubblelab import gallery, sampling
+from bubblelab.cluster import (cell_values, classify_many, spherical_residuals,
+                               wall_interior)
+from bubblelab.measure import _interface_fraction
+from bubblelab.simplex import random_orthogonal, sphere_surface_measure
 
 
 def hemisphere_params():
@@ -156,3 +159,188 @@ class TestInvariants:
         with pytest.raises(ValueError):
             ClusterParams(2, np.array([[0.5, 0, 0], [-0.5, 0, 0]]),
                           np.array([0.2, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Cell-major kernels against the axis-last reference formulas
+# ---------------------------------------------------------------------------
+
+TEST_LABEL = 0x7E570000
+
+
+def reference_labels(params, pts):
+    return np.argmin(params.affine_values(pts), axis=-1)
+
+
+def reference_interior(params, i, j, pts, tie_tol=0.0):
+    values = params.affine_values(pts)
+    lead = np.minimum(values[:, i], values[:, j])
+    others = np.delete(values, [i, j], axis=1)
+    if not others.size:
+        return np.ones(len(pts), dtype=bool)
+    return others.min(axis=1) > lead + tie_tol
+
+
+def reference_fraction(params, i, j, samples, seed, weight=None):
+    """_interface_fraction with the reference interior mask and no shortcut."""
+    center, radius, basis = sampling.subsphere_frame(params.pair_center(i, j),
+                                                     params.pair_curvature(i, j))
+    wall = sphere_surface_measure(params.n - 1) * radius ** (params.n - 1)
+    sums, sq_sums = [], []
+    for chunk, count in sampling.chunk_layout(samples):
+        pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count,
+                                       center, radius, basis)
+        inside = reference_interior(params, i, j, pts)
+        contrib = inside.astype(float) if weight is None else inside * weight(pts)
+        sums.append(np.array([contrib.sum()]))
+        sq_sums.append(np.array([(contrib ** 2).sum()]))
+    mean = float(sampling.pairwise_sum(sums)[0]) / samples
+    second = float(sampling.pairwise_sum(sq_sums)[0]) / samples
+    return mean, np.sqrt(max(second - mean * mean, 0.0) / samples), wall
+
+
+@st.composite
+def random_clusters(draw, duplicate=False):
+    """(params, (a, b)): a random affine cluster with n = 2..6, q = 2..n+2.
+
+    With duplicate=True cell b > a gets exactly the parameters of cell a, so
+    the two tie at every point.
+    """
+    n = draw(st.integers(2, 6))
+    q = draw(st.integers(2, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, n + 1))
+    k = draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
+    a, b = sorted(rng.choice(q, 2, replace=False).tolist())
+    if duplicate:
+        c[b], k[b] = c[a], k[a]
+    return recentered(n, c, k), (a, b)
+
+
+def chunk_sources(params, pair, seed):
+    """One 2^18-point chunk on S^n and one on the wall sphere of the pair, if any."""
+    n = params.n
+    yield sampling.unit_sphere_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
+    frame = sampling.subsphere_frame(params.pair_center(*pair), params.pair_curvature(*pair))
+    if frame is not None:
+        yield sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
+
+
+def fresh_sample_cache():
+    mp = pytest.MonkeyPatch()
+    mp.setattr(sampling, "_unit_cache", {})
+    mp.setattr(sampling, "_unit_cache_floats", 0)
+    return mp
+
+
+@pytest.fixture
+def private_cache():
+    """A fresh sample cache for one test, dropped afterwards."""
+    mp = fresh_sample_cache()
+    yield
+    mp.undo()
+
+
+class TestCellMajorKernels:
+    @pytest.fixture(autouse=True, scope="class")
+    def class_cache(self):
+        # the random chunks below are drawn once each; keep them out of the
+        # process-wide cache
+        mp = fresh_sample_cache()
+        yield
+        mp.undo()
+
+    @given(random_clusters(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_classify_many_matches_argmin(self, cluster, seed):
+        params, pair = cluster
+        for pts in chunk_sources(params, pair, seed):
+            assert np.array_equal(cell_values(params, pts), params.affine_values(pts).T)
+            labels = classify_many(params, pts)
+            assert labels.dtype == np.intp
+            assert np.array_equal(labels, reference_labels(params, pts))
+
+    @given(random_clusters(duplicate=True), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_exact_ties_go_to_lower_index(self, cluster, seed):
+        params, (a, b) = cluster
+        for pts in chunk_sources(params, (a, b), seed):
+            values = cell_values(params, pts)
+            assert np.array_equal(values[a], values[b])
+            labels = classify_many(params, pts)
+            assert not np.any(labels == b)
+            assert np.array_equal(labels, reference_labels(params, pts))
+
+    @given(st.one_of(random_clusters(), random_clusters(duplicate=True)),
+           st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
+    @settings(max_examples=15, deadline=None)
+    def test_wall_interior_matches_delete_min(self, cluster, seed, tie_tol):
+        params, pair = cluster
+        i, j = pair
+        # with a duplicated cell, the pair of its twin and a third cell has an
+        # "other" cell that ties exactly with the lead
+        third = [(i, k) for k in range(params.q) if k not in pair][:1]
+        for pts in chunk_sources(params, pair, seed):
+            for ii, jj in [(i, j), (j, i)] + third:
+                mask = wall_interior(params, ii, jj, pts, tie_tol)
+                assert mask.dtype == bool
+                assert np.array_equal(mask, reference_interior(params, ii, jj, pts, tie_tol))
+
+    @given(random_clusters(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_interface_fraction_matches_reference(self, cluster, seed):
+        params, (i, j) = cluster
+        if sampling.subsphere_frame(params.pair_center(i, j),
+                                    params.pair_curvature(i, j)) is None:
+            return
+        samples = sampling.CHUNK + 1000
+        xi = np.linspace(-0.3, 0.3, params.n + 1)
+        for weight in (None, lambda pts: 1.0 - pts @ xi):
+            got = _interface_fraction(params, i, j, samples, seed, weight)
+            assert got == reference_fraction(params, i, j, samples, seed, weight)
+
+    def test_subsphere_chunk_is_c_ordered_broadcast_formula(self):
+        params = standard_of_curvature(4, 3, [0.3, 0.1, -0.4])
+        center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 2),
+                                                         params.pair_curvature(0, 2))
+        pts = sampling.subsphere_chunk(5, TEST_LABEL, 0, 1000, center, radius, frame)
+        w = sampling.unit_chunk(5, TEST_LABEL, 0, 1000, frame.shape[1])
+        assert pts.flags.c_contiguous
+        assert np.array_equal(pts, center[None, :] + radius * (w @ frame.T))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_two_cell_area_shortcut_equals_sampled_value(self, n, private_cache):
+        params = standard_of_curvature(n, 2, [0.35, -0.35])
+        samples = 2 * sampling.CHUNK + 17
+        shortcut = _interface_fraction(params, 0, 1, samples, 11)
+        assert not sampling._unit_cache  # no wall point was drawn
+        assert shortcut[:2] == (1.0, 0.0)
+        assert shortcut == reference_fraction(params, 0, 1, samples, 11)
+
+    def test_two_cell_wall_interior_is_everything(self):
+        pts = sampling.unit_sphere(3, 100, 4, label=TEST_LABEL)
+        assert wall_interior(equal_volume_standard(3, 2), 0, 1, pts).all()
+
+
+class TestSampleCache:
+    def test_cached_directions_are_read_only(self, private_cache):
+        first = sampling.unit_sphere(0, 5, 3, label=9)
+        original = first.copy()
+        with pytest.raises(ValueError):
+            first[0, 0] = 42.0
+        assert np.array_equal(sampling.unit_sphere(0, 5, 3, label=9), original)
+
+    def test_eviction_is_oldest_first(self, private_cache, monkeypatch):
+        count, dim = 64, 3
+        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 2 * count * dim)
+        for label in (1, 2, 3):
+            sampling.unit_chunk(0, label, 0, count, dim)
+        assert list(sampling._unit_cache) == [(0, 2, 0, dim), (0, 3, 0, dim)]
+        assert sampling._unit_cache_floats == 2 * count * dim
+
+    def test_longer_draw_replaces_short_entry(self, private_cache):
+        short = sampling.unit_chunk(0, 4, 0, 10, 3).copy()
+        longer = sampling.unit_chunk(0, 4, 0, 50, 3)
+        assert np.array_equal(longer[:10], short)
+        assert sampling._unit_cache_floats == 50 * 3

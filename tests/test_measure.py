@@ -11,7 +11,8 @@ from bubblelab import (apply_mobius, check_positive_definite, detect_interfaces,
                        weighted_laplacian)
 from bubblelab import MobiusMap, gallery
 from bubblelab.cluster import complete_graph
-from bubblelab.measure import MeasureError, WeightedLaplacian, extract_arcs
+from bubblelab.measure import (MeasureError, WeightedLaplacian, extract_arcs,
+                               resolve_backend)
 from bubblelab.simplex import random_orthogonal, restrict
 
 
@@ -171,6 +172,21 @@ class TestWeightedLaplacian:
         for i, j in skew_bubble_graph.pairs():
             assert (abs(mc.matrix[i, j] - exact.matrix[i, j])
                     < 4.5 * max(mc.entry_stderr[i, j], 1e-9))
+
+
+class TestResolveBackend:
+    def test_auto_is_exact_only_on_s2(self):
+        assert resolve_backend("auto", 2) == "exact"
+        assert [resolve_backend("auto", n) for n in (3, 4, 6)] == ["mc"] * 3
+        assert resolve_backend("mc", 2) == "mc"
+        assert resolve_backend("exact", 3) == "exact"
+
+    def test_unknown_backend_rejected(self, skew_bubble_s2, skew_bubble_graph):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("MC", 3)
+        with pytest.raises(ValueError, match="unknown backend"):
+            weighted_laplacian(skew_bubble_s2, skew_bubble_graph,
+                               lambda pts: np.ones(len(pts)), backend="arcs")
 
 
 class TestPositiveDefiniteness:
