@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -35,8 +34,7 @@ SCHEMA_VERSION = 1
 
 def _base_report(args, **extra) -> dict:
     cfg = {"command": args.command, "version": __version__,
-           "schema_version": SCHEMA_VERSION,
-           "workers": int(os.environ.get("BUBBLELAB_WORKERS", "1"))}
+           "schema_version": SCHEMA_VERSION}
     for key in ("seed", "samples", "tol", "h", "backend", "steps", "t"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)

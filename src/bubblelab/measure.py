@@ -113,36 +113,50 @@ def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.
     return frac, stderr
 
 
-def _interface_fraction(params: ClusterParams, i: int, j: int, samples: int,
-                        seed: int, weight=None) -> tuple[float, float, float]:
-    """(mean, stderr, wall measure) of `weight` over Sigma_ij within its wall sphere.
+def _interface_fractions(params: ClusterParams, i: int, j: int, samples: int,
+                         seed: int, weights) -> list[tuple[float, float, float]]:
+    """(mean, stderr, wall measure) of each weight over Sigma_ij within its wall sphere.
 
-    weight=None integrates the constant 1 (plain area). The wall measure is the
-    raw H^(n-1) measure of the full wall sphere.
+    One pass: each chunk of wall points is drawn and classified once, and every
+    weight is reduced over it. A weight None integrates the constant 1 (plain
+    area). The wall measure is the raw H^(n-1) measure of the full wall sphere.
+    The points handed to the weights are read-only.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     n = params.n
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
     if frame is None:
-        return 0.0, 0.0, 0.0
+        return [(0.0, 0.0, 0.0)] * len(weights)
     center, radius, basis = frame
     wall_measure = sphere_surface_measure(n - 1) * radius ** (n - 1)
-    if weight is None and params.q == 2:
+    if params.q == 2 and all(weight is None for weight in weights):
         # no third cell: every sample is a hit, and the sampled mean is exactly 1
-        return 1.0, 0.0, wall_measure
+        return [(1.0, 0.0, wall_measure)] * len(weights)
     label = i * params.q + j + 1
-    sums, sq_sums = [], []
+    sums = [[] for _ in weights]
+    sq_sums = [[] for _ in weights]
     for chunk, count in sampling.chunk_layout(samples):
         pts = sampling.subsphere_chunk(seed, label, chunk, count, center, radius, basis)
+        pts.setflags(write=False)
         inside = wall_interior(params, i, j, pts)
-        contrib = inside.astype(float) if weight is None else inside * weight(pts)
-        sums.append(np.array([contrib.sum()]))
-        sq_sums.append(np.array([(contrib ** 2).sum()]))
-    mean = float(sampling.pairwise_sum(sums)[0]) / samples
-    second = float(sampling.pairwise_sum(sq_sums)[0]) / samples
-    var = max(second - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples), wall_measure
+        for weight, w_sums, w_sq_sums in zip(weights, sums, sq_sums):
+            contrib = inside.astype(float) if weight is None else inside * weight(pts)
+            w_sums.append(np.array([contrib.sum()]))
+            w_sq_sums.append(np.array([(contrib ** 2).sum()]))
+    out = []
+    for w_sums, w_sq_sums in zip(sums, sq_sums):
+        mean = float(sampling.pairwise_sum(w_sums)[0]) / samples
+        second = float(sampling.pairwise_sum(w_sq_sums)[0]) / samples
+        var = max(second - mean * mean, 0.0)
+        out.append((mean, math.sqrt(var / samples), wall_measure))
+    return out
+
+
+def _interface_fraction(params: ClusterParams, i: int, j: int, samples: int,
+                        seed: int, weight=None) -> tuple[float, float, float]:
+    """(mean, stderr, wall measure) of one weight over Sigma_ij; see _interface_fractions."""
+    return _interface_fractions(params, i, j, samples, seed, [weight])[0]
 
 
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
@@ -413,39 +427,56 @@ def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureRep
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
-def _arc_integral(arc: Arc, weight) -> float:
-    """Integral of a smooth pointwise weight over one arc (Gauss-Legendre)."""
+def _arc_integrals(arc: Arc, weights) -> list[float]:
+    """Integrals of smooth pointwise weights over one arc (Gauss-Legendre)."""
     mid, half = 0.5 * (arc.t0 + arc.t1), 0.5 * (arc.t1 - arc.t0)
-    ts = mid + half * _GL_NODES
-    values = weight(arc.point(ts))
-    return float(np.sum(values * _GL_WEIGHTS) * half * arc.radius)
+    pts = arc.point(mid + half * _GL_NODES)
+    pts.setflags(write=False)
+    return [float(np.sum(weight(pts) * _GL_WEIGHTS) * half * arc.radius)
+            for weight in weights]
+
+
+def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
+                        backend: str = "auto", samples: int = 1_000_000,
+                        seed: int = 0, labels=None) -> list[WeightedLaplacian]:
+    """L_f for each weight f, with A^ij the integral of f over Sigma_ij.
+
+    Each weight maps an (m, n+1) array of points to m values. All weights are
+    integrated in one pass over the same points: the arcs are extracted once
+    (backend "exact", n = 2 only), or each chunk of wall samples is drawn and
+    classified once (Monte Carlo). "auto" picks exact on S^2 and Monte Carlo
+    otherwise. Each result equals the single-weight weighted_laplacian bit for bit.
+    """
+    backend = resolve_backend(backend, params.n)
+    q = params.q
+    values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
+    errs: list[dict[tuple[int, int], float]] = [{} for _ in weights]
+    norm = sphere_surface_measure(params.n)
+    if backend == "exact":
+        for arc in extract_arcs(params, graph):
+            key = (arc.i, arc.j)
+            for w_values, integral in zip(values, _arc_integrals(arc, weights)):
+                w_values[key] = w_values.get(key, 0.0) + integral / norm
+        errs = [{k: 0.0 for k in w_values} for w_values in values]
+    else:
+        for i, j in graph.pairs():
+            fractions = _interface_fractions(params, i, j, samples, seed, weights)
+            for w_values, w_errs, (mean, stderr, wall) in zip(values, errs, fractions):
+                w_values[(i, j)] = mean * wall / norm
+                w_errs[(i, j)] = stderr * wall / norm
+    labels = labels or ["custom"] * len(weights)
+    out = []
+    for w_values, w_errs, label in zip(values, errs, labels):
+        entry_err = np.zeros((q, q))
+        for (i, j), e in w_errs.items():
+            entry_err[i, j] = entry_err[j, i] = e
+        out.append(WeightedLaplacian(pair_weight_matrix(q, w_values), label, entry_err))
+    return out
 
 
 def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
                        backend: str = "auto", samples: int = 1_000_000,
                        seed: int = 0, label: str = "") -> WeightedLaplacian:
-    """L_f with A^ij the integral of a pointwise weight over Sigma_ij.
-
-    weight maps an (m, n+1) array of points to m values. backend "exact"
-    requires n = 2; "auto" picks exact on S^2 and Monte Carlo otherwise.
-    """
-    backend = resolve_backend(backend, params.n)
-    q = params.q
-    weights: dict[tuple[int, int], float] = {}
-    err: dict[tuple[int, int], float] = {}
-    norm = sphere_surface_measure(params.n)
-    if backend == "exact":
-        arcs = extract_arcs(params, graph)
-        for arc in arcs:
-            key = (arc.i, arc.j)
-            weights[key] = weights.get(key, 0.0) + _arc_integral(arc, weight) / norm
-        err = {k: 0.0 for k in weights}
-    else:
-        for i, j in graph.pairs():
-            mean, stderr, wall = _interface_fraction(params, i, j, samples, seed, weight)
-            weights[(i, j)] = mean * wall / norm
-            err[(i, j)] = stderr * wall / norm
-    entry_err = np.zeros((q, q))
-    for (i, j), e in err.items():
-        entry_err[i, j] = entry_err[j, i] = e
-    return WeightedLaplacian(pair_weight_matrix(q, weights), label or "custom", entry_err)
+    """L_f with A^ij the integral of a pointwise weight over Sigma_ij; see weighted_laplacians."""
+    return weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
+                               seed=seed, labels=[label or "custom"])[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterParams, InterfaceGraph
-from .measure import weighted_laplacian
+from .measure import weighted_laplacian, weighted_laplacians
 from .simplex import pair_decomposition, sum_zero_projector
 
 
@@ -53,18 +53,18 @@ def normal_moment_operator(params: ClusterParams, graph: InterfaceGraph,
 
     Its action on a direction theta is the first variation of cell volumes
     under the conformal field of theta. Assembled from interface areas and
-    first moments; exact arc quadrature on S^2, Monte Carlo otherwise.
+    first moments, integrated in one pass over each interface; exact arc
+    quadrature on S^2, Monte Carlo otherwise.
     """
     q, dim = params.q, params.n + 1
     out = np.zeros((q, dim))
     err = np.zeros((q, dim))
-    area = weighted_laplacian(params, graph, lambda pts: np.ones(len(pts)),
-                              backend=backend, samples=samples, seed=seed,
-                              label="area")
-    moments = [weighted_laplacian(params, graph, lambda pts, ax=axis: pts[:, ax],
-                                  backend=backend, samples=samples, seed=seed,
-                                  label=f"moment-{axis}")
-               for axis in range(dim)]
+    area, *moments = weighted_laplacians(
+        params, graph,
+        [lambda pts: np.ones(len(pts))] + [lambda pts, ax=axis: pts[:, ax]
+                                           for axis in range(dim)],
+        backend=backend, samples=samples, seed=seed,
+        labels=["area"] + [f"moment-{axis}" for axis in range(dim)])
     for i in range(q):
         for j in range(i + 1, q):
             a_ij = area.pair_weight(i, j)

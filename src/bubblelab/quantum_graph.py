@@ -150,6 +150,8 @@ class JacobiSystem:
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _form_lu: spla.SuperLU | None = field(default=None, repr=False)
     _kernels: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
+    _counts: dict[float, tuple[int, str]] = field(default_factory=dict, repr=False)
+    _refined: JacobiSystem | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -188,6 +190,23 @@ class JacobiSystem:
             self._form_lu = spla.splu(self.reduced()[0].tocsc())
         return self._form_lu
 
+    def count_above(self, value: float) -> tuple[int, str]:
+        """(number of eigenvalues lam > value, inertia method), cached per value.
+
+        The count is the positive inertia of -A_r - value M_r, so each shift
+        is factored once however many callers ask for it.
+        """
+        if value not in self._counts:
+            a_r, m_r = self.reduced()
+            self._counts[value] = positive_inertia(-a_r - value * m_r)
+        return self._counts[value]
+
+    def refined(self) -> JacobiSystem:
+        """The same graph assembled at grid spacing h/2 (cached)."""
+        if self._refined is None:
+            self._refined = assemble_jacobi(self.graph, self.h / 2.0)
+        return self._refined
+
     def near_kernel(self, kernel_tol: float) -> np.ndarray:
         """M_r-orthonormal eigenvectors with |lam| <= kernel_tol, as columns (cached, read-only).
 
@@ -196,10 +215,10 @@ class JacobiSystem:
         the factorization of A_r.
         """
         if kernel_tol not in self._kernels:
-            a_r, m_r = self.reduced()
-            dim = _count_above(a_r, m_r, -kernel_tol)[0] - _count_above(a_r, m_r, kernel_tol)[0]
+            dim = self.count_above(-kernel_tol)[0] - self.count_above(kernel_tol)[0]
             vec = np.zeros((self.reduced_size, 0))
             if dim:
+                a_r, m_r = self.reduced()
                 lu = self.form_factor()
                 op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
                 lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0,
@@ -430,11 +449,6 @@ def positive_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
     return int(np.count_nonzero(blocks > 0.0)), "dense_ldl"
 
 
-def _count_above(a_r: sp.spmatrix, m_r: sp.spmatrix, value: float) -> tuple[int, str]:
-    """Number of eigenvalues lam > value of the pencil -A_r x = lam M_r x."""
-    return positive_inertia(-a_r - value * m_r)
-
-
 def kernel_tolerance(system: JacobiSystem, floor: float = 1e-6) -> float:
     """Discretization-aware zero-mode threshold: exact kernel eigenvalues land
     within O(h^2) of zero, so anything below ~50 h^2 is treated as kernel."""
@@ -476,19 +490,17 @@ def eigen_count_positive(system: JacobiSystem, shift_tol: float = 1e-6,
     the largest eigenvalues are reported; when they reach below the kernel,
     the number of them above cut must equal count_positive.
     """
-    a_r, m_r = system.reduced()
     cut = max(shift_tol, kernel_tolerance(system, shift_tol))
-    count, method_plus = _count_above(a_r, m_r, cut)
-    above_minus, method_minus = _count_above(a_r, m_r, -cut)
+    count, method_plus = system.count_above(cut)
+    above_minus, method_minus = system.count_above(-cut)
     kernel = above_minus - count
 
-    fine = assemble_jacobi(system.graph, system.h / 2.0)
-    a_f, m_f = fine.reduced()
-    count_fine, method_fine = _count_above(
-        a_f, m_f, max(shift_tol, kernel_tolerance(fine, shift_tol)))
+    fine = system.refined()
+    count_fine, method_fine = fine.count_above(max(shift_tol, kernel_tolerance(fine, shift_tol)))
     methods = {method_plus, method_minus, method_fine}
     method = "dense_ldl" if "dense_ldl" in methods else "sparse_ldl"
 
+    a_r, m_r = system.reduced()
     lam = _top_eigenvalues(system, a_r, m_r, k_top)
     above_cut = int(np.count_nonzero(lam > cut))
     if lam.size > count + kernel and above_cut != count:

@@ -87,6 +87,17 @@ class TestAnalysisCommands:
         assert payload["fc_n"]["product_residual"] < 1e-10
         assert payload["locality"]["max_empty_pair_weight"] == 0.0
 
+    def test_operators_mc_byte_identical_rerun(self, cluster_file, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run_cli("operators", str(cluster_file), "--backend", "mc",
+                           "--samples", "50000", "--seed", "11",
+                           "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert {"conformal_to_volume", "fc_n", "trace", "locality"} <= set(payload)
+        assert "workers" not in payload
+
     def test_plateau(self, cluster_file, tmp_path):
         out = tmp_path / "plateau.json"
         assert run_cli("plateau", str(cluster_file), "--budget", "150",

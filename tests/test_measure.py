@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblelab import (apply_mobius, check_positive_definite, detect_interfaces,
                        equal_volume_standard, measure_exact_s2, measure_mc,
-                       standard_of_curvature, standard_of_volume,
-                       weighted_laplacian)
-from bubblelab import MobiusMap, gallery
+                       recentered, standard_of_curvature, standard_of_volume,
+                       weighted_laplacian, weighted_laplacians)
+from bubblelab import MobiusMap, gallery, sampling
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import (MeasureError, WeightedLaplacian, extract_arcs,
                                resolve_backend)
@@ -172,6 +174,101 @@ class TestWeightedLaplacian:
         for i, j in skew_bubble_graph.pairs():
             assert (abs(mc.matrix[i, j] - exact.matrix[i, j])
                     < 4.5 * max(mc.entry_stderr[i, j], 1e-9))
+
+
+def weight_pool(xi):
+    """Pointwise weights of the kinds the operators integrate; None is the constant 1."""
+    return [None,
+            lambda pts: np.ones(len(pts)),
+            lambda pts: pts[:, 0],
+            lambda pts: 1.0 - pts @ xi,
+            lambda pts: (pts @ xi) ** 2]
+
+
+def assert_same_bits(multi, singles):
+    assert len(multi) == len(singles)
+    for got, want in zip(multi, singles):
+        assert got.weight_label == want.weight_label
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.entry_stderr.tobytes() == want.entry_stderr.tobytes()
+
+
+def singles_of(params, graph, weights, labels, **kwargs):
+    return [weighted_laplacian(params, graph, w, label=label, **kwargs)
+            for w, label in zip(weights, labels)]
+
+
+@st.composite
+def mc_cases(draw):
+    """(params, weights, samples): a random affine cluster with n = 2..5,
+    q = 2..n+2, and one to four weights, any of which may be None."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.integers(2, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, n + 1))
+    k = draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
+    pool = weight_pool(0.4 * rng.standard_normal(n + 1))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    samples = draw(st.sampled_from([999, sampling.CHUNK + 999]))
+    return recentered(n, c, k), [pool[p] for p in picks], samples
+
+
+class TestWeightedLaplacians:
+    """The one-pass integrator against one weighted_laplacian call per weight."""
+
+    @given(mc_cases(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_mc_matches_single_calls(self, case, seed):
+        params, weights, samples = case
+        graph = complete_graph(params.q)
+        labels = [f"w{k}" for k in range(len(weights))]
+        multi = weighted_laplacians(params, graph, weights, backend="mc",
+                                    samples=samples, seed=seed, labels=labels)
+        assert_same_bits(multi, singles_of(params, graph, weights, labels,
+                                           backend="mc", samples=samples, seed=seed))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("picks", [[0], [0, 0], [0, 3], [2, 0, 4]])
+    def test_two_cells_with_and_without_constant_weights(self, n, picks):
+        # all-None lists take the q = 2 shortcut; mixed lists sample every point
+        params = standard_of_curvature(n, 2, np.array([0.3, -0.3]))
+        graph = complete_graph(2)
+        weights = [weight_pool(np.linspace(-0.3, 0.3, n + 1))[p] for p in picks]
+        labels = [f"w{k}" for k in range(len(weights))]
+        multi = weighted_laplacians(params, graph, weights, backend="mc",
+                                    samples=sampling.CHUNK + 999, seed=n, labels=labels)
+        assert_same_bits(multi, singles_of(params, graph, weights, labels, backend="mc",
+                                           samples=sampling.CHUNK + 999, seed=n))
+
+    @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    @settings(max_examples=10, deadline=None)
+    def test_exact_matches_single_calls(self, q, rng_seed, picks):
+        rng = np.random.default_rng(rng_seed)
+        kappa = 0.5 * rng.standard_normal(q)
+        params = standard_of_curvature(2, q, kappa - kappa.mean())
+        graph = detect_interfaces(params, rng_seed=rng_seed % 1000)
+        weights = [weight_pool(0.4 * rng.standard_normal(3))[p] for p in picks]
+        labels = [f"w{k}" for k in range(len(weights))]
+        multi = weighted_laplacians(params, graph, weights, backend="exact", labels=labels)
+        assert_same_bits(multi, singles_of(params, graph, weights, labels,
+                                           backend="exact"))
+
+    def test_weights_see_read_only_points(self, skew_bubble_s2, skew_bubble_graph):
+        def scribble(pts):
+            pts[:, 0] = 0.0
+            return pts[:, 1]
+
+        for backend in ("exact", "mc"):
+            with pytest.raises(ValueError, match="read-only"):
+                weighted_laplacians(skew_bubble_s2, skew_bubble_graph,
+                                    [lambda pts: pts[:, 0], scribble],
+                                    backend=backend, samples=1000)
+
+    def test_default_labels(self, skew_bubble_s2, skew_bubble_graph):
+        laps = weighted_laplacians(skew_bubble_s2, skew_bubble_graph,
+                                   [lambda pts: pts[:, 0], lambda pts: pts[:, 1]])
+        assert [lap.weight_label for lap in laps] == ["custom", "custom"]
 
 
 class TestResolveBackend:

@@ -12,7 +12,7 @@ from bubblelab import (MobiusMap, apply_mobius, check_product_identity,
                        normal_moment_operator, pcf_detect, perpendicular_pole,
                        quasi_center_operator, standard_of_curvature,
                        trace_identity_residual)
-from bubblelab import gallery
+from bubblelab import gallery, sampling
 from bubblelab.measure import measure_mc as _measure_mc
 from bubblelab.operators import SimplexOperator, trace_identity_allowance
 from bubblelab.simplex import random_orthogonal, restrict, sum_zero_projector
@@ -58,6 +58,24 @@ class TestNormalMomentOperator:
                                     samples=300_000, seed=3)
         assert np.all(np.abs(mc.matrix - exact.matrix)
                       <= 4.5 * np.maximum(mc.entry_stderr, 1e-9))
+
+    def test_one_wall_pass_per_pair(self, monkeypatch):
+        # area and n+1 moments are reduced over one draw of each wall chunk
+        params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
+        graph = detect_interfaces(params, rng_seed=2)
+        assert len(graph.pairs()) == 6
+        samples = sampling.CHUNK + 500
+        calls = []
+        draw = sampling.subsphere_chunk
+
+        def counted(*args):
+            calls.append(args[1:3])  # (pair label, chunk index)
+            return draw(*args)
+
+        monkeypatch.setattr(sampling, "subsphere_chunk", counted)
+        normal_moment_operator(params, graph, backend="mc", samples=samples, seed=5)
+        assert len(calls) == len(sampling.chunk_layout(samples)) * len(graph.pairs())
+        assert len(set(calls)) == len(calls)
 
 
 class TestConformalToVolume:

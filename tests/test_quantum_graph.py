@@ -196,6 +196,30 @@ class TestDoubleBubbleSpectrum:
         assert report.converged
         assert report.eigenvalues.size == 1
 
+    def test_each_shift_factored_once(self, double_bubble, monkeypatch):
+        # the count and the matched solve share the inertia at -cut and +cut,
+        # and the h/2 refinement is assembled once and kept
+        _, _, qgraph = double_bubble
+        system = assemble_jacobi(qgraph, 0.01)
+        factored = []
+        inertia = quantum_graph.positive_inertia
+
+        def counted(matrix):
+            factored.append(matrix.shape[0])
+            return inertia(matrix)
+
+        monkeypatch.setattr(quantum_graph, "positive_inertia", counted)
+        report = eigen_count_positive(system)
+        solve = conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
+        fine = system.refined()
+        assert factored == [system.reduced_size] * 2 + [fine.reduced_size]
+        assert fine is system.refined() and fine.h == system.h / 2.0
+        assert solve.kernel_dim == report.kernel_dim
+        cut = kernel_tolerance(system)
+        a_r, m_r = system.reduced()
+        assert system.count_above(cut) == inertia(-a_r - cut * m_r)
+        assert len(factored) == 3
+
     def test_kernel_contains_skew_fields(self, double_system):
         report = eigen_count_positive(double_system)
         assert report.kernel_dim >= 2
