@@ -438,14 +438,15 @@ def _arc_integrals(arc: Arc, weights) -> list[float]:
 
 def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
                         backend: str = "auto", samples: int = 1_000_000,
-                        seed: int = 0, labels=None) -> list[WeightedLaplacian]:
+                        seed: int = 0) -> list[WeightedLaplacian]:
     """L_f for each weight f, with A^ij the integral of f over Sigma_ij.
 
     Each weight maps an (m, n+1) array of points to m values. All weights are
     integrated in one pass over the same points: the arcs are extracted once
     (backend "exact", n = 2 only), or each chunk of wall samples is drawn and
     classified once (Monte Carlo). "auto" picks exact on S^2 and Monte Carlo
-    otherwise. Each result equals the single-weight weighted_laplacian bit for bit.
+    otherwise. Each result is labelled "custom" and equals the single-weight
+    weighted_laplacian bit for bit.
     """
     backend = resolve_backend(backend, params.n)
     q = params.q
@@ -464,13 +465,12 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
             for w_values, w_errs, (mean, stderr, wall) in zip(values, errs, fractions):
                 w_values[(i, j)] = mean * wall / norm
                 w_errs[(i, j)] = stderr * wall / norm
-    labels = labels or ["custom"] * len(weights)
     out = []
-    for w_values, w_errs, label in zip(values, errs, labels):
+    for w_values, w_errs in zip(values, errs):
         entry_err = np.zeros((q, q))
         for (i, j), e in w_errs.items():
             entry_err[i, j] = entry_err[j, i] = e
-        out.append(WeightedLaplacian(pair_weight_matrix(q, w_values), label, entry_err))
+        out.append(WeightedLaplacian(pair_weight_matrix(q, w_values), "custom", entry_err))
     return out
 
 
@@ -478,5 +478,7 @@ def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
                        backend: str = "auto", samples: int = 1_000_000,
                        seed: int = 0, label: str = "") -> WeightedLaplacian:
     """L_f with A^ij the integral of a pointwise weight over Sigma_ij; see weighted_laplacians."""
-    return weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
-                               seed=seed, labels=[label or "custom"])[0]
+    lap = weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
+                              seed=seed)[0]
+    lap.weight_label = label or "custom"
+    return lap

@@ -63,8 +63,7 @@ def normal_moment_operator(params: ClusterParams, graph: InterfaceGraph,
         params, graph,
         [lambda pts: np.ones(len(pts))] + [lambda pts, ax=axis: pts[:, ax]
                                            for axis in range(dim)],
-        backend=backend, samples=samples, seed=seed,
-        labels=["area"] + [f"moment-{axis}" for axis in range(dim)])
+        backend=backend, samples=samples, seed=seed)
     for i in range(q):
         for j in range(i + 1, q):
             a_ij = area.pair_weight(i, j)

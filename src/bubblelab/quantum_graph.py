@@ -147,6 +147,7 @@ class JacobiSystem:
     form: sp.csr_matrix
     mass: sp.csr_matrix
     constraint_basis: sp.csr_matrix
+    _reduced: tuple[sp.csr_matrix, sp.csr_matrix] | None = field(default=None, repr=False)
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _form_lu: spla.SuperLU | None = field(default=None, repr=False)
     _kernels: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
@@ -173,8 +174,11 @@ class JacobiSystem:
         return arc.point(ts)
 
     def reduced(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        z = self.constraint_basis
-        return (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
+        """The reduced pencil (Z^T A Z, Z^T M Z) (cached; callers must not modify it)."""
+        if self._reduced is None:
+            z = self.constraint_basis
+            self._reduced = (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
+        return self._reduced
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """All eigenpairs of the reduced pencil (dense reference; cached)."""
@@ -465,10 +469,10 @@ class SpectrumReport:
     method: str  # "sparse_ldl", or "dense_ldl" if any inertia guard tripped
 
 
-def _top_eigenvalues(system: JacobiSystem, a_r: sp.spmatrix, m_r: sp.spmatrix,
-                     k_top: int) -> np.ndarray:
+def _top_eigenvalues(system: JacobiSystem, k_top: int) -> np.ndarray:
     """The k_top largest eigenvalues, descending, by one shift-invert Lanczos
     run from a fixed start vector (so reruns give identical bits)."""
+    a_r, m_r = system.reduced()
     kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
     sigma = 1.0 + kappa_max ** 2 + 3.0
     lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
@@ -500,8 +504,7 @@ def eigen_count_positive(system: JacobiSystem, shift_tol: float = 1e-6,
     methods = {method_plus, method_minus, method_fine}
     method = "dense_ldl" if "dense_ldl" in methods else "sparse_ldl"
 
-    a_r, m_r = system.reduced()
-    lam = _top_eigenvalues(system, a_r, m_r, k_top)
+    lam = _top_eigenvalues(system, k_top)
     above_cut = int(np.count_nonzero(lam > cut))
     if lam.size > count + kernel and above_cut != count:
         raise SpectrumError(f"{above_cut} of the top {lam.size} eigenvalues exceed "

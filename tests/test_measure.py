@@ -193,9 +193,8 @@ def assert_same_bits(multi, singles):
         assert got.entry_stderr.tobytes() == want.entry_stderr.tobytes()
 
 
-def singles_of(params, graph, weights, labels, **kwargs):
-    return [weighted_laplacian(params, graph, w, label=label, **kwargs)
-            for w, label in zip(weights, labels)]
+def singles_of(params, graph, weights, **kwargs):
+    return [weighted_laplacian(params, graph, w, **kwargs) for w in weights]
 
 
 @st.composite
@@ -221,10 +220,9 @@ class TestWeightedLaplacians:
     def test_mc_matches_single_calls(self, case, seed):
         params, weights, samples = case
         graph = complete_graph(params.q)
-        labels = [f"w{k}" for k in range(len(weights))]
         multi = weighted_laplacians(params, graph, weights, backend="mc",
-                                    samples=samples, seed=seed, labels=labels)
-        assert_same_bits(multi, singles_of(params, graph, weights, labels,
+                                    samples=samples, seed=seed)
+        assert_same_bits(multi, singles_of(params, graph, weights,
                                            backend="mc", samples=samples, seed=seed))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -234,10 +232,9 @@ class TestWeightedLaplacians:
         params = standard_of_curvature(n, 2, np.array([0.3, -0.3]))
         graph = complete_graph(2)
         weights = [weight_pool(np.linspace(-0.3, 0.3, n + 1))[p] for p in picks]
-        labels = [f"w{k}" for k in range(len(weights))]
         multi = weighted_laplacians(params, graph, weights, backend="mc",
-                                    samples=sampling.CHUNK + 999, seed=n, labels=labels)
-        assert_same_bits(multi, singles_of(params, graph, weights, labels, backend="mc",
+                                    samples=sampling.CHUNK + 999, seed=n)
+        assert_same_bits(multi, singles_of(params, graph, weights, backend="mc",
                                            samples=sampling.CHUNK + 999, seed=n))
 
     @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
@@ -249,10 +246,8 @@ class TestWeightedLaplacians:
         params = standard_of_curvature(2, q, kappa - kappa.mean())
         graph = detect_interfaces(params, rng_seed=rng_seed % 1000)
         weights = [weight_pool(0.4 * rng.standard_normal(3))[p] for p in picks]
-        labels = [f"w{k}" for k in range(len(weights))]
-        multi = weighted_laplacians(params, graph, weights, backend="exact", labels=labels)
-        assert_same_bits(multi, singles_of(params, graph, weights, labels,
-                                           backend="exact"))
+        multi = weighted_laplacians(params, graph, weights, backend="exact")
+        assert_same_bits(multi, singles_of(params, graph, weights, backend="exact"))
 
     def test_weights_see_read_only_points(self, skew_bubble_s2, skew_bubble_graph):
         def scribble(pts):
@@ -265,10 +260,14 @@ class TestWeightedLaplacians:
                                     [lambda pts: pts[:, 0], scribble],
                                     backend=backend, samples=1000)
 
-    def test_default_labels(self, skew_bubble_s2, skew_bubble_graph):
+    def test_labels(self, skew_bubble_s2, skew_bubble_graph):
         laps = weighted_laplacians(skew_bubble_s2, skew_bubble_graph,
                                    [lambda pts: pts[:, 0], lambda pts: pts[:, 1]])
         assert [lap.weight_label for lap in laps] == ["custom", "custom"]
+        single = weighted_laplacian(skew_bubble_s2, skew_bubble_graph,
+                                    lambda pts: pts[:, 0], label="moment-0")
+        assert single.weight_label == "moment-0"
+        assert single.matrix.tobytes() == laps[0].matrix.tobytes()
 
 
 class TestResolveBackend:

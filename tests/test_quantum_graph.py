@@ -197,8 +197,8 @@ class TestDoubleBubbleSpectrum:
         assert report.eigenvalues.size == 1
 
     def test_each_shift_factored_once(self, double_bubble, monkeypatch):
-        # the count and the matched solve share the inertia at -cut and +cut,
-        # and the h/2 refinement is assembled once and kept
+        # the count and the matched solve share the reduced pencil and the
+        # inertia at -cut and +cut, and the h/2 refinement is assembled once and kept
         _, _, qgraph = double_bubble
         system = assemble_jacobi(qgraph, 0.01)
         factored = []
@@ -214,6 +214,7 @@ class TestDoubleBubbleSpectrum:
         fine = system.refined()
         assert factored == [system.reduced_size] * 2 + [fine.reduced_size]
         assert fine is system.refined() and fine.h == system.h / 2.0
+        assert system.reduced() is system.reduced()
         assert solve.kernel_dim == report.kernel_dim
         cut = kernel_tolerance(system)
         a_r, m_r = system.reduced()
