@@ -14,8 +14,8 @@ from .deform import (GramInvarianceReport, LseSolution, PcfReport,
                      conformal_step, gram_invariance_check, gram_path,
                      lse_solve, pcf_detect)
 from .measure import (MeasureReport, WeightedLaplacian, check_positive_definite,
-                      measure_exact_s2, measure_mc, weighted_laplacian,
-                      weighted_laplacians)
+                      measure_cluster, measure_exact_s2, measure_mc,
+                      weighted_laplacian, weighted_laplacians)
 from .operators import (AmbientToSimplexOperator, SimplexOperator,
                         check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,

@@ -18,7 +18,7 @@ from . import __version__, gallery, suites
 from .cluster import (detect_interfaces, load_cluster, perpendicular_pole,
                       save_cluster, validate_spherical)
 from .deform import conformal_step, gram_invariance_check, gram_path, pcf_detect
-from .measure import measure_exact_s2, measure_mc, resolve_backend
+from .measure import measure_cluster
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,
                         normal_moment_operator, quasi_center_operator,
@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 def _base_report(args, **extra) -> dict:
     cfg = {"command": args.command, "version": __version__,
            "schema_version": SCHEMA_VERSION}
-    for key in ("seed", "samples", "tol", "h", "backend", "steps", "t"):
+    for key in ("seed", "samples", "h", "backend", "steps", "t"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     cfg.update(extra)
@@ -66,8 +66,7 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _graph_for(params, args):
-    return detect_interfaces(params, samples_per_pair=getattr(args, "pair_samples", 4096),
-                             rng_seed=args.seed)
+    return detect_interfaces(params, rng_seed=args.seed)
 
 
 def cmd_standard(args) -> int:
@@ -93,10 +92,7 @@ def cmd_standard(args) -> int:
 def cmd_measure(args) -> int:
     params = load_cluster(args.cluster)
     graph = _graph_for(params, args)
-    if resolve_backend(args.backend, params.n) == "exact":
-        report = measure_exact_s2(params, graph)
-    else:
-        report = measure_mc(params, graph, samples=args.samples, seed=args.seed)
+    report = measure_cluster(params, graph, args.backend, args.samples, args.seed)
     validation = validate_spherical(params, graph)
     payload = _base_report(args, cluster=params.label,
                            spherical=validation.passed,
@@ -153,10 +149,9 @@ def cmd_deform(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"v{i}" for i in range(params.q)] + ["perimeter"])
             for t, p in zip(times, path):
-                if params.n == 2:
-                    rep = measure_exact_s2(p, graph)
-                else:
-                    rep = measure_mc(p, graph, samples=args.samples, seed=args.seed)
+                # interfaces can appear along the path: detect them at each point
+                p_graph = graph if t == 0.0 else _graph_for(p, args)
+                rep = measure_cluster(p, p_graph, samples=args.samples, seed=args.seed)
                 writer.writerow([t] + list(rep.volumes) + [rep.total_perimeter])
     return 0
 
@@ -164,7 +159,6 @@ def cmd_deform(args) -> int:
 def cmd_operators(args) -> int:
     params = load_cluster(args.cluster)
     graph = _graph_for(params, args)
-    backend = resolve_backend(args.backend, params.n)
     checks = args.checks.split(",")
     payload = _base_report(args, cluster=params.label, checks=checks)
     pcf = pcf_detect(params)
@@ -174,23 +168,22 @@ def cmd_operators(args) -> int:
         payload["note"] = ("cluster is not pseudo conformally flat: the "
                            "conformal-to-volume operator has no closed form here; "
                            "only the relaxed operator is reported")
-    meas = (measure_exact_s2(params, graph) if backend == "exact"
-            else measure_mc(params, graph, samples=args.samples, seed=args.seed))
+    meas = measure_cluster(params, graph, args.backend, args.samples, args.seed)
     f_op = None
     if pcf.pcf:
-        f_op = conformal_to_volume_pcf(params, graph, pcf.xi, backend=backend,
+        f_op = conformal_to_volume_pcf(params, graph, pcf.xi, backend=args.backend,
                                        samples=args.samples, seed=args.seed)
         payload["conformal_to_volume"] = f_op.matrix
     pole = perpendicular_pole(params)
     if pole is not None:
-        f0 = conformal_to_volume_relaxed(params, graph, pole, backend=backend,
+        f0 = conformal_to_volume_relaxed(params, graph, pole, backend=args.backend,
                                          samples=args.samples, seed=args.seed)
         payload["conformal_to_volume_relaxed"] = f0.matrix
         if f_op is None:
             f_op = f0
     if f_op is not None and "fc_n" in checks:
         c_op = quasi_center_operator(params)
-        n_op = normal_moment_operator(params, graph, backend=backend,
+        n_op = normal_moment_operator(params, graph, backend=args.backend,
                                       samples=args.samples, seed=args.seed)
         ident = check_product_identity(f_op, c_op, n_op, meas.total_perimeter,
                                        meas.perimeter_stderr)
@@ -244,8 +237,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = (NewtonConfig(tol=1e-11) if args.n == 2
-           else NewtonConfig(backend="mc", mc_samples=args.samples, mc_seed=args.seed))
+    # tol applies on the exact backend (S^2); Monte Carlo floors it at mc_tol
+    cfg = NewtonConfig(tol=1e-11, mc_samples=args.samples, mc_seed=args.seed)
     rows = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.grid):
@@ -274,9 +267,7 @@ def cmd_suite(args) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     report = suites.run_suite(args.name, **kwargs)
-    payload = report.as_dict()
-    payload["version"] = __version__
-    _emit(payload, args.out)
+    _emit(report.as_dict(), args.out)
     for crit in report.criteria:
         status = "PASS" if crit.passed else "FAIL"
         if crit.warning:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cluster import (ClusterParams, InterfaceGraph, detect_interfaces,
                       recentered, validate_spherical)
-from .measure import MeasureReport, measure_exact_s2, measure_mc
+from .measure import MeasureReport, measure_cluster
 from .simplex import (psd_sqrtm, sum_zero_basis, sum_zero_projector)
 from .standard import MobiusMap, apply_mobius
 
@@ -143,9 +143,11 @@ def gram_path(params: ClusterParams, t: float) -> ClusterParams:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    q = params.q
+    if q > params.n + 2:
+        raise ValueError(f"the Gram path needs q <= n + 2, got q={q}, n={params.n}")
     c = params.quasi_centers
     kappa = params.curvatures
-    q = params.q
     gram_t = ((1.0 - t) * (c @ c.T)
               + t * (0.5 * sum_zero_projector(q) + np.outer(kappa, kappa)))
     u = _row_orthonormal_factor(params)
@@ -208,10 +210,7 @@ def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,
             extra = [p for p in step_graph.pairs() if tuple(p) not in base_pairs]
             if extra and first_new is None:
                 first_new, new_pair = float(t), tuple(extra[0])
-        if params.n == 2:
-            reports.append(measure_exact_s2(step_params, step_graph))
-        else:
-            reports.append(measure_mc(step_params, step_graph, samples=samples, seed=seed))
+        reports.append(measure_cluster(step_params, step_graph, samples=samples, seed=seed))
     base = reports[0]
     upto = len(times) if first_new is None else int(np.searchsorted(times, first_new))
     vol_dev = max(float(np.max(np.abs(r.volumes - base.volumes))) for r in reports[:upto])

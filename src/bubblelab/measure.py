@@ -84,6 +84,27 @@ def resolve_backend(backend: str, n: int) -> str:
     return backend
 
 
+def measure_cluster(params: ClusterParams, graph: InterfaceGraph, backend: str = "auto",
+                    samples: int = 1_000_000, seed: int = 0) -> MeasureReport:
+    """Volumes and interface areas on the backend that runs for `backend` on S^n.
+
+    This is where a backend name becomes a measuring function: "exact" runs
+    measure_exact_s2 (S^2 only), "mc" runs measure_mc with the given samples
+    and seed, and "auto" resolves as in resolve_backend.
+    """
+    if resolve_backend(backend, params.n) == "exact":
+        return measure_exact_s2(params, graph)
+    return measure_mc(params, graph, samples=samples, seed=seed)
+
+
+def cell_volumes(params: ClusterParams, graph: InterfaceGraph, backend: str = "auto",
+                 samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
+    """The volumes of measure_cluster, without integrating any wall on Monte Carlo."""
+    if resolve_backend(backend, params.n) == "exact":
+        return measure_exact_s2(params, graph).volumes
+    return cell_volumes_mc(params, samples, seed)[0]
+
+
 def check_positive_definite(lap: WeightedLaplacian, tol: float = 1e-11) -> EigenReport:
     """Eigenvalues of the Laplacian restricted to E^(q-1) and a definiteness flag."""
     w = np.linalg.eigvalsh(restrict(lap.matrix))
@@ -105,7 +126,7 @@ def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.
     q = params.q
     counts = []
     for chunk, count in sampling.chunk_layout(samples):
-        pts = sampling.unit_sphere_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
+        pts = sampling.unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
         counts.append(np.bincount(classify_many(params, pts), minlength=q).astype(float))
     total = sampling.pairwise_sum(counts)
     frac = total / samples
@@ -153,24 +174,11 @@ def _interface_fractions(params: ClusterParams, i: int, j: int, samples: int,
     return out
 
 
-def _interface_fraction(params: ClusterParams, i: int, j: int, samples: int,
-                        seed: int, weight=None) -> tuple[float, float, float]:
-    """(mean, stderr, wall measure) of one weight over Sigma_ij; see _interface_fractions."""
-    return _interface_fractions(params, i, j, samples, seed, [weight])[0]
-
-
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
                seed: int = 0) -> MeasureReport:
     """Monte Carlo volumes and interface areas with propagated binomial errors."""
-    q = params.q
     volumes, vol_err = cell_volumes_mc(params, samples, seed)
-    areas = np.zeros((q, q))
-    area_err = np.zeros((q, q))
-    norm = sphere_surface_measure(params.n)
-    for i, j in graph.pairs():
-        frac, err, wall = _interface_fraction(params, i, j, samples, seed)
-        areas[i, j] = areas[j, i] = frac * wall / norm
-        area_err[i, j] = area_err[j, i] = err * wall / norm
+    areas, area_err = interface_areas(params, graph, "mc", samples, seed)
     return MeasureReport(volumes, areas, vol_err, area_err,
                          {"kind": "monte_carlo", "seed": seed, "samples": samples})
 
@@ -428,32 +436,31 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 def _arc_integrals(arc: Arc, weights) -> list[float]:
-    """Integrals of smooth pointwise weights over one arc (Gauss-Legendre)."""
+    """Integrals of smooth pointwise weights over one arc (Gauss-Legendre).
+
+    A weight None integrates the constant 1: the arc length, in closed form.
+    """
     mid, half = 0.5 * (arc.t0 + arc.t1), 0.5 * (arc.t1 - arc.t0)
     pts = arc.point(mid + half * _GL_NODES)
     pts.setflags(write=False)
-    return [float(np.sum(weight(pts) * _GL_WEIGHTS) * half * arc.radius)
+    return [arc.length if weight is None
+            else float(np.sum(weight(pts) * _GL_WEIGHTS) * half * arc.radius)
             for weight in weights]
 
 
-def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
-                        backend: str = "auto", samples: int = 1_000_000,
-                        seed: int = 0) -> list[WeightedLaplacian]:
-    """L_f for each weight f, with A^ij the integral of f over Sigma_ij.
+def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backend: str,
+                    samples: int, seed: int) -> list[tuple[dict, dict]]:
+    """Per weight, ({pair: normalized integral over Sigma_ij}, {pair: stderr}).
 
-    Each weight maps an (m, n+1) array of points to m values. All weights are
-    integrated in one pass over the same points: the arcs are extracted once
-    (backend "exact", n = 2 only), or each chunk of wall samples is drawn and
-    classified once (Monte Carlo). "auto" picks exact on S^2 and Monte Carlo
-    otherwise. Each result is labelled "custom" and equals the single-weight
-    weighted_laplacian bit for bit.
+    Each weight maps an (m, n+1) array of points to m values; None integrates
+    the constant 1 (plain area). All weights are integrated in one pass: the
+    arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
+    is left out), or each chunk of wall samples is drawn and classified once.
     """
-    backend = resolve_backend(backend, params.n)
-    q = params.q
     values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
     errs: list[dict[tuple[int, int], float]] = [{} for _ in weights]
     norm = sphere_surface_measure(params.n)
-    if backend == "exact":
+    if resolve_backend(backend, params.n) == "exact":
         for arc in extract_arcs(params, graph):
             key = (arc.i, arc.j)
             for w_values, integral in zip(values, _arc_integrals(arc, weights)):
@@ -465,13 +472,40 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
             for w_values, w_errs, (mean, stderr, wall) in zip(values, errs, fractions):
                 w_values[(i, j)] = mean * wall / norm
                 w_errs[(i, j)] = stderr * wall / norm
-    out = []
-    for w_values, w_errs in zip(values, errs):
-        entry_err = np.zeros((q, q))
-        for (i, j), e in w_errs.items():
-            entry_err[i, j] = entry_err[j, i] = e
-        out.append(WeightedLaplacian(pair_weight_matrix(q, w_values), "custom", entry_err))
-    return out
+    return list(zip(values, errs))
+
+
+def _symmetric(q: int, pair_values: dict[tuple[int, int], float]) -> np.ndarray:
+    """q x q matrix with the given entries at (i, j) and (j, i), +0.0 elsewhere."""
+    m = np.zeros((q, q))
+    for (i, j), value in pair_values.items():
+        m[i, j] = m[j, i] = value
+    return m
+
+
+def interface_areas(params: ClusterParams, graph: InterfaceGraph, backend: str = "auto",
+                    samples: int = 1_000_000, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized interface areas and their stderr: the pair weights of L_None.
+
+    No volume sample is drawn.
+    """
+    (areas, errs), = _pair_integrals(params, graph, [None], backend, samples, seed)
+    return _symmetric(params.q, areas), _symmetric(params.q, errs)
+
+
+def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
+                        backend: str = "auto", samples: int = 1_000_000,
+                        seed: int = 0) -> list[WeightedLaplacian]:
+    """L_f for each weight f, with A^ij the integral of f over Sigma_ij.
+
+    All weights are integrated in one pass over the same points (see
+    _pair_integrals); "auto" picks exact on S^2 and Monte Carlo otherwise.
+    Each result is labelled "custom" and equals the single-weight
+    weighted_laplacian bit for bit.
+    """
+    q = params.q
+    return [WeightedLaplacian(pair_weight_matrix(q, values), "custom", _symmetric(q, errs))
+            for values, errs in _pair_integrals(params, graph, weights, backend, samples, seed)]
 
 
 def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,

@@ -95,19 +95,13 @@ def pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def unit_sphere_chunk(seed: int, label: int, chunk: int, count: int,
-                      ambient_dim: int) -> np.ndarray:
-    """Uniform points on the unit sphere in R^ambient_dim, shape (count, ambient_dim)."""
-    return unit_chunk(seed, label, chunk, count, ambient_dim)
-
-
 def unit_sphere(rng_or_seed, count: int, ambient_dim: int,
                 label: int = 0) -> np.ndarray:
     """Uniform sphere points; accepts a Generator (ad hoc) or a seed (addressed)."""
     if isinstance(rng_or_seed, np.random.Generator):
         x = rng_or_seed.standard_normal((count, ambient_dim))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
-    blocks = [unit_sphere_chunk(rng_or_seed, label, c, m, ambient_dim)
+    blocks = [unit_chunk(rng_or_seed, label, c, m, ambient_dim)
               for c, m in chunk_layout(count)]
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterParams, complete_graph, recentered
-from .measure import cell_volumes_mc, measure_exact_s2, resolve_backend
+from .measure import cell_volumes, interface_areas, resolve_backend
 from .simplex import psd_sqrtm, sum_zero_basis, sum_zero_projector
 
 
@@ -168,20 +168,18 @@ class NewtonConfig:
     mc_tol: float = 3e-6
     mc_fd_step: float = 2e-4
 
+    def tolerances(self, n: int) -> tuple[float, float]:
+        """(tol, fd_step) on S^n; Monte Carlo volumes floor them at mc_tol and mc_fd_step."""
+        if resolve_backend(self.backend, n) == "exact":
+            return self.tol, self.fd_step
+        return max(self.tol, self.mc_tol), max(self.fd_step, self.mc_fd_step)
+
 
 class NewtonError(RuntimeError):
     def __init__(self, message: str, last_kappa: np.ndarray, residual: float):
         super().__init__(message)
         self.last_kappa = last_kappa
         self.residual = residual
-
-
-def _volumes_of_curvature(n: int, q: int, kappa: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
-    params = standard_of_curvature(n, q, kappa)
-    if resolve_backend(cfg.backend, n) == "exact":
-        return measure_exact_s2(params, complete_graph(q)).volumes
-    vols, _ = cell_volumes_mc(params, cfg.mc_samples, cfg.mc_seed)
-    return vols
 
 
 def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
@@ -193,12 +191,12 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
     of nearby solves (finite-difference grids) skip most Jacobian rebuilds.
     """
     basis = sum_zero_basis(q)
-    exact = resolve_backend(cfg.backend, n) == "exact"
-    tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
-    fd_step = cfg.fd_step if exact else max(cfg.fd_step, cfg.mc_fd_step)
+    graph = complete_graph(q)
+    tol, fd_step = cfg.tolerances(n)
 
     def residual(yy: np.ndarray) -> np.ndarray:
-        vols = _volumes_of_curvature(n, q, basis @ yy, cfg)
+        vols = cell_volumes(standard_of_curvature(n, q, basis @ yy), graph, cfg.backend,
+                            cfg.mc_samples, cfg.mc_seed)
         return basis.T @ (vols - v_target)
 
     def build_jacobian(yy: np.ndarray) -> np.ndarray:
@@ -260,8 +258,7 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     v_target = np.asarray(volumes, dtype=float)
     if v_target.shape != (q,) or np.any(v_target <= 0) or abs(v_target.sum() - 1.0) > 1e-9:
         raise ValueError("volumes must be positive and sum to 1")
-    exact = resolve_backend(cfg.backend, n) == "exact"
-    tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
+    tol, _ = cfg.tolerances(n)
     y, _, res = _volume_newton(n, q, v_target, cfg)
     if res > 3 * tol:
         raise NewtonError(f"volume Newton did not converge: residual {res:.3e}",
@@ -293,21 +290,6 @@ class ModelProfilePoint:
     q: int
 
 
-def _perimeter_of(params: ClusterParams, cfg: NewtonConfig) -> float:
-    graph = complete_graph(params.q)
-    if resolve_backend(cfg.backend, params.n) == "exact":
-        return measure_exact_s2(params, graph).total_perimeter
-    from .measure import _interface_fraction
-    from .simplex import sphere_surface_measure
-
-    norm = sphere_surface_measure(params.n)
-    total = 0.0
-    for i, j in graph.pairs():
-        frac, _, wall = _interface_fraction(params, i, j, cfg.mc_samples, cfg.mc_seed)
-        total += frac * wall / norm
-    return total
-
-
 def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
                   fd_step_hess: float = 2e-2, cfg: NewtonConfig | None = None) -> ModelProfilePoint:
     """Least perimeter at prescribed volumes, with finite-difference derivatives.
@@ -322,8 +304,8 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     margin = min(v.min(), (1.0 - v).min())
     if fd_step_hess * np.abs(basis).max() * 2 >= margin:
         raise ValueError("fd step too large for this volume vector")
-    exact = resolve_backend(cfg.backend, n) == "exact"
-    tol = cfg.tol if exact else max(cfg.tol, cfg.mc_tol)
+    tol, _ = cfg.tolerances(n)
+    graph = complete_graph(q)
 
     # center solve cold, perturbed solves warm-started from it
     y_center, jac_center, res = _volume_newton(n, q, v, cfg)
@@ -341,7 +323,10 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
             if r > 3 * tol:
                 raise NewtonError("volume Newton did not converge at a grid point",
                                   basis @ y, r)
-            cache[key] = _perimeter_of(standard_of_curvature(n, q, basis @ y), cfg)
+            # total perimeter from the interface areas alone: no volume sample
+            areas, _ = interface_areas(standard_of_curvature(n, q, basis @ y), graph,
+                                       cfg.backend, cfg.mc_samples, cfg.mc_seed)
+            cache[key] = float(np.sum(np.triu(areas, 1)))
         return cache[key]
 
     center = value(np.zeros(q))

@@ -17,7 +17,7 @@ from . import __version__, gallery
 from .cluster import (ClusterParams, detect_interfaces, perpendicular_pole,
                       validate_spherical)
 from .deform import conformal_step, gram_eigenvalue_floor, gram_invariance_check, pcf_detect
-from .measure import measure_exact_s2, measure_mc, resolve_backend
+from .measure import measure_cluster, measure_exact_s2, measure_mc, resolve_backend
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, normal_moment_operator,
                         quasi_center_operator, trace_identity_allowance,
@@ -176,9 +176,8 @@ def suite_profile_pde(seed: int = 3, mc_samples: int = 6_000_000) -> SuiteReport
                  [0.5, 0.3, 0.2], [0.25, 0.4, 0.35]],
     }
     for (n, q), vs in volume_sets.items():
-        exact = n == 2
-        cfg = (NewtonConfig(tol=1e-11) if exact
-               else NewtonConfig(backend="mc", mc_samples=mc_samples, mc_seed=seed))
+        exact = resolve_backend("auto", n) == "exact"
+        cfg = NewtonConfig(tol=1e-11, mc_samples=mc_samples, mc_seed=seed)
         fd_h = 2e-3 if exact else 5e-2
         fd_g = 1e-3 if exact else 1e-2
         worst_grad = worst_pde = 0.0
@@ -232,25 +231,20 @@ def suite_trace(seed: int = 4, samples: int = 400_000) -> SuiteReport:
         c_op = quasi_center_operator(params)
         n_op = normal_moment_operator(params, graph, backend=backend,
                                       samples=samples, seed=seed + idx)
+        meas = measure_cluster(params, graph, backend, samples, seed + idx)
+        ident = check_product_identity(f_op, c_op, n_op, meas.total_perimeter,
+                                       meas.perimeter_stderr, sigma=1.0)
+        tr = trace_identity_residual(f_op, params.curvatures, meas.total_perimeter)
         if backend == "exact":
-            meas = measure_exact_s2(params, graph)
-            ident = check_product_identity(f_op, c_op, n_op, meas.total_perimeter)
-            worst_prod_pull = max(worst_prod_pull, ident.product_residual / 1e-10,
-                                  ident.trace_residual / 1e-10)
-            tr = trace_identity_residual(f_op, params.curvatures, meas.total_perimeter)
-            worst_trace_pull = max(worst_trace_pull, abs(tr) / 1e-10)
+            allowed_prod = allowed_trace = allowed_tr = 1e-10
         else:
-            meas = measure_mc(params, graph, samples=samples, seed=seed + idx)
-            ident = check_product_identity(f_op, c_op, n_op, meas.total_perimeter,
-                                           meas.perimeter_stderr, sigma=1.0)
-            worst_prod_pull = max(
-                worst_prod_pull,
-                ident.product_residual / max(ident.allowed_product, 1e-12),
-                ident.trace_residual / max(ident.allowed_trace, 1e-12))
-            tr = trace_identity_residual(f_op, params.curvatures, meas.total_perimeter)
-            allowed = trace_identity_allowance(f_op, params.curvatures,
-                                               meas.perimeter_stderr, sigma=1.0)
-            worst_trace_pull = max(worst_trace_pull, abs(tr) / max(allowed, 1e-12))
+            allowed_prod = max(ident.allowed_product, 1e-12)
+            allowed_trace = max(ident.allowed_trace, 1e-12)
+            allowed_tr = max(trace_identity_allowance(f_op, params.curvatures,
+                                                      meas.perimeter_stderr, sigma=1.0), 1e-12)
+        worst_prod_pull = max(worst_prod_pull, ident.product_residual / allowed_prod,
+                              ident.trace_residual / allowed_trace)
+        worst_trace_pull = max(worst_trace_pull, abs(tr) / allowed_tr)
     rep.check_mc("product_identity_worst_pull", worst_prod_pull, 1.0,
                  "FC = N and tr(F C C^T) = perimeter, units of 1 sigma (1e-10 exact)")
     rep.check_mc("trace_identity_worst_pull", worst_trace_pull, 1.0,

@@ -1,11 +1,14 @@
 """Command-line interface: construction, reports, reproducibility."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from bubblelab import detect_interfaces, gram_invariance_check
 from bubblelab.cli import main
+from bubblelab.cluster import load_cluster
 
 
 def run_cli(*argv) -> int:
@@ -58,6 +61,66 @@ class TestMeasureCommand:
                            "--samples", "50000", "--seed", "11",
                            "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_auto_on_s3_byte_identical_rerun(self, tmp_path):
+        cluster = tmp_path / "s3.json"
+        assert run_cli("standard", "--n", "3", "--q", "4",
+                       "--kappa", "0.2,-0.1,0.05,-0.15", "--out", str(cluster)) == 0
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run_cli("measure", str(cluster), "--samples", "30000", "--seed", "5",
+                           "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert payload["backend_used"] == {"kind": "monte_carlo", "seed": 5,
+                                           "samples": 30000}
+        assert "tol" not in payload
+
+
+def gram_report(tmp_path, gallery_name, *argv):
+    """(cluster path, [(json bytes, csv bytes)] of two identical deform runs)."""
+    cluster = tmp_path / f"{gallery_name}.json"
+    assert run_cli("standard", "--gallery", gallery_name, "--out", str(cluster)) == 0
+    runs = []
+    for k in range(2):
+        out, report = tmp_path / f"d{k}.json", tmp_path / f"d{k}.csv"
+        assert run_cli("deform", str(cluster), "--mode", "gram", "--t", "0.5",
+                       "--steps", "5", *argv, "--out", str(out),
+                       "--report", str(report)) == 0
+        runs.append((out.read_bytes(), report.read_bytes()))
+    return cluster, runs
+
+
+def assert_rows_match(report_csv: bytes, reports):
+    rows = list(csv.DictReader(report_csv.decode().splitlines()))
+    assert len(rows) == len(reports)
+    for row, rep in zip(rows, reports):
+        assert float(row["perimeter"]) == rep.total_perimeter
+        assert [float(row[f"v{i}"]) for i in range(len(rep.volumes))] == list(rep.volumes)
+
+
+class TestDeformReport:
+    """deform --report measures each path point against its own interfaces."""
+
+    def test_sectored_cap_on_s4(self, tmp_path):
+        cluster, runs = gram_report(tmp_path, "sectored-cap", "--samples", "40000",
+                                    "--seed", "1")
+        assert runs[0] == runs[1]
+        params = load_cluster(str(cluster))
+        inv = gram_invariance_check(params, detect_interfaces(params, rng_seed=1),
+                                    t_max=0.5, steps=5, samples=40_000, seed=1)
+        assert inv.first_new_interface_t == pytest.approx(0.3)
+        assert_rows_match(runs[0][1], inv.reports)
+
+    def test_cross_junction_on_s2(self, tmp_path):
+        # the t = 0 interfaces leave a dangling arc here once new ones appear
+        cluster, runs = gram_report(tmp_path, "cross")
+        assert runs[0] == runs[1]
+        params = load_cluster(str(cluster))
+        inv = gram_invariance_check(params, detect_interfaces(params, rng_seed=0),
+                                    t_max=0.5, steps=5, seed=0)
+        assert inv.first_new_interface_t == pytest.approx(0.1)
+        assert_rows_match(runs[0][1], inv.reports)
 
 
 class TestDeformCommand:

@@ -12,7 +12,7 @@ from bubblelab import (ClusterParams, classify_point, detect_interfaces,
 from bubblelab import gallery, sampling
 from bubblelab.cluster import (cell_values, classify_many, spherical_residuals,
                                wall_interior)
-from bubblelab.measure import _interface_fraction
+from bubblelab.measure import _interface_fractions
 from bubblelab.simplex import random_orthogonal, sphere_surface_measure
 
 
@@ -182,7 +182,7 @@ def reference_interior(params, i, j, pts, tie_tol=0.0):
 
 
 def reference_fraction(params, i, j, samples, seed, weight=None):
-    """_interface_fraction with the reference interior mask and no shortcut."""
+    """One weight of _interface_fractions, with the reference interior mask and no shortcut."""
     center, radius, basis = sampling.subsphere_frame(params.pair_center(i, j),
                                                      params.pair_curvature(i, j))
     wall = sphere_surface_measure(params.n - 1) * radius ** (params.n - 1)
@@ -220,7 +220,7 @@ def random_clusters(draw, duplicate=False):
 def chunk_sources(params, pair, seed):
     """One 2^18-point chunk on S^n and one on the wall sphere of the pair, if any."""
     n = params.n
-    yield sampling.unit_sphere_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
+    yield sampling.unit_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
     frame = sampling.subsphere_frame(params.pair_center(*pair), params.pair_curvature(*pair))
     if frame is not None:
         yield sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
@@ -297,7 +297,7 @@ class TestCellMajorKernels:
         samples = sampling.CHUNK + 1000
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            got = _interface_fraction(params, i, j, samples, seed, weight)
+            got = _interface_fractions(params, i, j, samples, seed, [weight])[0]
             assert got == reference_fraction(params, i, j, samples, seed, weight)
 
     def test_subsphere_chunk_is_c_ordered_broadcast_formula(self):
@@ -313,7 +313,7 @@ class TestCellMajorKernels:
     def test_two_cell_area_shortcut_equals_sampled_value(self, n, private_cache):
         params = standard_of_curvature(n, 2, [0.35, -0.35])
         samples = 2 * sampling.CHUNK + 17
-        shortcut = _interface_fraction(params, 0, 1, samples, 11)
+        shortcut = _interface_fractions(params, 0, 1, samples, 11, [None])[0]
         assert not sampling._unit_cache  # no wall point was drawn
         assert shortcut[:2] == (1.0, 0.0)
         assert shortcut == reference_fraction(params, 0, 1, samples, 11)

@@ -151,6 +151,11 @@ class TestGramPath:
         with pytest.raises(ValueError):
             gram_path(band_cluster, 1.5)
 
+    def test_rejects_more_cells_than_n_plus_2(self):
+        five = gallery.five_cell_meeting_point()  # q = 5 on S^2
+        with pytest.raises(ValueError, match=r"q <= n \+ 2.*q=5, n=2"):
+            gram_path(five, 0.3)
+
 
 class TestGramInvariance:
     def test_equal_bubble_constant(self, equal_bubble_s2, equal_bubble_graph):

@@ -11,10 +11,11 @@ from bubblelab import (apply_mobius, check_positive_definite, detect_interfaces,
                        equal_volume_standard, measure_exact_s2, measure_mc,
                        recentered, standard_of_curvature, standard_of_volume,
                        weighted_laplacian, weighted_laplacians)
-from bubblelab import MobiusMap, gallery, sampling
+from bubblelab import MobiusMap, gallery, measure, sampling, standard
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import (MeasureError, WeightedLaplacian, extract_arcs,
-                               resolve_backend)
+                               interface_areas, measure_cluster, resolve_backend)
+from bubblelab.standard import NewtonConfig, model_profile
 from bubblelab.simplex import random_orthogonal, restrict
 
 
@@ -283,6 +284,102 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown backend"):
             weighted_laplacian(skew_bubble_s2, skew_bubble_graph,
                                lambda pts: np.ones(len(pts)), backend="arcs")
+
+
+def assert_same_report(got, want):
+    for field in ("volumes", "areas", "volume_stderr", "area_stderr"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.backend == want.backend
+
+
+class TestMeasureCluster:
+    """measure_cluster is measure_exact_s2 or measure_mc, bit for bit."""
+
+    def test_s2_backends(self, skew_bubble_s2, skew_bubble_graph):
+        exact = measure_exact_s2(skew_bubble_s2, skew_bubble_graph)
+        mc = measure_mc(skew_bubble_s2, skew_bubble_graph, samples=30_000, seed=3)
+        for backend, want in (("auto", exact), ("exact", exact), ("mc", mc)):
+            got = measure_cluster(skew_bubble_s2, skew_bubble_graph, backend,
+                                  samples=30_000, seed=3)
+            assert_same_report(got, want)
+
+    def test_s3_auto_is_monte_carlo(self):
+        params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
+        graph = complete_graph(4)
+        assert_same_report(measure_cluster(params, graph, samples=20_000, seed=8),
+                           measure_mc(params, graph, samples=20_000, seed=8))
+
+    def test_unknown_backend_rejected(self, skew_bubble_s2, skew_bubble_graph):
+        with pytest.raises(ValueError, match="unknown backend"):
+            measure_cluster(skew_bubble_s2, skew_bubble_graph, "arcs")
+
+    def test_empty_pairs_are_positive_zero(self, band_cluster, band_graph):
+        rep = measure_mc(band_cluster, band_graph, samples=20_000, seed=1)
+        empty = ~band_graph.nonempty & ~np.eye(band_cluster.q, dtype=bool)
+        assert empty.any()
+        assert not np.signbit(rep.areas).any()
+        assert not np.signbit(rep.area_stderr).any()
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_exact_unit_laplacian_is_arc_length(self, q):
+        # weight None integrates 1 on the exact backend too: the arc lengths
+        kappa = np.linspace(-0.4, 0.4, q)
+        params = standard_of_curvature(2, q, kappa - kappa.mean())
+        graph = detect_interfaces(params, rng_seed=q)
+        areas = measure_exact_s2(params, graph).areas
+        lap = weighted_laplacian(params, graph, None, backend="exact")
+        for i, j in graph.pairs():
+            assert lap.pair_weight(i, j) == areas[i, j]
+        assert interface_areas(params, graph, "exact")[0].tobytes() == areas.tobytes()
+
+    def test_volume_newton_integrates_no_wall(self, monkeypatch):
+        def no_walls(*args, **kwargs):
+            raise AssertionError("a wall was integrated")
+
+        monkeypatch.setattr(measure, "_interface_fractions", no_walls)
+        cfg = NewtonConfig(mc_samples=100_000, mc_seed=2)
+        standard_of_volume(3, 2, [0.4, 0.6], cfg)
+
+    def test_mc_areas_are_the_unit_pair_weights(self):
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        graph = complete_graph(3)
+        areas, errs = interface_areas(params, graph, "mc", 10_000, 4)
+        rep = measure_mc(params, graph, 10_000, 4)
+        assert areas.tobytes() == rep.areas.tobytes()
+        assert errs.tobytes() == rep.area_stderr.tobytes()
+        lap = weighted_laplacian(params, graph, None, backend="mc", samples=10_000, seed=4)
+        for i, j in graph.pairs():
+            assert lap.pair_weight(i, j) == areas[i, j]
+
+    def test_profile_perimeter_classifies_no_volume_sample(self, monkeypatch):
+        in_perimeter, perimeters = [], []
+        real_areas, real_volumes = standard.interface_areas, measure.cell_volumes_mc
+
+        def areas(*args):
+            in_perimeter.append(True)
+            perimeters.append(args)
+            try:
+                return real_areas(*args)
+            finally:
+                in_perimeter.pop()
+
+        def volumes(*args):
+            assert not in_perimeter, "a perimeter evaluation drew volume samples"
+            return real_volumes(*args)
+
+        monkeypatch.setattr(standard, "interface_areas", areas)
+        monkeypatch.setattr(measure, "cell_volumes_mc", volumes)
+        cfg = NewtonConfig(backend="mc", mc_samples=1_000_000, mc_seed=3)
+        model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
+        assert len(perimeters) == 5  # the center and two steps each way
+
+
+class TestNewtonTolerances:
+    def test_monte_carlo_floors_tolerance_and_step(self):
+        cfg = NewtonConfig(tol=1e-11)
+        assert cfg.tolerances(2) == (1e-11, cfg.fd_step)
+        assert cfg.tolerances(3) == (cfg.mc_tol, cfg.mc_fd_step)
+        assert NewtonConfig(backend="mc").tolerances(2) == (cfg.mc_tol, cfg.mc_fd_step)
 
 
 class TestPositiveDefiniteness:
