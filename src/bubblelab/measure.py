@@ -75,12 +75,15 @@ class EigenReport:
 def resolve_backend(backend: str, n: int) -> str:
     """The backend that runs for a requested one on S^n: "exact" or "mc".
 
-    "auto" picks the exact arc backend on S^2 and Monte Carlo otherwise.
+    "auto" picks the exact arc backend on S^2 and Monte Carlo otherwise;
+    "exact" on any other S^n is rejected here, before any work is done.
     """
     if backend == "auto":
         return "exact" if n == 2 else "mc"
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == "exact" and n != 2:
+        raise ValueError(f"the exact backend needs n = 2, got n = {n}")
     return backend
 
 

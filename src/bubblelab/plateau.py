@@ -15,12 +15,13 @@ from itertools import combinations
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_point
+from .cluster import ClusterParams, InterfaceGraph, cell_values, classify_point
 from .deform import PcfReport, pcf_detect
 from .simplex import sum_zero_projector
 
 RANK_CUTOFF = 1e-7
 SINGULAR_TIE_TOL = 1e-7
+_STRATUM_STREAM = 0xB10
 
 
 @dataclass
@@ -106,31 +107,34 @@ def boundary_normal_sum(params: ClusterParams, p, tie_tol: float = 1e-9) -> floa
 # Certification
 # ---------------------------------------------------------------------------
 
-def _project_to_stratum(params: ClusterParams, cells: tuple[int, ...],
-                        seed_point: np.ndarray, iters: int = 60,
-                        tol: float = 1e-12) -> np.ndarray | None:
-    """Newton projection onto the set where the given cells' affine values tie.
+def _stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
+                    index: int, count: int) -> np.ndarray:
+    """Unit points at which the given cells' affine values tie.
 
-    Solves the system {h_c - h_{c0} = 0 for c in cells} together with
-    |p|^2 = 1 by least-squares Newton steps from the seed point.
+    The tie set is p0 + span N, with p0 the min-norm solution of the tie rows
+    and N their null space, so its trace on S^n is the round subsphere of
+    center p0 and radius sqrt(1 - |p0|^2). A point or a pair of points is
+    returned exactly, a larger trace as count uniform samples at the (seed,
+    stratum stream, index) address, and none when the ties are inconsistent
+    or the subspace misses S^n.
     """
-    c0 = cells[0]
-    rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[c0]
-    offs = params.curvatures[list(cells[1:])] - params.curvatures[c0]
-    p = np.array(seed_point, dtype=float)
-    p /= np.linalg.norm(p)
-    for _ in range(iters):
-        res = np.concatenate([rows @ p + offs, [p @ p - 1.0]])
-        if np.max(np.abs(res)) < tol:
-            return p
-        jac = np.vstack([rows, 2.0 * p])
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        p = p + step
-        norm = np.linalg.norm(p)
-        if not np.isfinite(norm) or norm < 1e-9:
-            return None
-        p /= norm
-    return None
+    rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
+    offs = params.curvatures[list(cells[1:])] - params.curvatures[cells[0]]
+    u, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > RANK_CUTOFF * (s[0] or 1.0)))
+    p0 = -vt[:rank].T @ ((u[:, :rank].T @ offs) / s[:rank])
+    frame = vt[rank:].T
+    r2 = 1.0 - p0 @ p0
+    if (np.max(np.abs(rows @ p0 + offs)) > SINGULAR_TIE_TOL or r2 < -SINGULAR_TIE_TOL
+            or (frame.shape[1] == 0 and r2 > SINGULAR_TIE_TOL)):
+        return np.empty((0, params.n + 1))
+    radius = np.sqrt(max(r2, 0.0))
+    if frame.shape[1] <= 1:  # p0 +- radius N; with no N, p0 twice
+        pts = p0 + radius * np.outer([1.0, -1.0], frame.sum(axis=1))
+    else:
+        pts = sampling.subsphere_chunk(seed, _STRATUM_STREAM, index, count,
+                                       p0, radius, frame)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 @dataclass
@@ -147,17 +151,15 @@ class PlateauCertificate:
 def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
                     sample_budget: int = 2000, seed: int = 0,
                     tol: float = 1e-7) -> PlateauCertificate:
-    """Sample singular strata and certify the largest safe Plateau level.
+    """Examine the singular strata and certify the largest safe Plateau level.
 
-    Candidate points come from Newton projection onto every pairwise, triple
-    and higher tie set of adjacent cells (random seeds), plus random interface
-    points. Returns the largest level l such that every examined point whose
-    normals span at most l dimensions passed the regular-simplex test; points
-    failing the test are returned as counterexamples.
+    Candidate points are the interface witnesses plus the stratum points of
+    every pairwise (where the graph has an interface), triple and higher tie
+    set at which all of its cells are incident. Returns the largest level l
+    such that every examined point whose normals span at most l dimensions
+    passed the regular-simplex test; points failing it are counterexamples.
     """
-    rng = sampling.stream(seed, 0xB10)
     q = params.q
-    dim = params.n + 1
     candidates: list[np.ndarray] = []
 
     for i, j in graph.pairs():
@@ -173,15 +175,12 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
                 continue
             subsets.append(cells)
     seeds_per_subset = max(3, sample_budget // max(len(subsets), 1))
-    for cells in subsets:
-        for _ in range(seeds_per_subset):
-            start = sampling.unit_sphere(rng, 1, dim)[0]
-            found = _project_to_stratum(params, cells, start)
-            if found is None:
-                continue
-            incidence = classify_point(params, found, SINGULAR_TIE_TOL)
-            if set(cells).issubset(int(c) for c in incidence):
-                candidates.append(found)
+    for index, cells in enumerate(subsets):
+        pts = _stratum_points(params, cells, seed, index, seeds_per_subset)
+        # the incidence rule of classify_point, for all points at once
+        values = cell_values(params, pts)
+        low = values.min(axis=0) + SINGULAR_TIE_TOL
+        candidates.extend(pts[np.all(values[list(cells)] <= low, axis=0)])
 
     # deduplicate by rounding
     unique: dict[tuple, np.ndarray] = {}

@@ -95,14 +95,9 @@ def pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def unit_sphere(rng_or_seed, count: int, ambient_dim: int,
-                label: int = 0) -> np.ndarray:
-    """Uniform sphere points; accepts a Generator (ad hoc) or a seed (addressed)."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        x = rng_or_seed.standard_normal((count, ambient_dim))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-    blocks = [unit_chunk(rng_or_seed, label, c, m, ambient_dim)
-              for c, m in chunk_layout(count)]
+def unit_sphere(seed: int, count: int, ambient_dim: int, label: int = 0) -> np.ndarray:
+    """Uniform points on the unit sphere of R^ambient_dim at the (seed, label) address."""
+    blocks = [unit_chunk(seed, label, c, m, ambient_dim) for c, m in chunk_layout(count)]
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 

@@ -169,6 +169,16 @@ class TestAnalysisCommands:
         assert payload["fully_plateau"] is True
         assert payload["classification"] == "both"
 
+    def test_plateau_byte_identical_rerun(self, cluster_file, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run_cli("plateau", str(cluster_file), "--budget", "150",
+                           "--seed", "1", "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert payload["multi_points_found"] == 2  # the two triple points
+        assert payload["points_examined"] > 2
+
     def test_spectrum(self, cluster_file, tmp_path):
         out = tmp_path / "spec.json"
         assert run_cli("spectrum", str(cluster_file), "--h", "0.01",

@@ -276,7 +276,9 @@ class TestResolveBackend:
         assert resolve_backend("auto", 2) == "exact"
         assert [resolve_backend("auto", n) for n in (3, 4, 6)] == ["mc"] * 3
         assert resolve_backend("mc", 2) == "mc"
-        assert resolve_backend("exact", 3) == "exact"
+        assert resolve_backend("exact", 2) == "exact"
+        with pytest.raises(ValueError, match="n = 3"):
+            resolve_backend("exact", 3)
 
     def test_unknown_backend_rejected(self, skew_bubble_s2, skew_bubble_graph):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -312,6 +314,19 @@ class TestMeasureCluster:
     def test_unknown_backend_rejected(self, skew_bubble_s2, skew_bubble_graph):
         with pytest.raises(ValueError, match="unknown backend"):
             measure_cluster(skew_bubble_s2, skew_bubble_graph, "arcs")
+
+    def test_exact_rejected_off_s2_before_measuring(self, monkeypatch):
+        bands = gallery.band_stack()
+
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the backend was checked")
+
+        monkeypatch.setattr(measure, "measure_exact_s2", measured)
+        monkeypatch.setattr(measure, "cell_volumes_mc", measured)
+        monkeypatch.setattr(measure, "measure_mc", measured)
+        for measuring in (measure_cluster, measure.cell_volumes):
+            with pytest.raises(ValueError, match="n = 4"):
+                measuring(bands, complete_graph(bands.q), "exact")
 
     def test_empty_pairs_are_positive_zero(self, band_cluster, band_graph):
         rep = measure_mc(band_cluster, band_graph, samples=20_000, seed=1)

@@ -1,5 +1,9 @@
 """Blow-up cones, 120-degree junctions, Plateau certification, classification."""
 
+import json
+from dataclasses import asdict
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,9 @@ from bubblelab import (MobiusMap, apply_mobius, blowup_at, certify_plateau,
                        equal_volume_standard, pcf_detect, perpendicular_pole,
                        plateau_at, standard_of_curvature, triple_point_angles)
 from bubblelab import gallery
-from bubblelab.plateau import boundary_normal_sum
+from bubblelab.cluster import classify_point, complete_graph, recentered
+from bubblelab.measure import extract_arcs
+from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
 from bubblelab.simplex import random_orthogonal, sum_zero_projector
 
 
@@ -37,8 +43,7 @@ class TestBlowupAt:
         assert np.max(np.abs(cone.centered_normals.sum(axis=0))) < 1e-12
         gram = cone.centered_normals @ cone.centered_normals.T
         # regular unit-simplex pattern: 1/3 on the diagonal, -1/6 off it
-        assert np.max(np.abs(gram - (np.eye(3) / 2 - 1 / 6 + np.eye(3) * 0.0)
-                             )) < 1e-9 or True
+        assert np.max(np.abs(gram - (np.eye(3) / 2 - 1 / 6))) < 1e-9
         expected = 0.5 * sum_zero_projector(3)
         assert np.max(np.abs(gram - expected)) < 1e-9
 
@@ -132,6 +137,71 @@ class TestCertifyPlateau:
         cert = certify_plateau(band_cluster, band_graph, sample_budget=200, seed=2)
         assert cert.fully_plateau
         assert cert.multi_points_found == 0
+
+
+def _plain(cert) -> str:
+    return json.dumps(asdict(cert), default=lambda a: a.tolist())
+
+
+class TestStratumFrames:
+    @pytest.mark.parametrize("q, kappa", [
+        (3, (0.0, 0.0, 0.0)), (3, (0.3, -0.1, -0.2)),
+        (4, (0.0, 0.0, 0.0, 0.0)), (4, (0.2, -0.1, 0.05, -0.15))])
+    def test_triple_points_are_arc_endpoints(self, q, kappa):
+        params = standard_of_curvature(2, q, np.array(kappa))
+        graph = detect_interfaces(params, rng_seed=1)
+        cert = certify_plateau(params, graph, sample_budget=300, seed=1)
+        triples = np.array([e["point"] for e in cert.junction_points
+                            if len(e["incidence"]) == 3])
+        ends = np.array([p for arc in extract_arcs(params, graph) if not arc.full_circle
+                         for p in arc.point(np.array([arc.t0, arc.t1]))])
+        meets = np.array([p for p in ends
+                          if len(classify_point(params, p, SINGULAR_TIE_TOL)) == 3])
+        assert len(triples) == 2 * (q - 2) and len(meets) == len(ends)
+        dist = np.linalg.norm(triples[:, None, :] - meets[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-12  # every triple point is an endpoint
+        assert dist.min(axis=0).max() < 1e-12  # every endpoint is found
+
+    def test_cross_pole_from_rank_deficient_ties(self):
+        cross = gallery.cross_junction(2)
+        rows = cross.quasi_centers[1:] - cross.quasi_centers[0]
+        assert np.linalg.matrix_rank(rows) == 2
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        assert np.array_equal(_stratum_points(cross, (0, 1, 2, 3), 1, 0, 50), poles)
+        graph = detect_interfaces(cross, rng_seed=1)
+        cert = certify_plateau(cross, graph, sample_budget=300, seed=1)
+        found = [f["point"] for f in cert.failures if len(f["incidence"]) == 4]
+        assert len(found) == 2
+        assert all(np.min(np.abs(poles - p).max(axis=1)) == 0.0 for p in found)
+        again = certify_plateau(cross, graph, sample_budget=300, seed=1)
+        assert _plain(again) == _plain(cert)
+
+    def test_empty_tie_sets_yield_nothing(self, band_cluster):
+        # parallel walls: every triple and quadruple of bands has no common tie
+        for index, cells in enumerate([(0, 1, 2), (1, 2, 3), (0, 1, 2, 3)]):
+            assert _stratum_points(band_cluster, cells, 0, index, 5).shape == (0, 5)
+        # a wall hyperplane at distance 4 from the origin misses S^2
+        far = recentered(2, [[0.0, 0.0, 0.25], [0.0, 0.0, -0.25]], [1.0, -1.0])
+        assert _stratum_points(far, (0, 1), 0, 0, 5).shape == (0, 3)
+        cert = certify_plateau(far, complete_graph(2), sample_budget=100, seed=0)
+        assert cert.points_examined == 0 and cert.fully_plateau
+
+    @pytest.mark.parametrize("params", [gallery.cross_junction(2), gallery.sectored_cap(4, 0.8)],
+                             ids=["cross", "cap"])
+    def test_incidence_filter_matches_classify_point(self, params):
+        # reference: the stratum points kept one by one by classify_point
+        graph = detect_interfaces(params, rng_seed=2)
+        cert = certify_plateau(params, graph, sample_budget=300, seed=2)
+        subsets = [cells for order in range(2, min(params.q, params.n + 2) + 1)
+                   for cells in combinations(range(params.q), order)
+                   if order > 2 or graph.nonempty[cells]]
+        per_subset = max(3, 300 // len(subsets))
+        kept = {tuple(np.round(w, 6)) for w in graph.witnesses.values()}
+        for index, cells in enumerate(subsets):
+            for p in _stratum_points(params, cells, 2, index, per_subset):
+                if set(cells) <= set(classify_point(params, p, SINGULAR_TIE_TOL).tolist()):
+                    kept.add(tuple(np.round(p, 6)))
+        assert cert.points_examined == len(kept)
 
 
 class TestClassifyQ3:
