@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -18,18 +19,20 @@ from . import __version__, gallery, suites
 from .cluster import (detect_interfaces, load_cluster, perpendicular_pole,
                       save_cluster, validate_spherical)
 from .deform import conformal_step, gram_invariance_check, gram_path, pcf_detect
-from .measure import measure_cluster
+from .measure import MeasureError, measure_cluster
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,
                         normal_moment_operator, quasi_center_operator,
                         trace_identity_residual)
 from .plateau import certify_plateau, classify_q3
-from .quantum_graph import assemble_jacobi, build_graph, eigen_count_positive
-from .standard import (NewtonConfig, equal_volume_standard, gradient_vs_curvature,
-                       model_profile, pde_residual, standard_of_curvature,
-                       standard_of_volume)
+from .quantum_graph import (GraphBuildError, SpectrumError, assemble_jacobi, build_graph,
+                            eigen_count_positive)
+from .standard import (NewtonConfig, NewtonError, equal_volume_standard,
+                       gradient_vs_curvature, model_profile, pde_residual,
+                       standard_of_curvature, standard_of_volume)
 
 SCHEMA_VERSION = 1
+EXIT_ERROR = 3
 
 
 def _base_report(args, **extra) -> dict:
@@ -284,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="spherical Voronoi multi-bubble construction and verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)  # shared by the report commands
+    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("--out")
 
     p = sub.add_parser("standard", help="construct a standard bubble or gallery cluster")
     p.add_argument("--n", type=int, default=2)
@@ -296,18 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_standard)
 
-    p = sub.add_parser("measure", help="volumes and interface areas of a cluster")
+    p = sub.add_parser("measure", parents=[report], help="volumes and interface areas")
     p.add_argument("cluster")
     p.add_argument("--backend", choices=["auto", "mc", "exact"], default="auto")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.add_argument("--csv", help="also write the areas table as CSV")
     p.add_argument("--raw", action="store_true",
                    help="also report unnormalized Hausdorff measures")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("deform", help="conformal or Gram deformation path")
+    p = sub.add_parser("deform", parents=[report], help="conformal or Gram deformation path")
     p.add_argument("cluster")
     p.add_argument("--mode", choices=["conformal", "gram"], required=True)
     p.add_argument("--t", type=float, default=0.5)
@@ -315,42 +319,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole", help="comma-separated flow pole (default: detected)")
     p.add_argument("--check-invariance", action="store_true")
     p.add_argument("--samples", type=int, default=400_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.add_argument("--report", help="CSV of measures along the path")
     p.set_defaults(func=cmd_deform)
 
-    p = sub.add_parser("operators", help="operator identities on a cluster")
+    p = sub.add_parser("operators", parents=[report], help="operator identities on a cluster")
     p.add_argument("cluster")
     p.add_argument("--checks", default="fc_n,trace,locality")
     p.add_argument("--backend", choices=["auto", "mc", "exact"], default="auto")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_operators)
 
-    p = sub.add_parser("plateau", help="blow-up cone certification")
+    p = sub.add_parser("plateau", parents=[report], help="blow-up cone certification")
     p.add_argument("cluster")
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_plateau)
 
-    p = sub.add_parser("spectrum", help="second-variation spectrum on S^2")
+    p = sub.add_parser("spectrum", parents=[report], help="second-variation spectrum on S^2")
     p.add_argument("cluster")
     p.add_argument("--h", type=float, default=4e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("profile", help="model isoperimetric profile samples")
+    p = sub.add_parser("profile", parents=[report], help="model isoperimetric profile samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--grid", type=int, default=5)
     p.add_argument("--report", choices=["csv", "json"], default="csv")
     p.add_argument("--samples", type=int, default=4_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("suite", help="run a named verification suite")
@@ -362,8 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a package error (a ValueError only if bubblelab raised it)
+    becomes its JSON report plus "error", on stdout for `standard`, and EXIT_ERROR."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MeasureError, GraphBuildError, NewtonError, SpectrumError, ValueError) as exc:
+        frame = list(traceback.walk_tb(exc.__traceback__))[-1][0]
+        if isinstance(exc, ValueError) and frame.f_globals.get("__package__") != __package__:
+            raise
+        _emit(_base_report(args, error={"type": type(exc).__name__, "message": str(exc)}),
+              None if args.command == "standard" else args.out)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

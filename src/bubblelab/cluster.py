@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .simplex import SUM_TOL, project_sum_zero
 
 DEFAULT_TIE_TOL = 1e-9
 SPHERICAL_TOL = 1e-9
+RANK_CUTOFF = 1e-7
+SINGULAR_TIE_TOL = 1e-7
+# the exact interface test's linear functional: no entry is zero, as cos(k) != 0
+_LEVEL_FUNCTIONAL = np.cos(np.arange(1.0, 65.0))
 
 
 @dataclass(frozen=True)
@@ -209,62 +214,69 @@ def spherical_residuals(params: ClusterParams) -> np.ndarray:
     return res
 
 
-def _refine_interface_search(params: ClusterParams, i: int, j: int, center,
-                             radius, basis, seed: int, tie_tol: float,
-                             rounds: int = 14, per_round: int = 256):
-    """Shrinking stochastic search for a point of the wall interior to the pair.
+def tie_subsphere(rows: np.ndarray, offs: np.ndarray) -> tuple | None:
+    """Trace on S^n of {p : rows @ p + offs = 0}: the subsphere p0 + radius N S^(dim N - 1).
 
-    Maximizes the margin min_k h_k - max(h_i, h_j) over the wall sphere by
-    resampling around the incumbent with a geometrically shrinking radius;
-    finds interfaces far smaller than uniform sampling can hit, and is
-    deterministic for a fixed seed.
+    p0 is the min-norm solution and N the null space of the rows, from one SVD
+    with rank cutoff RANK_CUTOFF. None when the ties are inconsistent or miss
+    S^n, to SINGULAR_TIE_TOL.
     """
-    label = (i * params.q + j + 1) | (1 << 24)
-    k_dim = basis.shape[1]
-    others = [k for k in range(params.q) if k not in (i, j)]
-    if not others:
-        return sampling.subsphere_chunk(seed, label, 0, 1, center, radius, basis)[0]
+    u, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > RANK_CUTOFF * (s[0] or 1.0)))
+    p0 = -vt[:rank].T @ ((u[:, :rank].T @ offs) / s[:rank])
+    frame = vt[rank:].T
+    r2 = 1.0 - p0 @ p0
+    if (np.max(np.abs(rows @ p0 + offs)) > SINGULAR_TIE_TOL or r2 < -SINGULAR_TIE_TOL
+            or (frame.shape[1] == 0 and r2 > SINGULAR_TIE_TOL)):
+        return None
+    return p0, np.sqrt(max(r2, 0.0)), frame
 
-    def margin(points):
-        values = params.affine_values(points)
-        lead = np.maximum(values[:, i], values[:, j])
-        return values[:, others].min(axis=1) - lead
 
-    best_w = None
-    best_val = -np.inf
-    sigma = 1.0
-    for rnd in range(rounds):
-        gauss = sampling.stream(seed, label, rnd).standard_normal((per_round, k_dim))
-        if best_w is None:
-            w = gauss
-        else:
-            w = best_w[None, :] + sigma * gauss
-        w = w / np.linalg.norm(w, axis=1, keepdims=True)
-        pts = center[None, :] + radius * (w @ basis.T)
-        vals = margin(pts)
-        top = int(np.argmax(vals))
-        if vals[top] > best_val:
-            best_val = float(vals[top])
-            best_w = w[top]
-        sigma *= 0.65
-    if best_val > tie_tol:
-        point = center + radius * (basis @ best_w)
-        return point / np.linalg.norm(point)
+def trace_vertices(p0: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+    """p0 +- radius N for a trace with one null direction N; p0 twice with none."""
+    return p0 + radius * np.outer([1.0, -1.0], frame.sum(axis=1))
+
+
+def _exact_interface_point(params: ClusterParams, i: int, j: int,
+                           tie_tol: float) -> np.ndarray | None:
+    """A point of the (i, j) wall that wall_interior accepts, or None if there is none.
+
+    If {h_i = h_j, h_k >= h_i + 2 tie_tol for all other k} meets S^n, a fixed
+    linear functional attains its minimum there at the minimum on the trace
+    of the active tie set, and a row basis of those ties leaves at most n
+    other cells. So subsets of at most n cells are tried, smallest first,
+    each with the vertices of its trace or the functional's extremes on it.
+    """
+    c, k = params.quasi_centers, params.curvatures
+    others = [m for m in range(params.q) if m not in (i, j)]
+    for size in range(min(params.n, len(others)) + 1):
+        for cells in combinations(others, size):
+            ties = [j, *cells]
+            offs = k[ties] - k[i]
+            offs[1:] -= 2.0 * tie_tol
+            trace = tie_subsphere(c[ties] - c[i], offs)
+            if trace is None:
+                continue
+            p0, radius, frame = trace
+            if frame.shape[1] > 1:  # the minimizer first, then the maximizer
+                slope = frame.T @ _LEVEL_FUNCTIONAL[: params.n + 1]
+                frame = -(frame @ slope)[:, None] / np.linalg.norm(slope)
+            pts = trace_vertices(p0, radius, frame)
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
+            if hits.size:
+                return pts[hits[0]]
     return None
 
 
 def detect_interfaces(params: ClusterParams, samples_per_pair: int = 4096,
-                      rng_seed: int = 0, tie_tol: float = DEFAULT_TIE_TOL,
-                      refine: bool = True) -> InterfaceGraph:
-    """Probabilistic interface detection by sampling each candidate wall sphere.
+                      rng_seed: int = 0, tie_tol: float = DEFAULT_TIE_TOL) -> InterfaceGraph:
+    """Decide which pairs carry an interface, with a witness point for each.
 
-    For every pair the wall sphere S_ij (the cut of S^n by <c_ij, x> + kappa_ij
-    = 0) is sampled uniformly; the pair is marked nonempty iff some sample is
-    classified to exactly {i, j}. Pairs whose wall misses the sphere are marked
-    empty with a diagnostic. Detection is probabilistic and tiny interfaces can
-    elude the uniform pass, so pairs satisfying the compatibility constraint
-    that come up empty get a deterministic shrinking search before being
-    declared empty (disable with refine=False).
+    Each wall sphere S_ij (the cut of S^n by <c_ij, x> + kappa_ij = 0) is
+    sampled uniformly, and the first sample classified to exactly {i, j} is
+    the witness; a pair with no sampled hit is decided exactly by
+    _exact_interface_point. Walls that miss the sphere get a diagnostic.
     """
     if samples_per_pair <= 0:
         raise ValueError("samples_per_pair must be positive")
@@ -275,35 +287,30 @@ def detect_interfaces(params: ClusterParams, samples_per_pair: int = 4096,
     residuals = spherical_residuals(params)
     for i in range(q):
         for j in range(i + 1, q):
-            pair_label = i * q + j + 1
             frame = sampling.subsphere_frame(params.pair_center(i, j),
                                              params.pair_curvature(i, j))
             if frame is None:
                 diagnostics[(i, j)] = "degenerate wall: hyperplane misses S^n"
                 continue
-            center, radius, basis = frame
-            found = False
+            witness, notes = None, []
             for chunk, count in sampling.chunk_layout(samples_per_pair):
-                pts = sampling.subsphere_chunk(rng_seed, pair_label, chunk, count,
-                                               center, radius, basis)
+                pts = sampling.subsphere_chunk(rng_seed, i * q + j + 1, chunk, count, *frame)
                 hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
                 if hits.size:
-                    found = True
-                    w = pts[hits[0]]
-                    witnesses[(i, j)] = w / np.linalg.norm(w)
+                    witness = pts[hits[0]] / np.linalg.norm(pts[hits[0]])
                     break
-            if not found and refine and abs(residuals[i, j]) <= SPHERICAL_TOL:
-                point = _refine_interface_search(params, i, j, center, radius,
-                                                 basis, rng_seed, tie_tol)
-                if point is not None:
-                    found = True
-                    witnesses[(i, j)] = point
-                    diagnostics[(i, j)] = "found only by refinement: tiny interface"
-            nonempty[i, j] = nonempty[j, i] = found
-            if found and abs(residuals[i, j]) > SPHERICAL_TOL:
-                diagnostics[(i, j)] = (
-                    f"nonempty interface violates |c_ij|^2 = 1 + kappa_ij^2 "
-                    f"(residual {residuals[i, j]:.3e}): affine, not spherical Voronoi")
+            if witness is None:
+                witness = _exact_interface_point(params, i, j, tie_tol)
+                if witness is None:
+                    continue
+                notes.append("below the sampling resolution: found by the exact test")
+            nonempty[i, j] = nonempty[j, i] = True
+            witnesses[(i, j)] = witness
+            if abs(residuals[i, j]) > SPHERICAL_TOL:
+                notes.append(f"nonempty interface violates |c_ij|^2 = 1 + kappa_ij^2 "
+                             f"(residual {residuals[i, j]:.3e}): affine, not spherical Voronoi")
+            if notes:
+                diagnostics[(i, j)] = "; ".join(notes)
     return InterfaceGraph(q, nonempty, witnesses, diagnostics)
 
 
@@ -337,14 +344,12 @@ def perpendicular_pole(params: ClusterParams, tol: float = 1e-9) -> np.ndarray |
     thresholding; clusters with q <= n+1 always have one. The sign is fixed by
     making the last nonzero component positive.
     """
-    c = params.quasi_centers
-    _, s, vt = np.linalg.svd(c, full_matrices=True)
+    _, s, vt = np.linalg.svd(params.quasi_centers, full_matrices=True)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    null = [vt[k] for k in range(vt.shape[0])
-            if k >= s.size or s[k] <= tol * scale]
-    if not null:
+    # singular values descend, so the last right singular vector is null if any is
+    if vt.shape[0] <= s.size and s[-1] > tol * scale:
         return None
-    pole = null[-1]
+    pole = vt[-1]
     nz = np.flatnonzero(np.abs(pole) > 1e-12)
     if nz.size and pole[nz[-1]] < 0:
         pole = -pole

@@ -133,6 +133,14 @@ def _row_orthonormal_factor(params: ClusterParams) -> np.ndarray:
     return u
 
 
+def _gram_at(params: ClusterParams, t: float) -> np.ndarray:
+    """G_t = (1-t) C C^T + t (Id/2 + kappa kappa^T), with Id/2 taken on the sum-zero subspace."""
+    c = params.quasi_centers
+    kappa = params.curvatures
+    return ((1.0 - t) * (c @ c.T)
+            + t * (0.5 * sum_zero_projector(params.q) + np.outer(kappa, kappa)))
+
+
 def gram_path(params: ClusterParams, t: float) -> ClusterParams:
     """Interpolate the Gram matrix toward the standard one and refactor.
 
@@ -146,23 +154,15 @@ def gram_path(params: ClusterParams, t: float) -> ClusterParams:
     q = params.q
     if q > params.n + 2:
         raise ValueError(f"the Gram path needs q <= n + 2, got q={q}, n={params.n}")
-    c = params.quasi_centers
-    kappa = params.curvatures
-    gram_t = ((1.0 - t) * (c @ c.T)
-              + t * (0.5 * sum_zero_projector(q) + np.outer(kappa, kappa)))
-    u = _row_orthonormal_factor(params)
-    c_t = psd_sqrtm(gram_t) @ u
-    return recentered(params.n, c_t, kappa, params.label and f"{params.label}-gram{t:g}")
+    c_t = psd_sqrtm(_gram_at(params, t)) @ _row_orthonormal_factor(params)
+    return recentered(params.n, c_t, params.curvatures,
+                      params.label and f"{params.label}-gram{t:g}")
 
 
 def gram_eigenvalue_floor(params: ClusterParams, t: float) -> float:
     """Smallest eigenvalue of G_t on the sum-zero subspace (>= t/2 in theory)."""
-    c = params.quasi_centers
-    q = params.q
-    gram_t = ((1.0 - t) * (c @ c.T)
-              + t * (0.5 * sum_zero_projector(q) + np.outer(params.curvatures, params.curvatures)))
-    basis = sum_zero_basis(q)
-    return float(np.linalg.eigvalsh(basis.T @ gram_t @ basis).min())
+    basis = sum_zero_basis(params.q)
+    return float(np.linalg.eigvalsh(basis.T @ _gram_at(params, t) @ basis).min())
 
 
 @dataclass

@@ -15,12 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, cell_values, classify_point
+from .cluster import (RANK_CUTOFF, SINGULAR_TIE_TOL, ClusterParams, InterfaceGraph,
+                      cell_values, classify_point, tie_subsphere, trace_vertices)
 from .deform import PcfReport, pcf_detect
 from .simplex import sum_zero_projector
 
-RANK_CUTOFF = 1e-7
-SINGULAR_TIE_TOL = 1e-7
 _STRATUM_STREAM = 0xB10
 
 
@@ -71,8 +70,8 @@ def plateau_at(cone: BlowUpCone, tol: float = 1e-7) -> PlateauDiagnostics:
                               cone.affine_rank, m)
 
 
-def triple_point_angles(params: ClusterParams, p, tie_tol: float = 1e-9) -> np.ndarray:
-    """Pairwise angles (degrees) between the three interface normals at a triple point."""
+def _triple_normals(params: ClusterParams, p, tie_tol: float) -> list[np.ndarray]:
+    """Unit normals of the interfaces (u, v), (v, w), (w, u) at a triple point of u < v < w."""
     p = np.asarray(p, dtype=float)
     incidence = classify_point(params, p, tie_tol)
     if len(incidence) != 3:
@@ -82,6 +81,12 @@ def triple_point_angles(params: ClusterParams, p, tie_tol: float = 1e-9) -> np.n
     for i, j in ((u, v), (v, w), (w, u)):
         nrm = params.pair_center(i, j) + params.pair_curvature(i, j) * p
         normals.append(nrm / np.linalg.norm(nrm))
+    return normals
+
+
+def triple_point_angles(params: ClusterParams, p, tie_tol: float = 1e-9) -> np.ndarray:
+    """Pairwise angles (degrees) between the three interface normals at a triple point."""
+    normals = _triple_normals(params, p, tie_tol)
     angles = []
     for a, b in combinations(range(3), 2):
         cosang = float(np.clip(normals[a] @ normals[b], -1.0, 1.0))
@@ -91,15 +96,9 @@ def triple_point_angles(params: ClusterParams, p, tie_tol: float = 1e-9) -> np.n
 
 def boundary_normal_sum(params: ClusterParams, p, tie_tol: float = 1e-9) -> float:
     """Norm of the cyclic sum of interface normals at a triple point (0 at 120 degrees)."""
-    p = np.asarray(p, dtype=float)
-    incidence = classify_point(params, p, tie_tol)
-    if len(incidence) != 3:
-        raise ValueError(f"not a triple point: incidence {incidence}")
-    u, v, w = (int(c) for c in incidence)
     total = np.zeros(params.n + 1)
-    for i, j in ((u, v), (v, w), (w, u)):
-        nrm = params.pair_center(i, j) + params.pair_curvature(i, j) * p
-        total += nrm / np.linalg.norm(nrm)
+    for nrm in _triple_normals(params, p, tie_tol):
+        total += nrm
     return float(np.linalg.norm(total))
 
 
@@ -111,29 +110,24 @@ def _stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
                     index: int, count: int) -> np.ndarray:
     """Unit points at which the given cells' affine values tie.
 
-    The tie set is p0 + span N, with p0 the min-norm solution of the tie rows
-    and N their null space, so its trace on S^n is the round subsphere of
-    center p0 and radius sqrt(1 - |p0|^2). A point or a pair of points is
-    returned exactly, a larger trace as count uniform samples at the (seed,
-    stratum stream, index) address, and none when the ties are inconsistent
-    or the subspace misses S^n.
+    The tie set's trace on S^n is the round subsphere of tie_subsphere. A point
+    or a pair of points is returned exactly, a larger trace as count uniform
+    samples at the (seed, stratum stream, index) address, drawn without
+    entering the sample cache, and none when the ties are inconsistent or the
+    subspace misses S^n.
     """
     rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
     offs = params.curvatures[list(cells[1:])] - params.curvatures[cells[0]]
-    u, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > RANK_CUTOFF * (s[0] or 1.0)))
-    p0 = -vt[:rank].T @ ((u[:, :rank].T @ offs) / s[:rank])
-    frame = vt[rank:].T
-    r2 = 1.0 - p0 @ p0
-    if (np.max(np.abs(rows @ p0 + offs)) > SINGULAR_TIE_TOL or r2 < -SINGULAR_TIE_TOL
-            or (frame.shape[1] == 0 and r2 > SINGULAR_TIE_TOL)):
+    trace = tie_subsphere(rows, offs)
+    if trace is None:
         return np.empty((0, params.n + 1))
-    radius = np.sqrt(max(r2, 0.0))
-    if frame.shape[1] <= 1:  # p0 +- radius N; with no N, p0 twice
-        pts = p0 + radius * np.outer([1.0, -1.0], frame.sum(axis=1))
+    p0, radius, frame = trace
+    if frame.shape[1] <= 1:
+        pts = trace_vertices(p0, radius, frame)
     else:
-        pts = sampling.subsphere_chunk(seed, _STRATUM_STREAM, index, count,
-                                       p0, radius, frame)
+        directions = sampling.unit_directions(seed, _STRATUM_STREAM, index, count,
+                                              frame.shape[1])
+        pts = sampling.onto_subsphere(directions, p0, radius, frame)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 

@@ -39,11 +39,15 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, label, chunk)))
 
 
-def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), memoized per address.
+def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """Uniform unit directions in R^dim, shape (count, dim), drawn uncached at the address."""
+    arr = stream(seed, label, chunk).standard_normal((count, dim))
+    arr /= np.linalg.norm(arr, axis=1, keepdims=True)
+    return arr
 
-    The returned array is read-only; it may be a view of a cached array.
-    """
+
+def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """unit_directions memoized per address; read-only, maybe a view of a cached array."""
     global _unit_cache_floats
     key = (seed, label, chunk, dim)
     arr = _unit_cache.get(key)
@@ -52,9 +56,8 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
             # a longer draw from the same stream replaces the short entry
             del _unit_cache[key]
             _unit_cache_floats -= arr.size
-        full = max(CHUNK if count > CHUNK // 2 else count, count)
-        arr = stream(seed, label, chunk).standard_normal((full, dim))
-        arr /= np.linalg.norm(arr, axis=1, keepdims=True)
+        arr = unit_directions(seed, label, chunk,
+                              max(CHUNK if count > CHUNK // 2 else count, count), dim)
         arr.setflags(write=False)
         if arr.size <= UNIT_CACHE_BUDGET:
             while (_unit_cache_floats + arr.size > UNIT_CACHE_BUDGET
@@ -64,12 +67,6 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
             _unit_cache[key] = arr
             _unit_cache_floats += arr.size
     return arr[:count]
-
-
-def clear_sample_cache() -> None:
-    global _unit_cache_floats
-    _unit_cache.clear()
-    _unit_cache_floats = 0
 
 
 def chunk_layout(total: int) -> list[tuple[int, int]]:
@@ -123,13 +120,19 @@ def subsphere_frame(c: np.ndarray, kappa: float) -> tuple[np.ndarray, float, np.
     return center, float(np.sqrt(r2)), frame
 
 
-def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
-                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """Uniform points on the geodesic subsphere described by subsphere_frame."""
-    w = unit_chunk(seed, label, chunk, count, frame.shape[1])
+def onto_subsphere(directions: np.ndarray, center: np.ndarray, radius: float,
+                   frame: np.ndarray) -> np.ndarray:
+    """center + radius * frame @ w for each unit direction w, as a new array."""
     # built in place and kept C-ordered: the bits of products that weight
     # callbacks take, such as pts @ xi, depend on the memory layout
-    pts = w @ frame.T
+    pts = directions @ frame.T
     pts *= radius
     pts += center
     return pts
+
+
+def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
+                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+    """Uniform points on the geodesic subsphere described by subsphere_frame."""
+    return onto_subsphere(unit_chunk(seed, label, chunk, count, frame.shape[1]),
+                          center, radius, frame)

@@ -151,13 +151,17 @@ def apply_mobius(params: ClusterParams, mobius: MobiusMap) -> ClusterParams:
 # Prescribed volumes: damped Newton on the curvature vector
 # ---------------------------------------------------------------------------
 
+# iteration cap, Jacobian step (MC_FD_STEP on MC volumes), steps per Jacobian, halvings
+MAX_ITER = 60
+FD_STEP = 1e-5
+JACOBIAN_REUSE = 3
+MAX_HALVINGS = 25
+MC_FD_STEP = 2e-4
+
+
 @dataclass
 class NewtonConfig:
     tol: float = 1e-10
-    max_iter: int = 60
-    fd_step: float = 1e-5
-    jacobian_reuse: int = 3
-    max_halvings: int = 25
     backend: str = "auto"      # exact on S^2, Monte Carlo otherwise
     mc_samples: int = 2_000_000
     mc_seed: int = 20240901
@@ -166,13 +170,12 @@ class NewtonConfig:
     # here would break the common-random-number cancellation in finite
     # differences of the profile.
     mc_tol: float = 3e-6
-    mc_fd_step: float = 2e-4
 
     def tolerances(self, n: int) -> tuple[float, float]:
-        """(tol, fd_step) on S^n; Monte Carlo volumes floor them at mc_tol and mc_fd_step."""
+        """(tol, fd_step) on S^n; on Monte Carlo volumes, tol floored at mc_tol and MC_FD_STEP."""
         if resolve_backend(self.backend, n) == "exact":
-            return self.tol, self.fd_step
-        return max(self.tol, self.mc_tol), max(self.fd_step, self.mc_fd_step)
+            return self.tol, FD_STEP
+        return max(self.tol, self.mc_tol), MC_FD_STEP
 
 
 class NewtonError(RuntimeError):
@@ -212,11 +215,11 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
     jac = jac0
     jac_age = 0
     rebuilds_after_stall = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if np.linalg.norm(r, np.inf) <= tol:
             return y, (jac if jac is not None else build_jacobian(y)), \
                 float(np.linalg.norm(r, np.inf))
-        if jac is None or jac_age >= cfg.jacobian_reuse:
+        if jac is None or jac_age >= JACOBIAN_REUSE:
             jac = build_jacobian(y)
             jac_age = 0
         try:
@@ -225,7 +228,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
             delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
         scale = 1.0
         base_norm = np.linalg.norm(r)
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             r_try = residual(y + scale * delta)
             if np.linalg.norm(r_try) < base_norm:
                 y = y + scale * delta

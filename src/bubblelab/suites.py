@@ -29,11 +29,6 @@ from .simplex import restrict, sum_zero_projector
 from .standard import (NewtonConfig, equal_volume_standard, gradient_vs_curvature,
                        model_profile, pde_residual, standard_of_curvature)
 
-SUITE_NAMES = ("standard_char", "measure_oracles", "profile_pde", "trace",
-               "conformal_limit", "spectrum_index", "gram_invariance",
-               "plateau_geometry")
-
-
 @dataclass
 class Criterion:
     name: str
@@ -122,12 +117,7 @@ def _random_s2_clusters(seed: int) -> list[ClusterParams]:
     rng = np.random.default_rng(seed)
     out = []
     for trial in range(10):
-        if trial % 3 == 0:
-            q = 2
-        elif trial % 3 == 1:
-            q = 3
-        else:
-            q = 4
+        q = 2 + trial % 3
         out.append(standard_of_curvature(2, q, _random_sum_zero(q, rng, 0.5)))
     return out
 
@@ -398,8 +388,7 @@ def suite_gram_invariance(seed: int = 7, samples: int = 500_000) -> SuiteReport:
 def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
     rep = SuiteReport("plateau_geometry", config={"seed": seed})
     rng = np.random.default_rng(seed)
-    worst_sum = 0.0
-    worst_angle = 0.0
+    worst_sum = worst_angle = 0.0
     for q, scale in ((3, 0.0), (3, 0.4), (4, 0.3)):
         kappa = _random_sum_zero(q, rng, scale) if scale else np.zeros(q)
         params = standard_of_curvature(2, q, kappa)
@@ -437,6 +426,7 @@ _RUNNERS = {
     "gram_invariance": suite_gram_invariance,
     "plateau_geometry": suite_plateau_geometry,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bubblelab import detect_interfaces, gram_invariance_check
-from bubblelab.cli import main
+from bubblelab.cli import EXIT_ERROR, main
 from bubblelab.cluster import load_cluster
 
 
@@ -223,3 +223,43 @@ class TestSuiteCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("suite", "nonsense")
+
+
+class TestErrorPayloads:
+    """Package errors become a JSON report with an "error" entry and exit code 3."""
+
+    def test_exact_backend_off_s2(self, tmp_path):
+        cluster, out = tmp_path / "bands.json", tmp_path / "measure.json"
+        assert run_cli("standard", "--gallery", "bands", "--out", str(cluster)) == 0
+        assert run_cli("measure", str(cluster), "--backend", "exact",
+                       "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": "the exact backend needs n = 2, got n = 4"}
+        assert payload["command"] == "measure" and payload["backend"] == "exact"
+        assert payload["schema_version"] == 1
+
+    def test_profile_newton_failure(self, capsys):
+        # the empirical volume map moves in steps of 1/samples, so mc_tol is
+        # out of reach at this sample count
+        assert run_cli("profile", "--n", "3", "--q", "2", "--grid", "1",
+                       "--samples", "300000") == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "NewtonError"
+        assert "did not converge" in payload["error"]["message"]
+        assert payload["samples"] == 300000 and payload["seed"] == 0
+
+    def test_standard_reports_to_stdout(self, tmp_path, capsys):
+        # standard's --out is the cluster file, so its error report goes to stdout
+        path = tmp_path / "cluster.json"
+        assert run_cli("standard", "--n", "2", "--q", "2", "--volumes", "0,1",
+                       "--out", str(path)) == EXIT_ERROR
+        assert not path.exists()
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "ValueError", "message": "volumes must be positive and sum to 1"}
+
+    def test_foreign_value_error_is_not_caught(self, tmp_path):
+        cluster = tmp_path / "broken.json"
+        cluster.write_text("{not json")
+        with pytest.raises(json.JSONDecodeError):
+            run_cli("measure", str(cluster))

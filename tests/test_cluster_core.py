@@ -10,8 +10,8 @@ from bubblelab import (ClusterParams, classify_point, detect_interfaces,
                        recentered, save_cluster, standard_of_curvature,
                        validate_spherical)
 from bubblelab import gallery, sampling
-from bubblelab.cluster import (cell_values, classify_many, spherical_residuals,
-                               wall_interior)
+from bubblelab.cluster import (DEFAULT_TIE_TOL, _exact_interface_point, cell_values,
+                               classify_many, spherical_residuals, wall_interior)
 from bubblelab.measure import _interface_fractions
 from bubblelab.simplex import random_orthogonal, sphere_surface_measure
 
@@ -84,6 +84,40 @@ class TestDetectInterfaces:
 
     def test_connected_on_positive_cells(self, equal_bubble_graph):
         assert equal_bubble_graph.is_connected()
+
+    def test_s4_interface_below_sampling_resolution(self):
+        # cells 0 and 1 meet only where cell 2 rises above them, a cap of about
+        # 6e-13 of their wall sphere with margin 1e-8 = 10 tie_tol
+        c = np.zeros((3, 5))
+        c[0, 0], c[1, 0], c[2, 1] = 0.5, -0.5, 1.0
+        params = recentered(4, c, [0.0, 0.0, -1.0 + 1e-8])
+        graph = detect_interfaces(params, rng_seed=0)
+        assert graph.pairs() == [(0, 1), (0, 2), (1, 2)]
+        assert "below the sampling resolution" in graph.diagnostics[(0, 1)]
+        witness = graph.witnesses[(0, 1)]
+        assert classify_point(params, witness).tolist() == [0, 1]
+        assert abs(params.pair_center(0, 1) @ witness + params.pair_curvature(0, 1)) < 1e-12
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_test_covers_sampled_interfaces(self, n, data):
+        q = data.draw(st.integers(2, n + 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        c = data.draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, n + 1))
+        k = data.draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
+        params = recentered(n, c, k)
+        graph = detect_interfaces(params, rng_seed=0)
+        for i in range(q):
+            for j in range(i + 1, q):
+                # a sampled interface is found by the exact test too, and the
+                # pairs sampling missed were decided by it
+                point = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
+                assert graph.nonempty[i, j] == (point is not None)
+                if point is None:
+                    continue
+                assert abs(point @ point - 1.0) < 1e-12
+                assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
+                assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
 
 
 class TestValidateSpherical:

@@ -15,7 +15,7 @@ from bubblelab import MobiusMap, gallery, measure, sampling, standard
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import (MeasureError, WeightedLaplacian, extract_arcs,
                                interface_areas, measure_cluster, resolve_backend)
-from bubblelab.standard import NewtonConfig, model_profile
+from bubblelab.standard import FD_STEP, MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import random_orthogonal, restrict
 
 
@@ -392,9 +392,9 @@ class TestMeasureCluster:
 class TestNewtonTolerances:
     def test_monte_carlo_floors_tolerance_and_step(self):
         cfg = NewtonConfig(tol=1e-11)
-        assert cfg.tolerances(2) == (1e-11, cfg.fd_step)
-        assert cfg.tolerances(3) == (cfg.mc_tol, cfg.mc_fd_step)
-        assert NewtonConfig(backend="mc").tolerances(2) == (cfg.mc_tol, cfg.mc_fd_step)
+        assert cfg.tolerances(2) == (1e-11, FD_STEP)
+        assert cfg.tolerances(3) == (cfg.mc_tol, MC_FD_STEP)
+        assert NewtonConfig(backend="mc").tolerances(2) == (cfg.mc_tol, MC_FD_STEP)
 
 
 class TestPositiveDefiniteness:

@@ -3,6 +3,7 @@
 import json
 from dataclasses import asdict
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bubblelab import (MobiusMap, apply_mobius, blowup_at, certify_plateau,
                        classify_q3, conformal_step, detect_interfaces,
                        equal_volume_standard, pcf_detect, perpendicular_pole,
                        plateau_at, standard_of_curvature, triple_point_angles)
-from bubblelab import gallery
+from bubblelab import gallery, plateau, sampling
 from bubblelab.cluster import classify_point, complete_graph, recentered
 from bubblelab.measure import extract_arcs
 from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
@@ -202,6 +203,29 @@ class TestStratumFrames:
                 if set(cells) <= set(classify_point(params, p, SINGULAR_TIE_TOL).tolist()):
                     kept.add(tuple(np.round(p, 6)))
         assert cert.points_examined == len(kept)
+
+
+class TestStratumDraws:
+    @pytest.mark.parametrize("params", [gallery.sectored_cap(4, 0.8),
+                                        standard_of_curvature(3, 4, [0.2, -0.1, 0.05, -0.15])],
+                             ids=["cap", "s3"])
+    def test_sample_cache_untouched_and_certificate_unchanged(self, params, monkeypatch):
+        graph = detect_interfaces(params, rng_seed=6)
+        keys, floats = list(sampling._unit_cache), sampling._unit_cache_floats
+        certs = [certify_plateau(params, graph, sample_budget=300, seed=s)
+                 for s in (8101, 8102)]
+        assert list(sampling._unit_cache) == keys
+        assert sampling._unit_cache_floats == floats
+        # reference: the same strata drawn through the cached unit_chunk, in a
+        # private cache
+        monkeypatch.setattr(sampling, "_unit_cache", {})
+        monkeypatch.setattr(sampling, "_unit_cache_floats", 0)
+        monkeypatch.setattr(plateau, "sampling", SimpleNamespace(
+            unit_directions=sampling.unit_chunk, onto_subsphere=sampling.onto_subsphere))
+        for seed, cert in zip((8101, 8102), certs):
+            assert _plain(certify_plateau(params, graph, sample_budget=300, seed=seed)) \
+                == _plain(cert)
+        assert sampling._unit_cache  # the reference did go through the cache
 
 
 class TestClassifyQ3:
