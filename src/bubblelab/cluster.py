@@ -246,16 +246,23 @@ def _exact_interface_point(params: ClusterParams, i: int, j: int,
     of the active tie set, and a row basis of those ties leaves at most n
     other cells. So subsets of at most n cells are tried, smallest first,
     each with the vertices of its trace or the functional's extremes on it.
+    A set containing one whose trace missed S^n is skipped: its ties add rows,
+    so its trace lies in the smaller one's and misses S^n too.
     """
     c, k = params.quasi_centers, params.curvatures
     others = [m for m in range(params.q) if m not in (i, j)]
+    missed: list[int] = []  # bit masks of the cell sets whose trace missed S^n
     for size in range(min(params.n, len(others)) + 1):
         for cells in combinations(others, size):
+            mask = sum(1 << m for m in cells)
+            if any(mask & miss == miss for miss in missed):
+                continue
             ties = [j, *cells]
             offs = k[ties] - k[i]
             offs[1:] -= 2.0 * tie_tol
             trace = tie_subsphere(c[ties] - c[i], offs)
             if trace is None:
+                missed.append(mask)
                 continue
             p0, radius, frame = trace
             if frame.shape[1] > 1:  # the minimizer first, then the maximizer

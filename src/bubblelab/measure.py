@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -223,8 +224,24 @@ class Arc:
         return (self.center + self.radius * (np.multiply.outer(np.cos(t), self.u)
                                              + np.multiply.outer(np.sin(t), self.v)))
 
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(point(t0), point(t1)), computed on first use and read-only."""
+        first, last = self.point(self.t0), self.point(self.t1)
+        first.setflags(write=False)
+        last.setflags(write=False)
+        return first, last
+
     def tangent(self, t: float) -> np.ndarray:
         return -self.u * math.sin(t) + self.v * math.cos(t)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit: each component is the difference
+    of two separate products, as np.cross forms it."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _circle_frame(params: ClusterParams, i: int, j: int):
@@ -235,7 +252,7 @@ def _circle_frame(params: ClusterParams, i: int, j: int):
     u, v = basis[:, 0], basis[:, 1]
     w = params.pair_center(i, j)
     w = w / np.linalg.norm(w)
-    if np.dot(np.cross(u, v), w) < 0:
+    if np.dot(_cross(u, v), w) < 0:
         v = -v
     return center, radius, u, v
 
@@ -324,11 +341,11 @@ class _DirectedArc:
 
     @property
     def start(self) -> np.ndarray:
-        return self.arc.point(self.arc.t1 if self.reversed else self.arc.t0)
+        return self.arc.ends[1 if self.reversed else 0]
 
     @property
     def end(self) -> np.ndarray:
-        return self.arc.point(self.arc.t0 if self.reversed else self.arc.t1)
+        return self.arc.ends[0 if self.reversed else 1]
 
     def tangent_out(self) -> np.ndarray:
         t = self.arc.t1 if self.reversed else self.arc.t0
@@ -386,7 +403,7 @@ def _loop_disk_area(loop: list[_DirectedArc]) -> float:
             nxt = loop[(idx + 1) % len(loop)]
             p = d.end
             t_in, t_out = d.tangent_in(), nxt.tangent_out()
-            turning += math.atan2(float(p @ np.cross(t_in, t_out)),
+            turning += math.atan2(float(p @ _cross(t_in, t_out)),
                                   float(t_in @ t_out))
     return TWO_PI - total_kg - turning
 

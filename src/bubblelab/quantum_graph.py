@@ -258,31 +258,28 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
         steps.append(arc.length / m)
         total += counts[-1]
 
+    # interval e of an arc joins nodes n0, n1 and contributes the entries
+    # (n0, n0), (n1, n1), (n0, n1), (n1, n0), in that order
     rows, cols, a_vals, m_vals = [], [], [], []
-
-    def add(r, c, a, m):
-        rows.append(r)
-        cols.append(c)
-        a_vals.append(a)
-        m_vals.append(m)
-
     for ai, arc in enumerate(arcs):
         step = steps[ai]
         pot = 1.0 + arc.kappa ** 2
         m_intervals = counts[ai] if cyclic[ai] else counts[ai] - 1
         k_diag, k_off = 1.0 / step, -1.0 / step
         m_diag, m_off = step / 3.0, step / 6.0
-        for e in range(m_intervals):
-            n0 = offsets[ai] + e
-            n1 = offsets[ai] + ((e + 1) % counts[ai] if cyclic[ai] else e + 1)
-            add(n0, n0, k_diag - pot * m_diag, m_diag)
-            add(n1, n1, k_diag - pot * m_diag, m_diag)
-            add(n0, n1, k_off - pot * m_off, m_off)
-            add(n1, n0, k_off - pot * m_off, m_off)
+        e = np.arange(m_intervals)
+        n0 = offsets[ai] + e
+        n1 = offsets[ai] + ((e + 1) % counts[ai] if cyclic[ai] else e + 1)
+        rows.append(np.stack([n0, n1, n0, n1], axis=1).ravel())
+        cols.append(np.stack([n0, n1, n1, n0], axis=1).ravel())
+        a_diag, a_off = k_diag - pot * m_diag, k_off - pot * m_off
+        a_vals.append(np.tile([a_diag, a_diag, a_off, a_off], m_intervals))
+        m_vals.append(np.tile([m_diag, m_diag, m_off, m_off], m_intervals))
 
     size = total
-    form = sp.coo_matrix((a_vals, (rows, cols)), shape=(size, size)).tocsr()
-    mass = sp.coo_matrix((m_vals, (rows, cols)), shape=(size, size)).tocsr()
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    form = sp.coo_matrix((np.concatenate(a_vals), (rows, cols)), shape=(size, size)).tocsr()
+    mass = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=(size, size)).tocsr()
 
     # Robin vertex terms enter the form with a minus sign
     vert_rows, vert_vals = [], []
@@ -299,26 +296,25 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     mass = mass / NORM_S2
 
     # eliminate one endpoint dof per vertex: sum of signed traces vanishes
-    dependent: dict[int, list[tuple[int, float]]] = {}
+    # (the free dofs are the columns of Z, in order; a dependent dof's row
+    # combines the other two traces at its vertex)
+    dep_rows, src_nodes, coeffs = [], [], []
     for vertex in graph.vertices:
         nodes = [offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
                  for ve in vertex.ends]
         signs = [ve.sign for ve in vertex.ends]
-        dep, dep_sign = nodes[-1], signs[-1]
-        dependent[dep] = [(nodes[k], -signs[k] / dep_sign) for k in range(2)]
-    free = [d for d in range(size) if d not in dependent]
-    col_of = {d: c for c, d in enumerate(free)}
-    z_rows, z_cols, z_vals = [], [], []
-    for d in free:
-        z_rows.append(d)
-        z_cols.append(col_of[d])
-        z_vals.append(1.0)
-    for d, combo in dependent.items():
-        for src, coeff in combo:
-            z_rows.append(d)
-            z_cols.append(col_of[src])
-            z_vals.append(coeff)
-    z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, len(free))).tocsr()
+        dep_rows += [nodes[-1]] * 2
+        src_nodes += nodes[:2]
+        coeffs += [-signs[k] / signs[-1] for k in range(2)]
+    dep_rows = np.array(dep_rows, dtype=np.intp)
+    free = np.ones(size, dtype=bool)
+    free[dep_rows] = False
+    free_rows = np.flatnonzero(free)
+    col_of = np.cumsum(free) - 1
+    z_rows = np.concatenate([free_rows, dep_rows])
+    z_cols = np.concatenate([np.arange(free_rows.size), col_of[src_nodes]])
+    z_vals = np.concatenate([np.ones(free_rows.size), np.array(coeffs, dtype=float)])
+    z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, free_rows.size)).tocsr()
     return JacobiSystem(graph, h, offsets, counts, cyclic, steps, form, mass, z)
 
 

@@ -2,7 +2,7 @@
 
 Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
-on (seed, sample count), never on chunking order or worker count. Normalized
+on (seed, sample count), never on how the work is split. Normalized
 unit-direction chunks are memoized per address within a bounded budget, which
 makes repeated common-random-number evaluations (volume Newton, finite
 differences) reuse identical directions at no generation cost. Cached arrays
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 # Chunk size is part of the reproducibility contract: streams are drawn in
-# fixed-size blocks and reduced pairwise, so the worker count cannot change
-# the result.
+# fixed-size blocks and reduced pairwise, so a result depends only on
+# (seed, sample count), never on how the work is split.
 CHUNK = 1 << 18
 
 _MIX = 0x9E3779B97F4A7C15

@@ -1,5 +1,7 @@
 """Cluster parameters, point classification, interface detection, validation."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from bubblelab import (ClusterParams, classify_point, detect_interfaces,
                        equal_volume_standard, load_cluster, perpendicular_pole,
                        recentered, save_cluster, standard_of_curvature,
                        validate_spherical)
-from bubblelab import gallery, sampling
-from bubblelab.cluster import (DEFAULT_TIE_TOL, _exact_interface_point, cell_values,
-                               classify_many, spherical_residuals, wall_interior)
+from bubblelab import cluster, gallery, sampling
+from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, _exact_interface_point,
+                               cell_values, classify_many, spherical_residuals,
+                               tie_subsphere, trace_vertices, wall_interior)
 from bubblelab.measure import _interface_fractions
 from bubblelab.simplex import random_orthogonal, sphere_surface_measure
 
@@ -19,6 +22,43 @@ from bubblelab.simplex import random_orthogonal, sphere_surface_measure
 def hemisphere_params():
     c = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     return ClusterParams(2, c, np.zeros(2))
+
+
+def _unpruned_interface_point(params, i, j, tie_tol):
+    """_exact_interface_point without skipping any tie set: every subset of at
+    most n other cells is tried, smallest first. Returns (point or None, the
+    number of traces computed)."""
+    c, k = params.quasi_centers, params.curvatures
+    others = [m for m in range(params.q) if m not in (i, j)]
+    traces = 0
+    for size in range(min(params.n, len(others)) + 1):
+        for cells in combinations(others, size):
+            ties = [j, *cells]
+            offs = k[ties] - k[i]
+            offs[1:] -= 2.0 * tie_tol
+            trace = tie_subsphere(c[ties] - c[i], offs)
+            traces += 1
+            if trace is None:
+                continue
+            p0, radius, frame = trace
+            if frame.shape[1] > 1:
+                slope = frame.T @ _LEVEL_FUNCTIONAL[: params.n + 1]
+                frame = -(frame @ slope)[:, None] / np.linalg.norm(slope)
+            pts = trace_vertices(p0, radius, frame)
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
+            if hits.size:
+                return pts[hits[0]], traces
+    return None, traces
+
+
+def _random_cluster(seed):
+    """A random affine cluster, often with more cells than n + 2."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    q = int(rng.integers(2, n + 5))
+    c = rng.uniform(0.05, 3.0) * rng.standard_normal((q, n + 1))
+    return recentered(n, c, rng.uniform(0.0, 2.0) * rng.standard_normal(q))
 
 
 class TestClassifyPoint:
@@ -118,6 +158,38 @@ class TestDetectInterfaces:
                 assert abs(point @ point - 1.0) < 1e-12
                 assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
                 assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
+
+    # seeds whose clusters have pairs where some tie set misses S^n
+    @pytest.mark.parametrize("seed", [1001, 1003, 1013, 1017, 1020, 1024, 1025, 1029])
+    def test_pruned_search_matches_unpruned_and_skips_supersets(self, seed, monkeypatch):
+        params = _random_cluster(seed)
+        diffs = {}
+        calls = []
+
+        def counted(rows, offs):
+            # row 0 is the (i, j) tie; the other rows identify the cells of T
+            cells = frozenset(diffs[row.tobytes()] for row in rows[1:])
+            out = tie_subsphere(rows, offs)
+            calls.append((cells, out is None))
+            return out
+
+        monkeypatch.setattr(cluster, "tie_subsphere", counted)
+        skipped = 0
+        for i in range(params.q):
+            rows = params.quasi_centers - params.quasi_centers[i]
+            diffs = {row.tobytes(): m for m, row in enumerate(rows)}
+            for j in range(i + 1, params.q):
+                want, traces = _unpruned_interface_point(params, i, j, DEFAULT_TIE_TOL)
+                calls.clear()
+                got = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got, want)
+                missed = [cells for cells, was_none in calls if was_none]
+                for cells, _ in calls:
+                    assert not any(miss < cells for miss in missed)
+                skipped += traces - len(calls)
+        assert skipped > 0
 
 
 class TestValidateSpherical:

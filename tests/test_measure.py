@@ -437,3 +437,23 @@ class TestArcExtraction:
         arcs = extract_arcs(params, complete_graph(2))
         assert len(arcs) == 1
         assert arcs[0].full_circle
+
+    def test_cross_is_np_cross_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        scales = 10.0 ** rng.uniform(-12, 12, size=(2000, 2, 3))
+        vecs = rng.standard_normal((2000, 2, 3)) * scales
+        vecs[::7, 0, rng.integers(3)] = 0.0
+        for a, b in vecs:
+            assert np.array_equal(measure._cross(a, b), np.cross(a, b))
+
+    def test_directed_arc_ends_are_the_arc_points(self, skew_bubble_s2, skew_bubble_graph):
+        for arc in extract_arcs(skew_bubble_s2, skew_bubble_graph):
+            forward = measure._DirectedArc(arc, reversed=False)
+            backward = measure._DirectedArc(arc, reversed=True)
+            assert np.array_equal(forward.start, arc.point(arc.t0))
+            assert np.array_equal(forward.end, arc.point(arc.t1))
+            assert np.array_equal(backward.start, arc.point(arc.t1))
+            assert np.array_equal(backward.end, arc.point(arc.t0))
+            # each end is computed once per arc, read-only, and shared by both orientations
+            assert backward.start is forward.end and backward.end is forward.start
+            assert not (forward.start.flags.writeable or forward.end.flags.writeable)

@@ -36,6 +36,84 @@ def double_system(double_bubble):
     return assemble_jacobi(qgraph, 0.01)
 
 
+def _reference_assembly(graph, h):
+    """(form, mass, constraint basis) by a per-interval loop: the assembly
+    assemble_jacobi must reproduce bit for bit."""
+    counts, offsets, cyclic, steps = [], [], [], []
+    total = 0
+    for arc in graph.arcs:
+        closed = arc.full_circle or arc.t1 - arc.t0 >= 2.0 * math.pi - 1e-12
+        m = int(math.ceil(arc.length / h))
+        offsets.append(total)
+        counts.append(m if closed else m + 1)
+        cyclic.append(closed)
+        steps.append(arc.length / m)
+        total += counts[-1]
+    rows, cols, a_vals, m_vals = [], [], [], []
+
+    def add(r, c, a, m):
+        rows.append(r)
+        cols.append(c)
+        a_vals.append(a)
+        m_vals.append(m)
+
+    for ai, arc in enumerate(graph.arcs):
+        step = steps[ai]
+        pot = 1.0 + arc.kappa ** 2
+        m_intervals = counts[ai] if cyclic[ai] else counts[ai] - 1
+        k_diag, k_off = 1.0 / step, -1.0 / step
+        m_diag, m_off = step / 3.0, step / 6.0
+        for e in range(m_intervals):
+            n0 = offsets[ai] + e
+            n1 = offsets[ai] + ((e + 1) % counts[ai] if cyclic[ai] else e + 1)
+            add(n0, n0, k_diag - pot * m_diag, m_diag)
+            add(n1, n1, k_diag - pot * m_diag, m_diag)
+            add(n0, n1, k_off - pot * m_off, m_off)
+            add(n1, n0, k_off - pot * m_off, m_off)
+    size = total
+    form = sp.coo_matrix((a_vals, (rows, cols)), shape=(size, size)).tocsr()
+    mass = sp.coo_matrix((m_vals, (rows, cols)), shape=(size, size)).tocsr()
+    vert_rows, vert_vals = [], []
+    for vertex in graph.vertices:
+        for ve in vertex.ends:
+            vert_rows.append(offsets[ve.arc_index]
+                             + (0 if ve.end == 0 else counts[ve.arc_index] - 1))
+            vert_vals.append(-ve.robin)
+    if vert_rows:
+        form = form + sp.coo_matrix((vert_vals, (vert_rows, vert_rows)),
+                                    shape=(size, size)).tocsr()
+    form = form / quantum_graph.NORM_S2
+    mass = mass / quantum_graph.NORM_S2
+    dependent = {}
+    for vertex in graph.vertices:
+        nodes = [offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
+                 for ve in vertex.ends]
+        signs = [ve.sign for ve in vertex.ends]
+        dependent[nodes[-1]] = [(nodes[k], -signs[k] / signs[-1]) for k in range(2)]
+    free = [d for d in range(size) if d not in dependent]
+    col_of = {d: c for c, d in enumerate(free)}
+    z_rows, z_cols, z_vals = [], [], []
+    for d in free:
+        z_rows.append(d)
+        z_cols.append(col_of[d])
+        z_vals.append(1.0)
+    for d, combo in dependent.items():
+        for src, coeff in combo:
+            z_rows.append(d)
+            z_cols.append(col_of[src])
+            z_vals.append(coeff)
+    z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, len(free))).tocsr()
+    return form, mass, z
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
 class TestBuildGraph:
     def test_equal_bubble_network(self, equal_bubble_s2, equal_bubble_graph):
         qg = build_graph(equal_bubble_s2, equal_bubble_graph)
@@ -104,6 +182,21 @@ class TestAssembly:
         x = double_system.constraint_basis @ y
         assert kirchhoff_residual(double_system, x) < 1e-12
 
+    @pytest.mark.parametrize("kappa", [None, [0.3, 0.1, -0.4], [0.35, 0.05, -0.15, -0.25]],
+                             ids=["cap", "q3", "q4"])
+    def test_matches_per_interval_loop_bit_for_bit(self, kappa):
+        if kappa is None:  # one full circle: the cyclic branch, no vertex
+            params, graph = standard_of_volume(2, 2, [0.3, 0.7]), complete_graph(2)
+        else:
+            params = standard_of_curvature(2, len(kappa), np.array(kappa))
+            graph = detect_interfaces(params, rng_seed=0)
+        qgraph = build_graph(params, graph)
+        assert qgraph.arcs[0].full_circle == (kappa is None)
+        coarse = assemble_jacobi(qgraph, 4e-3)
+        for system in (coarse, coarse.refined()):
+            want = _reference_assembly(qgraph, system.h)
+            for got, ref in zip((system.form, system.mass, system.constraint_basis), want):
+                _assert_same_csr(got, ref)
 
 class TestCircleSpectrum:
     def test_eigenvalues_one_minus_m_squared(self, hemispheres):
