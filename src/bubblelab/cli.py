@@ -240,7 +240,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    # tol applies on the exact backend (S^2); Monte Carlo floors it at mc_tol
+    # tol applies on the exact backend (S^2); Monte Carlo floors it (NewtonConfig.tolerances)
     cfg = NewtonConfig(tol=1e-11, mc_samples=args.samples, mc_seed=args.seed)
     rows = []
     rng = np.random.default_rng(args.seed)

@@ -164,23 +164,36 @@ def cell_values(params: ClusterParams, points: np.ndarray) -> np.ndarray:
 
 
 def classify_many(params: ClusterParams, points: np.ndarray) -> np.ndarray:
-    """Index of the cell with the least affine value, for each row of points.
+    """Index of the cell with the least affine value, for each row of points."""
+    return least_cell(cell_values(params, points))
 
-    A running minimum over the cell-major rows of cell_values; the strict <
-    gives a tie to the lowest index, as np.argmin would. Parameters are finite
-    and points are unit vectors, so no value is NaN.
+
+def least_cell(values: np.ndarray, gaps: bool = False):
+    """Row index of the least entry in each column of cell-major values.
+
+    A running minimum over the rows, which it overwrites; the strict < gives a
+    tie to the lowest index, as np.argmin would. Parameters are finite and
+    points are unit vectors, so no value is NaN. With gaps, also returns each
+    column's second-least minus least value as computed (0 at a tie).
     """
-    values = cell_values(params, points)
-    if params.q == 2:
+    q, m = values.shape
+    if q == 2 and not gaps:
         return (values[1] < values[0]).astype(np.intp)
     best = values[0]
-    labels = np.zeros(values.shape[1], dtype=np.intp)
-    lower = np.empty(values.shape[1], dtype=bool)
-    for k in range(1, params.q):
+    labels = np.zeros(m, dtype=np.intp)
+    lower = np.empty(m, dtype=bool)
+    second = None
+    for k in range(1, q):
         np.less(values[k], best, out=lower)
         np.putmask(labels, lower, k)
+        if gaps:
+            upper = np.maximum(best, values[k])
+            second = upper if second is None else np.minimum(second, upper, out=second)
         np.minimum(best, values[k], out=best)
-    return labels
+    if not gaps:
+        return labels
+    second -= best
+    return labels, second
 
 
 def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
@@ -194,7 +207,8 @@ def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
         return np.ones(len(points), dtype=bool)
     values = cell_values(params, points)
     lead = np.minimum(values[i], values[j])
-    lead += tie_tol
+    if tie_tol:
+        lead += tie_tol
     others = [k for k in range(params.q) if k not in (i, j)]
     low = values[others[0]]
     for k in others[1:]:

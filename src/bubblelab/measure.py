@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
+from .cluster import (ClusterParams, InterfaceGraph, cell_values, classify_many, least_cell,
+                      wall_interior)
 from .simplex import pair_weight_matrix, restrict, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -101,12 +102,18 @@ def measure_cluster(params: ClusterParams, graph: InterfaceGraph, backend: str =
     return measure_mc(params, graph, samples=samples, seed=seed)
 
 
-def cell_volumes(params: ClusterParams, graph: InterfaceGraph, backend: str = "auto",
-                 samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
-    """The volumes of measure_cluster, without integrating any wall on Monte Carlo."""
-    if resolve_backend(backend, params.n) == "exact":
-        return measure_exact_s2(params, graph).volumes
-    return cell_volumes_mc(params, samples, seed)[0]
+def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
+                         samples: int = 1_000_000, seed: int = 0):
+    """params -> the volumes of measure_cluster on S^n, for the evaluations of one call.
+
+    No wall is integrated. On Monte Carlo the function holds one
+    VolumeTracker, released with it, so an evaluation near an earlier one
+    reclassifies only the sample points it can move.
+    """
+    if resolve_backend(backend, n) == "exact":
+        return lambda params: measure_exact_s2(params, graph).volumes
+    tracker = VolumeTracker(samples, seed)
+    return lambda params: tracker.volumes(params)[0]
 
 
 def check_positive_definite(lap: WeightedLaplacian, tol: float = 1e-11) -> EigenReport:
@@ -125,17 +132,118 @@ _VOLUME_STREAM = 0x5E11
 
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cell volumes by uniform sampling of S^n, with binomial stderr."""
+    return _cell_volumes_mc(params, samples, seed, _classified_counts)
+
+
+def _classified_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
+    return np.bincount(classify_many(params, pts), minlength=params.q)
+
+
+def _cell_volumes_mc(params: ClusterParams, samples: int, seed: int,
+                     chunk_counts) -> tuple[np.ndarray, np.ndarray]:
+    """cell_volumes_mc with each chunk's integer cell counts from chunk_counts(chunk, params, pts)."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    q = params.q
     counts = []
     for chunk, count in sampling.chunk_layout(samples):
         pts = sampling.unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
-        counts.append(np.bincount(classify_many(params, pts), minlength=q).astype(float))
+        counts.append(chunk_counts(chunk, params, pts).astype(float))
     total = sampling.pairwise_sum(counts)
     frac = total / samples
     stderr = np.sqrt(np.clip(frac * (1.0 - frac), 0.0, None) / samples)
     return frac, stderr
+
+
+# A chunk is classified in full, and becomes the reference, when more than this
+# share of its points lies within the bound. It sets speed only, never a result.
+FULL_CLASSIFY_SHARE = 0.25
+
+
+def _label_bound(ref: ClusterParams, cur: ClusterParams) -> float:
+    """delta of VolumeTracker: no computed gap above it can change a label from ref to cur."""
+    d = ref.n + 1
+    g = (d + 2) * 2.0 ** -53
+    g /= 1.0 - g
+
+    def error(params: ClusterParams) -> np.ndarray:
+        return g * (np.linalg.norm(params.quasi_centers, axis=1) * (1.0 + g)
+                    + np.abs(params.curvatures))
+
+    step = (np.linalg.norm(cur.quasi_centers - ref.quasi_centers, axis=1) * (1.0 + g)
+            + np.abs(cur.curvatures - ref.curvatures))
+    return 2.0 * float(np.max(step + error(ref) + error(cur))) * (1.0 + 1e-9)
+
+
+class VolumeTracker:
+    """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
+
+    For each volume chunk it keeps the last full classification (the
+    reference): its parameters, each point's label in the smallest integer
+    type that holds q, each point's gap (second-least minus least affine value,
+    as computed) and the cell counts. A later evaluation reclassifies, with the
+    same cell_values and least_cell code, only the points whose reference gap
+    is at most delta (ties included), and takes the counts as
+    counts - bincount(old labels) + bincount(new labels). Counts are integers,
+    so the volumes equal cell_volumes_mc's bit for bit.
+
+    Why a larger gap keeps its label. With d = n+1, u = 2^-53 and
+    g = (d+2)u / (1 - (d+2)u), each computed value <c_k, p> + kappa_k is a
+    sum of d+1 products, the last one exact. Higham's bound for such a sum, in
+    any order and with or without fused multiply-adds, puts it within
+    g (|c_k| |p| + |kappa_k|) of the exact value, and a unit direction
+    normalized in floating point has |p| <= 1 + g. So the error is at most
+    e_k = g (|c_k| (1+g) + |kappa_k|). Between the reference parameters and
+    the new ones, the exact value of cell k moves by at most
+    D_k = |c'_k - c_k| (1+g) + |kappa'_k - kappa_k|. If l is the reference
+    label and G the exact difference of the computed second-least and least
+    values, then for every k != l the new computed values satisfy
+    h'_k - h'_l >= G - 2 max_j (D_j + e_j + e'_j). The stored gap is G rounded
+    once, at most G (1+u), so a gap above
+    delta = 2 max_j (D_j + e_j + e'_j) (1 + 1e-9) leaves l the strict least
+    cell, which the running minimum then returns.
+
+    A reclassified point's label is used only when its new gap also exceeds
+    delta for unchanged parameters, 4 max_j e'_j (1 + 1e-9), beyond which no
+    rounding of the full chunk can give another label: a product over a
+    subset of points may round differently (a single point runs a
+    matrix-vector kernel). Otherwise, and when more than FULL_CLASSIFY_SHARE
+    of the chunk lies within delta, the chunk is classified in full and
+    becomes the new reference.
+
+    A tracker holds about 9 bytes per volume point, so it is meant to live
+    for one call. full, incremental and reclassified count chunk
+    classifications in full, incremental chunk evaluations and the points
+    they reclassified.
+    """
+
+    def __init__(self, samples: int, seed: int):
+        self.samples, self.seed = samples, seed
+        self._references: dict[int, tuple] = {}
+        self.full = self.incremental = self.reclassified = 0
+
+    def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
+        """cell_volumes_mc(params, samples, seed), bit for bit."""
+        return _cell_volumes_mc(params, self.samples, self.seed, self._chunk_counts)
+
+    def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
+        q = params.q
+        reference = self._references.get(chunk)
+        if reference is not None:
+            ref_params, labels, gaps, counts = reference
+            near = np.flatnonzero(gaps <= _label_bound(ref_params, params))
+            if near.size <= FULL_CLASSIFY_SHARE * gaps.size:
+                moved, moved_gaps = least_cell(cell_values(params, pts[near]), gaps=True)
+                if np.all(moved_gaps > _label_bound(params, params)):
+                    self.incremental += 1
+                    self.reclassified += near.size
+                    return (counts - np.bincount(labels[near], minlength=q)
+                            + np.bincount(moved, minlength=q))
+        labels, gaps = least_cell(cell_values(params, pts), gaps=True)
+        counts = np.bincount(labels, minlength=q)
+        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)),
+                                   gaps, counts)
+        self.full += 1
+        return counts
 
 
 def _interface_fractions(params: ClusterParams, i: int, j: int, samples: int,
@@ -165,8 +273,14 @@ def _interface_fractions(params: ClusterParams, i: int, j: int, samples: int,
         pts = sampling.subsphere_chunk(seed, label, chunk, count, center, radius, basis)
         pts.setflags(write=False)
         inside = wall_interior(params, i, j, pts)
+        # a weight None contributes 0 or 1: its sum and sum of squares are the hits
+        hits = np.array([float(np.count_nonzero(inside))])
         for weight, w_sums, w_sq_sums in zip(weights, sums, sq_sums):
-            contrib = inside.astype(float) if weight is None else inside * weight(pts)
+            if weight is None:
+                w_sums.append(hits)
+                w_sq_sums.append(hits)
+                continue
+            contrib = inside * weight(pts)
             w_sums.append(np.array([contrib.sum()]))
             w_sq_sums.append(np.array([(contrib ** 2).sum()]))
     out = []

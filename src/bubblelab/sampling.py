@@ -2,11 +2,15 @@
 
 Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
-on (seed, sample count), never on how the work is split. Normalized
-unit-direction chunks are memoized per address within a bounded budget, which
-makes repeated common-random-number evaluations (volume Newton, finite
-differences) reuse identical directions at no generation cost. Cached arrays
-are read-only, so no caller can change what later callers at the same address
+on (seed, sample count), never on how the work is split. A unit direction is a
+Gaussian row divided by its norm, the square root of a left fold of its
+squared coordinates. Normalized unit-direction chunks are memoized per address
+within a bounded budget, which makes repeated common-random-number evaluations
+(volume Newton, finite differences) reuse identical directions at no
+generation cost. An entry holds exactly the rows drawn for it; a longer
+request at the same address redraws and replaces it, and a shorter one is
+served from its prefix, which a shorter draw would equal. Cached arrays are
+read-only, so no caller can change what later callers at the same address
 receive; when the budget is exceeded the oldest entries are evicted first.
 """
 
@@ -42,7 +46,13 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
 def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
     """Uniform unit directions in R^dim, shape (count, dim), drawn uncached at the address."""
     arr = stream(seed, label, chunk).standard_normal((count, dim))
-    arr /= np.linalg.norm(arr, axis=1, keepdims=True)
+    # a left fold of the squared columns: np.linalg.norm bit for bit up to
+    # dim 7, where numpy's reduction over a short axis folds left as well
+    norms = arr[:, 0] * arr[:, 0]
+    for k in range(1, dim):
+        norms += arr[:, k] * arr[:, k]
+    np.sqrt(norms, out=norms)
+    arr /= norms[:, None]
     return arr
 
 
@@ -56,8 +66,7 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
             # a longer draw from the same stream replaces the short entry
             del _unit_cache[key]
             _unit_cache_floats -= arr.size
-        arr = unit_directions(seed, label, chunk,
-                              max(CHUNK if count > CHUNK // 2 else count, count), dim)
+        arr = unit_directions(seed, label, chunk, count, dim)
         arr.setflags(write=False)
         if arr.size <= UNIT_CACHE_BUDGET:
             while (_unit_cache_floats + arr.size > UNIT_CACHE_BUDGET
@@ -125,7 +134,7 @@ def onto_subsphere(directions: np.ndarray, center: np.ndarray, radius: float,
     """center + radius * frame @ w for each unit direction w, as a new array."""
     # built in place and kept C-ordered: the bits of products that weight
     # callbacks take, such as pts @ xi, depend on the memory layout
-    pts = directions @ frame.T
+    pts = directions @ np.ascontiguousarray(frame.T)
     pts *= radius
     pts += center
     return pts

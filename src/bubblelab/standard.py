@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterParams, complete_graph, recentered
-from .measure import cell_volumes, interface_areas, resolve_backend
+from .measure import cell_volume_function, interface_areas, resolve_backend
 from .simplex import psd_sqrtm, sum_zero_basis, sum_zero_projector
 
 
@@ -172,10 +172,14 @@ class NewtonConfig:
     mc_tol: float = 3e-6
 
     def tolerances(self, n: int) -> tuple[float, float]:
-        """(tol, fd_step) on S^n; on Monte Carlo volumes, tol floored at mc_tol and MC_FD_STEP."""
+        """(tol, fd_step) on S^n; on Monte Carlo volumes, MC_FD_STEP and tol floored.
+
+        The floor is mc_tol, or two steps of the empirical volume map, which
+        moves in steps of 1/mc_samples, if that is larger.
+        """
         if resolve_backend(self.backend, n) == "exact":
             return self.tol, FD_STEP
-        return max(self.tol, self.mc_tol), MC_FD_STEP
+        return max(self.tol, self.mc_tol, 2.0 / self.mc_samples), MC_FD_STEP
 
 
 class NewtonError(RuntimeError):
@@ -185,22 +189,20 @@ class NewtonError(RuntimeError):
         self.residual = residual
 
 
-def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig,
+def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volume_of,
                    y0: np.ndarray | None = None,
                    jac0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Damped Newton for V(kappa(y)) = v in sum-zero coordinates.
 
+    volume_of maps parameters to cell volumes (measure.cell_volume_function).
     Returns (y, jacobian, residual_inf). Warm starts (y0, jac0) let a cluster
     of nearby solves (finite-difference grids) skip most Jacobian rebuilds.
     """
     basis = sum_zero_basis(q)
-    graph = complete_graph(q)
     tol, fd_step = cfg.tolerances(n)
 
     def residual(yy: np.ndarray) -> np.ndarray:
-        vols = cell_volumes(standard_of_curvature(n, q, basis @ yy), graph, cfg.backend,
-                            cfg.mc_samples, cfg.mc_seed)
-        return basis.T @ (vols - v_target)
+        return basis.T @ (volume_of(standard_of_curvature(n, q, basis @ yy)) - v_target)
 
     def build_jacobian(yy: np.ndarray) -> np.ndarray:
         jac = np.empty((q - 1, q - 1))
@@ -254,7 +256,9 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     finite-difference Jacobian (reused across a few steps), backtracking by
     halving on the volume residual. Monte Carlo volume evaluations share one
     seed so the objective is a fixed (piecewise smooth) function of kappa and
-    Newton can converge to its root far below the statistical error.
+    Newton can converge to its root far below the statistical error; they go
+    through one measure.VolumeTracker, which lives for this call and
+    reclassifies only the sample points a step can move.
     """
     cfg = cfg or NewtonConfig()
     _check_range(n, q)
@@ -262,7 +266,9 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     if v_target.shape != (q,) or np.any(v_target <= 0) or abs(v_target.sum() - 1.0) > 1e-9:
         raise ValueError("volumes must be positive and sum to 1")
     tol, _ = cfg.tolerances(n)
-    y, _, res = _volume_newton(n, q, v_target, cfg)
+    volume_of = cell_volume_function(complete_graph(q), n, cfg.backend, cfg.mc_samples,
+                                     cfg.mc_seed)
+    y, _, res = _volume_newton(n, q, v_target, cfg, volume_of)
     if res > 3 * tol:
         raise NewtonError(f"volume Newton did not converge: residual {res:.3e}",
                           sum_zero_basis(q) @ y, res)
@@ -299,7 +305,9 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
 
     Central differences along an orthonormal sum-zero basis; all evaluations
     share the Monte Carlo seed (common random numbers), so the dominant noise
-    cancels in the differences. Steps must keep v +- perturbations interior.
+    cancels in the differences, and the center and grid solves share one
+    measure.VolumeTracker for the length of the call. Steps must keep
+    v +- perturbations interior.
     """
     cfg = cfg or NewtonConfig()
     v = np.asarray(volumes, dtype=float)
@@ -310,8 +318,9 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     tol, _ = cfg.tolerances(n)
     graph = complete_graph(q)
 
-    # center solve cold, perturbed solves warm-started from it
-    y_center, jac_center, res = _volume_newton(n, q, v, cfg)
+    # center solve cold, perturbed solves warm-started from it, all on one volume function
+    volume_of = cell_volume_function(graph, n, cfg.backend, cfg.mc_samples, cfg.mc_seed)
+    y_center, jac_center, res = _volume_newton(n, q, v, cfg, volume_of)
     if res > 3 * tol:
         raise NewtonError("volume Newton did not converge at the profile center",
                           basis @ y_center, res)
@@ -322,7 +331,8 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     def value(dv: np.ndarray) -> float:
         key = tuple(np.round(dv, 14))
         if key not in cache:
-            y, _, r = _volume_newton(n, q, v + dv, cfg, y0=y_center, jac0=jac_center)
+            y, _, r = _volume_newton(n, q, v + dv, cfg, volume_of, y0=y_center,
+                                     jac0=jac_center)
             if r > 3 * tol:
                 raise NewtonError("volume Newton did not converge at a grid point",
                                   basis @ y, r)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bubblelab import detect_interfaces, gram_invariance_check
+from bubblelab import detect_interfaces, gram_invariance_check, standard
 from bubblelab.cli import EXIT_ERROR, main
 from bubblelab.cluster import load_cluster
 
@@ -210,6 +210,18 @@ class TestAnalysisCommands:
         assert len(lines) == 3
 
 
+    def test_profile_at_low_sample_count(self, tmp_path):
+        # the volume map moves in steps of 1/samples: the Newton tolerance is
+        # floored at two of them, within reach at 300k samples
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run_cli("profile", "--n", "3", "--q", "2", "--grid", "1",
+                           "--samples", "300000", "--report", "json",
+                           "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "error" not in json.loads(a.read_text())
+
+
 class TestSuiteCommand:
     def test_plateau_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "suite.json"
@@ -239,9 +251,12 @@ class TestErrorPayloads:
         assert payload["command"] == "measure" and payload["backend"] == "exact"
         assert payload["schema_version"] == 1
 
-    def test_profile_newton_failure(self, capsys):
-        # the empirical volume map moves in steps of 1/samples, so mc_tol is
-        # out of reach at this sample count
+    def test_profile_newton_failure(self, monkeypatch, capsys):
+        def stalled(n, q, v_target, cfg, volume_of, y0=None, jac0=None):
+            tol, _ = cfg.tolerances(n)
+            return np.zeros(q - 1), np.eye(q - 1), 4 * tol
+
+        monkeypatch.setattr(standard, "_volume_newton", stalled)
         assert run_cli("profile", "--n", "3", "--q", "2", "--grid", "1",
                        "--samples", "300000") == EXIT_ERROR
         payload = json.loads(capsys.readouterr().out)

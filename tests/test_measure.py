@@ -12,7 +12,7 @@ from bubblelab import (apply_mobius, check_positive_definite, detect_interfaces,
                        recentered, standard_of_curvature, standard_of_volume,
                        weighted_laplacian, weighted_laplacians)
 from bubblelab import MobiusMap, gallery, measure, sampling, standard
-from bubblelab.cluster import complete_graph
+from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell
 from bubblelab.measure import (MeasureError, WeightedLaplacian, extract_arcs,
                                interface_areas, measure_cluster, resolve_backend)
 from bubblelab.standard import FD_STEP, MC_FD_STEP, NewtonConfig, model_profile
@@ -324,9 +324,11 @@ class TestMeasureCluster:
         monkeypatch.setattr(measure, "measure_exact_s2", measured)
         monkeypatch.setattr(measure, "cell_volumes_mc", measured)
         monkeypatch.setattr(measure, "measure_mc", measured)
-        for measuring in (measure_cluster, measure.cell_volumes):
-            with pytest.raises(ValueError, match="n = 4"):
-                measuring(bands, complete_graph(bands.q), "exact")
+        monkeypatch.setattr(measure, "VolumeTracker", measured)
+        with pytest.raises(ValueError, match="n = 4"):
+            measure_cluster(bands, complete_graph(bands.q), "exact")
+        with pytest.raises(ValueError, match="n = 4"):
+            measure.cell_volume_function(complete_graph(bands.q), bands.n, "exact")
 
     def test_empty_pairs_are_positive_zero(self, band_cluster, band_graph):
         rep = measure_mc(band_cluster, band_graph, samples=20_000, seed=1)
@@ -367,8 +369,8 @@ class TestMeasureCluster:
             assert lap.pair_weight(i, j) == areas[i, j]
 
     def test_profile_perimeter_classifies_no_volume_sample(self, monkeypatch):
-        in_perimeter, perimeters = [], []
-        real_areas, real_volumes = standard.interface_areas, measure.cell_volumes_mc
+        in_perimeter, perimeters, volume_calls = [], [], []
+        real_areas, real_volumes = standard.interface_areas, measure._cell_volumes_mc
 
         def areas(*args):
             in_perimeter.append(True)
@@ -380,13 +382,15 @@ class TestMeasureCluster:
 
         def volumes(*args):
             assert not in_perimeter, "a perimeter evaluation drew volume samples"
+            volume_calls.append(True)
             return real_volumes(*args)
 
         monkeypatch.setattr(standard, "interface_areas", areas)
-        monkeypatch.setattr(measure, "cell_volumes_mc", volumes)
+        monkeypatch.setattr(measure, "_cell_volumes_mc", volumes)
         cfg = NewtonConfig(backend="mc", mc_samples=1_000_000, mc_seed=3)
         model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
         assert len(perimeters) == 5  # the center and two steps each way
+        assert volume_calls
 
 
 class TestNewtonTolerances:
@@ -395,6 +399,12 @@ class TestNewtonTolerances:
         assert cfg.tolerances(2) == (1e-11, FD_STEP)
         assert cfg.tolerances(3) == (cfg.mc_tol, MC_FD_STEP)
         assert NewtonConfig(backend="mc").tolerances(2) == (cfg.mc_tol, MC_FD_STEP)
+
+    def test_monte_carlo_tolerance_floored_by_sample_resolution(self):
+        # two steps of the empirical volume map, 1/samples each, once above mc_tol
+        assert NewtonConfig(mc_samples=300_000).tolerances(3) == (2 / 300_000, MC_FD_STEP)
+        assert NewtonConfig(mc_samples=1_000_000).tolerances(3)[0] == NewtonConfig().mc_tol
+        assert NewtonConfig(mc_samples=300_000).tolerances(2) == (1e-10, FD_STEP)
 
 
 class TestPositiveDefiniteness:
@@ -457,3 +467,179 @@ class TestArcExtraction:
             # each end is computed once per arc, read-only, and shared by both orientations
             assert backward.start is forward.end and backward.end is forward.start
             assert not (forward.start.flags.writeable or forward.end.flags.writeable)
+
+
+# ---------------------------------------------------------------------------
+# Incremental volumes and the draw path
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="class")
+def class_cache():
+    """A sample cache of the class's own, so its chunks leave the process-wide one alone."""
+    mp = pytest.MonkeyPatch()
+    mp.setattr(sampling, "_unit_cache", {})
+    mp.setattr(sampling, "_unit_cache_floats", 0)
+    yield
+    mp.undo()
+
+
+@st.composite
+def affine_parts(draw):
+    """(n, quasi-centers, curvatures, rng) of a random affine cluster, n = 2..5, q = 2..n+2."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.integers(2, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, n + 1))
+    k = draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
+    return n, c, k, rng
+
+
+def random_affine_clusters():
+    return affine_parts().map(lambda parts: recentered(*parts[:3]))
+
+
+@st.composite
+def tracked_clusters(draw):
+    """(base, later): a random affine cluster and perturbations of it at scales
+    0 and 1e-14 to 1e-1. With a duplicated cell, two cells tie exactly on a
+    whole region, before and, if the perturbation keeps them equal, after."""
+    n, c, k, rng = draw(affine_parts())
+    q = len(k)
+    a, b = sorted(rng.choice(q, 2, replace=False).tolist())
+    duplicate = draw(st.booleans())
+    if duplicate:
+        c[b], k[b] = c[a], k[a]
+    later = []
+    for scale in draw(st.lists(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 1e-2, 1e-1]),
+                               min_size=1, max_size=3)):
+        dc, dk = scale * rng.standard_normal(c.shape), scale * rng.standard_normal(q)
+        if duplicate and draw(st.booleans()):
+            dc[b], dk[b] = dc[a], dk[a]
+        later.append(recentered(n, c + dc, k + dk))
+    return recentered(n, c, k), later
+
+
+@pytest.mark.usefixtures("class_cache")
+class TestVolumeTracker:
+    @given(tracked_clusters(), st.sampled_from([5_000, sampling.CHUNK + 1_234]),
+           st.integers(0, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_counts_and_labels_equal_a_full_pass(self, cluster, samples, seed):
+        base, later = cluster
+        q = base.q
+        tracker = measure.VolumeTracker(samples, seed)
+        for params in [base, *later]:
+            references = dict(tracker._references)
+            got = tracker.volumes(params)
+            want = measure.cell_volumes_mc(params, samples, seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            for chunk, count in sampling.chunk_layout(samples):
+                pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, chunk, count, base.n + 1)
+                labels = classify_many(params, pts)
+                if chunk in references:
+                    # the bound: a point whose reference gap exceeds it keeps its label
+                    ref_params, ref_labels, gaps, _ = references[chunk]
+                    keep = gaps > measure._label_bound(ref_params, params)
+                    assert np.array_equal(labels[keep], ref_labels[keep])
+                ref_params, ref_labels, gaps, counts = tracker._references[chunk]
+                assert ref_labels.dtype == np.uint8 and gaps.dtype == np.float64
+                assert np.array_equal(ref_labels, classify_many(ref_params, pts))
+                assert np.array_equal(counts, np.bincount(ref_labels, minlength=q))
+        chunks = len(sampling.chunk_layout(samples))
+        assert tracker.full + tracker.incremental == chunks * (1 + len(later))
+
+    @given(random_affine_clusters(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_subset_labels_equal_the_full_chunk(self, params, seed):
+        pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, 0, 5_000, params.n + 1)
+        labels = classify_many(params, pts)
+        values = cell_values(params, pts)
+        ordered = np.sort(values, axis=0)
+        full, gaps = least_cell(values, gaps=True)
+        assert np.array_equal(full, labels)
+        assert gaps.tobytes() == (ordered[1] - ordered[0]).tobytes()
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 7, 1_000):
+            subset = np.sort(rng.choice(len(pts), size, replace=False))
+            assert np.array_equal(least_cell(cell_values(params, pts[subset])), labels[subset])
+
+    def test_unchanged_parameters_reclassify_only_tied_points(self):
+        samples, seed = sampling.CHUNK + 1_000, 5
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        tracker = measure.VolumeTracker(samples, seed)
+        first = tracker.volumes(params)
+        assert (tracker.full, tracker.incremental) == (2, 0)
+        bound = measure._label_bound(params, params)
+        tied = sum(int(np.count_nonzero(gaps <= bound))
+                   for _, _, gaps, _ in tracker._references.values())
+        again = tracker.volumes(params)
+        assert (tracker.full, tracker.incremental, tracker.reclassified) == (2, 2, tied)
+        assert again[0].tobytes() == first[0].tobytes()
+        # a duplicated cell ties exactly on its whole region (a sixth of S^3,
+        # so the chunks stay below the full-classification share): tied labels
+        # rest on the chunk's own rounding, so each chunk is classified in full
+        c = np.vstack([params.quasi_centers, params.quasi_centers[0]])
+        twin = recentered(3, c, np.append(params.curvatures, params.curvatures[0]))
+        tracker = measure.VolumeTracker(samples, seed)
+        tracker.volumes(twin)
+        for _, _, gaps, _ in tracker._references.values():
+            ties = np.count_nonzero(gaps == 0.0)
+            assert 0 < ties <= measure.FULL_CLASSIFY_SHARE * gaps.size
+        again = tracker.volumes(twin)
+        assert (tracker.full, tracker.incremental) == (4, 0)
+        assert again[0].tobytes() == measure.cell_volumes_mc(twin, samples, seed)[0].tobytes()
+
+    def test_near_share_above_threshold_classifies_in_full(self):
+        samples, seed = 20_000, 6
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        tracker = measure.VolumeTracker(samples, seed)
+        tracker.volumes(params)
+        small = standard_of_curvature(3, 3, np.array([0.2 + 1e-4, -0.05, -0.15 - 1e-4]))
+        tracker.volumes(small)
+        assert (tracker.full, tracker.incremental) == (1, 1)
+        assert 0 < tracker.reclassified <= measure.FULL_CLASSIFY_SHARE * samples
+        # a large step puts most points within the bound
+        large = standard_of_curvature(3, 3, np.array([0.6, -0.3, -0.3]))
+        got = tracker.volumes(large)
+        assert (tracker.full, tracker.incremental) == (2, 1)
+        assert tracker._references[0][0] is large
+        assert got[0].tobytes() == measure.cell_volumes_mc(large, samples, seed)[0].tobytes()
+
+
+class TestDrawPath:
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_unit_rows_equal_the_norm_formula(self, dim):
+        for count in (1, 7, 1_000, sampling.CHUNK):
+            want = sampling.stream(3, 77, 1).standard_normal((count, dim))
+            want /= np.linalg.norm(want, axis=1, keepdims=True)
+            assert sampling.unit_directions(3, 77, 1, count, dim).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", range(8, 13))
+    def test_unit_rows_are_unit_beyond_dimension_seven(self, dim):
+        rows = sampling.unit_directions(3, 77, 1, 10_000, dim)
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_subsphere_points_equal_the_transposed_product(self, n):
+        params = standard_of_curvature(n, 3, np.array([0.3, -0.1, -0.2]))
+        center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 1),
+                                                         params.pair_curvature(0, 1))
+        for count in (1, 7, 1_000, sampling.CHUNK):
+            w = sampling.unit_directions(4, 78, 0, count, n)
+            want = w @ frame.T
+            want *= radius
+            want += center
+            assert sampling.onto_subsphere(w, center, radius, frame).tobytes() == want.tobytes()
+
+    def test_cache_entry_holds_exactly_the_rows_drawn(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_unit_cache", {})
+        monkeypatch.setattr(sampling, "_unit_cache_floats", 0)
+        count = sampling.CHUNK // 2 + 1  # more than half a chunk, short of a whole one
+        first = sampling.unit_chunk(0, 5, 0, count, 3)
+        entry = sampling._unit_cache[(0, 5, 0, 3)]
+        assert entry.shape == (count, 3) and sampling._unit_cache_floats == count * 3
+        shorter = sampling.unit_chunk(0, 5, 0, 10, 3)
+        assert np.shares_memory(shorter, entry)
+        assert np.array_equal(shorter, first[:10])
+        assert sampling._unit_cache_floats == count * 3

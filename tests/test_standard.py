@@ -1,6 +1,7 @@
 """Standard bubbles, Moebius maps, prescribed volumes, model profile."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bubblelab import (MobiusMap, NewtonConfig, apply_mobius, complete_graph,
                        mobius_point_flow, model_profile, pde_residual,
                        perpendicular_pole, standard_of_curvature,
                        standard_of_volume, validate_spherical)
+from bubblelab import measure, sampling, standard
 from bubblelab.cluster import spherical_residuals
 from bubblelab.simplex import random_orthogonal, sum_zero_projector
 from bubblelab.standard import gradient_vs_curvature, mobius_conformal_factor
@@ -240,3 +242,37 @@ class TestModelProfile:
     def test_fd_step_guard(self):
         with pytest.raises(ValueError):
             model_profile(2, 2, [0.02, 0.98], fd_step_hess=0.1)
+
+
+class TestVolumeTrackerScope:
+    """Monte Carlo volume solves hold one VolumeTracker for the length of a call."""
+
+    def test_no_tracker_outlives_its_call(self, monkeypatch):
+        made = []
+
+        class Recorded(measure.VolumeTracker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(measure, "VolumeTracker", Recorded)
+        names = {module: set(vars(module)) for module in (measure, standard, sampling)}
+        cfg = NewtonConfig(backend="mc", mc_samples=300_000, mc_seed=4)
+        standard_of_volume(3, 3, [0.5, 0.3, 0.2], cfg)
+        assert len(made) == 1 and made[0]() is None
+        model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
+        # the center solve and every grid solve shared one tracker, released on return
+        assert len(made) == 2 and made[1]() is None
+        standard_of_volume(2, 3, [0.5, 0.3, 0.2])
+        model_profile(2, 2, [0.4, 0.6], cfg=NewtonConfig(tol=1e-11))
+        assert len(made) == 2  # none on the exact backend
+        assert {module: set(vars(module)) for module in names} == names
+
+    def test_tracked_solve_equals_untracked_solve(self, monkeypatch):
+        cfg = NewtonConfig(backend="mc", mc_samples=300_000, mc_seed=9)
+        tracked = standard_of_volume(3, 3, [0.4, 0.35, 0.25], cfg)
+        monkeypatch.setattr(standard, "cell_volume_function", lambda graph, n, backend, samples,
+                            seed: lambda params: measure.cell_volumes_mc(params, samples, seed)[0])
+        plain = standard_of_volume(3, 3, [0.4, 0.35, 0.25], cfg)
+        assert tracked.curvatures.tobytes() == plain.curvatures.tobytes()
+        assert tracked.quasi_centers.tobytes() == plain.quasi_centers.tobytes()
