@@ -13,9 +13,9 @@ from .cluster import (ClusterParams, InterfaceGraph, classify_point,
 from .deform import (GramInvarianceReport, LseSolution, PcfReport,
                      conformal_step, gram_invariance_check, gram_path,
                      lse_solve, pcf_detect)
-from .measure import (MeasureReport, WeightedLaplacian, check_positive_definite,
-                      measure_cluster, measure_exact_s2, measure_mc,
-                      weighted_laplacian, weighted_laplacians)
+from .measure import (MeasureReport, WeightedLaplacian, measure_cluster,
+                      measure_exact_s2, measure_mc, weighted_laplacian,
+                      weighted_laplacians)
 from .operators import (AmbientToSimplexOperator, SimplexOperator,
                         check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,
@@ -26,10 +26,9 @@ from .plateau import (BlowUpCone, PlateauCertificate, blowup_at, certify_plateau
 from .quantum_graph import (JacobiSystem, QuantumGraph, assemble_jacobi,
                             build_graph, conformal_jacobi_solve,
                             eigen_count_positive, volume_derivative)
-from .standard import (MobiusMap, ModelProfilePoint, NewtonConfig,
-                       apply_mobius, equal_volume_standard, mobius_point_flow,
-                       model_profile, pde_residual, standard_of_curvature,
-                       standard_of_volume)
+from .standard import (ModelProfilePoint, NewtonConfig, apply_mobius,
+                       equal_volume_standard, mobius_point_flow, model_profile,
+                       pde_residual, standard_of_curvature, standard_of_volume)
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__, gallery, suites
 from .cluster import (detect_interfaces, load_cluster, perpendicular_pole,
                       save_cluster, validate_spherical)
-from .deform import conformal_step, gram_invariance_check, gram_path, pcf_detect
+from .deform import (conformal_step, gram_invariance_check, gram_path, measure_path,
+                     pcf_detect)
 from .measure import MeasureError, measure_cluster
 from .operators import (check_product_identity, conformal_to_volume_pcf,
                         conformal_to_volume_relaxed, locality_probe,
@@ -68,10 +69,6 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _graph_for(params, args):
-    return detect_interfaces(params, rng_seed=args.seed)
-
-
 def cmd_standard(args) -> int:
     if args.gallery:
         builders = {"bands": gallery.band_stack, "sectored-cap": gallery.sectored_cap,
@@ -94,7 +91,7 @@ def cmd_standard(args) -> int:
 
 def cmd_measure(args) -> int:
     params = load_cluster(args.cluster)
-    graph = _graph_for(params, args)
+    graph = detect_interfaces(params, rng_seed=args.seed)
     report = measure_cluster(params, graph, args.backend, args.samples, args.seed)
     validation = validate_spherical(params, graph)
     payload = _base_report(args, cluster=params.label,
@@ -118,8 +115,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"steps must be non-negative, got {args.steps}")
     params = load_cluster(args.cluster)
-    graph = _graph_for(params, args)
+    graph = detect_interfaces(params, rng_seed=args.seed)
     times = np.linspace(0.0, args.t, args.steps + 1)
     path = []
     if args.mode == "conformal":
@@ -137,6 +136,7 @@ def cmd_deform(args) -> int:
     payload = _base_report(args, mode=args.mode, times=times,
                            clusters=[{"quasi_centers": p.quasi_centers,
                                       "curvatures": p.curvatures} for p in path])
+    inv = None
     if args.check_invariance and args.mode == "gram":
         inv = gram_invariance_check(params, graph, t_max=args.t, steps=args.steps,
                                     samples=args.samples, seed=args.seed)
@@ -148,20 +148,20 @@ def cmd_deform(args) -> int:
             "within_tolerance": inv.invariant_within_tolerance}
     _emit(payload, args.out)
     if args.report:
+        # the invariance check measured this very path already
+        reports = (inv.reports if inv is not None else
+                   [rep for _, rep in measure_path(path, times, graph, args.samples, args.seed)])
         with open(args.report, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"v{i}" for i in range(params.q)] + ["perimeter"])
-            for t, p in zip(times, path):
-                # interfaces can appear along the path: detect them at each point
-                p_graph = graph if t == 0.0 else _graph_for(p, args)
-                rep = measure_cluster(p, p_graph, samples=args.samples, seed=args.seed)
+            for t, rep in zip(times, reports):
                 writer.writerow([t] + list(rep.volumes) + [rep.total_perimeter])
     return 0
 
 
 def cmd_operators(args) -> int:
     params = load_cluster(args.cluster)
-    graph = _graph_for(params, args)
+    graph = detect_interfaces(params, rng_seed=args.seed)
     checks = args.checks.split(",")
     payload = _base_report(args, cluster=params.label, checks=checks)
     pcf = pcf_detect(params)
@@ -207,7 +207,7 @@ def cmd_operators(args) -> int:
 
 def cmd_plateau(args) -> int:
     params = load_cluster(args.cluster)
-    graph = _graph_for(params, args)
+    graph = detect_interfaces(params, rng_seed=args.seed)
     cert = certify_plateau(params, graph, sample_budget=args.budget, seed=args.seed)
     verdict = classify_q3(params, graph, cert)
     payload = _base_report(args, cluster=params.label,
@@ -225,7 +225,7 @@ def cmd_plateau(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = load_cluster(args.cluster)
-    graph = _graph_for(params, args)
+    graph = detect_interfaces(params, rng_seed=args.seed)
     system = assemble_jacobi(build_graph(params, graph), args.h)
     spec = eigen_count_positive(system, k_top=24)
     payload = _base_report(args, cluster=params.label,

@@ -116,22 +116,6 @@ class InterfaceGraph:
         return [(i, j) for i in range(self.q) for j in range(i + 1, self.q)
                 if self.nonempty[i, j]]
 
-    def is_connected(self, cells: list[int] | None = None) -> bool:
-        """Connectivity of the adjacency graph restricted to the given cells."""
-        nodes = list(range(self.q)) if cells is None else list(cells)
-        if not nodes:
-            return True
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        allowed = set(nodes)
-        while frontier:
-            i = frontier.pop()
-            for j in nodes:
-                if j not in seen and self.nonempty[i, j] and j in allowed:
-                    seen.add(j)
-                    frontier.append(j)
-        return seen == set(nodes)
-
 
 def complete_graph(q: int) -> InterfaceGraph:
     m = ~np.eye(q, dtype=bool)
@@ -358,17 +342,17 @@ def validate_spherical(params: ClusterParams, graph: InterfaceGraph | None = Non
     return SphericalReport(not violations, float(max_res), violations, residuals)
 
 
-def perpendicular_pole(params: ClusterParams, tol: float = 1e-9) -> np.ndarray | None:
+def perpendicular_pole(params: ClusterParams) -> np.ndarray | None:
     """A unit vector orthogonal to every quasi-center, or None if none exists.
 
     Computed as a null direction of the quasi-center matrix by singular value
-    thresholding; clusters with q <= n+1 always have one. The sign is fixed by
-    making the last nonzero component positive.
+    thresholding (at 1e-9 of the largest); clusters with q <= n+1 always have
+    one. The sign is fixed by making the last nonzero component positive.
     """
     _, s, vt = np.linalg.svd(params.quasi_centers, full_matrices=True)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     # singular values descend, so the last right singular vector is null if any is
-    if vt.shape[0] <= s.size and s[-1] > tol * scale:
+    if vt.shape[0] <= s.size and s[-1] > 1e-9 * scale:
         return None
     pole = vt[-1]
     nz = np.flatnonzero(np.abs(pole) > 1e-12)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import (ClusterParams, InterfaceGraph, detect_interfaces,
-                      recentered, validate_spherical)
+from .cluster import ClusterParams, InterfaceGraph, detect_interfaces, recentered
 from .measure import MeasureReport, measure_cluster
 from .simplex import (psd_sqrtm, sum_zero_basis, sum_zero_projector)
-from .standard import MobiusMap, apply_mobius
+from .standard import apply_mobius
 
 PCF_TOL = 1e-8
 
@@ -40,7 +39,7 @@ def conformal_step(params: ClusterParams, pole, t: float) -> ClusterParams:
         raise ValueError(
             "pole is not orthogonal to the quasi-centers (nor is the cluster "
             "a flow iterate of a perpendicular one)")
-    return apply_mobius(params, MobiusMap.flow(pole, t))
+    return apply_mobius(params, pole, t)
 
 
 @dataclass
@@ -91,18 +90,6 @@ def lse_solve(params: ClusterParams, graph: InterfaceGraph, a) -> LseSolution:
     delta = basis @ y.reshape(q - 1, dim)
     residual = float(np.max(np.abs(rows @ y - rhs))) if pairs else 0.0
     return LseSolution(delta, a, residual)
-
-
-def lse_residual(params: ClusterParams, graph: InterfaceGraph,
-                 delta_centers: np.ndarray, a) -> float:
-    """Max violation of the linearized compatibility equations by a candidate."""
-    a = np.asarray(a, dtype=float)
-    worst = 0.0
-    for i, j in graph.pairs():
-        dc = delta_centers[i] - delta_centers[j]
-        worst = max(worst, abs(float(params.pair_center(i, j) @ dc)
-                               - params.pair_curvature(i, j) * (a[i] - a[j])))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,6 @@ class GramInvarianceReport:
     allowed_deviation: float
     first_new_interface_t: float | None
     new_interface_pair: tuple[int, int] | None
-    plateau_certified: bool
     reports: list[MeasureReport]
 
     @property
@@ -182,35 +168,42 @@ class GramInvarianceReport:
                 and self.perimeter_deviation <= self.allowed_deviation)
 
 
+def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
+                 samples: int, seed: int) -> list[tuple[InterfaceGraph, MeasureReport]]:
+    """(interfaces, measures) of each point of a deformation path.
+
+    Interfaces can appear along a path, so every point but the one at t = 0,
+    which keeps graph, is measured against its own, detected at the seed.
+    Monte Carlo points share the seed, so their differences are measured with
+    common random numbers.
+    """
+    out = []
+    for t, step_params in zip(times, path):
+        step_graph = graph if t == 0.0 else detect_interfaces(step_params, rng_seed=seed)
+        out.append((step_graph, measure_cluster(step_params, step_graph,
+                                                samples=samples, seed=seed)))
+    return out
+
+
 def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,
                           t_max: float = 0.5, steps: int = 5,
-                          samples: int = 400_000, seed: int = 7,
-                          plateau_certified: bool = True,
-                          detect_samples: int = 4096) -> GramInvarianceReport:
-    """Measure volumes and perimeter along the Gram path.
+                          samples: int = 400_000, seed: int = 7) -> GramInvarianceReport:
+    """Measure volumes and perimeter along the Gram path (measure_path).
 
-    Reports the worst deviation from the t = 0 values over the grid, and the
-    first time at which a previously empty pair acquires an interface (the
-    guarantees only hold before that). plateau_certified is the caller's
-    certificate from the plateau module; when False the report still runs but
-    is flagged. Monte Carlo steps share the seed, so deviations are measured
-    with common random numbers.
+    Reports the worst deviation from the t = 0 values over the grid of
+    steps + 1 times, and the first time at which a previously empty pair
+    acquires an interface (the guarantees only hold before that).
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     times = np.linspace(0.0, t_max, steps + 1)
-    base_pairs = {tuple(p) for p in graph.pairs()}
-    reports: list[MeasureReport] = []
-    first_new: float | None = None
-    new_pair: tuple[int, int] | None = None
-    for t in times:
-        step_params = gram_path(params, float(t))
-        step_graph = graph
-        if t > 0:
-            step_graph = detect_interfaces(step_params, samples_per_pair=detect_samples,
-                                           rng_seed=seed)
-            extra = [p for p in step_graph.pairs() if tuple(p) not in base_pairs]
-            if extra and first_new is None:
-                first_new, new_pair = float(t), tuple(extra[0])
-        reports.append(measure_cluster(step_params, step_graph, samples=samples, seed=seed))
+    path = [gram_path(params, float(t)) for t in times]
+    measured = measure_path(path, times, graph, samples, seed)
+    base_pairs = set(graph.pairs())
+    new = [(float(t), pair) for t, (step_graph, _) in zip(times, measured)
+           for pair in step_graph.pairs() if pair not in base_pairs]
+    first_new, new_pair = new[0] if new else (None, None)
+    reports = [report for _, report in measured]
     base = reports[0]
     upto = len(times) if first_new is None else int(np.searchsorted(times, first_new))
     vol_dev = max(float(np.max(np.abs(r.volumes - base.volumes))) for r in reports[:upto])
@@ -219,14 +212,4 @@ def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,
                  for r in reports[:upto])
     allowed = max(4.0 * stderr * np.sqrt(2.0), 1e-12)
     return GramInvarianceReport(times, vol_dev, per_dev, allowed, first_new,
-                                new_pair, plateau_certified, reports)
-
-
-def validate_along_path(params: ClusterParams, graph: InterfaceGraph,
-                        times) -> float:
-    """Worst compatibility residual over nonempty pairs along the Gram path."""
-    worst = 0.0
-    for t in times:
-        rep = validate_spherical(gram_path(params, float(t)), graph)
-        worst = max(worst, rep.max_residual)
-    return worst
+                                new_pair, reports)

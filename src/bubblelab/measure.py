@@ -18,7 +18,7 @@ import numpy as np
 from . import sampling
 from .cluster import (ClusterParams, InterfaceGraph, cell_values, classify_many, least_cell,
                       wall_interior)
-from .simplex import pair_weight_matrix, restrict, sphere_surface_measure
+from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,7 +57,6 @@ class WeightedLaplacian:
     """Discrete weighted Laplacian sum_{i<j} A^ij e_ij (x) e_ij on E^(q-1)."""
 
     matrix: np.ndarray
-    weight_label: str
     entry_stderr: np.ndarray | None = None
 
     @property
@@ -66,12 +65,6 @@ class WeightedLaplacian:
 
     def pair_weight(self, i: int, j: int) -> float:
         return float(-self.matrix[i, j])
-
-
-@dataclass
-class EigenReport:
-    eigenvalues: np.ndarray
-    positive_definite: bool
 
 
 def resolve_backend(backend: str, n: int) -> str:
@@ -114,13 +107,6 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
         return lambda params: measure_exact_s2(params, graph).volumes
     tracker = VolumeTracker(samples, seed)
     return lambda params: tracker.volumes(params)[0]
-
-
-def check_positive_definite(lap: WeightedLaplacian, tol: float = 1e-11) -> EigenReport:
-    """Eigenvalues of the Laplacian restricted to E^(q-1) and a definiteness flag."""
-    w = np.linalg.eigvalsh(restrict(lap.matrix))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return EigenReport(w, bool(w.min() > tol * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +318,11 @@ class Arc:
     @property
     def length(self) -> float:
         return self.radius * (self.t1 - self.t0)
+
+    @property
+    def closed(self) -> bool:
+        """No vertex on the arc: a full circle, or an interval of length 2pi to 1e-12."""
+        return self.full_circle or self.t1 - self.t0 >= TWO_PI - 1e-12
 
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -634,19 +625,16 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
 
     All weights are integrated in one pass over the same points (see
     _pair_integrals); "auto" picks exact on S^2 and Monte Carlo otherwise.
-    Each result is labelled "custom" and equals the single-weight
-    weighted_laplacian bit for bit.
+    Each result equals the single-weight weighted_laplacian bit for bit.
     """
     q = params.q
-    return [WeightedLaplacian(pair_weight_matrix(q, values), "custom", _symmetric(q, errs))
+    return [WeightedLaplacian(pair_weight_matrix(q, values), _symmetric(q, errs))
             for values, errs in _pair_integrals(params, graph, weights, backend, samples, seed)]
 
 
 def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
                        backend: str = "auto", samples: int = 1_000_000,
-                       seed: int = 0, label: str = "") -> WeightedLaplacian:
+                       seed: int = 0) -> WeightedLaplacian:
     """L_f with A^ij the integral of a pointwise weight over Sigma_ij; see weighted_laplacians."""
-    lap = weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
-                              seed=seed)[0]
-    lap.weight_label = label or "custom"
-    return lap
+    return weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
+                               seed=seed)[0]

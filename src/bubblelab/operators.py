@@ -24,7 +24,6 @@ class SimplexOperator:
     """Symmetric operator on E^(q-1) stored as a q x q matrix annihilating 1."""
 
     matrix: np.ndarray
-    label: str
     entry_stderr: np.ndarray | None = None
 
     @property
@@ -37,13 +36,12 @@ class AmbientToSimplexOperator:
     """Operator R^(n+1) -> E^(q-1) stored as a q x (n+1) matrix with zero column sums."""
 
     matrix: np.ndarray
-    label: str
     entry_stderr: np.ndarray | None = None
 
 
 def quasi_center_operator(params: ClusterParams) -> AmbientToSimplexOperator:
     """The matrix whose rows are the quasi-centers."""
-    return AmbientToSimplexOperator(params.quasi_centers.copy(), "quasi-center")
+    return AmbientToSimplexOperator(params.quasi_centers.copy())
 
 
 def normal_moment_operator(params: ClusterParams, graph: InterfaceGraph,
@@ -79,7 +77,7 @@ def normal_moment_operator(params: ClusterParams, graph: InterfaceGraph,
                                             for axis in range(dim)]))
                 err[i] += e
                 err[j] += e
-    return AmbientToSimplexOperator(out, "normal-moment", err)
+    return AmbientToSimplexOperator(out, err)
 
 
 def conformal_to_volume_pcf(params: ClusterParams, graph: InterfaceGraph,
@@ -96,9 +94,8 @@ def conformal_to_volume_pcf(params: ClusterParams, graph: InterfaceGraph,
     if residual > 1e-6:
         raise ValueError(f"xi is not a compatibility parameter (residual {residual:.3e})")
     lap = weighted_laplacian(params, graph, lambda pts: 1.0 - pts @ xi,
-                             backend=backend, samples=samples, seed=seed,
-                             label="conformal-to-volume")
-    return SimplexOperator(lap.matrix, "conformal-to-volume", lap.entry_stderr)
+                             backend=backend, samples=samples, seed=seed)
+    return SimplexOperator(lap.matrix, lap.entry_stderr)
 
 
 def conformal_to_volume_relaxed(params: ClusterParams, graph: InterfaceGraph,
@@ -113,11 +110,10 @@ def conformal_to_volume_relaxed(params: ClusterParams, graph: InterfaceGraph,
     if np.max(np.abs(params.quasi_centers @ pole)) > 1e-8:
         raise ValueError("cluster is not perpendicular to the given pole")
     lap = weighted_laplacian(params, graph, lambda pts: (pts @ pole) ** 2,
-                             backend=backend, samples=samples, seed=seed,
-                             label="pole-second-moment")
+                             backend=backend, samples=samples, seed=seed)
     n = params.n
     err = None if lap.entry_stderr is None else n * lap.entry_stderr
-    return SimplexOperator(n * lap.matrix, "conformal-to-volume-relaxed", err)
+    return SimplexOperator(n * lap.matrix, err)
 
 
 # ---------------------------------------------------------------------------

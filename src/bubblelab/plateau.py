@@ -53,12 +53,12 @@ class PlateauDiagnostics:
     incidence_size: int
 
 
-def plateau_at(cone: BlowUpCone, tol: float = 1e-7) -> PlateauDiagnostics:
+def plateau_at(cone: BlowUpCone) -> PlateauDiagnostics:
     """Check the regular-simplex condition of the blow-up cone.
 
     Two equivalent tests are run: affine rank equals incidence size minus one,
     and the Gram matrix of the centered normals equals half the sum-zero
-    projector of the incidence set.
+    projector of the incidence set, to 1e-7 in every entry.
     """
     m = len(cone.incidence)
     if m < 2:
@@ -66,7 +66,7 @@ def plateau_at(cone: BlowUpCone, tol: float = 1e-7) -> PlateauDiagnostics:
     gram = cone.centered_normals @ cone.centered_normals.T
     residual = float(np.max(np.abs(gram - 0.5 * sum_zero_projector(m))))
     rank_ok = cone.affine_rank == m - 1
-    return PlateauDiagnostics(rank_ok and residual <= tol, rank_ok, residual,
+    return PlateauDiagnostics(rank_ok and residual <= 1e-7, rank_ok, residual,
                               cone.affine_rank, m)
 
 
@@ -143,8 +143,7 @@ class PlateauCertificate:
 
 
 def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
-                    sample_budget: int = 2000, seed: int = 0,
-                    tol: float = 1e-7) -> PlateauCertificate:
+                    sample_budget: int = 2000, seed: int = 0) -> PlateauCertificate:
     """Examine the singular strata and certify the largest safe Plateau level.
 
     Candidate points are the interface witnesses plus the stratum points of
@@ -189,7 +188,7 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
         cone = blowup_at(params, p, tie_tol=SINGULAR_TIE_TOL)
         if len(cone.incidence) < 2:
             continue
-        diag = plateau_at(cone, tol)
+        diag = plateau_at(cone)
         entry = {"point": p, "incidence": cone.incidence.tolist(),
                  "affine_rank": cone.affine_rank,
                  "gram_residual": diag.gram_residual,
@@ -219,15 +218,14 @@ class Q3Classification:
 
 
 def classify_q3(params: ClusterParams, graph: InterfaceGraph,
-                certificate: PlateauCertificate,
-                pcf_report: PcfReport | None = None) -> Q3Classification:
+                certificate: PlateauCertificate) -> Q3Classification:
     """Combine Plateau and compatibility certificates.
 
     When the cluster is certified Plateau down to level q-3, at least one of
     {fully Plateau, pseudo conformally flat} must hold; a numerical 'neither'
     outcome is flagged for tolerance investigation rather than trusted.
     """
-    pcf = pcf_report or pcf_detect(params)
+    pcf = pcf_detect(params)
     plateau = certificate.fully_plateau
     if plateau and pcf.pcf:
         verdict = "both"

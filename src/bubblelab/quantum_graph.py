@@ -27,6 +27,7 @@ from .measure import Arc, extract_arcs
 SQRT3 = math.sqrt(3.0)
 NORM_S2 = 4.0 * math.pi
 VERTEX_TOL = 1e-7
+KERNEL_FLOOR = 1e-6
 
 
 class GraphBuildError(RuntimeError):
@@ -80,10 +81,10 @@ def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
         raise GraphBuildError("cluster has no interfaces")
     ends: list[tuple[int, int, np.ndarray]] = []
     for idx, arc in enumerate(arcs):
-        if arc.full_circle or arc.t1 - arc.t0 >= 2.0 * math.pi - 1e-12:
+        if arc.closed:
             continue
-        ends.append((idx, 0, arc.point(arc.t0)))
-        ends.append((idx, 1, arc.point(arc.t1)))
+        ends.append((idx, 0, arc.ends[0]))
+        ends.append((idx, 1, arc.ends[1]))
 
     clusters: list[list[tuple[int, int, np.ndarray]]] = []
     for item in ends:
@@ -148,9 +149,8 @@ class JacobiSystem:
     mass: sp.csr_matrix
     constraint_basis: sp.csr_matrix
     _reduced: tuple[sp.csr_matrix, sp.csr_matrix] | None = field(default=None, repr=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _form_lu: spla.SuperLU | None = field(default=None, repr=False)
-    _kernels: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
+    _kernel: np.ndarray | None = field(default=None, repr=False)
     _counts: dict[float, tuple[int, str]] = field(default_factory=dict, repr=False)
     _refined: JacobiSystem | None = field(default=None, repr=False)
 
@@ -180,14 +180,6 @@ class JacobiSystem:
             self._reduced = (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
         return self._reduced
 
-    def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenpairs of the reduced pencil (dense reference; cached)."""
-        if self._eig is None:
-            a_r, m_r = self.reduced()
-            lam, vec = scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
-            self._eig = (lam, vec)
-        return self._eig
-
     def form_factor(self) -> spla.SuperLU:
         """Sparse LU factorization of the reduced form A_r (cached)."""
         if self._form_lu is None:
@@ -211,14 +203,16 @@ class JacobiSystem:
             self._refined = assemble_jacobi(self.graph, self.h / 2.0)
         return self._refined
 
-    def near_kernel(self, kernel_tol: float) -> np.ndarray:
-        """M_r-orthonormal eigenvectors with |lam| <= kernel_tol, as columns (cached, read-only).
+    def near_kernel(self) -> np.ndarray:
+        """M_r-orthonormal eigenvectors with |lam| <= kernel_tolerance(self), as
+        columns (cached, read-only).
 
-        Their number is the inertia difference at -kernel_tol and +kernel_tol;
-        the vectors come from one shift-invert Lanczos run at 0 that reuses
-        the factorization of A_r.
+        Their number is the inertia difference at -tol and +tol; the vectors
+        come from one shift-invert Lanczos run at 0 that reuses the
+        factorization of A_r.
         """
-        if kernel_tol not in self._kernels:
+        if self._kernel is None:
+            kernel_tol = kernel_tolerance(self)
             dim = self.count_above(-kernel_tol)[0] - self.count_above(kernel_tol)[0]
             vec = np.zeros((self.reduced_size, 0))
             if dim:
@@ -232,29 +226,31 @@ class JacobiSystem:
                         f"Lanczos found eigenvalues {lam} nearest 0, but inertia puts "
                         f"{dim} within {kernel_tol:g}")
             vec.flags.writeable = False
-            self._kernels[kernel_tol] = vec
-        return self._kernels[kernel_tol]
+            self._kernel = vec
+        return self._kernel
 
 
 def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     """Piecewise-linear Galerkin assembly at target grid spacing h.
 
     Each arc gets a uniform grid with at least 16 intervals (coarser h is an
-    error); vertex-free circle interfaces are discretized cyclically.
+    error, as is an h that is not finite and positive); vertex-free circle
+    interfaces are discretized cyclically.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
     arcs = graph.arcs
     offsets, counts, cyclic, steps = [], [], [], []
     total = 0
     for arc in arcs:
-        closed = arc.full_circle or arc.t1 - arc.t0 >= 2.0 * math.pi - 1e-12
         m = int(math.ceil(arc.length / h))
         if m < 16:
             raise ValueError(
                 f"h = {h:g} gives only {m} intervals on an arc of length "
                 f"{arc.length:g}; need at least 16")
         offsets.append(total)
-        counts.append(m if closed else m + 1)
-        cyclic.append(closed)
+        counts.append(m if arc.closed else m + 1)
+        cyclic.append(arc.closed)
         steps.append(arc.length / m)
         total += counts[-1]
 
@@ -281,13 +277,13 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     form = sp.coo_matrix((np.concatenate(a_vals), (rows, cols)), shape=(size, size)).tocsr()
     mass = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=(size, size)).tocsr()
 
+    # the node of each arc end at each vertex
+    vertex_nodes = [[offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
+                     for ve in vertex.ends] for vertex in graph.vertices]
+
     # Robin vertex terms enter the form with a minus sign
-    vert_rows, vert_vals = [], []
-    for vertex in graph.vertices:
-        for ve in vertex.ends:
-            node = offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
-            vert_rows.append(node)
-            vert_vals.append(-ve.robin)
+    vert_rows = [node for nodes in vertex_nodes for node in nodes]
+    vert_vals = [-ve.robin for vertex in graph.vertices for ve in vertex.ends]
     if vert_rows:
         form = form + sp.coo_matrix((vert_vals, (vert_rows, vert_rows)),
                                     shape=(size, size)).tocsr()
@@ -299,9 +295,7 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     # (the free dofs are the columns of Z, in order; a dependent dof's row
     # combines the other two traces at its vertex)
     dep_rows, src_nodes, coeffs = [], [], []
-    for vertex in graph.vertices:
-        nodes = [offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
-                 for ve in vertex.ends]
+    for vertex, nodes in zip(graph.vertices, vertex_nodes):
         signs = [ve.sign for ve in vertex.ends]
         dep_rows += [nodes[-1]] * 2
         src_nodes += nodes[:2]
@@ -335,42 +329,6 @@ def piecewise_constant_field(system: JacobiSystem, a) -> np.ndarray:
     """Node vector with value a_i - a_j on each (i, j) arc."""
     a = np.asarray(a, dtype=float)
     return field_from_pointwise(system, lambda arc, pts: a[arc.i] - a[arc.j])
-
-
-def kirchhoff_residual(system: JacobiSystem, x: np.ndarray) -> float:
-    worst = 0.0
-    for vertex in system.graph.vertices:
-        total = 0.0
-        for ve in vertex.ends:
-            node = system.offsets[ve.arc_index] + (
-                0 if ve.end == 0 else system.counts[ve.arc_index] - 1)
-            total += ve.sign * x[node]
-        worst = max(worst, abs(total))
-    return worst
-
-
-def robin_residual(system: JacobiSystem, x: np.ndarray) -> float:
-    """Max spread of the matched Robin quantity across the ends of each vertex.
-
-    Outward derivatives are recovered by one-sided second-order differences of
-    the nodal values, so the residual of a smooth compatible field is O(h^2).
-    """
-    worst = 0.0
-    for vertex in system.graph.vertices:
-        values = []
-        for ve in vertex.ends:
-            ai = ve.arc_index
-            off, cnt, step = system.offsets[ai], system.counts[ai], system.steps[ai]
-            vals = x[off:off + cnt]
-            if ve.end == 0:
-                trace = vals[0]
-                outward = -(-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * step)
-            else:
-                trace = vals[-1]
-                outward = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * step)
-            values.append(ve.sign * (outward - ve.robin * trace))
-        worst = max(worst, max(values) - min(values))
-    return worst
 
 
 def strong_residual(system: JacobiSystem, x: np.ndarray, rhs=None) -> float:
@@ -416,11 +374,6 @@ def volume_derivative(system: JacobiSystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def index_form_value(system: JacobiSystem, x: np.ndarray) -> float:
-    """The quadratic index form of a nodal field (vertex terms included)."""
-    return float(x @ (system.form @ x))
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues and solves
 # ---------------------------------------------------------------------------
@@ -449,10 +402,11 @@ def positive_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
     return int(np.count_nonzero(blocks > 0.0)), "dense_ldl"
 
 
-def kernel_tolerance(system: JacobiSystem, floor: float = 1e-6) -> float:
+def kernel_tolerance(system: JacobiSystem) -> float:
     """Discretization-aware zero-mode threshold: exact kernel eigenvalues land
-    within O(h^2) of zero, so anything below ~50 h^2 is treated as kernel."""
-    return max(floor, 50.0 * system.h ** 2)
+    within O(h^2) of zero, so anything below ~50 h^2, floored at KERNEL_FLOOR,
+    is treated as kernel."""
+    return max(KERNEL_FLOOR, 50.0 * system.h ** 2)
 
 
 @dataclass
@@ -477,26 +431,25 @@ def _top_eigenvalues(system: JacobiSystem, k_top: int) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
-def eigen_count_positive(system: JacobiSystem, shift_tol: float = 1e-6,
-                         k_top: int = 16) -> SpectrumReport:
+def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumReport:
     """Count positive eigenvalues by Sylvester inertia, with an h/2 refinement check.
 
-    With cut = max(shift_tol, the kernel tolerance), count_positive is the
-    number of eigenvalues above cut, i.e. the positive inertia of
-    -A_r - cut M_r; kernel_dim is the number in (-cut, cut], the difference of
-    the inertias at -cut and +cut. Both are exact for the discrete pencil at
-    any size. The count must agree with that of the h/2 refinement;
-    disagreement is reported as converged=False. k_top only sets how many of
-    the largest eigenvalues are reported; when they reach below the kernel,
-    the number of them above cut must equal count_positive.
+    With cut = kernel_tolerance(system), count_positive is the number of
+    eigenvalues above cut, i.e. the positive inertia of -A_r - cut M_r;
+    kernel_dim is the number in (-cut, cut], the difference of the inertias
+    at -cut and +cut. Both are exact for the discrete pencil at any size. The
+    count must agree with that of the h/2 refinement, cut at its own kernel
+    tolerance; disagreement is reported as converged=False. k_top only sets
+    how many of the largest eigenvalues are reported; when they reach below
+    the kernel, the number of them above cut must equal count_positive.
     """
-    cut = max(shift_tol, kernel_tolerance(system, shift_tol))
+    cut = kernel_tolerance(system)
     count, method_plus = system.count_above(cut)
     above_minus, method_minus = system.count_above(-cut)
     kernel = above_minus - count
 
     fine = system.refined()
-    count_fine, method_fine = fine.count_above(max(shift_tol, kernel_tolerance(fine, shift_tol)))
+    count_fine, method_fine = fine.count_above(kernel_tolerance(fine))
     methods = {method_plus, method_minus, method_fine}
     method = "dense_ldl" if "dense_ldl" in methods else "sparse_ldl"
 
@@ -518,28 +471,25 @@ class ConformalSolveReport:
     conformal_parameter: np.ndarray
 
 
-def conformal_jacobi_solve(system: JacobiSystem, a,
-                           kernel_tol: float | None = None) -> ConformalSolveReport:
+def conformal_jacobi_solve(system: JacobiSystem, a) -> ConformalSolveReport:
     """Solve the vertex-matched problem L f = (n-1) a_ij per arc; return f and its volume column.
 
-    The near-kernel eigenvectors V0 (discrete Jacobi fields, |lam| <= kernel_tol,
-    M_r-orthonormal) are projected out of the right-hand side, the reduced
-    system is solved with a sparse LU of A_r, and V0 is projected out of the
-    solution. The removed fraction |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is
-    reported. The volume column of the returned field is one column of the
-    discrete conformal-to-volume operator.
+    The near-kernel eigenvectors V0 (discrete Jacobi fields, |lam| <=
+    kernel_tolerance(system), M_r-orthonormal) are projected out of the
+    right-hand side, the reduced system is solved with a sparse LU of A_r, and
+    V0 is projected out of the solution. The removed fraction
+    |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is reported. The volume column of the
+    returned field is one column of the discrete conformal-to-volume operator.
     """
     a = np.asarray(a, dtype=float)
     a = a - a.mean()
-    if kernel_tol is None:
-        kernel_tol = kernel_tolerance(system)
     n_minus_1 = float(system.graph.params.n - 1)
     g = piecewise_constant_field(system, a)
     rhs_full = -n_minus_1 * (system.mass @ g)
     z = system.constraint_basis
     rhs = z.T @ rhs_full
     m_r = system.reduced()[1].tocsc()
-    kernel = system.near_kernel(kernel_tol)
+    kernel = system.near_kernel()
     # with -A v_k = lam_k M v_k and V^T M V = Id, rhs = M V c for c = V^T rhs
     coeffs = kernel.T @ rhs
     total = math.sqrt(max(float(rhs @ spla.spsolve(m_r, rhs)), 0.0))
@@ -548,20 +498,3 @@ def conformal_jacobi_solve(system: JacobiSystem, a,
     y -= kernel @ (kernel.T @ (m_r @ y))
     x = z @ y
     return ConformalSolveReport(x, volume_derivative(system, x), kernel.shape[1], removed, a)
-
-
-def remove_kernel_component(system: JacobiSystem, x: np.ndarray,
-                            kernel_tol: float | None = None) -> np.ndarray:
-    """Project the discrete Jacobi-field components out of a constrained field.
-
-    Useful when comparing a computed solution with a closed form that may
-    differ by kernel elements.
-    """
-    if kernel_tol is None:
-        kernel_tol = kernel_tolerance(system)
-    z = system.constraint_basis
-    kernel = system.near_kernel(kernel_tol)
-    y = spla.spsolve((z.T @ z).tocsc(), z.T @ x)
-    m_r = system.reduced()[1]
-    proj = kernel @ (kernel.T @ (m_r @ y))
-    return z @ (y - proj)

@@ -62,16 +62,16 @@ def pair_weight_matrix(q: int, weights: dict[tuple[int, int], float]) -> np.ndar
     return m
 
 
-def pair_decomposition(m: np.ndarray, tol: float = 1e-9) -> dict[tuple[int, int], float]:
-    """Invert pair_weight_matrix for a symmetric matrix annihilating 1.
+def pair_decomposition(m: np.ndarray) -> dict[tuple[int, int], float]:
+    """Invert pair_weight_matrix for a symmetric matrix annihilating 1 (to 1e-9).
 
     The off-diagonal entries determine the weights uniquely: w_ij = -m[i, j].
     """
     m = np.asarray(m, dtype=float)
     q = m.shape[0]
-    if not np.allclose(m, m.T, atol=tol):
+    if not np.allclose(m, m.T, atol=1e-9):
         raise ValueError("matrix is not symmetric")
-    if np.max(np.abs(m @ np.ones(q))) > max(tol, 1e-9 * max(1.0, np.abs(m).max())):
+    if np.max(np.abs(m @ np.ones(q))) > 1e-9 * max(1.0, np.abs(m).max()):
         raise ValueError("matrix does not annihilate the constant vector")
     return {(i, j): -m[i, j] for i in range(q) for j in range(i + 1, q)}
 
@@ -83,19 +83,19 @@ def restrict(m: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     return b.T @ m @ b
 
 
-def psd_sqrtm(g: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
+def psd_sqrtm(g: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues within clip_tol (relative) of 0 are floored to exactly 0, so
+    Eigenvalues within 1e-12 (relative) of 0 are floored to exactly 0, so
     rank-deficient Gram matrices do not leak O(sqrt(eps)) noise into the root;
-    anything below -clip_tol raises.
+    anything below -1e-12 raises.
     """
     g = np.asarray(g, dtype=float)
     w, v = np.linalg.eigh(0.5 * (g + g.T))
     scale = max(1.0, abs(w.max())) if w.size else 1.0
-    if w.min() < -clip_tol * scale:
+    if w.min() < -1e-12 * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w = np.where(w > clip_tol * scale, w, 0.0)
+    w = np.where(w > 1e-12 * scale, w, 0.0)
     return (v * np.sqrt(w)) @ v.T
 
 
@@ -104,18 +104,13 @@ def sphere_surface_measure(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-def orthonormal_complement(vectors: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
-    """Columns spanning the orthogonal complement of the rows of `vectors` in R^dim."""
+def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Columns spanning the orthogonal complement of the rows of `vectors` in R^dim
+    (singular values below 1e-10 times the largest count as zero)."""
     a = np.atleast_2d(np.asarray(vectors, dtype=float))
     if a.size == 0:
         return np.eye(dim)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
     return vt[rank:].T
 
-
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
-    a = rng.standard_normal((dim, dim))
-    qmat, r = np.linalg.qr(a)
-    return qmat * np.sign(np.diag(r))

@@ -8,7 +8,7 @@ curvature vector and every interior volume vector, uniquely up to rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,38 +64,6 @@ def _check_range(n: int, q: int) -> None:
 # Moebius transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """A conformal automorphism of S^n: flow along theta - <theta,p>p, a rotation, or a composition.
-
-    parts are applied left to right for kind "composition".
-    """
-
-    kind: str
-    pole: np.ndarray | None = None
-    time: float = 0.0
-    rotation: np.ndarray | None = None
-    parts: tuple = field(default=())
-
-    @staticmethod
-    def flow(pole, time: float) -> "MobiusMap":
-        pole = np.asarray(pole, dtype=float)
-        if abs(pole @ pole - 1.0) > 1e-12:
-            raise ValueError("flow direction must be a unit vector; rescale time instead")
-        return MobiusMap("flow", pole=pole, time=float(time))
-
-    @staticmethod
-    def orthogonal(rotation) -> "MobiusMap":
-        rot = np.asarray(rotation, dtype=float)
-        if np.max(np.abs(rot.T @ rot - np.eye(rot.shape[0]))) > 1e-12:
-            raise ValueError("matrix is not orthogonal")
-        return MobiusMap("orthogonal", rotation=rot)
-
-    @staticmethod
-    def composition(*parts: "MobiusMap") -> "MobiusMap":
-        return MobiusMap("composition", parts=tuple(parts))
-
-
 def mobius_point_flow(p, pole, t: float) -> np.ndarray:
     """Closed-form flow of a point along the conformal field theta - <theta,p>p.
 
@@ -114,37 +82,24 @@ def mobius_point_flow(p, pole, t: float) -> np.ndarray:
     return out / (denom[..., None] if p.ndim > 1 else denom)
 
 
-def mobius_conformal_factor(p, pole, t: float):
-    p = np.asarray(p, dtype=float)
-    pole = np.asarray(pole, dtype=float)
-    return 1.0 / (math.cosh(t) + (p @ pole) * math.sinh(t))
-
-
-def apply_mobius(params: ClusterParams, mobius: MobiusMap) -> ClusterParams:
-    """Transform cluster parameters under a Moebius automorphism.
+def apply_mobius(params: ClusterParams, pole, t: float) -> ClusterParams:
+    """Transform cluster parameters under the Moebius flow along theta - <theta,N>N.
 
     For the flow of unit pole N over time t the parameters evolve as
         kappa_i(t) = kappa_i cosh t - <c_i, N> sinh t,
         c_i(t) = c_i - <c_i,N> N + (<c_i,N> cosh t - kappa_i sinh t) N,
     which keeps the cluster spherical Voronoi with the same nonempty pairs'
-    residuals. Rotations map c_i to Q c_i and leave curvatures alone.
+    residuals.
     """
-    if mobius.kind == "flow":
-        pole, t = mobius.pole, mobius.time
-        a = params.quasi_centers @ pole
-        k_new = params.curvatures * math.cosh(t) - a * math.sinh(t)
-        c_new = (params.quasi_centers - np.outer(a, pole)
-                 + np.outer(a * math.cosh(t) - params.curvatures * math.sinh(t), pole))
-        return recentered(params.n, c_new, k_new, params.label)
-    if mobius.kind == "orthogonal":
-        return ClusterParams(params.n, params.quasi_centers @ mobius.rotation.T,
-                             params.curvatures, params.label)
-    if mobius.kind == "composition":
-        out = params
-        for part in mobius.parts:
-            out = apply_mobius(out, part)
-        return out
-    raise ValueError(f"unknown map kind {mobius.kind!r}")
+    pole = np.asarray(pole, dtype=float)
+    if abs(pole @ pole - 1.0) > 1e-12:
+        raise ValueError("flow direction must be a unit vector; rescale time instead")
+    t = float(t)
+    a = params.quasi_centers @ pole
+    k_new = params.curvatures * math.cosh(t) - a * math.sinh(t)
+    c_new = (params.quasi_centers - np.outer(a, pole)
+             + np.outer(a * math.cosh(t) - params.curvatures * math.sinh(t), pole))
+    return recentered(params.n, c_new, k_new, params.label)
 
 
 # ---------------------------------------------------------------------------

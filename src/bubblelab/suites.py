@@ -368,7 +368,7 @@ def suite_gram_invariance(seed: int = 7, samples: int = 500_000) -> SuiteReport:
                    perpendicular_pole(cap) is not None
                    and np.linalg.matrix_rank(cap.quasi_centers, tol=1e-9) < cap.q - 1)
     inv = gram_invariance_check(cap, graph, t_max=0.5, steps=5, samples=samples,
-                                seed=seed, plateau_certified=cert.fully_plateau)
+                                seed=seed)
     rep.check_mc("volume_deviation_along_path", inv.volume_deviation,
                  inv.allowed_deviation / 4.0,
                  f"first new interface at t = {inv.first_new_interface_t}")

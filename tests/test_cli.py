@@ -251,6 +251,29 @@ class TestErrorPayloads:
         assert payload["command"] == "measure" and payload["backend"] == "exact"
         assert payload["schema_version"] == 1
 
+    def test_spectrum_rejects_zero_spacing(self, cluster_file, tmp_path):
+        out = tmp_path / "spectrum.json"
+        assert run_cli("spectrum", str(cluster_file), "--h", "0",
+                       "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"] == {
+            "type": "ValueError", "message": "grid spacing h must be finite and positive, got 0.0"}
+        assert payload["command"] == "spectrum" and payload["h"] == 0.0
+
+    @pytest.mark.parametrize("argv", [("--steps", "-1", "--check-invariance"),
+                                      ("--steps", "-1"), ("--steps", "-2")],
+                             ids=["check-invariance", "minus-one", "minus-two"])
+    def test_deform_rejects_negative_steps(self, cluster_file, tmp_path, argv):
+        out, report = tmp_path / "deform.json", tmp_path / "path.csv"
+        assert run_cli("deform", str(cluster_file), "--mode", "gram", *argv,
+                       "--out", str(out), "--report", str(report)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        steps = int(argv[1])
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": f"steps must be non-negative, got {steps}"}
+        assert payload["command"] == "deform" and payload["steps"] == steps
+        assert not report.exists()
+
     def test_profile_newton_failure(self, monkeypatch, capsys):
         def stalled(n, q, v_target, cfg, volume_of, y0=None, jac0=None):
             tol, _ = cfg.tolerances(n)

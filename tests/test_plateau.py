@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bubblelab import (MobiusMap, apply_mobius, blowup_at, certify_plateau,
+from bubblelab import (blowup_at, certify_plateau,
                        classify_q3, conformal_step, detect_interfaces,
                        equal_volume_standard, pcf_detect, perpendicular_pole,
                        plateau_at, standard_of_curvature, triple_point_angles)
@@ -16,7 +16,8 @@ from bubblelab import gallery, plateau, sampling
 from bubblelab.cluster import classify_point, complete_graph, recentered
 from bubblelab.measure import extract_arcs
 from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
-from bubblelab.simplex import random_orthogonal, sum_zero_projector
+from bubblelab.simplex import sum_zero_projector
+from reference import random_orthogonal, rotated
 
 
 class TestBlowupAt:
@@ -76,9 +77,9 @@ class TestPlateauAt:
 
     def test_rotation_invariance(self, equal_bubble_s2):
         rot = random_orthogonal(3, np.random.default_rng(9))
-        rotated = apply_mobius(equal_bubble_s2, MobiusMap.orthogonal(rot))
+        turned = rotated(equal_bubble_s2, rot)
         p = rot @ np.array([0.0, 0.0, 1.0])
-        diag = plateau_at(blowup_at(rotated, p / np.linalg.norm(p)))
+        diag = plateau_at(blowup_at(turned, p / np.linalg.norm(p)))
         assert diag.is_plateau
         assert diag.gram_residual < 1e-9
 
