@@ -118,7 +118,6 @@ def cmd_deform(args) -> int:
     if args.steps < 0:
         raise ValueError(f"steps must be non-negative, got {args.steps}")
     params = load_cluster(args.cluster)
-    graph = detect_interfaces(params, rng_seed=args.seed)
     times = np.linspace(0.0, args.t, args.steps + 1)
     path = []
     if args.mode == "conformal":
@@ -136,8 +135,12 @@ def cmd_deform(args) -> int:
     payload = _base_report(args, mode=args.mode, times=times,
                            clusters=[{"quasi_centers": p.quasi_centers,
                                       "curvatures": p.curvatures} for p in path])
+    # the t = 0 interfaces are needed only to measure the path
+    invariance = args.check_invariance and args.mode == "gram"
+    graph = (detect_interfaces(params, rng_seed=args.seed)
+             if invariance or args.report else None)
     inv = None
-    if args.check_invariance and args.mode == "gram":
+    if invariance:
         inv = gram_invariance_check(params, graph, t_max=args.t, steps=args.steps,
                                     samples=args.samples, seed=args.seed)
         payload["invariance"] = {
@@ -209,7 +212,7 @@ def cmd_plateau(args) -> int:
     params = load_cluster(args.cluster)
     graph = detect_interfaces(params, rng_seed=args.seed)
     cert = certify_plateau(params, graph, sample_budget=args.budget, seed=args.seed)
-    verdict = classify_q3(params, graph, cert)
+    verdict = classify_q3(params, cert)
     payload = _base_report(args, cluster=params.label,
                            plateau_up_to=cert.plateau_up_to,
                            fully_plateau=cert.fully_plateau,

@@ -59,10 +59,6 @@ class WeightedLaplacian:
     matrix: np.ndarray
     entry_stderr: np.ndarray | None = None
 
-    @property
-    def q(self) -> int:
-        return self.matrix.shape[0]
-
     def pair_weight(self, i: int, j: int) -> float:
         return float(-self.matrix[i, j])
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import sampling
 from .cluster import (RANK_CUTOFF, SINGULAR_TIE_TOL, ClusterParams, InterfaceGraph,
                       cell_values, classify_point, tie_subsphere, trace_vertices)
-from .deform import PcfReport, pcf_detect
+from .deform import pcf_detect
 from .simplex import sum_zero_projector
 
 _STRATUM_STREAM = 0xB10
@@ -112,9 +112,8 @@ def _stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
 
     The tie set's trace on S^n is the round subsphere of tie_subsphere. A point
     or a pair of points is returned exactly, a larger trace as count uniform
-    samples at the (seed, stratum stream, index) address, drawn without
-    entering the sample cache, and none when the ties are inconsistent or the
-    subspace misses S^n.
+    samples at the (seed, stratum stream, index) address, and none when the
+    ties are inconsistent or the subspace misses S^n.
     """
     rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
     offs = params.curvatures[list(cells[1:])] - params.curvatures[cells[0]]
@@ -125,9 +124,7 @@ def _stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
     if frame.shape[1] <= 1:
         pts = trace_vertices(p0, radius, frame)
     else:
-        directions = sampling.unit_directions(seed, _STRATUM_STREAM, index, count,
-                                              frame.shape[1])
-        pts = sampling.onto_subsphere(directions, p0, radius, frame)
+        pts = sampling.subsphere_chunk(seed, _STRATUM_STREAM, index, count, p0, radius, frame)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -211,14 +208,11 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
 @dataclass
 class Q3Classification:
     verdict: str  # "plateau" | "pcf" | "both" | "neither"
-    plateau: bool
-    pcf_report: PcfReport
     consistent: bool
     note: str = ""
 
 
-def classify_q3(params: ClusterParams, graph: InterfaceGraph,
-                certificate: PlateauCertificate) -> Q3Classification:
+def classify_q3(params: ClusterParams, certificate: PlateauCertificate) -> Q3Classification:
     """Combine Plateau and compatibility certificates.
 
     When the cluster is certified Plateau down to level q-3, at least one of
@@ -240,4 +234,4 @@ def classify_q3(params: ClusterParams, graph: InterfaceGraph,
     note = "" if consistent else (
         "certified (q-3)-Plateau but neither fully Plateau nor compatible: "
         "investigate tolerances")
-    return Q3Classification(verdict, plateau, pcf, consistent, note)
+    return Q3Classification(verdict, consistent, note)

@@ -4,14 +4,17 @@ Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
 on (seed, sample count), never on how the work is split. A unit direction is a
 Gaussian row divided by its norm, the square root of a left fold of its
-squared coordinates. Normalized unit-direction chunks are memoized per address
-within a bounded budget, which makes repeated common-random-number evaluations
-(volume Newton, finite differences) reuse identical directions at no
-generation cost. An entry holds exactly the rows drawn for it; a longer
-request at the same address redraws and replaces it, and a shorter one is
-served from its prefix, which a shorter draw would equal. Cached arrays are
-read-only, so no caller can change what later callers at the same address
-receive; when the budget is exceeded the oldest entries are evicted first.
+squared coordinates. unit_chunk is the only way directions are drawn, and it
+memoizes them per address for the seed drawn last, which makes repeated
+common-random-number evaluations at one seed (volume Newton, finite
+differences, one wall sample passed to several operators) reuse identical
+directions at no generation cost. A draw at any other seed empties the memo,
+and within one seed an entry is admitted only while the memo stays within
+UNIT_CACHE_BUDGET floats. An entry holds exactly the rows drawn for it; a
+longer request at the same address redraws and replaces it, and a shorter one
+is served from its prefix, which a shorter draw would equal. Returned arrays
+are read-only, so no caller can change what later callers at the same address
+receive.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ CHUNK = 1 << 18
 _MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+# (seed, label, chunk, dim) -> read-only directions, all at one seed
 _unit_cache: dict[tuple, np.ndarray] = {}
-_unit_cache_floats = 0
 UNIT_CACHE_BUDGET = 250_000_000  # floats, ~2 GB
 
 
@@ -43,8 +46,18 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, label, chunk)))
 
 
-def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), drawn uncached at the address."""
+def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """Uniform unit directions in R^dim, shape (count, dim), at the address.
+
+    Read-only, and maybe a view of a memoized array."""
+    key = (seed, label, chunk, dim)
+    arr = _unit_cache.get(key)
+    if arr is not None and arr.shape[0] >= count:
+        return arr[:count]
+    if _unit_cache and next(iter(_unit_cache))[0] != seed:
+        _unit_cache.clear()
+    # a longer draw from the same stream replaces the short entry
+    _unit_cache.pop(key, None)
     arr = stream(seed, label, chunk).standard_normal((count, dim))
     # a left fold of the squared columns: np.linalg.norm bit for bit up to
     # dim 7, where numpy's reduction over a short axis folds left as well
@@ -53,29 +66,10 @@ def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> 
         norms += arr[:, k] * arr[:, k]
     np.sqrt(norms, out=norms)
     arr /= norms[:, None]
+    arr.setflags(write=False)
+    if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
+        _unit_cache[key] = arr
     return arr
-
-
-def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """unit_directions memoized per address; read-only, maybe a view of a cached array."""
-    global _unit_cache_floats
-    key = (seed, label, chunk, dim)
-    arr = _unit_cache.get(key)
-    if arr is None or arr.shape[0] < count:
-        if arr is not None:
-            # a longer draw from the same stream replaces the short entry
-            del _unit_cache[key]
-            _unit_cache_floats -= arr.size
-        arr = unit_directions(seed, label, chunk, count, dim)
-        arr.setflags(write=False)
-        if arr.size <= UNIT_CACHE_BUDGET:
-            while (_unit_cache_floats + arr.size > UNIT_CACHE_BUDGET
-                   and _unit_cache):
-                old = _unit_cache.pop(next(iter(_unit_cache)))
-                _unit_cache_floats -= old.size
-            _unit_cache[key] = arr
-            _unit_cache_floats += arr.size
-    return arr[:count]
 
 
 def chunk_layout(total: int) -> list[tuple[int, int]]:
@@ -129,19 +123,14 @@ def subsphere_frame(c: np.ndarray, kappa: float) -> tuple[np.ndarray, float, np.
     return center, float(np.sqrt(r2)), frame
 
 
-def onto_subsphere(directions: np.ndarray, center: np.ndarray, radius: float,
-                   frame: np.ndarray) -> np.ndarray:
-    """center + radius * frame @ w for each unit direction w, as a new array."""
+def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
+                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+    """Uniform points on the geodesic subsphere described by subsphere_frame.
+
+    center + radius * frame @ w for each unit direction w, as a new array."""
     # built in place and kept C-ordered: the bits of products that weight
     # callbacks take, such as pts @ xi, depend on the memory layout
-    pts = directions @ np.ascontiguousarray(frame.T)
+    pts = unit_chunk(seed, label, chunk, count, frame.shape[1]) @ np.ascontiguousarray(frame.T)
     pts *= radius
     pts += center
     return pts
-
-
-def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
-                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """Uniform points on the geodesic subsphere described by subsphere_frame."""
-    return onto_subsphere(unit_chunk(seed, label, chunk, count, frame.shape[1]),
-                          center, radius, frame)

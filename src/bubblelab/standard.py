@@ -60,6 +60,15 @@ def _check_range(n: int, q: int) -> None:
         raise ValueError(f"need 2 <= q <= n + 2, got q={q}, n={n}")
 
 
+def _check_volumes(q: int, volumes) -> np.ndarray:
+    """volumes as q finite positive floats summing to 1, or a ValueError."""
+    v = np.asarray(volumes, dtype=float)
+    if (v.shape != (q,) or not np.all(np.isfinite(v)) or not np.all(v > 0)
+            or abs(v.sum() - 1.0) > 1e-9):
+        raise ValueError("volumes must be positive and sum to 1")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Moebius transformations
 # ---------------------------------------------------------------------------
@@ -217,9 +226,7 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     """
     cfg = cfg or NewtonConfig()
     _check_range(n, q)
-    v_target = np.asarray(volumes, dtype=float)
-    if v_target.shape != (q,) or np.any(v_target <= 0) or abs(v_target.sum() - 1.0) > 1e-9:
-        raise ValueError("volumes must be positive and sum to 1")
+    v_target = _check_volumes(q, volumes)
     tol, _ = cfg.tolerances(n)
     volume_of = cell_volume_function(complete_graph(q), n, cfg.backend, cfg.mc_samples,
                                      cfg.mc_seed)
@@ -265,7 +272,7 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     v +- perturbations interior.
     """
     cfg = cfg or NewtonConfig()
-    v = np.asarray(volumes, dtype=float)
+    v = _check_volumes(q, volumes)
     basis = sum_zero_basis(q)
     margin = min(v.min(), (1.0 - v).min())
     if fd_step_hess * np.abs(basis).max() * 2 >= margin:

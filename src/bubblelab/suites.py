@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -416,7 +417,7 @@ def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
     return rep
 
 
-_RUNNERS = {
+_RUNNERS = MappingProxyType({
     "standard_char": suite_standard_char,
     "measure_oracles": suite_measure_oracles,
     "profile_pde": suite_profile_pde,
@@ -425,7 +426,7 @@ _RUNNERS = {
     "spectrum_index": suite_spectrum_index,
     "gram_invariance": suite_gram_invariance,
     "plateau_geometry": suite_plateau_geometry,
-}
+})
 SUITE_NAMES = tuple(_RUNNERS)
 
 

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from bubblelab import detect_interfaces, equal_volume_standard, standard_of_curvature
-from bubblelab import gallery
+from bubblelab import gallery, sampling
+
+
+@pytest.fixture
+def sample_memo(monkeypatch):
+    """An empty sample memo of the test's own, returned for inspection."""
+    memo = {}
+    monkeypatch.setattr(sampling, "_unit_cache", memo)
+    return memo
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from bubblelab import sampling
 from bubblelab.cluster import ClusterParams, InterfaceGraph, validate_spherical
 from bubblelab.deform import gram_path
 
@@ -19,6 +20,19 @@ def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a JacobiSystem's reduced pencil (dense reference)."""
     a_r, m_r = system.reduced()
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
+
+
+def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """sampling.unit_chunk drawn afresh: Philox normals over np.linalg.norm."""
+    arr = sampling.stream(seed, label, chunk).standard_normal((count, dim))
+    return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+
+
+def subsphere_points(seed: int, label: int, chunk: int, count: int,
+                     center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+    """sampling.subsphere_chunk drawn afresh, by the broadcast formula."""
+    w = unit_directions(seed, label, chunk, count, frame.shape[1])
+    return center[None, :] + radius * (w @ frame.T)
 
 
 def kirchhoff_residual(system, x: np.ndarray) -> float:

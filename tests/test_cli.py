@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bubblelab import detect_interfaces, gram_invariance_check, standard
+from bubblelab import cli, detect_interfaces, gram_invariance_check, standard
 from bubblelab.cli import EXIT_ERROR, main
 from bubblelab.cluster import load_cluster
 
@@ -138,6 +138,32 @@ class TestDeformCommand:
                        "--t", "0.6", "--steps", "3", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert len(payload["clusters"]) == 4
+
+    @pytest.mark.parametrize("gallery, argv, code, detections", [
+        (None, ("--mode", "gram"), 0, 0),
+        (None, ("--mode", "conformal"), 0, 0),
+        (None, ("--mode", "gram", "--check-invariance"), 0, 1),
+        (None, ("--mode", "conformal", "--check-invariance"), 0, 0),
+        (None, ("--mode", "conformal", "--report", "path.csv"), 0, 1),
+        # all five closures share a point, and no flow pole exists
+        ("five-cell", ("--mode", "conformal", "--report", "path.csv"), 2, 0)])
+    def test_detects_interfaces_only_to_measure_the_path(
+            self, cluster_file, tmp_path, monkeypatch, gallery, argv, code, detections):
+        cluster = cluster_file
+        if gallery:
+            cluster = tmp_path / f"{gallery}.json"
+            assert run_cli("standard", "--gallery", gallery, "--out", str(cluster)) == 0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return detect_interfaces(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "detect_interfaces", counted)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("deform", str(cluster), *argv, "--t", "0.2", "--steps", "1",
+                       "--samples", "20000", "--out", "deform.json") == code
+        assert len(calls) == detections
 
 
 class TestAnalysisCommands:

@@ -17,7 +17,7 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, _exact_interf
                                tie_subsphere, trace_vertices, wall_interior)
 from bubblelab.measure import _interface_fractions
 from bubblelab.simplex import sphere_surface_measure
-from reference import random_orthogonal
+from reference import random_orthogonal, unit_directions
 
 
 def hemisphere_params():
@@ -333,30 +333,7 @@ def chunk_sources(params, pair, seed):
         yield sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
 
 
-def fresh_sample_cache():
-    mp = pytest.MonkeyPatch()
-    mp.setattr(sampling, "_unit_cache", {})
-    mp.setattr(sampling, "_unit_cache_floats", 0)
-    return mp
-
-
-@pytest.fixture
-def private_cache():
-    """A fresh sample cache for one test, dropped afterwards."""
-    mp = fresh_sample_cache()
-    yield
-    mp.undo()
-
-
 class TestCellMajorKernels:
-    @pytest.fixture(autouse=True, scope="class")
-    def class_cache(self):
-        # the random chunks below are drawn once each; keep them out of the
-        # process-wide cache
-        mp = fresh_sample_cache()
-        yield
-        mp.undo()
-
     @given(random_clusters(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_classify_many_matches_argmin(self, cluster, seed):
@@ -417,11 +394,11 @@ class TestCellMajorKernels:
         assert np.array_equal(pts, center[None, :] + radius * (w @ frame.T))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_two_cell_area_shortcut_equals_sampled_value(self, n, private_cache):
+    def test_two_cell_area_shortcut_equals_sampled_value(self, n, sample_memo):
         params = standard_of_curvature(n, 2, [0.35, -0.35])
         samples = 2 * sampling.CHUNK + 17
         shortcut = _interface_fractions(params, 0, 1, samples, 11, [None])[0]
-        assert not sampling._unit_cache  # no wall point was drawn
+        assert not sample_memo  # no wall point was drawn
         assert shortcut[:2] == (1.0, 0.0)
         assert shortcut == reference_fraction(params, 0, 1, samples, 11)
 
@@ -430,24 +407,46 @@ class TestCellMajorKernels:
         assert wall_interior(equal_volume_standard(3, 2), 0, 1, pts).all()
 
 
-class TestSampleCache:
-    def test_cached_directions_are_read_only(self, private_cache):
+class TestSampleMemo:
+    def test_returned_directions_are_read_only(self, sample_memo):
         first = sampling.unit_sphere(0, 5, 3, label=9)
         original = first.copy()
         with pytest.raises(ValueError):
             first[0, 0] = 42.0
-        assert np.array_equal(sampling.unit_sphere(0, 5, 3, label=9), original)
+        again = sampling.unit_sphere(0, 5, 3, label=9)  # served from the memo
+        assert not again.flags.writeable and np.array_equal(again, original)
 
-    def test_eviction_is_oldest_first(self, private_cache, monkeypatch):
+    def test_draw_at_another_seed_releases_the_old_entries(self, sample_memo):
+        for label in (1, 2):
+            sampling.unit_chunk(0, label, 0, 64, 3)
+        kept = sampling.unit_chunk(0, 1, 0, 64, 3)
+        assert len(sample_memo) == 2 and np.shares_memory(kept, sample_memo[(0, 1, 0, 3)])
+        sampling.unit_chunk(1, 1, 0, 64, 3)
+        assert list(sample_memo) == [(1, 1, 0, 3)]
+        again = sampling.unit_chunk(0, 1, 0, 64, 3)
+        assert list(sample_memo) == [(0, 1, 0, 3)]
+        assert again.tobytes() == kept.tobytes()
+
+    def test_held_floats_never_exceed_the_budget(self, sample_memo, monkeypatch):
         count, dim = 64, 3
-        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 2 * count * dim)
-        for label in (1, 2, 3):
-            sampling.unit_chunk(0, label, 0, count, dim)
-        assert list(sampling._unit_cache) == [(0, 2, 0, dim), (0, 3, 0, dim)]
-        assert sampling._unit_cache_floats == 2 * count * dim
+        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 2 * count * dim + 5)
+        draws = [sampling.unit_chunk(0, label, 0, count, dim) for label in (1, 2, 3)]
+        assert list(sample_memo) == [(0, 1, 0, dim), (0, 2, 0, dim)]
+        # not admitted, but drawn all the same, read-only, and drawn again on request
+        assert not draws[2].flags.writeable
+        assert draws[2].tobytes() == sampling.unit_chunk(0, 3, 0, count, dim).tobytes()
+        # a longer draw releases the short entry and is admitted only if it fits
+        sampling.unit_chunk(0, 1, 0, count + 10, dim)
+        assert list(sample_memo) == [(0, 2, 0, dim)]
+        sampling.unit_chunk(0, 1, 0, count + 1, dim)
+        assert list(sample_memo) == [(0, 2, 0, dim), (0, 1, 0, dim)]
+        assert sum(a.size for a in sample_memo.values()) <= sampling.UNIT_CACHE_BUDGET
 
-    def test_longer_draw_replaces_short_entry(self, private_cache):
+    def test_longer_draw_replaces_and_shorter_gets_a_prefix_view(self, sample_memo):
         short = sampling.unit_chunk(0, 4, 0, 10, 3).copy()
         longer = sampling.unit_chunk(0, 4, 0, 50, 3)
         assert np.array_equal(longer[:10], short)
-        assert sampling._unit_cache_floats == 50 * 3
+        assert sample_memo[(0, 4, 0, 3)].shape == (50, 3)
+        prefix = sampling.unit_chunk(0, 4, 0, 20, 3)
+        assert prefix.shape == (20, 3) and np.shares_memory(prefix, longer)
+        assert prefix.tobytes() == unit_directions(0, 4, 0, 20, 3).tobytes()

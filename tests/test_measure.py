@@ -16,7 +16,7 @@ from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
 from bubblelab.standard import FD_STEP, MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import restrict
-from reference import random_orthogonal, rotated
+from reference import random_orthogonal, rotated, unit_directions
 
 
 class TestMeasureMC:
@@ -466,16 +466,6 @@ class TestArcExtraction:
 # Incremental volumes and the draw path
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="class")
-def class_cache():
-    """A sample cache of the class's own, so its chunks leave the process-wide one alone."""
-    mp = pytest.MonkeyPatch()
-    mp.setattr(sampling, "_unit_cache", {})
-    mp.setattr(sampling, "_unit_cache_floats", 0)
-    yield
-    mp.undo()
-
-
 @st.composite
 def affine_parts(draw):
     """(n, quasi-centers, curvatures, rng) of a random affine cluster, n = 2..5, q = 2..n+2."""
@@ -512,7 +502,6 @@ def tracked_clusters(draw):
     return recentered(n, c, k), later
 
 
-@pytest.mark.usefixtures("class_cache")
 class TestVolumeTracker:
     @given(tracked_clusters(), st.sampled_from([5_000, sampling.CHUNK + 1_234]),
            st.integers(0, 1))
@@ -604,13 +593,12 @@ class TestDrawPath:
     @pytest.mark.parametrize("dim", range(2, 8))
     def test_unit_rows_equal_the_norm_formula(self, dim):
         for count in (1, 7, 1_000, sampling.CHUNK):
-            want = sampling.stream(3, 77, 1).standard_normal((count, dim))
-            want /= np.linalg.norm(want, axis=1, keepdims=True)
-            assert sampling.unit_directions(3, 77, 1, count, dim).tobytes() == want.tobytes()
+            want = unit_directions(3, 77, 1, count, dim)
+            assert sampling.unit_chunk(3, 77, 1, count, dim).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", range(8, 13))
     def test_unit_rows_are_unit_beyond_dimension_seven(self, dim):
-        rows = sampling.unit_directions(3, 77, 1, 10_000, dim)
+        rows = sampling.unit_chunk(3, 77, 1, 10_000, dim)
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -619,20 +607,18 @@ class TestDrawPath:
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 1),
                                                          params.pair_curvature(0, 1))
         for count in (1, 7, 1_000, sampling.CHUNK):
-            w = sampling.unit_directions(4, 78, 0, count, n)
-            want = w @ frame.T
+            want = sampling.unit_chunk(4, 78, 0, count, n) @ frame.T
             want *= radius
             want += center
-            assert sampling.onto_subsphere(w, center, radius, frame).tobytes() == want.tobytes()
+            got = sampling.subsphere_chunk(4, 78, 0, count, center, radius, frame)
+            assert got.tobytes() == want.tobytes()
 
-    def test_cache_entry_holds_exactly_the_rows_drawn(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_unit_cache", {})
-        monkeypatch.setattr(sampling, "_unit_cache_floats", 0)
+    def test_memo_entry_holds_exactly_the_rows_drawn(self, sample_memo):
         count = sampling.CHUNK // 2 + 1  # more than half a chunk, short of a whole one
         first = sampling.unit_chunk(0, 5, 0, count, 3)
-        entry = sampling._unit_cache[(0, 5, 0, 3)]
-        assert entry.shape == (count, 3) and sampling._unit_cache_floats == count * 3
+        entry = sample_memo[(0, 5, 0, 3)]
+        assert entry.shape == (count, 3)
         shorter = sampling.unit_chunk(0, 5, 0, 10, 3)
         assert np.shares_memory(shorter, entry)
         assert np.array_equal(shorter, first[:10])
-        assert sampling._unit_cache_floats == count * 3
+        assert list(sample_memo) == [(0, 5, 0, 3)]

@@ -12,12 +12,12 @@ from bubblelab import (blowup_at, certify_plateau,
                        classify_q3, conformal_step, detect_interfaces,
                        equal_volume_standard, pcf_detect, perpendicular_pole,
                        plateau_at, standard_of_curvature, triple_point_angles)
-from bubblelab import gallery, plateau, sampling
+from bubblelab import gallery, plateau
 from bubblelab.cluster import classify_point, complete_graph, recentered
 from bubblelab.measure import extract_arcs
 from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
 from bubblelab.simplex import sum_zero_projector
-from reference import random_orthogonal, rotated
+from reference import random_orthogonal, rotated, subsphere_points
 
 
 class TestBlowupAt:
@@ -210,30 +210,23 @@ class TestStratumDraws:
     @pytest.mark.parametrize("params", [gallery.sectored_cap(4, 0.8),
                                         standard_of_curvature(3, 4, [0.2, -0.1, 0.05, -0.15])],
                              ids=["cap", "s3"])
-    def test_sample_cache_untouched_and_certificate_unchanged(self, params, monkeypatch):
+    def test_certificate_equals_fresh_reference_draws(self, params, monkeypatch):
         graph = detect_interfaces(params, rng_seed=6)
-        keys, floats = list(sampling._unit_cache), sampling._unit_cache_floats
         certs = [certify_plateau(params, graph, sample_budget=300, seed=s)
                  for s in (8101, 8102)]
-        assert list(sampling._unit_cache) == keys
-        assert sampling._unit_cache_floats == floats
-        # reference: the same strata drawn through the cached unit_chunk, in a
-        # private cache
-        monkeypatch.setattr(sampling, "_unit_cache", {})
-        monkeypatch.setattr(sampling, "_unit_cache_floats", 0)
+        # reference: the same strata drawn afresh, outside the sample memo
         monkeypatch.setattr(plateau, "sampling", SimpleNamespace(
-            unit_directions=sampling.unit_chunk, onto_subsphere=sampling.onto_subsphere))
+            subsphere_chunk=subsphere_points))
         for seed, cert in zip((8101, 8102), certs):
             assert _plain(certify_plateau(params, graph, sample_budget=300, seed=seed)) \
                 == _plain(cert)
-        assert sampling._unit_cache  # the reference did go through the cache
 
 
 class TestClassifyQ3:
     def test_standard_bubble_both(self, skew_bubble_s2, skew_bubble_graph):
         cert = certify_plateau(skew_bubble_s2, skew_bubble_graph,
                                sample_budget=200, seed=3)
-        verdict = classify_q3(skew_bubble_s2, skew_bubble_graph, cert)
+        verdict = classify_q3(skew_bubble_s2, cert)
         assert verdict.verdict == "both"
         assert verdict.consistent
 
@@ -242,7 +235,7 @@ class TestClassifyQ3:
         stepped = conformal_step(skew_bubble_s2, pole, 0.5)
         graph = detect_interfaces(stepped, rng_seed=4)
         cert = certify_plateau(stepped, graph, sample_budget=200, seed=4)
-        verdict = classify_q3(stepped, graph, cert)
+        verdict = classify_q3(stepped, cert)
         assert verdict.verdict == "both"
 
     def test_common_point_cluster_is_pcf(self):
@@ -253,6 +246,6 @@ class TestClassifyQ3:
 
     def test_band_cluster_plateau_only(self, band_cluster, band_graph):
         cert = certify_plateau(band_cluster, band_graph, sample_budget=200, seed=5)
-        verdict = classify_q3(band_cluster, band_graph, cert)
+        verdict = classify_q3(band_cluster, cert)
         assert verdict.verdict == "plateau"
         assert verdict.consistent

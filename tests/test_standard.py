@@ -194,9 +194,12 @@ class TestStandardOfVolume:
         rep = measure_exact_s2(params, complete_graph(3))
         assert np.max(np.abs(rep.volumes - target)) < 1e-9
 
-    def test_rejects_bad_volumes(self):
-        with pytest.raises(ValueError):
-            standard_of_volume(2, 3, [0.5, 0.5, 0.0])
+    @pytest.mark.parametrize("volumes", [[0.5, 0.5, 0.0], [math.nan, 0.5, 0.5],
+                                         [0.5, 0.5], [0.7, 0.7, -0.4]])
+    def test_rejects_bad_volumes(self, volumes):
+        # NaN fails every comparison, so it must be caught before Newton sees it
+        with pytest.raises(ValueError, match="volumes must be positive and sum to 1"):
+            standard_of_volume(2, 3, volumes)
 
 
 class TestModelProfile:
@@ -229,6 +232,12 @@ class TestModelProfile:
             point = model_profile(n, q, v, fd_step_grad=1e-3, fd_step_hess=2e-3,
                                   cfg=cfg)
             assert abs(pde_residual(point)) < 1e-4
+
+    @pytest.mark.parametrize("volumes", [[0.7, 0.7], [math.nan, 0.5], [0.5, 0.3, 0.2]])
+    def test_rejects_bad_volumes(self, volumes):
+        # [0.7, 0.7] would otherwise be solved at its sum-zero projection [0.5, 0.5]
+        with pytest.raises(ValueError, match="volumes must be positive and sum to 1"):
+            model_profile(2, 2, volumes)
 
     def test_fd_step_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every function in src/bubblelab has a caller outside the tests.
+"""Every function in src/bubblelab has a caller outside the tests, and no
+module holds mutable state.
 
 A function or method whose name is referenced nowhere in the package, nor in
 the benchmark under bench/, except inside its own definition, is called only
@@ -7,9 +8,15 @@ the gallery's cluster builders and dunder methods are exempt. References are
 matched by name (any ast.Name or attribute of that name), so the check can
 miss a dead method that shares its name with a live one, but never flags a
 live function.
+
+No module of the package binds a dict, list or set at module level, apart
+from the sample memo sampling._unit_cache: a read-only table is a tuple or a
+types.MappingProxyType. Dunder names (__path__, __all__, __builtins__) are the
+import system's and exempt.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -60,3 +67,19 @@ def unreferenced_functions() -> list[str]:
 
 def test_no_function_is_called_only_by_tests():
     assert unreferenced_functions() == []
+
+
+def module_level_containers() -> list[str]:
+    """module:name of every dict, list or set a package module binds."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "bubblelab" if path.stem == "__init__" else f"bubblelab.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if (isinstance(value, (dict, list, set))
+                    and not (attr.startswith("__") and attr.endswith("__"))):
+                found.append(f"{path.stem}:{attr}")
+    return found
+
+
+def test_no_module_holds_a_mutable_container():
+    assert module_level_containers() == ["sampling:_unit_cache"]
