@@ -147,9 +147,22 @@ def cell_values(params: ClusterParams, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def classify_many(params: ClusterParams, points: np.ndarray) -> np.ndarray:
-    """Index of the cell with the least affine value, for each row of points."""
-    return least_cell(cell_values(params, points))
+def classify_many(params: ClusterParams, points: np.ndarray, gaps: bool = False):
+    """Index of the cell with the least affine value, for each row of points.
+
+    least_cell over cell_values, one block of sampling.row_blocks at a time,
+    bit for bit the whole-array result. With gaps, also returns least_cell's
+    gaps.
+    """
+    m = len(points)
+    labels = np.empty(m, dtype=np.intp)
+    second = np.empty(m) if gaps else None
+    for rows in sampling.row_blocks(m):
+        if gaps:
+            labels[rows], second[rows] = least_cell(cell_values(params, points[rows]), gaps=True)
+        else:
+            labels[rows] = least_cell(cell_values(params, points[rows]))
+    return (labels, second) if gaps else labels
 
 
 def least_cell(values: np.ndarray, gaps: bool = False):
@@ -185,19 +198,23 @@ def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
     """Mask of the points at which no third cell reaches min(h_i, h_j) + tie_tol.
 
     h_k is the affine value of cell k. A running minimum over the cell-major
-    rows of the other cells; with two cells every point is interior.
+    rows of the other cells, one block of sampling.row_blocks at a time; with
+    two cells every point is interior.
     """
     if params.q == 2:
         return np.ones(len(points), dtype=bool)
-    values = cell_values(params, points)
-    lead = np.minimum(values[i], values[j])
-    if tie_tol:
-        lead += tie_tol
     others = [k for k in range(params.q) if k not in (i, j)]
-    low = values[others[0]]
-    for k in others[1:]:
-        np.minimum(low, values[k], out=low)
-    return low > lead
+    inside = np.empty(len(points), dtype=bool)
+    for rows in sampling.row_blocks(len(points)):
+        values = cell_values(params, points[rows])
+        lead = np.minimum(values[i], values[j])
+        if tie_tol:
+            lead += tie_tol
+        low = values[others[0]]
+        for k in others[1:]:
+            np.minimum(low, values[k], out=low)
+        np.greater(low, lead, out=inside[rows])
+    return inside
 
 
 def spherical_residuals(params: ClusterParams) -> np.ndarray:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import sampling
-from .cluster import (ClusterParams, InterfaceGraph, cell_values, classify_many, least_cell,
-                      wall_interior)
+from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -123,14 +122,21 @@ def _classified_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np
 
 def _cell_volumes_mc(params: ClusterParams, samples: int, seed: int,
                      chunk_counts) -> tuple[np.ndarray, np.ndarray]:
-    """cell_volumes_mc with each chunk's integer cell counts from chunk_counts(chunk, params, pts)."""
+    """cell_volumes_mc with each chunk's integer cell counts from chunk_counts(chunk, params, pts).
+
+    Each chunk is drawn and counted by a task of sampling.run_tasks, so
+    chunk_counts may run on a worker thread.
+    """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    counts = []
-    for chunk, count in sampling.chunk_layout(samples):
+
+    def task(chunk: int, count: int) -> np.ndarray:
         pts = sampling.unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
-        counts.append(chunk_counts(chunk, params, pts).astype(float))
-    total = sampling.pairwise_sum(counts)
+        return chunk_counts(chunk, params, pts)
+
+    counts = sampling.run_tasks([partial(task, chunk, count)
+                                 for chunk, count in sampling.chunk_layout(samples)])
+    total = sampling.pairwise_sum([c.astype(float) for c in counts])
     frac = total / samples
     stderr = np.sqrt(np.clip(frac * (1.0 - frac), 0.0, None) / samples)
     return frac, stderr
@@ -163,7 +169,7 @@ class VolumeTracker:
     reference): its parameters, each point's label in the smallest integer
     type that holds q, each point's gap (second-least minus least affine value,
     as computed) and the cell counts. A later evaluation reclassifies, with the
-    same cell_values and least_cell code, only the points whose reference gap
+    same classify_many code, only the points whose reference gap
     is at most delta (ties included), and takes the counts as
     counts - bincount(old labels) + bincount(new labels). Counts are integers,
     so the volumes equal cell_volumes_mc's bit for bit.
@@ -195,7 +201,9 @@ class VolumeTracker:
     A tracker holds about 9 bytes per volume point, so it is meant to live
     for one call. full, incremental and reclassified count chunk
     classifications in full, incremental chunk evaluations and the points
-    they reclassified.
+    they reclassified. Chunks run on worker threads and only read the
+    references; the calling thread stores new references and tallies the
+    counters.
     """
 
     def __init__(self, samples: int, seed: int):
@@ -205,73 +213,60 @@ class VolumeTracker:
 
     def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
         """cell_volumes_mc(params, samples, seed), bit for bit."""
-        return _cell_volumes_mc(params, self.samples, self.seed, self._chunk_counts)
+        outcomes = {}  # chunk -> (new reference or None, points reclassified)
 
-    def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
+        def chunk_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
+            counts, outcomes[chunk] = self._chunk_counts(chunk, params, pts)
+            return counts
+
+        result = _cell_volumes_mc(params, self.samples, self.seed, chunk_counts)
+        for chunk, (reference, moved) in sorted(outcomes.items()):
+            if reference is None:
+                self.incremental += 1
+                self.reclassified += moved
+            else:
+                self._references[chunk] = reference
+                self.full += 1
+        return result
+
+    def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray):
+        """(counts, (new reference or None, points reclassified)) of one chunk."""
         q = params.q
         reference = self._references.get(chunk)
         if reference is not None:
             ref_params, labels, gaps, counts = reference
             near = np.flatnonzero(gaps <= _label_bound(ref_params, params))
             if near.size <= FULL_CLASSIFY_SHARE * gaps.size:
-                moved, moved_gaps = least_cell(cell_values(params, pts[near]), gaps=True)
+                moved, moved_gaps = classify_many(params, pts[near], gaps=True)
                 if np.all(moved_gaps > _label_bound(params, params)):
-                    self.incremental += 1
-                    self.reclassified += near.size
                     return (counts - np.bincount(labels[near], minlength=q)
-                            + np.bincount(moved, minlength=q))
-        labels, gaps = least_cell(cell_values(params, pts), gaps=True)
+                            + np.bincount(moved, minlength=q)), (None, near.size)
+        labels, gaps = classify_many(params, pts, gaps=True)
         counts = np.bincount(labels, minlength=q)
-        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)),
-                                   gaps, counts)
-        self.full += 1
-        return counts
+        return counts, ((params, labels.astype(np.min_scalar_type(q - 1)), gaps, counts), 0)
 
 
-def _interface_fractions(params: ClusterParams, i: int, j: int, samples: int,
-                         seed: int, weights) -> list[tuple[float, float, float]]:
-    """(mean, stderr, wall measure) of each weight over Sigma_ij within its wall sphere.
+def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, seed: int, chunk: int,
+                     count: int, weights) -> list[tuple[float, float]]:
+    """Per weight, (sum, sum of squares) over one chunk of the (i, j) wall sphere.
 
-    One pass: each chunk of wall points is drawn and classified once, and every
-    weight is reduced over it. A weight None integrates the constant 1 (plain
-    area). The wall measure is the raw H^(n-1) measure of the full wall sphere.
-    The points handed to the weights are read-only.
+    frame is the wall's subsphere_frame. The chunk's points are drawn and
+    classified once, and each weight, times the mask of Sigma_ij, is summed
+    over all of them; a weight None integrates the constant 1, so both of its
+    sums are the hits. The points handed to the weights are read-only.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    n = params.n
-    frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
-    if frame is None:
-        return [(0.0, 0.0, 0.0)] * len(weights)
-    center, radius, basis = frame
-    wall_measure = sphere_surface_measure(n - 1) * radius ** (n - 1)
-    if params.q == 2 and all(weight is None for weight in weights):
-        # no third cell: every sample is a hit, and the sampled mean is exactly 1
-        return [(1.0, 0.0, wall_measure)] * len(weights)
-    label = i * params.q + j + 1
-    sums = [[] for _ in weights]
-    sq_sums = [[] for _ in weights]
-    for chunk, count in sampling.chunk_layout(samples):
-        pts = sampling.subsphere_chunk(seed, label, chunk, count, center, radius, basis)
-        pts.setflags(write=False)
-        inside = wall_interior(params, i, j, pts)
-        # a weight None contributes 0 or 1: its sum and sum of squares are the hits
-        hits = np.array([float(np.count_nonzero(inside))])
-        for weight, w_sums, w_sq_sums in zip(weights, sums, sq_sums):
-            if weight is None:
-                w_sums.append(hits)
-                w_sq_sums.append(hits)
-                continue
+    pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
+    pts.setflags(write=False)
+    inside = wall_interior(params, i, j, pts)
+    hits = float(np.count_nonzero(inside))
+    sums = []
+    for weight in weights:
+        if weight is None:
+            sums.append((hits, hits))
+        else:
             contrib = inside * weight(pts)
-            w_sums.append(np.array([contrib.sum()]))
-            w_sq_sums.append(np.array([(contrib ** 2).sum()]))
-    out = []
-    for w_sums, w_sq_sums in zip(sums, sq_sums):
-        mean = float(sampling.pairwise_sum(w_sums)[0]) / samples
-        second = float(sampling.pairwise_sum(w_sq_sums)[0]) / samples
-        var = max(second - mean * mean, 0.0)
-        out.append((mean, math.sqrt(var / samples), wall_measure))
-    return out
+            sums.append((contrib.sum(), (contrib ** 2).sum()))
+    return sums
 
 
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
@@ -577,6 +572,10 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
     is left out), or each chunk of wall samples is drawn and classified once.
+    On Monte Carlo the (pair, chunk) tasks of every pair run through
+    sampling.run_tasks, so the weights may run on worker threads; each
+    weight's mean over a wall is a pairwise sum of its chunk sums in layout
+    order, and its stderr the binomial one of those samples.
     """
     values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
     errs: list[dict[tuple[int, int], float]] = [{} for _ in weights]
@@ -588,12 +587,42 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
                 w_values[key] = w_values.get(key, 0.0) + integral / norm
         errs = [{k: 0.0 for k in w_values} for w_values in values]
     else:
+        if samples <= 0:
+            raise ValueError("samples must be positive")
+        layout = sampling.chunk_layout(samples)
+        # no third cell: every sample is a hit, and each sampled mean is exactly 1
+        all_hits = params.q == 2 and all(weight is None for weight in weights)
+        walls, tasks = [], []
         for i, j in graph.pairs():
-            fractions = _interface_fractions(params, i, j, samples, seed, weights)
-            for w_values, w_errs, (mean, stderr, wall) in zip(values, errs, fractions):
+            frame = sampling.subsphere_frame(params.pair_center(i, j),
+                                             params.pair_curvature(i, j))
+            walls.append((i, j, frame))
+            if frame is not None and not all_hits:
+                tasks += [partial(_wall_chunk_sums, params, i, j, frame, seed, chunk, count,
+                                  weights) for chunk, count in layout]
+        chunk_sums = iter(sampling.run_tasks(tasks))
+        for i, j, frame in walls:
+            if frame is None:  # the hyperplane misses S^n: no wall to integrate over
+                moments, wall = [(0.0, 0.0)] * len(weights), 0.0
+            else:
+                wall = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1)
+                moments = ([(1.0, 0.0)] * len(weights) if all_hits else
+                           _wall_moments([next(chunk_sums) for _ in layout], samples))
+            for w_values, w_errs, (mean, stderr) in zip(values, errs, moments):
                 w_values[(i, j)] = mean * wall / norm
                 w_errs[(i, j)] = stderr * wall / norm
     return list(zip(values, errs))
+
+
+def _wall_moments(chunk_sums: list, samples: int) -> list[tuple[float, float]]:
+    """Per weight, (mean, stderr) over a wall from its _wall_chunk_sums in layout order."""
+    out = []
+    for w_sums in zip(*chunk_sums):
+        mean = float(sampling.pairwise_sum([s for s, _ in w_sums])) / samples
+        second = float(sampling.pairwise_sum([sq for _, sq in w_sums])) / samples
+        var = max(second - mean * mean, 0.0)
+        out.append((mean, math.sqrt(var / samples)))
+    return out
 
 
 def _symmetric(q: int, pair_values: dict[tuple[int, int], float]) -> np.ndarray:
@@ -621,7 +650,8 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
 
     All weights are integrated in one pass over the same points (see
     _pair_integrals); "auto" picks exact on S^2 and Monte Carlo otherwise.
-    Each result equals the single-weight weighted_laplacian bit for bit.
+    Each result equals the single-weight weighted_laplacian bit for bit. On
+    Monte Carlo the weights may run on worker threads, so they must be pure.
     """
     q = params.q
     return [WeightedLaplacian(pair_weight_matrix(q, values), _symmetric(q, errs))

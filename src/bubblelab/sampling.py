@@ -15,22 +15,42 @@ longer request at the same address redraws and replaces it, and a shorter one
 is served from its prefix, which a shorter draw would equal. Returned arrays
 are read-only, so no caller can change what later callers at the same address
 receive.
+
+Chunks run at the same time: run_tasks spreads independent chunk tasks over
+every usable core, and each chunk's per-point passes run in blocks of BLOCK
+rows (row_blocks). Results depend only on (seed, sample count), never on the
+core count, the block size or the order in which tasks finish: each chunk has
+its own Philox key, every reduction whose order sets the bits runs over whole
+chunks in layout order on the calling thread, and no block is a single row.
+Callbacks handed to the package, such as the weights of
+measure.weighted_laplacians, may run on worker threads, so they must be pure.
+The memo is shared by those threads; its lookup, seed-scope clear and budget
+admission run under one lock, and a draw runs outside it. Near the budget,
+which draws are admitted may depend on timing, but never what a draw returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 # Chunk size is part of the reproducibility contract: streams are drawn in
-# fixed-size blocks and reduced pairwise, so a result depends only on
+# fixed-size chunks and reduced pairwise, so a result depends only on
 # (seed, sample count), never on how the work is split.
 CHUNK = 1 << 18
+# Rows per block of a chunk's per-point passes: small enough that a block's
+# values stay in cache and BLAS runs it on one thread. It never sets a bit.
+BLOCK = 1 << 13
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 # (seed, label, chunk, dim) -> read-only directions, all at one seed
 _unit_cache: dict[tuple, np.ndarray] = {}
+_unit_cache_lock = threading.Lock()
 UNIT_CACHE_BUDGET = 250_000_000  # floats, ~2 GB
 
 
@@ -51,25 +71,71 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
 
     Read-only, and maybe a view of a memoized array."""
     key = (seed, label, chunk, dim)
-    arr = _unit_cache.get(key)
-    if arr is not None and arr.shape[0] >= count:
-        return arr[:count]
+    with _unit_cache_lock:
+        arr = _unit_cache.get(key)
+        if arr is not None and arr.shape[0] >= count:
+            return arr[:count]
+        _drop_other_seeds(seed)
+        # a longer draw from the same stream replaces the short entry
+        _unit_cache.pop(key, None)
+    arr = stream(seed, label, chunk).standard_normal((count, dim))
+    for rows in row_blocks(count):
+        block = arr[rows]
+        # a left fold of the squared columns: np.linalg.norm bit for bit up to
+        # dim 7, where numpy's reduction over a short axis folds left as well
+        norms = block[:, 0] * block[:, 0]
+        for k in range(1, dim):
+            norms += block[:, k] * block[:, k]
+        np.sqrt(norms, out=norms)
+        block /= norms[:, None]
+    arr.setflags(write=False)
+    with _unit_cache_lock:
+        _drop_other_seeds(seed)
+        if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
+            _unit_cache[key] = arr
+    return arr
+
+
+def _drop_other_seeds(seed: int) -> None:
+    """Empty the memo if it holds another seed's draws; the caller holds the lock."""
     if _unit_cache and next(iter(_unit_cache))[0] != seed:
         _unit_cache.clear()
-    # a longer draw from the same stream replaces the short entry
-    _unit_cache.pop(key, None)
-    arr = stream(seed, label, chunk).standard_normal((count, dim))
-    # a left fold of the squared columns: np.linalg.norm bit for bit up to
-    # dim 7, where numpy's reduction over a short axis folds left as well
-    norms = arr[:, 0] * arr[:, 0]
-    for k in range(1, dim):
-        norms += arr[:, k] * arr[:, k]
-    np.sqrt(norms, out=norms)
-    arr /= norms[:, None]
-    arr.setflags(write=False)
-    if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
-        _unit_cache[key] = arr
-    return arr
+
+
+def row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of BLOCK rows covering range(rows), the last one shorter.
+
+    A one-row tail joins the block before it: a one-row product takes numpy's
+    matrix-vector path, whose last bit can differ from the matrix product's,
+    so a block keeps the bits of the whole-array product only if it has two
+    rows or more (or the whole array is one row).
+    """
+    starts = list(range(0, rows, BLOCK))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_tasks(tasks: list) -> list:
+    """Call each task with no argument and return the results in task order.
+
+    The tasks run on a pool of min(len(tasks), usable_cores()) threads made
+    for this call, or inline with one task or one core. numpy releases the
+    GIL in the draws and the array passes, so chunk tasks run in parallel.
+    A task's exception is raised here.
+    """
+    workers = min(len(tasks), usable_cores())
+    if workers <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda task: task(), tasks))
 
 
 def chunk_layout(total: int) -> list[tuple[int, int]]:
@@ -97,6 +163,8 @@ def pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
 
 def unit_sphere(seed: int, count: int, ambient_dim: int, label: int = 0) -> np.ndarray:
     """Uniform points on the unit sphere of R^ambient_dim at the (seed, label) address."""
+    if count <= 0:
+        raise ValueError("count must be positive")
     blocks = [unit_chunk(seed, label, c, m, ambient_dim) for c, m in chunk_layout(count)]
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
@@ -130,7 +198,12 @@ def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
     center + radius * frame @ w for each unit direction w, as a new array."""
     # built in place and kept C-ordered: the bits of products that weight
     # callbacks take, such as pts @ xi, depend on the memory layout
-    pts = unit_chunk(seed, label, chunk, count, frame.shape[1]) @ np.ascontiguousarray(frame.T)
-    pts *= radius
-    pts += center
+    directions = unit_chunk(seed, label, chunk, count, frame.shape[1])
+    basis = np.ascontiguousarray(frame.T)
+    pts = np.empty((count, basis.shape[1]))
+    for rows in row_blocks(count):
+        block = pts[rows]
+        np.matmul(directions[rows], basis, out=block)
+        block *= radius
+        block += center
     return pts

@@ -11,11 +11,11 @@ from bubblelab import (ClusterParams, classify_point, detect_interfaces,
                        equal_volume_standard, load_cluster, perpendicular_pole,
                        recentered, save_cluster, standard_of_curvature,
                        validate_spherical)
-from bubblelab import cluster, gallery, sampling
-from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, _exact_interface_point,
-                               cell_values, classify_many, spherical_residuals,
-                               tie_subsphere, trace_vertices, wall_interior)
-from bubblelab.measure import _interface_fractions
+from bubblelab import cluster, gallery, measure, sampling
+from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGraph,
+                               _exact_interface_point, cell_values, classify_many,
+                               complete_graph, spherical_residuals, tie_subsphere,
+                               trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
 from reference import random_orthogonal, unit_directions
 
@@ -288,19 +288,28 @@ def reference_interior(params, i, j, pts, tie_tol=0.0):
     return others.min(axis=1) > lead + tie_tol
 
 
-def reference_fraction(params, i, j, samples, seed, weight=None):
-    """One weight of _interface_fractions, with the reference interior mask and no shortcut."""
-    center, radius, basis = sampling.subsphere_frame(params.pair_center(i, j),
-                                                     params.pair_curvature(i, j))
-    wall = sphere_surface_measure(params.n - 1) * radius ** (params.n - 1)
-    sums, sq_sums = [], []
+def reference_chunk_sums(params, i, j, samples, seed, weight=None):
+    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight times
+    the reference interior mask."""
+    frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+    out = []
     for chunk, count in sampling.chunk_layout(samples):
-        pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count,
-                                       center, radius, basis)
+        pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
         inside = reference_interior(params, i, j, pts)
         contrib = inside.astype(float) if weight is None else inside * weight(pts)
-        sums.append(np.array([contrib.sum()]))
-        sq_sums.append(np.array([(contrib ** 2).sum()]))
+        out.append((contrib.sum(), (contrib ** 2).sum()))
+    return out
+
+
+def reference_fraction(params, i, j, samples, seed, weight=None):
+    """(mean, stderr, wall measure) of one weight over Sigma_ij, from the
+    reference chunk sums reduced pairwise in layout order, with no shortcut."""
+    _, radius, _ = sampling.subsphere_frame(params.pair_center(i, j),
+                                            params.pair_curvature(i, j))
+    wall = sphere_surface_measure(params.n - 1) * radius ** (params.n - 1)
+    chunk_sums = reference_chunk_sums(params, i, j, samples, seed, weight)
+    sums = [np.array([s]) for s, _ in chunk_sums]
+    sq_sums = [np.array([sq]) for _, sq in chunk_sums]
     mean = float(sampling.pairwise_sum(sums)[0]) / samples
     second = float(sampling.pairwise_sum(sq_sums)[0]) / samples
     return mean, np.sqrt(max(second - mean * mean, 0.0) / samples), wall
@@ -375,14 +384,26 @@ class TestCellMajorKernels:
     @settings(max_examples=10, deadline=None)
     def test_interface_fraction_matches_reference(self, cluster, seed):
         params, (i, j) = cluster
-        if sampling.subsphere_frame(params.pair_center(i, j),
-                                    params.pair_curvature(i, j)) is None:
+        frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+        if frame is None:
             return
         samples = sampling.CHUNK + 1000
+        one_pair = np.zeros((params.q, params.q), dtype=bool)
+        one_pair[i, j] = one_pair[j, i] = True
+        norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            got = _interface_fractions(params, i, j, samples, seed, [weight])[0]
-            assert got == reference_fraction(params, i, j, samples, seed, weight)
+            chunk_sums = [measure._wall_chunk_sums(params, i, j, frame, seed, chunk, count,
+                                                   [weight])
+                          for chunk, count in sampling.chunk_layout(samples)]
+            assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
+                params, i, j, samples, seed, weight)
+            mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
+            assert measure._wall_moments(chunk_sums, samples) == [(mean, stderr)]
+            (values, errs), = measure._pair_integrals(
+                params, InterfaceGraph(params.q, one_pair), [weight], "mc", samples, seed)
+            assert values == {(i, j): mean * wall / norm}
+            assert errs == {(i, j): stderr * wall / norm}
 
     def test_subsphere_chunk_is_c_ordered_broadcast_formula(self):
         params = standard_of_curvature(4, 3, [0.3, 0.1, -0.4])
@@ -397,10 +418,12 @@ class TestCellMajorKernels:
     def test_two_cell_area_shortcut_equals_sampled_value(self, n, sample_memo):
         params = standard_of_curvature(n, 2, [0.35, -0.35])
         samples = 2 * sampling.CHUNK + 17
-        shortcut = _interface_fractions(params, 0, 1, samples, 11, [None])[0]
+        areas, errs = measure.interface_areas(params, complete_graph(2), "mc", samples, 11)
         assert not sample_memo  # no wall point was drawn
-        assert shortcut[:2] == (1.0, 0.0)
-        assert shortcut == reference_fraction(params, 0, 1, samples, 11)
+        mean, stderr, wall = reference_fraction(params, 0, 1, samples, 11)
+        assert (mean, stderr) == (1.0, 0.0)
+        norm = sphere_surface_measure(n)
+        assert (areas[0, 1], errs[0, 1]) == (mean * wall / norm, stderr * wall / norm)
 
     def test_two_cell_wall_interior_is_everything(self):
         pts = sampling.unit_sphere(3, 100, 4, label=TEST_LABEL)
