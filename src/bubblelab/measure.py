@@ -201,8 +201,8 @@ class VolumeTracker:
     A tracker holds about 9 bytes per volume point, so it is meant to live
     for one call. full, incremental and reclassified count chunk
     classifications in full, incremental chunk evaluations and the points
-    they reclassified. Chunks run on worker threads and only read the
-    references; the calling thread stores new references and tallies the
+    they reclassified. Chunks run on worker threads, each reading and
+    replacing only its own chunk's reference; the calling thread tallies the
     counters.
     """
 
@@ -213,24 +213,27 @@ class VolumeTracker:
 
     def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
         """cell_volumes_mc(params, samples, seed), bit for bit."""
-        outcomes = {}  # chunk -> (new reference or None, points reclassified)
+        moved = {}  # chunk -> points reclassified, or None for a full classification
 
         def chunk_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
-            counts, outcomes[chunk] = self._chunk_counts(chunk, params, pts)
+            counts, moved[chunk] = self._chunk_counts(chunk, params, pts)
             return counts
 
         result = _cell_volumes_mc(params, self.samples, self.seed, chunk_counts)
-        for chunk, (reference, moved) in sorted(outcomes.items()):
-            if reference is None:
-                self.incremental += 1
-                self.reclassified += moved
-            else:
-                self._references[chunk] = reference
+        for points in moved.values():
+            if points is None:
                 self.full += 1
+            else:
+                self.incremental += 1
+                self.reclassified += points
         return result
 
     def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray):
-        """(counts, (new reference or None, points reclassified)) of one chunk."""
+        """(counts, points reclassified or None) of one chunk.
+
+        A full classification replaces the chunk's reference as soon as it is
+        made; each chunk's task reads and writes only its own reference.
+        """
         q = params.q
         reference = self._references.get(chunk)
         if reference is not None:
@@ -240,10 +243,11 @@ class VolumeTracker:
                 moved, moved_gaps = classify_many(params, pts[near], gaps=True)
                 if np.all(moved_gaps > _label_bound(params, params)):
                     return (counts - np.bincount(labels[near], minlength=q)
-                            + np.bincount(moved, minlength=q)), (None, near.size)
+                            + np.bincount(moved, minlength=q)), near.size
         labels, gaps = classify_many(params, pts, gaps=True)
         counts = np.bincount(labels, minlength=q)
-        return counts, ((params, labels.astype(np.min_scalar_type(q - 1)), gaps, counts), 0)
+        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)), gaps, counts)
+        return counts, None
 
 
 def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, seed: int, chunk: int,

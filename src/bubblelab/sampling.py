@@ -31,6 +31,7 @@ which draws are admitted may depend on timing, but never what a draw returns.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -78,7 +79,8 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
         _drop_other_seeds(seed)
         # a longer draw from the same stream replaces the short entry
         _unit_cache.pop(key, None)
-    arr = stream(seed, label, chunk).standard_normal((count, dim))
+    arr = _mapped(count, dim)
+    stream(seed, label, chunk).standard_normal(out=arr)
     for rows in row_blocks(count):
         block = arr[rows]
         # a left fold of the squared columns: np.linalg.norm bit for bit up to
@@ -94,6 +96,20 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
         if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
             _unit_cache[key] = arr
     return arr
+
+
+def _mapped(count: int, dim: int) -> np.ndarray:
+    """A writable (count, dim) float array in its own private anonymous mapping.
+
+    Draws run on worker threads, and malloc serves each thread from an arena
+    that keeps freed memory for that arena's later requests. Memo entries
+    outlive the call that drew them, so malloc'd draws left the peak memory
+    to depend on which threads happened to draw and free them (358 to 422 MB
+    over runs of one mc_fresh benchmark seed on 2 cores). A mapping goes back
+    to the OS as soon as its last array is dropped, whichever thread drew it.
+    """
+    buf = mmap.mmap(-1, max(count * dim * 8, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=float, count=count * dim).reshape(count, dim)
 
 
 def _drop_other_seeds(seed: int) -> None:

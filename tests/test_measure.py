@@ -349,7 +349,9 @@ class TestMeasureCluster:
         def no_walls(*args, **kwargs):
             raise AssertionError("a wall was integrated")
 
-        monkeypatch.setattr(measure, "_wall_chunk_sums", no_walls)
+        # every wall integration, Monte Carlo or exact, and its q = 2 shortcut
+        # runs through _pair_integrals
+        monkeypatch.setattr(measure, "_pair_integrals", no_walls)
         cfg = NewtonConfig(mc_samples=100_000, mc_seed=2)
         standard_of_volume(3, 2, [0.4, 0.6], cfg)
 

@@ -222,3 +222,9 @@ class TestMemoUnderThreads:
 def test_unit_sphere_rejects_no_samples(count):
     with pytest.raises(ValueError, match="count must be positive"):
         sampling.unit_sphere(0, count, 3)
+
+
+def test_unit_chunk_draws_no_rows(sample_memo):
+    # a draw lives in its own memory mapping, which cannot be empty
+    arr = sampling.unit_chunk(3, TEST_LABEL, 0, 0, 4)
+    assert arr.shape == (0, 4) and not arr.flags.writeable
