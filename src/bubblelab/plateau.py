@@ -145,10 +145,18 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
 
     Candidate points are the interface witnesses plus the stratum points of
     every pairwise (where the graph has an interface), triple and higher tie
-    set at which all of its cells are incident. Returns the largest level l
-    such that every examined point whose normals span at most l dimensions
-    passed the regular-simplex test; points failing it are counterexamples.
+    set at which all of its cells are incident; sample_budget (at least 1)
+    is shared among the strata, each of which gets at least 3 points. The
+    deduplicated candidates are classified in one cell_values pass, with
+    classify_point's unit-norm check and incidence rule. Every two-cell
+    point is settled in one vectorized pass (_two_cell_cones), and only
+    junctions, with three or more incident cells, go through blowup_at and
+    plateau_at. Returns the largest level l such that every examined point
+    whose normals span at most l dimensions passed the regular-simplex test;
+    points failing it are counterexamples.
     """
+    if sample_budget < 1:
+        raise ValueError(f"sample_budget must be at least 1, got {sample_budget}")
     q = params.q
     candidates: list[np.ndarray] = []
 
@@ -176,26 +184,39 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
     unique: dict[tuple, np.ndarray] = {}
     for p in candidates:
         unique[tuple(np.round(p, 6))] = p
+    examined = list(unique.values())
+    points = np.array(examined).reshape(len(examined), params.n + 1)
+    norms = np.einsum("ij,ij->i", points, points)
+    off_sphere = np.flatnonzero(np.abs(norms - 1.0) > 2e-12)
+    if off_sphere.size:
+        raise ValueError(f"point is not on the unit sphere: |p|^2 = {norms[off_sphere[0]]!r}")
+    values = cell_values(params, points)
+    incident = values <= values.min(axis=0) + SINGULAR_TIE_TOL
+    sizes = incident.sum(axis=0)
+    two_cell = _two_cell_cones(params, points[sizes == 2], incident[:, sizes == 2])
 
     worst: list[dict] = []
     failures: list[dict] = []
     junctions: list[dict] = []
     best_fail_rank = None
-    for p in unique.values():
-        cone = blowup_at(params, p, tie_tol=SINGULAR_TIE_TOL)
-        if len(cone.incidence) < 2:
+    for p, size in zip(examined, sizes.tolist()):
+        if size < 2:
             continue
-        diag = plateau_at(cone)
-        entry = {"point": p, "incidence": cone.incidence.tolist(),
-                 "affine_rank": cone.affine_rank,
-                 "gram_residual": diag.gram_residual,
-                 "is_plateau": diag.is_plateau}
-        if len(cone.incidence) >= 3:
+        if size == 2:
+            incidence, rank, residual, is_plateau = next(two_cell)
+        else:
+            cone = blowup_at(params, p, tie_tol=SINGULAR_TIE_TOL)
+            diag = plateau_at(cone)
+            incidence, rank, residual, is_plateau = (cone.incidence.tolist(), cone.affine_rank,
+                                                     diag.gram_residual, diag.is_plateau)
+        entry = {"point": p, "incidence": incidence, "affine_rank": rank,
+                 "gram_residual": residual, "is_plateau": is_plateau}
+        if len(incidence) >= 3:
             junctions.append(entry)
-        if not diag.is_plateau:
+        if not is_plateau:
             failures.append(entry)
-            if best_fail_rank is None or cone.affine_rank < best_fail_rank:
-                best_fail_rank = cone.affine_rank
+            if best_fail_rank is None or rank < best_fail_rank:
+                best_fail_rank = rank
         worst.append(entry)
     worst.sort(key=lambda e: (e["is_plateau"], -e["gram_residual"]))
     level = (min(params.n, q - 1) if best_fail_rank is None
@@ -203,6 +224,24 @@ def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
     fully = best_fail_rank is None
     return PlateauCertificate(level, worst[:10], len(unique), len(junctions),
                               fully, failures, junctions)
+
+
+def _two_cell_cones(params: ClusterParams, points: np.ndarray, incident: np.ndarray):
+    """Iterator of (incidence, affine_rank, gram_residual, is_plateau), as blowup_at
+    and plateau_at give them, at points incident to exactly two cells.
+
+    incident is the (q, m) incidence mask of the m points. At a point p on
+    the (i, j) wall the centered normals are +-d/2 with d = c_ij - <c_ij, p> p,
+    so the affine rank is 1 if d != 0 and 0 otherwise, and the Gram matrix
+    differs from half the sum-zero projector by |d|^2/4 - 1/4 in every entry.
+    """
+    cells = np.nonzero(incident.T)[1].reshape(-1, 2)
+    c_ij = params.quasi_centers[cells[:, 0]] - params.quasi_centers[cells[:, 1]]
+    d = c_ij - np.einsum("ij,ij->i", c_ij, points)[:, None] * points
+    ranks = np.any(d != 0.0, axis=1).astype(int)
+    residuals = np.abs(0.25 * np.einsum("ij,ij->i", d, d) - 0.25)
+    passed = (ranks == 1) & (residuals <= 1e-7)
+    return zip(cells.tolist(), ranks.tolist(), residuals.tolist(), passed.tolist())
 
 
 @dataclass

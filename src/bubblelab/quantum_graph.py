@@ -28,6 +28,7 @@ SQRT3 = math.sqrt(3.0)
 NORM_S2 = 4.0 * math.pi
 VERTEX_TOL = 1e-7
 KERNEL_FLOOR = 1e-6
+KERNEL_STEPS = 3  # block inverse iteration steps of JacobiSystem.near_kernel
 
 
 class GraphBuildError(RuntimeError):
@@ -207,9 +208,15 @@ class JacobiSystem:
         """M_r-orthonormal eigenvectors with |lam| <= kernel_tolerance(self), as
         columns (cached, read-only).
 
-        Their number is the inertia difference at -tol and +tol; the vectors
-        come from one shift-invert Lanczos run at 0 that reuses the
-        factorization of A_r.
+        Their number m is the inertia difference at -tol and +tol, counts that
+        eigen_count_positive has usually cached already. The vectors come from
+        KERNEL_STEPS steps of block inverse iteration X <- A_r^-1 M_r X with
+        form_factor(), from a fixed block of m + 2 columns orthonormalized
+        after each step, and one Rayleigh-Ritz step on the pencil: the m Ritz
+        pairs of least |lam|. Each step shrinks the error of the kernel
+        subspace by |lam_m| / |lam_(m+3)|, which is O(h^2) where the kernel
+        eigenvalues lie within O(h^2) of 0 and the next at O(1). A Ritz value
+        outside the tolerance is a SpectrumError.
         """
         if self._kernel is None:
             kernel_tol = kernel_tolerance(self)
@@ -218,13 +225,20 @@ class JacobiSystem:
             if dim:
                 a_r, m_r = self.reduced()
                 lu = self.form_factor()
-                op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
-                lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0,
-                                      OPinv=op, which="LM", v0=np.ones(self.reduced_size))
+                block = np.random.default_rng(0).standard_normal(
+                    (self.reduced_size, min(dim + 2, self.reduced_size)))
+                for _ in range(KERNEL_STEPS):
+                    block = np.linalg.qr(lu.solve(m_r @ block))[0]
+                # an M_r-orthonormal basis of the block, then Rayleigh-Ritz on -A_r
+                mass, frame = np.linalg.eigh(block.T @ (m_r @ block))
+                block = block @ (frame / np.sqrt(mass))
+                lam, ritz = np.linalg.eigh(block.T @ -(a_r @ block))
+                keep = np.sort(np.argsort(np.abs(lam), kind="stable")[:dim])
+                lam, vec = lam[keep], block @ ritz[:, keep]
                 if np.max(np.abs(lam)) > kernel_tol:
                     raise SpectrumError(
-                        f"Lanczos found eigenvalues {lam} nearest 0, but inertia puts "
-                        f"{dim} within {kernel_tol:g}")
+                        f"inverse iteration found eigenvalues {lam} nearest 0, but inertia "
+                        f"puts {dim} within {kernel_tol:g}")
             vec.flags.writeable = False
             self._kernel = vec
         return self._kernel

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterParams, complete_graph, recentered
-from .measure import cell_volume_function, interface_areas, resolve_backend
+from .measure import (cell_volume_function, interface_areas, resolve_backend,
+                      weighted_laplacians)
 from .simplex import psd_sqrtm, sum_zero_basis, sum_zero_projector
 
 
@@ -48,11 +49,16 @@ def standard_of_curvature(n: int, q: int, kappa) -> ClusterParams:
     if kappa.shape != (q,) or abs(kappa.sum()) > 1e-9 * max(1.0, np.abs(kappa).max()):
         raise ValueError("kappa must be a length-q vector summing to zero")
     basis = sum_zero_basis(q)
-    gram = 0.5 * sum_zero_projector(q) + np.outer(kappa, kappa)
-    root = psd_sqrtm(basis.T @ gram @ basis)
+    root = psd_sqrtm(_root_argument(basis, kappa))
     c = np.zeros((q, n + 1))
     c[:, : q - 1] = basis @ root
     return recentered(n, c, kappa, label=f"standard-n{n}-q{q}")
+
+
+def _root_argument(basis: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """B^T (Id/2 + kappa kappa^T) B for the sum-zero basis B, whose root gives C."""
+    gram = 0.5 * sum_zero_projector(len(kappa)) + np.outer(kappa, kappa)
+    return basis.T @ gram @ basis
 
 
 def _check_range(n: int, q: int) -> None:
@@ -115,9 +121,8 @@ def apply_mobius(params: ClusterParams, pole, t: float) -> ClusterParams:
 # Prescribed volumes: damped Newton on the curvature vector
 # ---------------------------------------------------------------------------
 
-# iteration cap, Jacobian step (MC_FD_STEP on MC volumes), steps per Jacobian, halvings
+# iteration cap, steps per Jacobian, halvings, Jacobian step on Monte Carlo volumes
 MAX_ITER = 60
-FD_STEP = 1e-5
 JACOBIAN_REUSE = 3
 MAX_HALVINGS = 25
 MC_FD_STEP = 2e-4
@@ -135,14 +140,15 @@ class NewtonConfig:
     # differences of the profile.
     mc_tol: float = 3e-6
 
-    def tolerances(self, n: int) -> tuple[float, float]:
-        """(tol, fd_step) on S^n; on Monte Carlo volumes, MC_FD_STEP and tol floored.
+    def tolerances(self, n: int) -> tuple[float, float | None]:
+        """(tol, fd_step) on S^n: fd_step is None on exact volumes, whose Jacobian
+        is analytic; on Monte Carlo volumes it is MC_FD_STEP, and tol is floored.
 
         The floor is mc_tol, or two steps of the empirical volume map, which
         moves in steps of 1/mc_samples, if that is larger.
         """
         if resolve_backend(self.backend, n) == "exact":
-            return self.tol, FD_STEP
+            return self.tol, None
         return max(self.tol, self.mc_tol, 2.0 / self.mc_samples), MC_FD_STEP
 
 
@@ -153,14 +159,50 @@ class NewtonError(RuntimeError):
         self.residual = residual
 
 
+def exact_volume_jacobian(n: int, q: int, y: np.ndarray) -> np.ndarray:
+    """Jacobian of y -> B^T V(standard_of_curvature(B y)) on exact volumes.
+
+    B is the sum-zero basis, and V the volumes of measure_exact_s2.
+
+    From the first variation of volume: cell i changes by minus the integral
+    of the normal speed of its walls, and with |c_ij|^2 = 1 + kappa_ij^2 the
+    speed on Sigma_ij is <dc_i - dc_j, p> + dkappa_i - dkappa_j. With the pair
+    areas A_ij and first moments M_ij of one weighted_laplacians pass,
+        dV_i = -sum_j (<dc_i - dc_j, M_ij> + (dkappa_i - dkappa_j) A_ij),
+    that is dV = -(L_1 dkappa + sum_m L_(p_m) dc_m). The quasi-centers are B R
+    for R the square root of S = Id/2 + y y^T, so dc = B dR with, for
+    S = W diag(lam) W^T (Daleckii-Krein),
+        dR = W [(W^T dS W)_ab / (sqrt(lam_a) + sqrt(lam_b))] W^T.
+    """
+    basis = sum_zero_basis(q)
+    params = standard_of_curvature(n, q, basis @ y)
+    # C has nonzero coordinates 0..q-2 only, so only their moments are needed
+    laps = [lap.matrix for lap in weighted_laplacians(
+        params, complete_graph(q),
+        [None] + [lambda pts, ax=axis: pts[:, ax] for axis in range(q - 1)], backend="exact")]
+    lam, w = np.linalg.eigh(_root_argument(basis, basis @ y))
+    roots = np.sqrt(lam)
+    # W^T dS W for dS = e_k y^T + y e_k^T is a_k b^T + b a_k^T, a_k = W^T e_k, b = W^T y
+    b = w.T @ y
+    inner = w[:, :, None] * b[None, None, :]
+    inner = (inner + inner.transpose(0, 2, 1)) / (roots[:, None] + roots[None, :])
+    d_centers = basis @ (w @ inner @ w.T)         # d_centers[k] = B dR_k, shape (q, q-1)
+    d_volumes = laps[0] @ basis + sum(laps[1 + m] @ d_centers[:, :, m].T
+                                      for m in range(q - 1))
+    return -basis.T @ d_volumes
+
+
 def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volume_of,
                    y0: np.ndarray | None = None,
                    jac0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Damped Newton for V(kappa(y)) = v in sum-zero coordinates.
 
     volume_of maps parameters to cell volumes (measure.cell_volume_function).
-    Returns (y, jacobian, residual_inf). Warm starts (y0, jac0) let a cluster
-    of nearby solves (finite-difference grids) skip most Jacobian rebuilds.
+    The Jacobian is exact_volume_jacobian on exact volumes, which costs one
+    weighted_laplacians pass and no volume evaluation, and central
+    differences with step MC_FD_STEP on Monte Carlo volumes. Returns
+    (y, jacobian, residual_inf). Warm starts (y0, jac0) let a cluster of
+    nearby solves (finite-difference grids) skip most Jacobian rebuilds.
     """
     basis = sum_zero_basis(q)
     tol, fd_step = cfg.tolerances(n)
@@ -169,6 +211,8 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
         return basis.T @ (volume_of(standard_of_curvature(n, q, basis @ yy)) - v_target)
 
     def build_jacobian(yy: np.ndarray) -> np.ndarray:
+        if fd_step is None:
+            return exact_volume_jacobian(n, q, yy)
         jac = np.empty((q - 1, q - 1))
         for k in range(q - 1):
             step = np.zeros(q - 1)
@@ -216,9 +260,11 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
 def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None) -> ClusterParams:
     """Standard bubble with the prescribed cell volumes.
 
-    Damped Newton on the curvature vector in sum-zero coordinates with a
-    finite-difference Jacobian (reused across a few steps), backtracking by
-    halving on the volume residual. Monte Carlo volume evaluations share one
+    Damped Newton on the curvature vector in sum-zero coordinates,
+    backtracking by halving on the volume residual, with a Jacobian reused
+    across a few steps: on exact volumes it is exact_volume_jacobian, the
+    first variation of volume from one weighted_laplacians pass, and on
+    Monte Carlo volumes central differences. Monte Carlo volume evaluations share one
     seed so the objective is a fixed (piecewise smooth) function of kappa and
     Newton can converge to its root far below the statistical error; they go
     through one measure.VolumeTracker, which lives for this call and

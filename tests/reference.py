@@ -6,14 +6,21 @@ oracle.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from bubblelab import sampling
-from bubblelab.cluster import ClusterParams, InterfaceGraph, validate_spherical
+from bubblelab.cluster import ClusterParams, InterfaceGraph, cell_values, validate_spherical
 from bubblelab.deform import gram_path
+from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
+                               blowup_at, plateau_at)
+from bubblelab.quantum_graph import SpectrumError, kernel_tolerance
+from bubblelab.simplex import sum_zero_basis
+from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER,
+                                standard_of_curvature)
 
 
 def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
@@ -124,3 +131,123 @@ def rotated(params: ClusterParams, rot: np.ndarray) -> ClusterParams:
     """The cluster moved by the orthogonal map rot: c_i -> rot c_i, curvatures kept."""
     return ClusterParams(params.n, params.quasi_centers @ rot.T, params.curvatures,
                          params.label)
+
+
+def fd_volume_newton(n: int, q: int, v_target: np.ndarray, tol: float, volume_of,
+                     fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray, float]:
+    """standard._volume_newton with a central-difference Jacobian of step fd_step.
+
+    The exact backend's Newton before its Jacobian came from the first
+    variation of volume: the same damped steps, Jacobian reuse and halvings.
+    Returns (y, jacobian, residual_inf).
+    """
+    basis = sum_zero_basis(q)
+
+    def residual(yy: np.ndarray) -> np.ndarray:
+        return basis.T @ (volume_of(standard_of_curvature(n, q, basis @ yy)) - v_target)
+
+    def build_jacobian(yy: np.ndarray) -> np.ndarray:
+        jac = np.empty((q - 1, q - 1))
+        for k in range(q - 1):
+            step = np.zeros(q - 1)
+            step[k] = fd_step
+            jac[:, k] = (residual(yy + step) - residual(yy - step)) / (2 * fd_step)
+        return jac
+
+    y = np.zeros(q - 1)
+    r = residual(y)
+    jac = None
+    jac_age = 0
+    rebuilds_after_stall = 0
+    for _ in range(MAX_ITER):
+        if np.linalg.norm(r, np.inf) <= tol:
+            return y, (jac if jac is not None else build_jacobian(y)), \
+                float(np.linalg.norm(r, np.inf))
+        if jac is None or jac_age >= JACOBIAN_REUSE:
+            jac = build_jacobian(y)
+            jac_age = 0
+        try:
+            delta = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
+        scale = 1.0
+        base_norm = np.linalg.norm(r)
+        for _ in range(MAX_HALVINGS):
+            r_try = residual(y + scale * delta)
+            if np.linalg.norm(r_try) < base_norm:
+                y = y + scale * delta
+                r = r_try
+                jac_age += 1
+                break
+            scale *= 0.5
+        else:
+            if rebuilds_after_stall >= 2:
+                break
+            rebuilds_after_stall += 1
+            jac = build_jacobian(y)
+            jac_age = 0
+    return y, (jac if jac is not None else build_jacobian(y)), \
+        float(np.linalg.norm(r, np.inf))
+
+
+def lanczos_near_kernel(system) -> np.ndarray:
+    """JacobiSystem.near_kernel by one shift-invert Lanczos run at 0.
+
+    The kernel dimension is the inertia difference at -tol and +tol; the
+    Lanczos operator reuses the factorization of A_r.
+    """
+    kernel_tol = kernel_tolerance(system)
+    dim = system.count_above(-kernel_tol)[0] - system.count_above(kernel_tol)[0]
+    if not dim:
+        return np.zeros((system.reduced_size, 0))
+    a_r, m_r = system.reduced()
+    lu = system.form_factor()
+    op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
+    lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0, OPinv=op,
+                          which="LM", v0=np.ones(system.reduced_size))
+    if np.max(np.abs(lam)) > kernel_tol:
+        raise SpectrumError(f"Lanczos found eigenvalues {lam} nearest 0, but inertia puts "
+                            f"{dim} within {kernel_tol:g}")
+    return vec
+
+
+def per_point_certificate(params: ClusterParams, graph: InterfaceGraph,
+                          sample_budget: int = 2000, seed: int = 0) -> PlateauCertificate:
+    """plateau.certify_plateau with every candidate, two-cell or not, run through
+    blowup_at and plateau_at one point at a time."""
+    q = params.q
+    candidates = [np.asarray(graph.witnesses[pair]) for pair in graph.pairs()
+                  if pair in graph.witnesses]
+    subsets = [cells for order in range(2, min(q, params.n + 2) + 1)
+               for cells in combinations(range(q), order)
+               if order > 2 or graph.nonempty[cells[0], cells[1]]]
+    per_subset = max(3, sample_budget // max(len(subsets), 1))
+    for index, cells in enumerate(subsets):
+        pts = _stratum_points(params, cells, seed, index, per_subset)
+        values = cell_values(params, pts)
+        low = values.min(axis=0) + SINGULAR_TIE_TOL
+        candidates.extend(pts[np.all(values[list(cells)] <= low, axis=0)])
+    unique: dict[tuple, np.ndarray] = {}
+    for p in candidates:
+        unique[tuple(np.round(p, 6))] = p
+    worst, failures, junctions = [], [], []
+    best_fail_rank = None
+    for p in unique.values():
+        cone = blowup_at(params, p, tie_tol=SINGULAR_TIE_TOL)
+        if len(cone.incidence) < 2:
+            continue
+        diag = plateau_at(cone)
+        entry = {"point": p, "incidence": cone.incidence.tolist(),
+                 "affine_rank": cone.affine_rank, "gram_residual": diag.gram_residual,
+                 "is_plateau": diag.is_plateau}
+        if len(cone.incidence) >= 3:
+            junctions.append(entry)
+        if not diag.is_plateau:
+            failures.append(entry)
+            if best_fail_rank is None or cone.affine_rank < best_fail_rank:
+                best_fail_rank = cone.affine_rank
+        worst.append(entry)
+    worst.sort(key=lambda e: (e["is_plateau"], -e["gram_residual"]))
+    level = min(params.n, q - 1) if best_fail_rank is None else max(best_fail_rank - 1, 0)
+    return PlateauCertificate(level, worst[:10], len(unique), len(junctions),
+                              best_fail_rank is None, failures, junctions)

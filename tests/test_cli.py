@@ -300,6 +300,15 @@ class TestErrorPayloads:
         assert payload["command"] == "deform" and payload["steps"] == steps
         assert not report.exists()
 
+    def test_plateau_rejects_negative_budget(self, cluster_file, tmp_path):
+        out = tmp_path / "plateau.json"
+        assert run_cli("plateau", str(cluster_file), "--budget", "-5",
+                       "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": "sample_budget must be at least 1, got -5"}
+        assert payload["command"] == "plateau"
+
     def test_profile_newton_failure(self, monkeypatch, capsys):
         def stalled(n, q, v_target, cfg, volume_of, y0=None, jac0=None):
             tol, _ = cfg.tolerances(n)

@@ -14,7 +14,7 @@ from bubblelab import gallery, measure, sampling, standard
 from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell
 from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
-from bubblelab.standard import FD_STEP, MC_FD_STEP, NewtonConfig, model_profile
+from bubblelab.standard import MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import restrict
 from reference import random_orthogonal, rotated, unit_directions
 
@@ -394,7 +394,7 @@ class TestMeasureCluster:
 class TestNewtonTolerances:
     def test_monte_carlo_floors_tolerance_and_step(self):
         cfg = NewtonConfig(tol=1e-11)
-        assert cfg.tolerances(2) == (1e-11, FD_STEP)
+        assert cfg.tolerances(2) == (1e-11, None)  # analytic Jacobian on exact volumes
         assert cfg.tolerances(3) == (cfg.mc_tol, MC_FD_STEP)
         assert NewtonConfig(backend="mc").tolerances(2) == (cfg.mc_tol, MC_FD_STEP)
 
@@ -402,7 +402,7 @@ class TestNewtonTolerances:
         # two steps of the empirical volume map, 1/samples each, once above mc_tol
         assert NewtonConfig(mc_samples=300_000).tolerances(3) == (2 / 300_000, MC_FD_STEP)
         assert NewtonConfig(mc_samples=1_000_000).tolerances(3)[0] == NewtonConfig().mc_tol
-        assert NewtonConfig(mc_samples=300_000).tolerances(2) == (1e-10, FD_STEP)
+        assert NewtonConfig(mc_samples=300_000).tolerances(2) == (1e-10, None)
 
 
 class TestPositiveDefiniteness:

@@ -17,7 +17,7 @@ from bubblelab.cluster import classify_point, complete_graph, recentered
 from bubblelab.measure import extract_arcs
 from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
 from bubblelab.simplex import sum_zero_projector
-from reference import random_orthogonal, rotated, subsphere_points
+from reference import per_point_certificate, random_orthogonal, rotated, subsphere_points
 
 
 class TestBlowupAt:
@@ -139,6 +139,68 @@ class TestCertifyPlateau:
         cert = certify_plateau(band_cluster, band_graph, sample_budget=200, seed=2)
         assert cert.fully_plateau
         assert cert.multi_points_found == 0
+
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, skew_bubble_s2, skew_bubble_graph, budget):
+        with pytest.raises(ValueError, match=f"sample_budget must be at least 1, got {budget}"):
+            certify_plateau(skew_bubble_s2, skew_bubble_graph, sample_budget=budget)
+
+
+def _random_standard(n, q, seed):
+    kappa = 0.3 * np.random.default_rng(seed).standard_normal(q)
+    return standard_of_curvature(n, q, kappa - kappa.mean())
+
+
+# a standard bubble with its quasi-centers scaled off the compatibility constraint
+_STRETCHED = _random_standard(2, 4, 7)
+_STRETCHED = recentered(2, 1.02 * _STRETCHED.quasi_centers, _STRETCHED.curvatures)
+
+
+class TestBatchedCertificate:
+    """certify_plateau settles two-cell points in one pass; the oracle runs every
+    candidate through blowup_at and plateau_at."""
+
+    @pytest.mark.parametrize("params", [
+        gallery.cross_junction(2), gallery.sectored_cap(4, 0.8),
+        gallery.band_stack(4, (-0.5, 0.1, 0.55)), gallery.five_cell_meeting_point(),
+        _random_standard(2, 3, 1), _random_standard(2, 4, 2), _random_standard(3, 4, 3),
+        _random_standard(3, 5, 4), _STRETCHED],
+        ids=["cross", "cap", "bands", "five", "s2q3", "s2q4", "s3q4", "s3q5", "stretched"])
+    def test_equals_per_point_path(self, params):
+        graph = detect_interfaces(params, rng_seed=3)
+        cert = certify_plateau(params, graph, sample_budget=400, seed=5)
+        ref = per_point_certificate(params, graph, sample_budget=400, seed=5)
+        assert (cert.plateau_up_to, cert.fully_plateau, cert.points_examined,
+                cert.multi_points_found) == (ref.plateau_up_to, ref.fully_plateau,
+                                             ref.points_examined, ref.multi_points_found)
+        for got, want in ((cert.failures, ref.failures),
+                          (cert.junction_points, ref.junction_points)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a["point"], b["point"])
+                assert (a["incidence"], a["affine_rank"], a["is_plateau"]) == \
+                    (b["incidence"], b["affine_rank"], b["is_plateau"])
+                assert abs(a["gram_residual"] - b["gram_residual"]) <= 1e-15
+        # worst points may reorder only among residuals equal to rounding
+        assert [e["is_plateau"] for e in cert.worst_points] == \
+            [e["is_plateau"] for e in ref.worst_points]
+        residuals = np.array([[a["gram_residual"], b["gram_residual"]]
+                              for a, b in zip(cert.worst_points, ref.worst_points)])
+        assert np.max(np.abs(residuals[:, 0] - residuals[:, 1]), initial=0.0) <= 1e-15
+        for entry in cert.worst_points:
+            cone = blowup_at(params, entry["point"], tie_tol=SINGULAR_TIE_TOL)
+            diag = plateau_at(cone)
+            assert (entry["incidence"], entry["affine_rank"], entry["is_plateau"]) == \
+                (cone.incidence.tolist(), cone.affine_rank, diag.is_plateau)
+            assert abs(entry["gram_residual"] - diag.gram_residual) <= 1e-15
+
+    def test_stretched_cluster_fails_at_two_cell_points(self):
+        graph = detect_interfaces(_STRETCHED, rng_seed=3)
+        cert = certify_plateau(_STRETCHED, graph, sample_budget=400, seed=5)
+        two_cell = [f for f in cert.failures if len(f["incidence"]) == 2]
+        assert two_cell and all(f["affine_rank"] == 1 for f in two_cell)
+        assert cert.plateau_up_to == 0 and not cert.fully_plateau
 
 
 def _plain(cert) -> str:

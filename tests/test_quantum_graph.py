@@ -19,8 +19,8 @@ from bubblelab.quantum_graph import (GraphBuildError, SpectrumError,
                                      field_from_pointwise, kernel_tolerance,
                                      piecewise_constant_field, positive_inertia,
                                      strong_residual)
-from reference import (eigendecomposition, kirchhoff_residual, remove_kernel_component,
-                       robin_residual)
+from reference import (eigendecomposition, kirchhoff_residual, lanczos_near_kernel,
+                       remove_kernel_component, robin_residual)
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +433,32 @@ class TestConformalJacobiSolve:
         assert double_system.near_kernel() is kernel
         with pytest.raises(ValueError):
             kernel[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kappa", [None, (0.2, -0.1, 0.05, -0.15)], ids=["double", "q4"])
+    def test_near_kernel_spans_the_lanczos_kernel(self, double_system, kappa):
+        if kappa is None:
+            system = double_system
+        else:
+            params = standard_of_curvature(2, 4, np.array(kappa))
+            system = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=1)),
+                                     4e-3)
+        kernel = system.near_kernel()
+        reference = lanczos_near_kernel(system)
+        m_r = system.reduced()[1]
+        assert kernel.shape == reference.shape and kernel.shape[1] > 0
+        assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-12
+        # cosines of the M_r-principal angles between the two kernels
+        cosines = np.linalg.svd(kernel.T @ (m_r @ reference), compute_uv=False)
+        assert np.max(np.abs(cosines - 1.0)) < 1e-10
+
+    def test_near_kernel_must_agree_with_inertia(self, double_bubble):
+        # inertia that puts one more eigenvalue within the tolerance than the pencil has
+        system = assemble_jacobi(double_bubble[2], 0.01)
+        cut = kernel_tolerance(system)
+        above = system.count_above(cut)
+        system._counts[cut] = (above[0] - 1, above[1])
+        with pytest.raises(SpectrumError, match="inertia puts"):
+            system.near_kernel()
 
     def test_reproduces_compatible_closed_form(self, double_bubble, double_system):
         params, graph, _ = double_bubble

@@ -15,9 +15,9 @@ from bubblelab import (NewtonConfig, apply_mobius, complete_graph,
                        standard_of_volume, validate_spherical)
 from bubblelab import measure, sampling, standard
 from bubblelab.cluster import spherical_residuals
-from bubblelab.simplex import sum_zero_projector
-from bubblelab.standard import gradient_vs_curvature
-from reference import mobius_conformal_factor, random_orthogonal, rotated
+from bubblelab.simplex import sum_zero_basis, sum_zero_projector
+from bubblelab.standard import exact_volume_jacobian, gradient_vs_curvature
+from reference import fd_volume_newton, mobius_conformal_factor, random_orthogonal, rotated
 
 
 def random_kappa(q, rng, scale=0.5):
@@ -200,6 +200,57 @@ class TestStandardOfVolume:
         # NaN fails every comparison, so it must be caught before Newton sees it
         with pytest.raises(ValueError, match="volumes must be positive and sum to 1"):
             standard_of_volume(2, 3, volumes)
+
+
+class TestExactVolumeJacobian:
+    """The exact Newton's Jacobian, from the first variation of volume."""
+
+    @staticmethod
+    def residual(q, y):
+        basis = sum_zero_basis(q)
+        params = standard_of_curvature(2, q, basis @ y)
+        return basis.T @ measure_exact_s2(params, complete_graph(q)).volumes
+
+    @pytest.mark.parametrize("volumes", [[0.3, 0.7], [0.05, 0.95], [0.2, 0.45, 0.35],
+                                         [0.05, 0.55, 0.4], [0.25, 0.2, 0.3, 0.25],
+                                         [0.3, 0.05, 0.25, 0.4]])
+    def test_matches_central_differences(self, volumes):
+        q = len(volumes)
+        y = sum_zero_basis(q).T @ standard_of_volume(2, q, volumes).curvatures
+        step = 1e-5
+        central = np.column_stack([
+            (self.residual(q, y + step * e) - self.residual(q, y - step * e)) / (2 * step)
+            for e in np.eye(q - 1)])
+        assert np.max(np.abs(exact_volume_jacobian(2, q, y) - central)) <= 1e-8
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_solves_match_finite_difference_newton(self, q):
+        rng = np.random.default_rng(40 + q)
+        basis = sum_zero_basis(q)
+        volume_of = measure.cell_volume_function(complete_graph(q), 2, "exact")
+        for v in [np.full(q, 1.0 / q)] + [0.05 + (1 - 0.05 * q) * rng.dirichlet(np.ones(q))
+                                          for _ in range(4)]:
+            y, _, res = fd_volume_newton(2, q, v, NewtonConfig().tol, volume_of)
+            assert res <= NewtonConfig().tol
+            solved = standard_of_volume(2, q, v)
+            assert np.max(np.abs(solved.curvatures - basis @ y)) <= 1e-12
+
+    def test_q4_solve_makes_half_the_volume_evaluations(self, monkeypatch):
+        calls = []
+        exact = measure.measure_exact_s2
+
+        def counted(params, graph):
+            calls.append(params)
+            return exact(params, graph)
+
+        monkeypatch.setattr(measure, "measure_exact_s2", counted)
+        v = np.array([0.1, 0.2, 0.3, 0.4])
+        volume_of = measure.cell_volume_function(complete_graph(4), 2, "exact")
+        fd_volume_newton(2, 4, v, NewtonConfig().tol, volume_of)
+        before = len(calls)
+        calls.clear()
+        standard_of_volume(2, 4, v)
+        assert 0 < len(calls) <= before / 2
 
 
 class TestModelProfile:
