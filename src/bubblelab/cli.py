@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 
@@ -237,6 +238,11 @@ def cmd_spectrum(args) -> int:
                            converged=spec.converged,
                            counts_at_resolutions=list(spec.counts_at_resolutions),
                            method=spec.method,
+                           refined_method=spec.refined_method,
+                           eigenvalue_method=spec.eigenvalue_method,
+                           # null when every arc is a vertex-free circle (margin inf)
+                           pole_margin=(spec.pole_margin if math.isfinite(spec.pole_margin)
+                                        else None),
                            eigenvalues=spec.eigenvalues)
     _emit(payload, args.out)
     return 0

@@ -9,6 +9,13 @@ elements: the index form (including the Robin vertex terms, which enter as
 natural boundary terms) and the mass matrix are assembled exactly, and the
 trace constraint is eliminated by a sparse congruence, so the reduced pencil
 is symmetric to machine precision and eigenvalues converge at second order.
+
+Each arc's grid is uniform, so its block of the pencil is Toeplitz and has
+closed-form modes. ArcPencil condenses every arc onto its ends in closed form
+and counts and locates the pencil's eigenvalues from a small vertex matrix,
+without assembling anything; eigen_count_positive takes its count and kernel
+from sparse LDL^T inertias of the assembled pencil and checks them against
+ArcPencil's eigenvalues and its count on the h/2 grid.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ NORM_S2 = 4.0 * math.pi
 VERTEX_TOL = 1e-7
 KERNEL_FLOOR = 1e-6
 KERNEL_STEPS = 3  # block inverse iteration steps of JacobiSystem.near_kernel
+MIN_INTERVALS = 16  # fewest grid intervals on an arc
+POLE_GUARD = 0.05  # mode spacings from a pole within which ArcPencil sums modes one by one
+POLE_MERGE = 1e-9  # relative gap below which arc Dirichlet values share a bracket
+ROOT_STEPS = 100  # batched evaluations before the eigenvalue search gives up
+EIGEN_XTOL = 1e-12  # relative bracket width at which an eigenvalue is settled
+NEWTON_STOP = 1e-10  # relative Newton step at which an eigenvalue is settled
+SLOPE_STEP = 1e-7  # relative step of the difference quotient of G(c)
 
 
 class GraphBuildError(RuntimeError):
@@ -244,28 +258,38 @@ class JacobiSystem:
         return self._kernel
 
 
-def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
-    """Piecewise-linear Galerkin assembly at target grid spacing h.
+def arc_grids(graph: QuantumGraph, h: float) -> list[tuple[int, float]]:
+    """(intervals, step) of each arc's uniform grid at target spacing h.
 
-    Each arc gets a uniform grid with at least 16 intervals (coarser h is an
-    error, as is an h that is not finite and positive); vertex-free circle
-    interfaces are discretized cyclically.
+    An arc of length l gets ceil(l / h) intervals; fewer than MIN_INTERVALS on
+    any arc is an error, as is an h that is not finite and positive.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
+    grids = []
+    for arc in graph.arcs:
+        m = int(math.ceil(arc.length / h))
+        if m < MIN_INTERVALS:
+            raise ValueError(
+                f"h = {h:g} gives only {m} intervals on an arc of length "
+                f"{arc.length:g}; need at least {MIN_INTERVALS}")
+        grids.append((m, arc.length / m))
+    return grids
+
+
+def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
+    """Piecewise-linear Galerkin assembly on the grids of arc_grids(graph, h).
+
+    Vertex-free circle interfaces are discretized cyclically.
+    """
     arcs = graph.arcs
     offsets, counts, cyclic, steps = [], [], [], []
     total = 0
-    for arc in arcs:
-        m = int(math.ceil(arc.length / h))
-        if m < 16:
-            raise ValueError(
-                f"h = {h:g} gives only {m} intervals on an arc of length "
-                f"{arc.length:g}; need at least 16")
+    for arc, (m, step) in zip(arcs, arc_grids(graph, h)):
         offsets.append(total)
         counts.append(m if arc.closed else m + 1)
         cyclic.append(arc.closed)
-        steps.append(arc.length / m)
+        steps.append(step)
         total += counts[-1]
 
     # interval e of an arc joins nodes n0, n1 and contributes the entries
@@ -405,11 +429,14 @@ def positive_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
     perm_r == perm_c confirms that no off-diagonal pivot was taken; when it
     trips, the count comes from a dense Bunch-Kaufman LDL^T instead, whose
     block-diagonal D (1x1 and 2x2 blocks) is tridiagonal, and the method is
-    "dense_ldl".
+    "dense_ldl". A matrix SuperLU finds exactly singular takes the same path.
     """
-    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    if np.array_equal(lu.perm_r, lu.perm_c):
+    try:
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
         return int(np.count_nonzero(lu.U.diagonal() > 0.0)), "sparse_ldl"
     _, d, _ = scipy.linalg.ldl(matrix.toarray())
     blocks = scipy.linalg.eigvalsh_tridiagonal(np.diagonal(d).copy(), np.diagonal(d, -1).copy())
@@ -423,26 +450,343 @@ def kernel_tolerance(system: JacobiSystem) -> float:
     return max(KERNEL_FLOOR, 50.0 * system.h ** 2)
 
 
+class ArcPencil:
+    """The reduced pencil of assemble_jacobi(graph, h), condensed onto the arc
+    ends in closed form, with no matrix assembled.
+
+    For a shift c the pencil is K(c) = -A - c M, taken here without the common
+    factor 1/4pi, which changes neither its inertia nor its eigenvalues. On an
+    open arc with m intervals of step s and potential p = 1 + kappa^2, set
+    mu = p - c, a = -2/s + 2 mu s/3 and b = 1/s + mu s/6. The interior block
+    is Toeplitz(a, b), with modes sin(j k pi/m) and values
+    t_j = mu s - 4 b sin^2(j pi/2m), j = 1..m-1; mode j couples to the two end
+    nodes by b sqrt(2/m) sin(j pi/m) [1, (-1)^(j+1)], and each end node carries
+    a/2 plus its Robin coefficient. A vertex-free (cyclic) arc is decoupled:
+    its eigenvalues are the zeros of its circulant values
+    mu s - 4 b sin^2(j pi/m), j = 0..m-1, in closed form.
+
+    Eliminating an arc's modes onto its ends leaves the discrete
+    Dirichlet-to-Neumann block
+    b sin(theta)/sin(m theta) [[-cos m theta, 1], [1, -cos m theta]], with
+    cos(theta) = 1 - mu s/2b (sinh and cosh above the potential); its modes
+    with t_j > 0 are those below x = m theta/pi. By Haynsworth inertia
+    additivity the count above c is the number of eliminated positive modes
+    plus the positive inertia of the vertex matrix G(c): the end-node block
+    congruent by the end-node rows of the trace-constraint basis, 2 rows per
+    vertex, bordered by one row per explicit mode. Near a pole of that block
+    (an arc Dirichlet value, where x is an integer) the closed form loses its
+    digits, so an arc within POLE_GUARD mode spacings of one keeps that mode
+    explicit (scaled to unit mass, so that G has no entry of order 1/s), and
+    its other modes are summed one by one, in O(m). pole_margin is the
+    smallest distance, in mode spacings, from a shift evaluated so far to an
+    arc Dirichlet value.
+    """
+
+    def __init__(self, graph: QuantumGraph, h: float):
+        self.h = h
+        self.pole_margin = math.inf
+        grids = arc_grids(graph, h)
+        self.max_potential = max(1.0 + arc.kappa ** 2 for arc in graph.arcs)
+        cyclic = [_zero_shifts(1.0 + arc.kappa ** 2, step, np.arange(m) / m)
+                  for arc, (m, step) in zip(graph.arcs, grids) if arc.closed]
+        self.cyclic_values = np.sort(np.concatenate(cyclic)) if cyclic else np.zeros(0)
+        opened = [ai for ai, arc in enumerate(graph.arcs) if not arc.closed]
+        self.intervals = np.array([grids[ai][0] for ai in opened], dtype=np.intp)
+        self.steps = np.array([grids[ai][1] for ai in opened], dtype=float)
+        self.potentials = np.array([1.0 + graph.arcs[ai].kappa ** 2 for ai in opened])
+        # over modes i = 1..m-1 of each arc, padded to the longest arc:
+        # sin^2(i pi/2m) and the coupling weight (2/m) sin^2(i pi/m)
+        i = np.arange(1, max(self.intervals, default=1))
+        m = self.intervals[:, None]
+        self._sin2 = np.where(i < m, np.sin(0.5 * math.pi * i / m) ** 2, 0.5)
+        self._weight = np.where(i < m, (2.0 / m) * np.sin(math.pi * i / m) ** 2, 0.0)
+        self._parity = np.where(i % 2 == 1, 1.0, -1.0)  # (-1)^(i+1)
+
+        # end slot 3 v + k is the k-th end at vertex v; the last one per vertex
+        # is the dependent trace, as in assemble_jacobi's basis
+        position = {ai: k for k, ai in enumerate(opened)}
+        arcs, slots = len(opened), 3 * len(graph.vertices)
+        self._vertex_dofs = 2 * len(graph.vertices)
+        start, stop = np.zeros(arcs, np.intp), np.zeros(arcs, np.intp)
+        robin = np.zeros(slots)
+        basis = np.zeros((slots + arcs, self._vertex_dofs + arcs))
+        for v, vertex in enumerate(graph.vertices):
+            signs = [ve.sign for ve in vertex.ends]
+            for k, ve in enumerate(vertex.ends):
+                (start if ve.end == 0 else stop)[position[ve.arc_index]] = 3 * v + k
+                robin[3 * v + k] = ve.robin
+                if k < 2:
+                    basis[3 * v + k, 2 * v + k] = 1.0
+                    basis[3 * v + 2, 2 * v + k] = -signs[k] / signs[-1]
+        basis[slots:, self._vertex_dofs:] = np.eye(arcs)
+        # G(c) = fixed + coefficients(c) @ shapes: per arc, its end block's
+        # diagonal and off-diagonal, its mode's two couplings and its mode's value
+        head, tail, own = basis[start], basis[stop], basis[slots:]
+
+        def pair(x, y):
+            return np.einsum("ai,aj->aij", x, y) + np.einsum("ai,aj->aji", x, y)
+
+        shapes = np.stack([pair(head, head) / 2 + pair(tail, tail) / 2, pair(head, tail),
+                           pair(own, head), pair(own, tail), pair(own, own) / 2])
+        self._shapes = shapes.reshape(5 * arcs, basis.shape[1] ** 2)
+        self._fixed = ((basis[:slots].T * robin) @ basis[:slots]).ravel()
+
+    def dirichlet_values(self, count: int) -> list[np.ndarray]:
+        """The largest count Dirichlet values of each open arc (the poles of G),
+        descending: entry j - 1 is the shift at which mode j's value t_j vanishes."""
+        return [_zero_shifts(p, s, np.arange(1, min(m, count + 1)) / (2.0 * m))
+                for m, s, p in zip(self.intervals, self.steps, self.potentials)]
+
+    def phase(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(mu, b, x) of each open arc at each shift, shape (shifts, arcs), where
+        x = m theta/pi: the arc's modes j < x have t_j > 0, x = j at its j-th
+        Dirichlet value, and x = 0 at and above the potential."""
+        mu = self.potentials - np.asarray(shifts, dtype=float)[:, None]
+        b = 1.0 / self.steps + mu * self.steps / 6.0
+        u = mu * self.steps / (4.0 * b)  # sin^2(theta / 2)
+        if not (b.min() > 0.0 and u.max() < 1.0):
+            raise SpectrumError(f"shifts {np.ravel(shifts)} lie outside the range of the "
+                                "closed form")
+        return mu, b, self.intervals * (2.0 / math.pi) * np.arcsin(np.sqrt(np.maximum(u, 0.0)))
+
+    def vertex_spectra(self, shifts: np.ndarray, modes: np.ndarray | None = None,
+                       slopes: bool = False) -> tuple[np.ndarray, ...]:
+        """(sigma, eliminated[, slope]): the eigenvalues of each shift's vertex
+        matrix G(c), descending and padded with -inf, and the number of
+        eliminated modes with t_j > 0, so that the count above c is
+        eliminated + #(sigma > 0). With slopes, also each eigenvalue's
+        derivative in c, v^T G'(c) v for its eigenvector v, with G' by a
+        difference of SLOPE_STEP max(1, |c|).
+
+        modes[s, a] > 0 keeps that mode of open arc a explicit at shift s, and
+        0 eliminates all its modes. By default an arc keeps its nearest mode
+        explicit within POLE_GUARD mode spacings of its Dirichlet value, and
+        eliminates all elsewhere.
+        """
+        m, s = self.intervals, self.steps
+        shifts = np.asarray(shifts, dtype=float)
+        count = shifts.size
+        if slopes:
+            step = SLOPE_STEP * np.maximum(1.0, np.abs(shifts))
+            shifts = np.concatenate([shifts, shifts - step])
+            modes = np.concatenate([modes, modes])
+        mu, b, x = self.phase(shifts)
+        nearest = np.minimum(np.maximum(np.rint(x), 1.0), m - 1.0)
+        margin = np.abs(x - nearest)
+        self.pole_margin = min(self.pole_margin, float(margin.min()))
+        if modes is None:
+            modes = nearest * (margin < POLE_GUARD)
+        explicit = modes > 0
+        mode = np.maximum(modes, 1)
+        theta = (math.pi / m) * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # every mode eliminated: b [[-ratio_cos, ratio], [ratio, -ratio_cos]]
+            ratio = np.sin(theta) / np.sin(m * theta)
+            ratio_cos = ratio * np.cos(m * theta)
+            if mu.min() <= 0.0:  # at or above the potential: sinh and cosh
+                eta = 2.0 * np.arcsinh(np.sqrt(np.maximum(-mu * s / (4.0 * b), 0.0)))
+                decay = np.exp(-m * eta)
+                sinh = np.sinh(eta) / (1.0 - decay ** 2)
+                ratio = np.where(mu > 0.0, ratio, np.where(mu < 0.0, 2.0 * sinh * decay, 1.0 / m))
+                ratio_cos = np.where(mu > 0.0, ratio_cos,
+                                     np.where(mu < 0.0, sinh * (1.0 + decay ** 2), 1.0 / m))
+            # an explicit mode at unit mass: value t_j / s, coupling / sqrt(s)
+            half = (0.5 * math.pi / m) * mode
+            value = mu - 4.0 * (b / s) * np.sin(half) ** 2
+            coupling = explicit * b * np.sqrt(2.0 / (m * s)) * np.sin(2.0 * half)
+            parity = 1.0 - 2.0 * (mode % 2 == 0)  # (-1)^(j+1)
+            pole = coupling ** 2 / value
+        diag = pole - b * ratio_cos
+        off = parity * pole + b * ratio
+        near = np.nonzero(explicit & (np.abs(x - mode) < POLE_GUARD))
+        if near[0].size:
+            diag[near], off[near] = self._mode_sums(near[1], mu[near], b[near],
+                                                    mode[near].astype(np.intp))
+        coeffs = np.concatenate([diag, off, coupling, parity * coupling, value], axis=1)
+        size = self._vertex_dofs + m.size
+        g = (coeffs @ self._shapes + self._fixed).reshape(-1, size, size)
+
+        # drop the rows of eliminated arcs, grouping shifts by what is left
+        kept = explicit[:count].sum(axis=1)
+        order = self._vertex_dofs + np.argsort(~explicit[:count], axis=1, kind="stable")
+        sigma = np.full((count, size), -np.inf)
+        slope = np.zeros((count, size))
+        for width in set(kept.tolist()):
+            rows = np.flatnonzero(kept == width)
+            keep = np.concatenate([rows[:, None] * 0 + np.arange(self._vertex_dofs),
+                                   order[rows, :width]], axis=1)
+            sub = g[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+            if not slopes:
+                sigma[rows, :keep.shape[1]] = np.linalg.eigvalsh(sub)[:, ::-1]
+                continue
+            values, vectors = np.linalg.eigh(sub)
+            sigma[rows, :keep.shape[1]] = values[:, ::-1]
+            back = g[count + rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+            change = np.einsum("sij,sik,skj->sj", vectors, sub - back, vectors)
+            slope[rows, :keep.shape[1]] = change[:, ::-1] / step[rows, None]
+        below = np.where(explicit, mode, np.minimum(np.maximum(np.ceil(x), 1.0), m)) - 1.0
+        eliminated = below[:count].sum(axis=1).astype(np.intp)
+        return (sigma, eliminated, slope) if slopes else (sigma, eliminated)
+
+    def _mode_sums(self, arcs: np.ndarray, mu: np.ndarray, b: np.ndarray,
+                   modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) of the end blocks of arcs with every mode but
+        modes eliminated, summed mode by mode: a/2 - sum w_i^2 / t_i and
+        -sum (-1)^(i+1) w_i^2 / t_i over i != mode, entry by entry of
+        (arcs, mu, b, modes)."""
+        s = self.steps[arcs]
+        values = (mu * s)[:, None] - 4.0 * b[:, None] * self._sin2[arcs]
+        values[np.arange(arcs.size), modes - 1] = np.inf
+        terms = (b ** 2)[:, None] * self._weight[arcs] / values
+        return -1.0 / s + mu * s / 3.0 - terms.sum(axis=1), -(terms @ self._parity)
+
+    def count_above(self, value: float) -> int:
+        """Number of eigenvalues of the pencil above value."""
+        count = self.cyclic_values.size - np.searchsorted(self.cyclic_values, value, "right")
+        if self.intervals.size:
+            sigma, eliminated = self.vertex_spectra(np.array([value]))
+            count += eliminated[0] + np.count_nonzero(sigma > 0.0)
+        return int(count)
+
+
+def _zero_shifts(potential: float, step: float, fraction: np.ndarray) -> np.ndarray:
+    """The shifts c at which mu s - 4 b sin^2(pi fraction) vanishes (mu = potential - c,
+    b = 1/step + mu step/6): the eigenvalues of one arc's Dirichlet or circulant block."""
+    sin2 = np.sin(math.pi * fraction) ** 2
+    return potential - 4.0 * sin2 / (step ** 2 * (1.0 - 2.0 * sin2 / 3.0))
+
+
 @dataclass
 class SpectrumReport:
+    """Eigenvalue count of a JacobiSystem and how each number was obtained.
+
+    count_positive and kernel_dim come from sparse LDL^T inertias of the
+    assembled pencil at +-kernel_tolerance; method says whether either fell
+    back to the dense factorization. The h/2 count behind converged and the
+    top eigenvalues come from the closed-form condensation ArcPencil of the
+    same graph: refined_method is "closed_form", or "mode_sum" when the h/2
+    cut lay within POLE_GUARD mode spacings of an arc Dirichlet value, so that
+    the eliminated modes were summed one by one; eigenvalue_method is
+    "closed_form_newton" (see _top_eigenvalues). pole_margin is the smallest
+    distance, in mode spacings, from a shift either closed-form computation
+    used to an arc Dirichlet value (inf when every arc is a vertex-free
+    circle); below POLE_GUARD the mode sums, not the closed form, gave G(c).
+    """
+
     count_positive: int
     eigenvalues: np.ndarray  # the top k_top eigenvalues, descending
     kernel_dim: int
     converged: bool
     counts_at_resolutions: tuple[int, int]
-    method: str  # "sparse_ldl", or "dense_ldl" if any inertia guard tripped
+    method: str  # "sparse_ldl", or "dense_ldl" if either inertia guard tripped
+    refined_method: str
+    eigenvalue_method: str
+    pole_margin: float
 
 
-def _top_eigenvalues(system: JacobiSystem, k_top: int) -> np.ndarray:
-    """The k_top largest eigenvalues, descending, by one shift-invert Lanczos
-    run from a fixed start vector (so reruns give identical bits)."""
-    a_r, m_r = system.reduced()
-    kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
-    sigma = 1.0 + kappa_max ** 2 + 3.0
-    lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
-                     M=m_r.tocsc(), sigma=sigma, which="LM",
-                     v0=np.ones(system.reduced_size), return_eigenvectors=False)
-    return np.sort(lam)[::-1]
+def _top_eigenvalues(pencil: ArcPencil, k_top: int) -> np.ndarray:
+    """The k_top largest eigenvalues of the pencil, descending.
+
+    Cyclic arcs give theirs in closed form. The others are the zeros of the
+    vertex matrix's eigenvalues. The arc Dirichlet values, grouped where they
+    coincide to POLE_MERGE, split the line into brackets of one group each,
+    from an upper bound down to the group holding the k_top-th largest value:
+    by interlacing, the k_top-th eigenvalue lies above it. In a bracket, an
+    arc whose Dirichlet value lies in it or within POLE_GUARD mode spacings
+    keeps that mode explicit throughout (its other values lie half a spacing
+    away or more), so G(c) is analytic there and its eigenvalues all decrease
+    with c. The eigenvalue of rank i lies in the bracket whose end counts
+    enclose i, as the zero of G's eigenvalue of rank i - eliminated. All
+    zeros are found together by Newton steps on that eigenvalue (its slope
+    from its eigenvector), safeguarded by the bracket: a step that would
+    leave it is replaced by the bracket's secant point at first and by its
+    midpoint later. A zero is settled when its Newton step is below
+    NEWTON_STOP max(1, |c|) or its bracket below EIGEN_XTOL max(1, |c|).
+    """
+    lam = pencil.cyclic_values[::-1][:k_top]
+    if not pencil.intervals.size or not k_top:
+        return lam
+    # every value down to the group below the k_top-th largest lies within the
+    # first k_top + arcs of its arc, since a group holds one value per arc
+    poles = pencil.dirichlet_values(k_top + pencil.intervals.size + 1)
+    flat = np.sort(np.concatenate(poles))[::-1]
+    breaks = np.flatnonzero(flat[:-1] - flat[1:]
+                            > POLE_MERGE * np.maximum(1.0, np.abs(flat[1:])))
+    last = int(np.searchsorted(breaks, k_top - 1))
+    if last == breaks.size:
+        raise ValueError(f"k_top = {k_top} reaches below the arcs' Dirichlet values")
+    lows = 0.5 * (flat[breaks[:last + 1]] + flat[breaks[:last + 1] + 1])
+    # an arc keeps explicit in a bracket the mode j with
+    # x_hi - POLE_GUARD < j < x_lo + POLE_GUARD (x = 0 at the top bracket's
+    # upper end); upper and lower count the modes below those bounds
+    x_lo = pencil.phase(lows)[2]
+    x_hi = np.concatenate([np.zeros((1, len(poles))), x_lo[:-1]])
+    upper = np.clip(np.floor(x_hi - POLE_GUARD), 0, pencil.intervals - 1).astype(np.intp)
+    lower = np.clip(np.ceil(x_lo + POLE_GUARD) - 1, 0, pencil.intervals - 1).astype(np.intp)
+    if np.any(lower - upper > 1):
+        raise SpectrumError("two Dirichlet values of one arc fall in one bracket")
+    modes = np.where(lower > upper, lower, 0)
+
+    # one evaluation gives the counts at the bracket ends and G's eigenvalues
+    # there; the candidate upper bounds lie above every potential, in bracket 0
+    limit = np.min(pencil.potentials + 6.0 / pencil.steps ** 2)
+    tops = pencil.max_potential + 4.0 ** np.arange(4)
+    tops = tops[tops < limit]
+    bracket_of = np.concatenate([np.zeros(tops.size, np.intp), np.arange(lows.size),
+                                 np.arange(1, lows.size)])
+    sigma, eliminated = pencil.vertex_spectra(np.concatenate([tops, lows, lows[:-1]]),
+                                              modes[bracket_of])
+    above = eliminated + np.count_nonzero(sigma > 0.0, axis=1)
+    bound = np.flatnonzero(above[:tops.size] == 0)
+    if not bound.size:
+        raise SpectrumError("no upper bound on the spectrum within the closed form's range")
+    counts = np.maximum.accumulate(above[tops.size:tops.size + lows.size])
+    if counts[-1] < k_top:
+        raise SpectrumError(f"{counts[-1]} eigenvalues above {lows[-1]:g}, below which "
+                            f"interlacing puts at least {k_top}")
+
+    rank = np.arange(1, k_top + 1)
+    bracket = np.searchsorted(counts, rank)
+    mode = modes[bracket]
+    lo, hi = lows[bracket], np.where(bracket == 0, tops[bound[0]], lows[bracket - 1])
+
+    def column(elim, ranks):  # the column of G's eigenvalue of rank i - eliminated
+        return np.clip(ranks - elim - 1, 0, sigma.shape[1] - 1)
+
+    lo_row = tops.size + bracket
+    hi_row = np.where(bracket == 0, bound[0], tops.size + lows.size + bracket - 1)
+    f_lo = sigma[lo_row, column(eliminated[lo_row], rank)]
+    f_hi = sigma[hi_row, column(eliminated[hi_row], rank)]
+    newton = np.full(k_top, np.nan)
+    settled = np.zeros(k_top, dtype=bool)
+    for _ in range(ROOT_STEPS):
+        idx = np.flatnonzero(~settled & (f_lo > 0.0) & (f_hi < 0.0)
+                             & (hi - lo > EIGEN_XTOL * np.maximum(1.0, np.abs(lo))))
+        if not idx.size:
+            break
+        # the Newton step if it stays inside the bracket; else, first the
+        # bracket's secant point, later its midpoint
+        c = (lo[idx] * f_hi[idx] - hi[idx] * f_lo[idx]) / (f_hi[idx] - f_lo[idx])
+        c = np.where(np.isnan(newton[idx]), c, 0.5 * (lo[idx] + hi[idx]))
+        c = np.where((newton[idx] > lo[idx]) & (newton[idx] < hi[idx]), newton[idx], c)
+        c = np.where((c > lo[idx]) & (c < hi[idx]), c, 0.5 * (lo[idx] + hi[idx]))
+        sig, elim, dsig = pencil.vertex_spectra(c, mode[idx], slopes=True)
+        col = column(elim, rank[idx])
+        own = np.arange(idx.size)
+        val = sig[own, col]
+        up, down = idx[val >= 0.0], idx[val <= 0.0]
+        lo[up], f_lo[up] = c[val >= 0.0], val[val >= 0.0]
+        hi[down], f_hi[down] = c[val <= 0.0], val[val <= 0.0]
+        # a Newton step below NEWTON_STOP settles the zero: the steps converge
+        # quadratically, so it is far nearer the zero than the step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton[idx] = c - val / dsig[own, col]
+        settled[idx] = np.abs(newton[idx] - c) <= NEWTON_STOP * np.maximum(1.0, np.abs(c))
+    else:
+        raise SpectrumError(f"the search for eigenvalues did not converge in {ROOT_STEPS} steps")
+    network = np.where(settled, newton,
+                       np.where(f_lo <= 0.0, lo, np.where(f_hi >= 0.0, hi, 0.5 * (lo + hi))))
+    return np.sort(np.concatenate([lam, network]))[::-1][:k_top]
 
 
 def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumReport:
@@ -452,28 +796,31 @@ def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumRepor
     eigenvalues above cut, i.e. the positive inertia of -A_r - cut M_r;
     kernel_dim is the number in (-cut, cut], the difference of the inertias
     at -cut and +cut. Both are exact for the discrete pencil at any size. The
-    count must agree with that of the h/2 refinement, cut at its own kernel
-    tolerance; disagreement is reported as converged=False. k_top only sets
-    how many of the largest eigenvalues are reported; when they reach below
-    the kernel, the number of them above cut must equal count_positive.
+    count must agree with that of the h/2 grid, cut at its own kernel
+    tolerance and counted by ArcPencil without assembling it; disagreement is
+    reported as converged=False. k_top only sets how many of the largest
+    eigenvalues are reported, also from ArcPencil; when they reach below the
+    kernel, the number of them above cut must equal count_positive.
     """
     cut = kernel_tolerance(system)
     count, method_plus = system.count_above(cut)
     above_minus, method_minus = system.count_above(-cut)
     kernel = above_minus - count
+    method = "dense_ldl" if "dense_ldl" in (method_plus, method_minus) else "sparse_ldl"
 
-    fine = system.refined()
-    count_fine, method_fine = fine.count_above(kernel_tolerance(fine))
-    methods = {method_plus, method_minus, method_fine}
-    method = "dense_ldl" if "dense_ldl" in methods else "sparse_ldl"
+    fine = ArcPencil(system.graph, system.h / 2.0)
+    count_fine = fine.count_above(kernel_tolerance(fine))
+    refined_method = "mode_sum" if fine.pole_margin < POLE_GUARD else "closed_form"
 
-    lam = _top_eigenvalues(system, k_top)
+    pencil = ArcPencil(system.graph, system.h)
+    lam = _top_eigenvalues(pencil, min(k_top, system.reduced_size - 2))
     above_cut = int(np.count_nonzero(lam > cut))
     if lam.size > count + kernel and above_cut != count:
         raise SpectrumError(f"{above_cut} of the top {lam.size} eigenvalues exceed "
                             f"{cut:g}, but the inertia count is {count}")
     return SpectrumReport(count, lam, kernel, count == count_fine, (count, count_fine),
-                          method)
+                          method, refined_method, "closed_form_newton",
+                          min(fine.pole_margin, pencil.pole_margin))
 
 
 @dataclass

@@ -29,6 +29,27 @@ def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
 
 
+def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
+    """The k_top largest eigenvalues of a JacobiSystem's reduced pencil,
+    descending, by a dense generalized eigensolver (dense reference)."""
+    a_r, m_r = system.reduced()
+    n = system.reduced_size
+    return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray(), eigvals_only=True,
+                             subset_by_index=[n - k_top, n - 1])[::-1]
+
+
+def arpack_top_eigenvalues(system, k_top: int) -> np.ndarray:
+    """The k_top largest eigenvalues of a JacobiSystem's reduced pencil, descending,
+    by one shift-invert Lanczos run from a fixed start vector (ARPACK)."""
+    a_r, m_r = system.reduced()
+    kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
+    sigma = 1.0 + kappa_max ** 2 + 3.0
+    lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
+                     M=m_r.tocsc(), sigma=sigma, which="LM",
+                     v0=np.ones(system.reduced_size), return_eigenvectors=False)
+    return np.sort(lam)[::-1]
+
+
 def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
     """sampling.unit_chunk drawn afresh: Philox normals over np.linalg.norm."""
     arr = sampling.stream(seed, label, chunk).standard_normal((count, dim))

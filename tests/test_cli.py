@@ -212,6 +212,9 @@ class TestAnalysisCommands:
         payload = json.loads(out.read_text())
         assert payload["count_positive"] == 2
         assert payload["converged"] is True
+        assert payload["refined_method"] in ("closed_form", "mode_sum")
+        assert payload["eigenvalue_method"] == "closed_form_newton"
+        assert payload["pole_margin"] >= 0.0
 
     def test_spectrum_byte_identical_rerun(self, tmp_path):
         # at h = 1e-3 the reduced system has over 6k unknowns
@@ -226,6 +229,9 @@ class TestAnalysisCommands:
         assert payload["count_positive"] == 1
         assert payload["method"] == "sparse_ldl"
         assert len(payload["eigenvalues"]) == 24
+        # one circle and no vertex: the closed form condenses no arc
+        assert payload["refined_method"] == "closed_form"
+        assert payload["pole_margin"] is None
 
     def test_profile_csv(self, tmp_path):
         out = tmp_path / "profile.csv"

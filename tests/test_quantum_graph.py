@@ -15,12 +15,14 @@ from bubblelab import (assemble_jacobi, build_graph, conformal_jacobi_solve,
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import measure_exact_s2
 from bubblelab import quantum_graph
-from bubblelab.quantum_graph import (GraphBuildError, SpectrumError,
-                                     field_from_pointwise, kernel_tolerance,
+from bubblelab.quantum_graph import (POLE_GUARD, ArcPencil, GraphBuildError, SpectrumError,
+                                     arc_grids, field_from_pointwise, kernel_tolerance,
                                      piecewise_constant_field, positive_inertia,
                                      strong_residual)
-from reference import (eigendecomposition, kirchhoff_residual, lanczos_near_kernel,
-                       remove_kernel_component, robin_residual)
+from bubblelab.suites import _random_sum_zero
+from reference import (arpack_top_eigenvalues, dense_top_eigenvalues, eigendecomposition,
+                       kirchhoff_residual, lanczos_near_kernel, remove_kernel_component,
+                       robin_residual)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +245,12 @@ class TestInertia:
         k = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
         assert positive_inertia(k) == (2, "dense_ldl")
 
+    @pytest.mark.parametrize("matrix", [np.diag([1.0, 0.0, -1.0]), np.ones((2, 2))],
+                             ids=["diagonal", "rank_one"])
+    def test_singular_matrix_falls_back_to_dense(self, matrix):
+        # SuperLU raises "Factor is exactly singular" on these
+        assert positive_inertia(sp.csr_matrix(matrix)) == (1, "dense_ldl")
+
     def test_agrees_with_dense_eigh(self):
         rng = np.random.default_rng(0)
         methods = set()
@@ -297,7 +305,8 @@ class TestDoubleBubbleSpectrum:
 
     def test_each_shift_factored_once(self, double_bubble, monkeypatch):
         # the count and the matched solve share the reduced pencil and the
-        # inertia at -cut and +cut, and the h/2 refinement is assembled once and kept
+        # inertia at -cut and +cut; the h/2 count and the top eigenvalues come
+        # from ArcPencil, so nothing else is factored, assembled or given to ARPACK
         _, _, qgraph = double_bubble
         system = assemble_jacobi(qgraph, 0.01)
         factored = []
@@ -307,18 +316,26 @@ class TestDoubleBubbleSpectrum:
             factored.append(matrix.shape[0])
             return inertia(matrix)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigen_count_positive must not call this")
+
         monkeypatch.setattr(quantum_graph, "positive_inertia", counted)
+        monkeypatch.setattr(quantum_graph, "assemble_jacobi", forbidden)
+        monkeypatch.setattr(quantum_graph.spla, "eigsh", forbidden)
         report = eigen_count_positive(system)
         solve = conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
-        fine = system.refined()
-        assert factored == [system.reduced_size] * 2 + [fine.reduced_size]
-        assert fine is system.refined() and fine.h == system.h / 2.0
+        assert factored == [system.reduced_size] * 2
+        assert system._refined is None
         assert system.reduced() is system.reduced()
         assert solve.kernel_dim == report.kernel_dim
         cut = kernel_tolerance(system)
         a_r, m_r = system.reduced()
         assert system.count_above(cut) == inertia(-a_r - cut * m_r)
-        assert len(factored) == 3
+        assert len(factored) == 2
+        # the h/2 system the suites check residuals on is still assembled once and kept
+        monkeypatch.undo()
+        fine = system.refined()
+        assert fine is system.refined() and fine.h == system.h / 2.0
 
     def test_kernel_contains_skew_fields(self, double_system):
         report = eigen_count_positive(double_system)
@@ -500,3 +517,110 @@ class TestConformalJacobiSolve:
         x_f = fine.constraint_basis @ vec_f[:, -1]
         assert robin_residual(fine, x_f / np.abs(x_f).max()) < \
             2 * robin_residual(double_system, x / np.abs(x).max()) + 1e-8
+
+
+def _spectrum_index_clusters(seed: int = 6):
+    """The three double bubbles of suites.suite_spectrum_index, with its draws,
+    and the rng seed of each one's interface detection."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx, scale in enumerate((0.0, 0.35, 0.6)):
+        kappa = _random_sum_zero(3, rng, scale) if scale else np.zeros(3)
+        _random_sum_zero(3, rng, 1.0)  # the suite's conformal parameter
+        rng.standard_normal(3)  # and its Mobius direction
+        out.append((standard_of_curvature(2, 3, kappa), seed + idx))
+    return out
+
+
+def _graph_of(name):
+    if name == "hemispheres":
+        params = equal_volume_standard(2, 2)
+    elif name == "cap":
+        params = standard_of_volume(2, 2, [0.25, 0.75])
+        return build_graph(params, complete_graph(2))
+    elif name.startswith("equal"):
+        params = equal_volume_standard(2, int(name[-1]))
+    elif name == "flat_q3":
+        params = standard_of_curvature(2, 3, np.zeros(3))
+    elif name == "bench_q3":
+        params = standard_of_curvature(2, 3, np.array([0.21, -0.05, -0.16]))
+    else:  # bench_q4
+        params = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
+    return build_graph(params, detect_interfaces(params, rng_seed=0))
+
+
+class TestArcPencil:
+    @pytest.mark.parametrize("h", [1e-2, 4e-3])
+    @pytest.mark.parametrize("name", ["hemispheres", "cap", "equal_q3", "equal_q4", "flat_q3",
+                                      "bench_q3", "bench_q4"])
+    def test_top_eigenvalues_match_arpack_and_dense(self, name, h):
+        qgraph = _graph_of(name)
+        system = assemble_jacobi(qgraph, h)
+        k_top = min(16, system.reduced_size - 2)
+        lam = quantum_graph._top_eigenvalues(ArcPencil(qgraph, h), k_top)
+        assert lam.size == k_top and np.all(np.diff(lam) <= 0.0)
+        assert np.max(np.abs(lam - arpack_top_eigenvalues(system, 16))) < 1e-10
+        assert np.max(np.abs(lam - dense_top_eigenvalues(system, k_top))) < 1e-9
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_count_next_to_eigenvalues_matches_dense(self, q):
+        # on equal-volume bubbles many eigenvalues are arc Dirichlet values,
+        # where the closed form alone loses its digits
+        params = equal_volume_standard(2, q)
+        qgraph = build_graph(params, detect_interfaces(params, rng_seed=0))
+        system = assemble_jacobi(qgraph, 1e-2)
+        lam = eigendecomposition(system)[0][::-1]
+        pencil = ArcPencil(qgraph, 1e-2)
+        for value in lam[:12]:
+            for gap in (1e-9, 1e-8, 1e-7, 1e-6):
+                for shift in value + np.array([gap, -gap]) * max(1.0, abs(value)):
+                    assert pencil.count_above(shift) == int(np.sum(lam > shift))
+        assert pencil.pole_margin < POLE_GUARD
+
+    def test_counts_match_ldl_on_spectrum_index_clusters(self):
+        for params, seed in _spectrum_index_clusters():
+            qgraph = build_graph(params, detect_interfaces(params, rng_seed=seed))
+            system = assemble_jacobi(qgraph, 4e-3)
+            cut = kernel_tolerance(system)
+            pencil = ArcPencil(qgraph, 4e-3)
+            for value in (cut, -cut):
+                assert pencil.count_above(value) == system.count_above(value)[0]
+            fine = system.refined()
+            fine_pencil = ArcPencil(qgraph, fine.h)
+            fine_cut = kernel_tolerance(fine_pencil)
+            assert fine_cut == kernel_tolerance(fine)
+            assert fine_pencil.count_above(fine_cut) == fine.count_above(fine_cut)[0]
+
+    @pytest.mark.parametrize("h", [1e-2, 4e-3])
+    def test_grid_is_the_assembled_one(self, h):
+        qgraph = _graph_of("bench_q4")
+        system = assemble_jacobi(qgraph, h)
+        pencil = ArcPencil(qgraph, h)
+        opened = [ai for ai, arc in enumerate(qgraph.arcs) if not arc.closed]
+        assert pencil.intervals.tolist() == [system.counts[ai] - 1 for ai in opened]
+        assert pencil.steps.tolist() == [system.steps[ai] for ai in opened]
+        assert [g[1] for g in arc_grids(qgraph, h)] == system.steps
+
+    def test_cyclic_values_are_the_circle_spectrum(self, hemispheres):
+        qgraph = build_graph(hemispheres, detect_interfaces(hemispheres, rng_seed=0))
+        system = assemble_jacobi(qgraph, 1e-2)
+        pencil = ArcPencil(qgraph, 1e-2)
+        lam = eigendecomposition(system)[0]
+        assert pencil.intervals.size == 0
+        assert np.max(np.abs(pencil.cyclic_values - lam)) < 1e-8 * np.max(np.abs(lam))
+
+    def test_report_says_how_it_was_obtained(self, double_system, hemispheres):
+        report = eigen_count_positive(double_system)
+        assert report.refined_method == "closed_form"
+        assert report.eigenvalue_method == "closed_form_newton"
+        assert 0.0 < report.pole_margin < 0.5
+        circle = assemble_jacobi(build_graph(hemispheres, detect_interfaces(
+            hemispheres, rng_seed=0)), 1e-2)
+        assert eigen_count_positive(circle).pole_margin == math.inf
+        # the h/2 cut of the equal-volume bubble sits on an arc Dirichlet value
+        params = equal_volume_standard(2, 3)
+        equal = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=0)),
+                                1e-2)
+        report = eigen_count_positive(equal)
+        assert report.refined_method == "mode_sum" and report.pole_margin < POLE_GUARD
+        assert report.counts_at_resolutions == (2, 2)
