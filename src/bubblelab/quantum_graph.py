@@ -13,9 +13,10 @@ is symmetric to machine precision and eigenvalues converge at second order.
 Each arc's grid is uniform, so its block of the pencil is Toeplitz and has
 closed-form modes. ArcPencil condenses every arc onto its ends in closed form
 and counts and locates the pencil's eigenvalues from a small vertex matrix,
-without assembling anything; eigen_count_positive takes its count and kernel
-from sparse LDL^T inertias of the assembled pencil and checks them against
-ArcPencil's eigenvalues and its count on the h/2 grid.
+without assembling anything. It is the one count engine: eigen_count_positive
+takes the count, the kernel dimension and the top eigenvalues from the
+ArcPencil of the system's grid, and its count on the h/2 grid from another.
+The assembled pencil serves the near-kernel vectors and the matched solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -166,7 +166,8 @@ class JacobiSystem:
     _reduced: tuple[sp.csr_matrix, sp.csr_matrix] | None = field(default=None, repr=False)
     _form_lu: spla.SuperLU | None = field(default=None, repr=False)
     _kernel: np.ndarray | None = field(default=None, repr=False)
-    _counts: dict[float, tuple[int, str]] = field(default_factory=dict, repr=False)
+    _pencil: ArcPencil | None = field(default=None, repr=False)
+    _counts: dict[float, int] = field(default_factory=dict, repr=False)
     _refined: JacobiSystem | None = field(default=None, repr=False)
 
     @property
@@ -201,15 +202,18 @@ class JacobiSystem:
             self._form_lu = spla.splu(self.reduced()[0].tocsc())
         return self._form_lu
 
-    def count_above(self, value: float) -> tuple[int, str]:
-        """(number of eigenvalues lam > value, inertia method), cached per value.
+    def count_above(self, value: float) -> int:
+        """Number of eigenvalues lam > value, cached per value.
 
-        The count is the positive inertia of -A_r - value M_r, so each shift
-        is factored once however many callers ask for it.
+        The count comes from ArcPencil(graph, h), the same pencil condensed
+        in closed form; it is built on first use and kept, so that
+        eigen_count_positive and near_kernel share it and each shift is
+        counted once however many callers ask for it.
         """
         if value not in self._counts:
-            a_r, m_r = self.reduced()
-            self._counts[value] = positive_inertia(-a_r - value * m_r)
+            if self._pencil is None:
+                self._pencil = ArcPencil(self.graph, self.h)
+            self._counts[value] = self._pencil.count_above(value)
         return self._counts[value]
 
     def refined(self) -> JacobiSystem:
@@ -222,7 +226,7 @@ class JacobiSystem:
         """M_r-orthonormal eigenvectors with |lam| <= kernel_tolerance(self), as
         columns (cached, read-only).
 
-        Their number m is the inertia difference at -tol and +tol, counts that
+        Their number m is the count difference at -tol and +tol, counts that
         eigen_count_positive has usually cached already. The vectors come from
         KERNEL_STEPS steps of block inverse iteration X <- A_r^-1 M_r X with
         form_factor(), from a fixed block of m + 2 columns orthonormalized
@@ -234,7 +238,7 @@ class JacobiSystem:
         """
         if self._kernel is None:
             kernel_tol = kernel_tolerance(self)
-            dim = self.count_above(-kernel_tol)[0] - self.count_above(kernel_tol)[0]
+            dim = self.count_above(-kernel_tol) - self.count_above(kernel_tol)
             vec = np.zeros((self.reduced_size, 0))
             if dim:
                 a_r, m_r = self.reduced()
@@ -418,29 +422,6 @@ def volume_derivative(system: JacobiSystem, x: np.ndarray) -> np.ndarray:
 
 class SpectrumError(RuntimeError):
     pass
-
-
-def positive_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
-    """Number of positive eigenvalues of a symmetric sparse matrix (Sylvester's law).
-
-    SuperLU with a symmetric fill-reducing ordering and diagonal pivoting gives
-    P K P^T = L U with U = D L^T, so the positive entries of diag(U) = D count
-    the positive eigenvalues. Returns (count, method). The guard
-    perm_r == perm_c confirms that no off-diagonal pivot was taken; when it
-    trips, the count comes from a dense Bunch-Kaufman LDL^T instead, whose
-    block-diagonal D (1x1 and 2x2 blocks) is tridiagonal, and the method is
-    "dense_ldl". A matrix SuperLU finds exactly singular takes the same path.
-    """
-    try:
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        lu = None
-    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-        return int(np.count_nonzero(lu.U.diagonal() > 0.0)), "sparse_ldl"
-    _, d, _ = scipy.linalg.ldl(matrix.toarray())
-    blocks = scipy.linalg.eigvalsh_tridiagonal(np.diagonal(d).copy(), np.diagonal(d, -1).copy())
-    return int(np.count_nonzero(blocks > 0.0)), "dense_ldl"
 
 
 def kernel_tolerance(system: JacobiSystem) -> float:
@@ -660,17 +641,17 @@ def _zero_shifts(potential: float, step: float, fraction: np.ndarray) -> np.ndar
 class SpectrumReport:
     """Eigenvalue count of a JacobiSystem and how each number was obtained.
 
-    count_positive and kernel_dim come from sparse LDL^T inertias of the
-    assembled pencil at +-kernel_tolerance; method says whether either fell
-    back to the dense factorization. The h/2 count behind converged and the
-    top eigenvalues come from the closed-form condensation ArcPencil of the
-    same graph: refined_method is "closed_form", or "mode_sum" when the h/2
-    cut lay within POLE_GUARD mode spacings of an arc Dirichlet value, so that
-    the eliminated modes were summed one by one; eigenvalue_method is
+    Every number comes from the closed-form condensation ArcPencil of the
+    system's graph: count_positive, kernel_dim and the top eigenvalues from
+    the one at the system's h, the h/2 count behind converged from another at
+    h/2. method says how the counts at +-kernel_tolerance were obtained, and
+    refined_method how the h/2 count was: "closed_form", or "mode_sum" when
+    a cut lay within POLE_GUARD mode spacings of an arc Dirichlet value, so
+    that the eliminated modes were summed one by one. eigenvalue_method is
     "closed_form_newton" (see _top_eigenvalues). pole_margin is the smallest
-    distance, in mode spacings, from a shift either closed-form computation
-    used to an arc Dirichlet value (inf when every arc is a vertex-free
-    circle); below POLE_GUARD the mode sums, not the closed form, gave G(c).
+    distance, in mode spacings, from a shift evaluated on either pencil to an
+    arc Dirichlet value (inf when every arc is a vertex-free circle); below
+    POLE_GUARD the mode sums, not the closed form, gave G(c).
     """
 
     count_positive: int
@@ -678,7 +659,7 @@ class SpectrumReport:
     kernel_dim: int
     converged: bool
     counts_at_resolutions: tuple[int, int]
-    method: str  # "sparse_ldl", or "dense_ldl" if either inertia guard tripped
+    method: str
     refined_method: str
     eigenvalue_method: str
     pole_margin: float
@@ -790,34 +771,37 @@ def _top_eigenvalues(pencil: ArcPencil, k_top: int) -> np.ndarray:
 
 
 def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumReport:
-    """Count positive eigenvalues by Sylvester inertia, with an h/2 refinement check.
+    """Count positive eigenvalues of the pencil, with an h/2 refinement check.
 
     With cut = kernel_tolerance(system), count_positive is the number of
-    eigenvalues above cut, i.e. the positive inertia of -A_r - cut M_r;
-    kernel_dim is the number in (-cut, cut], the difference of the inertias
-    at -cut and +cut. Both are exact for the discrete pencil at any size. The
-    count must agree with that of the h/2 grid, cut at its own kernel
-    tolerance and counted by ArcPencil without assembling it; disagreement is
-    reported as converged=False. k_top only sets how many of the largest
-    eigenvalues are reported, also from ArcPencil; when they reach below the
+    eigenvalues above cut and kernel_dim the number in (-cut, cut], both
+    from system.count_above, that is from the system's ArcPencil. Both are
+    exact for the discrete pencil at any size. The count must agree with
+    that of the h/2 grid, cut at its own kernel tolerance and counted by
+    another ArcPencil without assembling it; disagreement is reported as
+    converged=False. k_top only sets how many of the largest eigenvalues are
+    reported, found on the system's ArcPencil; when they reach below the
     kernel, the number of them above cut must equal count_positive.
     """
     cut = kernel_tolerance(system)
-    count, method_plus = system.count_above(cut)
-    above_minus, method_minus = system.count_above(-cut)
-    kernel = above_minus - count
-    method = "dense_ldl" if "dense_ldl" in (method_plus, method_minus) else "sparse_ldl"
+    count = system.count_above(cut)
+    kernel = system.count_above(-cut) - count
+    pencil = system._pencil
+    method = "closed_form"
+    if pencil.intervals.size:  # as in vertex_spectra: mode sums within POLE_GUARD of a pole
+        x = pencil.phase(np.array([cut, -cut]))[2]
+        if np.any(np.abs(x - np.clip(np.rint(x), 1.0, pencil.intervals - 1.0)) < POLE_GUARD):
+            method = "mode_sum"
 
     fine = ArcPencil(system.graph, system.h / 2.0)
     count_fine = fine.count_above(kernel_tolerance(fine))
     refined_method = "mode_sum" if fine.pole_margin < POLE_GUARD else "closed_form"
 
-    pencil = ArcPencil(system.graph, system.h)
     lam = _top_eigenvalues(pencil, min(k_top, system.reduced_size - 2))
     above_cut = int(np.count_nonzero(lam > cut))
     if lam.size > count + kernel and above_cut != count:
         raise SpectrumError(f"{above_cut} of the top {lam.size} eigenvalues exceed "
-                            f"{cut:g}, but the inertia count is {count}")
+                            f"{cut:g}, but the count above it is {count}")
     return SpectrumReport(count, lam, kernel, count == count_fine, (count, count_fine),
                           method, refined_method, "closed_form_newton",
                           min(fine.pole_margin, pencil.pole_margin))
@@ -839,21 +823,24 @@ def conformal_jacobi_solve(system: JacobiSystem, a) -> ConformalSolveReport:
     kernel_tolerance(system), M_r-orthonormal) are projected out of the
     right-hand side, the reduced system is solved with a sparse LU of A_r, and
     V0 is projected out of the solution. The removed fraction
-    |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is reported. The volume column of the
-    returned field is one column of the discrete conformal-to-volume operator.
+    |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is reported. The piecewise-constant
+    field g of a satisfies the trace constraint, g = Z g_r, so
+    rhs = -(n-1) M_r g_r and the denominator is (n-1) sqrt(g^T M g), with no
+    solve. The volume column of the returned field is one column of the
+    discrete conformal-to-volume operator.
     """
     a = np.asarray(a, dtype=float)
     a = a - a.mean()
     n_minus_1 = float(system.graph.params.n - 1)
     g = piecewise_constant_field(system, a)
-    rhs_full = -n_minus_1 * (system.mass @ g)
+    mass_g = system.mass @ g
     z = system.constraint_basis
-    rhs = z.T @ rhs_full
-    m_r = system.reduced()[1].tocsc()
+    rhs = z.T @ (-n_minus_1 * mass_g)
+    m_r = system.reduced()[1]
     kernel = system.near_kernel()
     # with -A v_k = lam_k M v_k and V^T M V = Id, rhs = M V c for c = V^T rhs
     coeffs = kernel.T @ rhs
-    total = math.sqrt(max(float(rhs @ spla.spsolve(m_r, rhs)), 0.0))
+    total = n_minus_1 * math.sqrt(max(float(g @ mass_g), 0.0))
     removed = float(np.linalg.norm(coeffs) / max(total, 1e-300))
     y = system.form_factor().solve(rhs - m_r @ (kernel @ coeffs))
     y -= kernel @ (kernel.T @ (m_r @ y))

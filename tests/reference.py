@@ -10,6 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bubblelab import sampling
@@ -27,6 +28,43 @@ def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a JacobiSystem's reduced pencil (dense reference)."""
     a_r, m_r = system.reduced()
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
+
+
+def ldl_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
+    """Number of positive eigenvalues of a symmetric sparse matrix (Sylvester's law).
+
+    SuperLU with a symmetric fill-reducing ordering and diagonal pivoting gives
+    P K P^T = L U with U = D L^T, so the positive entries of diag(U) = D count
+    the positive eigenvalues. Returns (count, method). The guard
+    perm_r == perm_c confirms that no off-diagonal pivot was taken; when it
+    trips, the count comes from a dense Bunch-Kaufman LDL^T instead, whose
+    block-diagonal D (1x1 and 2x2 blocks) is tridiagonal, and the method is
+    "dense_ldl". A matrix SuperLU finds exactly singular takes the same path.
+
+    The sparse count is unreliable within about 1e-6 relative of an
+    eigenvalue, even when the guard passes: at the 192 shifts
+    lambda_i +- {1e-9, 1e-8, 1e-7, 1e-6} max(1, |lambda_i|) around the top 12
+    eigenvalues of the equal-volume q = 3 and q = 4 bubbles at h = 1e-2, it
+    was wrong at 15 (tiny pivots whose sign is noise), where the dense count
+    and ArcPencil were right at all 192. Use it only at shifts well away from
+    the spectrum, such as the kernel cuts.
+    """
+    try:
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+        return int(np.count_nonzero(lu.U.diagonal() > 0.0)), "sparse_ldl"
+    _, d, _ = scipy.linalg.ldl(matrix.toarray())
+    blocks = scipy.linalg.eigvalsh_tridiagonal(np.diagonal(d).copy(), np.diagonal(d, -1).copy())
+    return int(np.count_nonzero(blocks > 0.0)), "dense_ldl"
+
+
+def ldl_count_above(system, value: float) -> int:
+    """JacobiSystem.count_above by ldl_inertia of the assembled -A_r - value M_r."""
+    a_r, m_r = system.reduced()
+    return ldl_inertia(-a_r - value * m_r)[0]
 
 
 def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
@@ -214,11 +252,11 @@ def fd_volume_newton(n: int, q: int, v_target: np.ndarray, tol: float, volume_of
 def lanczos_near_kernel(system) -> np.ndarray:
     """JacobiSystem.near_kernel by one shift-invert Lanczos run at 0.
 
-    The kernel dimension is the inertia difference at -tol and +tol; the
+    The kernel dimension is the count difference at -tol and +tol; the
     Lanczos operator reuses the factorization of A_r.
     """
     kernel_tol = kernel_tolerance(system)
-    dim = system.count_above(-kernel_tol)[0] - system.count_above(kernel_tol)[0]
+    dim = system.count_above(-kernel_tol) - system.count_above(kernel_tol)
     if not dim:
         return np.zeros((system.reduced_size, 0))
     a_r, m_r = system.reduced()
@@ -227,7 +265,7 @@ def lanczos_near_kernel(system) -> np.ndarray:
     lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0, OPinv=op,
                           which="LM", v0=np.ones(system.reduced_size))
     if np.max(np.abs(lam)) > kernel_tol:
-        raise SpectrumError(f"Lanczos found eigenvalues {lam} nearest 0, but inertia puts "
+        raise SpectrumError(f"Lanczos found eigenvalues {lam} nearest 0, but the count puts "
                             f"{dim} within {kernel_tol:g}")
     return vec
 

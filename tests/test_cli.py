@@ -212,6 +212,7 @@ class TestAnalysisCommands:
         payload = json.loads(out.read_text())
         assert payload["count_positive"] == 2
         assert payload["converged"] is True
+        assert payload["method"] in ("closed_form", "mode_sum")
         assert payload["refined_method"] in ("closed_form", "mode_sum")
         assert payload["eigenvalue_method"] == "closed_form_newton"
         assert payload["pole_margin"] >= 0.0
@@ -227,7 +228,7 @@ class TestAnalysisCommands:
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["count_positive"] == 1
-        assert payload["method"] == "sparse_ldl"
+        assert payload["method"] == "closed_form"
         assert len(payload["eigenvalues"]) == 24
         # one circle and no vertex: the closed form condenses no arc
         assert payload["refined_method"] == "closed_form"

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from bubblelab import (assemble_jacobi, build_graph, conformal_jacobi_solve,
+from bubblelab import (apply_mobius, assemble_jacobi, build_graph, conformal_jacobi_solve,
                        conformal_to_volume_pcf, detect_interfaces,
                        eigen_count_positive, equal_volume_standard, pcf_detect,
                        perpendicular_pole, standard_of_curvature,
@@ -17,12 +17,11 @@ from bubblelab.measure import measure_exact_s2
 from bubblelab import quantum_graph
 from bubblelab.quantum_graph import (POLE_GUARD, ArcPencil, GraphBuildError, SpectrumError,
                                      arc_grids, field_from_pointwise, kernel_tolerance,
-                                     piecewise_constant_field, positive_inertia,
-                                     strong_residual)
+                                     piecewise_constant_field, strong_residual)
 from bubblelab.suites import _random_sum_zero
 from reference import (arpack_top_eigenvalues, dense_top_eigenvalues, eigendecomposition,
-                       kirchhoff_residual, lanczos_near_kernel, remove_kernel_component,
-                       robin_residual)
+                       kirchhoff_residual, lanczos_near_kernel, ldl_count_above, ldl_inertia,
+                       remove_kernel_component, robin_residual)
 
 
 @pytest.fixture(scope="module")
@@ -239,17 +238,19 @@ class TestCircleSpectrum:
 
 
 class TestInertia:
+    """The sparse LDL^T inertia oracle of the count tests, reference.ldl_inertia."""
+
     def test_off_diagonal_pivot_falls_back_to_dense(self):
         # SuperLU pivots off the diagonal here (perm_r != perm_c), and its raw
         # U diagonal has 3 positive entries; the true inertia is 2
         k = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
-        assert positive_inertia(k) == (2, "dense_ldl")
+        assert ldl_inertia(k) == (2, "dense_ldl")
 
     @pytest.mark.parametrize("matrix", [np.diag([1.0, 0.0, -1.0]), np.ones((2, 2))],
                              ids=["diagonal", "rank_one"])
     def test_singular_matrix_falls_back_to_dense(self, matrix):
         # SuperLU raises "Factor is exactly singular" on these
-        assert positive_inertia(sp.csr_matrix(matrix)) == (1, "dense_ldl")
+        assert ldl_inertia(sp.csr_matrix(matrix)) == (1, "dense_ldl")
 
     def test_agrees_with_dense_eigh(self):
         rng = np.random.default_rng(0)
@@ -265,7 +266,7 @@ class TestInertia:
                 b = rng.standard_normal((n, n))
                 m, cut = b @ b.T + n * np.eye(n), float(rng.uniform(-0.5, 0.5))
             lam = scipy.linalg.eigh(-a, m, eigvals_only=True)
-            count, method = positive_inertia(sp.csr_matrix(-a - cut * m))
+            count, method = ldl_inertia(sp.csr_matrix(-a - cut * m))
             assert count == int(np.sum(lam > cut))
             methods.add(method)
         assert methods == {"sparse_ldl", "dense_ldl"}
@@ -279,7 +280,7 @@ class TestDoubleBubbleSpectrum:
 
     def test_counts_match_dense_reference(self, double_system):
         report = eigen_count_positive(double_system)
-        assert report.method == "sparse_ldl"
+        assert report.method in ("closed_form", "mode_sum")
         lam = eigendecomposition(double_system)[0]
         cut = kernel_tolerance(double_system)
         assert report.count_positive == int(np.sum(lam > cut))
@@ -304,36 +305,43 @@ class TestDoubleBubbleSpectrum:
         assert report.eigenvalues.size == 1
 
     def test_each_shift_factored_once(self, double_bubble, monkeypatch):
-        # the count and the matched solve share the reduced pencil and the
-        # inertia at -cut and +cut; the h/2 count and the top eigenvalues come
-        # from ArcPencil, so nothing else is factored, assembled or given to ARPACK
+        # the counts at -cut and +cut, the kernel and the top eigenvalues come
+        # from one ArcPencil at h, the h/2 count from one at h/2; the near-kernel
+        # and the matched solve share the one sparse factorization, form_factor,
+        # and nothing is solved against the mass, assembled or given to ARPACK
         _, _, qgraph = double_bubble
         system = assemble_jacobi(qgraph, 0.01)
-        factored = []
-        inertia = quantum_graph.positive_inertia
+        factored, pencils = [], []
+        splu, pencil = quantum_graph.spla.splu, quantum_graph.ArcPencil
 
-        def counted(matrix):
+        def counted_splu(matrix, *args, **kwargs):
             factored.append(matrix.shape[0])
-            return inertia(matrix)
+            return splu(matrix, *args, **kwargs)
+
+        class CountedPencil(pencil):
+            def __init__(self, graph, h):
+                pencils.append(h)
+                super().__init__(graph, h)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("eigen_count_positive must not call this")
 
-        monkeypatch.setattr(quantum_graph, "positive_inertia", counted)
+        monkeypatch.setattr(quantum_graph.spla, "splu", counted_splu)
+        monkeypatch.setattr(quantum_graph, "ArcPencil", CountedPencil)
         monkeypatch.setattr(quantum_graph, "assemble_jacobi", forbidden)
+        monkeypatch.setattr(quantum_graph.spla, "spsolve", forbidden)
         monkeypatch.setattr(quantum_graph.spla, "eigsh", forbidden)
         report = eigen_count_positive(system)
         solve = conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
-        assert factored == [system.reduced_size] * 2
+        assert factored == [system.reduced_size]
+        assert sorted(pencils) == [system.h / 2.0, system.h]
         assert system._refined is None
         assert system.reduced() is system.reduced()
         assert solve.kernel_dim == report.kernel_dim
         cut = kernel_tolerance(system)
-        a_r, m_r = system.reduced()
-        assert system.count_above(cut) == inertia(-a_r - cut * m_r)
-        assert len(factored) == 2
-        # the h/2 system the suites check residuals on is still assembled once and kept
         monkeypatch.undo()
+        assert system.count_above(cut) == report.count_positive == ldl_count_above(system, cut)
+        # the h/2 system the suites check residuals on is still assembled once and kept
         fine = system.refined()
         assert fine is system.refined() and fine.h == system.h / 2.0
 
@@ -469,11 +477,10 @@ class TestConformalJacobiSolve:
         assert np.max(np.abs(cosines - 1.0)) < 1e-10
 
     def test_near_kernel_must_agree_with_inertia(self, double_bubble):
-        # inertia that puts one more eigenvalue within the tolerance than the pencil has
+        # a count that puts one more eigenvalue within the tolerance than the pencil has
         system = assemble_jacobi(double_bubble[2], 0.01)
         cut = kernel_tolerance(system)
-        above = system.count_above(cut)
-        system._counts[cut] = (above[0] - 1, above[1])
+        system._counts[cut] = system.count_above(cut) - 1
         with pytest.raises(SpectrumError, match="inertia puts"):
             system.near_kernel()
 
@@ -578,18 +585,25 @@ class TestArcPencil:
         assert pencil.pole_margin < POLE_GUARD
 
     def test_counts_match_ldl_on_spectrum_index_clusters(self):
-        for params, seed in _spectrum_index_clusters():
-            qgraph = build_graph(params, detect_interfaces(params, rng_seed=seed))
-            system = assemble_jacobi(qgraph, 4e-3)
-            cut = kernel_tolerance(system)
-            pencil = ArcPencil(qgraph, 4e-3)
-            for value in (cut, -cut):
-                assert pencil.count_above(value) == system.count_above(value)[0]
-            fine = system.refined()
-            fine_pencil = ArcPencil(qgraph, fine.h)
-            fine_cut = kernel_tolerance(fine_pencil)
-            assert fine_cut == kernel_tolerance(fine)
-            assert fine_pencil.count_above(fine_cut) == fine.count_above(fine_cut)[0]
+        # count_above at +-cut against the LDL^T oracle at h and h/2, on the
+        # suite's double bubbles, the bench-like q = 3 and q = 4 bubbles, the
+        # equal-volume q = 4 bubble and a Moebius image of a q = 4 bubble; at
+        # h = 1e-2 also against the dense eigenvalues
+        q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
+        mobius = apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3)
+        qgraphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
+                   for params, seed in _spectrum_index_clusters()]
+        qgraphs += [_graph_of(name) for name in ("bench_q3", "bench_q4", "equal_q4")]
+        qgraphs.append(build_graph(mobius, detect_interfaces(mobius, rng_seed=0)))
+        for qgraph in qgraphs:
+            coarse = assemble_jacobi(qgraph, 4e-3)
+            for system in (coarse, coarse.refined(), assemble_jacobi(qgraph, 1e-2)):
+                cut = kernel_tolerance(system)
+                counts = [system.count_above(value) for value in (cut, -cut)]
+                assert counts == [ldl_count_above(system, value) for value in (cut, -cut)]
+                if system.h == 1e-2:
+                    lam = eigendecomposition(system)[0]
+                    assert counts == [int(np.sum(lam > cut)), int(np.sum(lam > -cut))]
 
     @pytest.mark.parametrize("h", [1e-2, 4e-3])
     def test_grid_is_the_assembled_one(self, h):
@@ -616,7 +630,8 @@ class TestArcPencil:
         assert 0.0 < report.pole_margin < 0.5
         circle = assemble_jacobi(build_graph(hemispheres, detect_interfaces(
             hemispheres, rng_seed=0)), 1e-2)
-        assert eigen_count_positive(circle).pole_margin == math.inf
+        report = eigen_count_positive(circle)
+        assert report.pole_margin == math.inf and report.method == "closed_form"
         # the h/2 cut of the equal-volume bubble sits on an arc Dirichlet value
         params = equal_volume_standard(2, 3)
         equal = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=0)),
