@@ -239,7 +239,6 @@ def cmd_spectrum(args) -> int:
                            counts_at_resolutions=list(spec.counts_at_resolutions),
                            method=spec.method,
                            refined_method=spec.refined_method,
-                           eigenvalue_method=spec.eigenvalue_method,
                            # null when every arc is a vertex-free circle (margin inf)
                            pole_margin=(spec.pole_margin if math.isfinite(spec.pole_margin)
                                         else None),

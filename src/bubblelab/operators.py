@@ -59,8 +59,7 @@ def normal_moment_operator(params: ClusterParams, graph: InterfaceGraph,
     err = np.zeros((q, dim))
     area, *moments = weighted_laplacians(
         params, graph,
-        [lambda pts: np.ones(len(pts))] + [lambda pts, ax=axis: pts[:, ax]
-                                           for axis in range(dim)],
+        [None] + [lambda pts, ax=axis: pts[:, ax] for axis in range(dim)],
         backend=backend, samples=samples, seed=seed)
     for i in range(q):
         for j in range(i + 1, q):

@@ -22,7 +22,8 @@ The assembled pencil serves the near-kernel vectors and the matched solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,6 +142,14 @@ def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
     return QuantumGraph(params, arcs, vertices)
 
 
+def dependent_trace(vertex: Vertex) -> list[float]:
+    """[c_1, c_2] with f_3 = c_1 f_1 + c_2 f_2, c_k = -s_k / s_3: the vertex's signed
+    traces s_k f_k sum to zero, and its last end's trace is the dependent one
+    (in assemble_jacobi's basis and in ArcPencil's)."""
+    *free, last = (ve.sign for ve in vertex.ends)
+    return [-sign / last for sign in free]
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -151,24 +160,18 @@ class JacobiSystem:
     the sparse basis Z of the Kirchhoff-constraint subspace.
 
     Eigenvalues of the operator are the lam solving A x = -lam M x over the
-    constrained subspace, i.e. the pencil (-Z^T A Z, Z^T M Z).
+    constrained subspace, i.e. the pencil (-Z^T A Z, Z^T M Z). The properties
+    derived from it are computed on first use and kept; callers must not modify them.
     """
 
     graph: QuantumGraph
     h: float
     offsets: list[int]
     counts: list[int]
-    cyclic: list[bool]
     steps: list[float]
     form: sp.csr_matrix
     mass: sp.csr_matrix
     constraint_basis: sp.csr_matrix
-    _reduced: tuple[sp.csr_matrix, sp.csr_matrix] | None = field(default=None, repr=False)
-    _form_lu: spla.SuperLU | None = field(default=None, repr=False)
-    _kernel: np.ndarray | None = field(default=None, repr=False)
-    _pencil: ArcPencil | None = field(default=None, repr=False)
-    _counts: dict[float, int] = field(default_factory=dict, repr=False)
-    _refined: JacobiSystem | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -185,81 +188,68 @@ class JacobiSystem:
     def arc_points(self, arc_index: int) -> np.ndarray:
         arc = self.graph.arcs[arc_index]
         cnt = self.counts[arc_index]
-        m = cnt if self.cyclic[arc_index] else cnt - 1
+        m = cnt if arc.closed else cnt - 1
         ts = arc.t0 + (arc.t1 - arc.t0) * np.arange(cnt) / m
         return arc.point(ts)
 
+    @cached_property
+    def pencil(self) -> ArcPencil:
+        """The same pencil condensed in closed form: ArcPencil(graph, h)."""
+        return ArcPencil(self.graph, self.h)
+
+    @cached_property
     def reduced(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The reduced pencil (Z^T A Z, Z^T M Z) (cached; callers must not modify it)."""
-        if self._reduced is None:
-            z = self.constraint_basis
-            self._reduced = (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
-        return self._reduced
+        """The reduced pencil (Z^T A Z, Z^T M Z)."""
+        z = self.constraint_basis
+        return (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
 
+    @cached_property
     def form_factor(self) -> spla.SuperLU:
-        """Sparse LU factorization of the reduced form A_r (cached)."""
-        if self._form_lu is None:
-            self._form_lu = spla.splu(self.reduced()[0].tocsc())
-        return self._form_lu
+        """Sparse LU factorization of the reduced form A_r."""
+        return spla.splu(self.reduced[0].tocsc())
 
-    def count_above(self, value: float) -> int:
-        """Number of eigenvalues lam > value, cached per value.
+    @cached_property
+    def cut_counts(self) -> tuple[int, int]:
+        """The numbers of eigenvalues above +kernel_tolerance and above -kernel_tolerance."""
+        cut = kernel_tolerance(self)
+        return self.pencil.count_above(cut), self.pencil.count_above(-cut)
 
-        The count comes from ArcPencil(graph, h), the same pencil condensed
-        in closed form; it is built on first use and kept, so that
-        eigen_count_positive and near_kernel share it and each shift is
-        counted once however many callers ask for it.
-        """
-        if value not in self._counts:
-            if self._pencil is None:
-                self._pencil = ArcPencil(self.graph, self.h)
-            self._counts[value] = self._pencil.count_above(value)
-        return self._counts[value]
-
-    def refined(self) -> JacobiSystem:
-        """The same graph assembled at grid spacing h/2 (cached)."""
-        if self._refined is None:
-            self._refined = assemble_jacobi(self.graph, self.h / 2.0)
-        return self._refined
-
+    @cached_property
     def near_kernel(self) -> np.ndarray:
         """M_r-orthonormal eigenvectors with |lam| <= kernel_tolerance(self), as
-        columns (cached, read-only).
+        columns (read-only).
 
-        Their number m is the count difference at -tol and +tol, counts that
-        eigen_count_positive has usually cached already. The vectors come from
+        Their number m is the difference of cut_counts. The vectors come from
         KERNEL_STEPS steps of block inverse iteration X <- A_r^-1 M_r X with
-        form_factor(), from a fixed block of m + 2 columns orthonormalized
+        form_factor, from a fixed block of m + 2 columns orthonormalized
         after each step, and one Rayleigh-Ritz step on the pencil: the m Ritz
         pairs of least |lam|. Each step shrinks the error of the kernel
         subspace by |lam_m| / |lam_(m+3)|, which is O(h^2) where the kernel
         eigenvalues lie within O(h^2) of 0 and the next at O(1). A Ritz value
         outside the tolerance is a SpectrumError.
         """
-        if self._kernel is None:
-            kernel_tol = kernel_tolerance(self)
-            dim = self.count_above(-kernel_tol) - self.count_above(kernel_tol)
-            vec = np.zeros((self.reduced_size, 0))
-            if dim:
-                a_r, m_r = self.reduced()
-                lu = self.form_factor()
-                block = np.random.default_rng(0).standard_normal(
-                    (self.reduced_size, min(dim + 2, self.reduced_size)))
-                for _ in range(KERNEL_STEPS):
-                    block = np.linalg.qr(lu.solve(m_r @ block))[0]
-                # an M_r-orthonormal basis of the block, then Rayleigh-Ritz on -A_r
-                mass, frame = np.linalg.eigh(block.T @ (m_r @ block))
-                block = block @ (frame / np.sqrt(mass))
-                lam, ritz = np.linalg.eigh(block.T @ -(a_r @ block))
-                keep = np.sort(np.argsort(np.abs(lam), kind="stable")[:dim])
-                lam, vec = lam[keep], block @ ritz[:, keep]
-                if np.max(np.abs(lam)) > kernel_tol:
-                    raise SpectrumError(
-                        f"inverse iteration found eigenvalues {lam} nearest 0, but inertia "
-                        f"puts {dim} within {kernel_tol:g}")
-            vec.flags.writeable = False
-            self._kernel = vec
-        return self._kernel
+        kernel_tol = kernel_tolerance(self)
+        dim = self.cut_counts[1] - self.cut_counts[0]
+        vec = np.zeros((self.reduced_size, 0))
+        if dim:
+            a_r, m_r = self.reduced
+            lu = self.form_factor
+            block = np.random.default_rng(0).standard_normal(
+                (self.reduced_size, min(dim + 2, self.reduced_size)))
+            for _ in range(KERNEL_STEPS):
+                block = np.linalg.qr(lu.solve(m_r @ block))[0]
+            # an M_r-orthonormal basis of the block, then Rayleigh-Ritz on -A_r
+            mass, frame = np.linalg.eigh(block.T @ (m_r @ block))
+            block = block @ (frame / np.sqrt(mass))
+            lam, ritz = np.linalg.eigh(block.T @ -(a_r @ block))
+            keep = np.sort(np.argsort(np.abs(lam), kind="stable")[:dim])
+            lam, vec = lam[keep], block @ ritz[:, keep]
+            if np.max(np.abs(lam)) > kernel_tol:
+                raise SpectrumError(
+                    f"inverse iteration found eigenvalues {lam} nearest 0, but inertia "
+                    f"puts {dim} within {kernel_tol:g}")
+        vec.flags.writeable = False
+        return vec
 
 
 def arc_grids(graph: QuantumGraph, h: float) -> list[tuple[int, float]]:
@@ -287,12 +277,11 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     Vertex-free circle interfaces are discretized cyclically.
     """
     arcs = graph.arcs
-    offsets, counts, cyclic, steps = [], [], [], []
+    offsets, counts, steps = [], [], []
     total = 0
     for arc, (m, step) in zip(arcs, arc_grids(graph, h)):
         offsets.append(total)
         counts.append(m if arc.closed else m + 1)
-        cyclic.append(arc.closed)
         steps.append(step)
         total += counts[-1]
 
@@ -302,12 +291,12 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     for ai, arc in enumerate(arcs):
         step = steps[ai]
         pot = 1.0 + arc.kappa ** 2
-        m_intervals = counts[ai] if cyclic[ai] else counts[ai] - 1
+        m_intervals = counts[ai] if arc.closed else counts[ai] - 1
         k_diag, k_off = 1.0 / step, -1.0 / step
         m_diag, m_off = step / 3.0, step / 6.0
         e = np.arange(m_intervals)
         n0 = offsets[ai] + e
-        n1 = offsets[ai] + ((e + 1) % counts[ai] if cyclic[ai] else e + 1)
+        n1 = offsets[ai] + ((e + 1) % counts[ai] if arc.closed else e + 1)
         rows.append(np.stack([n0, n1, n0, n1], axis=1).ravel())
         cols.append(np.stack([n0, n1, n1, n0], axis=1).ravel())
         a_diag, a_off = k_diag - pot * m_diag, k_off - pot * m_off
@@ -333,15 +322,13 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     form = form / NORM_S2
     mass = mass / NORM_S2
 
-    # eliminate one endpoint dof per vertex: sum of signed traces vanishes
-    # (the free dofs are the columns of Z, in order; a dependent dof's row
-    # combines the other two traces at its vertex)
+    # eliminate the dependent trace at each vertex (the free dofs are the
+    # columns of Z, in order; a dependent dof's row combines the other two)
     dep_rows, src_nodes, coeffs = [], [], []
     for vertex, nodes in zip(graph.vertices, vertex_nodes):
-        signs = [ve.sign for ve in vertex.ends]
         dep_rows += [nodes[-1]] * 2
         src_nodes += nodes[:2]
-        coeffs += [-signs[k] / signs[-1] for k in range(2)]
+        coeffs += dependent_trace(vertex)
     dep_rows = np.array(dep_rows, dtype=np.intp)
     free = np.ones(size, dtype=bool)
     free[dep_rows] = False
@@ -351,7 +338,7 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     z_cols = np.concatenate([np.arange(free_rows.size), col_of[src_nodes]])
     z_vals = np.concatenate([np.ones(free_rows.size), np.array(coeffs, dtype=float)])
     z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, free_rows.size)).tocsr()
-    return JacobiSystem(graph, h, offsets, counts, cyclic, steps, form, mass, z)
+    return JacobiSystem(graph, h, offsets, counts, steps, form, mass, z)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +372,7 @@ def strong_residual(system: JacobiSystem, x: np.ndarray, rhs=None) -> float:
         vals = x[off:off + cnt]
         pot = 1.0 + arc.kappa ** 2
         target = 0.0 if rhs is None else rhs(arc)
-        if system.cyclic[ai]:
+        if arc.closed:
             second = (np.roll(vals, 1) - 2.0 * vals + np.roll(vals, -1)) / step ** 2
             res = second + pot * vals - target
         else:
@@ -407,7 +394,7 @@ def volume_derivative(system: JacobiSystem, x: np.ndarray) -> np.ndarray:
     for ai, arc in enumerate(system.graph.arcs):
         vals = system.arc_values(x, ai)
         step = system.steps[ai]
-        if system.cyclic[ai]:
+        if arc.closed:
             integral = step * float(vals.sum())
         else:
             integral = step * (float(vals.sum()) - 0.5 * (vals[0] + vals[-1]))
@@ -458,14 +445,12 @@ class ArcPencil:
     (an arc Dirichlet value, where x is an integer) the closed form loses its
     digits, so an arc within POLE_GUARD mode spacings of one keeps that mode
     explicit (scaled to unit mass, so that G has no entry of order 1/s), and
-    its other modes are summed one by one, in O(m). pole_margin is the
-    smallest distance, in mode spacings, from a shift evaluated so far to an
-    arc Dirichlet value.
+    its other modes are summed one by one, in O(m) (pole_modes). No query
+    changes the pencil: each is a pure function of its arguments.
     """
 
     def __init__(self, graph: QuantumGraph, h: float):
         self.h = h
-        self.pole_margin = math.inf
         grids = arc_grids(graph, h)
         self.max_potential = max(1.0 + arc.kappa ** 2 for arc in graph.arcs)
         cyclic = [_zero_shifts(1.0 + arc.kappa ** 2, step, np.arange(m) / m)
@@ -484,7 +469,7 @@ class ArcPencil:
         self._parity = np.where(i % 2 == 1, 1.0, -1.0)  # (-1)^(i+1)
 
         # end slot 3 v + k is the k-th end at vertex v; the last one per vertex
-        # is the dependent trace, as in assemble_jacobi's basis
+        # is the dependent trace
         position = {ai: k for k, ai in enumerate(opened)}
         arcs, slots = len(opened), 3 * len(graph.vertices)
         self._vertex_dofs = 2 * len(graph.vertices)
@@ -492,13 +477,11 @@ class ArcPencil:
         robin = np.zeros(slots)
         basis = np.zeros((slots + arcs, self._vertex_dofs + arcs))
         for v, vertex in enumerate(graph.vertices):
-            signs = [ve.sign for ve in vertex.ends]
             for k, ve in enumerate(vertex.ends):
                 (start if ve.end == 0 else stop)[position[ve.arc_index]] = 3 * v + k
                 robin[3 * v + k] = ve.robin
-                if k < 2:
-                    basis[3 * v + k, 2 * v + k] = 1.0
-                    basis[3 * v + 2, 2 * v + k] = -signs[k] / signs[-1]
+            basis[3 * v:3 * v + 2, 2 * v:2 * v + 2] = np.eye(2)
+            basis[3 * v + 2, 2 * v:2 * v + 2] = dependent_trace(vertex)
         basis[slots:, self._vertex_dofs:] = np.eye(arcs)
         # G(c) = fixed + coefficients(c) @ shapes: per arc, its end block's
         # diagonal and off-diagonal, its mode's two couplings and its mode's value
@@ -542,7 +525,8 @@ class ArcPencil:
         modes[s, a] > 0 keeps that mode of open arc a explicit at shift s, and
         0 eliminates all its modes. By default an arc keeps its nearest mode
         explicit within POLE_GUARD mode spacings of its Dirichlet value, and
-        eliminates all elsewhere.
+        eliminates all elsewhere (pole_modes); an explicit mode that pole_modes
+        would keep has its other modes summed one by one.
         """
         m, s = self.intervals, self.steps
         shifts = np.asarray(shifts, dtype=float)
@@ -552,11 +536,9 @@ class ArcPencil:
             shifts = np.concatenate([shifts, shifts - step])
             modes = np.concatenate([modes, modes])
         mu, b, x = self.phase(shifts)
-        nearest = np.minimum(np.maximum(np.rint(x), 1.0), m - 1.0)
-        margin = np.abs(x - nearest)
-        self.pole_margin = min(self.pole_margin, float(margin.min()))
+        guarded = pole_modes(x, m)[0]
         if modes is None:
-            modes = nearest * (margin < POLE_GUARD)
+            modes = guarded
         explicit = modes > 0
         mode = np.maximum(modes, 1)
         theta = (math.pi / m) * x
@@ -579,7 +561,7 @@ class ArcPencil:
             pole = coupling ** 2 / value
         diag = pole - b * ratio_cos
         off = parity * pole + b * ratio
-        near = np.nonzero(explicit & (np.abs(x - mode) < POLE_GUARD))
+        near = np.nonzero(explicit & (guarded == mode))
         if near[0].size:
             diag[near], off[near] = self._mode_sums(near[1], mu[near], b[near],
                                                     mode[near].astype(np.intp))
@@ -630,6 +612,19 @@ class ArcPencil:
         return int(count)
 
 
+def pole_modes(x: np.ndarray, intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(modes, margin) of arcs with these interval counts at phases x (ArcPencil.phase).
+
+    margin, the pole margin, is the distance in mode spacings from x to the
+    nearest integer j in [1, m - 1], the arc's nearest Dirichlet value. Within
+    POLE_GUARD of it the closed form loses its digits, so mode j stays explicit
+    and the others are summed one by one: modes is j there, else 0.
+    """
+    nearest = np.minimum(np.maximum(np.rint(x), 1.0), intervals - 1.0)
+    margin = np.abs(x - nearest)
+    return nearest * (margin < POLE_GUARD), margin
+
+
 def _zero_shifts(potential: float, step: float, fraction: np.ndarray) -> np.ndarray:
     """The shifts c at which mu s - 4 b sin^2(pi fraction) vanishes (mu = potential - c,
     b = 1/step + mu step/6): the eigenvalues of one arc's Dirichlet or circulant block."""
@@ -642,16 +637,16 @@ class SpectrumReport:
     """Eigenvalue count of a JacobiSystem and how each number was obtained.
 
     Every number comes from the closed-form condensation ArcPencil of the
-    system's graph: count_positive, kernel_dim and the top eigenvalues from
-    the one at the system's h, the h/2 count behind converged from another at
-    h/2. method says how the counts at +-kernel_tolerance were obtained, and
-    refined_method how the h/2 count was: "closed_form", or "mode_sum" when
-    a cut lay within POLE_GUARD mode spacings of an arc Dirichlet value, so
-    that the eliminated modes were summed one by one. eigenvalue_method is
-    "closed_form_newton" (see _top_eigenvalues). pole_margin is the smallest
-    distance, in mode spacings, from a shift evaluated on either pencil to an
-    arc Dirichlet value (inf when every arc is a vertex-free circle); below
-    POLE_GUARD the mode sums, not the closed form, gave G(c).
+    system's graph: count_positive, kernel_dim and the top eigenvalues (by
+    safeguarded Newton steps, _top_eigenvalues) from the one at the system's
+    h, the h/2 count behind converged from another at h/2. method says how
+    the counts at +-kernel_tolerance were obtained, and refined_method how the
+    h/2 count was: "mode_sum" when a count shift lay within POLE_GUARD mode
+    spacings of an arc Dirichlet value, so that the eliminated modes were
+    summed one by one, else "closed_form". pole_margin is the smallest
+    distance, in mode spacings, from those three count shifts to an arc
+    Dirichlet value (pole_modes; inf when every arc is a vertex-free circle),
+    so it is below POLE_GUARD exactly when a method is "mode_sum".
     """
 
     count_positive: int
@@ -661,8 +656,17 @@ class SpectrumReport:
     counts_at_resolutions: tuple[int, int]
     method: str
     refined_method: str
-    eigenvalue_method: str
     pole_margin: float
+
+
+def _count_method(pencil: ArcPencil, shifts: list[float]) -> tuple[str, float]:
+    """(method, pole margin) of pencil.count_above at these shifts: "mode_sum"
+    where pole_modes keeps a mode explicit at any of them, else "closed_form",
+    and their smallest pole margin (inf with no open arc)."""
+    if not pencil.intervals.size:
+        return "closed_form", math.inf
+    modes, margin = pole_modes(pencil.phase(shifts)[2], pencil.intervals)
+    return "mode_sum" if modes.any() else "closed_form", float(margin.min())
 
 
 def _top_eigenvalues(pencil: ArcPencil, k_top: int) -> np.ndarray:
@@ -775,7 +779,7 @@ def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumRepor
 
     With cut = kernel_tolerance(system), count_positive is the number of
     eigenvalues above cut and kernel_dim the number in (-cut, cut], both
-    from system.count_above, that is from the system's ArcPencil. Both are
+    from system.cut_counts, that is from the system's ArcPencil. Both are
     exact for the discrete pencil at any size. The count must agree with
     that of the h/2 grid, cut at its own kernel tolerance and counted by
     another ArcPencil without assembling it; disagreement is reported as
@@ -784,18 +788,15 @@ def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumRepor
     kernel, the number of them above cut must equal count_positive.
     """
     cut = kernel_tolerance(system)
-    count = system.count_above(cut)
-    kernel = system.count_above(-cut) - count
-    pencil = system._pencil
-    method = "closed_form"
-    if pencil.intervals.size:  # as in vertex_spectra: mode sums within POLE_GUARD of a pole
-        x = pencil.phase(np.array([cut, -cut]))[2]
-        if np.any(np.abs(x - np.clip(np.rint(x), 1.0, pencil.intervals - 1.0)) < POLE_GUARD):
-            method = "mode_sum"
+    count, above_minus = system.cut_counts
+    kernel = above_minus - count
+    pencil = system.pencil
+    method, margin = _count_method(pencil, [cut, -cut])
 
     fine = ArcPencil(system.graph, system.h / 2.0)
-    count_fine = fine.count_above(kernel_tolerance(fine))
-    refined_method = "mode_sum" if fine.pole_margin < POLE_GUARD else "closed_form"
+    fine_cut = kernel_tolerance(fine)
+    count_fine = fine.count_above(fine_cut)
+    refined_method, fine_margin = _count_method(fine, [fine_cut])
 
     lam = _top_eigenvalues(pencil, min(k_top, system.reduced_size - 2))
     above_cut = int(np.count_nonzero(lam > cut))
@@ -803,8 +804,7 @@ def eigen_count_positive(system: JacobiSystem, k_top: int = 16) -> SpectrumRepor
         raise SpectrumError(f"{above_cut} of the top {lam.size} eigenvalues exceed "
                             f"{cut:g}, but the count above it is {count}")
     return SpectrumReport(count, lam, kernel, count == count_fine, (count, count_fine),
-                          method, refined_method, "closed_form_newton",
-                          min(fine.pole_margin, pencil.pole_margin))
+                          method, refined_method, min(margin, fine_margin))
 
 
 @dataclass
@@ -836,13 +836,13 @@ def conformal_jacobi_solve(system: JacobiSystem, a) -> ConformalSolveReport:
     mass_g = system.mass @ g
     z = system.constraint_basis
     rhs = z.T @ (-n_minus_1 * mass_g)
-    m_r = system.reduced()[1]
-    kernel = system.near_kernel()
+    m_r = system.reduced[1]
+    kernel = system.near_kernel
     # with -A v_k = lam_k M v_k and V^T M V = Id, rhs = M V c for c = V^T rhs
     coeffs = kernel.T @ rhs
     total = n_minus_1 * math.sqrt(max(float(g @ mass_g), 0.0))
     removed = float(np.linalg.norm(coeffs) / max(total, 1e-300))
-    y = system.form_factor().solve(rhs - m_r @ (kernel @ coeffs))
+    y = system.form_factor.solve(rhs - m_r @ (kernel @ coeffs))
     y -= kernel @ (kernel.T @ (m_r @ y))
     x = z @ y
     return ConformalSolveReport(x, volume_derivative(system, x), kernel.shape[1], removed, a)

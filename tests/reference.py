@@ -26,7 +26,7 @@ from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER,
 
 def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a JacobiSystem's reduced pencil (dense reference)."""
-    a_r, m_r = system.reduced()
+    a_r, m_r = system.reduced
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
 
 
@@ -62,15 +62,15 @@ def ldl_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
 
 
 def ldl_count_above(system, value: float) -> int:
-    """JacobiSystem.count_above by ldl_inertia of the assembled -A_r - value M_r."""
-    a_r, m_r = system.reduced()
+    """ArcPencil.count_above by ldl_inertia of the assembled -A_r - value M_r."""
+    a_r, m_r = system.reduced
     return ldl_inertia(-a_r - value * m_r)[0]
 
 
 def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
     """The k_top largest eigenvalues of a JacobiSystem's reduced pencil,
     descending, by a dense generalized eigensolver (dense reference)."""
-    a_r, m_r = system.reduced()
+    a_r, m_r = system.reduced
     n = system.reduced_size
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray(), eigvals_only=True,
                              subset_by_index=[n - k_top, n - 1])[::-1]
@@ -79,7 +79,7 @@ def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
 def arpack_top_eigenvalues(system, k_top: int) -> np.ndarray:
     """The k_top largest eigenvalues of a JacobiSystem's reduced pencil, descending,
     by one shift-invert Lanczos run from a fixed start vector (ARPACK)."""
-    a_r, m_r = system.reduced()
+    a_r, m_r = system.reduced
     kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
     sigma = 1.0 + kappa_max ** 2 + 3.0
     lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
@@ -144,9 +144,9 @@ def remove_kernel_component(system, x: np.ndarray) -> np.ndarray:
     differ by kernel elements.
     """
     z = system.constraint_basis
-    kernel = system.near_kernel()
+    kernel = system.near_kernel
     y = spla.spsolve((z.T @ z).tocsc(), z.T @ x)
-    m_r = system.reduced()[1]
+    m_r = system.reduced[1]
     proj = kernel @ (kernel.T @ (m_r @ y))
     return z @ (y - proj)
 
@@ -252,15 +252,16 @@ def fd_volume_newton(n: int, q: int, v_target: np.ndarray, tol: float, volume_of
 def lanczos_near_kernel(system) -> np.ndarray:
     """JacobiSystem.near_kernel by one shift-invert Lanczos run at 0.
 
-    The kernel dimension is the count difference at -tol and +tol; the
+    The kernel dimension is the difference of the system's cut_counts; the
     Lanczos operator reuses the factorization of A_r.
     """
     kernel_tol = kernel_tolerance(system)
-    dim = system.count_above(-kernel_tol) - system.count_above(kernel_tol)
+    above, above_minus = system.cut_counts
+    dim = above_minus - above
     if not dim:
         return np.zeros((system.reduced_size, 0))
-    a_r, m_r = system.reduced()
-    lu = system.form_factor()
+    a_r, m_r = system.reduced
+    lu = system.form_factor
     op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
     lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0, OPinv=op,
                           which="LM", v0=np.ones(system.reduced_size))

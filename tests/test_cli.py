@@ -9,6 +9,7 @@ import pytest
 from bubblelab import cli, detect_interfaces, gram_invariance_check, standard
 from bubblelab.cli import EXIT_ERROR, main
 from bubblelab.cluster import load_cluster
+from bubblelab.quantum_graph import POLE_GUARD
 
 
 def run_cli(*argv) -> int:
@@ -214,7 +215,7 @@ class TestAnalysisCommands:
         assert payload["converged"] is True
         assert payload["method"] in ("closed_form", "mode_sum")
         assert payload["refined_method"] in ("closed_form", "mode_sum")
-        assert payload["eigenvalue_method"] == "closed_form_newton"
+        assert "eigenvalue_method" not in payload
         assert payload["pole_margin"] >= 0.0
 
     def test_spectrum_byte_identical_rerun(self, tmp_path):
@@ -233,6 +234,17 @@ class TestAnalysisCommands:
         # one circle and no vertex: the closed form condenses no arc
         assert payload["refined_method"] == "closed_form"
         assert payload["pole_margin"] is None
+        # the equal-volume q = 3 bubble: both cuts lie next to arc Dirichlet
+        # values, so the counts condense its arcs with mode sums
+        cluster = tmp_path / "equal_q3.json"
+        assert run_cli("standard", "--n", "2", "--q", "3", "--out", str(cluster)) == 0
+        for out in (a, b):
+            assert run_cli("spectrum", str(cluster), "--h", "1e-2", "--out", str(out)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert payload["count_positive"] == 2
+        assert payload["method"] == payload["refined_method"] == "mode_sum"
+        assert payload["pole_margin"] < POLE_GUARD
 
     def test_profile_csv(self, tmp_path):
         out = tmp_path / "profile.csv"

@@ -12,7 +12,7 @@ from bubblelab import (check_product_identity,
                        normal_moment_operator, pcf_detect, perpendicular_pole,
                        quasi_center_operator, standard_of_curvature,
                        trace_identity_residual)
-from bubblelab import gallery, sampling
+from bubblelab import gallery, operators, sampling
 from bubblelab.measure import measure_mc as _measure_mc
 from bubblelab.operators import SimplexOperator, trace_identity_allowance
 from bubblelab.simplex import restrict, sum_zero_projector
@@ -49,7 +49,8 @@ class TestNormalMomentOperator:
         pole = perpendicular_pole(skew_bubble_s2)
         assert np.max(np.abs(n_op.matrix @ pole)) < 1e-12
 
-    def test_cross_backend_agreement_on_cap(self):
+    def test_cross_backend_agreement_on_cap(self, skew_bubble_s2, skew_bubble_graph,
+                                            monkeypatch):
         from bubblelab import standard_of_volume
 
         params = standard_of_volume(2, 2, [0.25, 0.75])
@@ -59,6 +60,24 @@ class TestNormalMomentOperator:
                                     samples=300_000, seed=3)
         assert np.all(np.abs(mc.matrix - exact.matrix)
                       <= 4.5 * np.maximum(mc.entry_stderr, 1e-9))
+        # the plain-area weight None gives the areas of the constant weight 1
+        # bit for bit, on both backends
+        plain = {backend: normal_moment_operator(skew_bubble_s2, skew_bubble_graph,
+                                                 backend=backend, samples=300_000, seed=3)
+                 for backend in ("exact", "mc")}
+        laplacians = operators.weighted_laplacians
+
+        def ones_for_none(params, graph, weights, **kwargs):
+            ones = [(lambda pts: np.ones(len(pts))) if weight is None else weight
+                    for weight in weights]
+            return laplacians(params, graph, ones, **kwargs)
+
+        monkeypatch.setattr(operators, "weighted_laplacians", ones_for_none)
+        for backend, n_op in plain.items():
+            ones = normal_moment_operator(skew_bubble_s2, skew_bubble_graph,
+                                          backend=backend, samples=300_000, seed=3)
+            assert np.array_equal(n_op.matrix, ones.matrix), backend
+            assert np.array_equal(n_op.entry_stderr, ones.entry_stderr), backend
 
     def test_one_wall_pass_per_pair(self, monkeypatch):
         # area and n+1 moments are reduced over one draw of each wall chunk

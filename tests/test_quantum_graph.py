@@ -1,6 +1,7 @@
 """Discrete second-variation operator on S^2 boundary networks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bubblelab.measure import measure_exact_s2
 from bubblelab import quantum_graph
 from bubblelab.quantum_graph import (POLE_GUARD, ArcPencil, GraphBuildError, SpectrumError,
                                      arc_grids, field_from_pointwise, kernel_tolerance,
-                                     piecewise_constant_field, strong_residual)
+                                     piecewise_constant_field, pole_modes, strong_residual)
 from bubblelab.suites import _random_sum_zero
 from reference import (arpack_top_eigenvalues, dense_top_eigenvalues, eigendecomposition,
                        kirchhoff_residual, lanczos_near_kernel, ldl_count_above, ldl_inertia,
@@ -168,7 +169,7 @@ class TestBuildGraph:
 
 class TestAssembly:
     def test_reduced_matrices_symmetric(self, double_system):
-        a_r, m_r = double_system.reduced()
+        a_r, m_r = double_system.reduced
         assert abs(a_r - a_r.T).max() < 1e-14
         assert abs(m_r - m_r.T).max() < 1e-14
 
@@ -199,8 +200,7 @@ class TestAssembly:
             graph = detect_interfaces(params, rng_seed=0)
         qgraph = build_graph(params, graph)
         assert qgraph.arcs[0].full_circle == (kappa is None)
-        coarse = assemble_jacobi(qgraph, 4e-3)
-        for system in (coarse, coarse.refined()):
+        for system in (assemble_jacobi(qgraph, 4e-3), assemble_jacobi(qgraph, 2e-3)):
             want = _reference_assembly(qgraph, system.h)
             for got, ref in zip((system.form, system.mass, system.constraint_basis), want):
                 _assert_same_csr(got, ref)
@@ -307,8 +307,9 @@ class TestDoubleBubbleSpectrum:
     def test_each_shift_factored_once(self, double_bubble, monkeypatch):
         # the counts at -cut and +cut, the kernel and the top eigenvalues come
         # from one ArcPencil at h, the h/2 count from one at h/2; the near-kernel
-        # and the matched solve share the one sparse factorization, form_factor,
-        # and nothing is solved against the mass, assembled or given to ARPACK
+        # and the matched solve share the cut counts and the one sparse
+        # factorization, form_factor, and nothing is solved against the mass,
+        # assembled or given to ARPACK
         _, _, qgraph = double_bubble
         system = assemble_jacobi(qgraph, 0.01)
         factored, pencils = [], []
@@ -335,15 +336,13 @@ class TestDoubleBubbleSpectrum:
         solve = conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
         assert factored == [system.reduced_size]
         assert sorted(pencils) == [system.h / 2.0, system.h]
-        assert system._refined is None
-        assert system.reduced() is system.reduced()
+        assert system.reduced is system.reduced
+        assert system.cut_counts is system.cut_counts
         assert solve.kernel_dim == report.kernel_dim
         cut = kernel_tolerance(system)
         monkeypatch.undo()
-        assert system.count_above(cut) == report.count_positive == ldl_count_above(system, cut)
-        # the h/2 system the suites check residuals on is still assembled once and kept
-        fine = system.refined()
-        assert fine is system.refined() and fine.h == system.h / 2.0
+        assert (system.pencil.count_above(cut) == report.count_positive
+                == ldl_count_above(system, cut))
 
     def test_kernel_contains_skew_fields(self, double_system):
         report = eigen_count_positive(double_system)
@@ -450,12 +449,12 @@ class TestConformalJacobiSolve:
 
     def test_near_kernel_is_mass_orthonormal_and_read_only(self, double_system):
         tol = kernel_tolerance(double_system)
-        kernel = double_system.near_kernel()
-        a_r, m_r = double_system.reduced()
+        kernel = double_system.near_kernel
+        a_r, m_r = double_system.reduced
         assert kernel.shape[1] == eigen_count_positive(double_system).kernel_dim
         assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-10
         assert np.max(np.abs(a_r @ kernel)) < tol
-        assert double_system.near_kernel() is kernel
+        assert double_system.near_kernel is kernel
         with pytest.raises(ValueError):
             kernel[0, 0] = 1.0
 
@@ -467,22 +466,22 @@ class TestConformalJacobiSolve:
             params = standard_of_curvature(2, 4, np.array(kappa))
             system = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=1)),
                                      4e-3)
-        kernel = system.near_kernel()
+        kernel = system.near_kernel
         reference = lanczos_near_kernel(system)
-        m_r = system.reduced()[1]
+        m_r = system.reduced[1]
         assert kernel.shape == reference.shape and kernel.shape[1] > 0
         assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-12
         # cosines of the M_r-principal angles between the two kernels
         cosines = np.linalg.svd(kernel.T @ (m_r @ reference), compute_uv=False)
         assert np.max(np.abs(cosines - 1.0)) < 1e-10
 
-    def test_near_kernel_must_agree_with_inertia(self, double_bubble):
+    def test_near_kernel_must_agree_with_inertia(self, double_bubble, monkeypatch):
         # a count that puts one more eigenvalue within the tolerance than the pencil has
         system = assemble_jacobi(double_bubble[2], 0.01)
-        cut = kernel_tolerance(system)
-        system._counts[cut] = system.count_above(cut) - 1
+        above, above_minus = system.cut_counts
+        monkeypatch.setattr(system, "cut_counts", (above - 1, above_minus))
         with pytest.raises(SpectrumError, match="inertia puts"):
-            system.near_kernel()
+            system.near_kernel
 
     def test_reproduces_compatible_closed_form(self, double_bubble, double_system):
         params, graph, _ = double_bubble
@@ -578,14 +577,16 @@ class TestArcPencil:
         system = assemble_jacobi(qgraph, 1e-2)
         lam = eigendecomposition(system)[0][::-1]
         pencil = ArcPencil(qgraph, 1e-2)
-        for value in lam[:12]:
-            for gap in (1e-9, 1e-8, 1e-7, 1e-6):
-                for shift in value + np.array([gap, -gap]) * max(1.0, abs(value)):
-                    assert pencil.count_above(shift) == int(np.sum(lam > shift))
-        assert pencil.pole_margin < POLE_GUARD
+        shifts = [shift for value in lam[:12] for gap in (1e-9, 1e-8, 1e-7, 1e-6)
+                  for shift in value + np.array([gap, -gap]) * max(1.0, abs(value))]
+        for shift in shifts:
+            assert pencil.count_above(shift) == int(np.sum(lam > shift))
+        # some of them were counted by mode sums
+        margin = pole_modes(pencil.phase(shifts)[2], pencil.intervals)[1]
+        assert margin.min() < POLE_GUARD
 
     def test_counts_match_ldl_on_spectrum_index_clusters(self):
-        # count_above at +-cut against the LDL^T oracle at h and h/2, on the
+        # the cut counts against the LDL^T oracle at h and h/2, on the
         # suite's double bubbles, the bench-like q = 3 and q = 4 bubbles, the
         # equal-volume q = 4 bubble and a Moebius image of a q = 4 bubble; at
         # h = 1e-2 also against the dense eigenvalues
@@ -596,10 +597,10 @@ class TestArcPencil:
         qgraphs += [_graph_of(name) for name in ("bench_q3", "bench_q4", "equal_q4")]
         qgraphs.append(build_graph(mobius, detect_interfaces(mobius, rng_seed=0)))
         for qgraph in qgraphs:
-            coarse = assemble_jacobi(qgraph, 4e-3)
-            for system in (coarse, coarse.refined(), assemble_jacobi(qgraph, 1e-2)):
+            for h in (4e-3, 2e-3, 1e-2):
+                system = assemble_jacobi(qgraph, h)
                 cut = kernel_tolerance(system)
-                counts = [system.count_above(value) for value in (cut, -cut)]
+                counts = list(system.cut_counts)
                 assert counts == [ldl_count_above(system, value) for value in (cut, -cut)]
                 if system.h == 1e-2:
                     lam = eigendecomposition(system)[0]
@@ -623,11 +624,44 @@ class TestArcPencil:
         assert pencil.intervals.size == 0
         assert np.max(np.abs(pencil.cyclic_values - lam)) < 1e-8 * np.max(np.abs(lam))
 
+    def test_report_does_not_depend_on_earlier_queries(self, double_bubble):
+        # a count next to an arc Dirichlet value and an eigenvalue search leave
+        # the pencil as they found it, and the report is that of a fresh system
+        qgraph = double_bubble[2]
+        fresh = eigen_count_positive(assemble_jacobi(qgraph, 4e-3))
+        system = assemble_jacobi(qgraph, 4e-3)
+        pencil = system.pencil
+        before = {name: np.copy(value) for name, value in vars(pencil).items()}
+        pole = pencil.dirichlet_values(1)[0][0]
+        pencil.count_above(pole + 1e-9)
+        quantum_graph._top_eigenvalues(pencil, 16)
+        assert vars(pencil).keys() == before.keys()
+        for name, value in vars(pencil).items():
+            assert np.array_equal(value, before[name]), name
+        queried = eigen_count_positive(system)
+        assert np.array_equal(queried.eigenvalues, fresh.eigenvalues)
+        assert replace(queried, eigenvalues=None) == replace(fresh, eigenvalues=None)
+
+    @pytest.mark.parametrize("h", [1e-2, 4e-3])
+    def test_pole_margin_agrees_with_method(self, h):
+        # a count shift within POLE_GUARD of a pole is counted by mode sums, and
+        # pole_margin is taken over the count shifts only
+        qgraphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
+                   for params, seed in _spectrum_index_clusters()]
+        qgraphs += [_graph_of(name) for name in ("bench_q3", "bench_q4", "equal_q3",
+                                                 "hemispheres")]
+        summed = []
+        for qgraph in qgraphs:
+            report = eigen_count_positive(assemble_jacobi(qgraph, h))
+            summed.append("mode_sum" in (report.method, report.refined_method))
+            assert summed[-1] == (report.pole_margin < POLE_GUARD)
+        assert any(summed) and not all(summed)
+
     def test_report_says_how_it_was_obtained(self, double_system, hemispheres):
         report = eigen_count_positive(double_system)
-        assert report.refined_method == "closed_form"
-        assert report.eigenvalue_method == "closed_form_newton"
-        assert 0.0 < report.pole_margin < 0.5
+        assert report.method == report.refined_method == "closed_form"
+        assert POLE_GUARD <= report.pole_margin < 0.5
+        assert not hasattr(report, "eigenvalue_method")
         circle = assemble_jacobi(build_graph(hemispheres, detect_interfaces(
             hemispheres, rng_seed=0)), 1e-2)
         report = eigen_count_positive(circle)
