@@ -257,18 +257,23 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, seed: int, ch
     frame is the wall's subsphere_frame. The chunk's points are drawn and
     classified once, and each weight, times the mask of Sigma_ij, is summed
     over all of them; a weight None integrates the constant 1, so both of its
-    sums are the hits. The points handed to the weights are read-only.
+    sums are the hits. Each weight is evaluated one sampling.row_blocks block
+    at a time, so that a product in it stays on this thread; the points handed
+    to the weights are read-only.
     """
     pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
     pts.setflags(write=False)
     inside = wall_interior(params, i, j, pts)
     hits = float(np.count_nonzero(inside))
     sums = []
+    values = np.empty(len(pts))
     for weight in weights:
         if weight is None:
             sums.append((hits, hits))
         else:
-            contrib = inside * weight(pts)
+            for block in sampling.row_blocks(len(pts)):
+                values[block] = weight(pts[block])
+            contrib = inside * values
             sums.append((contrib.sum(), (contrib ** 2).sum()))
     return sums
 

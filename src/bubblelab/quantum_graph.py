@@ -6,17 +6,19 @@ vertex the oriented traces sum to zero (Kirchhoff-Dirichlet) and the outward
 derivatives satisfy a matched Robin condition whose coefficient comes from the
 two opposite curvatures. The discretization is Galerkin with piecewise-linear
 elements: the index form (including the Robin vertex terms, which enter as
-natural boundary terms) and the mass matrix are assembled exactly, and the
-trace constraint is eliminated by a sparse congruence, so the reduced pencil
-is symmetric to machine precision and eigenvalues converge at second order.
+natural boundary terms) and the mass matrix are exact, and the trace
+constraint is eliminated by a congruence, so the reduced pencil is symmetric
+and eigenvalues converge at second order. Nothing is assembled: JacobiSystem
+applies the matrices by per-arc stencils.
 
 Each arc's grid is uniform, so its block of the pencil is Toeplitz and has
 closed-form modes. ArcPencil condenses every arc onto its ends in closed form
-and counts and locates the pencil's eigenvalues from a small vertex matrix,
-without assembling anything. It is the one count engine: eigen_count_positive
-takes the count, the kernel dimension and the top eigenvalues from the
-ArcPencil of the system's grid, and its count on the h/2 grid from another.
-The assembled pencil serves the near-kernel vectors and the matched solve.
+and counts and locates the pencil's eigenvalues from a small vertex matrix.
+It is the one count engine: eigen_count_positive takes the count, the kernel
+dimension and the top eigenvalues from the ArcPencil of the system's grid,
+and its count on the h/2 grid from another. CondensedForm solves with the
+reduced form by the same condensation at c = 0; it serves the near-kernel
+vectors and the matched solve.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cluster import ClusterParams, InterfaceGraph, classify_point
 from .measure import Arc, extract_arcs
@@ -156,12 +156,17 @@ def dependent_trace(vertex: Vertex) -> list[float]:
 
 @dataclass
 class JacobiSystem:
-    """Assembled discrete pencil: form matrix A (the index form), mass M, and
-    the sparse basis Z of the Kirchhoff-constraint subspace.
+    """The discrete pencil on the grids of arc_grids(graph, h), matrix-free.
 
-    Eigenvalues of the operator are the lam solving A x = -lam M x over the
-    constrained subspace, i.e. the pencil (-Z^T A Z, Z^T M Z). The properties
-    derived from it are computed on first use and kept; callers must not modify them.
+    A node vector holds each arc's grid values at offsets[a]:offsets[a] +
+    counts[a]. The form matrix A (the index form) and the mass M act on node
+    vectors by per-arc three-point stencils; the basis Z of the
+    Kirchhoff-constraint subspace maps a reduced vector, the values at every
+    node but the dependent end at each vertex (dependent_trace), to a node
+    vector. Eigenvalues of the operator are the lam solving A x = -lam M x over
+    the constrained subspace, i.e. the pencil (-A_r, M_r) with A_r = Z^T A Z
+    and M_r = Z^T M Z. The properties derived from it are computed on first use
+    and kept; callers must not modify them.
     """
 
     graph: QuantumGraph
@@ -169,17 +174,14 @@ class JacobiSystem:
     offsets: list[int]
     counts: list[int]
     steps: list[float]
-    form: sp.csr_matrix
-    mass: sp.csr_matrix
-    constraint_basis: sp.csr_matrix
 
     @property
     def size(self) -> int:
-        return self.form.shape[0]
+        return self.offsets[-1] + self.counts[-1]
 
     @property
     def reduced_size(self) -> int:
-        return self.constraint_basis.shape[1]
+        return self.size - len(self.graph.vertices)
 
     def arc_values(self, x: np.ndarray, arc_index: int) -> np.ndarray:
         off, cnt = self.offsets[arc_index], self.counts[arc_index]
@@ -193,20 +195,89 @@ class JacobiSystem:
         return arc.point(ts)
 
     @cached_property
+    def trace_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ends, coeffs, columns): the node of each arc end at each vertex, shape
+        (vertices, 3) in vertex.ends order, whose last column holds the dependent
+        traces; their dependent_trace coefficients, shape (vertices, 2); and the
+        reduced index of each node, -1 at a dependent end."""
+        ends = np.array([[self.offsets[ve.arc_index] + (0 if ve.end == 0 else
+                                                        self.counts[ve.arc_index] - 1)
+                          for ve in vertex.ends] for vertex in self.graph.vertices],
+                        dtype=np.intp).reshape(-1, 3)
+        coeffs = np.array([dependent_trace(v) for v in self.graph.vertices]).reshape(-1, 2)
+        free = np.ones(self.size, dtype=bool)
+        free[ends[:, 2]] = False
+        return ends, coeffs, np.where(free, np.cumsum(free) - 1, -1)
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """Z y: the node vector (or columns) of reduced vectors."""
+        ends, coeffs, columns = self.trace_rule
+        coeffs = coeffs.reshape(coeffs.shape + (1,) * (y.ndim - 1))
+        sources = columns[ends[:, :2]]
+        x = np.empty((self.size,) + y.shape[1:])
+        x[columns >= 0] = y
+        x[ends[:, 2]] = coeffs[:, 0] * y[sources[:, 0]] + coeffs[:, 1] * y[sources[:, 1]]
+        return x
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """Z^T x of node vectors (or columns)."""
+        ends, coeffs, columns = self.trace_rule
+        coeffs = coeffs.reshape(coeffs.shape + (1,) * (x.ndim - 1))
+        y = x[columns >= 0]
+        for k in range(2):  # the sources of all vertices are distinct
+            y[columns[ends[:, k]]] += coeffs[:, k] * x[ends[:, 2]]
+        return y
+
+    def apply_form(self, x: np.ndarray) -> np.ndarray:
+        """A x of node vectors (or columns)."""
+        out = self._stencils(x, form=True)
+        ends = self.trace_rule[0].ravel()
+        robin = np.array([ve.robin for v in self.graph.vertices for ve in v.ends])
+        out[ends] -= robin.reshape(robin.shape + (1,) * (x.ndim - 1)) * x[ends]
+        return out / NORM_S2
+
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        """M x of node vectors (or columns)."""
+        return self._stencils(x, form=False) / NORM_S2
+
+    def _stencils(self, x: np.ndarray, form: bool) -> np.ndarray:
+        """Each arc's three-point stencil of A (without the Robin terms and the
+        1/4pi) or of M: every interval adds d to its two diagonal entries and o
+        to its two off-diagonal ones, cyclically on a vertex-free circle."""
+        out = np.empty_like(x)
+        for ai, arc in enumerate(self.graph.arcs):
+            step = self.steps[ai]
+            if form:
+                pot = 1.0 + arc.kappa ** 2
+                d, o = 1.0 / step - pot * step / 3.0, -1.0 / step - pot * step / 6.0
+            else:
+                d, o = step / 3.0, step / 6.0
+            v, w = self.arc_values(x, ai), self.arc_values(out, ai)
+            if arc.closed:
+                w[:] = 2.0 * d * v + o * (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0))
+            else:
+                w[1:-1] = 2.0 * d * v[1:-1] + o * (v[:-2] + v[2:])
+                w[0] = d * v[0] + o * v[1]
+                w[-1] = d * v[-1] + o * v[-2]
+        return out
+
+    def reduced_form(self, y: np.ndarray) -> np.ndarray:
+        """A_r y of reduced vectors (or columns)."""
+        return self.restrict(self.apply_form(self.expand(y)))
+
+    def reduced_mass(self, y: np.ndarray) -> np.ndarray:
+        """M_r y of reduced vectors (or columns)."""
+        return self.restrict(self.apply_mass(self.expand(y)))
+
+    @cached_property
     def pencil(self) -> ArcPencil:
         """The same pencil condensed in closed form: ArcPencil(graph, h)."""
         return ArcPencil(self.graph, self.h)
 
     @cached_property
-    def reduced(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The reduced pencil (Z^T A Z, Z^T M Z)."""
-        z = self.constraint_basis
-        return (z.T @ self.form @ z).tocsr(), (z.T @ self.mass @ z).tocsr()
-
-    @cached_property
-    def form_factor(self) -> spla.SuperLU:
-        """Sparse LU factorization of the reduced form A_r."""
-        return spla.splu(self.reduced[0].tocsc())
+    def form_solver(self) -> CondensedForm:
+        """A_r^-1 by the condensation of the pencil at c = 0."""
+        return CondensedForm(self)
 
     @cached_property
     def cut_counts(self) -> tuple[int, int]:
@@ -221,7 +292,7 @@ class JacobiSystem:
 
         Their number m is the difference of cut_counts. The vectors come from
         KERNEL_STEPS steps of block inverse iteration X <- A_r^-1 M_r X with
-        form_factor, from a fixed block of m + 2 columns orthonormalized
+        form_solver, from a fixed block of m + 2 columns orthonormalized
         after each step, and one Rayleigh-Ritz step on the pencil: the m Ritz
         pairs of least |lam|. Each step shrinks the error of the kernel
         subspace by |lam_m| / |lam_(m+3)|, which is O(h^2) where the kernel
@@ -232,16 +303,15 @@ class JacobiSystem:
         dim = self.cut_counts[1] - self.cut_counts[0]
         vec = np.zeros((self.reduced_size, 0))
         if dim:
-            a_r, m_r = self.reduced
-            lu = self.form_factor
+            solve = self.form_solver.solve
             block = np.random.default_rng(0).standard_normal(
                 (self.reduced_size, min(dim + 2, self.reduced_size)))
             for _ in range(KERNEL_STEPS):
-                block = np.linalg.qr(lu.solve(m_r @ block))[0]
+                block = np.linalg.qr(solve(self.reduced_mass(block)))[0]
             # an M_r-orthonormal basis of the block, then Rayleigh-Ritz on -A_r
-            mass, frame = np.linalg.eigh(block.T @ (m_r @ block))
+            mass, frame = np.linalg.eigh(block.T @ self.reduced_mass(block))
             block = block @ (frame / np.sqrt(mass))
-            lam, ritz = np.linalg.eigh(block.T @ -(a_r @ block))
+            lam, ritz = np.linalg.eigh(block.T @ -self.reduced_form(block))
             keep = np.sort(np.argsort(np.abs(lam), kind="stable")[:dim])
             lam, vec = lam[keep], block @ ritz[:, keep]
             if np.max(np.abs(lam)) > kernel_tol:
@@ -272,73 +342,19 @@ def arc_grids(graph: QuantumGraph, h: float) -> list[tuple[int, float]]:
 
 
 def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
-    """Piecewise-linear Galerkin assembly on the grids of arc_grids(graph, h).
+    """Piecewise-linear Galerkin pencil on the grids of arc_grids(graph, h).
 
-    Vertex-free circle interfaces are discretized cyclically.
+    Vertex-free circle interfaces are discretized cyclically. Nothing is
+    assembled: the system applies its matrices by stencils.
     """
-    arcs = graph.arcs
     offsets, counts, steps = [], [], []
     total = 0
-    for arc, (m, step) in zip(arcs, arc_grids(graph, h)):
+    for arc, (m, step) in zip(graph.arcs, arc_grids(graph, h)):
         offsets.append(total)
         counts.append(m if arc.closed else m + 1)
         steps.append(step)
         total += counts[-1]
-
-    # interval e of an arc joins nodes n0, n1 and contributes the entries
-    # (n0, n0), (n1, n1), (n0, n1), (n1, n0), in that order
-    rows, cols, a_vals, m_vals = [], [], [], []
-    for ai, arc in enumerate(arcs):
-        step = steps[ai]
-        pot = 1.0 + arc.kappa ** 2
-        m_intervals = counts[ai] if arc.closed else counts[ai] - 1
-        k_diag, k_off = 1.0 / step, -1.0 / step
-        m_diag, m_off = step / 3.0, step / 6.0
-        e = np.arange(m_intervals)
-        n0 = offsets[ai] + e
-        n1 = offsets[ai] + ((e + 1) % counts[ai] if arc.closed else e + 1)
-        rows.append(np.stack([n0, n1, n0, n1], axis=1).ravel())
-        cols.append(np.stack([n0, n1, n1, n0], axis=1).ravel())
-        a_diag, a_off = k_diag - pot * m_diag, k_off - pot * m_off
-        a_vals.append(np.tile([a_diag, a_diag, a_off, a_off], m_intervals))
-        m_vals.append(np.tile([m_diag, m_diag, m_off, m_off], m_intervals))
-
-    size = total
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    form = sp.coo_matrix((np.concatenate(a_vals), (rows, cols)), shape=(size, size)).tocsr()
-    mass = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=(size, size)).tocsr()
-
-    # the node of each arc end at each vertex
-    vertex_nodes = [[offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
-                     for ve in vertex.ends] for vertex in graph.vertices]
-
-    # Robin vertex terms enter the form with a minus sign
-    vert_rows = [node for nodes in vertex_nodes for node in nodes]
-    vert_vals = [-ve.robin for vertex in graph.vertices for ve in vertex.ends]
-    if vert_rows:
-        form = form + sp.coo_matrix((vert_vals, (vert_rows, vert_rows)),
-                                    shape=(size, size)).tocsr()
-
-    form = form / NORM_S2
-    mass = mass / NORM_S2
-
-    # eliminate the dependent trace at each vertex (the free dofs are the
-    # columns of Z, in order; a dependent dof's row combines the other two)
-    dep_rows, src_nodes, coeffs = [], [], []
-    for vertex, nodes in zip(graph.vertices, vertex_nodes):
-        dep_rows += [nodes[-1]] * 2
-        src_nodes += nodes[:2]
-        coeffs += dependent_trace(vertex)
-    dep_rows = np.array(dep_rows, dtype=np.intp)
-    free = np.ones(size, dtype=bool)
-    free[dep_rows] = False
-    free_rows = np.flatnonzero(free)
-    col_of = np.cumsum(free) - 1
-    z_rows = np.concatenate([free_rows, dep_rows])
-    z_cols = np.concatenate([np.arange(free_rows.size), col_of[src_nodes]])
-    z_vals = np.concatenate([np.ones(free_rows.size), np.array(coeffs, dtype=float)])
-    z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, free_rows.size)).tocsr()
-    return JacobiSystem(graph, h, offsets, counts, steps, form, mass, z)
+    return JacobiSystem(graph, h, offsets, counts, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +502,8 @@ class ArcPencil:
         # G(c) = fixed + coefficients(c) @ shapes: per arc, its end block's
         # diagonal and off-diagonal, its mode's two couplings and its mode's value
         head, tail, own = basis[start], basis[stop], basis[slots:]
+        # each open arc's two end values in the vertex dofs
+        self.end_rows = head[:, :self._vertex_dofs], tail[:, :self._vertex_dofs]
 
         def pair(x, y):
             return np.einsum("ai,aj->aij", x, y) + np.einsum("ai,aj->aji", x, y)
@@ -513,28 +531,23 @@ class ArcPencil:
                                 "closed form")
         return mu, b, self.intervals * (2.0 / math.pi) * np.arcsin(np.sqrt(np.maximum(u, 0.0)))
 
-    def vertex_spectra(self, shifts: np.ndarray, modes: np.ndarray | None = None,
-                       slopes: bool = False) -> tuple[np.ndarray, ...]:
-        """(sigma, eliminated[, slope]): the eigenvalues of each shift's vertex
-        matrix G(c), descending and padded with -inf, and the number of
-        eliminated modes with t_j > 0, so that the count above c is
-        eliminated + #(sigma > 0). With slopes, also each eigenvalue's
-        derivative in c, v^T G'(c) v for its eigenvector v, with G' by a
-        difference of SLOPE_STEP max(1, |c|).
+    def vertex_matrices(self, shifts: np.ndarray, modes: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, ...]:
+        """(g, explicit, mode, x): the vertex matrix G(c) of each shift over the
+        vertex dofs and one explicit-mode row per open arc, shape
+        (shifts, dofs + arcs, dofs + arcs), whether each arc keeps a mode
+        explicit, which mode (1 where none), and the phases (phase).
 
         modes[s, a] > 0 keeps that mode of open arc a explicit at shift s, and
-        0 eliminates all its modes. By default an arc keeps its nearest mode
-        explicit within POLE_GUARD mode spacings of its Dirichlet value, and
-        eliminates all elsewhere (pole_modes); an explicit mode that pole_modes
-        would keep has its other modes summed one by one.
+        0 eliminates all its modes, which leaves that arc's mode row out of use.
+        By default an arc keeps its nearest mode explicit within POLE_GUARD
+        mode spacings of its Dirichlet value, and eliminates all elsewhere
+        (pole_modes); an explicit mode that pole_modes would keep has its other
+        modes summed one by one. An explicit mode is scaled to unit mass: the
+        arc's interior field is its row's value times phi_j / sqrt(s), for the
+        orthonormal sine mode phi_j.
         """
         m, s = self.intervals, self.steps
-        shifts = np.asarray(shifts, dtype=float)
-        count = shifts.size
-        if slopes:
-            step = SLOPE_STEP * np.maximum(1.0, np.abs(shifts))
-            shifts = np.concatenate([shifts, shifts - step])
-            modes = np.concatenate([modes, modes])
         mu, b, x = self.phase(shifts)
         guarded = pole_modes(x, m)[0]
         if modes is None:
@@ -568,6 +581,26 @@ class ArcPencil:
         coeffs = np.concatenate([diag, off, coupling, parity * coupling, value], axis=1)
         size = self._vertex_dofs + m.size
         g = (coeffs @ self._shapes + self._fixed).reshape(-1, size, size)
+        return g, explicit, mode, x
+
+    def vertex_spectra(self, shifts: np.ndarray, modes: np.ndarray | None = None,
+                       slopes: bool = False) -> tuple[np.ndarray, ...]:
+        """(sigma, eliminated[, slope]): the eigenvalues of each shift's vertex
+        matrix G(c) (vertex_matrices, with these modes), descending and padded
+        with -inf, and the number of eliminated modes with t_j > 0, so that the
+        count above c is eliminated + #(sigma > 0). With slopes, also each
+        eigenvalue's derivative in c, v^T G'(c) v for its eigenvector v, with
+        G' by a difference of SLOPE_STEP max(1, |c|).
+        """
+        m = self.intervals
+        shifts = np.asarray(shifts, dtype=float)
+        count = shifts.size
+        if slopes:
+            step = SLOPE_STEP * np.maximum(1.0, np.abs(shifts))
+            shifts = np.concatenate([shifts, shifts - step])
+            modes = np.concatenate([modes, modes])
+        g, explicit, mode, x = self.vertex_matrices(shifts, modes)
+        size = g.shape[1]
 
         # drop the rows of eliminated arcs, grouping shifts by what is left
         kept = explicit[:count].sum(axis=1)
@@ -630,6 +663,129 @@ def _zero_shifts(potential: float, step: float, fraction: np.ndarray) -> np.ndar
     b = 1/step + mu step/6): the eigenvalues of one arc's Dirichlet or circulant block."""
     sin2 = np.sin(math.pi * fraction) ** 2
     return potential - 4.0 * sin2 / (step ** 2 * (1.0 - 2.0 * sin2 / 3.0))
+
+
+class CondensedForm:
+    """A_r^-1 of a JacobiSystem, with nothing assembled or factored but the
+    small vertex matrix of its ArcPencil at c = 0.
+
+    On an open arc, K = -4pi A couples the interior, whose block T is
+    Toeplitz(a, b) (ArcPencil), to the two end nodes by b at the first and
+    last interior node. solve eliminates each arc's interior onto its ends,
+    solves the vertex matrix G(0) (ArcPencil.vertex_matrices) for the vertex
+    dofs and the explicit modes with np.linalg.solve, and extends the end
+    values back into the interiors. With cos(theta) = -a/2b, T^-1 is the
+    Green's function -sin(min(i, j) theta) sin((m - max(i, j)) theta) /
+    (b sin(theta) sin(m theta)), applied by cumulative sums, and the interior
+    field of end values e_0, e_m is their discrete harmonic extension
+    (e_0 sin((m - i) theta) + e_m sin(i theta)) / sin(m theta). An arc that
+    keeps a mode explicit (pole_modes at c = 0) is taken to its orthonormal
+    sine modes by a sine transform instead: there T is diagonal with values
+    t_j, and mode j couples to the ends by w_j [1, (-1)^(j+1)]. A vertex-free
+    circle's block is circulant and is solved by its Fourier values.
+    """
+
+    def __init__(self, system: JacobiSystem):
+        pencil = system.pencil
+        ends, _, columns = system.trace_rule
+        self.size = system.reduced_size
+        # the reduced index of each vertex dof, 2 v + k for end k of vertex v
+        self._vertex_columns = columns[ends[:, :2]].ravel()
+        self._circles, self._arcs = [], []
+        for ai, arc in enumerate(system.graph.arcs):
+            if arc.closed:
+                m, step = system.counts[ai], system.steps[ai]
+                values = _block_values(1.0 + arc.kappa ** 2, step, np.arange(m // 2 + 1) / m)
+                self._circles.append((columns[system.offsets[ai]], m, values))
+        opened = [ai for ai, arc in enumerate(system.graph.arcs) if not arc.closed]
+        if not opened:
+            return
+        g, explicit, mode, x = pencil.vertex_matrices(np.zeros(1))
+        self._head, self._tail = pencil.end_rows
+        dofs = self._head.shape[1]
+        kept = np.concatenate([np.arange(dofs), dofs + np.flatnonzero(explicit[0])])
+        self._matrix = g[0][np.ix_(kept, kept)]
+        for k, ai in enumerate(opened):
+            m, step, pot = pencil.intervals[k], pencil.steps[k], pencil.potentials[k]
+            b = 1.0 / step + pot * step / 6.0
+            j = np.arange(1, m)
+            if explicit[0, k]:
+                own = int(mode[0, k]) - 1
+                inverse = 1.0 / _block_values(pot, step, j / (2.0 * m))
+                inverse[own] = 0.0
+                weight = b * math.sqrt(2.0 / m) * np.sin(math.pi * j / m)
+                data = (math.sqrt(step), inverse, weight, weight * np.where(j % 2, 1.0, -1.0))
+            else:
+                own = -1
+                theta = math.pi * x[0, k] / m
+                inv_sin_m = 1.0 / math.sin(m * theta)
+                data = (b, np.sin(theta * j), inv_sin_m, -inv_sin_m / (b * math.sin(theta)))
+            self._arcs.append((columns[system.offsets[ai] + 1], m - 1, own, data))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A_r^-1 r for a reduced vector or columns."""
+        load = np.ascontiguousarray(-NORM_S2 * np.asarray(r, dtype=float).reshape(self.size, -1).T)
+        y = np.empty_like(load)
+        for first, m, values in self._circles:
+            block = slice(first, first + m)
+            y[:, block] = np.fft.irfft(np.fft.rfft(load[:, block]) / values, n=m)
+        if not self._arcs:
+            return y.T.reshape(np.shape(r))
+        # each interior's solution with its ends held at 0, and its pull on the ends
+        parts, pulls, explicit = [], [], []
+        for first, inner, own, data in self._arcs:
+            v = load[:, first:first + inner]
+            if own < 0:
+                b, sines, _, green = data
+                rev = sines[::-1]
+                after = np.cumsum((rev * v)[:, ::-1], axis=1)[:, ::-1] - rev * v
+                part = green * (rev * np.cumsum(sines * v, axis=1) + sines * after)
+                pulls.append((-b * part[:, 0], -b * part[:, -1]))
+            else:
+                root, inverse, w0, w1 = data
+                rho = _sine_transform(v)
+                part = rho * inverse
+                pulls.append((-(part @ w0), -(part @ w1)))
+                explicit.append(rho[:, own] / root)
+            parts.append(part)
+        start, stop = (np.stack(p, axis=1) for p in zip(*pulls))
+        rhs = load[:, self._vertex_columns] + start @ self._head + stop @ self._tail
+        u = np.linalg.solve(self._matrix, np.concatenate([rhs] + [e[:, None] for e in explicit],
+                                                         axis=1).T).T
+        dofs = self._head.shape[1]
+        y[:, self._vertex_columns] = u[:, :dofs]
+        start, stop = u[:, :dofs] @ self._head.T, u[:, :dofs] @ self._tail.T
+        modes = iter(u[:, dofs:].T)
+        for k, ((first, inner, own, data), part) in enumerate(zip(self._arcs, parts)):
+            e0, e1 = start[:, k, None], stop[:, k, None]
+            if own < 0:
+                b, sines, inv_sin_m, _ = data
+                y[:, first:first + inner] = part + (e0 * sines[::-1] + e1 * sines) * inv_sin_m
+            else:
+                root, inverse, w0, w1 = data
+                alpha = part - inverse * (e0 * w0 + e1 * w1)
+                alpha[:, own] = next(modes) / root
+                y[:, first:first + inner] = _sine_transform(alpha)
+        return y.T.reshape(np.shape(r))
+
+
+def _sine_transform(v: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I along the last axis, sqrt(2/m) sum_j v_j sin(pi j k/m)
+    for k = 1..m-1 with m - 1 = v.shape[-1], by a real FFT of the odd extension;
+    it is its own inverse."""
+    m = v.shape[-1] + 1
+    ext = np.zeros(v.shape[:-1] + (2 * m,))
+    ext[..., 1:m] = v
+    ext[..., m + 1:] = -v[..., ::-1]
+    return np.fft.rfft(ext)[..., 1:m].imag * -math.sqrt(0.5 / m)
+
+
+def _block_values(potential: float, step: float, fraction: np.ndarray) -> np.ndarray:
+    """mu s - 4 b sin^2(pi fraction) at c = 0 (mu = potential, b = 1/step + mu step/6):
+    the values of one arc's Dirichlet (fraction j/2m) or circulant (j/m) block of
+    -4pi A."""
+    b = 1.0 / step + potential * step / 6.0
+    return potential * step - 4.0 * b * np.sin(math.pi * fraction) ** 2
 
 
 @dataclass
@@ -821,7 +977,7 @@ def conformal_jacobi_solve(system: JacobiSystem, a) -> ConformalSolveReport:
 
     The near-kernel eigenvectors V0 (discrete Jacobi fields, |lam| <=
     kernel_tolerance(system), M_r-orthonormal) are projected out of the
-    right-hand side, the reduced system is solved with a sparse LU of A_r, and
+    right-hand side, the reduced system is solved by system.form_solver, and
     V0 is projected out of the solution. The removed fraction
     |V0^T rhs| / sqrt(rhs^T M_r^-1 rhs) is reported. The piecewise-constant
     field g of a satisfies the trace constraint, g = Z g_r, so
@@ -833,16 +989,14 @@ def conformal_jacobi_solve(system: JacobiSystem, a) -> ConformalSolveReport:
     a = a - a.mean()
     n_minus_1 = float(system.graph.params.n - 1)
     g = piecewise_constant_field(system, a)
-    mass_g = system.mass @ g
-    z = system.constraint_basis
-    rhs = z.T @ (-n_minus_1 * mass_g)
-    m_r = system.reduced[1]
+    mass_g = system.apply_mass(g)
+    rhs = system.restrict(-n_minus_1 * mass_g)
     kernel = system.near_kernel
     # with -A v_k = lam_k M v_k and V^T M V = Id, rhs = M V c for c = V^T rhs
     coeffs = kernel.T @ rhs
     total = n_minus_1 * math.sqrt(max(float(g @ mass_g), 0.0))
     removed = float(np.linalg.norm(coeffs) / max(total, 1e-300))
-    y = system.form_factor.solve(rhs - m_r @ (kernel @ coeffs))
-    y -= kernel @ (kernel.T @ (m_r @ y))
-    x = z @ y
+    y = system.form_solver.solve(rhs - system.reduced_mass(kernel @ coeffs))
+    y -= kernel @ (kernel.T @ system.reduced_mass(y))
+    x = system.expand(y)
     return ConformalSolveReport(x, volume_derivative(system, x), kernel.shape[1], removed, a)

@@ -224,6 +224,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
     r = residual(y)
     jac = jac0
     jac_age = 0
+    fresh = False  # jac was built at this y
     rebuilds_after_stall = 0
     for _ in range(MAX_ITER):
         if np.linalg.norm(r, np.inf) <= tol:
@@ -231,7 +232,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
                 float(np.linalg.norm(r, np.inf))
         if jac is None or jac_age >= JACOBIAN_REUSE:
             jac = build_jacobian(y)
-            jac_age = 0
+            jac_age, fresh = 0, True
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -244,15 +245,18 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
                 y = y + scale * delta
                 r = r_try
                 jac_age += 1
+                fresh = False
                 break
             scale *= 0.5
         else:
-            # line search stalled: rebuild the Jacobian once, then give up
-            if rebuilds_after_stall >= 2:
+            # line search stalled: rebuild the Jacobian, at most twice, then
+            # give up. Both Jacobians are deterministic functions of y, so a
+            # rebuild at the y it was built at would repeat this round exactly.
+            if rebuilds_after_stall >= 2 or fresh:
                 break
             rebuilds_after_stall += 1
             jac = build_jacobian(y)
-            jac_age = 0
+            jac_age, fresh = 0, True
     return y, (jac if jac is not None else build_jacobian(y)), \
         float(np.linalg.norm(r, np.inf))
 

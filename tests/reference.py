@@ -18,15 +18,82 @@ from bubblelab.cluster import ClusterParams, InterfaceGraph, cell_values, valida
 from bubblelab.deform import gram_path
 from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
                                blowup_at, plateau_at)
-from bubblelab.quantum_graph import SpectrumError, kernel_tolerance
+from bubblelab.quantum_graph import NORM_S2, SpectrumError, dependent_trace, kernel_tolerance
 from bubblelab.simplex import sum_zero_basis
 from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER,
                                 standard_of_curvature)
 
 
+def sparse_pencil(system) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """(A, M, Z) of a JacobiSystem as sparse matrices: the form, the mass and the
+    basis of the Kirchhoff-constraint subspace, assembled interval by interval
+    from coo entries. JacobiSystem applies the same matrices by stencils."""
+    arcs = system.graph.arcs
+    offsets, counts, steps = system.offsets, system.counts, system.steps
+    size = system.size
+
+    # interval e of an arc joins nodes n0, n1 and contributes the entries
+    # (n0, n0), (n1, n1), (n0, n1), (n1, n0), in that order
+    rows, cols, a_vals, m_vals = [], [], [], []
+    for ai, arc in enumerate(arcs):
+        step = steps[ai]
+        pot = 1.0 + arc.kappa ** 2
+        m_intervals = counts[ai] if arc.closed else counts[ai] - 1
+        k_diag, k_off = 1.0 / step, -1.0 / step
+        m_diag, m_off = step / 3.0, step / 6.0
+        e = np.arange(m_intervals)
+        n0 = offsets[ai] + e
+        n1 = offsets[ai] + ((e + 1) % counts[ai] if arc.closed else e + 1)
+        rows.append(np.stack([n0, n1, n0, n1], axis=1).ravel())
+        cols.append(np.stack([n0, n1, n1, n0], axis=1).ravel())
+        a_diag, a_off = k_diag - pot * m_diag, k_off - pot * m_off
+        a_vals.append(np.tile([a_diag, a_diag, a_off, a_off], m_intervals))
+        m_vals.append(np.tile([m_diag, m_diag, m_off, m_off], m_intervals))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    form = sp.coo_matrix((np.concatenate(a_vals), (rows, cols)), shape=(size, size)).tocsr()
+    mass = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=(size, size)).tocsr()
+
+    # the node of each arc end at each vertex
+    vertex_nodes = [[offsets[ve.arc_index] + (0 if ve.end == 0 else counts[ve.arc_index] - 1)
+                     for ve in vertex.ends] for vertex in system.graph.vertices]
+
+    # Robin vertex terms enter the form with a minus sign
+    vert_rows = [node for nodes in vertex_nodes for node in nodes]
+    vert_vals = [-ve.robin for vertex in system.graph.vertices for ve in vertex.ends]
+    if vert_rows:
+        form = form + sp.coo_matrix((vert_vals, (vert_rows, vert_rows)),
+                                    shape=(size, size)).tocsr()
+    form = form / NORM_S2
+    mass = mass / NORM_S2
+
+    # eliminate the dependent trace at each vertex (the free dofs are the
+    # columns of Z, in order; a dependent dof's row combines the other two)
+    dep_rows, src_nodes, coeffs = [], [], []
+    for vertex, nodes in zip(system.graph.vertices, vertex_nodes):
+        dep_rows += [nodes[-1]] * 2
+        src_nodes += nodes[:2]
+        coeffs += dependent_trace(vertex)
+    dep_rows = np.array(dep_rows, dtype=np.intp)
+    free = np.ones(size, dtype=bool)
+    free[dep_rows] = False
+    free_rows = np.flatnonzero(free)
+    col_of = np.cumsum(free) - 1
+    z_rows = np.concatenate([free_rows, dep_rows])
+    z_cols = np.concatenate([np.arange(free_rows.size), col_of[src_nodes]])
+    z_vals = np.concatenate([np.ones(free_rows.size), np.array(coeffs, dtype=float)])
+    z = sp.coo_matrix((z_vals, (z_rows, z_cols)), shape=(size, free_rows.size)).tocsr()
+    return form, mass, z
+
+
+def reduced_pencil(system) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The reduced pencil (A_r, M_r) = (Z^T A Z, Z^T M Z) of sparse_pencil(system)."""
+    form, mass, z = sparse_pencil(system)
+    return (z.T @ form @ z).tocsr(), (z.T @ mass @ z).tocsr()
+
+
 def eigendecomposition(system) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a JacobiSystem's reduced pencil (dense reference)."""
-    a_r, m_r = system.reduced
+    a_r, m_r = reduced_pencil(system)
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray())
 
 
@@ -63,14 +130,14 @@ def ldl_inertia(matrix: sp.spmatrix) -> tuple[int, str]:
 
 def ldl_count_above(system, value: float) -> int:
     """ArcPencil.count_above by ldl_inertia of the assembled -A_r - value M_r."""
-    a_r, m_r = system.reduced
+    a_r, m_r = reduced_pencil(system)
     return ldl_inertia(-a_r - value * m_r)[0]
 
 
 def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
     """The k_top largest eigenvalues of a JacobiSystem's reduced pencil,
     descending, by a dense generalized eigensolver (dense reference)."""
-    a_r, m_r = system.reduced
+    a_r, m_r = reduced_pencil(system)
     n = system.reduced_size
     return scipy.linalg.eigh(-a_r.toarray(), m_r.toarray(), eigvals_only=True,
                              subset_by_index=[n - k_top, n - 1])[::-1]
@@ -79,7 +146,7 @@ def dense_top_eigenvalues(system, k_top: int) -> np.ndarray:
 def arpack_top_eigenvalues(system, k_top: int) -> np.ndarray:
     """The k_top largest eigenvalues of a JacobiSystem's reduced pencil, descending,
     by one shift-invert Lanczos run from a fixed start vector (ARPACK)."""
-    a_r, m_r = system.reduced
+    a_r, m_r = reduced_pencil(system)
     kappa_max = max(abs(a.kappa) for a in system.graph.arcs)
     sigma = 1.0 + kappa_max ** 2 + 3.0
     lam = spla.eigsh(-a_r.tocsc(), k=min(k_top, system.reduced_size - 2),
@@ -143,10 +210,10 @@ def remove_kernel_component(system, x: np.ndarray) -> np.ndarray:
     Useful when comparing a computed solution with a closed form that may
     differ by kernel elements.
     """
-    z = system.constraint_basis
+    _, mass, z = sparse_pencil(system)
     kernel = system.near_kernel
     y = spla.spsolve((z.T @ z).tocsc(), z.T @ x)
-    m_r = system.reduced[1]
+    m_r = (z.T @ mass @ z).tocsr()
     proj = kernel @ (kernel.T @ (m_r @ y))
     return z @ (y - proj)
 
@@ -253,15 +320,15 @@ def lanczos_near_kernel(system) -> np.ndarray:
     """JacobiSystem.near_kernel by one shift-invert Lanczos run at 0.
 
     The kernel dimension is the difference of the system's cut_counts; the
-    Lanczos operator reuses the factorization of A_r.
+    Lanczos operator solves with a sparse LU of the assembled A_r.
     """
     kernel_tol = kernel_tolerance(system)
     above, above_minus = system.cut_counts
     dim = above_minus - above
     if not dim:
         return np.zeros((system.reduced_size, 0))
-    a_r, m_r = system.reduced
-    lu = system.form_factor
+    a_r, m_r = reduced_pencil(system)
+    lu = spla.splu(a_r.tocsc())
     op = spla.LinearOperator(lu.shape, matvec=lambda b: -lu.solve(b), dtype=float)
     lam, vec = spla.eigsh(-a_r.tocsc(), k=dim, M=m_r.tocsc(), sigma=0.0, OPinv=op,
                           which="LM", v0=np.ones(system.reduced_size))

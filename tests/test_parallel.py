@@ -105,6 +105,35 @@ class TestRowBlocks:
                         == whole_wall_interior(params, i, j, pts).tobytes())
 
 
+def whole_wall_chunk_sums(params, i, j, frame, seed, chunk, count, weights):
+    """measure._wall_chunk_sums with each weight evaluated on the whole chunk at once."""
+    pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
+    inside = whole_wall_interior(params, i, j, pts)
+    sums = []
+    for weight in weights:
+        contrib = inside * weight(pts)
+        sums.append((contrib.sum(), (contrib ** 2).sum()))
+    return sums
+
+
+@pytest.mark.parametrize("rows", [2, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
+    # the weights of the operators: a coordinate, 1 - <p, xi> and <p, pole>^2
+    rng = np.random.default_rng(n)
+    params = recentered(n, rng.standard_normal((4, n + 1)), 0.3 * rng.standard_normal(4))
+    xi, pole = 0.3 * rng.standard_normal(n + 1), rng.standard_normal(n + 1)
+    weights = [lambda pts: pts[:, 1], lambda pts: 1.0 - pts @ xi,
+               lambda pts: (pts @ pole) ** 2]
+    for i, j in [(0, 1), (1, 3)]:
+        frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+        if frame is None:
+            continue
+        args = (params, i, j, frame, 11, 0, rows, weights)
+        got = measure._wall_chunk_sums(*args)
+        assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
+
+
 def reversed_runner(tasks):
     """Runs the tasks last first, so they finish in reverse order."""
     results = [None] * len(tasks)

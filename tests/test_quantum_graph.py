@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bubblelab import (apply_mobius, assemble_jacobi, build_graph, conformal_jacobi_solve,
                        conformal_to_volume_pcf, detect_interfaces,
@@ -22,7 +23,7 @@ from bubblelab.quantum_graph import (POLE_GUARD, ArcPencil, GraphBuildError, Spe
 from bubblelab.suites import _random_sum_zero
 from reference import (arpack_top_eigenvalues, dense_top_eigenvalues, eigendecomposition,
                        kirchhoff_residual, lanczos_near_kernel, ldl_count_above, ldl_inertia,
-                       remove_kernel_component, robin_residual)
+                       reduced_pencil, remove_kernel_component, robin_residual, sparse_pencil)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def double_system(double_bubble):
 
 def _reference_assembly(graph, h):
     """(form, mass, constraint basis) by a per-interval loop: the assembly
-    assemble_jacobi must reproduce bit for bit."""
+    reference.sparse_pencil must reproduce bit for bit."""
     counts, offsets, cyclic, steps = [], [], [], []
     total = 0
     for arc in graph.arcs:
@@ -169,7 +170,7 @@ class TestBuildGraph:
 
 class TestAssembly:
     def test_reduced_matrices_symmetric(self, double_system):
-        a_r, m_r = double_system.reduced
+        a_r, m_r = reduced_pencil(double_system)
         assert abs(a_r - a_r.T).max() < 1e-14
         assert abs(m_r - m_r.T).max() < 1e-14
 
@@ -187,8 +188,9 @@ class TestAssembly:
     def test_constraint_basis_satisfies_kirchhoff(self, double_system):
         rng = np.random.default_rng(0)
         y = rng.standard_normal(double_system.reduced_size)
-        x = double_system.constraint_basis @ y
+        x = double_system.expand(y)
         assert kirchhoff_residual(double_system, x) < 1e-12
+        assert np.array_equal(x, sparse_pencil(double_system)[2] @ y)
 
     @pytest.mark.parametrize("kappa", [None, [0.3, 0.1, -0.4], [0.35, 0.05, -0.15, -0.25]],
                              ids=["cap", "q3", "q4"])
@@ -202,8 +204,33 @@ class TestAssembly:
         assert qgraph.arcs[0].full_circle == (kappa is None)
         for system in (assemble_jacobi(qgraph, 4e-3), assemble_jacobi(qgraph, 2e-3)):
             want = _reference_assembly(qgraph, system.h)
-            for got, ref in zip((system.form, system.mass, system.constraint_basis), want):
+            for got, ref in zip(sparse_pencil(system), want):
                 _assert_same_csr(got, ref)
+
+    @pytest.mark.parametrize("kappa", [None, [0.3, 0.1, -0.4], [0.35, 0.05, -0.15, -0.25]],
+                             ids=["cap", "q3", "q4"])
+    def test_stencils_apply_the_sparse_pencil(self, kappa):
+        # A, M, Z and Z^T applied matrix-free against the assembled matrices,
+        # on vectors and on blocks of columns
+        if kappa is None:
+            params, graph = standard_of_volume(2, 2, [0.3, 0.7]), complete_graph(2)
+        else:
+            params = standard_of_curvature(2, len(kappa), np.array(kappa))
+            graph = detect_interfaces(params, rng_seed=0)
+        system = assemble_jacobi(build_graph(params, graph), 4e-3)
+        form, mass, z = sparse_pencil(system)
+        a_r, m_r = reduced_pencil(system)
+        rng = np.random.default_rng(1)
+        for shape in ((), (3,)):
+            x = rng.standard_normal((system.size,) + shape)
+            y = rng.standard_normal((system.reduced_size,) + shape)
+            for got, want in ((system.apply_form(x), form @ x), (system.apply_mass(x), mass @ x),
+                              (system.reduced_form(y), a_r @ y),
+                              (system.reduced_mass(y), m_r @ y)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(system.expand(y), z @ y)
+            assert np.max(np.abs(system.restrict(x) - z.T @ x)) < 1e-14 * np.max(np.abs(x))
 
 class TestCircleSpectrum:
     def test_eigenvalues_one_minus_m_squared(self, hemispheres):
@@ -307,17 +334,17 @@ class TestDoubleBubbleSpectrum:
     def test_each_shift_factored_once(self, double_bubble, monkeypatch):
         # the counts at -cut and +cut, the kernel and the top eigenvalues come
         # from one ArcPencil at h, the h/2 count from one at h/2; the near-kernel
-        # and the matched solve share the cut counts and the one sparse
-        # factorization, form_factor, and nothing is solved against the mass,
-        # assembled or given to ARPACK
+        # and the matched solve share the cut counts and the one condensed
+        # solver, form_solver, and nothing is assembled
         _, _, qgraph = double_bubble
         system = assemble_jacobi(qgraph, 0.01)
-        factored, pencils = [], []
-        splu, pencil = quantum_graph.spla.splu, quantum_graph.ArcPencil
+        solvers, pencils = [], []
+        solver, pencil = quantum_graph.CondensedForm, quantum_graph.ArcPencil
 
-        def counted_splu(matrix, *args, **kwargs):
-            factored.append(matrix.shape[0])
-            return splu(matrix, *args, **kwargs)
+        class CountedSolver(solver):
+            def __init__(self, system):
+                solvers.append(system.reduced_size)
+                super().__init__(system)
 
         class CountedPencil(pencil):
             def __init__(self, graph, h):
@@ -327,16 +354,14 @@ class TestDoubleBubbleSpectrum:
         def forbidden(*args, **kwargs):
             raise AssertionError("eigen_count_positive must not call this")
 
-        monkeypatch.setattr(quantum_graph.spla, "splu", counted_splu)
+        monkeypatch.setattr(quantum_graph, "CondensedForm", CountedSolver)
         monkeypatch.setattr(quantum_graph, "ArcPencil", CountedPencil)
         monkeypatch.setattr(quantum_graph, "assemble_jacobi", forbidden)
-        monkeypatch.setattr(quantum_graph.spla, "spsolve", forbidden)
-        monkeypatch.setattr(quantum_graph.spla, "eigsh", forbidden)
         report = eigen_count_positive(system)
         solve = conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
-        assert factored == [system.reduced_size]
+        assert solvers == [system.reduced_size]
         assert sorted(pencils) == [system.h / 2.0, system.h]
-        assert system.reduced is system.reduced
+        assert system.form_solver is system.form_solver
         assert system.cut_counts is system.cut_counts
         assert solve.kernel_dim == report.kernel_dim
         cut = kernel_tolerance(system)
@@ -437,8 +462,8 @@ class TestConformalJacobiSolve:
         solve = conformal_jacobi_solve(double_system, a)
         # reference: expand in all eigenpairs, drop the kernel ones
         lam, vec = eigendecomposition(double_system)
-        z = double_system.constraint_basis
-        rhs = z.T @ (-(double_system.mass @ piecewise_constant_field(double_system, a)))
+        _, mass, z = sparse_pencil(double_system)
+        rhs = z.T @ (-(mass @ piecewise_constant_field(double_system, a)))
         coeffs = vec.T @ rhs
         keep = np.abs(lam) > kernel_tolerance(double_system)
         reference = z @ (vec[:, keep] @ (-coeffs[keep] / lam[keep]))
@@ -450,7 +475,7 @@ class TestConformalJacobiSolve:
     def test_near_kernel_is_mass_orthonormal_and_read_only(self, double_system):
         tol = kernel_tolerance(double_system)
         kernel = double_system.near_kernel
-        a_r, m_r = double_system.reduced
+        a_r, m_r = reduced_pencil(double_system)
         assert kernel.shape[1] == eigen_count_positive(double_system).kernel_dim
         assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-10
         assert np.max(np.abs(a_r @ kernel)) < tol
@@ -468,7 +493,7 @@ class TestConformalJacobiSolve:
                                      4e-3)
         kernel = system.near_kernel
         reference = lanczos_near_kernel(system)
-        m_r = system.reduced[1]
+        m_r = reduced_pencil(system)[1]
         assert kernel.shape == reference.shape and kernel.shape[1] > 0
         assert np.max(np.abs(kernel.T @ (m_r @ kernel) - np.eye(kernel.shape[1]))) < 1e-12
         # cosines of the M_r-principal angles between the two kernels
@@ -511,18 +536,83 @@ class TestConformalJacobiSolve:
         # Q(f^a) = -(n-1) a . (volume column of f^a) for matched solutions
         a = np.array([0.5, 0.2, -0.7])
         solve = conformal_jacobi_solve(double_system, a)
-        q_val = solve.field @ (double_system.form @ solve.field)
+        q_val = solve.field @ (sparse_pencil(double_system)[0] @ solve.field)
         assert abs(q_val + a @ solve.volume_column) < 1e-6
 
     def test_eigenvectors_satisfy_vertex_conditions(self, double_system):
         lam, vec = eigendecomposition(double_system)
-        x = double_system.constraint_basis @ vec[:, -1]  # top eigenvalue
+        x = double_system.expand(vec[:, -1])  # top eigenvalue
         assert kirchhoff_residual(double_system, x) < 1e-10
         fine = assemble_jacobi(double_system.graph, double_system.h / 2)
         lam_f, vec_f = eigendecomposition(fine)
-        x_f = fine.constraint_basis @ vec_f[:, -1]
+        x_f = fine.expand(vec_f[:, -1])
         assert robin_residual(fine, x_f / np.abs(x_f).max()) < \
             2 * robin_residual(double_system, x / np.abs(x).max()) + 1e-8
+
+
+def _solve_graphs():
+    """The graphs the condensed solve is checked on: the spectrum_index double
+    bubbles, the first of which (kappa = 0) has every arc within POLE_GUARD of
+    a Dirichlet value at c = 0, the bench-like q = 3 and q = 4 bubbles, a
+    Moebius image (t = 0.3) of the q = 4 one, and the great circle."""
+    q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
+    mobius = apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3)
+    graphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
+              for params, seed in _spectrum_index_clusters()]
+    graphs += [_graph_of(name) for name in ("bench_q3", "bench_q4")]
+    graphs.append(build_graph(mobius, detect_interfaces(mobius, rng_seed=0)))
+    return graphs + [_graph_of("hemispheres")]
+
+
+class TestCondensedForm:
+    """JacobiSystem.form_solver against the sparse LU of the assembled A_r."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return [assemble_jacobi(qgraph, 4e-3) for qgraph in _solve_graphs()]
+
+    def test_guarded_arc_keeps_its_mode(self, systems):
+        # the flat double bubble: every arc takes the sine-mode path
+        pencil = systems[0].pencil
+        assert pole_modes(pencil.phase(np.zeros(1))[2], pencil.intervals)[0].all()
+
+    def test_matches_sparse_lu_off_the_kernel(self, systems):
+        # A_r is within O(h^2) of singular on the Jacobi fields, so two stable
+        # solvers agree there only to cond(A_r) eps; off the kernel they agree
+        # to rounding. The right-hand sides have their kernel share taken out,
+        # as in conformal_jacobi_solve, and so do the solutions.
+        for system in systems:
+            a_r, m_r = reduced_pencil(system)
+            kernel = system.near_kernel
+            rhs = np.random.default_rng(2).standard_normal((system.reduced_size, 3))
+            rhs -= m_r @ (kernel @ (kernel.T @ rhs))
+            got, want = (y - kernel @ (kernel.T @ (m_r @ y))
+                         for y in (system.form_solver.solve(rhs), spla.splu(a_r.tocsc()).solve(rhs)))
+            err = np.sqrt(np.sum((got - want) * (m_r @ (got - want)), axis=0))
+            norm = np.sqrt(np.sum(want * (m_r @ want), axis=0))
+            assert np.max(err / norm) < 1e-9
+            # a vector is solved as a one-column block
+            one = system.form_solver.solve(rhs[:, 1])
+            assert np.array_equal(one, system.form_solver.solve(rhs[:, 1:2])[:, 0])
+
+    def test_backward_stable(self, systems):
+        # on any right-hand side, kernel share included, the residual is at
+        # rounding level relative to |A_r| |y|
+        for system in systems:
+            a_r, _ = reduced_pencil(system)
+            rhs = np.random.default_rng(3).standard_normal(system.reduced_size)
+            y = system.form_solver.solve(rhs)
+            scale = abs(a_r).sum(axis=1).max() * np.max(np.abs(y))
+            assert np.max(np.abs(a_r @ y - rhs)) < 1e-14 * scale
+
+    def test_near_kernel_spans_the_lanczos_kernel(self, systems):
+        for system in systems:
+            kernel = system.near_kernel
+            reference = lanczos_near_kernel(system)
+            m_r = reduced_pencil(system)[1]
+            assert kernel.shape == reference.shape and kernel.shape[1] > 0
+            cosines = np.linalg.svd(kernel.T @ (m_r @ reference), compute_uv=False)
+            assert np.max(np.abs(cosines - 1.0)) < 1e-10
 
 
 def _spectrum_index_clusters(seed: int = 6):

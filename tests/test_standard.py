@@ -253,6 +253,32 @@ class TestExactVolumeJacobian:
         assert 0 < len(calls) <= before / 2
 
 
+class TestNewtonStall:
+    def test_stall_at_a_fresh_jacobian_ends_the_solve(self):
+        # On a piecewise-constant volume map, as Monte Carlo volumes are, the
+        # line search stalls where no step lowers the residual. A Jacobian
+        # rebuilt at the y it was built at is the same, so the solve stops
+        # there, with the result the solve that rebuilds it twice returns.
+        exact = measure.cell_volume_function(complete_graph(3), 2, "exact")
+        calls = {"new": 0, "old": 0}
+
+        def stepped(key):
+            def volume_of(params):
+                calls[key] += 1
+                return np.round(exact(params), 4)
+            return volume_of
+
+        cfg = NewtonConfig(backend="mc")
+        tol, fd_step = cfg.tolerances(2)
+        v = np.array([0.55473, 0.2, 0.24527])  # off the 1e-4 grid of the map
+        got = standard._volume_newton(2, 3, v, cfg, stepped("new"))
+        want = fd_volume_newton(2, 3, v, tol, stepped("old"), fd_step=fd_step)
+        assert got[2] > tol  # it stalled
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        assert calls["new"] < calls["old"]
+
+
 class TestModelProfile:
     def test_single_bubble_closed_form(self):
         cfg = NewtonConfig(tol=1e-11)

@@ -13,10 +13,17 @@ No module of the package binds a dict, list or set at module level, apart
 from the sample memo sampling._unit_cache: a read-only table is a tuple or a
 types.MappingProxyType. Dunder names (__path__, __all__, __builtins__) are the
 import system's and exempt.
+
+The package runs on numpy alone: scipy is a test dependency, and a use of it
+in the package imports it inside the function that needs it.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -83,3 +90,27 @@ def module_level_containers() -> list[str]:
 
 def test_no_module_holds_a_mutable_container():
     assert module_level_containers() == ["sampling:_unit_cache"]
+
+
+NUMPY_ONLY_RUN = """
+import json, sys
+import numpy as np
+import bubblelab as bl
+params = bl.standard_of_curvature(2, 3, np.array([0.3, 0.1, -0.4]))
+graph = bl.detect_interfaces(params, rng_seed=0)
+system = bl.assemble_jacobi(bl.build_graph(params, graph), 1e-2)
+report = bl.eigen_count_positive(system)
+solve = bl.conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
+mc = bl.measure_mc(params, graph, samples=20_000, seed=1)
+print(json.dumps({"index": report.count_positive, "kernel": solve.kernel_dim,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_the_package_runs_without_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out == {"index": 2, "kernel": 3, "scipy": []}
