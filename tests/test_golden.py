@@ -1,25 +1,30 @@
-"""Golden digests of Monte Carlo results: a change that claims to keep them bit
-for bit is checked here, not by hand.
+"""Golden digests of Monte Carlo and S^2 spectrum results: a change that claims
+to keep them bit for bit is checked here, not by hand.
 
-Each case is a small Monte Carlo computation; its digest is a SHA-256 of the
-dtype, shape and bytes of its outputs. The recorded digests were produced by
+Each case is a small Monte Carlo computation or a set of S^2 Jacobi spectra
+and solves; its digest is a SHA-256 of the dtype, shape and bytes of its
+outputs. The recorded digests were produced by
 
     PYTHONPATH=src python tests/test_golden.py
 
-at commit 5079b82 (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31, x86-64). The
+at commit 5079b82 for the Monte Carlo cases and at commit 3d89102 for the
+spectrum cases (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31, x86-64). The
 bits depend on the numpy build and its BLAS, so the cases skip under any other
 numpy version. A change that means to move these bits must re-record them
 with the same command and say why.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from bubblelab import (NewtonConfig, complete_graph, conformal_to_volume_pcf,
-                       detect_interfaces, measure_mc, model_profile, normal_moment_operator,
-                       pcf_detect, standard_of_curvature, standard_of_volume)
+from bubblelab import (NewtonConfig, apply_mobius, assemble_jacobi, build_graph,
+                       complete_graph, conformal_to_volume_pcf, detect_interfaces,
+                       eigen_count_positive, equal_volume_standard, measure_mc,
+                       model_profile, normal_moment_operator, pcf_detect,
+                       standard_of_curvature, standard_of_volume)
 from bubblelab.measure import cell_volumes_mc
 
 NUMPY_VERSION = "2.4.6"
@@ -32,6 +37,8 @@ GOLDEN = {
     "conformal_to_volume_pcf": "7f592cf1e2cd7d00dcc1",
     "standard_of_volume": "28bf625818e90a9de4cb",
     "model_profile": "00f6caf72f015f21db8a",
+    "eigen_count_positive": "b5b2ed0ac680e79ad274",
+    "near_kernel_and_solve": "4c677910d9708dc2b1ad",
 }
 
 
@@ -86,6 +93,37 @@ def case_model_profile():
     cfg = NewtonConfig(backend="mc", mc_samples=700_000, mc_seed=16)
     point = model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
     return [point.value, point.kappa, point.grad, point.hessian]
+
+
+def _spectrum_systems():
+    """Jacobi systems at h = 4e-3 of the bench-like q = 3 and q = 4 bubbles, the
+    equal-volume q = 3 bubble (its h/2 cut lies next to an arc Dirichlet
+    value), a Moebius image of the q = 4 one and the great circle."""
+    q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
+    clusters = [standard_of_curvature(2, 3, np.array([0.21, -0.05, -0.16])), q4,
+                equal_volume_standard(2, 3),
+                apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3),
+                equal_volume_standard(2, 2)]
+    return [assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=0)), 4e-3)
+            for params in clusters]
+
+
+def case_eigen_count_positive():
+    out = []
+    for system in _spectrum_systems():
+        rep = eigen_count_positive(system)
+        out.extend([rep.count_positive, rep.eigenvalues, rep.kernel_dim, rep.converged,
+                    rep.counts_at_resolutions, rep.method, rep.refined_method,
+                    rep.pole_margin])
+    return out
+
+
+def case_near_kernel_and_solve():
+    out = []
+    for system in _spectrum_systems():
+        rhs = np.random.default_rng(17).standard_normal((system.reduced_size, 2))
+        out.extend([system.near_kernel, system.form_solver.solve(rhs)])
+    return out
 
 
 CASES = {name: globals()[f"case_{name}"] for name in GOLDEN}
