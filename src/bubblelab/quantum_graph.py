@@ -12,13 +12,11 @@ and eigenvalues converge at second order. Nothing is assembled: JacobiSystem
 applies the matrices by per-arc stencils.
 
 Each arc's grid is uniform, so its block of the pencil is Toeplitz and has
-closed-form modes. ArcPencil condenses every arc onto its ends in closed form
-and counts and locates the pencil's eigenvalues from a small vertex matrix.
-It is the one count engine: eigen_count_positive takes the count, the kernel
-dimension and the top eigenvalues from the ArcPencil of the system's grid,
-and its count on the h/2 grid from another. CondensedForm solves with the
-reduced form by the same condensation at c = 0; it serves the near-kernel
-vectors and the matched solve.
+closed-form modes, all in one arc model, ToeplitzArcs. Over it, the vertex
+engine condenses every arc onto its ends: ArcPencil counts and locates the
+eigenvalues from a small vertex matrix (eigen_count_positive reads the one of
+the system's grid and another at h/2), and CondensedForm solves with the
+reduced form at c = 0 for the near-kernel vectors and the matched solve.
 """
 
 from __future__ import annotations
@@ -434,44 +432,39 @@ def kernel_tolerance(system: JacobiSystem) -> float:
     return max(KERNEL_FLOOR, 50.0 * system.h ** 2)
 
 
-class ArcPencil:
-    """The reduced pencil of assemble_jacobi(graph, h), condensed onto the arc
-    ends in closed form, with no matrix assembled.
+class ToeplitzArcs:
+    """The closed forms of the arcs' P1 interiors in the pencil of
+    assemble_jacobi(graph, h), as arrays over the open arcs.
 
-    For a shift c the pencil is K(c) = -A - c M, taken here without the common
-    factor 1/4pi, which changes neither its inertia nor its eigenvalues. On an
+    At a shift c the pencil is K(c) = -A - c M without the factor 1/4pi. On an
     open arc with m intervals of step s and potential p = 1 + kappa^2, set
-    mu = p - c, a = -2/s + 2 mu s/3 and b = 1/s + mu s/6. The interior block
-    is Toeplitz(a, b), with modes sin(j k pi/m) and values
-    t_j = mu s - 4 b sin^2(j pi/2m), j = 1..m-1; mode j couples to the two end
-    nodes by b sqrt(2/m) sin(j pi/m) [1, (-1)^(j+1)], and each end node carries
-    a/2 plus its Robin coefficient. A vertex-free (cyclic) arc is decoupled:
-    its eigenvalues are the zeros of its circulant values
-    mu s - 4 b sin^2(j pi/m), j = 0..m-1, in closed form.
-
-    Eliminating an arc's modes onto its ends leaves the discrete
-    Dirichlet-to-Neumann block
-    b sin(theta)/sin(m theta) [[-cos m theta, 1], [1, -cos m theta]], with
-    cos(theta) = 1 - mu s/2b (sinh and cosh above the potential); its modes
-    with t_j > 0 are those below x = m theta/pi. By Haynsworth inertia
-    additivity the count above c is the number of eliminated positive modes
-    plus the positive inertia of the vertex matrix G(c): the end-node block
-    congruent by the end-node rows of the trace-constraint basis, 2 rows per
-    vertex, bordered by one row per explicit mode. Near a pole of that block
-    (an arc Dirichlet value, where x is an integer) the closed form loses its
-    digits, so an arc within POLE_GUARD mode spacings of one keeps that mode
-    explicit (scaled to unit mass, so that G has no entry of order 1/s), and
-    its other modes are summed one by one, in O(m) (pole_modes). No query
-    changes the pencil: each is a pure function of its arguments.
+    mu = p - c, a = -2/s + 2 mu s/3 and b = 1/s + mu s/6: the interior block T
+    is Toeplitz(a, b), with modes sin(j k pi/m) of values
+    t_j = mu s - 4 b sin^2(j pi/2m), j < m, zero at the Dirichlet values, and
+    end couplings w_j [1, (-1)^(j+1)], w_j = b sqrt(2/m) sin(j pi/m); each end
+    node carries a/2. A circle's block is circulant, of values
+    mu s - 4 b sin^2(j pi/m). Eliminating every mode leaves the end block
+    b sin(theta)/sin(m theta) [[-cos m theta, 1], [1, -cos m theta]],
+    cos(theta) = -a/2b (sinh and cosh above p), and the modes below
+    x = m theta/pi have t_j > 0. Within POLE_GUARD mode spacings of a pole (x
+    an integer) an arc keeps that mode explicit at unit mass (t_j/s, w_j/sqrt(s))
+    and sums the others one by one (pole_modes); these two keep their own order
+    of operations, to which counts and eigenvalues are pinned bit for bit. At
+    c = 0, T^-1 is the Green's function -sin(min(i, j) theta)
+    sin((m - max(i, j)) theta) / (b sin(theta) sin(m theta)) and end values
+    extend by (e_0 sin((m - i) theta) + e_m sin(i theta)) / sin(m theta), or
+    an arc keeping a mode explicit is solved in its sine modes; that data is
+    built on first use and kept.
     """
 
     def __init__(self, graph: QuantumGraph, h: float):
-        self.h = h
         grids = arc_grids(graph, h)
         self.max_potential = max(1.0 + arc.kappa ** 2 for arc in graph.arcs)
-        cyclic = [_zero_shifts(1.0 + arc.kappa ** 2, step, np.arange(m) / m)
-                  for arc, (m, step) in zip(graph.arcs, grids) if arc.closed]
-        self.cyclic_values = np.sort(np.concatenate(cyclic)) if cyclic else np.zeros(0)
+        circles = [self._zeros(1.0 + arc.kappa ** 2, step, np.arange(m) / m)
+                   for arc, (m, step) in zip(graph.arcs, grids) if arc.closed]
+        self.cyclic_values = np.sort(np.concatenate([c for c, _ in circles] + [np.zeros(0)]))
+        # each circle's Fourier values at c = 0, j <= m/2
+        self.circle_values = [(c * mass)[:c.size // 2 + 1] for c, mass in circles]
         opened = [ai for ai, arc in enumerate(graph.arcs) if not arc.closed]
         self.intervals = np.array([grids[ai][0] for ai in opened], dtype=np.intp)
         self.steps = np.array([grids[ai][1] for ai in opened], dtype=float)
@@ -483,6 +476,154 @@ class ArcPencil:
         self._sin2 = np.where(i < m, np.sin(0.5 * math.pi * i / m) ** 2, 0.5)
         self._weight = np.where(i < m, (2.0 / m) * np.sin(math.pi * i / m) ** 2, 0.0)
         self._parity = np.where(i % 2 == 1, 1.0, -1.0)  # (-1)^(i+1)
+
+    @staticmethod
+    def _zeros(potential: float, step: float, fraction: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(c_j, m_j): the zeros c_j of mu s - 4 b sin^2(pi fraction), Dirichlet (j/2m) or
+        circulant (j/m), and masses s (1 - 2 sin^2(pi fraction)/3): at c, m_j (c_j - c)."""
+        sin2 = np.sin(math.pi * fraction) ** 2
+        scale = 1.0 - 2.0 * sin2 / 3.0
+        return potential - 4.0 * sin2 / (step ** 2 * scale), step * scale
+
+    def dirichlet_values(self, count: int) -> list[np.ndarray]:
+        """The largest count Dirichlet values of each open arc (the poles of its end
+        block), descending: entry j - 1 is the shift at which t_j vanishes."""
+        return [self._zeros(p, s, np.arange(1, min(m, count + 1)) / (2.0 * m))[0]
+                for m, s, p in zip(self.intervals, self.steps, self.potentials)]
+
+    def phase(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(mu, b, x, theta) of each open arc at each shift, shape (shifts, arcs),
+        where x = m theta/pi: the arc's modes j < x have t_j > 0, x = j at its j-th
+        Dirichlet value, and x = 0 at and above the potential."""
+        mu = self.potentials - np.asarray(shifts, dtype=float)[:, None]
+        b = 1.0 / self.steps + mu * self.steps / 6.0
+        u = mu * self.steps / (4.0 * b)  # sin^2(theta / 2)
+        if not (b.min() > 0.0 and u.max() < 1.0):
+            raise SpectrumError(f"shifts {np.ravel(shifts)} lie outside the range of the "
+                                "closed form")
+        x = self.intervals * (2.0 / math.pi) * np.arcsin(np.sqrt(np.maximum(u, 0.0)))
+        return mu, b, x, (math.pi / self.intervals) * x
+
+    def _modes(self, arcs, mu, b, modes) -> tuple[np.ndarray, ...]:
+        """(value, coupling, parity) of modes j of these arcs at unit mass, entry by
+        entry: t_j / s, w_j / sqrt(s) and (-1)^(j+1)."""
+        m, s = self.intervals[arcs], self.steps[arcs]
+        half = (0.5 * math.pi / m) * modes
+        return (mu - 4.0 * (b / s) * np.sin(half) ** 2,
+                b * np.sqrt(2.0 / (m * s)) * np.sin(2.0 * half), 1.0 - 2.0 * (modes % 2 == 0))
+
+    def end_blocks(self, shifts: np.ndarray, modes: np.ndarray | None = None
+                   ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """(blocks, explicit, eliminated) at each shift: each open arc's end block
+        (diagonal, off-diagonal, its explicit mode's couplings to its start and end
+        and that mode's value; shape (shifts, arcs) each), whether it keeps a mode
+        explicit, and the eliminated modes with t_j > 0. modes[s, a] > 0 keeps
+        that mode, 0 none; by default pole_modes', whose arcs sum the rest one by one."""
+        m, s = self.intervals, self.steps
+        mu, b, x, theta = self.phase(shifts)
+        guarded = pole_modes(x, m)[0]
+        if modes is None:
+            modes = guarded
+        explicit = modes > 0
+        mode = np.maximum(modes, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # every mode eliminated: b [[-ratio_cos, ratio], [ratio, -ratio_cos]]
+            ratio = np.sin(theta) / np.sin(m * theta)
+            ratio_cos = ratio * np.cos(m * theta)
+            if mu.min() <= 0.0:  # at or above the potential: sinh and cosh
+                eta = 2.0 * np.arcsinh(np.sqrt(np.maximum(-mu * s / (4.0 * b), 0.0)))
+                decay = np.exp(-m * eta)
+                sinh = np.sinh(eta) / (1.0 - decay ** 2)
+                ratio = np.where(mu > 0.0, ratio, np.where(mu < 0.0, 2.0 * sinh * decay, 1.0 / m))
+                ratio_cos = np.where(mu > 0.0, ratio_cos,
+                                     np.where(mu < 0.0, sinh * (1.0 + decay ** 2), 1.0 / m))
+            value, coupling, parity = self._modes(slice(None), mu, b, mode)
+            coupling = explicit * coupling
+            pole = coupling ** 2 / value
+        diag = pole - b * ratio_cos
+        off = parity * pole + b * ratio
+        near = np.nonzero(explicit & (guarded == mode))
+        if near[0].size:
+            diag[near], off[near] = self._mode_sums(near[1], mu[near], b[near],
+                                                    mode[near].astype(np.intp))
+        below = np.where(explicit, mode, np.minimum(np.maximum(np.ceil(x), 1.0), m)) - 1.0
+        return ((diag, off, coupling, parity * coupling, value), explicit,
+                below.sum(axis=1).astype(np.intp))
+
+    def _mode_sums(self, arcs: np.ndarray, mu: np.ndarray, b: np.ndarray,
+                   modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) of the end blocks of arcs with every mode but
+        modes eliminated, summed mode by mode: a/2 - sum w_i^2 / t_i and
+        -sum (-1)^(i+1) w_i^2 / t_i over i != mode, entry by entry of
+        (arcs, mu, b, modes)."""
+        s = self.steps[arcs]
+        values = (mu * s)[:, None] - 4.0 * b[:, None] * self._sin2[arcs]
+        values[np.arange(arcs.size), modes - 1] = np.inf
+        terms = (b ** 2)[:, None] * self._weight[arcs] / values
+        return -1.0 / s + mu * s / 3.0 - terms.sum(axis=1), -(terms @ self._parity)
+
+    @cached_property
+    def _at_zero(self) -> list[tuple]:
+        """Each open arc's interior at c = 0: (b, h_0, h_m, phi, data), the harmonic
+        extensions of unit end values and phi None, data (sin((m - j) theta), sin(j theta),
+        factor) on the Green's function, or phi_j/sqrt(s), 1/t_i (0 at j) on sine modes."""
+        mu, b, x, theta = (v[0] for v in self.phase(np.zeros(1)))
+        out = []
+        for k, (m, own) in enumerate(zip(self.intervals, pole_modes(x, self.intervals)[0])):
+            j = np.arange(1, m)
+            if own:
+                value, coupling, parity = self._modes(k, mu[k], b[k], j)
+                inverse, root = 1.0 / value, math.sqrt(self.steps[k])
+                inverse[j == own] = 0.0
+                ends = -_sine_transform(inverse * coupling * np.stack([j ** 0, parity])) / root
+                out.append((b[k], *ends, _sine_transform(1.0 * (j == own)) / root,
+                            inverse / root ** 2))
+            else:
+                sines, inv_sin_m = np.sin(theta[k] * j), 1.0 / math.sin(m * theta[k])
+                out.append((b[k], sines[::-1] * inv_sin_m, sines * inv_sin_m, None,
+                            (sines[::-1], sines, -inv_sin_m / (b[k] * math.sin(theta[k])))))
+        return out
+
+    def eliminate(self, loads: list[np.ndarray]) -> tuple[list, np.ndarray, np.ndarray, list]:
+        """(parts, start, stop, explicit) at c = 0 for interior loads (columns, m - 1):
+        the solutions with ends at 0 and no explicit-mode share, their pulls -b part
+        on the start and end nodes, shape (columns, arcs), and explicit modes' loads."""
+        parts, pulls, explicit = [], [], []
+        for (b, _, _, phi, data), v in zip(self._at_zero, loads):
+            if phi is None:  # the Green's function by cumulative sums
+                rev, sines, green = data
+                after = np.cumsum((rev * v)[:, ::-1], axis=1)[:, ::-1] - rev * v
+                parts.append(green * (rev * np.cumsum(sines * v, axis=1) + sines * after))
+            else:
+                parts.append(_sine_transform(_sine_transform(v) * data))
+                explicit.append(v @ phi)
+            pulls.append(-b * parts[-1][:, [0, -1]])
+        return (parts, *np.transpose(pulls, (2, 1, 0)), explicit)
+
+    def extend(self, parts: list, start: np.ndarray, stop: np.ndarray,
+               modes: np.ndarray) -> list[np.ndarray]:
+        """Each open arc's interior field at c = 0 from its part, end values start[:, k]
+        and stop[:, k], and, where it keeps one, its explicit mode's value in modes."""
+        modes = iter(modes.T)
+        return [part + start[:, k, None] * h0 + stop[:, k, None] * h1
+                + (0.0 if phi is None else next(modes)[:, None] * phi)
+                for k, ((_, h0, h1, phi, _), part) in enumerate(zip(self._at_zero, parts))]
+
+
+class ArcPencil:
+    """The reduced pencil of assemble_jacobi(graph, h) condensed onto the arc
+    ends with no matrix assembled: the vertex engine over the closed forms of
+    arcs, a ToeplitzArcs. The vertex matrix G(c) is the end blocks and Robin
+    terms congruent by the end rows of the trace-constraint basis (2 per
+    vertex), bordered by a row per explicit mode. By Haynsworth inertia
+    additivity the count above c is the eliminated positive modes plus the
+    positive inertia of G(c). Every query is a pure function of its arguments.
+    """
+
+    def __init__(self, graph: QuantumGraph, h: float):
+        self.h = h
+        self.arcs = ToeplitzArcs(graph, h)
+        opened = [ai for ai, arc in enumerate(graph.arcs) if not arc.closed]
 
         # end slot 3 v + k is the k-th end at vertex v; the last one per vertex
         # is the dependent trace
@@ -513,75 +654,15 @@ class ArcPencil:
         self._shapes = shapes.reshape(5 * arcs, basis.shape[1] ** 2)
         self._fixed = ((basis[:slots].T * robin) @ basis[:slots]).ravel()
 
-    def dirichlet_values(self, count: int) -> list[np.ndarray]:
-        """The largest count Dirichlet values of each open arc (the poles of G),
-        descending: entry j - 1 is the shift at which mode j's value t_j vanishes."""
-        return [_zero_shifts(p, s, np.arange(1, min(m, count + 1)) / (2.0 * m))
-                for m, s, p in zip(self.intervals, self.steps, self.potentials)]
-
-    def phase(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(mu, b, x) of each open arc at each shift, shape (shifts, arcs), where
-        x = m theta/pi: the arc's modes j < x have t_j > 0, x = j at its j-th
-        Dirichlet value, and x = 0 at and above the potential."""
-        mu = self.potentials - np.asarray(shifts, dtype=float)[:, None]
-        b = 1.0 / self.steps + mu * self.steps / 6.0
-        u = mu * self.steps / (4.0 * b)  # sin^2(theta / 2)
-        if not (b.min() > 0.0 and u.max() < 1.0):
-            raise SpectrumError(f"shifts {np.ravel(shifts)} lie outside the range of the "
-                                "closed form")
-        return mu, b, self.intervals * (2.0 / math.pi) * np.arcsin(np.sqrt(np.maximum(u, 0.0)))
-
     def vertex_matrices(self, shifts: np.ndarray, modes: np.ndarray | None = None
                         ) -> tuple[np.ndarray, ...]:
-        """(g, explicit, mode, x): the vertex matrix G(c) of each shift over the
-        vertex dofs and one explicit-mode row per open arc, shape
-        (shifts, dofs + arcs, dofs + arcs), whether each arc keeps a mode
-        explicit, which mode (1 where none), and the phases (phase).
-
-        modes[s, a] > 0 keeps that mode of open arc a explicit at shift s, and
-        0 eliminates all its modes, which leaves that arc's mode row out of use.
-        By default an arc keeps its nearest mode explicit within POLE_GUARD
-        mode spacings of its Dirichlet value, and eliminates all elsewhere
-        (pole_modes); an explicit mode that pole_modes would keep has its other
-        modes summed one by one. An explicit mode is scaled to unit mass: the
-        arc's interior field is its row's value times phi_j / sqrt(s), for the
-        orthonormal sine mode phi_j.
-        """
-        m, s = self.intervals, self.steps
-        mu, b, x = self.phase(shifts)
-        guarded = pole_modes(x, m)[0]
-        if modes is None:
-            modes = guarded
-        explicit = modes > 0
-        mode = np.maximum(modes, 1)
-        theta = (math.pi / m) * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # every mode eliminated: b [[-ratio_cos, ratio], [ratio, -ratio_cos]]
-            ratio = np.sin(theta) / np.sin(m * theta)
-            ratio_cos = ratio * np.cos(m * theta)
-            if mu.min() <= 0.0:  # at or above the potential: sinh and cosh
-                eta = 2.0 * np.arcsinh(np.sqrt(np.maximum(-mu * s / (4.0 * b), 0.0)))
-                decay = np.exp(-m * eta)
-                sinh = np.sinh(eta) / (1.0 - decay ** 2)
-                ratio = np.where(mu > 0.0, ratio, np.where(mu < 0.0, 2.0 * sinh * decay, 1.0 / m))
-                ratio_cos = np.where(mu > 0.0, ratio_cos,
-                                     np.where(mu < 0.0, sinh * (1.0 + decay ** 2), 1.0 / m))
-            # an explicit mode at unit mass: value t_j / s, coupling / sqrt(s)
-            half = (0.5 * math.pi / m) * mode
-            value = mu - 4.0 * (b / s) * np.sin(half) ** 2
-            coupling = explicit * b * np.sqrt(2.0 / (m * s)) * np.sin(2.0 * half)
-            parity = 1.0 - 2.0 * (mode % 2 == 0)  # (-1)^(j+1)
-            pole = coupling ** 2 / value
-        diag = pole - b * ratio_cos
-        off = parity * pole + b * ratio
-        near = np.nonzero(explicit & (guarded == mode))
-        if near[0].size:
-            diag[near], off[near] = self._mode_sums(near[1], mu[near], b[near],
-                                                    mode[near].astype(np.intp))
-        coeffs = np.concatenate([diag, off, coupling, parity * coupling, value], axis=1)
-        size = self._vertex_dofs + m.size
-        g = (coeffs @ self._shapes + self._fixed).reshape(-1, size, size)
-        return g, explicit, mode, x
+        """(g, explicit, eliminated): each shift's vertex matrix G(c) over the vertex
+        dofs and one explicit-mode row per open arc, shape (shifts, dofs + arcs,
+        dofs + arcs), and end_blocks' explicit and eliminated with these modes."""
+        blocks, explicit, eliminated = self.arcs.end_blocks(shifts, modes)
+        size = self._vertex_dofs + explicit.shape[1]
+        g = (np.concatenate(blocks, axis=1) @ self._shapes + self._fixed).reshape(-1, size, size)
+        return g, explicit, eliminated
 
     def vertex_spectra(self, shifts: np.ndarray, modes: np.ndarray | None = None,
                        slopes: bool = False) -> tuple[np.ndarray, ...]:
@@ -592,14 +673,13 @@ class ArcPencil:
         eigenvalue's derivative in c, v^T G'(c) v for its eigenvector v, with
         G' by a difference of SLOPE_STEP max(1, |c|).
         """
-        m = self.intervals
         shifts = np.asarray(shifts, dtype=float)
         count = shifts.size
         if slopes:
             step = SLOPE_STEP * np.maximum(1.0, np.abs(shifts))
             shifts = np.concatenate([shifts, shifts - step])
             modes = np.concatenate([modes, modes])
-        g, explicit, mode, x = self.vertex_matrices(shifts, modes)
+        g, explicit, eliminated = self.vertex_matrices(shifts, modes)
         size = g.shape[1]
 
         # drop the rows of eliminated arcs, grouping shifts by what is left
@@ -620,33 +700,19 @@ class ArcPencil:
             back = g[count + rows[:, None, None], keep[:, :, None], keep[:, None, :]]
             change = np.einsum("sij,sik,skj->sj", vectors, sub - back, vectors)
             slope[rows, :keep.shape[1]] = change[:, ::-1] / step[rows, None]
-        below = np.where(explicit, mode, np.minimum(np.maximum(np.ceil(x), 1.0), m)) - 1.0
-        eliminated = below[:count].sum(axis=1).astype(np.intp)
-        return (sigma, eliminated, slope) if slopes else (sigma, eliminated)
-
-    def _mode_sums(self, arcs: np.ndarray, mu: np.ndarray, b: np.ndarray,
-                   modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(diagonal, off-diagonal) of the end blocks of arcs with every mode but
-        modes eliminated, summed mode by mode: a/2 - sum w_i^2 / t_i and
-        -sum (-1)^(i+1) w_i^2 / t_i over i != mode, entry by entry of
-        (arcs, mu, b, modes)."""
-        s = self.steps[arcs]
-        values = (mu * s)[:, None] - 4.0 * b[:, None] * self._sin2[arcs]
-        values[np.arange(arcs.size), modes - 1] = np.inf
-        terms = (b ** 2)[:, None] * self._weight[arcs] / values
-        return -1.0 / s + mu * s / 3.0 - terms.sum(axis=1), -(terms @ self._parity)
+        return (sigma, eliminated[:count], slope) if slopes else (sigma, eliminated[:count])
 
     def count_above(self, value: float) -> int:
         """Number of eigenvalues of the pencil above value."""
-        count = self.cyclic_values.size - np.searchsorted(self.cyclic_values, value, "right")
-        if self.intervals.size:
+        count = np.count_nonzero(self.arcs.cyclic_values > value)
+        if self.arcs.intervals.size:
             sigma, eliminated = self.vertex_spectra(np.array([value]))
             count += eliminated[0] + np.count_nonzero(sigma > 0.0)
         return int(count)
 
 
 def pole_modes(x: np.ndarray, intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(modes, margin) of arcs with these interval counts at phases x (ArcPencil.phase).
+    """(modes, margin) of arcs with these interval counts at phases x (ToeplitzArcs.phase).
 
     margin, the pole margin, is the distance in mode spacings from x to the
     nearest integer j in [1, m - 1], the arc's nearest Dirichlet value. Within
@@ -658,114 +724,51 @@ def pole_modes(x: np.ndarray, intervals: np.ndarray) -> tuple[np.ndarray, np.nda
     return nearest * (margin < POLE_GUARD), margin
 
 
-def _zero_shifts(potential: float, step: float, fraction: np.ndarray) -> np.ndarray:
-    """The shifts c at which mu s - 4 b sin^2(pi fraction) vanishes (mu = potential - c,
-    b = 1/step + mu step/6): the eigenvalues of one arc's Dirichlet or circulant block."""
-    sin2 = np.sin(math.pi * fraction) ** 2
-    return potential - 4.0 * sin2 / (step ** 2 * (1.0 - 2.0 * sin2 / 3.0))
-
-
 class CondensedForm:
-    """A_r^-1 of a JacobiSystem, with nothing assembled or factored but the
-    small vertex matrix of its ArcPencil at c = 0.
-
-    On an open arc, K = -4pi A couples the interior, whose block T is
-    Toeplitz(a, b) (ArcPencil), to the two end nodes by b at the first and
-    last interior node. solve eliminates each arc's interior onto its ends,
-    solves the vertex matrix G(0) (ArcPencil.vertex_matrices) for the vertex
-    dofs and the explicit modes with np.linalg.solve, and extends the end
-    values back into the interiors. With cos(theta) = -a/2b, T^-1 is the
-    Green's function -sin(min(i, j) theta) sin((m - max(i, j)) theta) /
-    (b sin(theta) sin(m theta)), applied by cumulative sums, and the interior
-    field of end values e_0, e_m is their discrete harmonic extension
-    (e_0 sin((m - i) theta) + e_m sin(i theta)) / sin(m theta). An arc that
-    keeps a mode explicit (pole_modes at c = 0) is taken to its orthonormal
-    sine modes by a sine transform instead: there T is diagonal with values
-    t_j, and mode j couples to the ends by w_j [1, (-1)^(j+1)]. A vertex-free
-    circle's block is circulant and is solved by its Fourier values.
-    """
+    """A_r^-1 of a JacobiSystem, with nothing factored but the vertex matrix G(0)
+    of its ArcPencil: solve eliminates the interiors onto the arc ends
+    (ToeplitzArcs.eliminate), solves G(0) and extends the ends back
+    (ToeplitzArcs.extend); a circle's circulant block by its Fourier values."""
 
     def __init__(self, system: JacobiSystem):
         pencil = system.pencil
+        self._arcs = pencil.arcs
         ends, _, columns = system.trace_rule
         self.size = system.reduced_size
         # the reduced index of each vertex dof, 2 v + k for end k of vertex v
         self._vertex_columns = columns[ends[:, :2]].ravel()
-        self._circles, self._arcs = [], []
-        for ai, arc in enumerate(system.graph.arcs):
-            if arc.closed:
-                m, step = system.counts[ai], system.steps[ai]
-                values = _block_values(1.0 + arc.kappa ** 2, step, np.arange(m // 2 + 1) / m)
-                self._circles.append((columns[system.offsets[ai]], m, values))
-        opened = [ai for ai, arc in enumerate(system.graph.arcs) if not arc.closed]
-        if not opened:
+        self._circles = [(columns[system.offsets[ai]], system.counts[ai])
+                         for ai, arc in enumerate(system.graph.arcs) if arc.closed]
+        # the reduced index of each open arc's first interior node
+        self._firsts = [columns[system.offsets[ai] + 1]
+                        for ai, arc in enumerate(system.graph.arcs) if not arc.closed]
+        if not self._firsts:
             return
-        g, explicit, mode, x = pencil.vertex_matrices(np.zeros(1))
+        g, explicit, _ = pencil.vertex_matrices(np.zeros(1))
         self._head, self._tail = pencil.end_rows
-        dofs = self._head.shape[1]
+        self._dofs = dofs = self._head.shape[1]
         kept = np.concatenate([np.arange(dofs), dofs + np.flatnonzero(explicit[0])])
         self._matrix = g[0][np.ix_(kept, kept)]
-        for k, ai in enumerate(opened):
-            m, step, pot = pencil.intervals[k], pencil.steps[k], pencil.potentials[k]
-            b = 1.0 / step + pot * step / 6.0
-            j = np.arange(1, m)
-            if explicit[0, k]:
-                own = int(mode[0, k]) - 1
-                inverse = 1.0 / _block_values(pot, step, j / (2.0 * m))
-                inverse[own] = 0.0
-                weight = b * math.sqrt(2.0 / m) * np.sin(math.pi * j / m)
-                data = (math.sqrt(step), inverse, weight, weight * np.where(j % 2, 1.0, -1.0))
-            else:
-                own = -1
-                theta = math.pi * x[0, k] / m
-                inv_sin_m = 1.0 / math.sin(m * theta)
-                data = (b, np.sin(theta * j), inv_sin_m, -inv_sin_m / (b * math.sin(theta)))
-            self._arcs.append((columns[system.offsets[ai] + 1], m - 1, own, data))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A_r^-1 r for a reduced vector or columns."""
         load = np.ascontiguousarray(-NORM_S2 * np.asarray(r, dtype=float).reshape(self.size, -1).T)
         y = np.empty_like(load)
-        for first, m, values in self._circles:
+        for (first, m), values in zip(self._circles, self._arcs.circle_values):
             block = slice(first, first + m)
             y[:, block] = np.fft.irfft(np.fft.rfft(load[:, block]) / values, n=m)
-        if not self._arcs:
+        if not self._firsts:
             return y.T.reshape(np.shape(r))
-        # each interior's solution with its ends held at 0, and its pull on the ends
-        parts, pulls, explicit = [], [], []
-        for first, inner, own, data in self._arcs:
-            v = load[:, first:first + inner]
-            if own < 0:
-                b, sines, _, green = data
-                rev = sines[::-1]
-                after = np.cumsum((rev * v)[:, ::-1], axis=1)[:, ::-1] - rev * v
-                part = green * (rev * np.cumsum(sines * v, axis=1) + sines * after)
-                pulls.append((-b * part[:, 0], -b * part[:, -1]))
-            else:
-                root, inverse, w0, w1 = data
-                rho = _sine_transform(v)
-                part = rho * inverse
-                pulls.append((-(part @ w0), -(part @ w1)))
-                explicit.append(rho[:, own] / root)
-            parts.append(part)
-        start, stop = (np.stack(p, axis=1) for p in zip(*pulls))
+        parts, start, stop, explicit = self._arcs.eliminate(
+            [load[:, first:first + m - 1] for first, m in zip(self._firsts, self._arcs.intervals)])
         rhs = load[:, self._vertex_columns] + start @ self._head + stop @ self._tail
         u = np.linalg.solve(self._matrix, np.concatenate([rhs] + [e[:, None] for e in explicit],
                                                          axis=1).T).T
-        dofs = self._head.shape[1]
-        y[:, self._vertex_columns] = u[:, :dofs]
-        start, stop = u[:, :dofs] @ self._head.T, u[:, :dofs] @ self._tail.T
-        modes = iter(u[:, dofs:].T)
-        for k, ((first, inner, own, data), part) in enumerate(zip(self._arcs, parts)):
-            e0, e1 = start[:, k, None], stop[:, k, None]
-            if own < 0:
-                b, sines, inv_sin_m, _ = data
-                y[:, first:first + inner] = part + (e0 * sines[::-1] + e1 * sines) * inv_sin_m
-            else:
-                root, inverse, w0, w1 = data
-                alpha = part - inverse * (e0 * w0 + e1 * w1)
-                alpha[:, own] = next(modes) / root
-                y[:, first:first + inner] = _sine_transform(alpha)
+        y[:, self._vertex_columns] = ends = u[:, :self._dofs]
+        fields = self._arcs.extend(parts, ends @ self._head.T, ends @ self._tail.T,
+                                   u[:, self._dofs:])
+        for first, field in zip(self._firsts, fields):
+            y[:, first:first + field.shape[1]] = field
         return y.T.reshape(np.shape(r))
 
 
@@ -778,14 +781,6 @@ def _sine_transform(v: np.ndarray) -> np.ndarray:
     ext[..., 1:m] = v
     ext[..., m + 1:] = -v[..., ::-1]
     return np.fft.rfft(ext)[..., 1:m].imag * -math.sqrt(0.5 / m)
-
-
-def _block_values(potential: float, step: float, fraction: np.ndarray) -> np.ndarray:
-    """mu s - 4 b sin^2(pi fraction) at c = 0 (mu = potential, b = 1/step + mu step/6):
-    the values of one arc's Dirichlet (fraction j/2m) or circulant (j/m) block of
-    -4pi A."""
-    b = 1.0 / step + potential * step / 6.0
-    return potential * step - 4.0 * b * np.sin(math.pi * fraction) ** 2
 
 
 @dataclass
@@ -819,9 +814,9 @@ def _count_method(pencil: ArcPencil, shifts: list[float]) -> tuple[str, float]:
     """(method, pole margin) of pencil.count_above at these shifts: "mode_sum"
     where pole_modes keeps a mode explicit at any of them, else "closed_form",
     and their smallest pole margin (inf with no open arc)."""
-    if not pencil.intervals.size:
+    if not pencil.arcs.intervals.size:
         return "closed_form", math.inf
-    modes, margin = pole_modes(pencil.phase(shifts)[2], pencil.intervals)
+    modes, margin = pole_modes(pencil.arcs.phase(shifts)[2], pencil.arcs.intervals)
     return "mode_sum" if modes.any() else "closed_form", float(margin.min())
 
 
@@ -844,12 +839,13 @@ def _top_eigenvalues(pencil: ArcPencil, k_top: int) -> np.ndarray:
     midpoint later. A zero is settled when its Newton step is below
     NEWTON_STOP max(1, |c|) or its bracket below EIGEN_XTOL max(1, |c|).
     """
-    lam = pencil.cyclic_values[::-1][:k_top]
-    if not pencil.intervals.size or not k_top:
+    arcs = pencil.arcs
+    lam = arcs.cyclic_values[::-1][:k_top]
+    if not arcs.intervals.size or not k_top:
         return lam
     # every value down to the group below the k_top-th largest lies within the
     # first k_top + arcs of its arc, since a group holds one value per arc
-    poles = pencil.dirichlet_values(k_top + pencil.intervals.size + 1)
+    poles = arcs.dirichlet_values(k_top + arcs.intervals.size + 1)
     flat = np.sort(np.concatenate(poles))[::-1]
     breaks = np.flatnonzero(flat[:-1] - flat[1:]
                             > POLE_MERGE * np.maximum(1.0, np.abs(flat[1:])))
@@ -860,19 +856,18 @@ def _top_eigenvalues(pencil: ArcPencil, k_top: int) -> np.ndarray:
     # an arc keeps explicit in a bracket the mode j with
     # x_hi - POLE_GUARD < j < x_lo + POLE_GUARD (x = 0 at the top bracket's
     # upper end); upper and lower count the modes below those bounds
-    x_lo = pencil.phase(lows)[2]
+    x_lo = arcs.phase(lows)[2]
     x_hi = np.concatenate([np.zeros((1, len(poles))), x_lo[:-1]])
-    upper = np.clip(np.floor(x_hi - POLE_GUARD), 0, pencil.intervals - 1).astype(np.intp)
-    lower = np.clip(np.ceil(x_lo + POLE_GUARD) - 1, 0, pencil.intervals - 1).astype(np.intp)
+    upper = np.clip(np.floor(x_hi - POLE_GUARD), 0, arcs.intervals - 1).astype(np.intp)
+    lower = np.clip(np.ceil(x_lo + POLE_GUARD) - 1, 0, arcs.intervals - 1).astype(np.intp)
     if np.any(lower - upper > 1):
         raise SpectrumError("two Dirichlet values of one arc fall in one bracket")
     modes = np.where(lower > upper, lower, 0)
 
     # one evaluation gives the counts at the bracket ends and G's eigenvalues
     # there; the candidate upper bounds lie above every potential, in bracket 0
-    limit = np.min(pencil.potentials + 6.0 / pencil.steps ** 2)
-    tops = pencil.max_potential + 4.0 ** np.arange(4)
-    tops = tops[tops < limit]
+    tops = arcs.max_potential + 4.0 ** np.arange(4)
+    tops = tops[tops < np.min(arcs.potentials + 6.0 / arcs.steps ** 2)]
     bracket_of = np.concatenate([np.zeros(tops.size, np.intp), np.arange(lows.size),
                                  np.arange(1, lows.size)])
     sigma, eliminated = pencil.vertex_spectra(np.concatenate([tops, lows, lows[:-1]]),

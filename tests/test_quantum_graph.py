@@ -573,8 +573,8 @@ class TestCondensedForm:
 
     def test_guarded_arc_keeps_its_mode(self, systems):
         # the flat double bubble: every arc takes the sine-mode path
-        pencil = systems[0].pencil
-        assert pole_modes(pencil.phase(np.zeros(1))[2], pencil.intervals)[0].all()
+        arcs = systems[0].pencil.arcs
+        assert pole_modes(arcs.phase(np.zeros(1))[2], arcs.intervals)[0].all()
 
     def test_matches_sparse_lu_off_the_kernel(self, systems):
         # A_r is within O(h^2) of singular on the Jacobi fields, so two stable
@@ -672,7 +672,7 @@ class TestArcPencil:
         for shift in shifts:
             assert pencil.count_above(shift) == int(np.sum(lam > shift))
         # some of them were counted by mode sums
-        margin = pole_modes(pencil.phase(shifts)[2], pencil.intervals)[1]
+        margin = pole_modes(pencil.arcs.phase(shifts)[2], pencil.arcs.intervals)[1]
         assert margin.min() < POLE_GUARD
 
     def test_counts_match_ldl_on_spectrum_index_clusters(self):
@@ -700,19 +700,19 @@ class TestArcPencil:
     def test_grid_is_the_assembled_one(self, h):
         qgraph = _graph_of("bench_q4")
         system = assemble_jacobi(qgraph, h)
-        pencil = ArcPencil(qgraph, h)
+        arcs = ArcPencil(qgraph, h).arcs
         opened = [ai for ai, arc in enumerate(qgraph.arcs) if not arc.closed]
-        assert pencil.intervals.tolist() == [system.counts[ai] - 1 for ai in opened]
-        assert pencil.steps.tolist() == [system.steps[ai] for ai in opened]
+        assert arcs.intervals.tolist() == [system.counts[ai] - 1 for ai in opened]
+        assert arcs.steps.tolist() == [system.steps[ai] for ai in opened]
         assert [g[1] for g in arc_grids(qgraph, h)] == system.steps
 
     def test_cyclic_values_are_the_circle_spectrum(self, hemispheres):
         qgraph = build_graph(hemispheres, detect_interfaces(hemispheres, rng_seed=0))
         system = assemble_jacobi(qgraph, 1e-2)
-        pencil = ArcPencil(qgraph, 1e-2)
+        arcs = ArcPencil(qgraph, 1e-2).arcs
         lam = eigendecomposition(system)[0]
-        assert pencil.intervals.size == 0
-        assert np.max(np.abs(pencil.cyclic_values - lam)) < 1e-8 * np.max(np.abs(lam))
+        assert arcs.intervals.size == 0
+        assert np.max(np.abs(arcs.cyclic_values - lam)) < 1e-8 * np.max(np.abs(lam))
 
     def test_report_does_not_depend_on_earlier_queries(self, double_bubble):
         # a count next to an arc Dirichlet value and an eigenvalue search leave
@@ -721,13 +721,16 @@ class TestArcPencil:
         fresh = eigen_count_positive(assemble_jacobi(qgraph, 4e-3))
         system = assemble_jacobi(qgraph, 4e-3)
         pencil = system.pencil
-        before = {name: np.copy(value) for name, value in vars(pencil).items()}
-        pole = pencil.dirichlet_values(1)[0][0]
+        # the pencil's own state and that of its arc model
+        state = [vars(pencil), vars(pencil.arcs)]
+        before = [{name: np.copy(value) for name, value in part.items()} for part in state]
+        pole = pencil.arcs.dirichlet_values(1)[0][0]
         pencil.count_above(pole + 1e-9)
         quantum_graph._top_eigenvalues(pencil, 16)
-        assert vars(pencil).keys() == before.keys()
-        for name, value in vars(pencil).items():
-            assert np.array_equal(value, before[name]), name
+        for part, old in zip(state, before):
+            assert part.keys() == old.keys()
+            for name, value in part.items():
+                assert np.array_equal(value, old[name]), name
         queried = eigen_count_positive(system)
         assert np.array_equal(queried.eigenvalues, fresh.eigenvalues)
         assert replace(queried, eigenvalues=None) == replace(fresh, eigenvalues=None)
