@@ -16,7 +16,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
+from .cluster import (SPHERICAL_TOL, ClusterParams, InterfaceGraph, classify_many,
+                      spherical_residuals, wall_interior)
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -388,8 +389,8 @@ def _feasible_intervals(params: ClusterParams, i: int, j: int, center, radius, u
             phi = math.atan2(b, a)
             delta = math.acos(max(-1.0, min(1.0, x)))
             roots.extend(((phi + delta) % TWO_PI, (phi - delta) % TWO_PI))
-        elif x < -1.0:
-            return [], False  # g_k < 0 everywhere
+        elif x > 1.0:
+            return [], False  # g_k < 0 everywhere; x < -1 means g_k > 0 everywhere
 
     def all_nonneg(t: float) -> bool:
         return all(a * math.cos(t) + b * math.sin(t) + d0 >= 0.0 for a, b, d0 in coeffs)
@@ -462,12 +463,24 @@ class _DirectedArc:
         sign = -1.0 if self.reversed else 1.0
         return sign * self.arc.tangent(t)
 
-    @property
-    def geodesic_curvature(self) -> float:
+    def geodesic_curvature(self, curvatures: np.ndarray) -> float:
         # curvature w.r.t. the outward normal of the cell kept on the left:
         # traversal with increasing t keeps cell j on the left, whose outward
-        # normal is n_ji of curvature -kappa_ij
-        return self.arc.kappa if self.reversed else -self.arc.kappa
+        # normal is n_ji of curvature -kappa_ij (-curvatures[i, j] off compatible pairs)
+        kappa = float(curvatures[self.arc.i, self.arc.j])
+        return kappa if self.reversed else -kappa
+
+
+def _geodesic_curvatures(params: ClusterParams) -> np.ndarray:
+    """The geodesic curvature kappa_ij / sqrt(|c_ij|^2 - kappa_ij^2) of every wall
+    circle, shape (q, q). It is kappa_ij where the pair is compatible,
+    |c_ij|^2 = 1 + kappa_ij^2, and is taken as kappa_ij exactly where that
+    holds within SPHERICAL_TOL, so spherical clusters keep their bits."""
+    residuals = spherical_residuals(params)
+    kappa = params.curvatures[:, None] - params.curvatures[None, :]
+    with np.errstate(invalid="ignore"):
+        return np.where(np.abs(residuals) <= SPHERICAL_TOL, kappa,
+                        kappa / np.sqrt(1.0 + residuals))
 
 
 def _cell_loops(cell: int, directed: list[_DirectedArc]) -> list[list[_DirectedArc]]:
@@ -499,9 +512,10 @@ def _cell_loops(cell: int, directed: list[_DirectedArc]) -> list[list[_DirectedA
     return loops
 
 
-def _loop_disk_area(loop: list[_DirectedArc]) -> float:
-    """Gauss-Bonnet area of the region left of a single closed loop (disk case)."""
-    total_kg = sum(d.geodesic_curvature * d.arc.length for d in loop)
+def _loop_disk_area(loop: list[_DirectedArc], curvatures: np.ndarray) -> float:
+    """Gauss-Bonnet area of the region left of a single closed loop (disk case), with
+    the wall circles' geodesic curvatures (_geodesic_curvatures)."""
+    total_kg = sum(d.geodesic_curvature(curvatures) * d.arc.length for d in loop)
     turning = 0.0
     if not (len(loop) == 1 and loop[0].arc.full_circle):
         for idx, d in enumerate(loop):
@@ -519,10 +533,12 @@ def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureRep
     Cells are assumed connected (loops of one cell bound a common region);
     disconnected cells make the area checks below fail with a structured
     error. Vertex-free interfaces (full circles) are handled, including
-    annulus-type cells.
+    annulus-type cells. Off compatible pairs an arc's geodesic curvature is
+    not kappa_ij (_geodesic_curvatures).
     """
     q = params.q
     arcs = extract_arcs(params, graph)
+    curvatures = _geodesic_curvatures(params)
     areas_raw = np.zeros((q, q))
     for arc in arcs:
         areas_raw[arc.i, arc.j] += arc.length
@@ -537,7 +553,8 @@ def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureRep
             volumes_raw[cell] = 2.0 * TWO_PI if int(np.argmin(probe)) == cell else 0.0
             continue
         loops = _cell_loops(cell, directed)
-        area = sum(_loop_disk_area(loop) for loop in loops) - 2.0 * TWO_PI * (len(loops) - 1)
+        area = (sum(_loop_disk_area(loop, curvatures) for loop in loops)
+                - 2.0 * TWO_PI * (len(loops) - 1))
         if not -1e-8 <= area <= 2.0 * TWO_PI + 1e-8:
             raise MeasureError(
                 f"cell {cell}: Gauss-Bonnet area {area:.6f} outside [0, 4pi] "

@@ -16,7 +16,8 @@ closed-form modes, all in one arc model, ToeplitzArcs. Over it, the vertex
 engine condenses every arc onto its ends: ArcPencil counts and locates the
 eigenvalues from a small vertex matrix (eigen_count_positive reads the one of
 the system's grid and another at h/2), and CondensedForm solves with the
-reduced form at c = 0 for the near-kernel vectors and the matched solve.
+reduced form at c = 0 for the near-kernel vectors and the matched solve. Only
+spherical clusters (validate_spherical) get a graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import ClusterParams, InterfaceGraph, classify_point
+from .cluster import ClusterParams, InterfaceGraph, classify_point, validate_spherical
 from .measure import Arc, extract_arcs
 
 SQRT3 = math.sqrt(3.0)
@@ -82,7 +83,7 @@ class QuantumGraph:
 
 
 def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
-    """Extract arcs and triple points of an S^2 cluster into a metric graph.
+    """Extract arcs and triple points of a spherical S^2 cluster into a metric graph.
 
     Every junction must be a genuine triple point (three incident arc ends,
     three distinct cells, confirmed by point classification); anything else is
@@ -90,6 +91,10 @@ def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
     """
     if params.n != 2:
         raise GraphBuildError("the boundary-network operator is only built on S^2")
+    spherical = validate_spherical(params, graph)
+    if not spherical.passed:
+        raise GraphBuildError(f"interfaces {sorted(spherical.violations)} violate |c_ij|^2 = "
+                              "1 + kappa_ij^2: the cluster is not spherical (not stationary)")
     arcs = extract_arcs(params, graph)
     if not arcs:
         raise GraphBuildError("cluster has no interfaces")

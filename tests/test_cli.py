@@ -8,7 +8,7 @@ import pytest
 
 from bubblelab import cli, detect_interfaces, gram_invariance_check, standard
 from bubblelab.cli import EXIT_ERROR, main
-from bubblelab.cluster import load_cluster
+from bubblelab.cluster import load_cluster, recentered, save_cluster
 from bubblelab.quantum_graph import POLE_GUARD
 
 
@@ -295,6 +295,17 @@ class TestErrorPayloads:
                                     "message": "the exact backend needs n = 2, got n = 4"}
         assert payload["command"] == "measure" and payload["backend"] == "exact"
         assert payload["schema_version"] == 1
+
+    def test_spectrum_rejects_non_spherical_cluster(self, tmp_path):
+        cluster, out = tmp_path / "affine.json", tmp_path / "spectrum.json"
+        rng = np.random.default_rng(0)
+        save_cluster(recentered(2, rng.standard_normal((3, 3)), 0.5 * rng.standard_normal(3)),
+                     cluster)
+        assert run_cli("spectrum", str(cluster), "--h", "1e-2", "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"]["type"] == "GraphBuildError"
+        assert "not spherical" in payload["error"]["message"]
+        assert "count_positive" not in payload
 
     def test_spectrum_rejects_zero_spacing(self, cluster_file, tmp_path):
         out = tmp_path / "spectrum.json"

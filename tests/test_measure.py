@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab import (detect_interfaces, equal_volume_standard, measure_exact_s2,
-                       measure_mc, recentered, standard_of_curvature, standard_of_volume,
-                       weighted_laplacian, weighted_laplacians)
+from bubblelab import (build_graph, conformal_step, detect_interfaces, equal_volume_standard,
+                       measure_exact_s2, measure_mc, perpendicular_pole, recentered,
+                       standard_of_curvature, standard_of_volume, weighted_laplacian,
+                       weighted_laplacians)
 from bubblelab import gallery, measure, sampling, standard
 from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell
 from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
@@ -110,6 +111,16 @@ class TestMeasureExactS2:
         assert abs(rep.volumes.sum() - 1.0) < 1e-9
 
 
+def assert_exact_matches_mc(params, graph, samples, seed):
+    """Exact volumes and areas within 5 sigma of Monte Carlo, its standard error
+    floored at 1/samples."""
+    exact = measure_exact_s2(params, graph)
+    mc = measure_mc(params, graph, samples, seed)
+    floor = 1.0 / samples
+    assert np.all(np.abs(exact.volumes - mc.volumes) < 5.0 * np.maximum(mc.volume_stderr, floor))
+    assert np.all(np.abs(exact.areas - mc.areas) < 5.0 * np.maximum(mc.area_stderr, floor))
+
+
 class TestCrossBackend:
     def test_agreement_on_random_clusters(self):
         rng = np.random.default_rng(12)
@@ -125,6 +136,37 @@ class TestCrossBackend:
             for i, j in graph.pairs():
                 assert (abs(mc.areas[i, j] - exact.areas[i, j])
                         < 4.5 * max(mc.area_stderr[i, j], 1e-9))
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.5, 1.0])
+    def test_stepped_band_stacks(self, t):
+        # conformal images of an S^2 band stack: on each wall circle the third
+        # cell lies wholly on the far side, g_k > 0 all round, which must not
+        # read as "the third cell wins everywhere"
+        base = gallery.band_stack(2, (-0.3, 0.4))
+        params = conformal_step(base, perpendicular_pole(base), t)
+        graph = detect_interfaces(params, rng_seed=0)
+        assert graph.pairs() == [(0, 1), (1, 2)]
+        assert_exact_matches_mc(params, graph, 400_000, seed=31)
+        assert len(build_graph(params, graph).arcs) == 2
+
+    def test_random_affine_clusters(self):
+        # affine S^2 clusters drawn like mc_cases, nearly all of them not
+        # compatible: their arcs' geodesic curvature is not kappa_ij, and a third
+        # cell may miss a wall circle. The exact backend matches Monte Carlo or
+        # says it cannot measure the cluster.
+        rng = np.random.default_rng(21)
+        measured = 0
+        for k in range(12):
+            q = int(rng.integers(3, 6))
+            c = rng.uniform(0.05, 3.0) * rng.standard_normal((q, 3))
+            params = recentered(2, c, rng.uniform(0.0, 2.0) * rng.standard_normal(q))
+            graph = detect_interfaces(params, rng_seed=k)
+            try:
+                assert_exact_matches_mc(params, graph, 200_000, seed=k)
+            except MeasureError:
+                continue
+            measured += 1
+        assert measured >= 10
 
     def test_orthogonal_invariance_exact(self, skew_bubble_s2):
         turned = rotated(skew_bubble_s2, random_orthogonal(3, np.random.default_rng(8)))

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from bubblelab import (apply_mobius, assemble_jacobi, build_graph, conformal_jacobi_solve,
                        conformal_to_volume_pcf, detect_interfaces,
                        eigen_count_positive, equal_volume_standard, pcf_detect,
-                       perpendicular_pole, standard_of_curvature,
+                       perpendicular_pole, recentered, standard_of_curvature,
                        standard_of_volume, volume_derivative)
 from bubblelab.cluster import complete_graph
 from bubblelab.measure import measure_exact_s2
@@ -117,6 +117,11 @@ def _assert_same_csr(got, want):
         assert np.array_equal(a, b), name
 
 
+def non_spherical_cluster():
+    rng = np.random.default_rng(0)
+    return recentered(2, rng.standard_normal((3, 3)), 0.5 * rng.standard_normal(3))
+
+
 class TestBuildGraph:
     def test_equal_bubble_network(self, equal_bubble_s2, equal_bubble_graph):
         qg = build_graph(equal_bubble_s2, equal_bubble_graph)
@@ -155,6 +160,15 @@ class TestBuildGraph:
         graph = detect_interfaces(cross, rng_seed=1)
         with pytest.raises(GraphBuildError):
             build_graph(cross, graph)
+
+    def test_rejects_non_spherical_cluster(self):
+        # an affine q = 3 cluster whose walls violate |c_ij|^2 = 1 + kappa_ij^2
+        # is not stationary: no Jacobi index is defined for it
+        params = non_spherical_cluster()
+        graph = detect_interfaces(params, rng_seed=0)
+        assert graph.pairs() == [(0, 1), (0, 2), (1, 2)]
+        with pytest.raises(GraphBuildError, match="not spherical"):
+            build_graph(params, graph)
 
     def test_robin_coefficients(self, double_bubble):
         params, _, qg = double_bubble
