@@ -2,9 +2,10 @@
 
 Two backends: Monte Carlo on S^n (uniform sphere sampling plus exact
 parametrization of the wall spheres) and, on S^2, exact circular-arc
-extraction with Gauss-Bonnet cell areas. All quantities are reported in the
-normalized measure (volume of S^n is 1, interface measure divided by |S^n|);
-raw values are available behind the `raw` helpers.
+extraction with cell areas by Stokes' theorem, one signed sum over the
+arcs. All quantities are reported in the normalized measure (volume of S^n
+is 1, interface measure divided by |S^n|); raw values are available behind
+the `raw` helpers.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import sampling
-from .cluster import (SPHERICAL_TOL, ClusterParams, InterfaceGraph, classify_many,
-                      spherical_residuals, wall_interior)
+from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -289,10 +289,9 @@ def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_00
 
 
 # ---------------------------------------------------------------------------
-# Exact S^2 backend: circular-arc extraction and Gauss-Bonnet
+# Exact S^2 backend: circular-arc extraction and Stokes sums
 # ---------------------------------------------------------------------------
 
-VERTEX_MATCH_TOL = 1e-7
 MIN_ARC_ANGLE = 1e-9
 
 
@@ -337,9 +336,6 @@ class Arc:
         first.setflags(write=False)
         last.setflags(write=False)
         return first, last
-
-    def tangent(self, t: float) -> np.ndarray:
-        return -self.u * math.sin(t) + self.v * math.cos(t)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,134 +436,98 @@ def extract_arcs(params: ClusterParams, graph: InterfaceGraph) -> list[Arc]:
     return arcs
 
 
-@dataclass
-class _DirectedArc:
-    arc: Arc
-    reversed: bool  # True when traversed with decreasing t (cell i on the left)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.arc.ends[1 if self.reversed else 0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.arc.ends[0 if self.reversed else 1]
-
-    def tangent_out(self) -> np.ndarray:
-        t = self.arc.t1 if self.reversed else self.arc.t0
-        sign = -1.0 if self.reversed else 1.0
-        return sign * self.arc.tangent(t)
-
-    def tangent_in(self) -> np.ndarray:
-        t = self.arc.t0 if self.reversed else self.arc.t1
-        sign = -1.0 if self.reversed else 1.0
-        return sign * self.arc.tangent(t)
-
-    def geodesic_curvature(self, curvatures: np.ndarray) -> float:
-        # curvature w.r.t. the outward normal of the cell kept on the left:
-        # traversal with increasing t keeps cell j on the left, whose outward
-        # normal is n_ji of curvature -kappa_ij (-curvatures[i, j] off compatible pairs)
-        kappa = float(curvatures[self.arc.i, self.arc.j])
-        return kappa if self.reversed else -kappa
+def _turned_fibonacci(count: int) -> np.ndarray:
+    """count unit vectors of a Fibonacci lattice about e_z, turned by one radian
+    about e_x and then about e_y, off the axes and coordinate planes."""
+    k = np.arange(count) + 0.5
+    z, phi = 1.0 - 2.0 * k / count, math.pi * (3.0 - math.sqrt(5.0)) * k
+    x, y = np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi)
+    c, s = math.cos(1.0), math.sin(1.0)
+    y, z = c * y - s * z, s * y + c * z
+    return np.column_stack([c * x + s * z, y, c * z - s * x])
 
 
-def _geodesic_curvatures(params: ClusterParams) -> np.ndarray:
-    """The geodesic curvature kappa_ij / sqrt(|c_ij|^2 - kappa_ij^2) of every wall
-    circle, shape (q, q). It is kappa_ij where the pair is compatible,
-    |c_ij|^2 = 1 + kappa_ij^2, and is taken as kappa_ij exactly where that
-    holds within SPHERICAL_TOL, so spherical clusters keep their bits."""
-    residuals = spherical_residuals(params)
-    kappa = params.curvatures[:, None] - params.curvatures[None, :]
-    with np.errstate(invalid="ignore"):
-        return np.where(np.abs(residuals) <= SPHERICAL_TOL, kappa,
-                        kappa / np.sqrt(1.0 + residuals))
+# Candidate punctures of the Stokes sum, generic so that no symmetry of a cluster
+# gives two of them equal sums about an open boundary, as the axes can.
+PUNCTURES = _turned_fibonacci(20)
+PUNCTURE_TOL = 1e-9
 
 
-def _cell_loops(cell: int, directed: list[_DirectedArc]) -> list[list[_DirectedArc]]:
-    """Group the directed boundary arcs of one cell into closed loops."""
-    loops = []
-    unused = list(directed)
-    while unused:
-        walk = [unused.pop(0)]
-        if walk[0].arc.full_circle:
-            loops.append(walk)
-            continue
-        while True:
-            tail = walk[-1].end
-            best, best_dist = None, VERTEX_MATCH_TOL
-            for cand in unused:
-                dist = float(np.linalg.norm(cand.start - tail))
-                if dist < best_dist:
-                    best, best_dist = cand, dist
-            if best is None:
-                if float(np.linalg.norm(walk[0].start - tail)) < VERTEX_MATCH_TOL:
-                    break
-                raise MeasureError(
-                    f"cell {cell}: boundary loop failed to close (dangling arc end)")
-            unused.remove(best)
-            walk.append(best)
-            if float(np.linalg.norm(walk[0].start - walk[-1].end)) < VERTEX_MATCH_TOL:
-                break
-        loops.append(walk)
-    return loops
+def _rows_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b along the last axis."""
+    return (a.take((1, 2, 0), -1) * b.take((2, 0, 1), -1)
+            - a.take((2, 0, 1), -1) * b.take((1, 2, 0), -1))
 
 
-def _loop_disk_area(loop: list[_DirectedArc], curvatures: np.ndarray) -> float:
-    """Gauss-Bonnet area of the region left of a single closed loop (disk case), with
-    the wall circles' geodesic curvatures (_geodesic_curvatures)."""
-    total_kg = sum(d.geodesic_curvature(curvatures) * d.arc.length for d in loop)
-    turning = 0.0
-    if not (len(loop) == 1 and loop[0].arc.full_circle):
-        for idx, d in enumerate(loop):
-            nxt = loop[(idx + 1) % len(loop)]
-            p = d.end
-            t_in, t_out = d.tangent_in(), nxt.tangent_out()
-            turning += math.atan2(float(p @ _cross(t_in, t_out)),
-                                  float(t_in @ t_out))
-    return TWO_PI - total_kg - turning
+_dot = partial(np.einsum, "...i,...i->...")  # dot products along the last axis
+
+
+def _arc_fluxes(arcs: list[Arc], punctures: np.ndarray) -> np.ndarray:
+    """F_a of every arc for each puncture a, shape (punctures, arcs): the integral
+    along the arc, t increasing, of a primitive of the area form on S^2 minus a.
+
+    Each of four equal t-pieces (p, p') adds the triangle T(-a, p, p') and the
+    segment between chord and arc: the sector s dt (1 - s h) about the near
+    pole s w less T(s w, p, p'), with w = u x v, h = <w, center> and s = +1 if
+    h >= 0 else -1. T(x, y, z) = 2 atan2(det[x, y, z], 1 + x.y + y.z + z.x) is
+    the signed area of a geodesic triangle (Van Oosterom & Strackee, IEEE
+    Trans. Biomed. Eng. 30, 1983); all of them are evaluated in one array pass.
+    """
+    m, count = len(arcs), len(punctures)
+    t0, t1, radius = np.array([(a.t0, a.t1, a.radius) for a in arcs]).reshape(m, 3).T
+    center, u, v = (np.array([getattr(a, name) for a in arcs]).reshape(m, 3)
+                    for name in ("center", "u", "v"))
+    t = t0[:, None] + (t1 - t0)[:, None] * (np.arange(5) / 4.0)
+    pts = center[:, None] + radius[:, None, None] * (np.cos(t)[..., None] * u[:, None]
+                                                     + np.sin(t)[..., None] * v[:, None])
+    y, z = pts[:, :-1], pts[:, 1:]
+    w = _rows_cross(u, v)
+    h = _dot(w, center)
+    s = np.where(h >= 0.0, 1.0, -1.0)
+    poles = np.empty((count + 1, m, 1, 3))
+    poles[:count], poles[count] = -punctures[:, None, None], (s[:, None] * w)[:, None]
+    triangles = 2.0 * np.arctan2(_dot(poles, _rows_cross(y, z)),
+                                 1.0 + _dot(poles, y) + _dot(y, z) + _dot(z, poles))
+    areas = triangles.sum(axis=2)
+    return areas[:count] + (s * (t1 - t0) * (1.0 - s * h) - areas[count])
 
 
 def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureReport:
-    """Exact volumes and areas for an S^2 cluster via arcs and Gauss-Bonnet.
+    """Exact volumes and areas for an S^2 cluster: arc lengths, and cell areas
+    by Stokes' theorem on S^2 minus a puncture a.
 
-    Cells are assumed connected (loops of one cell bound a common region);
-    disconnected cells make the area checks below fail with a structured
-    error. Vertex-free interfaces (full circles) are handled, including
-    annulus-type cells. Off compatible pairs an arc's geodesic curvature is
-    not kappa_ij (_geodesic_curvatures).
+    A cell's area is 4pi [a in cell] plus the sum of +F_a over the arcs where
+    it is cell j (on the left) and -F_a where it is cell i (_arc_fluxes). No
+    loop is walked, so cells may be disconnected. a is the PUNCTURES entry
+    with the largest gap between its least and second-least affine values,
+    and the runner-up gives a second sum: a cell whose two sums differ by more
+    than PUNCTURE_TOL (an open boundary) or whose area is outside [0, 4pi]
+    raises MeasureError.
     """
     q = params.q
     arcs = extract_arcs(params, graph)
-    curvatures = _geodesic_curvatures(params)
     areas_raw = np.zeros((q, q))
-    for arc in arcs:
+    sides = np.zeros((len(arcs), q))
+    for k, arc in enumerate(arcs):
         areas_raw[arc.i, arc.j] += arc.length
         areas_raw[arc.j, arc.i] += arc.length
-
-    volumes_raw = np.zeros(q)
+        sides[k, arc.i], sides[k, arc.j] = -1.0, 1.0
+    values = params.affine_values(PUNCTURES)
+    least = np.sort(values, axis=1)
+    chosen = np.argsort(least[:, 0] - least[:, 1], kind="stable")[:2]
+    area, other = _arc_fluxes(arcs, PUNCTURES[chosen]) @ sides
+    area[np.argmin(values[chosen[0]])] += 2.0 * TWO_PI
+    other[np.argmin(values[chosen[1]])] += 2.0 * TWO_PI
     for cell in range(q):
-        directed = [_DirectedArc(a, reversed=(a.i == cell))
-                    for a in arcs if cell in (a.i, a.j)]
-        if not directed:
-            probe = params.affine_values(np.eye(3)[0])
-            volumes_raw[cell] = 2.0 * TWO_PI if int(np.argmin(probe)) == cell else 0.0
-            continue
-        loops = _cell_loops(cell, directed)
-        area = (sum(_loop_disk_area(loop, curvatures) for loop in loops)
-                - 2.0 * TWO_PI * (len(loops) - 1))
-        if not -1e-8 <= area <= 2.0 * TWO_PI + 1e-8:
-            raise MeasureError(
-                f"cell {cell}: Gauss-Bonnet area {area:.6f} outside [0, 4pi] "
-                f"(disconnected cell or degenerate boundary)")
-        volumes_raw[cell] = max(area, 0.0)
-
-    total = volumes_raw.sum()
-    if abs(total - 2.0 * TWO_PI) > 1e-7:
-        raise MeasureError(f"cell areas sum to {total:.8f}, expected 4pi")
+        if abs(area[cell] - other[cell]) > PUNCTURE_TOL:
+            raise MeasureError(f"cell {cell}: area {area[cell]:.6f} depends on the puncture "
+                               f"({other[cell]:.6f} at the other): its boundary is not closed")
+        if not -1e-8 <= area[cell] <= 2.0 * TWO_PI + 1e-8:
+            raise MeasureError(f"cell {cell}: Stokes area {area[cell]:.6f} outside "
+                               f"[0, 4pi] (degenerate boundary)")
     norm = 2.0 * TWO_PI
-    zeros = np.zeros_like(areas_raw)
-    return MeasureReport(volumes_raw / norm, areas_raw / norm,
-                         np.zeros(q), zeros, {"kind": "exact_s2"})
+    return MeasureReport(np.maximum(area, 0.0) / norm, areas_raw / norm,
+                         np.zeros(q), np.zeros_like(areas_raw), {"kind": "exact_s2"})
 
 
 # ---------------------------------------------------------------------------

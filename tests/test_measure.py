@@ -155,18 +155,36 @@ class TestCrossBackend:
         # cell may miss a wall circle. The exact backend matches Monte Carlo or
         # says it cannot measure the cluster.
         rng = np.random.default_rng(21)
-        measured = 0
         for k in range(12):
             q = int(rng.integers(3, 6))
             c = rng.uniform(0.05, 3.0) * rng.standard_normal((q, 3))
             params = recentered(2, c, rng.uniform(0.0, 2.0) * rng.standard_normal(q))
             graph = detect_interfaces(params, rng_seed=k)
-            try:
-                assert_exact_matches_mc(params, graph, 200_000, seed=k)
-            except MeasureError:
-                continue
-            measured += 1
-        assert measured >= 10
+            assert_exact_matches_mc(params, graph, 200_000, seed=k)
+
+    def test_prism_with_a_disconnected_cell(self):
+        # cell 0 is {|y|, |z| < 0.1}: two disks about +-e_x, which no single
+        # boundary loop bounds
+        c = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        params = recentered(2, c, np.array([0.0, 0.1, 0.1, 0.1, 0.1]))
+        graph = detect_interfaces(params, rng_seed=0)
+        assert_exact_matches_mc(params, graph, 1_000_000, seed=41)
+        volumes = measure_exact_s2(params, graph).volumes
+        assert np.ptp(volumes[1:]) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [[0.3, 0.1, -0.4], [0.2, -0.1, 0.05, -0.15]])
+    def test_dropped_arc_raises(self, monkeypatch, kappa):
+        # an open boundary makes a cell's Stokes sum depend on the puncture
+        params = standard_of_curvature(2, len(kappa), np.array(kappa))
+        graph = detect_interfaces(params, rng_seed=0)
+        arcs = extract_arcs(params, graph)
+        assert not any(arc.closed for arc in arcs)
+        for dropped in range(3 if len(kappa) == 3 else 1):
+            kept = arcs[:dropped] + arcs[dropped + 1:]
+            monkeypatch.setattr(measure, "extract_arcs", lambda params, graph: kept)
+            with pytest.raises(MeasureError):
+                measure_exact_s2(params, graph)
 
     def test_orthogonal_invariance_exact(self, skew_bubble_s2):
         turned = rotated(skew_bubble_s2, random_orthogonal(3, np.random.default_rng(8)))
@@ -493,17 +511,14 @@ class TestArcExtraction:
         for a, b in vecs:
             assert np.array_equal(measure._cross(a, b), np.cross(a, b))
 
-    def test_directed_arc_ends_are_the_arc_points(self, skew_bubble_s2, skew_bubble_graph):
+    def test_arc_ends_are_the_arc_points(self, skew_bubble_s2, skew_bubble_graph):
         for arc in extract_arcs(skew_bubble_s2, skew_bubble_graph):
-            forward = measure._DirectedArc(arc, reversed=False)
-            backward = measure._DirectedArc(arc, reversed=True)
-            assert np.array_equal(forward.start, arc.point(arc.t0))
-            assert np.array_equal(forward.end, arc.point(arc.t1))
-            assert np.array_equal(backward.start, arc.point(arc.t1))
-            assert np.array_equal(backward.end, arc.point(arc.t0))
-            # each end is computed once per arc, read-only, and shared by both orientations
-            assert backward.start is forward.end and backward.end is forward.start
-            assert not (forward.start.flags.writeable or forward.end.flags.writeable)
+            first, last = arc.ends
+            assert np.array_equal(first, arc.point(arc.t0))
+            assert np.array_equal(last, arc.point(arc.t1))
+            # each end is computed once per arc and read-only
+            assert arc.ends[0] is first and arc.ends[1] is last
+            assert not (first.flags.writeable or last.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
