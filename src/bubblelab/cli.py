@@ -40,7 +40,7 @@ EXIT_ERROR = 3
 def _base_report(args, **extra) -> dict:
     cfg = {"command": args.command, "version": __version__,
            "schema_version": SCHEMA_VERSION}
-    for key in ("seed", "samples", "h", "backend", "steps", "t"):
+    for key in ("seed", "samples", "h", "backend", "steps", "t", "budget"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     cfg.update(extra)

@@ -392,9 +392,22 @@ def save_cluster(params: ClusterParams, path) -> None:
 
 
 def load_cluster(path) -> ClusterParams:
-    """Load a cluster JSON file, normalizing the sum conventions (warn above 1e-9)."""
+    """Load a cluster JSON file, normalizing the sum conventions (warn above 1e-9).
+
+    A file that is not JSON, or not an object with the four cluster keys,
+    raises a ValueError that names it.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cluster file {path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"cluster file {path} holds a {type(payload).__name__}, "
+                         f"not a JSON object")
+    missing = [key for key in ("n", "q", "quasi_centers", "curvatures") if key not in payload]
+    if missing:
+        raise ValueError(f"cluster file {path} lacks {', '.join(missing)}")
     params = recentered(int(payload["n"]), payload["quasi_centers"],
                         payload["curvatures"], payload.get("label", ""),
                         warn_above=1e-9)

@@ -339,11 +339,10 @@ class Arc:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors, bit for bit: each component is the difference
-    of two separate products, as np.cross forms it."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """np.cross along the last axis, bit for bit: each component is the
+    difference of two separate products, as np.cross forms it."""
+    return (a.take((1, 2, 0), -1) * b.take((2, 0, 1), -1)
+            - a.take((2, 0, 1), -1) * b.take((1, 2, 0), -1))
 
 
 def _circle_frame(params: ClusterParams, i: int, j: int):
@@ -453,12 +452,6 @@ PUNCTURES = _turned_fibonacci(20)
 PUNCTURE_TOL = 1e-9
 
 
-def _rows_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b along the last axis."""
-    return (a.take((1, 2, 0), -1) * b.take((2, 0, 1), -1)
-            - a.take((2, 0, 1), -1) * b.take((1, 2, 0), -1))
-
-
 _dot = partial(np.einsum, "...i,...i->...")  # dot products along the last axis
 
 
@@ -481,12 +474,12 @@ def _arc_fluxes(arcs: list[Arc], punctures: np.ndarray) -> np.ndarray:
     pts = center[:, None] + radius[:, None, None] * (np.cos(t)[..., None] * u[:, None]
                                                      + np.sin(t)[..., None] * v[:, None])
     y, z = pts[:, :-1], pts[:, 1:]
-    w = _rows_cross(u, v)
+    w = _cross(u, v)
     h = _dot(w, center)
     s = np.where(h >= 0.0, 1.0, -1.0)
     poles = np.empty((count + 1, m, 1, 3))
     poles[:count], poles[count] = -punctures[:, None, None], (s[:, None] * w)[:, None]
-    triangles = 2.0 * np.arctan2(_dot(poles, _rows_cross(y, z)),
+    triangles = 2.0 * np.arctan2(_dot(poles, _cross(y, z)),
                                  1.0 + _dot(poles, y) + _dot(y, z) + _dot(z, poles))
     areas = triangles.sum(axis=2)
     return areas[:count] + (s * (t1 - t0) * (1.0 - s * h) - areas[count])

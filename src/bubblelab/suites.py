@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import __version__, gallery
-from .cluster import (ClusterParams, detect_interfaces, perpendicular_pole,
+from .cluster import (ClusterParams, InterfaceGraph, detect_interfaces, perpendicular_pole,
                       validate_spherical)
 from .deform import conformal_step, gram_eigenvalue_floor, gram_invariance_check, pcf_detect
 from .measure import measure_cluster, measure_exact_s2, measure_mc, resolve_backend
@@ -123,19 +123,25 @@ def _random_s2_clusters(seed: int) -> list[ClusterParams]:
     return out
 
 
+def _worst_pull(params: ClusterParams, graph: InterfaceGraph, samples: int,
+                seed: int) -> float:
+    """Worst |MC - exact| / stderr over the volumes and interface areas."""
+    exact = measure_exact_s2(params, graph)
+    mc = measure_mc(params, graph, samples=samples, seed=seed)
+    pulls = [np.max(np.abs(mc.volumes - exact.volumes)
+                    / np.maximum(mc.volume_stderr, 1e-12))]
+    for i, j in graph.pairs():
+        pulls.append(abs(mc.areas[i, j] - exact.areas[i, j])
+                     / max(mc.area_stderr[i, j], 1e-12))
+    return float(np.max(pulls))
+
+
 def suite_measure_oracles(seed: int = 2, samples: int = 1_000_000) -> SuiteReport:
     rep = SuiteReport("measure_oracles", config={"seed": seed, "samples": samples})
     worst_pull = 0.0
     for idx, params in enumerate(_random_s2_clusters(seed)):
         graph = detect_interfaces(params, rng_seed=seed + idx)
-        exact = measure_exact_s2(params, graph)
-        mc = measure_mc(params, graph, samples=samples, seed=seed + 1000 + idx)
-        pulls = [np.max(np.abs(mc.volumes - exact.volumes)
-                        / np.maximum(mc.volume_stderr, 1e-12))]
-        for i, j in graph.pairs():
-            pulls.append(abs(mc.areas[i, j] - exact.areas[i, j])
-                         / max(mc.area_stderr[i, j], 1e-12))
-        worst_pull = max(worst_pull, float(np.max(pulls)))
+        worst_pull = max(worst_pull, _worst_pull(params, graph, samples, seed + 1000 + idx))
     rep.check_mc("cross_backend_worst_pull_sigma", worst_pull, 1.0,
                  "worst |MC - exact| / stderr over 10 clusters, volumes and areas")
 
@@ -151,6 +157,15 @@ def suite_measure_oracles(seed: int = 2, samples: int = 1_000_000) -> SuiteRepor
                  float(np.max(mc.volume_stderr)))
     rep.check_mc("equal_bubble_perimeter_mc", mc.total_perimeter - 0.75,
                  mc.perimeter_stderr)
+
+    # a conformal image of a band stack: each wall circle misses the third cell
+    bands = gallery.band_stack(2, (-0.3, 0.4))
+    stepped = conformal_step(bands, perpendicular_pole(bands), 0.5)
+    rep.check_mc("stepped_band_stack_pull_sigma",
+                 _worst_pull(stepped, detect_interfaces(stepped, rng_seed=seed), samples,
+                             seed + 6000), 1.0,
+                 "worst |MC - exact| / stderr on the stepped band stack at t = 0.5, "
+                 "volumes and areas")
     return rep
 
 

@@ -36,7 +36,7 @@ def test_criterion_1_standard_bubble_characterization():
 
 
 def test_criterion_2_measure_oracles_agree():
-    # |MC - Gauss-Bonnet| within 4 stderr at 1e6 samples; lune values exact
+    # |MC - exact| within 4 stderr at 1e6 samples; lune values exact
     _run("measure_oracles", 120.0)
 
 

@@ -193,6 +193,7 @@ class TestAnalysisCommands:
         assert run_cli("plateau", str(cluster_file), "--budget", "150",
                        "--out", str(out)) == 0
         payload = json.loads(out.read_text())
+        assert payload["budget"] == 150 and payload["seed"] == 0
         assert payload["fully_plateau"] is True
         assert payload["classification"] == "both"
 
@@ -361,8 +362,23 @@ class TestErrorPayloads:
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "ValueError", "message": "volumes must be positive and sum to 1"}
 
-    def test_foreign_value_error_is_not_caught(self, tmp_path):
-        cluster = tmp_path / "broken.json"
-        cluster.write_text("{not json")
-        with pytest.raises(json.JSONDecodeError):
-            run_cli("measure", str(cluster))
+    @pytest.mark.parametrize("text, problem", [
+        ('{"n": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}', "lacks q"),
+        ("[[0, 0, 1], [0, 0, -1]]", "holds a list, not a JSON object"),
+        ("{not json", "is not JSON")], ids=["missing-q", "json-list", "not-json"])
+    def test_malformed_cluster_file(self, tmp_path, text, problem):
+        cluster, out = tmp_path / "broken.json", tmp_path / "measure.json"
+        cluster.write_text(text)
+        assert run_cli("measure", str(cluster), "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(f"cluster file {cluster} {problem}")
+        assert payload["command"] == "measure"
+
+    def test_foreign_value_error_is_not_caught(self, cluster_file, monkeypatch):
+        def foreign(*args, **kwargs):
+            raise ValueError("raised outside bubblelab")
+
+        monkeypatch.setattr(cli, "detect_interfaces", foreign)
+        with pytest.raises(ValueError, match="raised outside bubblelab"):
+            run_cli("measure", str(cluster_file))

@@ -7,10 +7,11 @@ outputs. The recorded digests were produced by
 
     PYTHONPATH=src python tests/test_golden.py
 
-at commit 5079b82 for the Monte Carlo cases and at commit 3d89102 for the
-spectrum cases (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31, x86-64);
-near_kernel_and_solve was re-recorded when the condensed solve took its
-per-arc closed forms from ToeplitzArcs, which moved its last bits. The
+at commit 5079b82 for the Monte Carlo cases, at commit 3d89102 for the
+spectrum cases and at commit a9af9b2 for measure_exact_s2 (numpy 2.4.6,
+scipy 1.17.1, OpenBLAS 0.3.31, x86-64); near_kernel_and_solve was re-recorded
+when the condensed solve took its per-arc closed forms from ToeplitzArcs,
+which moved its last bits. The
 bits depend on the numpy build and its BLAS, so the cases skip under any other
 numpy version. A change that means to move these bits must re-record them
 with the same command and say why.
@@ -23,10 +24,11 @@ import numpy as np
 import pytest
 
 from bubblelab import (NewtonConfig, apply_mobius, assemble_jacobi, build_graph,
-                       complete_graph, conformal_to_volume_pcf, detect_interfaces,
-                       eigen_count_positive, equal_volume_standard, measure_mc,
-                       model_profile, normal_moment_operator, pcf_detect,
-                       standard_of_curvature, standard_of_volume)
+                       complete_graph, conformal_step, conformal_to_volume_pcf,
+                       detect_interfaces, eigen_count_positive, equal_volume_standard,
+                       gallery, measure_exact_s2, measure_mc, model_profile,
+                       normal_moment_operator, pcf_detect, perpendicular_pole,
+                       recentered, standard_of_curvature, standard_of_volume)
 from bubblelab.measure import cell_volumes_mc
 
 NUMPY_VERSION = "2.4.6"
@@ -41,6 +43,7 @@ GOLDEN = {
     "model_profile": "00f6caf72f015f21db8a",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
     "near_kernel_and_solve": "2672278395fc3857c279",
+    "measure_exact_s2": "cb43914de30ccb4b0d10",
 }
 
 
@@ -125,6 +128,27 @@ def case_near_kernel_and_solve():
     for system in _spectrum_systems():
         rhs = np.random.default_rng(17).standard_normal((system.reduced_size, 2))
         out.extend([system.near_kernel, system.form_solver.solve(rhs)])
+    return out
+
+
+def case_measure_exact_s2():
+    """Exact volumes and areas of the bench-like q = 3 and q = 4 bubbles, the
+    equal-volume q = 3 bubble, a stepped band stack, the prism (a cell in two
+    pieces) and a random affine cluster."""
+    bands = gallery.band_stack(2, (-0.3, 0.4))
+    prism = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    rng = np.random.default_rng(18)
+    clusters = [standard_of_curvature(2, 3, np.array([0.21, -0.05, -0.16])),
+                standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21])),
+                equal_volume_standard(2, 3),
+                conformal_step(bands, perpendicular_pole(bands), 0.5),
+                recentered(2, prism, np.array([0.0, 0.1, 0.1, 0.1, 0.1])),
+                recentered(2, 1.5 * rng.standard_normal((4, 3)), rng.standard_normal(4))]
+    out = []
+    for params in clusters:
+        rep = measure_exact_s2(params, detect_interfaces(params, rng_seed=0))
+        out.extend([rep.volumes, rep.areas])
     return out
 
 

@@ -510,6 +510,9 @@ class TestArcExtraction:
         vecs[::7, 0, rng.integers(3)] = 0.0
         for a, b in vecs:
             assert np.array_equal(measure._cross(a, b), np.cross(a, b))
+        rows = vecs.reshape(200, 10, 2, 3)
+        assert np.array_equal(measure._cross(rows[:, :, 0], rows[:, :, 1]),
+                              np.cross(rows[:, :, 0], rows[:, :, 1]))
 
     def test_arc_ends_are_the_arc_points(self, skew_bubble_s2, skew_bubble_graph):
         for arc in extract_arcs(skew_bubble_s2, skew_bubble_graph):
