@@ -394,8 +394,8 @@ def save_cluster(params: ClusterParams, path) -> None:
 def load_cluster(path) -> ClusterParams:
     """Load a cluster JSON file, normalizing the sum conventions (warn above 1e-9).
 
-    A file that is not JSON, or not an object with the four cluster keys,
-    raises a ValueError that names it.
+    A file that is not JSON, not an object with the four cluster keys, or
+    whose entries do not make a cluster raises a ValueError that names it.
     """
     with open(path) as fh:
         try:
@@ -408,9 +408,13 @@ def load_cluster(path) -> ClusterParams:
     missing = [key for key in ("n", "q", "quasi_centers", "curvatures") if key not in payload]
     if missing:
         raise ValueError(f"cluster file {path} lacks {', '.join(missing)}")
-    params = recentered(int(payload["n"]), payload["quasi_centers"],
-                        payload["curvatures"], payload.get("label", ""),
-                        warn_above=1e-9)
-    if params.q != int(payload["q"]):
-        raise ValueError("cell count in file does not match quasi_centers")
+    try:
+        params = recentered(int(payload["n"]), payload["quasi_centers"],
+                            payload["curvatures"], payload.get("label", ""),
+                            warn_above=1e-9)
+        q = int(payload["q"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"cluster file {path}: {exc}") from exc
+    if params.q != q:
+        raise ValueError(f"cluster file {path}: cell count does not match quasi_centers")
     return params

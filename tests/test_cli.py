@@ -363,16 +363,21 @@ class TestErrorPayloads:
             "type": "ValueError", "message": "volumes must be positive and sum to 1"}
 
     @pytest.mark.parametrize("text, problem", [
-        ('{"n": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}', "lacks q"),
-        ("[[0, 0, 1], [0, 0, -1]]", "holds a list, not a JSON object"),
-        ("{not json", "is not JSON")], ids=["missing-q", "json-list", "not-json"])
+        ('{"n": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}', " lacks q"),
+        ("[[0, 0, 1], [0, 0, -1]]", " holds a list, not a JSON object"),
+        ("{not json", " is not JSON"),
+        ('{"n": null, "q": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}',
+         ": int() argument"),
+        ('{"n": 2, "q": 3, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}',
+         ": cell count does not match")],
+        ids=["missing-q", "json-list", "not-json", "null-n", "wrong-q"])
     def test_malformed_cluster_file(self, tmp_path, text, problem):
         cluster, out = tmp_path / "broken.json", tmp_path / "measure.json"
         cluster.write_text(text)
         assert run_cli("measure", str(cluster), "--out", str(out)) == EXIT_ERROR
         payload = json.loads(out.read_text())
         assert payload["error"]["type"] == "ValueError"
-        assert payload["error"]["message"].startswith(f"cluster file {cluster} {problem}")
+        assert payload["error"]["message"].startswith(f"cluster file {cluster}{problem}")
         assert payload["command"] == "measure"
 
     def test_foreign_value_error_is_not_caught(self, cluster_file, monkeypatch):

@@ -152,8 +152,8 @@ class TestCrossBackend:
     def test_random_affine_clusters(self):
         # affine S^2 clusters drawn like mc_cases, nearly all of them not
         # compatible: their arcs' geodesic curvature is not kappa_ij, and a third
-        # cell may miss a wall circle. The exact backend matches Monte Carlo or
-        # says it cannot measure the cluster.
+        # cell may miss a wall circle. The exact backend matches Monte Carlo on
+        # every one of them.
         rng = np.random.default_rng(21)
         for k in range(12):
             q = int(rng.integers(3, 6))
