@@ -11,10 +11,9 @@ at commit 5079b82 for the Monte Carlo cases, at commit 3d89102 for the
 spectrum cases and at commit a9af9b2 for measure_exact_s2 (numpy 2.4.6,
 scipy 1.17.1, OpenBLAS 0.3.31, x86-64); near_kernel_and_solve was re-recorded
 when the condensed solve took its per-arc closed forms from ToeplitzArcs,
-which moved its last bits. The
-bits depend on the numpy build and its BLAS, so the cases skip under any other
-numpy version. A change that means to move these bits must re-record them
-with the same command and say why.
+which moved its last bits. The bits depend on the numpy build and its BLAS,
+so the cases skip under any other numpy version. A change that means to move
+these bits must re-record them with the same command and say why.
 """
 
 import hashlib
