@@ -8,10 +8,11 @@ outputs. The recorded digests were produced by
     PYTHONPATH=src python tests/test_golden.py
 
 at commit 5079b82 for the Monte Carlo cases, at commit 3d89102 for the
-spectrum cases and at commit a9af9b2 for measure_exact_s2 (numpy 2.4.6,
-scipy 1.17.1, OpenBLAS 0.3.31, x86-64); near_kernel_and_solve was re-recorded
-when the condensed solve took its per-arc closed forms from ToeplitzArcs,
-which moved its last bits. The bits depend on the numpy build and its BLAS,
+spectrum cases, at commit a9af9b2 for measure_exact_s2 and on the code of
+commit 25a1940 for standard_of_volume_exact and build_graph, before the vertices
+came from arc-end labels (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31,
+x86-64); near_kernel_and_solve was re-recorded when the condensed solve took
+its per-arc closed forms from ToeplitzArcs, which moved its last bits. The bits depend on the numpy build and its BLAS,
 so the cases skip under any other numpy version. A change that means to move
 these bits must re-record them with the same command and say why.
 """
@@ -43,6 +44,8 @@ GOLDEN = {
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
     "near_kernel_and_solve": "2672278395fc3857c279",
     "measure_exact_s2": "cb43914de30ccb4b0d10",
+    "standard_of_volume_exact": "f59cf4757e9ddd4c64d2",
+    "build_graph": "026894545622f6537a14",
 }
 
 
@@ -99,8 +102,8 @@ def case_model_profile():
     return [point.value, point.kappa, point.grad, point.hessian]
 
 
-def _spectrum_systems():
-    """Jacobi systems at h = 4e-3 of the bench-like q = 3 and q = 4 bubbles, the
+def _spectrum_graphs():
+    """Quantum graphs of the bench-like q = 3 and q = 4 bubbles, the
     equal-volume q = 3 bubble (its h/2 cut lies next to an arc Dirichlet
     value), a Moebius image of the q = 4 one and the great circle."""
     q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
@@ -108,8 +111,12 @@ def _spectrum_systems():
                 equal_volume_standard(2, 3),
                 apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3),
                 equal_volume_standard(2, 2)]
-    return [assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=0)), 4e-3)
-            for params in clusters]
+    return [build_graph(params, detect_interfaces(params, rng_seed=0)) for params in clusters]
+
+
+def _spectrum_systems():
+    """Jacobi systems at h = 4e-3 of the _spectrum_graphs."""
+    return [assemble_jacobi(qgraph, 4e-3) for qgraph in _spectrum_graphs()]
 
 
 def case_eigen_count_positive():
@@ -148,6 +155,26 @@ def case_measure_exact_s2():
     for params in clusters:
         rep = measure_exact_s2(params, detect_interfaces(params, rng_seed=0))
         out.extend([rep.volumes, rep.areas])
+    return out
+
+
+def case_standard_of_volume_exact():
+    """Solved curvatures of bench-like q = 3 and q = 4 targets on the exact
+    backend: the exact volume Newton with its analytic Jacobian."""
+    return [standard_of_volume(2, len(v), v, NewtonConfig(backend="exact")).curvatures
+            for v in ([0.5, 0.3, 0.2], [0.15, 0.6, 0.25], [0.1, 0.2, 0.3, 0.4],
+                      [0.3, 0.25, 0.15, 0.3])]
+
+
+def case_build_graph():
+    """Each vertex's point and cells and each end's (arc_index, end, sign, robin)
+    of the _spectrum_graphs."""
+    out = []
+    for qgraph in _spectrum_graphs():
+        for vertex in qgraph.vertices:
+            out.extend([vertex.point, np.array(vertex.cells)])
+            out.extend(np.array([ve.arc_index, ve.end, ve.sign, ve.robin])
+                       for ve in vertex.ends)
     return out
 
 
