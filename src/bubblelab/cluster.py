@@ -25,6 +25,7 @@ RANK_CUTOFF = 1e-7
 SINGULAR_TIE_TOL = 1e-7
 # the exact interface test's linear functional: no entry is zero, as cos(k) != 0
 _LEVEL_FUNCTIONAL = np.cos(np.arange(1.0, 65.0))
+_LEVEL_FUNCTIONAL.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -394,14 +395,17 @@ def save_cluster(params: ClusterParams, path) -> None:
 def load_cluster(path) -> ClusterParams:
     """Load a cluster JSON file, normalizing the sum conventions (warn above 1e-9).
 
-    A file that is not JSON, not an object with the four cluster keys, or
-    whose entries do not make a cluster raises a ValueError that names it.
+    A file that cannot be read, is not JSON text, is not an object with the
+    four cluster keys, or whose entries do not make a cluster raises a
+    ValueError that names it.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"cluster file {path} is not JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cluster file {path} cannot be read: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cluster file {path} is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"cluster file {path} holds a {type(payload).__name__}, "
                          f"not a JSON object")
@@ -413,7 +417,7 @@ def load_cluster(path) -> ClusterParams:
                             payload["curvatures"], payload.get("label", ""),
                             warn_above=1e-9)
         q = int(payload["q"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"cluster file {path}: {exc}") from exc
     if params.q != q:
         raise ValueError(f"cluster file {path}: cell count does not match quasi_centers")

@@ -95,12 +95,12 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
                          samples: int = 1_000_000, seed: int = 0):
     """params -> the volumes of measure_cluster on S^n, for the evaluations of one call.
 
-    No wall is integrated. On Monte Carlo the function holds one
-    VolumeTracker, released with it, so an evaluation near an earlier one
-    reclassifies only the sample points it can move.
+    No wall is integrated. On exact volumes it is an ArcVolumes, which keeps each
+    point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, so
+    an evaluation near an earlier one reclassifies only the points it can move.
     """
     if resolve_backend(backend, n) == "exact":
-        return lambda params: measure_exact_s2(params, graph).volumes
+        return ArcVolumes(graph)
     tracker = VolumeTracker(samples, seed)
     return lambda params: tracker.volumes(params)[0]
 
@@ -301,7 +301,9 @@ class Arc:
 
     The circle is parametrized p(t) = center + radius (u cos t + v sin t) with
     (u, v, c_ij/|c_ij|) right-handed, so traversal with increasing t keeps cell
-    j on the left. full_circle marks a vertex-free interface.
+    j on the left. end_cells holds the third cells whose roots end the arc at t0
+    and at t1: one at a triple point, none on a full circle (a vertex-free
+    interface). Arcs are shared, so their arrays are read-only.
     """
 
     i: int
@@ -313,7 +315,11 @@ class Arc:
     t0: float
     t1: float
     kappa: float
-    full_circle: bool
+    end_cells: tuple[tuple[int, ...], tuple[int, ...]]
+
+    @property
+    def full_circle(self) -> bool:
+        return not any(self.end_cells)
 
     @property
     def length(self) -> float:
@@ -351,21 +357,18 @@ def _circle_frame(params: ClusterParams, i: int, j: int):
         return None
     center, radius, basis = frame
     u, v = basis[:, 0], basis[:, 1]
-    w = params.pair_center(i, j)
-    w = w / np.linalg.norm(w)
-    if np.dot(_cross(u, v), w) < 0:
+    if np.dot(_cross(u, v), params.pair_center(i, j)) < 0:  # u x v = +-c_ij/|c_ij|
         v = -v
+    for array in (center, u, v):
+        array.setflags(write=False)
     return center, radius, u, v
 
 
 def _feasible_intervals(params: ClusterParams, i: int, j: int, center, radius, u, v):
-    """Sub-intervals of [0, 2pi) on the wall circle where no third cell wins."""
-    q = params.q
-    others = [k for k in range(q) if k not in (i, j)]
-    if not others:
-        return [(0.0, TWO_PI)], True
-    c = params.quasi_centers
-    kap = params.curvatures
+    """Sub-intervals (t0, t1, cells0, cells1) of [0, 2pi) on the wall circle where no third
+    cell wins; cells0 and cells1 hold the cells with a root within MIN_ARC_ANGLE of each end."""
+    others = [k for k in range(params.q) if k not in (i, j)]
+    c, kap = params.quasi_centers, params.curvatures
     coeffs = []
     for k in others:
         d = c[k] - c[i]
@@ -373,53 +376,57 @@ def _feasible_intervals(params: ClusterParams, i: int, j: int, center, radius, u
                        float(d @ center) + kap[k] - kap[i]))
 
     roots = []
-    for a, b, d0 in coeffs:
+    for k, (a, b, d0) in zip(others, coeffs):
         amp = math.hypot(a, b)
         if amp < 1e-15:
             if d0 < 0.0:
-                return [], False  # cell k beats the pair on the whole circle
+                return []  # cell k beats the pair on the whole circle
             continue
         x = -d0 / amp
         if abs(x) <= 1.0:
             phi = math.atan2(b, a)
             delta = math.acos(max(-1.0, min(1.0, x)))
-            roots.extend(((phi + delta) % TWO_PI, (phi - delta) % TWO_PI))
+            roots.extend((((phi + delta) % TWO_PI, k), ((phi - delta) % TWO_PI, k)))
         elif x > 1.0:
-            return [], False  # g_k < 0 everywhere; x < -1 means g_k > 0 everywhere
+            return []  # g_k < 0 everywhere; x < -1 means g_k > 0 everywhere
 
     def all_nonneg(t: float) -> bool:
         return all(a * math.cos(t) + b * math.sin(t) + d0 >= 0.0 for a, b, d0 in coeffs)
 
-    if not roots:
-        return ([(0.0, TWO_PI)], True) if all_nonneg(0.0) else ([], False)
+    def enders(t: float) -> tuple[int, ...]:  # the cells with a root within MIN_ARC_ANGLE
+        return tuple(sorted({k for r, k in roots
+                             if abs((r - t + math.pi) % TWO_PI - math.pi) < MIN_ARC_ANGLE}))
 
-    roots = sorted(set(roots))
+    if not roots:
+        return [(0.0, TWO_PI, (), ())] if all_nonneg(0.0) else []
+
+    roots = sorted(set(roots))  # a root two cells share stays twice, 0 apart
     raw = []
-    for idx, t0 in enumerate(roots):
-        t1 = roots[(idx + 1) % len(roots)]
-        if idx == len(roots) - 1:
-            t1 += TWO_PI
+    for idx, (t0, _) in enumerate(roots):  # the last interval wraps round to the first root
+        t1 = roots[(idx + 1) % len(roots)][0] + (TWO_PI if idx == len(roots) - 1 else 0.0)
         if t1 - t0 < MIN_ARC_ANGLE:
             continue
         if all_nonneg(0.5 * (t0 + t1)):
-            raw.append((t0, t1))
+            raw.append((t0, t1, enders(t0), enders(t1)))
     # adjacent feasible intervals share a root only at tangential (degenerate)
     # contacts; merge them so no spurious vertex is reported there
-    intervals: list[tuple[float, float]] = []
+    intervals: list[tuple] = []
     for iv in raw:
         if intervals and abs(iv[0] - intervals[-1][1]) < MIN_ARC_ANGLE:
-            intervals[-1] = (intervals[-1][0], iv[1])
+            intervals[-1] = (intervals[-1][0], iv[1], intervals[-1][2], iv[3])
         else:
             intervals.append(iv)
     if len(intervals) >= 2:
         first, last = intervals[0], intervals[-1]
         if abs((last[1] % TWO_PI) - first[0]) < MIN_ARC_ANGLE:
-            intervals = intervals[1:-1] + [(last[0], last[1] + (first[1] - first[0]))]
-    return intervals, False
+            intervals = intervals[1:-1] + [(last[0], last[1] + (first[1] - first[0]),
+                                            last[2], first[3])]
+    return intervals
 
 
 def extract_arcs(params: ClusterParams, graph: InterfaceGraph) -> list[Arc]:
-    """All interface arcs of an S^2 cluster in closed form."""
+    """All interface arcs of an S^2 cluster in closed form, each labelled with the
+    third cells whose roots end it (Arc.end_cells): the vertex data of build_graph."""
     if params.n != 2:
         raise MeasureError("exact arc extraction requires n = 2")
     arcs = []
@@ -427,11 +434,8 @@ def extract_arcs(params: ClusterParams, graph: InterfaceGraph) -> list[Arc]:
         frame = _circle_frame(params, i, j)
         if frame is None:
             continue
-        center, radius, u, v = frame
-        intervals, full = _feasible_intervals(params, i, j, center, radius, u, v)
-        for t0, t1 in intervals:
-            arcs.append(Arc(i, j, center, radius, u, v, t0, t1,
-                            params.pair_curvature(i, j), full))
+        for t0, t1, *end_cells in _feasible_intervals(params, i, j, *frame):
+            arcs.append(Arc(i, j, *frame, t0, t1, params.pair_curvature(i, j), tuple(end_cells)))
     return arcs
 
 
@@ -449,6 +453,7 @@ def _turned_fibonacci(count: int) -> np.ndarray:
 # Candidate punctures of the Stokes sum, generic so that no symmetry of a cluster
 # gives two of them equal sums about an open boundary, as the axes can.
 PUNCTURES = _turned_fibonacci(20)
+PUNCTURES.setflags(write=False)
 PUNCTURE_TOL = 1e-9
 
 
@@ -497,30 +502,65 @@ def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureRep
     than PUNCTURE_TOL (an open boundary) or whose area is outside [0, 4pi]
     raises MeasureError.
     """
-    q = params.q
-    arcs = extract_arcs(params, graph)
-    areas_raw = np.zeros((q, q))
-    sides = np.zeros((len(arcs), q))
-    for k, arc in enumerate(arcs):
-        areas_raw[arc.i, arc.j] += arc.length
-        areas_raw[arc.j, arc.i] += arc.length
-        sides[k, arc.i], sides[k, arc.j] = -1.0, 1.0
-    values = params.affine_values(PUNCTURES)
-    least = np.sort(values, axis=1)
-    chosen = np.argsort(least[:, 0] - least[:, 1], kind="stable")[:2]
-    area, other = _arc_fluxes(arcs, PUNCTURES[chosen]) @ sides
-    area[np.argmin(values[chosen[0]])] += 2.0 * TWO_PI
-    other[np.argmin(values[chosen[1]])] += 2.0 * TWO_PI
-    for cell in range(q):
-        if abs(area[cell] - other[cell]) > PUNCTURE_TOL:
-            raise MeasureError(f"cell {cell}: area {area[cell]:.6f} depends on the puncture "
-                               f"({other[cell]:.6f} at the other): its boundary is not closed")
-        if not -1e-8 <= area[cell] <= 2.0 * TWO_PI + 1e-8:
-            raise MeasureError(f"cell {cell}: Stokes area {area[cell]:.6f} outside "
-                               f"[0, 4pi] (degenerate boundary)")
-    norm = 2.0 * TWO_PI
-    return MeasureReport(np.maximum(area, 0.0) / norm, areas_raw / norm,
-                         np.zeros(q), np.zeros_like(areas_raw), {"kind": "exact_s2"})
+    return ArcVolumes(graph).report(params)
+
+
+class ArcVolumes:
+    """params -> the volumes of measure_exact_s2 on one graph, for the evaluations of
+    one call: each parameter vector's arcs are extracted once and kept while the
+    object lives, and its report, pair integrals and areas all come from them."""
+
+    def __init__(self, graph: InterfaceGraph):
+        self.graph, self._arcs = graph, {}
+
+    def arcs(self, params: ClusterParams) -> list[Arc]:
+        key = params.quasi_centers.tobytes() + params.curvatures.tobytes()
+        if key not in self._arcs:
+            self._arcs[key] = extract_arcs(params, self.graph)
+        return self._arcs[key]
+
+    def __call__(self, params: ClusterParams) -> np.ndarray:
+        return self.report(params).volumes
+
+    def report(self, params: ClusterParams) -> MeasureReport:
+        """measure_exact_s2(params, graph) on the kept arcs."""
+        q, arcs = params.q, self.arcs(params)
+        areas_raw = np.zeros((q, q))
+        sides = np.zeros((len(arcs), q))
+        for k, arc in enumerate(arcs):
+            areas_raw[arc.i, arc.j] += arc.length
+            areas_raw[arc.j, arc.i] += arc.length
+            sides[k, arc.i], sides[k, arc.j] = -1.0, 1.0
+        values = params.affine_values(PUNCTURES)
+        least = np.sort(values, axis=1)
+        chosen = np.argsort(least[:, 0] - least[:, 1], kind="stable")[:2]
+        area, other = _arc_fluxes(arcs, PUNCTURES[chosen]) @ sides
+        area[np.argmin(values[chosen[0]])] += 2.0 * TWO_PI
+        other[np.argmin(values[chosen[1]])] += 2.0 * TWO_PI
+        for cell in range(q):
+            if abs(area[cell] - other[cell]) > PUNCTURE_TOL:
+                raise MeasureError(f"cell {cell}: area {area[cell]:.6f} depends on the puncture "
+                                   f"({other[cell]:.6f} at the other): its boundary is not closed")
+            if not -1e-8 <= area[cell] <= 2.0 * TWO_PI + 1e-8:
+                raise MeasureError(f"cell {cell}: Stokes area {area[cell]:.6f} outside "
+                                   f"[0, 4pi] (degenerate boundary)")
+        norm = 2.0 * TWO_PI
+        return MeasureReport(np.maximum(area, 0.0) / norm, areas_raw / norm,
+                             np.zeros(q), np.zeros_like(areas_raw), {"kind": "exact_s2"})
+
+    def pair_integrals(self, params: ClusterParams, weights) -> list[tuple[dict, dict]]:
+        """_pair_integrals(params, graph, weights, "exact") on the kept arcs."""
+        values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
+        norm = sphere_surface_measure(2)
+        for arc in self.arcs(params):
+            key = (arc.i, arc.j)
+            for w_values, integral in zip(values, _arc_integrals(arc, weights)):
+                w_values[key] = w_values.get(key, 0.0) + integral / norm
+        return [(w_values, {k: 0.0 for k in w_values}) for w_values in values]
+
+    def areas(self, params: ClusterParams) -> np.ndarray:
+        """interface_areas(params, graph, "exact")[0] on the kept arcs."""
+        return _symmetric(params.q, self.pair_integrals(params, [None])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +568,8 @@ def measure_exact_s2(params: ClusterParams, graph: InterfaceGraph) -> MeasureRep
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 
 
 def _arc_integrals(arc: Arc, weights) -> list[float]:
@@ -556,40 +598,35 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     weight's mean over a wall is a pairwise sum of its chunk sums in layout
     order, and its stderr the binomial one of those samples.
     """
+    if resolve_backend(backend, params.n) == "exact":
+        return ArcVolumes(graph).pair_integrals(params, weights)
     values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
     errs: list[dict[tuple[int, int], float]] = [{} for _ in weights]
     norm = sphere_surface_measure(params.n)
-    if resolve_backend(backend, params.n) == "exact":
-        for arc in extract_arcs(params, graph):
-            key = (arc.i, arc.j)
-            for w_values, integral in zip(values, _arc_integrals(arc, weights)):
-                w_values[key] = w_values.get(key, 0.0) + integral / norm
-        errs = [{k: 0.0 for k in w_values} for w_values in values]
-    else:
-        if samples <= 0:
-            raise ValueError("samples must be positive")
-        layout = sampling.chunk_layout(samples)
-        # no third cell: every sample is a hit, and each sampled mean is exactly 1
-        all_hits = params.q == 2 and all(weight is None for weight in weights)
-        walls, tasks = [], []
-        for i, j in graph.pairs():
-            frame = sampling.subsphere_frame(params.pair_center(i, j),
-                                             params.pair_curvature(i, j))
-            walls.append((i, j, frame))
-            if frame is not None and not all_hits:
-                tasks += [partial(_wall_chunk_sums, params, i, j, frame, seed, chunk, count,
-                                  weights) for chunk, count in layout]
-        chunk_sums = iter(sampling.run_tasks(tasks))
-        for i, j, frame in walls:
-            if frame is None:  # the hyperplane misses S^n: no wall to integrate over
-                moments, wall = [(0.0, 0.0)] * len(weights), 0.0
-            else:
-                wall = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1)
-                moments = ([(1.0, 0.0)] * len(weights) if all_hits else
-                           _wall_moments([next(chunk_sums) for _ in layout], samples))
-            for w_values, w_errs, (mean, stderr) in zip(values, errs, moments):
-                w_values[(i, j)] = mean * wall / norm
-                w_errs[(i, j)] = stderr * wall / norm
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    layout = sampling.chunk_layout(samples)
+    # no third cell: every sample is a hit, and each sampled mean is exactly 1
+    all_hits = params.q == 2 and all(weight is None for weight in weights)
+    walls, tasks = [], []
+    for i, j in graph.pairs():
+        frame = sampling.subsphere_frame(params.pair_center(i, j),
+                                         params.pair_curvature(i, j))
+        walls.append((i, j, frame))
+        if frame is not None and not all_hits:
+            tasks += [partial(_wall_chunk_sums, params, i, j, frame, seed, chunk, count,
+                              weights) for chunk, count in layout]
+    chunk_sums = iter(sampling.run_tasks(tasks))
+    for i, j, frame in walls:
+        if frame is None:  # the hyperplane misses S^n: no wall to integrate over
+            moments, wall = [(0.0, 0.0)] * len(weights), 0.0
+        else:
+            wall = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1)
+            moments = ([(1.0, 0.0)] * len(weights) if all_hits else
+                       _wall_moments([next(chunk_sums) for _ in layout], samples))
+        for w_values, w_errs, (mean, stderr) in zip(values, errs, moments):
+            w_values[(i, j)] = mean * wall / norm
+            w_errs[(i, j)] = stderr * wall / norm
     return list(zip(values, errs))
 
 
@@ -641,5 +678,4 @@ def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,
                        backend: str = "auto", samples: int = 1_000_000,
                        seed: int = 0) -> WeightedLaplacian:
     """L_f with A^ij the integral of a pointwise weight over Sigma_ij; see weighted_laplacians."""
-    return weighted_laplacians(params, graph, [weight], backend=backend, samples=samples,
-                               seed=seed)[0]
+    return weighted_laplacians(params, graph, [weight], backend, samples, seed)[0]

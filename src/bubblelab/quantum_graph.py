@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,9 +86,13 @@ class QuantumGraph:
 def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
     """Extract arcs and triple points of a spherical S^2 cluster into a metric graph.
 
-    Every junction must be a genuine triple point (three incident arc ends,
-    three distinct cells, confirmed by point classification); anything else is
-    a structured error since the vertex conditions are only defined there.
+    A vertex is the arc ends whose labels (Arc.end_cells) give one cell triple
+    a < b < d and whose points p give one sign of <(c_b - c_a) x (c_d - c_a), p>,
+    which tells the two triple points of a triple apart. It must be a genuine
+    triple point (one end of each of the three pairs, all within VERTEX_TOL,
+    confirmed by point classification); an end closed by two cells at once, or
+    anything else, is a structured error since the vertex conditions are only
+    defined there.
     """
     if params.n != 2:
         raise GraphBuildError("the boundary-network operator is only built on S^2")
@@ -98,49 +103,35 @@ def build_graph(params: ClusterParams, graph: InterfaceGraph) -> QuantumGraph:
     arcs = extract_arcs(params, graph)
     if not arcs:
         raise GraphBuildError("cluster has no interfaces")
-    ends: list[tuple[int, int, np.ndarray]] = []
+    centers, kappa = params.quasi_centers, params.curvatures
+    groups: dict[tuple, list[tuple]] = {}  # (a, b, d, side) -> [(arc, end, point, label)]
     for idx, arc in enumerate(arcs):
         if arc.closed:
             continue
-        ends.append((idx, 0, arc.ends[0]))
-        ends.append((idx, 1, arc.ends[1]))
-
-    clusters: list[list[tuple[int, int, np.ndarray]]] = []
-    for item in ends:
-        for group in clusters:
-            if np.linalg.norm(group[0][2] - item[2]) < VERTEX_TOL:
-                group.append(item)
-                break
-        else:
-            clusters.append([item])
-
-    kappa = params.curvatures
+        for end, (point, closers) in enumerate(zip(arc.ends, arc.end_cells)):
+            if len(closers) != 1:
+                raise GraphBuildError(f"arc end at {point} is closed by cells {closers} at "
+                                      "once; only certified triple points are supported")
+            a, b, d = sorted((arc.i, arc.j) + closers)
+            side = np.dot(np.cross(centers[b] - centers[a], centers[d] - centers[a]), point) > 0.0
+            groups.setdefault((a, b, d, side), []).append((idx, end, point, closers[0]))
     vertices = []
-    for group in clusters:
-        if len(group) != 3:
-            raise GraphBuildError(
-                f"junction at {group[0][2]} has {len(group)} incident arc ends; "
-                "only certified triple points are supported")
+    for (u, v, w, _), group in groups.items():
+        pairs = sorted((arcs[ai].i, arcs[ai].j) for ai, *_ in group)
+        spread = max(np.linalg.norm(group[0][2] - g[2]) for g in group)
+        if pairs != [(u, v), (u, w), (v, w)] or spread >= VERTEX_TOL:
+            raise GraphBuildError(f"junction at {group[0][2]} of cells {(u, v, w)} has arc ends "
+                                  f"of pairs {pairs}, {spread:.1e} apart; only certified "
+                                  "triple points are supported")
         point = np.mean([g[2] for g in group], axis=0)
         point /= np.linalg.norm(point)
-        cells = sorted({c for (ai, _, _) in group for c in (arcs[ai].i, arcs[ai].j)})
-        if len(cells) != 3:
-            raise GraphBuildError(f"junction at {point} does not join three distinct cells")
-        u, v, w = cells
-        expected = {(u, v), (v, w), (u, w)}
-        got = {(arcs[ai].i, arcs[ai].j) for (ai, _, _) in group}
-        if got != expected:
-            raise GraphBuildError(f"junction at {point} has pairs {got}, expected {expected}")
-        incidence = classify_point(params, point, tie_tol=VERTEX_TOL)
-        if not set(cells).issubset(set(int(c) for c in incidence)):
+        if not {u, v, w} <= {int(c) for c in classify_point(params, point, tie_tol=VERTEX_TOL)}:
             raise GraphBuildError(f"junction at {point} failed point-classification check")
         vertex_ends = []
-        for ai, end, _ in group:
+        for ai, end, _, k in group:  # k, the end's label, is the third cell
             i, j = arcs[ai].i, arcs[ai].j
-            k = next(c for c in cells if c not in (i, j))
             robin = (kappa[i] + kappa[j] - 2.0 * kappa[k]) / SQRT3
-            sign = -1.0 if (i, j) == (u, w) else 1.0
-            vertex_ends.append(VertexEnd(ai, end, sign, robin))
+            vertex_ends.append(VertexEnd(ai, end, -1.0 if (i, j) == (u, w) else 1.0, robin))
         vertices.append(Vertex(point, (u, v, w), vertex_ends))
     return QuantumGraph(params, arcs, vertices)
 
@@ -191,11 +182,9 @@ class JacobiSystem:
         return x[off:off + cnt]
 
     def arc_points(self, arc_index: int) -> np.ndarray:
-        arc = self.graph.arcs[arc_index]
-        cnt = self.counts[arc_index]
+        arc, cnt = self.graph.arcs[arc_index], self.counts[arc_index]
         m = cnt if arc.closed else cnt - 1
-        ts = arc.t0 + (arc.t1 - arc.t0) * np.arange(cnt) / m
-        return arc.point(ts)
+        return arc.point(arc.t0 + (arc.t1 - arc.t0) * np.arange(cnt) / m)
 
     @cached_property
     def trace_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,14 +339,10 @@ def assemble_jacobi(graph: QuantumGraph, h: float) -> JacobiSystem:
     Vertex-free circle interfaces are discretized cyclically. Nothing is
     assembled: the system applies its matrices by stencils.
     """
-    offsets, counts, steps = [], [], []
-    total = 0
-    for arc, (m, step) in zip(graph.arcs, arc_grids(graph, h)):
-        offsets.append(total)
-        counts.append(m if arc.closed else m + 1)
-        steps.append(step)
-        total += counts[-1]
-    return JacobiSystem(graph, h, offsets, counts, steps)
+    grids = arc_grids(graph, h)
+    counts = [m if arc.closed else m + 1 for arc, (m, _) in zip(graph.arcs, grids)]
+    return JacobiSystem(graph, h, list(accumulate([0] + counts[:-1])), counts,
+                        [step for _, step in grids])
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +353,7 @@ def field_from_pointwise(system: JacobiSystem, fn) -> np.ndarray:
     """Node vector of a field given pointwise: fn(arc, points) -> values of f_ij."""
     x = np.zeros(system.size)
     for ai, arc in enumerate(system.graph.arcs):
-        off, cnt = system.offsets[ai], system.counts[ai]
-        x[off:off + cnt] = fn(arc, system.arc_points(ai))
+        system.arc_values(x, ai)[:] = fn(arc, system.arc_points(ai))
     return x
 
 
@@ -387,8 +371,7 @@ def strong_residual(system: JacobiSystem, x: np.ndarray, rhs=None) -> float:
     """
     worst = 0.0
     for ai, arc in enumerate(system.graph.arcs):
-        off, cnt, step = system.offsets[ai], system.counts[ai], system.steps[ai]
-        vals = x[off:off + cnt]
+        vals, step = system.arc_values(x, ai), system.steps[ai]
         pot = 1.0 + arc.kappa ** 2
         target = 0.0 if rhs is None else rhs(arc)
         if arc.closed:
@@ -413,10 +396,7 @@ def volume_derivative(system: JacobiSystem, x: np.ndarray) -> np.ndarray:
     for ai, arc in enumerate(system.graph.arcs):
         vals = system.arc_values(x, ai)
         step = system.steps[ai]
-        if arc.closed:
-            integral = step * float(vals.sum())
-        else:
-            integral = step * (float(vals.sum()) - 0.5 * (vals[0] + vals[-1]))
+        integral = step * (float(vals.sum()) - (0.0 if arc.closed else 0.5 * (vals[0] + vals[-1])))
         out[arc.i] += integral / NORM_S2
         out[arc.j] -= integral / NORM_S2
     return out

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterParams, complete_graph, recentered
-from .measure import (cell_volume_function, interface_areas, resolve_backend,
-                      weighted_laplacians)
-from .simplex import psd_sqrtm, sum_zero_basis, sum_zero_projector
+from .measure import cell_volume_function, interface_areas, resolve_backend
+from .simplex import pair_weight_matrix, psd_sqrtm, sum_zero_basis, sum_zero_projector
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +88,9 @@ def mobius_point_flow(p, pole, t: float) -> np.ndarray:
     pole = np.asarray(pole, dtype=float)
     if abs(pole @ pole - 1.0) > 1e-12:
         raise ValueError("pole must be a unit vector")
-    a = p @ pole
-    denom = math.cosh(t) + a * math.sinh(t)
-    out = (p - a[..., None] * pole + (a * math.cosh(t) + math.sinh(t))[..., None] * pole
-           if p.ndim > 1 else
-           p - a * pole + (a * math.cosh(t) + math.sinh(t)) * pole)
-    return out / (denom[..., None] if p.ndim > 1 else denom)
+    a = (p @ pole)[..., None]
+    return ((p - a * pole + (a * math.cosh(t) + math.sinh(t)) * pole)
+            / (math.cosh(t) + a * math.sinh(t)))
 
 
 def apply_mobius(params: ClusterParams, pole, t: float) -> ClusterParams:
@@ -155,14 +151,14 @@ class NewtonConfig:
 class NewtonError(RuntimeError):
     def __init__(self, message: str, last_kappa: np.ndarray, residual: float):
         super().__init__(message)
-        self.last_kappa = last_kappa
-        self.residual = residual
+        self.last_kappa, self.residual = last_kappa, residual
 
 
-def exact_volume_jacobian(n: int, q: int, y: np.ndarray) -> np.ndarray:
+def _volume_jacobian(n: int, q: int, y: np.ndarray, volume_of) -> np.ndarray:
     """Jacobian of y -> B^T V(standard_of_curvature(B y)) on exact volumes.
 
-    B is the sum-zero basis, and V the volumes of measure_exact_s2.
+    B is the sum-zero basis, and V the volumes of measure_exact_s2 by volume_of,
+    a measure.ArcVolumes, whose arcs kept for y give the Laplacians below.
 
     From the first variation of volume: cell i changes by minus the integral
     of the normal speed of its walls, and with |c_ij|^2 = 1 + kappa_ij^2 the
@@ -177,9 +173,8 @@ def exact_volume_jacobian(n: int, q: int, y: np.ndarray) -> np.ndarray:
     basis = sum_zero_basis(q)
     params = standard_of_curvature(n, q, basis @ y)
     # C has nonzero coordinates 0..q-2 only, so only their moments are needed
-    laps = [lap.matrix for lap in weighted_laplacians(
-        params, complete_graph(q),
-        [None] + [lambda pts, ax=axis: pts[:, ax] for axis in range(q - 1)], backend="exact")]
+    laps = [pair_weight_matrix(q, values) for values, _ in volume_of.pair_integrals(
+        params, [None] + [lambda pts, ax=axis: pts[:, ax] for axis in range(q - 1)])]
     lam, w = np.linalg.eigh(_root_argument(basis, basis @ y))
     roots = np.sqrt(lam)
     # W^T dS W for dS = e_k y^T + y e_k^T is a_k b^T + b a_k^T, a_k = W^T e_k, b = W^T y
@@ -198,9 +193,9 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
     """Damped Newton for V(kappa(y)) = v in sum-zero coordinates.
 
     volume_of maps parameters to cell volumes (measure.cell_volume_function).
-    The Jacobian is exact_volume_jacobian on exact volumes, which costs one
-    weighted_laplacians pass and no volume evaluation, and central
-    differences with step MC_FD_STEP on Monte Carlo volumes. Returns
+    The Jacobian is _volume_jacobian on exact volumes, one weighted-Laplacian
+    pass over the arcs volume_of extracted for the residual at the same y, and
+    central differences with step MC_FD_STEP on Monte Carlo volumes. Returns
     (y, jacobian, residual_inf). Warm starts (y0, jac0) let a cluster of
     nearby solves (finite-difference grids) skip most Jacobian rebuilds.
     """
@@ -212,7 +207,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
 
     def build_jacobian(yy: np.ndarray) -> np.ndarray:
         if fd_step is None:
-            return exact_volume_jacobian(n, q, yy)
+            return _volume_jacobian(n, q, yy, volume_of)
         jac = np.empty((q - 1, q - 1))
         for k in range(q - 1):
             step = np.zeros(q - 1)
@@ -222,30 +217,22 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
 
     y = np.zeros(q - 1) if y0 is None else np.array(y0, dtype=float)
     r = residual(y)
-    jac = jac0
-    jac_age = 0
+    jac, jac_age, rebuilds_after_stall = jac0, 0, 0
     fresh = False  # jac was built at this y
-    rebuilds_after_stall = 0
     for _ in range(MAX_ITER):
         if np.linalg.norm(r, np.inf) <= tol:
-            return y, (jac if jac is not None else build_jacobian(y)), \
-                float(np.linalg.norm(r, np.inf))
+            break
         if jac is None or jac_age >= JACOBIAN_REUSE:
-            jac = build_jacobian(y)
-            jac_age, fresh = 0, True
+            jac, jac_age, fresh = build_jacobian(y), 0, True
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
-        scale = 1.0
-        base_norm = np.linalg.norm(r)
+        scale, base_norm = 1.0, np.linalg.norm(r)
         for _ in range(MAX_HALVINGS):
             r_try = residual(y + scale * delta)
             if np.linalg.norm(r_try) < base_norm:
-                y = y + scale * delta
-                r = r_try
-                jac_age += 1
-                fresh = False
+                y, r, jac_age, fresh = y + scale * delta, r_try, jac_age + 1, False
                 break
             scale *= 0.5
         else:
@@ -255,8 +242,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
             if rebuilds_after_stall >= 2 or fresh:
                 break
             rebuilds_after_stall += 1
-            jac = build_jacobian(y)
-            jac_age, fresh = 0, True
+            jac, jac_age, fresh = build_jacobian(y), 0, True
     return y, (jac if jac is not None else build_jacobian(y)), \
         float(np.linalg.norm(r, np.inf))
 
@@ -266,8 +252,8 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
 
     Damped Newton on the curvature vector in sum-zero coordinates,
     backtracking by halving on the volume residual, with a Jacobian reused
-    across a few steps: on exact volumes it is exact_volume_jacobian, the
-    first variation of volume from one weighted_laplacians pass, and on
+    across a few steps: on exact volumes it is _volume_jacobian, the first
+    variation of volume on the arcs of the residual at the same point, and on
     Monte Carlo volumes central differences. Monte Carlo volume evaluations share one
     seed so the objective is a fixed (piecewise smooth) function of kappa and
     Newton can converge to its root far below the statistical error; they go
@@ -327,7 +313,7 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     margin = min(v.min(), (1.0 - v).min())
     if fd_step_hess * np.abs(basis).max() * 2 >= margin:
         raise ValueError("fd step too large for this volume vector")
-    tol, _ = cfg.tolerances(n)
+    tol, fd_step = cfg.tolerances(n)
     graph = complete_graph(q)
 
     # center solve cold, perturbed solves warm-started from it, all on one volume function
@@ -348,22 +334,20 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
             if r > 3 * tol:
                 raise NewtonError("volume Newton did not converge at a grid point",
                                   basis @ y, r)
-            # total perimeter from the interface areas alone: no volume sample
-            areas, _ = interface_areas(standard_of_curvature(n, q, basis @ y), graph,
-                                       cfg.backend, cfg.mc_samples, cfg.mc_seed)
+            # the perimeter from the areas alone: no volume sample, or the residual's arcs
+            params = standard_of_curvature(n, q, basis @ y)
+            areas = volume_of.areas(params) if fd_step is None else interface_areas(
+                params, graph, cfg.backend, cfg.mc_samples, cfg.mc_seed)[0]
             cache[key] = float(np.sum(np.triu(areas, 1)))
         return cache[key]
 
     center = value(np.zeros(q))
     dim = q - 1
-    grad = np.empty(dim)
-    for k in range(dim):
-        e = basis[:, k]
-        grad[k] = (value(fd_step_grad * e) - value(-fd_step_grad * e)) / (2 * fd_step_grad)
+    grad = np.array([(value(fd_step_grad * e) - value(-fd_step_grad * e)) / (2 * fd_step_grad)
+                     for e in basis.T])
     hess = np.empty((dim, dim))
     h = fd_step_hess
-    for k in range(dim):
-        e = basis[:, k]
+    for k, e in enumerate(basis.T):
         hess[k, k] = (value(h * e) - 2 * center + value(-h * e)) / h ** 2
     for k in range(dim):
         for m in range(k + 1, dim):

@@ -14,13 +14,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bubblelab import sampling
-from bubblelab.cluster import ClusterParams, InterfaceGraph, cell_values, validate_spherical
+from bubblelab.cluster import (ClusterParams, InterfaceGraph, cell_values, complete_graph,
+                               validate_spherical)
 from bubblelab.deform import gram_path
+from bubblelab.measure import ArcVolumes
 from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
                                blowup_at, plateau_at)
 from bubblelab.quantum_graph import NORM_S2, SpectrumError, dependent_trace, kernel_tolerance
 from bubblelab.simplex import sum_zero_basis
-from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER,
+from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER, _volume_jacobian,
                                 standard_of_curvature)
 
 
@@ -257,6 +259,12 @@ def rotated(params: ClusterParams, rot: np.ndarray) -> ClusterParams:
     """The cluster moved by the orthogonal map rot: c_i -> rot c_i, curvatures kept."""
     return ClusterParams(params.n, params.quasi_centers @ rot.T, params.curvatures,
                          params.label)
+
+
+def exact_volume_jacobian(n: int, q: int, y: np.ndarray) -> np.ndarray:
+    """The exact volume Newton's Jacobian at y on arcs extracted for this call
+    alone; the solve itself takes the arcs of its residual at y."""
+    return _volume_jacobian(n, q, y, ArcVolumes(complete_graph(q)))
 
 
 def fd_volume_newton(n: int, q: int, v_target: np.ndarray, tol: float, volume_of,

@@ -380,6 +380,23 @@ class TestErrorPayloads:
         assert payload["error"]["message"].startswith(f"cluster file {cluster}{problem}")
         assert payload["command"] == "measure"
 
+    @pytest.mark.parametrize("make, problem", [
+        (lambda path: None, " cannot be read: No such file or directory"),
+        (lambda path: path.mkdir(), " cannot be read: Is a directory"),
+        (lambda path: path.write_bytes(b"\xff{}"), " is not JSON: 'utf-8' codec can't decode"),
+        (lambda path: path.write_text(
+            '{"n": 1e400, "q": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], '
+            '"curvatures": [0, 0]}'), ": cannot convert float infinity to integer")],
+        ids=["missing", "directory", "not-utf8", "huge-n"])
+    def test_unreadable_cluster_file(self, tmp_path, make, problem):
+        cluster, out = tmp_path / "broken.json", tmp_path / "measure.json"
+        make(cluster)
+        assert run_cli("measure", str(cluster), "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(f"cluster file {cluster}{problem}")
+        assert payload["command"] == "measure"
+
     def test_foreign_value_error_is_not_caught(self, cluster_file, monkeypatch):
         def foreign(*args, **kwargs):
             raise ValueError("raised outside bubblelab")

@@ -15,7 +15,7 @@ from bubblelab import (apply_mobius, assemble_jacobi, build_graph, conformal_jac
                        perpendicular_pole, recentered, standard_of_curvature,
                        standard_of_volume, volume_derivative)
 from bubblelab.cluster import complete_graph
-from bubblelab.measure import measure_exact_s2
+from bubblelab.measure import extract_arcs, measure_exact_s2
 from bubblelab import quantum_graph
 from bubblelab.quantum_graph import (POLE_GUARD, ArcPencil, GraphBuildError, SpectrumError,
                                      arc_grids, field_from_pointwise, kernel_tolerance,
@@ -133,6 +133,41 @@ class TestBuildGraph:
         for vertex in qg.vertices:
             assert len(vertex.ends) == 3
             assert vertex.cells == (0, 1, 2)
+
+    def test_double_bubble_has_two_distinct_triple_points(self, double_bubble):
+        # both triple points join cells (0, 1, 2); the side of the plane of the
+        # quasi-centers tells them apart
+        params, _, qg = double_bubble
+        assert [vertex.cells for vertex in qg.vertices] == [(0, 1, 2), (0, 1, 2)]
+        first, second = (vertex.point for vertex in qg.vertices)
+        assert np.linalg.norm(first - second) > 0.1
+        for vertex in qg.vertices:
+            assert sorted((qg.arcs[ve.arc_index].i, qg.arcs[ve.arc_index].j)
+                          for ve in vertex.ends) == [(0, 1), (0, 2), (1, 2)]
+            for ve in vertex.ends:
+                assert np.linalg.norm(qg.arcs[ve.arc_index].ends[ve.end] - vertex.point) < 1e-12
+
+    def test_flipped_side_label_raises(self, monkeypatch, double_bubble):
+        # an end point mirrored through the plane of the quasi-centers keeps
+        # its cell triple but flips its side, so it joins the other vertex
+        params, graph, _ = double_bubble
+        c = params.quasi_centers
+        normal = np.cross(c[1] - c[0], c[2] - c[0])
+        normal /= np.linalg.norm(normal)
+        arcs = extract_arcs(params, graph)
+        first, last = arcs[0].ends
+        arcs[0] = replace(arcs[0])
+        arcs[0].__dict__["ends"] = (first - 2.0 * (first @ normal) * normal, last)
+        monkeypatch.setattr(quantum_graph, "extract_arcs", lambda params, graph: arcs)
+        with pytest.raises(GraphBuildError, match="only certified triple points"):
+            build_graph(params, graph)
+
+    def test_end_closed_by_two_cells_raises(self):
+        from bubblelab import gallery
+
+        cross = gallery.cross_junction(2)
+        with pytest.raises(GraphBuildError, match=r"closed by cells \(2, 3\) at once"):
+            build_graph(cross, detect_interfaces(cross, rng_seed=1))
 
     def test_arc_lengths_match_exact_measure(self, double_bubble):
         params, graph, qg = double_bubble

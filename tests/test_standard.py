@@ -16,8 +16,9 @@ from bubblelab import (NewtonConfig, apply_mobius, complete_graph,
 from bubblelab import measure, sampling, standard
 from bubblelab.cluster import spherical_residuals
 from bubblelab.simplex import sum_zero_basis, sum_zero_projector
-from bubblelab.standard import exact_volume_jacobian, gradient_vs_curvature
-from reference import fd_volume_newton, mobius_conformal_factor, random_orthogonal, rotated
+from bubblelab.standard import gradient_vs_curvature
+from reference import (exact_volume_jacobian, fd_volume_newton, mobius_conformal_factor,
+                       random_orthogonal, rotated)
 
 
 def random_kappa(q, rng, scale=0.5):
@@ -236,14 +237,16 @@ class TestExactVolumeJacobian:
             assert np.max(np.abs(solved.curvatures - basis @ y)) <= 1e-12
 
     def test_q4_solve_makes_half_the_volume_evaluations(self, monkeypatch):
+        # an exact volume evaluation extracts the arcs of its point once, and
+        # the analytic Jacobian extracts none
         calls = []
-        exact = measure.measure_exact_s2
+        extract = measure.extract_arcs
 
         def counted(params, graph):
             calls.append(params)
-            return exact(params, graph)
+            return extract(params, graph)
 
-        monkeypatch.setattr(measure, "measure_exact_s2", counted)
+        monkeypatch.setattr(measure, "extract_arcs", counted)
         v = np.array([0.1, 0.2, 0.3, 0.4])
         volume_of = measure.cell_volume_function(complete_graph(4), 2, "exact")
         fd_volume_newton(2, 4, v, NewtonConfig().tol, volume_of)
@@ -251,6 +254,23 @@ class TestExactVolumeJacobian:
         calls.clear()
         standard_of_volume(2, 4, v)
         assert 0 < len(calls) <= before / 2
+
+    @pytest.mark.parametrize("solve", [
+        lambda: standard_of_volume(2, 4, [0.1, 0.2, 0.3, 0.4]),
+        lambda: model_profile(2, 3, [0.4, 0.35, 0.25])], ids=["standard_of_volume", "profile"])
+    def test_one_extraction_per_parameter_vector(self, monkeypatch, solve):
+        # the Jacobian, the grid solves' starts at the center and the profile's
+        # perimeters reuse the arcs of the residual at the same point
+        keys = []
+        extract = measure.extract_arcs
+
+        def counted(params, graph):
+            keys.append(params.quasi_centers.tobytes() + params.curvatures.tobytes())
+            return extract(params, graph)
+
+        monkeypatch.setattr(measure, "extract_arcs", counted)
+        solve()
+        assert keys and len(keys) == len(set(keys))
 
 
 class TestNewtonStall:

@@ -9,9 +9,10 @@ matched by name (any ast.Name or attribute of that name), so the check can
 miss a dead method that shares its name with a live one, but never flags a
 live function.
 
-No module of the package binds a dict, list or set at module level, apart
-from the sample memo sampling._unit_cache: a read-only table is a tuple or a
-types.MappingProxyType. Dunder names (__path__, __all__, __builtins__) are the
+No module of the package binds a dict, list, set or writable numpy array at
+module level, apart from the sample memo sampling._unit_cache: a read-only
+table is a tuple, a types.MappingProxyType or an array with
+setflags(write=False). Dunder names (__path__, __all__, __builtins__) are the
 import system's and exempt.
 
 The package runs on numpy alone: scipy is a test dependency, and a use of it
@@ -26,6 +27,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bubblelab"
@@ -77,13 +80,14 @@ def test_no_function_is_called_only_by_tests():
 
 
 def module_level_containers() -> list[str]:
-    """module:name of every dict, list or set a package module binds."""
+    """module:name of every dict, list, set or writable array a package module binds."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         name = "bubblelab" if path.stem == "__init__" else f"bubblelab.{path.stem}"
         for attr, value in vars(importlib.import_module(name)).items():
-            if (isinstance(value, (dict, list, set))
-                    and not (attr.startswith("__") and attr.endswith("__"))):
+            mutable = (isinstance(value, (dict, list, set))
+                       or isinstance(value, np.ndarray) and value.flags.writeable)
+            if mutable and not (attr.startswith("__") and attr.endswith("__")):
                 found.append(f"{path.stem}:{attr}")
     return found
 
