@@ -97,7 +97,7 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
 
     No wall is integrated. On exact volumes it is an ArcVolumes, which keeps each
     point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, so
-    an evaluation near an earlier one reclassifies only the points it can move.
+    an evaluation near the one before it reclassifies only the points its step can move.
     """
     if resolve_backend(backend, n) == "exact":
         return ArcVolumes(graph)
@@ -166,43 +166,61 @@ def _label_bound(ref: ClusterParams, cur: ClusterParams) -> float:
 class VolumeTracker:
     """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
 
-    For each volume chunk it keeps the last full classification (the
-    reference): its parameters, each point's label in the smallest integer
-    type that holds q, each point's gap (second-least minus least affine value,
-    as computed) and the cell counts. A later evaluation reclassifies, with the
-    same classify_many code, only the points whose reference gap
-    is at most delta (ties included), and takes the counts as
+    For each volume chunk it keeps a reference: the parameters P of the
+    chunk's last evaluation, each point's label l in the smallest integer type
+    that holds q, each point's stored gap s, the cell counts and one offset o.
+    A full classification stores the computed gaps (second-least minus least
+    affine value) with o = 0. A later evaluation at P' reclassifies, with the
+    same classify_many code, only the near points, s <= limit with
+    limit = o + delta rounded up, and takes the counts as
     counts - bincount(old labels) + bincount(new labels). Counts are integers,
-    so the volumes equal cell_volumes_mc's bit for bit.
+    so the volumes equal cell_volumes_mc's bit for bit. The evaluation then
+    becomes the reference in place: P', the near points' new labels, their
+    fresh gaps plus limit rounded down, and o' = limit. A point that is not
+    near is not written.
 
-    Why a larger gap keeps its label. With d = n+1, u = 2^-53 and
+    The rounding terms. With d = n+1, u = 2^-53 and
     g = (d+2)u / (1 - (d+2)u), each computed value <c_k, p> + kappa_k is a
     sum of d+1 products, the last one exact. Higham's bound for such a sum, in
     any order and with or without fused multiply-adds, puts it within
-    g (|c_k| |p| + |kappa_k|) of the exact value, and a unit direction
+    g (|c_k| |p| + |kappa_k|) of the exact value h_k, and a unit direction
     normalized in floating point has |p| <= 1 + g. So the error is at most
-    e_k = g (|c_k| (1+g) + |kappa_k|). Between the reference parameters and
-    the new ones, the exact value of cell k moves by at most
-    D_k = |c'_k - c_k| (1+g) + |kappa'_k - kappa_k|. If l is the reference
-    label and G the exact difference of the computed second-least and least
-    values, then for every k != l the new computed values satisfy
-    h'_k - h'_l >= G - 2 max_j (D_j + e_j + e'_j). The stored gap is G rounded
-    once, at most G (1+u), so a gap above
-    delta = 2 max_j (D_j + e_j + e'_j) (1 + 1e-9) leaves l the strict least
-    cell, which the running minimum then returns.
+    e_k = g (|c_k| (1+g) + |kappa_k|) at P (e'_k at P'). From P to P' the
+    exact value of cell k moves by at most
+    D_k = |c'_k - c_k| (1+g) + |kappa'_k - kappa_k|, and
+    delta = 2 max_j (D_j + e_j + e'_j) (1 + 1e-9).
+
+    The invariant. For every point with label l and every k != l,
+    h_k - h_l >= (s - o) / (1+u) - (e_k + e_l) at P.
+    A full classification makes it true: the computed values put l least, so
+    h_k - h_l >= G - (e_k + e_l), where G is the exact difference of the
+    computed second-least and least values, and the stored gap is G rounded
+    once, at most G (1+u). The same holds for a reclassified point at P',
+    whose stored gap minus o' is at most its fresh gap.
+
+    Why a point that is not near keeps its label, and the invariant. Its
+    s > limit >= o + delta. At P' the exact values give, by the old bound and
+    then the move,
+    h'_k - h'_l >= (s - o) / (1+u) - (e_k + e_l) - D_k - D_l,
+    and the computed values lose e'_k + e'_l more, which leaves them above
+    delta / (1+u) - 2 max_j (D_j + e_j + e'_j) > 0 (as u < 1e-9): l is the
+    strict least computed cell, which the running minimum returns. And since
+    (o' - o) / (1+u) >= delta / (1+u) covers
+    (e_k + e_l) + D_k + D_l - (e'_k + e'_l), that bound on h'_k - h'_l is at
+    least (s - o') / (1+u) - (e'_k + e'_l): the invariant at P' with the same s.
 
     A reclassified point's label is used only when its new gap also exceeds
     delta for unchanged parameters, 4 max_j e'_j (1 + 1e-9), beyond which no
     rounding of the full chunk can give another label: a product over a
     subset of points may round differently (a single point runs a
     matrix-vector kernel). Otherwise, and when more than FULL_CLASSIFY_SHARE
-    of the chunk lies within delta, the chunk is classified in full and
+    of the chunk lies within the limit, the chunk is classified in full and
     becomes the new reference.
 
-    A tracker holds about 9 bytes per volume point, so it is meant to live
-    for one call. full, incremental and reclassified count chunk
-    classifications in full, incremental chunk evaluations and the points
-    they reclassified. Chunks run on worker threads, each reading and
+    A tracker holds about 9 bytes per volume point (a label and a gap), so it
+    is meant to live for one call. full, incremental and reclassified count
+    chunk classifications in full, incremental chunk evaluations and the
+    points they reclassified. Chunks run on worker threads, each reading and
     replacing only its own chunk's reference; the calling thread tallies the
     counters.
     """
@@ -232,22 +250,28 @@ class VolumeTracker:
     def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray):
         """(counts, points reclassified or None) of one chunk.
 
-        A full classification replaces the chunk's reference as soon as it is
-        made; each chunk's task reads and writes only its own reference.
+        Every evaluation becomes the chunk's reference as soon as it is made;
+        each chunk's task reads and writes only its own reference.
         """
         q = params.q
         reference = self._references.get(chunk)
         if reference is not None:
-            ref_params, labels, gaps, counts = reference
-            near = np.flatnonzero(gaps <= _label_bound(ref_params, params))
+            ref_params, labels, gaps, counts, offset = reference
+            limit = np.nextafter(offset + _label_bound(ref_params, params), np.inf)
+            near = np.flatnonzero(gaps <= limit)
             if near.size <= FULL_CLASSIFY_SHARE * gaps.size:
-                moved, moved_gaps = classify_many(params, pts[near], gaps=True)
+                moved, moved_gaps = classify_many(params, np.take(pts, near, axis=0), gaps=True)
                 if np.all(moved_gaps > _label_bound(params, params)):
-                    return (counts - np.bincount(labels[near], minlength=q)
-                            + np.bincount(moved, minlength=q)), near.size
+                    counts = (counts - np.bincount(np.take(labels, near), minlength=q)
+                              + np.bincount(moved, minlength=q))
+                    labels[near] = moved
+                    gaps[near] = np.nextafter(moved_gaps + limit, -np.inf)
+                    self._references[chunk] = (params, labels, gaps, counts, limit)
+                    return counts, near.size
         labels, gaps = classify_many(params, pts, gaps=True)
         counts = np.bincount(labels, minlength=q)
-        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)), gaps, counts)
+        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)), gaps,
+                                   counts, 0.0)
         return counts, None
 
 

@@ -145,6 +145,8 @@ class NewtonConfig:
         """
         if resolve_backend(self.backend, n) == "exact":
             return self.tol, None
+        if self.mc_samples <= 0:
+            raise ValueError("samples must be positive")
         return max(self.tol, self.mc_tol, 2.0 / self.mc_samples), MC_FD_STEP
 
 

@@ -362,6 +362,20 @@ class TestErrorPayloads:
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "ValueError", "message": "volumes must be positive and sum to 1"}
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("standard", "--n", "3", "--q", "3", "--volumes", "0.5,0.3,0.2"),
+        ("profile", "--n", "3", "--q", "2")], ids=["standard", "profile"])
+    def test_monte_carlo_newton_rejects_nonpositive_samples(self, tmp_path, capsys, argv,
+                                                            samples):
+        path = tmp_path / "cluster.json"
+        out = ("--out", str(path)) if argv[0] == "standard" else ()
+        assert run_cli(*argv, "--samples", samples, *out) == EXIT_ERROR
+        assert not path.exists()
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {"type": "ValueError", "message": "samples must be positive"}
+        assert payload["command"] == argv[0] and payload["samples"] == int(samples)
+
     @pytest.mark.parametrize("text, problem", [
         ('{"n": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}', " lacks q"),
         ("[[0, 0, 1], [0, 0, -1]]", " holds a list, not a JSON object"),

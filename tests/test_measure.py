@@ -1,6 +1,7 @@
 """Monte Carlo and exact measures, weighted Laplacians, backend agreement."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -565,6 +566,17 @@ def tracked_clusters(draw):
     return recentered(n, c, k), later
 
 
+@st.composite
+def rolling_paths(draw):
+    """A walk over a tracked_clusters family: steps between any two of its members,
+    so scales from 0 to 1e-1 mix, the walk returns to earlier parameter vectors, and
+    duplicated cells tie exactly."""
+    base, later = draw(tracked_clusters())
+    family = [base, *later]
+    walk = draw(st.lists(st.integers(0, len(later)), min_size=2, max_size=6))
+    return [base] + [family[k] for k in walk]
+
+
 class TestVolumeTracker:
     @given(tracked_clusters(), st.sampled_from([5_000, sampling.CHUNK + 1_234]),
            st.integers(0, 1))
@@ -574,7 +586,10 @@ class TestVolumeTracker:
         q = base.q
         tracker = measure.VolumeTracker(samples, seed)
         for params in [base, *later]:
-            references = dict(tracker._references)
+            # the reference changes in place, so the snapshot copies its arrays
+            references = {chunk: (ref_params, labels.copy(), gaps.copy(), offset)
+                          for chunk, (ref_params, labels, gaps, _, offset)
+                          in tracker._references.items()}
             got = tracker.volumes(params)
             want = measure.cell_volumes_mc(params, samples, seed)
             assert got[0].tobytes() == want[0].tobytes()
@@ -583,16 +598,49 @@ class TestVolumeTracker:
                 pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, chunk, count, base.n + 1)
                 labels = classify_many(params, pts)
                 if chunk in references:
-                    # the bound: a point whose reference gap exceeds it keeps its label
-                    ref_params, ref_labels, gaps, _ = references[chunk]
-                    keep = gaps > measure._label_bound(ref_params, params)
+                    # the limit: a point whose stored gap exceeds it keeps its label
+                    ref_params, ref_labels, gaps, offset = references[chunk]
+                    limit = np.nextafter(offset + measure._label_bound(ref_params, params),
+                                         np.inf)
+                    keep = gaps > limit
                     assert np.array_equal(labels[keep], ref_labels[keep])
-                ref_params, ref_labels, gaps, counts = tracker._references[chunk]
+                ref_params, ref_labels, gaps, counts, _ = tracker._references[chunk]
                 assert ref_labels.dtype == np.uint8 and gaps.dtype == np.float64
                 assert np.array_equal(ref_labels, classify_many(ref_params, pts))
                 assert np.array_equal(counts, np.bincount(ref_labels, minlength=q))
         chunks = len(sampling.chunk_layout(samples))
         assert tracker.full + tracker.incremental == chunks * (1 + len(later))
+
+    @given(rolling_paths(), st.sampled_from([5_000, sampling.CHUNK + 1_234]), st.integers(0, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_rolled_reference_keeps_the_invariant(self, path, samples, seed):
+        # each evaluation becomes its chunk's reference: its labels are the full
+        # pass's, each stored gap less the offset is at most the gap computed at
+        # the reference, and a roll advances the offset by at least the bound.
+        # The invariant bounds exact differences, so the computed gap may lie
+        # below it by the values' rounding, which the bound for unchanged
+        # parameters covers (a one-point subset rounds unlike the full chunk)
+        tracker = measure.VolumeTracker(samples, seed)
+        offsets = {}
+        for previous, params in zip([None, *path], path):
+            got = tracker.volumes(params)
+            want = measure.cell_volumes_mc(params, samples, seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            rounding = measure._label_bound(params, params)
+            for chunk, count in sampling.chunk_layout(samples):
+                pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
+                                          params.n + 1)
+                ref_params, labels, gaps, counts, offset = tracker._references[chunk]
+                assert ref_params is params
+                want_labels, want_gaps = classify_many(params, pts, gaps=True)
+                assert np.array_equal(labels, want_labels)
+                assert np.array_equal(counts, np.bincount(want_labels, minlength=params.q))
+                assert np.all(gaps - offset <= want_gaps * (1.0 + 1e-12) + rounding)
+                if offset:  # rolled: the limit is rounded up, exactly
+                    advance = Fraction(offset) - Fraction(offsets[chunk])
+                    assert advance >= Fraction(measure._label_bound(previous, params))
+                offsets[chunk] = offset
 
     @given(random_affine_clusters(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -615,9 +663,10 @@ class TestVolumeTracker:
         tracker = measure.VolumeTracker(samples, seed)
         first = tracker.volumes(params)
         assert (tracker.full, tracker.incremental) == (2, 0)
-        bound = measure._label_bound(params, params)
-        tied = sum(int(np.count_nonzero(gaps <= bound))
-                   for _, _, gaps, _ in tracker._references.values())
+        # after a full pass the offset is 0, so the limit is the bound rounded up
+        limit = np.nextafter(measure._label_bound(params, params), np.inf)
+        tied = sum(int(np.count_nonzero(gaps <= limit))
+                   for _, _, gaps, _, _ in tracker._references.values())
         again = tracker.volumes(params)
         assert (tracker.full, tracker.incremental, tracker.reclassified) == (2, 2, tied)
         assert again[0].tobytes() == first[0].tobytes()
@@ -628,7 +677,7 @@ class TestVolumeTracker:
         twin = recentered(3, c, np.append(params.curvatures, params.curvatures[0]))
         tracker = measure.VolumeTracker(samples, seed)
         tracker.volumes(twin)
-        for _, _, gaps, _ in tracker._references.values():
+        for _, _, gaps, _, _ in tracker._references.values():
             ties = np.count_nonzero(gaps == 0.0)
             assert 0 < ties <= measure.FULL_CLASSIFY_SHARE * gaps.size
         again = tracker.volumes(twin)

@@ -178,8 +178,8 @@ def monte_carlo_bytes(runner) -> bytes:
             out += list(tracker.volumes(moved))
             out.append(np.array([tracker.full, tracker.incremental, tracker.reclassified]))
         for chunk in sorted(tracker._references):
-            _, labels, gaps, counts = tracker._references[chunk]
-            out += [labels, gaps, counts]
+            _, labels, gaps, counts, offset = tracker._references[chunk]
+            out += [labels, gaps, counts, np.array(offset)]
     return b"".join(np.ascontiguousarray(a).tobytes() for a in out)
 
 

@@ -373,3 +373,16 @@ class TestVolumeTrackerScope:
         plain = standard_of_volume(3, 3, [0.4, 0.35, 0.25], cfg)
         assert tracked.curvatures.tobytes() == plain.curvatures.tobytes()
         assert tracked.quasi_centers.tobytes() == plain.quasi_centers.tobytes()
+
+    def test_tracked_profile_equals_untracked_profile(self, monkeypatch):
+        # the grid solves step furthest from the tracker's reference
+        cfg = NewtonConfig(backend="mc", mc_samples=300_000, mc_seed=9)
+        args = (3, 2, [0.45, 0.55])
+        steps = {"fd_step_grad": 1e-2, "fd_step_hess": 5e-2, "cfg": cfg}
+        tracked = model_profile(*args, **steps)
+        monkeypatch.setattr(standard, "cell_volume_function", lambda graph, n, backend, samples,
+                            seed: lambda params: measure.cell_volumes_mc(params, samples, seed)[0])
+        plain = model_profile(*args, **steps)
+        for name in ("value", "kappa", "grad", "hessian"):
+            got, want = np.asarray(getattr(tracked, name)), np.asarray(getattr(plain, name))
+            assert got.tobytes() == want.tobytes(), name
