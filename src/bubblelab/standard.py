@@ -140,13 +140,17 @@ class NewtonConfig:
         """(tol, fd_step) on S^n: fd_step is None on exact volumes, whose Jacobian
         is analytic; on Monte Carlo volumes it is MC_FD_STEP, and tol is floored.
 
-        The floor is mc_tol, or two steps of the empirical volume map, which
-        moves in steps of 1/mc_samples, if that is larger.
+        The floor is mc_tol, or two steps of the empirical volume map (steps of
+        1/mc_samples) if larger. tol and mc_tol must be positive and finite.
         """
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if resolve_backend(self.backend, n) == "exact":
             return self.tol, None
         if self.mc_samples <= 0:
             raise ValueError("samples must be positive")
+        if not 0 < self.mc_tol < math.inf:
+            raise ValueError(f"mc_tol must be positive and finite, got {self.mc_tol}")
         return max(self.tol, self.mc_tol, 2.0 / self.mc_samples), MC_FD_STEP
 
 
@@ -156,11 +160,11 @@ class NewtonError(RuntimeError):
         self.last_kappa, self.residual = last_kappa, residual
 
 
-def _volume_jacobian(n: int, q: int, y: np.ndarray, volume_of) -> np.ndarray:
-    """Jacobian of y -> B^T V(standard_of_curvature(B y)) on exact volumes.
+def _volume_jacobian(y: np.ndarray, params: ClusterParams, volume_of) -> np.ndarray:
+    """Jacobian of y -> B^T V(standard_of_curvature(B y)) at y, whose bubble is params.
 
     B is the sum-zero basis, and V the volumes of measure_exact_s2 by volume_of,
-    a measure.ArcVolumes, whose arcs kept for y give the Laplacians below.
+    a measure.ArcVolumes, whose arcs kept for params give the Laplacians below.
 
     From the first variation of volume: cell i changes by minus the integral
     of the normal speed of its walls, and with |c_ij|^2 = 1 + kappa_ij^2 the
@@ -172,8 +176,8 @@ def _volume_jacobian(n: int, q: int, y: np.ndarray, volume_of) -> np.ndarray:
     S = W diag(lam) W^T (Daleckii-Krein),
         dR = W [(W^T dS W)_ab / (sqrt(lam_a) + sqrt(lam_b))] W^T.
     """
+    q = params.q
     basis = sum_zero_basis(q)
-    params = standard_of_curvature(n, q, basis @ y)
     # C has nonzero coordinates 0..q-2 only, so only their moments are needed
     laps = [pair_weight_matrix(q, values) for values, _ in volume_of.pair_integrals(
         params, [None] + [lambda pts, ax=axis: pts[:, ax] for axis in range(q - 1)])]
@@ -190,51 +194,56 @@ def _volume_jacobian(n: int, q: int, y: np.ndarray, volume_of) -> np.ndarray:
 
 
 def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volume_of,
-                   y0: np.ndarray | None = None,
-                   jac0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+                   start: tuple | None = None) -> tuple[tuple, float]:
     """Damped Newton for V(kappa(y)) = v in sum-zero coordinates.
 
     volume_of maps parameters to cell volumes (measure.cell_volume_function).
     The Jacobian is _volume_jacobian on exact volumes, one weighted-Laplacian
     pass over the arcs volume_of extracted for the residual at the same y, and
-    central differences with step MC_FD_STEP on Monte Carlo volumes. Returns
-    (y, jacobian, residual_inf). Warm starts (y0, jac0) let a cluster of
-    nearby solves (finite-difference grids) skip most Jacobian rebuilds.
+    central differences with step MC_FD_STEP on Monte Carlo volumes. A Newton
+    point is (y, its standard bubble, its volumes, the Jacobian held there).
+    A solve starts at start, evaluating nothing there, or at y = 0; it returns
+    (last point, residual_inf), and nearby solves from one start share its Jacobian.
     """
     basis = sum_zero_basis(q)
     tol, fd_step = cfg.tolerances(n)
 
-    def residual(yy: np.ndarray) -> np.ndarray:
-        return basis.T @ (volume_of(standard_of_curvature(n, q, basis @ yy)) - v_target)
+    def evaluate(yy: np.ndarray) -> tuple:
+        params = standard_of_curvature(n, q, basis @ yy)
+        return yy, params, volume_of(params)
 
-    def build_jacobian(yy: np.ndarray) -> np.ndarray:
+    def residual(volumes: np.ndarray) -> np.ndarray:
+        return basis.T @ (volumes - v_target)
+
+    def build_jacobian(yy: np.ndarray, params: ClusterParams) -> np.ndarray:
         if fd_step is None:
-            return _volume_jacobian(n, q, yy, volume_of)
+            return _volume_jacobian(yy, params, volume_of)
         jac = np.empty((q - 1, q - 1))
         for k in range(q - 1):
             step = np.zeros(q - 1)
             step[k] = fd_step
-            jac[:, k] = (residual(yy + step) - residual(yy - step)) / (2 * fd_step)
+            jac[:, k] = (residual(evaluate(yy + step)[2])
+                         - residual(evaluate(yy - step)[2])) / (2 * fd_step)
         return jac
 
-    y = np.zeros(q - 1) if y0 is None else np.array(y0, dtype=float)
-    r = residual(y)
-    jac, jac_age, rebuilds_after_stall = jac0, 0, 0
-    fresh = False  # jac was built at this y
+    y, params, volumes, jac = start if start is not None else (*evaluate(np.zeros(q - 1)), None)
+    r = residual(volumes)
+    jac_age, rebuilds_after_stall, fresh = 0, 0, False  # fresh: jac was built at this y
     for _ in range(MAX_ITER):
         if np.linalg.norm(r, np.inf) <= tol:
             break
         if jac is None or jac_age >= JACOBIAN_REUSE:
-            jac, jac_age, fresh = build_jacobian(y), 0, True
+            jac, jac_age, fresh = build_jacobian(y, params), 0, True
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
         scale, base_norm = 1.0, np.linalg.norm(r)
         for _ in range(MAX_HALVINGS):
-            r_try = residual(y + scale * delta)
+            trial = evaluate(y + scale * delta)
+            r_try = residual(trial[2])
             if np.linalg.norm(r_try) < base_norm:
-                y, r, jac_age, fresh = y + scale * delta, r_try, jac_age + 1, False
+                (y, params, volumes), r, jac_age, fresh = trial, r_try, jac_age + 1, False
                 break
             scale *= 0.5
         else:
@@ -244,9 +253,9 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
             if rebuilds_after_stall >= 2 or fresh:
                 break
             rebuilds_after_stall += 1
-            jac, jac_age, fresh = build_jacobian(y), 0, True
-    return y, (jac if jac is not None else build_jacobian(y)), \
-        float(np.linalg.norm(r, np.inf))
+            jac, jac_age, fresh = build_jacobian(y, params), 0, True
+    jac = jac if jac is not None else build_jacobian(y, params)
+    return (y, params, volumes, jac), float(np.linalg.norm(r, np.inf))
 
 
 def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None) -> ClusterParams:
@@ -266,14 +275,12 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     _check_range(n, q)
     v_target = _check_volumes(q, volumes)
     tol, _ = cfg.tolerances(n)
-    volume_of = cell_volume_function(complete_graph(q), n, cfg.backend, cfg.mc_samples,
-                                     cfg.mc_seed)
-    y, _, res = _volume_newton(n, q, v_target, cfg, volume_of)
+    volume_of = cell_volume_function(complete_graph(q), n, cfg.backend, cfg.mc_samples, cfg.mc_seed)
+    (y, params, _, _), res = _volume_newton(n, q, v_target, cfg, volume_of)
     if res > 3 * tol:
         raise NewtonError(f"volume Newton did not converge: residual {res:.3e}",
                           sum_zero_basis(q) @ y, res)
-    return standard_of_curvature(n, q, sum_zero_basis(q) @ y).with_label(
-        f"standard-volume-n{n}-q{q}")
+    return params.with_label(f"standard-volume-n{n}-q{q}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,42 +313,34 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
     Central differences along an orthonormal sum-zero basis; all evaluations
     share the Monte Carlo seed (common random numbers), so the dominant noise
     cancels in the differences, and the center and grid solves share one
-    measure.VolumeTracker for the length of the call. Steps must keep
-    v +- perturbations interior.
+    measure.VolumeTracker for the length of the call. Steps must be positive
+    and keep v +- perturbations interior.
     """
     cfg = cfg or NewtonConfig()
     v = _check_volumes(q, volumes)
     basis = sum_zero_basis(q)
-    margin = min(v.min(), (1.0 - v).min())
-    if fd_step_hess * np.abs(basis).max() * 2 >= margin:
+    if not (0 < fd_step_grad < math.inf and 0 < fd_step_hess < math.inf):
+        raise ValueError("fd steps must be positive and finite")
+    if max(fd_step_grad, 2 * fd_step_hess) * np.abs(basis).max() >= min(v.min(), (1 - v).min()):
         raise ValueError("fd step too large for this volume vector")
     tol, fd_step = cfg.tolerances(n)
     graph = complete_graph(q)
 
-    # center solve cold, perturbed solves warm-started from it, all on one volume function
+    # center solve cold, every grid solve from its last point, all on one volume function
     volume_of = cell_volume_function(graph, n, cfg.backend, cfg.mc_samples, cfg.mc_seed)
-    y_center, jac_center, res = _volume_newton(n, q, v, cfg, volume_of)
+    start, res = _volume_newton(n, q, v, cfg, volume_of)
     if res > 3 * tol:
         raise NewtonError("volume Newton did not converge at the profile center",
-                          basis @ y_center, res)
-    kappa = basis @ y_center
-
-    cache: dict[tuple, float] = {}
+                          basis @ start[0], res)
 
     def value(dv: np.ndarray) -> float:
-        key = tuple(np.round(dv, 14))
-        if key not in cache:
-            y, _, r = _volume_newton(n, q, v + dv, cfg, volume_of, y0=y_center,
-                                     jac0=jac_center)
-            if r > 3 * tol:
-                raise NewtonError("volume Newton did not converge at a grid point",
-                                  basis @ y, r)
-            # the perimeter from the areas alone: no volume sample, or the residual's arcs
-            params = standard_of_curvature(n, q, basis @ y)
-            areas = volume_of.areas(params) if fd_step is None else interface_areas(
-                params, graph, cfg.backend, cfg.mc_samples, cfg.mc_seed)[0]
-            cache[key] = float(np.sum(np.triu(areas, 1)))
-        return cache[key]
+        (y, params, _, _), r = _volume_newton(n, q, v + dv, cfg, volume_of, start)
+        if r > 3 * tol:
+            raise NewtonError("volume Newton did not converge at a grid point", basis @ y, r)
+        # the perimeter from the areas alone: no volume sample, or the residual's arcs
+        areas = volume_of.areas(params) if fd_step is None else interface_areas(
+            params, graph, cfg.backend, cfg.mc_samples, cfg.mc_seed)[0]
+        return float(np.sum(np.triu(areas, 1)))
 
     center = value(np.zeros(q))
     dim = q - 1
@@ -357,7 +356,7 @@ def model_profile(n: int, q: int, volumes, fd_step_grad: float = 1e-3,
             hess[k, m] = hess[m, k] = (
                 value(h * (ek + em)) - value(h * (ek - em))
                 - value(h * (em - ek)) + value(-h * (ek + em))) / (4 * h ** 2)
-    return ModelProfilePoint(v, center, kappa, grad, 0.5 * (hess + hess.T), basis, n, q)
+    return ModelProfilePoint(v, center, basis @ start[0], grad, 0.5 * (hess + hess.T), basis, n, q)
 
 
 def pde_residual(point: ModelProfilePoint) -> float:

@@ -264,7 +264,8 @@ def rotated(params: ClusterParams, rot: np.ndarray) -> ClusterParams:
 def exact_volume_jacobian(n: int, q: int, y: np.ndarray) -> np.ndarray:
     """The exact volume Newton's Jacobian at y on arcs extracted for this call
     alone; the solve itself takes the arcs of its residual at y."""
-    return _volume_jacobian(n, q, y, ArcVolumes(complete_graph(q)))
+    params = standard_of_curvature(n, q, sum_zero_basis(q) @ y)
+    return _volume_jacobian(y, params, ArcVolumes(complete_graph(q)))
 
 
 def fd_volume_newton(n: int, q: int, v_target: np.ndarray, tol: float, volume_of,

@@ -341,9 +341,10 @@ class TestErrorPayloads:
         assert payload["command"] == "plateau"
 
     def test_profile_newton_failure(self, monkeypatch, capsys):
-        def stalled(n, q, v_target, cfg, volume_of, y0=None, jac0=None):
+        def stalled(n, q, v_target, cfg, volume_of, start=None):
             tol, _ = cfg.tolerances(n)
-            return np.zeros(q - 1), np.eye(q - 1), 4 * tol
+            params = standard.standard_of_curvature(n, q, np.zeros(q))
+            return (np.zeros(q - 1), params, np.full(q, 1.0 / q), np.eye(q - 1)), 4 * tol
 
         monkeypatch.setattr(standard, "_volume_newton", stalled)
         assert run_cli("profile", "--n", "3", "--q", "2", "--grid", "1",

@@ -13,7 +13,8 @@ from bubblelab import (build_graph, conformal_step, detect_interfaces, equal_vol
                        standard_of_curvature, standard_of_volume, weighted_laplacian,
                        weighted_laplacians)
 from bubblelab import gallery, measure, sampling, standard
-from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell
+from bubblelab.cluster import (ClusterParams, cell_values, classify_many, complete_graph,
+                               least_cell)
 from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
 from bubblelab.standard import MC_FD_STEP, NewtonConfig, model_profile
@@ -466,6 +467,16 @@ class TestNewtonTolerances:
         assert NewtonConfig(mc_samples=1_000_000).tolerances(3)[0] == NewtonConfig().mc_tol
         assert NewtonConfig(mc_samples=300_000).tolerances(2) == (1e-10, None)
 
+    @pytest.mark.parametrize("cfg", [
+        NewtonConfig(tol=math.nan), NewtonConfig(tol=-1.0), NewtonConfig(tol=0.0),
+        NewtonConfig(tol=math.inf), NewtonConfig(tol=math.nan, backend="mc"),
+        NewtonConfig(backend="mc", mc_tol=math.nan), NewtonConfig(backend="mc", mc_tol=-1.0)],
+        ids=["nan", "negative", "zero", "inf", "nan-mc", "mc_tol-nan", "mc_tol-negative"])
+    def test_rejects_tolerances_that_are_not_positive_and_finite(self, cfg):
+        # NaN fails every comparison, which would switch the convergence test off
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            standard_of_volume(2, 3, [0.5, 0.3, 0.2], cfg)
+
 
 class TestPositiveDefiniteness:
     def test_unit_laplacian_positive(self, equal_bubble_s2, equal_bubble_graph):
@@ -546,6 +557,16 @@ def random_affine_clusters():
 
 
 @st.composite
+def affine_s2_clusters(draw):
+    """(params, rng): a random affine S^2 cluster with q = 3..5, drawn like mc_cases."""
+    q = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, 3))
+    k = draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
+    return recentered(2, c, k), rng
+
+
+@st.composite
 def tracked_clusters(draw):
     """(base, later): a random affine cluster and perturbations of it at scales
     0 and 1e-14 to 1e-1. With a duplicated cell, two cells tie exactly on a
@@ -575,6 +596,26 @@ def rolling_paths(draw):
     family = [base, *later]
     walk = draw(st.lists(st.integers(0, len(later)), min_size=2, max_size=6))
     return [base] + [family[k] for k in walk]
+
+
+class TestExactInvariance:
+    """measure_exact_s2 depends on neither the frame nor the labels of the cells."""
+
+    @given(affine_s2_clusters())
+    @settings(max_examples=100, deadline=None)
+    def test_turns_and_relabellings(self, case):
+        # a turn moves the cells against the Stokes sum's fixed punctures and
+        # reparametrizes every arc; a relabelling reorders cells and pairs
+        params, rng = case
+        q, graph = params.q, complete_graph(params.q)
+        base = measure_exact_s2(params, graph)
+        perm = rng.permutation(q)
+        relabelled = ClusterParams(2, params.quasi_centers[perm], params.curvatures[perm])
+        for moved, order in ((rotated(params, random_orthogonal(3, rng)), np.arange(q)),
+                             (relabelled, perm)):
+            report = measure_exact_s2(moved, graph)
+            assert np.max(np.abs(report.volumes - base.volumes[order])) <= 1e-13
+            assert np.max(np.abs(report.areas - base.areas[np.ix_(order, order)])) <= 1e-13
 
 
 class TestVolumeTracker:

@@ -272,6 +272,24 @@ class TestExactVolumeJacobian:
         solve()
         assert keys and len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("solve", [
+        lambda: standard_of_volume(2, 4, [0.1, 0.2, 0.3, 0.4]),
+        lambda: model_profile(2, 3, [0.4, 0.35, 0.25])], ids=["standard_of_volume", "profile"])
+    def test_one_standard_bubble_per_curvature_vector(self, monkeypatch, solve):
+        # a solve carries each point's bubble to its Jacobian, its result and
+        # the profile's perimeters, and the grid solves start at the center
+        # point without building it again
+        keys = []
+        build = standard.standard_of_curvature
+
+        def counted(n, q, kappa):
+            keys.append(np.asarray(kappa, dtype=float).tobytes())
+            return build(n, q, kappa)
+
+        monkeypatch.setattr(standard, "standard_of_curvature", counted)
+        solve()
+        assert keys and len(keys) == len(set(keys))
+
 
 class TestNewtonStall:
     def test_stall_at_a_fresh_jacobian_ends_the_solve(self):
@@ -291,11 +309,12 @@ class TestNewtonStall:
         cfg = NewtonConfig(backend="mc")
         tol, fd_step = cfg.tolerances(2)
         v = np.array([0.55473, 0.2, 0.24527])  # off the 1e-4 grid of the map
-        got = standard._volume_newton(2, 3, v, cfg, stepped("new"))
-        want = fd_volume_newton(2, 3, v, tol, stepped("old"), fd_step=fd_step)
-        assert got[2] > tol  # it stalled
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        (y, _, _, jac), res = standard._volume_newton(2, 3, v, cfg, stepped("new"))
+        want_y, want_jac, want_res = fd_volume_newton(2, 3, v, tol, stepped("old"),
+                                                      fd_step=fd_step)
+        assert res > tol  # it stalled
+        assert np.array_equal(y, want_y) and np.array_equal(jac, want_jac)
+        assert res == want_res
         assert calls["new"] < calls["old"]
 
 
@@ -340,6 +359,21 @@ class TestModelProfile:
         with pytest.raises(ValueError):
             model_profile(2, 2, [0.02, 0.98], fd_step_hess=0.1)
 
+    @pytest.mark.parametrize("volumes, grad, hess, match", [
+        ([0.4, 0.6], 0.0, 2e-2, "positive and finite"),
+        ([0.4, 0.6], 1e-3, 0.0, "positive and finite"),
+        ([0.4, 0.6], 1e-3, -1e-3, "positive and finite"),
+        ([0.4, 0.6], 1e-3, -0.5, "positive and finite"),
+        ([0.4, 0.6], math.nan, 2e-2, "positive and finite"),
+        ([0.4, 0.6], 1e-3, math.inf, "positive and finite"),
+        # the gradient step alone would take v - step below 0
+        ([0.1, 0.9], 0.2, 1e-3, "too large"),
+    ], ids=["grad-zero", "hess-zero", "hess-negative", "hess-negative-large", "grad-nan",
+            "hess-inf", "grad-too-large"])
+    def test_rejects_degenerate_steps(self, volumes, grad, hess, match):
+        with pytest.raises(ValueError, match=match):
+            model_profile(2, 2, volumes, fd_step_grad=grad, fd_step_hess=hess)
+
 
 class TestVolumeTrackerScope:
     """Monte Carlo volume solves hold one VolumeTracker for the length of a call."""
@@ -364,6 +398,22 @@ class TestVolumeTrackerScope:
         model_profile(2, 2, [0.4, 0.6], cfg=NewtonConfig(tol=1e-11))
         assert len(made) == 2  # none on the exact backend
         assert {module: set(vars(module)) for module in names} == names
+
+    def test_profile_measures_its_center_once(self, monkeypatch):
+        # the value(0) solve and every grid solve start at the center solve's
+        # last point, whose volumes they take without measuring it again
+        keys = []
+        volumes = measure.VolumeTracker.volumes
+
+        def counted(self, params):
+            keys.append(params.quasi_centers.tobytes() + params.curvatures.tobytes())
+            return volumes(self, params)
+
+        monkeypatch.setattr(measure.VolumeTracker, "volumes", counted)
+        cfg = NewtonConfig(backend="mc", mc_samples=300_000, mc_seed=4)
+        point = model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
+        center = standard_of_curvature(3, 2, point.kappa)
+        assert keys.count(center.quasi_centers.tobytes() + center.curvatures.tobytes()) == 1
 
     def test_tracked_solve_equals_untracked_solve(self, monkeypatch):
         cfg = NewtonConfig(backend="mc", mc_samples=300_000, mc_seed=9)
