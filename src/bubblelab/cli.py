@@ -1,8 +1,9 @@
 """Command-line front end: construction, measurement, deformation, spectra, suites.
 
-Every report embeds the package version, the seed, sample counts and
-tolerances, and contains no timestamps, so rerunning a command with an
-identical configuration reproduces the output byte for byte.
+Every report embeds the package version, the seed and sample counts of
+whatever it draws, and tolerances, and contains no timestamps, so rerunning
+a command with an identical configuration reproduces the output byte for
+byte.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def cmd_standard(args) -> int:
 
 def cmd_measure(args) -> int:
     params = load_cluster(args.cluster)
-    graph = detect_interfaces(params, rng_seed=args.seed)
+    graph = detect_interfaces(params)
     report = measure_cluster(params, graph, args.backend, args.samples, args.seed)
     validation = validate_spherical(params, graph)
     payload = _base_report(args, cluster=params.label,
@@ -127,7 +128,13 @@ def cmd_deform(args) -> int:
         if pole is None:
             print("cluster is not perpendicular: no flow pole exists", file=sys.stderr)
             return 2
-        pole = pole / np.linalg.norm(pole)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(pole))
+        # checked before dividing; a NaN norm fails both comparisons
+        if pole.shape != (params.n + 1,) or not 0.0 < norm < math.inf:
+            raise ValueError(f"pole {args.pole} must be {params.n + 1} numbers "
+                             f"with a finite nonzero norm")
+        pole = pole / norm
         for t in times:
             path.append(conformal_step(params, pole, float(t)))
     else:
@@ -138,8 +145,7 @@ def cmd_deform(args) -> int:
                                       "curvatures": p.curvatures} for p in path])
     # the t = 0 interfaces are needed only to measure the path
     invariance = args.check_invariance and args.mode == "gram"
-    graph = (detect_interfaces(params, rng_seed=args.seed)
-             if invariance or args.report else None)
+    graph = detect_interfaces(params) if invariance or args.report else None
     inv = None
     if invariance:
         inv = gram_invariance_check(params, graph, t_max=args.t, steps=args.steps,
@@ -165,7 +171,7 @@ def cmd_deform(args) -> int:
 
 def cmd_operators(args) -> int:
     params = load_cluster(args.cluster)
-    graph = detect_interfaces(params, rng_seed=args.seed)
+    graph = detect_interfaces(params)
     checks = args.checks.split(",")
     payload = _base_report(args, cluster=params.label, checks=checks)
     pcf = pcf_detect(params)
@@ -211,7 +217,7 @@ def cmd_operators(args) -> int:
 
 def cmd_plateau(args) -> int:
     params = load_cluster(args.cluster)
-    graph = detect_interfaces(params, rng_seed=args.seed)
+    graph = detect_interfaces(params)
     cert = certify_plateau(params, graph, sample_budget=args.budget, seed=args.seed)
     verdict = classify_q3(params, cert)
     payload = _base_report(args, cluster=params.label,
@@ -229,7 +235,7 @@ def cmd_plateau(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = load_cluster(args.cluster)
-    graph = detect_interfaces(params, rng_seed=args.seed)
+    graph = detect_interfaces(params)
     system = assemble_jacobi(build_graph(params, graph), args.h)
     spec = eigen_count_positive(system, k_top=24)
     payload = _base_report(args, cluster=params.label,
@@ -342,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(func=cmd_plateau)
 
-    p = sub.add_parser("spectrum", parents=[report], help="second-variation spectrum on S^2")
+    p = sub.add_parser("spectrum", help="second-variation spectrum on S^2")
     p.add_argument("cluster")
+    p.add_argument("--out")
     p.add_argument("--h", type=float, default=4e-3)
     p.set_defaults(func=cmd_spectrum)
 

@@ -100,7 +100,7 @@ def recentered(n: int, quasi_centers, curvatures, label: str = "",
 
 @dataclass
 class InterfaceGraph:
-    """Which pairs (i, j) carry a nonempty interface, with sample witnesses."""
+    """Which pairs (i, j) carry a nonempty interface, with a witness point on each."""
 
     q: int
     nonempty: np.ndarray
@@ -292,17 +292,15 @@ def _exact_interface_point(params: ClusterParams, i: int, j: int,
     return None
 
 
-def detect_interfaces(params: ClusterParams, samples_per_pair: int = 4096,
-                      rng_seed: int = 0, tie_tol: float = DEFAULT_TIE_TOL) -> InterfaceGraph:
+def detect_interfaces(params: ClusterParams, *, rng_seed: int = 0) -> InterfaceGraph:
     """Decide which pairs carry an interface, with a witness point for each.
 
-    Each wall sphere S_ij (the cut of S^n by <c_ij, x> + kappa_ij = 0) is
-    sampled uniformly, and the first sample classified to exactly {i, j} is
-    the witness; a pair with no sampled hit is decided exactly by
-    _exact_interface_point. Walls that miss the sphere get a diagnostic.
+    Every pair is decided by the exact tie test, _exact_interface_point,
+    whose point is the pair's witness; nothing is sampled. Walls that miss
+    the sphere get a diagnostic, and so do nonempty pairs that violate the
+    compatibility constraint. rng_seed selects nothing: it remains only
+    because the benchmark workloads under bench/ still pass it.
     """
-    if samples_per_pair <= 0:
-        raise ValueError("samples_per_pair must be positive")
     q = params.q
     nonempty = np.zeros((q, q), dtype=bool)
     witnesses: dict[tuple[int, int], np.ndarray] = {}
@@ -310,30 +308,19 @@ def detect_interfaces(params: ClusterParams, samples_per_pair: int = 4096,
     residuals = spherical_residuals(params)
     for i in range(q):
         for j in range(i + 1, q):
-            frame = sampling.subsphere_frame(params.pair_center(i, j),
-                                             params.pair_curvature(i, j))
-            if frame is None:
+            if sampling.subsphere_frame(params.pair_center(i, j),
+                                        params.pair_curvature(i, j)) is None:
                 diagnostics[(i, j)] = "degenerate wall: hyperplane misses S^n"
                 continue
-            witness, notes = None, []
-            for chunk, count in sampling.chunk_layout(samples_per_pair):
-                pts = sampling.subsphere_chunk(rng_seed, i * q + j + 1, chunk, count, *frame)
-                hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
-                if hits.size:
-                    witness = pts[hits[0]] / np.linalg.norm(pts[hits[0]])
-                    break
+            witness = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
             if witness is None:
-                witness = _exact_interface_point(params, i, j, tie_tol)
-                if witness is None:
-                    continue
-                notes.append("below the sampling resolution: found by the exact test")
+                continue
             nonempty[i, j] = nonempty[j, i] = True
             witnesses[(i, j)] = witness
             if abs(residuals[i, j]) > SPHERICAL_TOL:
-                notes.append(f"nonempty interface violates |c_ij|^2 = 1 + kappa_ij^2 "
-                             f"(residual {residuals[i, j]:.3e}): affine, not spherical Voronoi")
-            if notes:
-                diagnostics[(i, j)] = "; ".join(notes)
+                diagnostics[(i, j)] = (
+                    f"nonempty interface violates |c_ij|^2 = 1 + kappa_ij^2 "
+                    f"(residual {residuals[i, j]:.3e}): affine, not spherical Voronoi")
     return InterfaceGraph(q, nonempty, witnesses, diagnostics)
 
 

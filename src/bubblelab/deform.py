@@ -173,13 +173,13 @@ def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
     """(interfaces, measures) of each point of a deformation path.
 
     Interfaces can appear along a path, so every point but the one at t = 0,
-    which keeps graph, is measured against its own, detected at the seed.
-    Monte Carlo points share the seed, so their differences are measured with
-    common random numbers.
+    which keeps graph, is measured against its own, decided by
+    detect_interfaces. Monte Carlo points share the seed, so their
+    differences are measured with common random numbers.
     """
     out = []
     for t, step_params in zip(times, path):
-        step_graph = graph if t == 0.0 else detect_interfaces(step_params, rng_seed=seed)
+        step_graph = graph if t == 0.0 else detect_interfaces(step_params)
         out.append((step_graph, measure_cluster(step_params, step_graph,
                                                 samples=samples, seed=seed)))
     return out

@@ -86,21 +86,20 @@ def _random_sum_zero(q: int, rng: np.random.Generator, scale: float = 0.6) -> np
 # 1. Standard-bubble characterization
 # ---------------------------------------------------------------------------
 
-def suite_standard_char(seed: int = 1, samples: int = 4096) -> SuiteReport:
-    rep = SuiteReport("standard_char", config={"seed": seed, "samples": samples})
+def suite_standard_char(seed: int = 1) -> SuiteReport:
+    rep = SuiteReport("standard_char", config={"seed": seed})
     rng = np.random.default_rng(seed)
     for n, q in ((2, 3), (3, 4), (4, 5), (5, 6)):
         worst_gram = 0.0
         all_pairs_found = True
-        for trial in range(10):
+        for _ in range(10):
             kappa = _random_sum_zero(q, rng)
             params = standard_of_curvature(n, q, kappa)
             target = 0.5 * sum_zero_projector(q) + np.outer(kappa, kappa)
             gram_res = float(np.max(np.abs(
                 params.quasi_centers @ params.quasi_centers.T - target)))
             worst_gram = max(worst_gram, gram_res)
-            graph = detect_interfaces(params, samples_per_pair=samples,
-                                      rng_seed=seed + 100 * trial)
+            graph = detect_interfaces(params)
             if len(graph.pairs()) != q * (q - 1) // 2:
                 all_pairs_found = False
         rep.check(f"gram_identity_n{n}_q{q}", worst_gram, 1e-10,
@@ -140,13 +139,13 @@ def suite_measure_oracles(seed: int = 2, samples: int = 1_000_000) -> SuiteRepor
     rep = SuiteReport("measure_oracles", config={"seed": seed, "samples": samples})
     worst_pull = 0.0
     for idx, params in enumerate(_random_s2_clusters(seed)):
-        graph = detect_interfaces(params, rng_seed=seed + idx)
+        graph = detect_interfaces(params)
         worst_pull = max(worst_pull, _worst_pull(params, graph, samples, seed + 1000 + idx))
     rep.check_mc("cross_backend_worst_pull_sigma", worst_pull, 1.0,
                  "worst |MC - exact| / stderr over 10 clusters, volumes and areas")
 
     eq = equal_volume_standard(2, 3)
-    graph = detect_interfaces(eq, rng_seed=seed)
+    graph = detect_interfaces(eq)
     exact = measure_exact_s2(eq, graph)
     rep.check("equal_bubble_volumes_exact",
               float(np.max(np.abs(exact.volumes - 1.0 / 3.0))), 1e-12)
@@ -162,7 +161,7 @@ def suite_measure_oracles(seed: int = 2, samples: int = 1_000_000) -> SuiteRepor
     bands = gallery.band_stack(2, (-0.3, 0.4))
     stepped = conformal_step(bands, perpendicular_pole(bands), 0.5)
     rep.check_mc("stepped_band_stack_pull_sigma",
-                 _worst_pull(stepped, detect_interfaces(stepped, rng_seed=seed), samples,
+                 _worst_pull(stepped, detect_interfaces(stepped), samples,
                              seed + 6000), 1.0,
                  "worst |MC - exact| / stderr on the stepped band stack at t = 0.5, "
                  "volumes and areas")
@@ -231,7 +230,7 @@ def suite_trace(seed: int = 4, samples: int = 400_000) -> SuiteReport:
     worst_prod_pull = worst_trace_pull = 0.0
     for idx, (params, xi) in enumerate(_pcf_cluster_pool(seed)):
         backend = resolve_backend("auto", params.n)
-        graph = detect_interfaces(params, rng_seed=seed + idx)
+        graph = detect_interfaces(params)
         f_op = conformal_to_volume_pcf(params, graph, xi, backend=backend,
                                        samples=samples, seed=seed + idx)
         c_op = quasi_center_operator(params)
@@ -258,7 +257,7 @@ def suite_trace(seed: int = 4, samples: int = 400_000) -> SuiteReport:
 
     # relaxed operator on perpendicular clusters
     bands = gallery.band_stack(4, (-0.5, 0.1, 0.55))
-    graph_b = detect_interfaces(bands, rng_seed=seed)
+    graph_b = detect_interfaces(bands)
     pole_b = perpendicular_pole(bands)
     f0 = conformal_to_volume_relaxed(bands, graph_b, pole_b, backend="mc",
                                      samples=samples, seed=seed)
@@ -281,7 +280,7 @@ def suite_trace(seed: int = 4, samples: int = 400_000) -> SuiteReport:
 def suite_conformal_limit(seed: int = 5, samples: int = 6_000_000) -> SuiteReport:
     rep = SuiteReport("conformal_limit", config={"seed": seed, "samples": samples})
     bands = gallery.band_stack(4, (-0.6, 0.2, 0.7))
-    graph = detect_interfaces(bands, rng_seed=seed)
+    graph = detect_interfaces(bands)
     pole = perpendicular_pole(bands)
     rep.check_flag("base_not_pcf", not pcf_detect(bands).pcf,
                    "the flow limit is taken at a non-compatible cluster")
@@ -292,7 +291,7 @@ def suite_conformal_limit(seed: int = 5, samples: int = 6_000_000) -> SuiteRepor
     err_sq = float(np.max(f0.entry_stderr)) ** 2
     for t in ts:
         stepped = conformal_step(bands, pole, t)
-        graph_t = detect_interfaces(stepped, rng_seed=seed)
+        graph_t = detect_interfaces(stepped)
         xi = math.cosh(t) / math.sinh(t) * pole
         f_t = conformal_to_volume_pcf(stepped, graph_t, xi, backend="mc",
                                       samples=samples, seed=seed)
@@ -320,7 +319,7 @@ def suite_spectrum_index(seed: int = 6, h: float = 4e-3) -> SuiteReport:
     for idx, kappa_scale in enumerate((0.0, 0.35, 0.6)):
         kappa = _random_sum_zero(3, rng, kappa_scale) if kappa_scale else np.zeros(3)
         params = standard_of_curvature(2, 3, kappa)
-        graph = detect_interfaces(params, rng_seed=seed + idx)
+        graph = detect_interfaces(params)
         qgraph = build_graph(params, graph)
         system = assemble_jacobi(qgraph, h)
         spectrum = eigen_count_positive(system)
@@ -355,7 +354,7 @@ def suite_spectrum_index(seed: int = 6, h: float = 4e-3) -> SuiteReport:
 
     # single great circle: spectrum 1 - m^2
     hemis = equal_volume_standard(2, 2)
-    graph2 = detect_interfaces(hemis, rng_seed=seed)
+    graph2 = detect_interfaces(hemis)
     system2 = assemble_jacobi(build_graph(hemis, graph2), 1e-3)
     spec2 = eigen_count_positive(system2, k_top=16)
     lam = np.sort(spec2.eigenvalues)[::-1][:9]
@@ -375,7 +374,7 @@ def suite_spectrum_index(seed: int = 6, h: float = 4e-3) -> SuiteReport:
 def suite_gram_invariance(seed: int = 7, samples: int = 500_000) -> SuiteReport:
     rep = SuiteReport("gram_invariance", config={"seed": seed, "samples": samples})
     cap = gallery.sectored_cap(4, 0.8)
-    graph = detect_interfaces(cap, rng_seed=seed)
+    graph = detect_interfaces(cap)
     rep.check_flag("cluster_is_spherical", validate_spherical(cap, graph).passed)
     cert = certify_plateau(cap, graph, sample_budget=600, seed=seed)
     rep.check_flag("cluster_certified_plateau", cert.fully_plateau,
@@ -408,7 +407,7 @@ def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
     for q, scale in ((3, 0.0), (3, 0.4), (4, 0.3)):
         kappa = _random_sum_zero(q, rng, scale) if scale else np.zeros(q)
         params = standard_of_curvature(2, q, kappa)
-        graph = detect_interfaces(params, rng_seed=seed)
+        graph = detect_interfaces(params)
         cert = certify_plateau(params, graph, sample_budget=400, seed=seed)
         rep.check_flag(f"standard_q{q}_scale{scale}_plateau", cert.fully_plateau)
         for entry in cert.junction_points:
@@ -422,7 +421,7 @@ def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
     rep.check("triple_point_angles_vs_120_degrees", worst_angle, 1e-6)
 
     cross = gallery.cross_junction(2)
-    graph_x = detect_interfaces(cross, rng_seed=seed)
+    graph_x = detect_interfaces(cross)
     cert_x = certify_plateau(cross, graph_x, sample_budget=400, seed=seed)
     rep.check_flag("cross_junction_flagged_not_2_plateau",
                    (not cert_x.fully_plateau) and cert_x.plateau_up_to < 2

@@ -20,7 +20,7 @@ def equal_bubble_s2():
 
 @pytest.fixture(scope="session")
 def equal_bubble_graph(equal_bubble_s2):
-    return detect_interfaces(equal_bubble_s2, samples_per_pair=2048, rng_seed=0)
+    return detect_interfaces(equal_bubble_s2)
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def skew_bubble_s2():
 
 @pytest.fixture(scope="session")
 def skew_bubble_graph(skew_bubble_s2):
-    return detect_interfaces(skew_bubble_s2, samples_per_pair=2048, rng_seed=0)
+    return detect_interfaces(skew_bubble_s2)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def band_cluster():
 
 @pytest.fixture(scope="session")
 def band_graph(band_cluster):
-    return detect_interfaces(band_cluster, samples_per_pair=2048, rng_seed=0)
+    return detect_interfaces(band_cluster)
 
 
 @pytest.fixture(scope="session")
@@ -55,4 +55,4 @@ def sectored_cap_cluster():
 
 @pytest.fixture(scope="session")
 def sectored_cap_graph(sectored_cap_cluster):
-    return detect_interfaces(sectored_cap_cluster, samples_per_pair=4096, rng_seed=1)
+    return detect_interfaces(sectored_cap_cluster)

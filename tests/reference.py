@@ -14,8 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bubblelab import sampling
-from bubblelab.cluster import (ClusterParams, InterfaceGraph, cell_values, complete_graph,
-                               validate_spherical)
+from bubblelab.cluster import (DEFAULT_TIE_TOL, ClusterParams, InterfaceGraph, cell_values,
+                               complete_graph, validate_spherical, wall_interior)
 from bubblelab.deform import gram_path
 from bubblelab.measure import ArcVolumes
 from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
@@ -168,6 +168,31 @@ def subsphere_points(seed: int, label: int, chunk: int, count: int,
     """sampling.subsphere_chunk drawn afresh, by the broadcast formula."""
     w = unit_directions(seed, label, chunk, count, frame.shape[1])
     return center[None, :] + radius * (w @ frame.T)
+
+
+def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
+                       rng_seed: int) -> dict[tuple[int, int], np.ndarray]:
+    """Interfaces found by sampling each wall sphere, with a witness for each.
+
+    The (i, j) wall is sampled uniformly at the (rng_seed, i*q + j + 1)
+    address, and its first sample that wall_interior accepts at
+    DEFAULT_TIE_TOL, normalized, is the witness. Pairs with no such sample,
+    and pairs whose wall misses S^n, are absent. A sampled hit is proof of
+    an interface, but a miss is not proof of none.
+    """
+    q = params.q
+    found = {}
+    for i, j in combinations(range(q), 2):
+        frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+        if frame is None:
+            continue
+        for chunk, count in sampling.chunk_layout(samples_per_pair):
+            pts = subsphere_points(rng_seed, i * q + j + 1, chunk, count, *frame)
+            hits = np.flatnonzero(wall_interior(params, i, j, pts, DEFAULT_TIE_TOL))
+            if hits.size:
+                found[(i, j)] = pts[hits[0]] / np.linalg.norm(pts[hits[0]])
+                break
+    return found
 
 
 def kirchhoff_residual(system, x: np.ndarray) -> float:

@@ -108,7 +108,7 @@ class TestDeformReport:
                                     "--seed", "1")
         assert runs[0] == runs[1]
         params = load_cluster(str(cluster))
-        inv = gram_invariance_check(params, detect_interfaces(params, rng_seed=1),
+        inv = gram_invariance_check(params, detect_interfaces(params),
                                     t_max=0.5, steps=5, samples=40_000, seed=1)
         assert inv.first_new_interface_t == pytest.approx(0.3)
         assert_rows_match(runs[0][1], inv.reports)
@@ -118,7 +118,7 @@ class TestDeformReport:
         cluster, runs = gram_report(tmp_path, "cross")
         assert runs[0] == runs[1]
         params = load_cluster(str(cluster))
-        inv = gram_invariance_check(params, detect_interfaces(params, rng_seed=0),
+        inv = gram_invariance_check(params, detect_interfaces(params),
                                     t_max=0.5, steps=5, seed=0)
         assert inv.first_new_interface_t == pytest.approx(0.1)
         assert_rows_match(runs[0][1], inv.reports)
@@ -218,6 +218,7 @@ class TestAnalysisCommands:
         assert payload["refined_method"] in ("closed_form", "mode_sum")
         assert "eigenvalue_method" not in payload
         assert payload["pole_margin"] >= 0.0
+        assert "seed" not in payload  # the spectrum depends on no draw
 
     def test_spectrum_byte_identical_rerun(self, tmp_path):
         # at h = 1e-3 the reduced system has over 6k unknowns
@@ -330,6 +331,16 @@ class TestErrorPayloads:
                                     "message": f"steps must be non-negative, got {steps}"}
         assert payload["command"] == "deform" and payload["steps"] == steps
         assert not report.exists()
+
+    @pytest.mark.parametrize("pole", ["0,0,0", "1,0"], ids=["zero", "short"])
+    def test_deform_rejects_degenerate_pole(self, cluster_file, tmp_path, pole):
+        out = tmp_path / "deform.json"
+        assert run_cli("deform", str(cluster_file), "--mode", "conformal", "--pole", pole,
+                       "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"pole {pole} must be 3 numbers with a finite nonzero norm"}
 
     def test_plateau_rejects_negative_budget(self, cluster_file, tmp_path):
         out = tmp_path / "plateau.json"

@@ -17,7 +17,7 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                complete_graph, spherical_residuals, tie_subsphere,
                                trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
-from reference import random_orthogonal, unit_directions
+from reference import random_orthogonal, sampled_interfaces, unit_directions
 
 
 def hemisphere_params():
@@ -107,12 +107,12 @@ class TestDetectInterfaces:
         assert equal_bubble_graph.pairs() == [(0, 1), (0, 2), (1, 2)]
 
     def test_hemispheres(self, hemispheres):
-        graph = detect_interfaces(hemispheres, samples_per_pair=512, rng_seed=0)
+        graph = detect_interfaces(hemispheres)
         assert graph.pairs() == [(0, 1)]
 
     def test_five_cell_cluster_has_exactly_seven_interfaces(self):
         params = gallery.five_cell_meeting_point()
-        graph = detect_interfaces(params, samples_per_pair=4096, rng_seed=3)
+        graph = detect_interfaces(params)
         assert graph.pairs() == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 4), (3, 4)]
 
     def test_witnesses_lie_on_walls(self, skew_bubble_s2, skew_bubble_graph):
@@ -132,12 +132,13 @@ class TestDetectInterfaces:
         c = np.zeros((3, 5))
         c[0, 0], c[1, 0], c[2, 1] = 0.5, -0.5, 1.0
         params = recentered(4, c, [0.0, 0.0, -1.0 + 1e-8])
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         assert graph.pairs() == [(0, 1), (0, 2), (1, 2)]
-        assert "below the sampling resolution" in graph.diagnostics[(0, 1)]
+        assert (0, 1) not in sampled_interfaces(params, 4096, 0)
         witness = graph.witnesses[(0, 1)]
         assert classify_point(params, witness).tolist() == [0, 1]
         assert abs(params.pair_center(0, 1) @ witness + params.pair_curvature(0, 1)) < 1e-12
+        assert wall_interior(params, 0, 1, witness[None, :], DEFAULT_TIE_TOL)[0]
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
@@ -147,18 +148,24 @@ class TestDetectInterfaces:
         c = data.draw(st.floats(0.05, 3.0)) * rng.standard_normal((q, n + 1))
         k = data.draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
         params = recentered(n, c, k)
-        graph = detect_interfaces(params, rng_seed=0)
-        for i in range(q):
-            for j in range(i + 1, q):
-                # a sampled interface is found by the exact test too, and the
-                # pairs sampling missed were decided by it
-                point = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
-                assert graph.nonempty[i, j] == (point is not None)
-                if point is None:
-                    continue
-                assert abs(point @ point - 1.0) < 1e-12
-                assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
-                assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
+        graph = detect_interfaces(params)
+        # a sampled interface is found by the exact test too
+        for i, j in sampled_interfaces(params, 4096, 0):
+            assert graph.nonempty[i, j]
+        assert list(graph.witnesses) == graph.pairs()
+        for (i, j), point in graph.witnesses.items():
+            assert abs(point @ point - 1.0) < 1e-12
+            assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
+            assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
+
+    def test_draws_no_sample_and_reads_no_seed(self, sample_memo):
+        for params in (gallery.five_cell_meeting_point(), equal_volume_standard(4, 6)):
+            first, second = (detect_interfaces(params, rng_seed=seed) for seed in (0, 91))
+            assert not sample_memo
+            assert np.array_equal(first.nonempty, second.nonempty)
+            assert list(first.witnesses) == list(second.witnesses) == first.pairs()
+            for pair, witness in first.witnesses.items():
+                assert witness.tobytes() == second.witnesses[pair].tobytes()
 
     # seeds whose clusters have pairs where some tie set misses S^n
     @pytest.mark.parametrize("seed", [1001, 1003, 1013, 1017, 1020, 1024, 1025, 1029])

@@ -50,7 +50,7 @@ class TestConformalStep:
     def test_result_stays_spherical(self, skew_bubble_s2):
         pole = perpendicular_pole(skew_bubble_s2)
         out = conformal_step(skew_bubble_s2, pole, 0.8)
-        graph = detect_interfaces(out, rng_seed=0)
+        graph = detect_interfaces(out)
         assert validate_spherical(out, graph).passed
 
 

@@ -73,7 +73,7 @@ def case_cell_volumes_mc():
 
 def case_measure_mc():
     params = _s3_bubble()
-    rep = measure_mc(params, detect_interfaces(params, rng_seed=12), 100_000, 12)
+    rep = measure_mc(params, detect_interfaces(params), 100_000, 12)
     return [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr]
 
 
@@ -111,7 +111,7 @@ def _spectrum_graphs():
                 equal_volume_standard(2, 3),
                 apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3),
                 equal_volume_standard(2, 2)]
-    return [build_graph(params, detect_interfaces(params, rng_seed=0)) for params in clusters]
+    return [build_graph(params, detect_interfaces(params)) for params in clusters]
 
 
 def _spectrum_systems():
@@ -153,7 +153,7 @@ def case_measure_exact_s2():
                 recentered(2, 1.5 * rng.standard_normal((4, 3)), rng.standard_normal(4))]
     out = []
     for params in clusters:
-        rep = measure_exact_s2(params, detect_interfaces(params, rng_seed=0))
+        rep = measure_exact_s2(params, detect_interfaces(params))
         out.extend([rep.volumes, rep.areas])
     return out
 

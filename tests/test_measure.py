@@ -24,7 +24,7 @@ from reference import random_orthogonal, rotated, unit_directions
 
 class TestMeasureMC:
     def test_hemispheres(self, hemispheres):
-        graph = detect_interfaces(hemispheres, rng_seed=0)
+        graph = detect_interfaces(hemispheres)
         rep = measure_mc(hemispheres, graph, samples=200_000, seed=1)
         assert np.max(np.abs(rep.volumes - 0.5)) < 4 * rep.volume_stderr.max()
         assert abs(rep.areas[0, 1] - 0.5) < 4 * max(rep.area_stderr[0, 1], 1e-12)
@@ -62,7 +62,7 @@ class TestMeasureMC:
 
 class TestMeasureExactS2:
     def test_hemispheres_exact(self, hemispheres):
-        graph = detect_interfaces(hemispheres, rng_seed=0)
+        graph = detect_interfaces(hemispheres)
         rep = measure_exact_s2(hemispheres, graph)
         assert np.max(np.abs(rep.volumes - 0.5)) < 1e-14
         assert abs(rep.total_perimeter - 0.5) < 1e-14
@@ -75,7 +75,7 @@ class TestMeasureExactS2:
 
     def test_cap_cluster(self):
         params = standard_of_volume(2, 2, [0.25, 0.75])
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         rep = measure_exact_s2(params, graph)
         assert np.max(np.abs(rep.volumes - [0.25, 0.75])) < 1e-9
         assert abs(rep.total_perimeter - math.sqrt(3) / 4) < 1e-9
@@ -83,7 +83,7 @@ class TestMeasureExactS2:
     def test_band_cluster_with_annulus_cells(self):
         # parallel circles: middle cells are annuli, so loop bookkeeping matters
         params = gallery.band_stack(2, (-0.4, 0.5))
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         rep = measure_exact_s2(params, graph)
         # cap heights: volumes ((1-0.4)/2-ish...) from cos t = wall position
         expected = np.array([(1 - 0.4) / 2 - 0.2 + 0.2, 0.0, 0.0])
@@ -95,7 +95,7 @@ class TestMeasureExactS2:
 
     def test_five_cell_cluster_volumes_sum(self):
         params = gallery.five_cell_meeting_point()
-        graph = detect_interfaces(params, samples_per_pair=4096, rng_seed=3)
+        graph = detect_interfaces(params)
         rep = measure_exact_s2(params, graph)
         assert abs(rep.volumes.sum() - 1.0) < 1e-9
         assert np.all(rep.volumes > 0)
@@ -107,7 +107,7 @@ class TestMeasureExactS2:
 
     def test_q4_full_dimensional(self):
         params = standard_of_curvature(2, 4, np.array([0.2, -0.1, 0.05, -0.15]))
-        graph = detect_interfaces(params, rng_seed=1)
+        graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
         rep = measure_exact_s2(params, graph)
         assert abs(rep.volumes.sum() - 1.0) < 1e-9
@@ -130,7 +130,7 @@ class TestCrossBackend:
             q = 3 if trial % 2 == 0 else 4
             kappa = 0.45 * rng.standard_normal(q)
             params = standard_of_curvature(2, q, kappa - kappa.mean())
-            graph = detect_interfaces(params, rng_seed=trial)
+            graph = detect_interfaces(params)
             exact = measure_exact_s2(params, graph)
             mc = measure_mc(params, graph, samples=200_000, seed=100 + trial)
             assert np.max(np.abs(mc.volumes - exact.volumes)
@@ -146,7 +146,7 @@ class TestCrossBackend:
         # read as "the third cell wins everywhere"
         base = gallery.band_stack(2, (-0.3, 0.4))
         params = conformal_step(base, perpendicular_pole(base), t)
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         assert graph.pairs() == [(0, 1), (1, 2)]
         assert_exact_matches_mc(params, graph, 400_000, seed=31)
         assert len(build_graph(params, graph).arcs) == 2
@@ -161,7 +161,7 @@ class TestCrossBackend:
             q = int(rng.integers(3, 6))
             c = rng.uniform(0.05, 3.0) * rng.standard_normal((q, 3))
             params = recentered(2, c, rng.uniform(0.0, 2.0) * rng.standard_normal(q))
-            graph = detect_interfaces(params, rng_seed=k)
+            graph = detect_interfaces(params)
             assert_exact_matches_mc(params, graph, 200_000, seed=k)
 
     def test_prism_with_a_disconnected_cell(self):
@@ -170,7 +170,7 @@ class TestCrossBackend:
         c = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
                       [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         params = recentered(2, c, np.array([0.0, 0.1, 0.1, 0.1, 0.1]))
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         assert_exact_matches_mc(params, graph, 1_000_000, seed=41)
         volumes = measure_exact_s2(params, graph).volumes
         assert np.ptp(volumes[1:]) < 1e-12
@@ -180,7 +180,7 @@ class TestCrossBackend:
     def test_dropped_arc_raises(self, monkeypatch, kappa, drops):
         # an open boundary makes a cell's Stokes sum depend on the puncture
         params = standard_of_curvature(2, len(kappa), np.array(kappa))
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         arcs = extract_arcs(params, graph)
         assert not any(arc.closed for arc in arcs)
         for dropped in range(drops):
@@ -191,8 +191,8 @@ class TestCrossBackend:
 
     def test_orthogonal_invariance_exact(self, skew_bubble_s2):
         turned = rotated(skew_bubble_s2, random_orthogonal(3, np.random.default_rng(8)))
-        g1 = detect_interfaces(skew_bubble_s2, rng_seed=2)
-        g2 = detect_interfaces(turned, rng_seed=2)
+        g1 = detect_interfaces(skew_bubble_s2)
+        g2 = detect_interfaces(turned)
         r1 = measure_exact_s2(skew_bubble_s2, g1)
         r2 = measure_exact_s2(turned, g2)
         assert np.max(np.abs(r1.volumes - r2.volumes)) < 1e-10
@@ -306,7 +306,7 @@ class TestWeightedLaplacians:
         rng = np.random.default_rng(rng_seed)
         kappa = 0.5 * rng.standard_normal(q)
         params = standard_of_curvature(2, q, kappa - kappa.mean())
-        graph = detect_interfaces(params, rng_seed=rng_seed % 1000)
+        graph = detect_interfaces(params)
         weights = [weight_pool(0.4 * rng.standard_normal(3))[p] for p in picks]
         multi = weighted_laplacians(params, graph, weights, backend="exact")
         assert_same_bits(multi, singles_of(params, graph, weights, backend="exact"))
@@ -401,7 +401,7 @@ class TestMeasureCluster:
         # weight None integrates 1 on the exact backend too: the arc lengths
         kappa = np.linspace(-0.4, 0.4, q)
         params = standard_of_curvature(2, q, kappa - kappa.mean())
-        graph = detect_interfaces(params, rng_seed=q)
+        graph = detect_interfaces(params)
         areas = measure_exact_s2(params, graph).areas
         lap = weighted_laplacian(params, graph, None, backend="exact")
         for i, j in graph.pairs():

@@ -54,7 +54,7 @@ class TestNormalMomentOperator:
         from bubblelab import standard_of_volume
 
         params = standard_of_volume(2, 2, [0.25, 0.75])
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         exact = normal_moment_operator(params, graph, backend="exact")
         mc = normal_moment_operator(params, graph, backend="mc",
                                     samples=300_000, seed=3)
@@ -82,7 +82,7 @@ class TestNormalMomentOperator:
     def test_one_wall_pass_per_pair(self, monkeypatch):
         # area and n+1 moments are reduced over one draw of each wall chunk
         params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
-        graph = detect_interfaces(params, rng_seed=2)
+        graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
         samples = sampling.CHUNK + 500
         calls = []
@@ -147,7 +147,7 @@ class TestConformalToVolume:
         prev = None
         for t in (0.2, 0.1, 0.05):
             stepped = conformal_step(band_cluster, pole, t)
-            graph_t = detect_interfaces(stepped, rng_seed=4)
+            graph_t = detect_interfaces(stepped)
             xi = math.cosh(t) / math.sinh(t) * pole
             f_t = conformal_to_volume_pcf(stepped, graph_t, xi, backend="mc",
                                           samples=2_000_000, seed=4)
@@ -199,7 +199,7 @@ class TestIdentities:
         pole = perpendicular_pole(skew_bubble_s2)
         for t in (0.1, 0.5, 1.0):
             stepped = conformal_step(skew_bubble_s2, pole, t)
-            graph = detect_interfaces(stepped, rng_seed=1)
+            graph = detect_interfaces(stepped)
             xi = math.cosh(t) / math.sinh(t) * pole
             f_op = conformal_to_volume_pcf(stepped, graph, xi, backend="exact")
             meas = measure_exact_s2(stepped, graph)
@@ -221,10 +221,10 @@ class TestIdentities:
 class TestLocality:
     def test_pcf_cluster_local(self):
         params = gallery.sectored_cap(4, 0.8)
-        graph = detect_interfaces(params, samples_per_pair=4096, rng_seed=1)
+        graph = detect_interfaces(params)
         pole = perpendicular_pole(params)
         stepped = conformal_step(params, pole, 0.3)
-        graph_t = detect_interfaces(stepped, samples_per_pair=4096, rng_seed=1)
+        graph_t = detect_interfaces(stepped)
         xi = math.cosh(0.3) / math.sinh(0.3) * pole
         f_op = conformal_to_volume_pcf(stepped, graph_t, xi, backend="mc",
                                        samples=400_000, seed=2)
@@ -250,8 +250,8 @@ class TestEquivariance:
     def test_permutation_conjugates_operators(self, skew_bubble_s2):
         perm = [2, 0, 1]
         relabeled = standard_of_curvature(2, 3, skew_bubble_s2.curvatures[perm])
-        g1 = detect_interfaces(skew_bubble_s2, rng_seed=2)
-        g2 = detect_interfaces(relabeled, rng_seed=2)
+        g1 = detect_interfaces(skew_bubble_s2)
+        g2 = detect_interfaces(relabeled)
         f1 = conformal_to_volume_pcf(skew_bubble_s2, g1,
                                      pcf_detect(skew_bubble_s2).xi, backend="exact")
         f2 = conformal_to_volume_pcf(relabeled, g2, pcf_detect(relabeled).xi,
@@ -262,8 +262,8 @@ class TestEquivariance:
     def test_rotation_leaves_f_invariant(self, skew_bubble_s2):
         rot = random_orthogonal(3, np.random.default_rng(5))
         turned = rotated(skew_bubble_s2, rot)
-        g1 = detect_interfaces(skew_bubble_s2, rng_seed=3)
-        g2 = detect_interfaces(turned, rng_seed=3)
+        g1 = detect_interfaces(skew_bubble_s2)
+        g2 = detect_interfaces(turned)
         f1 = conformal_to_volume_pcf(skew_bubble_s2, g1,
                                      pcf_detect(skew_bubble_s2).xi, backend="exact")
         f2 = conformal_to_volume_pcf(turned, g2, pcf_detect(turned).xi,

@@ -115,14 +115,14 @@ class TestCertifyPlateau:
             rng = np.random.default_rng(q * 17)
             kappa = scale * rng.standard_normal(q)
             params = standard_of_curvature(n, q, kappa - kappa.mean())
-            graph = detect_interfaces(params, rng_seed=1)
+            graph = detect_interfaces(params)
             cert = certify_plateau(params, graph, sample_budget=300, seed=1)
             assert cert.fully_plateau
             assert cert.plateau_up_to == min(n, q - 1)
 
     def test_cross_junction_counterexample(self):
         cross = gallery.cross_junction(2)
-        graph = detect_interfaces(cross, rng_seed=1)
+        graph = detect_interfaces(cross)
         cert = certify_plateau(cross, graph, sample_budget=300, seed=1)
         assert not cert.fully_plateau
         assert cert.plateau_up_to < 2
@@ -130,7 +130,7 @@ class TestCertifyPlateau:
 
     def test_two_cells_vacuous(self):
         params = equal_volume_standard(3, 2)
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         cert = certify_plateau(params, graph, sample_budget=100, seed=0)
         assert cert.fully_plateau
         assert cert.multi_points_found == 0  # only interface points exist
@@ -168,7 +168,7 @@ class TestBatchedCertificate:
         _random_standard(3, 5, 4), _STRETCHED],
         ids=["cross", "cap", "bands", "five", "s2q3", "s2q4", "s3q4", "s3q5", "stretched"])
     def test_equals_per_point_path(self, params):
-        graph = detect_interfaces(params, rng_seed=3)
+        graph = detect_interfaces(params)
         cert = certify_plateau(params, graph, sample_budget=400, seed=5)
         ref = per_point_certificate(params, graph, sample_budget=400, seed=5)
         assert (cert.plateau_up_to, cert.fully_plateau, cert.points_examined,
@@ -196,7 +196,7 @@ class TestBatchedCertificate:
             assert abs(entry["gram_residual"] - diag.gram_residual) <= 1e-15
 
     def test_stretched_cluster_fails_at_two_cell_points(self):
-        graph = detect_interfaces(_STRETCHED, rng_seed=3)
+        graph = detect_interfaces(_STRETCHED)
         cert = certify_plateau(_STRETCHED, graph, sample_budget=400, seed=5)
         two_cell = [f for f in cert.failures if len(f["incidence"]) == 2]
         assert two_cell and all(f["affine_rank"] == 1 for f in two_cell)
@@ -213,7 +213,7 @@ class TestStratumFrames:
         (4, (0.0, 0.0, 0.0, 0.0)), (4, (0.2, -0.1, 0.05, -0.15))])
     def test_triple_points_are_arc_endpoints(self, q, kappa):
         params = standard_of_curvature(2, q, np.array(kappa))
-        graph = detect_interfaces(params, rng_seed=1)
+        graph = detect_interfaces(params)
         cert = certify_plateau(params, graph, sample_budget=300, seed=1)
         triples = np.array([e["point"] for e in cert.junction_points
                             if len(e["incidence"]) == 3])
@@ -232,7 +232,7 @@ class TestStratumFrames:
         assert np.linalg.matrix_rank(rows) == 2
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         assert np.array_equal(_stratum_points(cross, (0, 1, 2, 3), 1, 0, 50), poles)
-        graph = detect_interfaces(cross, rng_seed=1)
+        graph = detect_interfaces(cross)
         cert = certify_plateau(cross, graph, sample_budget=300, seed=1)
         found = [f["point"] for f in cert.failures if len(f["incidence"]) == 4]
         assert len(found) == 2
@@ -254,7 +254,7 @@ class TestStratumFrames:
                              ids=["cross", "cap"])
     def test_incidence_filter_matches_classify_point(self, params):
         # reference: the stratum points kept one by one by classify_point
-        graph = detect_interfaces(params, rng_seed=2)
+        graph = detect_interfaces(params)
         cert = certify_plateau(params, graph, sample_budget=300, seed=2)
         subsets = [cells for order in range(2, min(params.q, params.n + 2) + 1)
                    for cells in combinations(range(params.q), order)
@@ -273,7 +273,7 @@ class TestStratumDraws:
                                         standard_of_curvature(3, 4, [0.2, -0.1, 0.05, -0.15])],
                              ids=["cap", "s3"])
     def test_certificate_equals_fresh_reference_draws(self, params, monkeypatch):
-        graph = detect_interfaces(params, rng_seed=6)
+        graph = detect_interfaces(params)
         certs = [certify_plateau(params, graph, sample_budget=300, seed=s)
                  for s in (8101, 8102)]
         # reference: the same strata drawn afresh, outside the sample memo
@@ -295,7 +295,7 @@ class TestClassifyQ3:
     def test_conformal_step_output_both(self, skew_bubble_s2):
         pole = perpendicular_pole(skew_bubble_s2)
         stepped = conformal_step(skew_bubble_s2, pole, 0.5)
-        graph = detect_interfaces(stepped, rng_seed=4)
+        graph = detect_interfaces(stepped)
         cert = certify_plateau(stepped, graph, sample_budget=200, seed=4)
         verdict = classify_q3(stepped, cert)
         assert verdict.verdict == "both"

@@ -29,7 +29,7 @@ from reference import (arpack_top_eigenvalues, dense_top_eigenvalues, eigendecom
 @pytest.fixture(scope="module")
 def double_bubble():
     params = standard_of_curvature(2, 3, np.array([0.3, 0.1, -0.4]))
-    graph = detect_interfaces(params, samples_per_pair=2048, rng_seed=0)
+    graph = detect_interfaces(params)
     return params, graph, build_graph(params, graph)
 
 
@@ -167,7 +167,7 @@ class TestBuildGraph:
 
         cross = gallery.cross_junction(2)
         with pytest.raises(GraphBuildError, match=r"closed by cells \(2, 3\) at once"):
-            build_graph(cross, detect_interfaces(cross, rng_seed=1))
+            build_graph(cross, detect_interfaces(cross))
 
     def test_arc_lengths_match_exact_measure(self, double_bubble):
         params, graph, qg = double_bubble
@@ -192,7 +192,7 @@ class TestBuildGraph:
         from bubblelab import gallery
 
         cross = gallery.cross_junction(2)
-        graph = detect_interfaces(cross, rng_seed=1)
+        graph = detect_interfaces(cross)
         with pytest.raises(GraphBuildError):
             build_graph(cross, graph)
 
@@ -200,7 +200,7 @@ class TestBuildGraph:
         # an affine q = 3 cluster whose walls violate |c_ij|^2 = 1 + kappa_ij^2
         # is not stationary: no Jacobi index is defined for it
         params = non_spherical_cluster()
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         assert graph.pairs() == [(0, 1), (0, 2), (1, 2)]
         with pytest.raises(GraphBuildError, match="not spherical"):
             build_graph(params, graph)
@@ -248,7 +248,7 @@ class TestAssembly:
             params, graph = standard_of_volume(2, 2, [0.3, 0.7]), complete_graph(2)
         else:
             params = standard_of_curvature(2, len(kappa), np.array(kappa))
-            graph = detect_interfaces(params, rng_seed=0)
+            graph = detect_interfaces(params)
         qgraph = build_graph(params, graph)
         assert qgraph.arcs[0].full_circle == (kappa is None)
         for system in (assemble_jacobi(qgraph, 4e-3), assemble_jacobi(qgraph, 2e-3)):
@@ -265,7 +265,7 @@ class TestAssembly:
             params, graph = standard_of_volume(2, 2, [0.3, 0.7]), complete_graph(2)
         else:
             params = standard_of_curvature(2, len(kappa), np.array(kappa))
-            graph = detect_interfaces(params, rng_seed=0)
+            graph = detect_interfaces(params)
         system = assemble_jacobi(build_graph(params, graph), 4e-3)
         form, mass, z = sparse_pencil(system)
         a_r, m_r = reduced_pencil(system)
@@ -283,7 +283,7 @@ class TestAssembly:
 
 class TestCircleSpectrum:
     def test_eigenvalues_one_minus_m_squared(self, hemispheres):
-        graph = detect_interfaces(hemispheres, rng_seed=0)
+        graph = detect_interfaces(hemispheres)
         system = assemble_jacobi(build_graph(hemispheres, graph), 1e-3)
         report = eigen_count_positive(system, k_top=16)
         assert report.count_positive == 1
@@ -303,7 +303,7 @@ class TestCircleSpectrum:
         assert np.max(np.abs(lam - target)) < 5e-4
 
     def test_h_refinement_second_order(self, hemispheres):
-        graph = detect_interfaces(hemispheres, rng_seed=0)
+        graph = detect_interfaces(hemispheres)
         qg = build_graph(hemispheres, graph)
         errors = []
         for h in (4e-3, 2e-3):
@@ -372,7 +372,7 @@ class TestDoubleBubbleSpectrum:
 
     def test_count_does_not_saturate_at_k_top(self):
         params = equal_volume_standard(2, 4)
-        graph = detect_interfaces(params, rng_seed=0)
+        graph = detect_interfaces(params)
         system = assemble_jacobi(build_graph(params, graph), 2e-3)
         assert system.reduced_size > 5000
         report = eigen_count_positive(system, k_top=1)
@@ -425,7 +425,7 @@ class TestDoubleBubbleSpectrum:
     def test_index_two_across_volume_triples(self):
         for volumes in ([0.5, 0.3, 0.2], [0.25, 0.35, 0.4]):
             params = standard_of_volume(2, 3, volumes)
-            graph = detect_interfaces(params, rng_seed=2)
+            graph = detect_interfaces(params)
             system = assemble_jacobi(build_graph(params, graph), 0.01)
             report = eigen_count_positive(system)
             assert report.count_positive == 2
@@ -538,7 +538,7 @@ class TestConformalJacobiSolve:
             system = double_system
         else:
             params = standard_of_curvature(2, 4, np.array(kappa))
-            system = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=1)),
+            system = assemble_jacobi(build_graph(params, detect_interfaces(params)),
                                      4e-3)
         kernel = system.near_kernel
         reference = lanczos_near_kernel(system)
@@ -606,10 +606,10 @@ def _solve_graphs():
     Moebius image (t = 0.3) of the q = 4 one, and the great circle."""
     q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
     mobius = apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3)
-    graphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
-              for params, seed in _spectrum_index_clusters()]
+    graphs = [build_graph(params, detect_interfaces(params))
+              for params in _spectrum_index_clusters()]
     graphs += [_graph_of(name) for name in ("bench_q3", "bench_q4")]
-    graphs.append(build_graph(mobius, detect_interfaces(mobius, rng_seed=0)))
+    graphs.append(build_graph(mobius, detect_interfaces(mobius)))
     return graphs + [_graph_of("hemispheres")]
 
 
@@ -665,15 +665,14 @@ class TestCondensedForm:
 
 
 def _spectrum_index_clusters(seed: int = 6):
-    """The three double bubbles of suites.suite_spectrum_index, with its draws,
-    and the rng seed of each one's interface detection."""
+    """The three double bubbles of suites.suite_spectrum_index, with its draws."""
     rng = np.random.default_rng(seed)
     out = []
-    for idx, scale in enumerate((0.0, 0.35, 0.6)):
+    for scale in (0.0, 0.35, 0.6):
         kappa = _random_sum_zero(3, rng, scale) if scale else np.zeros(3)
         _random_sum_zero(3, rng, 1.0)  # the suite's conformal parameter
         rng.standard_normal(3)  # and its Mobius direction
-        out.append((standard_of_curvature(2, 3, kappa), seed + idx))
+        out.append(standard_of_curvature(2, 3, kappa))
     return out
 
 
@@ -691,7 +690,7 @@ def _graph_of(name):
         params = standard_of_curvature(2, 3, np.array([0.21, -0.05, -0.16]))
     else:  # bench_q4
         params = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
-    return build_graph(params, detect_interfaces(params, rng_seed=0))
+    return build_graph(params, detect_interfaces(params))
 
 
 class TestArcPencil:
@@ -712,7 +711,7 @@ class TestArcPencil:
         # on equal-volume bubbles many eigenvalues are arc Dirichlet values,
         # where the closed form alone loses its digits
         params = equal_volume_standard(2, q)
-        qgraph = build_graph(params, detect_interfaces(params, rng_seed=0))
+        qgraph = build_graph(params, detect_interfaces(params))
         system = assemble_jacobi(qgraph, 1e-2)
         lam = eigendecomposition(system)[0][::-1]
         pencil = ArcPencil(qgraph, 1e-2)
@@ -731,10 +730,10 @@ class TestArcPencil:
         # h = 1e-2 also against the dense eigenvalues
         q4 = standard_of_curvature(2, 4, np.array([0.25, 0.08, -0.12, -0.21]))
         mobius = apply_mobius(q4, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98), 0.3)
-        qgraphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
-                   for params, seed in _spectrum_index_clusters()]
+        qgraphs = [build_graph(params, detect_interfaces(params))
+                   for params in _spectrum_index_clusters()]
         qgraphs += [_graph_of(name) for name in ("bench_q3", "bench_q4", "equal_q4")]
-        qgraphs.append(build_graph(mobius, detect_interfaces(mobius, rng_seed=0)))
+        qgraphs.append(build_graph(mobius, detect_interfaces(mobius)))
         for qgraph in qgraphs:
             for h in (4e-3, 2e-3, 1e-2):
                 system = assemble_jacobi(qgraph, h)
@@ -756,7 +755,7 @@ class TestArcPencil:
         assert [g[1] for g in arc_grids(qgraph, h)] == system.steps
 
     def test_cyclic_values_are_the_circle_spectrum(self, hemispheres):
-        qgraph = build_graph(hemispheres, detect_interfaces(hemispheres, rng_seed=0))
+        qgraph = build_graph(hemispheres, detect_interfaces(hemispheres))
         system = assemble_jacobi(qgraph, 1e-2)
         arcs = ArcPencil(qgraph, 1e-2).arcs
         lam = eigendecomposition(system)[0]
@@ -788,8 +787,8 @@ class TestArcPencil:
     def test_pole_margin_agrees_with_method(self, h):
         # a count shift within POLE_GUARD of a pole is counted by mode sums, and
         # pole_margin is taken over the count shifts only
-        qgraphs = [build_graph(params, detect_interfaces(params, rng_seed=seed))
-                   for params, seed in _spectrum_index_clusters()]
+        qgraphs = [build_graph(params, detect_interfaces(params))
+                   for params in _spectrum_index_clusters()]
         qgraphs += [_graph_of(name) for name in ("bench_q3", "bench_q4", "equal_q3",
                                                  "hemispheres")]
         summed = []
@@ -804,13 +803,12 @@ class TestArcPencil:
         assert report.method == report.refined_method == "closed_form"
         assert POLE_GUARD <= report.pole_margin < 0.5
         assert not hasattr(report, "eigenvalue_method")
-        circle = assemble_jacobi(build_graph(hemispheres, detect_interfaces(
-            hemispheres, rng_seed=0)), 1e-2)
+        circle = assemble_jacobi(build_graph(hemispheres, detect_interfaces(hemispheres)), 1e-2)
         report = eigen_count_positive(circle)
         assert report.pole_margin == math.inf and report.method == "closed_form"
         # the h/2 cut of the equal-volume bubble sits on an arc Dirichlet value
         params = equal_volume_standard(2, 3)
-        equal = assemble_jacobi(build_graph(params, detect_interfaces(params, rng_seed=0)),
+        equal = assemble_jacobi(build_graph(params, detect_interfaces(params)),
                                 1e-2)
         report = eigen_count_positive(equal)
         assert report.refined_method == "mode_sum" and report.pole_margin < POLE_GUARD

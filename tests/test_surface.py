@@ -15,6 +15,9 @@ table is a tuple, a types.MappingProxyType or an array with
 setflags(write=False). Dunder names (__path__, __all__, __builtins__) are the
 import system's and exempt.
 
+Every parameter of every function and lambda in the package is read in its
+body, apart from the three in UNREAD_PARAMETERS.
+
 The package runs on numpy alone: scipy is a test dependency, and a use of it
 in the package imports it inside the function that needs it.
 """
@@ -96,12 +99,42 @@ def test_no_module_holds_a_mutable_container():
     assert module_level_containers() == ["sampling:_unit_cache"]
 
 
+# (module, function, parameter) accepted unread, in module order
+UNREAD_PARAMETERS = [
+    ("cluster", "detect_interfaces", "rng_seed"),  # still passed by the benchmark
+    ("measure", "_classified_counts", "chunk"),  # the chunk_counts callback signature
+    ("quantum_graph", "<lambda>", "pts"),  # piecewise_constant_field's pointwise fn
+]
+
+
+def unread_parameters() -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of every parameter its function never reads."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found += [(path.stem, getattr(node, "name", "<lambda>"), name)
+                      for name in names if name not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == UNREAD_PARAMETERS
+
+
 NUMPY_ONLY_RUN = """
 import json, sys
 import numpy as np
 import bubblelab as bl
 params = bl.standard_of_curvature(2, 3, np.array([0.3, 0.1, -0.4]))
-graph = bl.detect_interfaces(params, rng_seed=0)
+graph = bl.detect_interfaces(params)
 system = bl.assemble_jacobi(bl.build_graph(params, graph), 1e-2)
 report = bl.eigen_count_positive(system)
 solve = bl.conformal_jacobi_solve(system, np.array([0.5, 0.2, -0.7]))
