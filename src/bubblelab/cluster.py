@@ -198,24 +198,36 @@ def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
                   tie_tol: float = 0.0) -> np.ndarray:
     """Mask of the points at which no third cell reaches min(h_i, h_j) + tie_tol.
 
-    h_k is the affine value of cell k. A running minimum over the cell-major
-    rows of the other cells, one block of sampling.row_blocks at a time; with
-    two cells every point is interior.
+    h_k is the affine value of cell k. wall_mask of the cell_values of one
+    block of sampling.row_blocks at a time; with two cells every point is
+    interior.
     """
     if params.q == 2:
         return np.ones(len(points), dtype=bool)
-    others = [k for k in range(params.q) if k not in (i, j)]
     inside = np.empty(len(points), dtype=bool)
     for rows in sampling.row_blocks(len(points)):
-        values = cell_values(params, points[rows])
-        lead = np.minimum(values[i], values[j])
-        if tie_tol:
-            lead += tie_tol
-        low = values[others[0]]
-        for k in others[1:]:
-            np.minimum(low, values[k], out=low)
-        np.greater(low, lead, out=inside[rows])
+        wall_mask(cell_values(params, points[rows]), i, j, tie_tol, inside[rows])
     return inside
+
+
+def wall_mask(values: np.ndarray, i: int, j: int, tie_tol: float, out: np.ndarray) -> None:
+    """Write wall_interior's mask to out, from cell-major values (cell_values),
+    which it overwrites.
+
+    A running minimum over the rows of the cells other than i and j; with no
+    other cell every point is interior.
+    """
+    others = [k for k in range(len(values)) if k not in (i, j)]
+    if not others:
+        out[...] = True
+        return
+    lead = np.minimum(values[i], values[j])
+    if tie_tol:
+        lead += tie_tol
+    low = values[others[0]]
+    for k in others[1:]:
+        np.minimum(low, values[k], out=low)
+    np.greater(low, lead, out=out)
 
 
 def spherical_residuals(params: ClusterParams) -> np.ndarray:
@@ -308,8 +320,8 @@ def detect_interfaces(params: ClusterParams, *, rng_seed: int = 0) -> InterfaceG
     residuals = spherical_residuals(params)
     for i in range(q):
         for j in range(i + 1, q):
-            if sampling.subsphere_frame(params.pair_center(i, j),
-                                        params.pair_curvature(i, j)) is None:
+            if sampling.wall_misses_sphere(params.pair_center(i, j),
+                                           params.pair_curvature(i, j)):
                 diagnostics[(i, j)] = "degenerate wall: hyperplane misses S^n"
                 continue
             witness = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)

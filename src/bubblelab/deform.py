@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterParams, InterfaceGraph, detect_interfaces, recentered
-from .measure import MeasureReport, measure_cluster
+from .measure import MeasureReport, measure_exact_s2, measure_mc_many, resolve_backend
 from .simplex import (psd_sqrtm, sum_zero_basis, sum_zero_projector)
 from .standard import apply_mobius
 
@@ -173,16 +173,22 @@ def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
     """(interfaces, measures) of each point of a deformation path.
 
     Interfaces can appear along a path, so every point but the one at t = 0,
-    which keeps graph, is measured against its own, decided by
-    detect_interfaces. Monte Carlo points share the seed, so their
-    differences are measured with common random numbers.
+    which keeps graph, is measured against its own, decided first by
+    detect_interfaces. On S^2 each point is measured exactly
+    (measure_exact_s2); otherwise all points are measured by Monte Carlo in
+    one pass (measure_mc_many), bit for bit as measure_mc would measure each
+    one. The points share the seed, so their differences are measured with
+    common random numbers: each sample chunk is drawn once, afresh, and
+    integrated against every point, and nothing is kept in the sample memo.
     """
-    out = []
-    for t, step_params in zip(times, path):
-        step_graph = graph if t == 0.0 else detect_interfaces(step_params)
-        out.append((step_graph, measure_cluster(step_params, step_graph,
-                                                samples=samples, seed=seed)))
-    return out
+    graphs = [graph if t == 0.0 else detect_interfaces(step_params)
+              for t, step_params in zip(times, path)]
+    clusters = list(zip(path, graphs))
+    if path and resolve_backend("auto", path[0].n) == "exact":
+        reports = [measure_exact_s2(params, step_graph) for params, step_graph in clusters]
+    else:
+        reports = measure_mc_many(clusters, samples, seed)
+    return list(zip(graphs, reports))
 
 
 def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,

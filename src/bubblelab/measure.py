@@ -17,7 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_interior
+from .cluster import ClusterParams, InterfaceGraph, cell_values, classify_many, wall_mask
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -137,6 +137,11 @@ def _cell_volumes_mc(params: ClusterParams, samples: int, seed: int,
 
     counts = sampling.run_tasks([partial(task, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
+    return _volume_fractions(counts, samples)
+
+
+def _volume_fractions(counts: list[np.ndarray], samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized volumes and binomial stderr from each chunk's cell counts in layout order."""
     total = sampling.pairwise_sum([c.astype(float) for c in counts])
     frac = total / samples
     stderr = np.sqrt(np.clip(frac * (1.0 - frac), 0.0, None) / samples)
@@ -275,32 +280,57 @@ class VolumeTracker:
         return counts, None
 
 
-def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, seed: int, chunk: int,
-                     count: int, weights) -> list[tuple[float, float]]:
+def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: np.ndarray,
+                     weights) -> list[tuple[float, float]]:
     """Per weight, (sum, sum of squares) over one chunk of the (i, j) wall sphere.
 
-    frame is the wall's subsphere_frame. The chunk's points are drawn and
-    classified once, and each weight, times the mask of Sigma_ij, is summed
-    over all of them; a weight None integrates the constant 1, so both of its
-    sums are the hits. Each weight is evaluated one sampling.row_blocks block
-    at a time, so that a product in it stays on this thread; the points handed
-    to the weights are read-only.
+    frame is the wall's subsphere_frame and directions the chunk's unit
+    directions in its tangent frame. One sampling.row_blocks block at a time,
+    the block's points are placed in one reused buffer (as subsphere_chunk
+    places them), classified (wall_mask of their cell_values) and handed,
+    read-only, to every weight, whose values go into one (weights, count)
+    array; so a product in a weight stays on this thread, and no chunk-sized
+    point array is built. Each weight, times the mask of Sigma_ij, is then
+    summed over the whole chunk; a weight None integrates the constant 1, so
+    both of its sums are the hits.
     """
-    pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
-    pts.setflags(write=False)
-    inside = wall_interior(params, i, j, pts)
+    center, radius, tangent = frame
+    count = len(directions)
+    # kept C-ordered: the bits of products that weight callbacks take, such as
+    # pts @ xi, depend on the memory layout
+    basis = np.ascontiguousarray(tangent.T)
+    buffer = np.empty((sampling.BLOCK + 1, basis.shape[1]))
+    evaluated = [weight for weight in weights if weight is not None]
+    values = np.empty((len(evaluated), count))
+    inside = np.empty(count, dtype=bool)
+    for rows in sampling.row_blocks(count):
+        pts = buffer[: rows.stop - rows.start]
+        np.matmul(directions[rows], basis, out=pts)
+        pts *= radius
+        pts += center
+        wall_mask(cell_values(params, pts), i, j, 0.0, inside[rows])
+        view = pts.view()
+        view.setflags(write=False)
+        for row, weight in zip(values, evaluated):
+            row[rows] = weight(view)
     hits = float(np.count_nonzero(inside))
+    weight_values = iter(values)
     sums = []
-    values = np.empty(len(pts))
     for weight in weights:
         if weight is None:
             sums.append((hits, hits))
         else:
-            for block in sampling.row_blocks(len(pts)):
-                values[block] = weight(pts[block])
-            contrib = inside * values
+            contrib = inside * next(weight_values)
             sums.append((contrib.sum(), (contrib ** 2).sum()))
     return sums
+
+
+def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
+    """(i, j, subsphere_frame of the wall) for each pair of graph; None where the
+    hyperplane misses S^n."""
+    return [(i, j, sampling.subsphere_frame(params.pair_center(i, j),
+                                            params.pair_curvature(i, j)))
+            for i, j in graph.pairs()]
 
 
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
@@ -310,6 +340,65 @@ def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_00
     areas, area_err = interface_areas(params, graph, "mc", samples, seed)
     return MeasureReport(volumes, areas, vol_err, area_err,
                          {"kind": "monte_carlo", "seed": seed, "samples": samples})
+
+
+def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], samples: int,
+                    seed: int) -> list[MeasureReport]:
+    """measure_mc(params, graph, samples, seed) of each (params, graph), bit for bit,
+    in one pass over each sample chunk.
+
+    The clusters share n and q, as the points of a deformation path do. Each
+    volume chunk is drawn once and classified against every cluster. Each
+    (pair, chunk) wall task draws its directions once, for a pair of any of
+    the graphs, and sums them over the wall of every cluster whose graph holds
+    the pair (a wall that misses S^n has none and gives zero). With two cells
+    no wall direction is drawn, as in measure_mc. All draws are fresh
+    (sampling.draw_unit_chunk): the pass adds nothing to the sample memo.
+    """
+    if not clusters:
+        return []
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    n, q = clusters[0][0].n, clusters[0][0].q
+    if any(params.n != n or params.q != q for params, _ in clusters):
+        raise ValueError("the clusters of one pass must share n and q")
+    layout = sampling.chunk_layout(samples)
+
+    def volume_task(chunk: int, count: int) -> list[np.ndarray]:
+        pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, n + 1)
+        return [_classified_counts(chunk, params, pts) for params, _ in clusters]
+
+    counts = sampling.run_tasks([partial(volume_task, chunk, count) for chunk, count in layout])
+    walls = [_wall_frames(params, graph) for params, graph in clusters]
+    all_hits = q == 2  # no third cell: every wall sample is a hit
+    holders: dict[tuple[int, int], list] = {}  # pair -> [(cluster index, frame)]
+    if not all_hits:
+        for k, cluster_walls in enumerate(walls):
+            for i, j, frame in cluster_walls:
+                if frame is not None:
+                    holders.setdefault((i, j), []).append((k, frame))
+
+    def wall_task(i: int, j: int, chunk: int, count: int) -> list:
+        directions = sampling.draw_unit_chunk(seed, i * q + j + 1, chunk, count, n)
+        return [_wall_chunk_sums(clusters[k][0], i, j, frame, directions, [None])
+                for k, frame in holders[(i, j)]]
+
+    pairs = sorted(holders)
+    results = iter(sampling.run_tasks([partial(wall_task, i, j, chunk, count)
+                                       for i, j in pairs for chunk, count in layout]))
+    sums: list[dict] = [{} for _ in clusters]  # per cluster, pair -> chunk sums in layout order
+    for pair in pairs:
+        for _ in layout:
+            for (k, _), chunk_sums in zip(holders[pair], next(results)):
+                sums[k].setdefault(pair, []).append(chunk_sums)
+    reports = []
+    for k, (params, _) in enumerate(clusters):
+        volumes, vol_err = _volume_fractions([c[k] for c in counts], samples)
+        (areas, errs), = _wall_integrals(params, walls[k], 1, samples,
+                                         None if all_hits else sums[k])
+        reports.append(MeasureReport(volumes, _symmetric(q, areas), vol_err, _symmetric(q, errs),
+                                     {"kind": "monte_carlo", "seed": seed, "samples": samples}))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +705,9 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
-    is left out), or each chunk of wall samples is drawn and classified once.
+    is left out), or each chunk of wall directions is taken once from the
+    sample memo (sampling.unit_chunk, so calls at one seed share their draws)
+    and placed, classified and weighed by _wall_chunk_sums.
     On Monte Carlo the (pair, chunk) tasks of every pair run through
     sampling.run_tasks, so the weights may run on worker threads; each
     weight's mean over a wall is a pairwise sum of its chunk sums in layout
@@ -624,30 +715,42 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     """
     if resolve_backend(backend, params.n) == "exact":
         return ArcVolumes(graph).pair_integrals(params, weights)
-    values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
-    errs: list[dict[tuple[int, int], float]] = [{} for _ in weights]
-    norm = sphere_surface_measure(params.n)
     if samples <= 0:
         raise ValueError("samples must be positive")
     layout = sampling.chunk_layout(samples)
+    walls = _wall_frames(params, graph)
     # no third cell: every sample is a hit, and each sampled mean is exactly 1
     all_hits = params.q == 2 and all(weight is None for weight in weights)
-    walls, tasks = [], []
-    for i, j in graph.pairs():
-        frame = sampling.subsphere_frame(params.pair_center(i, j),
-                                         params.pair_curvature(i, j))
-        walls.append((i, j, frame))
-        if frame is not None and not all_hits:
-            tasks += [partial(_wall_chunk_sums, params, i, j, frame, seed, chunk, count,
-                              weights) for chunk, count in layout]
-    chunk_sums = iter(sampling.run_tasks(tasks))
+    framed = [] if all_hits else [(i, j, frame) for i, j, frame in walls if frame is not None]
+
+    def wall_task(i: int, j: int, frame, chunk: int, count: int) -> list[tuple[float, float]]:
+        directions = sampling.unit_chunk(seed, i * params.q + j + 1, chunk, count, params.n)
+        return _wall_chunk_sums(params, i, j, frame, directions, weights)
+
+    results = iter(sampling.run_tasks([partial(wall_task, i, j, frame, chunk, count)
+                                       for i, j, frame in framed for chunk, count in layout]))
+    sums = {(i, j): [next(results) for _ in layout] for i, j, _ in framed}
+    return _wall_integrals(params, walls, len(weights), samples, None if all_hits else sums)
+
+
+def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int,
+                    samples: int, sums: dict | None) -> list[tuple[dict, dict]]:
+    """Per weight, ({pair: normalized integral}, {pair: stderr}) over the walls (i, j, frame).
+
+    sums holds each framed wall's _wall_chunk_sums in layout order; None
+    means that every sample is a hit. A wall whose frame is None (its
+    hyperplane misses S^n) integrates to zero.
+    """
+    values: list[dict[tuple[int, int], float]] = [{} for _ in range(weight_count)]
+    errs: list[dict[tuple[int, int], float]] = [{} for _ in range(weight_count)]
+    norm = sphere_surface_measure(params.n)
     for i, j, frame in walls:
-        if frame is None:  # the hyperplane misses S^n: no wall to integrate over
-            moments, wall = [(0.0, 0.0)] * len(weights), 0.0
+        if frame is None:
+            moments, wall = [(0.0, 0.0)] * weight_count, 0.0
         else:
             wall = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1)
-            moments = ([(1.0, 0.0)] * len(weights) if all_hits else
-                       _wall_moments([next(chunk_sums) for _ in layout], samples))
+            moments = ([(1.0, 0.0)] * weight_count if sums is None else
+                       _wall_moments(sums[(i, j)], samples))
         for w_values, w_errs, (mean, stderr) in zip(values, errs, moments):
             w_values[(i, j)] = mean * wall / norm
             w_errs[(i, j)] = stderr * wall / norm

@@ -4,17 +4,19 @@ Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
 on (seed, sample count), never on how the work is split. A unit direction is a
 Gaussian row divided by its norm, the square root of a left fold of its
-squared coordinates. unit_chunk is the only way directions are drawn, and it
-memoizes them per address for the seed drawn last, which makes repeated
-common-random-number evaluations at one seed (volume Newton, finite
+squared coordinates. draw_unit_chunk draws a chunk of directions afresh, and
+unit_chunk memoizes its draws per address for the seed drawn last, which makes
+repeated common-random-number evaluations at one seed (volume Newton, finite
 differences, one wall sample passed to several operators) reuse identical
-directions at no generation cost. A draw at any other seed empties the memo,
-and within one seed an entry is admitted only while the memo stays within
-UNIT_CACHE_BUDGET floats. An entry holds exactly the rows drawn for it; a
-longer request at the same address redraws and replaces it, and a shorter one
-is served from its prefix, which a shorter draw would equal. Returned arrays
-are read-only, so no caller can change what later callers at the same address
-receive.
+directions at no generation cost. A pass that reads each chunk once, such as
+measure.measure_mc_many over the points of a deformation path, draws afresh
+and adds nothing to the memo. A draw at any other seed, fresh or memoized,
+empties the memo, and within one seed an entry is admitted only while the
+memo stays within UNIT_CACHE_BUDGET floats. An entry holds exactly the rows
+drawn for it; a longer request at the same address redraws and replaces it,
+and a shorter one is served from its prefix, which a shorter draw would
+equal. Returned arrays are read-only, so no caller can change what later
+callers at the same address receive.
 
 Chunks run at the same time: run_tasks spreads independent chunk tasks over
 every usable core, and each chunk's per-point passes run in blocks of BLOCK
@@ -70,15 +72,30 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
 def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
     """Uniform unit directions in R^dim, shape (count, dim), at the address.
 
-    Read-only, and maybe a view of a memoized array."""
+    draw_unit_chunk's rows, memoized; read-only, and maybe a view of a
+    memoized array."""
     key = (seed, label, chunk, dim)
     with _unit_cache_lock:
         arr = _unit_cache.get(key)
         if arr is not None and arr.shape[0] >= count:
             return arr[:count]
-        _drop_other_seeds(seed)
         # a longer draw from the same stream replaces the short entry
         _unit_cache.pop(key, None)
+    arr = draw_unit_chunk(seed, label, chunk, count, dim)
+    with _unit_cache_lock:
+        _drop_other_seeds(seed)
+        if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
+            _unit_cache[key] = arr
+    return arr
+
+
+def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """unit_chunk's directions drawn afresh, read-only, and kept by no memo.
+
+    A memo that holds another seed's draws is emptied first, so it still
+    holds only the draws of the seed drawn last."""
+    with _unit_cache_lock:
+        _drop_other_seeds(seed)
     arr = _mapped(count, dim)
     stream(seed, label, chunk).standard_normal(out=arr)
     for rows in row_blocks(count):
@@ -91,10 +108,6 @@ def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.nd
         np.sqrt(norms, out=norms)
         block /= norms[:, None]
     arr.setflags(write=False)
-    with _unit_cache_lock:
-        _drop_other_seeds(seed)
-        if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
-            _unit_cache[key] = arr
     return arr
 
 
@@ -185,6 +198,16 @@ def unit_sphere(seed: int, count: int, ambient_dim: int, label: int = 0) -> np.n
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
+def wall_misses_sphere(c: np.ndarray, kappa: float) -> bool:
+    """Whether the hyperplane <c, x> + kappa = 0 cuts no geodesic sphere from S^n.
+
+    True when c = 0 or kappa^2 >= |c|^2, tangency included: the test by which
+    subsphere_frame returns None, without building a frame.
+    """
+    c2 = float(c @ c)
+    return c2 <= 0.0 or 1.0 - kappa * kappa / c2 <= 0.0
+
+
 def subsphere_frame(c: np.ndarray, kappa: float) -> tuple[np.ndarray, float, np.ndarray] | None:
     """Center, radius and tangent frame of S^n cut by the wall <c, x> + kappa = 0.
 
@@ -194,12 +217,10 @@ def subsphere_frame(c: np.ndarray, kappa: float) -> tuple[np.ndarray, float, np.
     constraint |c|^2 = 1 + kappa^2 this reduces to radius 1/sqrt(1 + kappa^2).
     """
     c = np.asarray(c, dtype=float)
+    if wall_misses_sphere(c, kappa):
+        return None
     c2 = float(c @ c)
-    if c2 <= 0.0:
-        return None
     r2 = 1.0 - kappa * kappa / c2
-    if r2 <= 0.0:
-        return None
     center = -kappa * c / c2
     from .simplex import orthonormal_complement
 

@@ -167,6 +167,22 @@ class TestDetectInterfaces:
             for pair, witness in first.witnesses.items():
                 assert witness.tobytes() == second.witnesses[pair].tobytes()
 
+    def test_wall_miss_test_agrees_with_subsphere_frame(self):
+        rng = np.random.default_rng(31)
+        walls = [(np.zeros(4), 0.0), (np.zeros(3), 0.5)]
+        for _ in range(200):  # random walls, most of them cutting S^n
+            c = rng.uniform(0.05, 3.0) * rng.standard_normal(rng.integers(3, 8))
+            walls.append((c, rng.uniform(-2.0, 2.0) * float(np.linalg.norm(c))))
+        for _ in range(50):  # near-tangent walls: |kappa| within a few ulps of |c|
+            c = rng.standard_normal(rng.integers(3, 8))
+            norm = float(np.sqrt(c @ c))
+            for kappa in (norm, -norm, *np.nextafter(norm, [0.0, np.inf]),
+                          norm * (1.0 - 1e-15), -norm * (1.0 + 1e-15)):
+                walls.append((c, float(kappa)))
+        misses = [sampling.wall_misses_sphere(c, kappa) for c, kappa in walls]
+        assert misses == [sampling.subsphere_frame(c, kappa) is None for c, kappa in walls]
+        assert 0 < sum(misses) < len(misses)
+
     # seeds whose clusters have pairs where some tie set misses S^n
     @pytest.mark.parametrize("seed", [1001, 1003, 1013, 1017, 1020, 1024, 1025, 1029])
     def test_pruned_search_matches_unpruned_and_skips_supersets(self, seed, monkeypatch):
@@ -400,9 +416,10 @@ class TestCellMajorKernels:
         norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            chunk_sums = [measure._wall_chunk_sums(params, i, j, frame, seed, chunk, count,
-                                                   [weight])
-                          for chunk, count in sampling.chunk_layout(samples)]
+            label = i * params.q + j + 1
+            chunk_sums = [measure._wall_chunk_sums(
+                params, i, j, frame, sampling.unit_chunk(seed, label, chunk, count, params.n),
+                [weight]) for chunk, count in sampling.chunk_layout(samples)]
             assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
@@ -471,6 +488,17 @@ class TestSampleMemo:
         sampling.unit_chunk(0, 1, 0, count + 1, dim)
         assert list(sample_memo) == [(0, 2, 0, dim), (0, 1, 0, dim)]
         assert sum(a.size for a in sample_memo.values()) <= sampling.UNIT_CACHE_BUDGET
+
+    def test_fresh_draw_equals_the_memoized_one_and_is_not_kept(self, sample_memo):
+        kept = sampling.unit_chunk(0, 4, 0, 20, 3)
+        fresh = sampling.draw_unit_chunk(0, 5, 0, 20, 3)
+        assert not fresh.flags.writeable
+        assert fresh.tobytes() == unit_directions(0, 5, 0, 20, 3).tobytes()
+        assert list(sample_memo) == [(0, 4, 0, 3)]
+        assert sampling.draw_unit_chunk(0, 4, 0, 20, 3).tobytes() == kept.tobytes()
+        # a fresh draw at another seed empties the memo: it holds the seed drawn last
+        sampling.draw_unit_chunk(1, 4, 0, 20, 3)
+        assert not sample_memo
 
     def test_longer_draw_replaces_and_shorter_gets_a_prefix_view(self, sample_memo):
         short = sampling.unit_chunk(0, 4, 0, 10, 3).copy()

@@ -8,7 +8,7 @@ import pytest
 from bubblelab import (conformal_step, detect_interfaces,
                        gram_invariance_check, gram_path, lse_solve, pcf_detect,
                        perpendicular_pole, standard_of_volume, validate_spherical)
-from bubblelab import gallery
+from bubblelab import gallery, measure, sampling
 from bubblelab.deform import gram_eigenvalue_floor
 from bubblelab.simplex import sum_zero_projector
 from reference import lse_residual, validate_along_path
@@ -175,3 +175,55 @@ class TestGramInvariance:
     def test_rejects_negative_steps(self, equal_bubble_s2, equal_bubble_graph, steps):
         with pytest.raises(ValueError, match="steps must be non-negative"):
             gram_invariance_check(equal_bubble_s2, equal_bubble_graph, steps=steps)
+
+
+class TestMeasurePath:
+    """measure_path measures a Monte Carlo path in one pass over each sample chunk."""
+
+    def test_one_pass_equals_measure_mc_at_each_time(self, monkeypatch, sample_memo,
+                                                     sectored_cap_cluster, sectored_cap_graph):
+        samples, seed = sampling.CHUNK + 1000, 13
+        draws = []
+        draw = sampling.draw_unit_chunk
+
+        def counted(*args):
+            draws.append(args[1:3])  # (stream label, chunk index)
+            return draw(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sampling, "draw_unit_chunk", counted)
+            rep = gram_invariance_check(sectored_cap_cluster, sectored_cap_graph, t_max=0.5,
+                                        steps=5, samples=samples, seed=seed)
+        # pairs (0, 3) and (1, 3) appear at t = 0.3, so the path's graphs differ
+        graphs = [sectored_cap_graph] + [detect_interfaces(gram_path(sectored_cap_cluster,
+                                                                     float(t)))
+                                         for t in rep.times[1:]]
+        assert rep.first_new_interface_t == pytest.approx(0.3)
+        union = sorted({pair for graph in graphs for pair in graph.pairs()})
+        assert {(0, 3), (1, 3)} <= set(union) - set(sectored_cap_graph.pairs())
+        # every (label, chunk) is drawn once, and no draw is left in the memo
+        q, layout = sectored_cap_cluster.q, sampling.chunk_layout(samples)
+        labels = [measure._VOLUME_STREAM] + [i * q + j + 1 for i, j in union]
+        assert sorted(draws) == sorted((label, chunk) for label in labels
+                                       for chunk, _ in layout)
+        assert not any(key[0] == seed for key in sample_memo)
+        for t, graph, got in zip(rep.times, graphs, rep.reports):
+            want = measure.measure_mc(gram_path(sectored_cap_cluster, float(t)), graph,
+                                      samples, seed)
+            for name in ("volumes", "areas", "volume_stderr", "area_stderr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (t, name)
+            assert got.backend == want.backend
+
+    def test_s2_path_stays_exact(self, monkeypatch, skew_bubble_s2, skew_bubble_graph):
+        draws = []
+        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *args: draws.append(args))
+        rep = gram_invariance_check(skew_bubble_s2, skew_bubble_graph, t_max=0.5, steps=2,
+                                    samples=10_000, seed=3)
+        assert [r.backend for r in rep.reports] == [{"kind": "exact_s2"}] * 3
+        assert draws == []
+
+    def test_one_pass_needs_one_shape(self, sectored_cap_cluster, sectored_cap_graph,
+                                      skew_bubble_s2, skew_bubble_graph):
+        with pytest.raises(ValueError, match="share n and q"):
+            measure.measure_mc_many([(sectored_cap_cluster, sectored_cap_graph),
+                                     (skew_bubble_s2, skew_bubble_graph)], 1000, 0)

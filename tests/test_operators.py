@@ -79,20 +79,22 @@ class TestNormalMomentOperator:
             assert np.array_equal(n_op.matrix, ones.matrix), backend
             assert np.array_equal(n_op.entry_stderr, ones.entry_stderr), backend
 
-    def test_one_wall_pass_per_pair(self, monkeypatch):
-        # area and n+1 moments are reduced over one draw of each wall chunk
+    def test_one_wall_pass_per_pair(self, monkeypatch, sample_memo):
+        # area and n+1 moments are reduced over one draw of each wall chunk;
+        # with nothing memoized, every request for directions is a draw
         params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
         graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
         samples = sampling.CHUNK + 500
         calls = []
-        draw = sampling.subsphere_chunk
+        draw = sampling.draw_unit_chunk
 
         def counted(*args):
             calls.append(args[1:3])  # (pair label, chunk index)
             return draw(*args)
 
-        monkeypatch.setattr(sampling, "subsphere_chunk", counted)
+        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 0)
+        monkeypatch.setattr(sampling, "draw_unit_chunk", counted)
         normal_moment_operator(params, graph, backend="mc", samples=samples, seed=5)
         assert len(calls) == len(sampling.chunk_layout(samples)) * len(graph.pairs())
         assert len(set(calls)) == len(calls)

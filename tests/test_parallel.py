@@ -105,31 +105,35 @@ class TestRowBlocks:
                         == whole_wall_interior(params, i, j, pts).tobytes())
 
 
-def whole_wall_chunk_sums(params, i, j, frame, seed, chunk, count, weights):
-    """measure._wall_chunk_sums with each weight evaluated on the whole chunk at once."""
-    pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
+def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
+    """measure._wall_chunk_sums on the whole chunk at once: its points in one
+    product, its mask from one cell_values product, each weight in one call."""
+    pts = whole_subsphere_points(directions, *frame)
     inside = whole_wall_interior(params, i, j, pts)
     sums = []
     for weight in weights:
-        contrib = inside * weight(pts)
+        contrib = inside * (np.ones(len(pts)) if weight is None else weight(pts))
         sums.append((contrib.sum(), (contrib ** 2).sum()))
     return sums
 
 
-@pytest.mark.parametrize("rows", [2, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
-    # the weights of the operators: a coordinate, 1 - <p, xi> and <p, pole>^2
+    # the fused kernel builds, classifies and weighs one block at a time in a
+    # reused buffer; the weights are those of the operators (a coordinate,
+    # 1 - <p, xi> and <p, pole>^2) and None, whose sums are the hits
     rng = np.random.default_rng(n)
     params = recentered(n, rng.standard_normal((4, n + 1)), 0.3 * rng.standard_normal(4))
     xi, pole = 0.3 * rng.standard_normal(n + 1), rng.standard_normal(n + 1)
-    weights = [lambda pts: pts[:, 1], lambda pts: 1.0 - pts @ xi,
+    weights = [lambda pts: pts[:, 1], None, lambda pts: 1.0 - pts @ xi,
                lambda pts: (pts @ pole) ** 2]
     for i, j in [(0, 1), (1, 3)]:
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        args = (params, i, j, frame, 11, 0, rows, weights)
+        directions = sampling.draw_unit_chunk(11, i * params.q + j + 1, 0, rows, n)
+        args = (params, i, j, frame, directions, weights)
         got = measure._wall_chunk_sums(*args)
         assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
 
@@ -172,6 +176,10 @@ def monte_carlo_bytes(runner) -> bytes:
                                                 lambda pts: pts[:, 2] ** 2],
                                                "mc", CHUNK + 77, seed):
             out += [lap.matrix, lap.entry_stderr]
+        path = [standard_of_curvature(3, 4, params.curvatures * (1.0 + step))
+                for step in (0.0, 0.05)]
+        for rep in measure.measure_mc_many([(p, graph) for p in path], samples, seed):
+            out += [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr]
         tracker = measure.VolumeTracker(samples, seed)
         for step in (0.0, 1e-9, 1e-4, 0.0, 0.2):
             moved = standard_of_curvature(3, 4, params.curvatures * (1.0 + step))
