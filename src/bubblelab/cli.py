@@ -102,6 +102,7 @@ def cmd_measure(args) -> int:
                            volume_stderr=report.volume_stderr,
                            area_stderr=report.area_stderr,
                            total_perimeter=report.total_perimeter,
+                           perimeter_stderr=report.perimeter_stderr,
                            backend_used=report.backend)
     if args.raw:
         payload["raw_volumes"] = report.raw_volumes(params.n)

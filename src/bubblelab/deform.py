@@ -178,8 +178,10 @@ def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
     (measure_exact_s2); otherwise all points are measured by Monte Carlo in
     one pass (measure_mc_many), bit for bit as measure_mc would measure each
     one. The points share the seed, so their differences are measured with
-    common random numbers: each sample chunk is drawn once, afresh, and
-    integrated against every point, and nothing is kept in the sample memo.
+    common random numbers: each volume chunk and each chunk of the one wall
+    stream is drawn once, afresh, and integrated against every point (every
+    wall of every point for a wall chunk), and nothing is kept in the sample
+    memo. Each report's perimeter_stderr is the joint error of its walls.
     """
     graphs = [graph if t == 0.0 else detect_interfaces(step_params)
               for t, step_params in zip(times, path)]

@@ -29,21 +29,26 @@ class MeasureError(RuntimeError):
 
 @dataclass
 class MeasureReport:
-    """Normalized volumes, interface areas and their error estimates."""
+    """Normalized volumes, interface areas and their error estimates.
+
+    perimeter_stderr is the standard error of total_perimeter, 0 on the exact
+    backend. On Monte Carlo every wall is placed from one stream of
+    directions, so the pair areas' errors are correlated: it is the standard
+    error of the per-direction total T(k) = sum over the pairs of
+    |wall_ij| / |S^n| * hit_ij(k), whose mean is the perimeter, and not the
+    quadrature of area_stderr.
+    """
 
     volumes: np.ndarray
     areas: np.ndarray
     volume_stderr: np.ndarray
     area_stderr: np.ndarray
+    perimeter_stderr: float
     backend: dict
 
     @property
     def total_perimeter(self) -> float:
         return float(np.sum(np.triu(self.areas, 1)))
-
-    @property
-    def perimeter_stderr(self) -> float:
-        return float(np.sqrt(np.sum(np.triu(self.area_stderr, 1) ** 2)))
 
     def raw_volumes(self, n: int) -> np.ndarray:
         return self.volumes * sphere_surface_measure(n)
@@ -110,6 +115,10 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
 # ---------------------------------------------------------------------------
 
 _VOLUME_STREAM = 0x5E11
+# Every wall of every cluster in one call is placed from the directions of
+# this one stream: the walls on S^n are all (n-1)-spheres, so one unit
+# direction in R^n gives a point on each.
+_WALL_STREAM = 0xA14
 
 
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,29 +289,40 @@ class VolumeTracker:
         return counts, None
 
 
+def _wall_scratch(count: int, dim: int, evaluated: int) -> tuple[np.ndarray, ...]:
+    """Scratch of _wall_chunk_sums for a chunk of count points in R^dim and
+    `evaluated` weights other than None: (placement buffer, (weights, count)
+    values, mask)."""
+    return (np.empty((sampling.BLOCK + 1, dim)), np.empty((evaluated, count)),
+            np.empty(count, dtype=bool))
+
+
 def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: np.ndarray,
-                     weights) -> list[tuple[float, float]]:
+                     weights, scratch=None) -> list[tuple[float, float]]:
     """Per weight, (sum, sum of squares) over one chunk of the (i, j) wall sphere.
 
     frame is the wall's subsphere_frame and directions the chunk's unit
     directions in its tangent frame. One sampling.row_blocks block at a time,
-    the block's points are placed in one reused buffer (as subsphere_chunk
-    places them), classified (wall_mask of their cell_values) and handed,
-    read-only, to every weight, whose values go into one (weights, count)
-    array; so a product in a weight stays on this thread, and no chunk-sized
-    point array is built. Each weight, times the mask of Sigma_ij, is then
-    summed over the whole chunk; a weight None integrates the constant 1, so
-    both of its sums are the hits.
+    the block's points are placed in the scratch's buffer (as subsphere_chunk
+    places them), classified (wall_mask of their cell_values) into its mask
+    and handed, read-only, to every weight, whose values go into its
+    (weights, count) array; so a product in a weight stays on this thread, and
+    no chunk-sized point array is built. Each weight's values are multiplied
+    by the mask of Sigma_ij in place and summed, then squared in place and
+    summed; a weight None integrates the constant 1, so both of its sums are
+    the hits. scratch is a _wall_scratch for len(directions) points, made here
+    when None; a pass over the walls of one chunk hands each wall the same
+    one, and reads the wall's mask from it after the call.
     """
     center, radius, tangent = frame
     count = len(directions)
     # kept C-ordered: the bits of products that weight callbacks take, such as
     # pts @ xi, depend on the memory layout
     basis = np.ascontiguousarray(tangent.T)
-    buffer = np.empty((sampling.BLOCK + 1, basis.shape[1]))
     evaluated = [weight for weight in weights if weight is not None]
-    values = np.empty((len(evaluated), count))
-    inside = np.empty(count, dtype=bool)
+    if scratch is None:
+        scratch = _wall_scratch(count, basis.shape[1], len(evaluated))
+    buffer, values, inside = scratch
     for rows in sampling.row_blocks(count):
         pts = buffer[: rows.stop - rows.start]
         np.matmul(directions[rows], basis, out=pts)
@@ -320,8 +340,9 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: n
         if weight is None:
             sums.append((hits, hits))
         else:
-            contrib = inside * next(weight_values)
-            sums.append((contrib.sum(), (contrib ** 2).sum()))
+            contrib = next(weight_values)
+            np.multiply(contrib, inside, out=contrib)
+            sums.append((contrib.sum(), np.multiply(contrib, contrib, out=contrib).sum()))
     return sums
 
 
@@ -333,12 +354,84 @@ def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
             for i, j in graph.pairs()]
 
 
+def _wall_measure(n: int, frame) -> float:
+    """Unnormalized measure of the wall (n-1)-sphere with the given subsphere_frame."""
+    return sphere_surface_measure(n - 1) * frame[1] ** (n - 1)
+
+
+def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, samples: int,
+               seed: int, draw) -> list[tuple[list[tuple[dict, dict]], float]]:
+    """Per (params, graph), (_wall_integrals of its walls, the standard error of
+    its perimeter), from one pass over the chunks of wall directions.
+
+    The clusters share n. Each chunk of unit directions in R^n is drawn once,
+    by draw(seed, _WALL_STREAM, chunk, count, n), in a task of
+    sampling.run_tasks, which runs _wall_chunk_sums on it for the wall of
+    every pair of every graph, with one scratch reused across them: each
+    direction gives one point on every wall. A wall that misses S^n has no
+    frame and integrates to zero. The task also sums, per cluster, the
+    per-direction total T(k) = sum over its walls of |wall_ij| / |S^n| *
+    hit_ij(k), and T(k)^2, over the chunk; the chunk sums reduce pairwise in
+    layout order, like a weight's, and the perimeter's standard error is
+    sqrt(var(T) / samples). With two cells and no weight but None every
+    direction is a hit on the one wall: that cluster's walls are not sampled,
+    each mean is exactly 1 and both errors are 0. With no wall to sample
+    nothing is drawn.
+    """
+    n = clusters[0][0].n
+    norm = sphere_surface_measure(n)
+    only_area = all(weight is None for weight in weights)
+    evaluated = sum(weight is not None for weight in weights)
+    walls = [_wall_frames(params, graph) for params, graph in clusters]
+    # (i, j, frame, |wall_ij| / |S^n|) of each wall that is sampled, per cluster
+    sampled = [[] if params.q == 2 and only_area else
+               [(i, j, frame, _wall_measure(n, frame) / norm)
+                for i, j, frame in cluster_walls if frame is not None]
+               for (params, _), cluster_walls in zip(clusters, walls)]
+
+    def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float]]]:
+        directions = draw(seed, _WALL_STREAM, chunk, count, n)
+        scratch = _wall_scratch(count, n + 1, evaluated)
+        inside, total, term = scratch[2], np.empty(count), np.empty(count)
+        out = []
+        for (params, _), cluster_walls in zip(clusters, sampled):
+            total.fill(0.0)
+            chunk_sums = []
+            for i, j, frame, share in cluster_walls:
+                chunk_sums.append(_wall_chunk_sums(params, i, j, frame, directions, weights,
+                                                   scratch))
+                # a masked add (where=inside) takes about five times as long
+                total += np.multiply(inside, share, out=term)
+            out.append((chunk_sums, (total.sum(), np.multiply(total, total, out=total).sum())))
+        return out
+
+    layout = sampling.chunk_layout(samples)
+    drawn = sampling.run_tasks([partial(task, chunk, count) for chunk, count in layout]
+                               if any(sampled) else [])
+    out = []
+    for k, ((params, _), cluster_walls) in enumerate(zip(clusters, walls)):
+        if not sampled[k]:  # every sample is a hit, or no wall has a frame to read sums for
+            sums, perimeter_err = None, 0.0
+        else:
+            sums = {(i, j): [chunk[k][0][m] for chunk in drawn]
+                    for m, (i, j, _, _) in enumerate(sampled[k])}
+            (_, perimeter_err), = _wall_moments([[chunk[k][1]] for chunk in drawn], samples)
+        out.append((_wall_integrals(params, cluster_walls, len(weights), samples, sums),
+                    perimeter_err))
+    return out
+
+
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
                seed: int = 0) -> MeasureReport:
-    """Monte Carlo volumes and interface areas with propagated binomial errors."""
+    """Monte Carlo volumes and interface areas with their standard errors.
+
+    The walls are integrated by _pair_integrals, and the perimeter's error is
+    the joint one of their shared directions (see MeasureReport)."""
     volumes, vol_err = cell_volumes_mc(params, samples, seed)
-    areas, area_err = interface_areas(params, graph, "mc", samples, seed)
-    return MeasureReport(volumes, areas, vol_err, area_err,
+    ((areas, area_err),), perimeter_err = _pair_integrals(params, graph, [None], "mc",
+                                                          samples, seed)
+    return MeasureReport(volumes, _symmetric(params.q, areas), vol_err,
+                         _symmetric(params.q, area_err), perimeter_err,
                          {"kind": "monte_carlo", "seed": seed, "samples": samples})
 
 
@@ -348,12 +441,11 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
     in one pass over each sample chunk.
 
     The clusters share n and q, as the points of a deformation path do. Each
-    volume chunk is drawn once and classified against every cluster. Each
-    (pair, chunk) wall task draws its directions once, for a pair of any of
-    the graphs, and sums them over the wall of every cluster whose graph holds
-    the pair (a wall that misses S^n has none and gives zero). With two cells
-    no wall direction is drawn, as in measure_mc. All draws are fresh
-    (sampling.draw_unit_chunk): the pass adds nothing to the sample memo.
+    volume chunk is drawn once and classified against every cluster, and each
+    chunk of wall directions is drawn once and integrated over every wall of
+    every cluster (_wall_pass). With two cells no wall direction is drawn, as
+    in measure_mc. All draws are fresh (sampling.draw_unit_chunk): the pass
+    adds nothing to the sample memo.
     """
     if not clusters:
         return []
@@ -362,41 +454,19 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
     n, q = clusters[0][0].n, clusters[0][0].q
     if any(params.n != n or params.q != q for params, _ in clusters):
         raise ValueError("the clusters of one pass must share n and q")
-    layout = sampling.chunk_layout(samples)
 
     def volume_task(chunk: int, count: int) -> list[np.ndarray]:
         pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, n + 1)
         return [_classified_counts(chunk, params, pts) for params, _ in clusters]
 
-    counts = sampling.run_tasks([partial(volume_task, chunk, count) for chunk, count in layout])
-    walls = [_wall_frames(params, graph) for params, graph in clusters]
-    all_hits = q == 2  # no third cell: every wall sample is a hit
-    holders: dict[tuple[int, int], list] = {}  # pair -> [(cluster index, frame)]
-    if not all_hits:
-        for k, cluster_walls in enumerate(walls):
-            for i, j, frame in cluster_walls:
-                if frame is not None:
-                    holders.setdefault((i, j), []).append((k, frame))
-
-    def wall_task(i: int, j: int, chunk: int, count: int) -> list:
-        directions = sampling.draw_unit_chunk(seed, i * q + j + 1, chunk, count, n)
-        return [_wall_chunk_sums(clusters[k][0], i, j, frame, directions, [None])
-                for k, frame in holders[(i, j)]]
-
-    pairs = sorted(holders)
-    results = iter(sampling.run_tasks([partial(wall_task, i, j, chunk, count)
-                                       for i, j in pairs for chunk, count in layout]))
-    sums: list[dict] = [{} for _ in clusters]  # per cluster, pair -> chunk sums in layout order
-    for pair in pairs:
-        for _ in layout:
-            for (k, _), chunk_sums in zip(holders[pair], next(results)):
-                sums[k].setdefault(pair, []).append(chunk_sums)
+    counts = sampling.run_tasks([partial(volume_task, chunk, count)
+                                 for chunk, count in sampling.chunk_layout(samples)])
+    walls = _wall_pass(clusters, [None], samples, seed, sampling.draw_unit_chunk)
     reports = []
-    for k, (params, _) in enumerate(clusters):
+    for k, (((areas, errs),), perimeter_err) in enumerate(walls):
         volumes, vol_err = _volume_fractions([c[k] for c in counts], samples)
-        (areas, errs), = _wall_integrals(params, walls[k], 1, samples,
-                                         None if all_hits else sums[k])
         reports.append(MeasureReport(volumes, _symmetric(q, areas), vol_err, _symmetric(q, errs),
+                                     perimeter_err,
                                      {"kind": "monte_carlo", "seed": seed, "samples": samples}))
     return reports
 
@@ -659,10 +729,10 @@ class ArcVolumes:
                                    f"[0, 4pi] (degenerate boundary)")
         norm = 2.0 * TWO_PI
         return MeasureReport(np.maximum(area, 0.0) / norm, areas_raw / norm,
-                             np.zeros(q), np.zeros_like(areas_raw), {"kind": "exact_s2"})
+                             np.zeros(q), np.zeros_like(areas_raw), 0.0, {"kind": "exact_s2"})
 
     def pair_integrals(self, params: ClusterParams, weights) -> list[tuple[dict, dict]]:
-        """_pair_integrals(params, graph, weights, "exact") on the kept arcs."""
+        """The integrals of _pair_integrals(params, graph, weights, "exact") on the kept arcs."""
         values: list[dict[tuple[int, int], float]] = [{} for _ in weights]
         norm = sphere_surface_measure(2)
         for arc in self.arcs(params):
@@ -699,38 +769,28 @@ def _arc_integrals(arc: Arc, weights) -> list[float]:
 
 
 def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backend: str,
-                    samples: int, seed: int) -> list[tuple[dict, dict]]:
-    """Per weight, ({pair: normalized integral over Sigma_ij}, {pair: stderr}).
+                    samples: int, seed: int) -> tuple[list[tuple[dict, dict]], float]:
+    """(per weight ({pair: normalized integral over Sigma_ij}, {pair: stderr}),
+    standard error of the perimeter).
 
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
-    is left out), or each chunk of wall directions is taken once from the
-    sample memo (sampling.unit_chunk, so calls at one seed share their draws)
-    and placed, classified and weighed by _wall_chunk_sums.
-    On Monte Carlo the (pair, chunk) tasks of every pair run through
-    sampling.run_tasks, so the weights may run on worker threads; each
-    weight's mean over a wall is a pairwise sum of its chunk sums in layout
-    order, and its stderr the binomial one of those samples.
+    is left out, and the perimeter's error is 0), or each chunk of wall
+    directions is taken once from the sample memo (sampling.unit_chunk, so
+    calls at one seed share their draws) and every wall is placed,
+    classified and weighed on it (_wall_pass). On Monte Carlo the chunk tasks
+    run through sampling.run_tasks, so the weights may run on worker threads;
+    each weight's mean over a wall is a pairwise sum of its chunk sums in
+    layout order, and its stderr the binomial one of those samples. The walls
+    share their directions, so the perimeter's error is the joint one of
+    MeasureReport.perimeter_stderr, not the quadrature of the pair errors.
     """
     if resolve_backend(backend, params.n) == "exact":
-        return ArcVolumes(graph).pair_integrals(params, weights)
+        return ArcVolumes(graph).pair_integrals(params, weights), 0.0
     if samples <= 0:
         raise ValueError("samples must be positive")
-    layout = sampling.chunk_layout(samples)
-    walls = _wall_frames(params, graph)
-    # no third cell: every sample is a hit, and each sampled mean is exactly 1
-    all_hits = params.q == 2 and all(weight is None for weight in weights)
-    framed = [] if all_hits else [(i, j, frame) for i, j, frame in walls if frame is not None]
-
-    def wall_task(i: int, j: int, frame, chunk: int, count: int) -> list[tuple[float, float]]:
-        directions = sampling.unit_chunk(seed, i * params.q + j + 1, chunk, count, params.n)
-        return _wall_chunk_sums(params, i, j, frame, directions, weights)
-
-    results = iter(sampling.run_tasks([partial(wall_task, i, j, frame, chunk, count)
-                                       for i, j, frame in framed for chunk, count in layout]))
-    sums = {(i, j): [next(results) for _ in layout] for i, j, _ in framed}
-    return _wall_integrals(params, walls, len(weights), samples, None if all_hits else sums)
+    return _wall_pass([(params, graph)], weights, samples, seed, sampling.unit_chunk)[0]
 
 
 def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int,
@@ -748,7 +808,7 @@ def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int
         if frame is None:
             moments, wall = [(0.0, 0.0)] * weight_count, 0.0
         else:
-            wall = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1)
+            wall = _wall_measure(params.n, frame)
             moments = ([(1.0, 0.0)] * weight_count if sums is None else
                        _wall_moments(sums[(i, j)], samples))
         for w_values, w_errs, (mean, stderr) in zip(values, errs, moments):
@@ -782,7 +842,7 @@ def interface_areas(params: ClusterParams, graph: InterfaceGraph, backend: str =
 
     No volume sample is drawn.
     """
-    (areas, errs), = _pair_integrals(params, graph, [None], backend, samples, seed)
+    ((areas, errs),), _ = _pair_integrals(params, graph, [None], backend, samples, seed)
     return _symmetric(params.q, areas), _symmetric(params.q, errs)
 
 
@@ -797,8 +857,9 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
     Monte Carlo the weights may run on worker threads, so they must be pure.
     """
     q = params.q
+    integrals, _ = _pair_integrals(params, graph, weights, backend, samples, seed)
     return [WeightedLaplacian(pair_weight_matrix(q, values), _symmetric(q, errs))
-            for values, errs in _pair_integrals(params, graph, weights, backend, samples, seed)]
+            for values, errs in integrals]
 
 
 def weighted_laplacian(params: ClusterParams, graph: InterfaceGraph, weight,

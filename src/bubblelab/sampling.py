@@ -7,10 +7,10 @@ Gaussian row divided by its norm, the square root of a left fold of its
 squared coordinates. draw_unit_chunk draws a chunk of directions afresh, and
 unit_chunk memoizes its draws per address for the seed drawn last, which makes
 repeated common-random-number evaluations at one seed (volume Newton, finite
-differences, one wall sample passed to several operators) reuse identical
-directions at no generation cost. A pass that reads each chunk once, such as
-measure.measure_mc_many over the points of a deformation path, draws afresh
-and adds nothing to the memo. A draw at any other seed, fresh or memoized,
+differences, the one wall stream that measure_mc and the operators place
+every wall from) reuse identical directions at no generation cost. A pass
+that reads each chunk once, such as measure.measure_mc_many over the points
+of a deformation path, draws afresh and adds nothing to the memo. A draw at any other seed, fresh or memoized,
 empties the memo, and within one seed an entry is admitted only while the
 memo stays within UNIT_CACHE_BUDGET floats. An entry holds exactly the rows
 drawn for it; a longer request at the same address redraws and replaces it,

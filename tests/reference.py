@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bubblelab import sampling
+from bubblelab import measure, sampling
 from bubblelab.cluster import (DEFAULT_TIE_TOL, ClusterParams, InterfaceGraph, cell_values,
                                complete_graph, validate_spherical, wall_interior)
 from bubblelab.deform import gram_path
@@ -21,7 +21,7 @@ from bubblelab.measure import ArcVolumes
 from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
                                blowup_at, plateau_at)
 from bubblelab.quantum_graph import NORM_S2, SpectrumError, dependent_trace, kernel_tolerance
-from bubblelab.simplex import sum_zero_basis
+from bubblelab.simplex import sphere_surface_measure, sum_zero_basis
 from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER, _volume_jacobian,
                                 standard_of_curvature)
 
@@ -168,6 +168,36 @@ def subsphere_points(seed: int, label: int, chunk: int, count: int,
     """sampling.subsphere_chunk drawn afresh, by the broadcast formula."""
     w = unit_directions(seed, label, chunk, count, frame.shape[1])
     return center[None, :] + radius * (w @ frame.T)
+
+
+def perimeter_totals(params: ClusterParams, graph: InterfaceGraph, samples: int,
+                     seed: int) -> np.ndarray:
+    """The per-direction totals T(k) = sum over the pairs of graph of
+    |wall_ij| / |S^n| * hit_ij(k), one for each of the samples wall directions.
+
+    Every direction is drawn afresh at (seed, measure._WALL_STREAM, chunk),
+    placed on each wall by the broadcast formula and classified by the
+    delete-min interior test (strict, with no tie tolerance); a wall that
+    misses S^n adds nothing. The mean of T is the Monte Carlo perimeter.
+    """
+    norm = sphere_surface_measure(params.n)
+    totals = np.zeros(samples)
+    for i, j in graph.pairs():
+        frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+        if frame is None:
+            continue
+        share = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1) / norm
+        start = 0
+        for chunk, count in sampling.chunk_layout(samples):
+            pts = subsphere_points(seed, measure._WALL_STREAM, chunk, count, *frame)
+            values = params.affine_values(pts)
+            lead = np.minimum(values[:, i], values[:, j])
+            others = np.delete(values, [i, j], axis=1)
+            hits = (others.min(axis=1) > lead if others.size
+                    else np.ones(count, dtype=bool))
+            totals[start:start + count] += share * hits
+            start += count
+    return totals
 
 
 def sampled_interfaces(params: ClusterParams, samples_per_pair: int,

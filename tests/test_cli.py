@@ -9,6 +9,7 @@ import pytest
 from bubblelab import cli, detect_interfaces, gram_invariance_check, standard
 from bubblelab.cli import EXIT_ERROR, main
 from bubblelab.cluster import load_cluster, recentered, save_cluster
+from bubblelab.measure import measure_cluster
 from bubblelab.quantum_graph import POLE_GUARD
 
 
@@ -76,6 +77,18 @@ class TestMeasureCommand:
         assert payload["backend_used"] == {"kind": "monte_carlo", "seed": 5,
                                            "samples": 30000}
         assert "tol" not in payload
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_reports_the_perimeter_stderr(self, cluster_file, tmp_path, backend):
+        out = tmp_path / "measure.json"
+        assert run_cli("measure", str(cluster_file), "--backend", backend,
+                       "--samples", "30000", "--seed", "5", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        params = load_cluster(cluster_file)
+        report = measure_cluster(params, detect_interfaces(params), backend, 30000, 5)
+        assert payload["total_perimeter"] == report.total_perimeter
+        assert payload["perimeter_stderr"] == report.perimeter_stderr
+        assert (payload["perimeter_stderr"] > 0.0) == (backend == "mc")
 
 
 def gram_report(tmp_path, gallery_name, *argv):

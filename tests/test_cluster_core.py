@@ -317,7 +317,7 @@ def reference_chunk_sums(params, i, j, samples, seed, weight=None):
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
     out = []
     for chunk, count in sampling.chunk_layout(samples):
-        pts = sampling.subsphere_chunk(seed, i * params.q + j + 1, chunk, count, *frame)
+        pts = sampling.subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
         inside = reference_interior(params, i, j, pts)
         contrib = inside.astype(float) if weight is None else inside * weight(pts)
         out.append((contrib.sum(), (contrib ** 2).sum()))
@@ -416,7 +416,7 @@ class TestCellMajorKernels:
         norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            label = i * params.q + j + 1
+            label = measure._WALL_STREAM
             chunk_sums = [measure._wall_chunk_sums(
                 params, i, j, frame, sampling.unit_chunk(seed, label, chunk, count, params.n),
                 [weight]) for chunk, count in sampling.chunk_layout(samples)]
@@ -424,7 +424,7 @@ class TestCellMajorKernels:
                 params, i, j, samples, seed, weight)
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
             assert measure._wall_moments(chunk_sums, samples) == [(mean, stderr)]
-            (values, errs), = measure._pair_integrals(
+            ((values, errs),), _ = measure._pair_integrals(
                 params, InterfaceGraph(params.q, one_pair), [weight], "mc", samples, seed)
             assert values == {(i, j): mean * wall / norm}
             assert errs == {(i, j): stderr * wall / norm}

@@ -201,9 +201,10 @@ class TestMeasurePath:
         assert rep.first_new_interface_t == pytest.approx(0.3)
         union = sorted({pair for graph in graphs for pair in graph.pairs()})
         assert {(0, 3), (1, 3)} <= set(union) - set(sectored_cap_graph.pairs())
-        # every (label, chunk) is drawn once, and no draw is left in the memo
-        q, layout = sectored_cap_cluster.q, sampling.chunk_layout(samples)
-        labels = [measure._VOLUME_STREAM] + [i * q + j + 1 for i, j in union]
+        # every (label, chunk) is drawn once, and no draw is left in the memo: one
+        # volume stream and one wall stream for every pair of every time
+        layout = sampling.chunk_layout(samples)
+        labels = [measure._VOLUME_STREAM, measure._WALL_STREAM]
         assert sorted(draws) == sorted((label, chunk) for label in labels
                                        for chunk, _ in layout)
         assert not any(key[0] == seed for key in sample_memo)

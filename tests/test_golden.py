@@ -12,7 +12,11 @@ spectrum cases, at commit a9af9b2 for measure_exact_s2 and on the code of
 commit 25a1940 for standard_of_volume_exact and build_graph, before the vertices
 came from arc-end labels (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31,
 x86-64); near_kernel_and_solve was re-recorded when the condensed solve took
-its per-arc closed forms from ToeplitzArcs, which moved its last bits. The bits depend on the numpy build and its BLAS,
+its per-arc closed forms from ToeplitzArcs, which moved its last bits, and
+measure_mc, normal_moment_operator and conformal_to_volume_pcf when every
+wall came to be placed from one stream of directions (measure._WALL_STREAM)
+instead of one stream per pair, which moved every wall sample; the volume
+cases kept their bits. The bits depend on the numpy build and its BLAS,
 so the cases skip under any other numpy version. A change that means to move
 these bits must re-record them with the same command and say why.
 """
@@ -36,9 +40,9 @@ NUMPY_VERSION = "2.4.6"
 # 300k and 700k samples end in a short chunk (2^18 points per chunk)
 GOLDEN = {
     "cell_volumes_mc": "3fc904543a323e398b8a",
-    "measure_mc": "68c3df96d9c71cf6e8ba",
-    "normal_moment_operator": "97ce0f022b5a1d399f7d",
-    "conformal_to_volume_pcf": "7f592cf1e2cd7d00dcc1",
+    "measure_mc": "8ffac36aad14c220ae45",
+    "normal_moment_operator": "e3a3a44fe195b3b46ed8",
+    "conformal_to_volume_pcf": "070ecd6c3944add72d07",
     "standard_of_volume": "28bf625818e90a9de4cb",
     "model_profile": "00f6caf72f015f21db8a",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",

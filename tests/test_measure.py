@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (build_graph, conformal_step, detect_interfaces, equal_volume_standard,
-                       measure_exact_s2, measure_mc, perpendicular_pole, recentered,
+                       gram_path, measure_exact_s2, measure_mc, perpendicular_pole, recentered,
                        standard_of_curvature, standard_of_volume, weighted_laplacian,
                        weighted_laplacians)
 from bubblelab import gallery, measure, sampling, standard
@@ -19,7 +19,7 @@ from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
 from bubblelab.standard import MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import restrict
-from reference import random_orthogonal, rotated, unit_directions
+from reference import perimeter_totals, random_orthogonal, rotated, unit_directions
 
 
 class TestMeasureMC:
@@ -58,6 +58,76 @@ class TestMeasureMC:
     def test_rejects_nonpositive_samples(self, hemispheres):
         with pytest.raises(ValueError):
             measure_mc(hemispheres, complete_graph(2), samples=0)
+
+
+def fresh_shape_kappa(q: int) -> np.ndarray:
+    """Sum-zero curvatures of norm 0.4, the size the mc_fresh benchmark draws."""
+    v = np.array([0.5, -0.2, 0.1, 0.3, -0.7, 0.4])[:q]
+    v = v - v.mean()
+    return 0.4 * v / np.linalg.norm(v)
+
+
+class TestPerimeterStderr:
+    """Every wall is placed from one stream of directions, so the pair areas'
+    errors are correlated, and perimeter_stderr is the error of the
+    per-direction total T(k) = sum_ij |wall_ij| / |S^n| * hit_ij(k)."""
+
+    @pytest.mark.parametrize("n, q", [(2, 4), (3, 5)])
+    def test_is_the_spread_of_per_direction_totals(self, n, q):
+        params = standard_of_curvature(n, q, fresh_shape_kappa(q))
+        graph = detect_interfaces(params)
+        samples, seed = sampling.CHUNK + 5000, 21
+        rep = measure_mc(params, graph, samples, seed)
+        totals = perimeter_totals(params, graph, samples, seed)
+        assert len(graph.pairs()) >= q
+        assert rep.perimeter_stderr == pytest.approx(totals.std() / math.sqrt(samples),
+                                                     rel=1e-12, abs=0.0)
+        assert rep.total_perimeter == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
+
+    def test_gram_path_point(self, sectored_cap_cluster, sectored_cap_graph):
+        # at t = 0.3 the pairs (0, 3) and (1, 3) have appeared
+        moved = gram_path(sectored_cap_cluster, 0.3)
+        clusters = [(sectored_cap_cluster, sectored_cap_graph), (moved, detect_interfaces(moved))]
+        samples, seed = sampling.CHUNK + 5000, 22
+        for (params, graph), rep in zip(clusters,
+                                        measure.measure_mc_many(clusters, samples, seed)):
+            totals = perimeter_totals(params, graph, samples, seed)
+            assert rep.perimeter_stderr == pytest.approx(totals.std() / math.sqrt(samples),
+                                                         rel=1e-12, abs=0.0)
+
+    def test_spread_over_seeds_matches_the_reported_error(self):
+        params = standard_of_curvature(3, 5, fresh_shape_kappa(5))
+        graph = detect_interfaces(params)
+        reports = [measure_mc(params, graph, 20_000, seed) for seed in range(300)]
+        spread = np.std([rep.total_perimeter for rep in reports], ddof=1)
+        reported = np.mean([rep.perimeter_stderr for rep in reports])
+        assert abs(spread / reported - 1.0) <= 0.15
+        # the quadrature of the pair errors, which treats them as independent,
+        # overstates the spread
+        quadrature = np.mean([math.sqrt(np.sum(np.triu(rep.area_stderr, 1) ** 2))
+                              for rep in reports])
+        assert quadrature > 1.15 * spread
+
+    def test_zero_where_nothing_is_sampled(self, skew_bubble_s2, skew_bubble_graph,
+                                           hemispheres, monkeypatch):
+        assert measure_exact_s2(skew_bubble_s2, skew_bubble_graph).perimeter_stderr == 0.0
+        draws = []
+        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *args: draws.append(args))
+        monkeypatch.setattr(measure, "cell_volumes_mc", lambda *args: (np.zeros(2),) * 2)
+        rep = measure_mc(hemispheres, complete_graph(2), 10_000, 3)
+        assert rep.perimeter_stderr == 0.0 and draws == []
+
+    def test_does_not_depend_on_the_runner(self, monkeypatch, sample_memo):
+        params = standard_of_curvature(3, 4, fresh_shape_kappa(4))
+        graph = detect_interfaces(params)
+        got = set()
+        serial = lambda tasks: [task() for task in tasks]  # noqa: E731
+        last_first = lambda tasks: [task() for task in tasks[::-1]][::-1]  # noqa: E731
+        for runner in (sampling.run_tasks, serial, last_first):
+            monkeypatch.setattr(sampling, "run_tasks", runner)
+            sample_memo.clear()
+            got.add(measure_mc(params, graph, 2 * sampling.CHUNK + 5, 7).perimeter_stderr)
+        assert len(got) == 1
 
 
 class TestMeasureExactS2:

@@ -12,7 +12,7 @@ from bubblelab import (check_product_identity,
                        normal_moment_operator, pcf_detect, perpendicular_pole,
                        quasi_center_operator, standard_of_curvature,
                        trace_identity_residual)
-from bubblelab import gallery, operators, sampling
+from bubblelab import gallery, measure, operators, sampling
 from bubblelab.measure import measure_mc as _measure_mc
 from bubblelab.operators import SimplexOperator, trace_identity_allowance
 from bubblelab.simplex import restrict, sum_zero_projector
@@ -80,8 +80,8 @@ class TestNormalMomentOperator:
             assert np.array_equal(n_op.entry_stderr, ones.entry_stderr), backend
 
     def test_one_wall_pass_per_pair(self, monkeypatch, sample_memo):
-        # area and n+1 moments are reduced over one draw of each wall chunk;
-        # with nothing memoized, every request for directions is a draw
+        # area and n+1 moments of every pair are reduced over one draw of each
+        # wall chunk; with nothing memoized, every request for directions is a draw
         params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
         graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
@@ -90,14 +90,16 @@ class TestNormalMomentOperator:
         draw = sampling.draw_unit_chunk
 
         def counted(*args):
-            calls.append(args[1:3])  # (pair label, chunk index)
+            calls.append(args[1:3])  # (stream label, chunk index)
             return draw(*args)
 
         monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 0)
         monkeypatch.setattr(sampling, "draw_unit_chunk", counted)
         normal_moment_operator(params, graph, backend="mc", samples=samples, seed=5)
-        assert len(calls) == len(sampling.chunk_layout(samples)) * len(graph.pairs())
+        # each wall chunk is drawn once per call, whatever the pair count
+        assert len(calls) == len(sampling.chunk_layout(samples))
         assert len(set(calls)) == len(calls)
+        assert {label for label, _ in calls} == {measure._WALL_STREAM}
 
 
 class TestConformalToVolume:
