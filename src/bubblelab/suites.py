@@ -287,7 +287,7 @@ def suite_conformal_limit(seed: int = 5, samples: int = 6_000_000) -> SuiteRepor
     f0 = conformal_to_volume_relaxed(bands, graph, pole, backend="mc",
                                      samples=samples, seed=seed)
     ts = (0.2, 0.1, 0.05)
-    norms = []
+    norms, errs = [], []
     err_sq = float(np.max(f0.entry_stderr)) ** 2
     for t in ts:
         stepped = conformal_step(bands, pole, t)
@@ -298,9 +298,16 @@ def suite_conformal_limit(seed: int = 5, samples: int = 6_000_000) -> SuiteRepor
         norms.append(float(np.max(np.abs(f_t.matrix - f0.matrix))))
         err_sq = max(err_sq, float(np.max(f0.entry_stderr)) ** 2
                      + float(np.max(f_t.entry_stderr)) ** 2)
-    rep.check_flag("norm_decreases_monotonically",
-                   norms[0] > norms[1] > norms[2],
-                   f"|F_t - F0| = {[round(v, 6) for v in norms]}")
+        errs.append(math.hypot(float(np.max(f0.entry_stderr)),
+                               float(np.max(f_t.entry_stderr))))
+    # the noise of F_t grows like coth t, so each rise of |F_t - F0| is weighed
+    # against the errors of both its norms; a fall is never a failure
+    rise_pull = max(max((later - earlier) / math.hypot(err_earlier, err_later), 0.0)
+                    for earlier, later, err_earlier, err_later
+                    in zip(norms, norms[1:], errs, errs[1:]))
+    rep.check_mc("norm_decreases_monotonically", rise_pull, 1.0,
+                 f"|F_t - F0| = {[round(v, 6) for v in norms]}, sigma "
+                 f"{[round(v, 6) for v in errs]}; worst rise in units of 1 sigma")
     slope, intercept = np.polyfit(ts, norms, 1)
     # intercept weights for this design are (-0.5, 0.5, 1.0): norm ~ 1.2247
     sigma_intercept = math.sqrt(err_sq) * 1.2247
