@@ -118,7 +118,7 @@ _VOLUME_STREAM = 0x5E11
 # Every wall of every cluster in one call is placed from the directions of
 # this one stream: the walls on S^n are all (n-1)-spheres, so one unit
 # direction in R^n gives a point on each.
-_WALL_STREAM = 0xA14
+_WALL_STREAM = 0xA11
 
 
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +298,9 @@ def _wall_scratch(count: int, dim: int, evaluated: int) -> tuple[np.ndarray, ...
 
 
 def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: np.ndarray,
-                     weights, scratch=None) -> list[tuple[float, float]]:
-    """Per weight, (sum, sum of squares) over one chunk of the (i, j) wall sphere.
+                     weights, scratch) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """(Per weight, (sum, sum of squares) over one chunk of the (i, j) wall
+    sphere; the chunk's mask of Sigma_ij).
 
     frame is the wall's subsphere_frame and directions the chunk's unit
     directions in its tangent frame. One sampling.row_blocks block at a time,
@@ -310,9 +311,9 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: n
     no chunk-sized point array is built. Each weight's values are multiplied
     by the mask of Sigma_ij in place and summed, then squared in place and
     summed; a weight None integrates the constant 1, so both of its sums are
-    the hits. scratch is a _wall_scratch for len(directions) points, made here
-    when None; a pass over the walls of one chunk hands each wall the same
-    one, and reads the wall's mask from it after the call.
+    the hits. scratch is a _wall_scratch for len(directions) points; a pass
+    over the walls of one chunk hands each wall the same one, so the mask
+    returned is the scratch's, valid until its next call.
     """
     center, radius, tangent = frame
     count = len(directions)
@@ -320,8 +321,6 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: n
     # pts @ xi, depend on the memory layout
     basis = np.ascontiguousarray(tangent.T)
     evaluated = [weight for weight in weights if weight is not None]
-    if scratch is None:
-        scratch = _wall_scratch(count, basis.shape[1], len(evaluated))
     buffer, values, inside = scratch
     for rows in sampling.row_blocks(count):
         pts = buffer[: rows.stop - rows.start]
@@ -343,7 +342,7 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: n
             contrib = next(weight_values)
             np.multiply(contrib, inside, out=contrib)
             sums.append((contrib.sum(), np.multiply(contrib, contrib, out=contrib).sum()))
-    return sums
+    return sums, inside
 
 
 def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
@@ -360,23 +359,25 @@ def _wall_measure(n: int, frame) -> float:
 
 
 def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, samples: int,
-               seed: int, draw) -> list[tuple[list[tuple[dict, dict]], float]]:
+               seed: int, draw, perimeter: bool) -> list[tuple[list[tuple[dict, dict]],
+                                                             float | None]]:
     """Per (params, graph), (_wall_integrals of its walls, the standard error of
-    its perimeter), from one pass over the chunks of wall directions.
+    its perimeter if `perimeter` is set, else None), from one pass over the
+    chunks of wall directions.
 
     The clusters share n. Each chunk of unit directions in R^n is drawn once,
     by draw(seed, _WALL_STREAM, chunk, count, n), in a task of
     sampling.run_tasks, which runs _wall_chunk_sums on it for the wall of
     every pair of every graph, with one scratch reused across them: each
     direction gives one point on every wall. A wall that misses S^n has no
-    frame and integrates to zero. The task also sums, per cluster, the
-    per-direction total T(k) = sum over its walls of |wall_ij| / |S^n| *
-    hit_ij(k), and T(k)^2, over the chunk; the chunk sums reduce pairwise in
-    layout order, like a weight's, and the perimeter's standard error is
-    sqrt(var(T) / samples). With two cells and no weight but None every
-    direction is a hit on the one wall: that cluster's walls are not sampled,
-    each mean is exactly 1 and both errors are 0. With no wall to sample
-    nothing is drawn.
+    frame and integrates to zero. With `perimeter` set the task also sums,
+    per cluster, the per-direction total T(k) = sum over its walls of
+    |wall_ij| / |S^n| * hit_ij(k), and T(k)^2, over the chunk; the chunk sums
+    reduce pairwise in layout order, like a weight's, and the perimeter's
+    standard error is sqrt(var(T) / samples). With two cells and no weight
+    but None every direction is a hit on the one wall: that cluster's walls
+    are not sampled, each mean is exactly 1 and both errors are 0. With no
+    wall to sample nothing is drawn.
     """
     n = clusters[0][0].n
     norm = sphere_surface_measure(n)
@@ -389,20 +390,26 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
                 for i, j, frame in cluster_walls if frame is not None]
                for (params, _), cluster_walls in zip(clusters, walls)]
 
-    def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float]]]:
+    def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float] | None]]:
         directions = draw(seed, _WALL_STREAM, chunk, count, n)
         scratch = _wall_scratch(count, n + 1, evaluated)
-        inside, total, term = scratch[2], np.empty(count), np.empty(count)
+        if perimeter:
+            total, term = np.empty(count), np.empty(count)
         out = []
         for (params, _), cluster_walls in zip(clusters, sampled):
-            total.fill(0.0)
-            chunk_sums = []
+            chunk_sums, moments = [], None
+            if perimeter:
+                total.fill(0.0)
             for i, j, frame, share in cluster_walls:
-                chunk_sums.append(_wall_chunk_sums(params, i, j, frame, directions, weights,
-                                                   scratch))
-                # a masked add (where=inside) takes about five times as long
-                total += np.multiply(inside, share, out=term)
-            out.append((chunk_sums, (total.sum(), np.multiply(total, total, out=total).sum())))
+                sums, inside = _wall_chunk_sums(params, i, j, frame, directions, weights,
+                                                scratch)
+                chunk_sums.append(sums)
+                if perimeter:
+                    # a masked add (where=inside) takes about five times as long
+                    total += np.multiply(inside, share, out=term)
+            if perimeter:
+                moments = (total.sum(), np.multiply(total, total, out=total).sum())
+            out.append((chunk_sums, moments))
         return out
 
     layout = sampling.chunk_layout(samples)
@@ -410,12 +417,15 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
                                if any(sampled) else [])
     out = []
     for k, ((params, _), cluster_walls) in enumerate(zip(clusters, walls)):
+        perimeter_err = 0.0 if perimeter else None
         if not sampled[k]:  # every sample is a hit, or no wall has a frame to read sums for
-            sums, perimeter_err = None, 0.0
+            sums = None
         else:
             sums = {(i, j): [chunk[k][0][m] for chunk in drawn]
                     for m, (i, j, _, _) in enumerate(sampled[k])}
-            (_, perimeter_err), = _wall_moments([[chunk[k][1]] for chunk in drawn], samples)
+            if perimeter:
+                (_, perimeter_err), = _wall_moments([[chunk[k][1]] for chunk in drawn],
+                                                    samples)
         out.append((_wall_integrals(params, cluster_walls, len(weights), samples, sums),
                     perimeter_err))
     return out
@@ -429,7 +439,7 @@ def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_00
     the joint one of their shared directions (see MeasureReport)."""
     volumes, vol_err = cell_volumes_mc(params, samples, seed)
     ((areas, area_err),), perimeter_err = _pair_integrals(params, graph, [None], "mc",
-                                                          samples, seed)
+                                                          samples, seed, perimeter=True)
     return MeasureReport(volumes, _symmetric(params.q, areas), vol_err,
                          _symmetric(params.q, area_err), perimeter_err,
                          {"kind": "monte_carlo", "seed": seed, "samples": samples})
@@ -461,7 +471,8 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
 
     counts = sampling.run_tasks([partial(volume_task, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
-    walls = _wall_pass(clusters, [None], samples, seed, sampling.draw_unit_chunk)
+    walls = _wall_pass(clusters, [None], samples, seed, sampling.draw_unit_chunk,
+                       perimeter=True)
     reports = []
     for k, (((areas, errs),), perimeter_err) in enumerate(walls):
         volumes, vol_err = _volume_fractions([c[k] for c in counts], samples)
@@ -769,9 +780,10 @@ def _arc_integrals(arc: Arc, weights) -> list[float]:
 
 
 def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backend: str,
-                    samples: int, seed: int) -> tuple[list[tuple[dict, dict]], float]:
+                    samples: int, seed: int, perimeter: bool = False
+                    ) -> tuple[list[tuple[dict, dict]], float | None]:
     """(per weight ({pair: normalized integral over Sigma_ij}, {pair: stderr}),
-    standard error of the perimeter).
+    standard error of the perimeter if `perimeter` is set, else None).
 
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
@@ -784,13 +796,15 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     each weight's mean over a wall is a pairwise sum of its chunk sums in
     layout order, and its stderr the binomial one of those samples. The walls
     share their directions, so the perimeter's error is the joint one of
-    MeasureReport.perimeter_stderr, not the quadrature of the pair errors.
+    MeasureReport.perimeter_stderr, not the quadrature of the pair errors;
+    only a caller that sets `perimeter` pays for it.
     """
     if resolve_backend(backend, params.n) == "exact":
-        return ArcVolumes(graph).pair_integrals(params, weights), 0.0
+        return ArcVolumes(graph).pair_integrals(params, weights), 0.0 if perimeter else None
     if samples <= 0:
         raise ValueError("samples must be positive")
-    return _wall_pass([(params, graph)], weights, samples, seed, sampling.unit_chunk)[0]
+    return _wall_pass([(params, graph)], weights, samples, seed, sampling.unit_chunk,
+                      perimeter)[0]
 
 
 def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int,

@@ -10,9 +10,9 @@ repeated common-random-number evaluations at one seed (volume Newton, finite
 differences, the one wall stream that measure_mc and the operators place
 every wall from) reuse identical directions at no generation cost. A pass
 that reads each chunk once, such as measure.measure_mc_many over the points
-of a deformation path, draws afresh and adds nothing to the memo. A draw at any other seed, fresh or memoized,
-empties the memo, and within one seed an entry is admitted only while the
-memo stays within UNIT_CACHE_BUDGET floats. An entry holds exactly the rows
+of a deformation path, draws afresh and adds nothing to the memo. A draw at
+any other seed, fresh or memoized, empties the memo, and within one seed an
+entry is admitted only while the memo stays within UNIT_CACHE_BUDGET floats. An entry holds exactly the rows
 drawn for it; a longer request at the same address redraws and replaces it,
 and a shorter one is served from its prefix, which a shorter draw would
 equal. Returned arrays are read-only, so no caller can change what later

@@ -419,7 +419,8 @@ class TestCellMajorKernels:
             label = measure._WALL_STREAM
             chunk_sums = [measure._wall_chunk_sums(
                 params, i, j, frame, sampling.unit_chunk(seed, label, chunk, count, params.n),
-                [weight]) for chunk, count in sampling.chunk_layout(samples)]
+                [weight], measure._wall_scratch(count, params.n + 1, int(weight is not None)))[0]
+                for chunk, count in sampling.chunk_layout(samples)]
             assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)

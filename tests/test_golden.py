@@ -40,9 +40,9 @@ NUMPY_VERSION = "2.4.6"
 # 300k and 700k samples end in a short chunk (2^18 points per chunk)
 GOLDEN = {
     "cell_volumes_mc": "3fc904543a323e398b8a",
-    "measure_mc": "8ffac36aad14c220ae45",
-    "normal_moment_operator": "e3a3a44fe195b3b46ed8",
-    "conformal_to_volume_pcf": "070ecd6c3944add72d07",
+    "measure_mc": "33ea950b89aae0f65b8b",
+    "normal_moment_operator": "96efa223e61fa135e17d",
+    "conformal_to_volume_pcf": "4e0983f5c7b5464b4eef",
     "standard_of_volume": "28bf625818e90a9de4cb",
     "model_profile": "00f6caf72f015f21db8a",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",

@@ -134,8 +134,10 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
             continue
         directions = sampling.draw_unit_chunk(11, i * params.q + j + 1, 0, rows, n)
         args = (params, i, j, frame, directions, weights)
-        got = measure._wall_chunk_sums(*args)
+        got, inside = measure._wall_chunk_sums(*args, measure._wall_scratch(rows, n + 1, 3))
         assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
+        pts = whole_subsphere_points(directions, *frame)
+        assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
 
 
 def reversed_runner(tasks):
