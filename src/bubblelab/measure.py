@@ -17,7 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, cell_values, classify_many, wall_mask
+from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_mask
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -289,11 +289,16 @@ class VolumeTracker:
         return counts, None
 
 
-def _wall_scratch(count: int, dim: int, evaluated: int) -> tuple[np.ndarray, ...]:
-    """Scratch of _wall_chunk_sums for a chunk of count points in R^dim and
-    `evaluated` weights other than None: (placement buffer, (weights, count)
-    values, mask)."""
-    return (np.empty((sampling.BLOCK + 1, dim)), np.empty((evaluated, count)),
+def _wall_scratch(count: int, n: int, q: int, evaluated: int) -> tuple[np.ndarray, ...]:
+    """Scratch of _wall_chunk_sums for a chunk of count directions in R^n, walls
+    of clusters of at most q cells and `evaluated` weights other than None:
+    (cell values of a block, gathered hit directions, placed points, the
+    (weights, count) values at the hits, mask). With no weight to evaluate no
+    point is gathered or placed, and those two buffers are empty."""
+    block = sampling.BLOCK
+    rows = 2 * block + 2 if evaluated else 0
+    return (np.empty((q, block + 1)), np.empty((rows, n)),
+            np.empty((min(rows, block + 1), n + 1)), np.empty((evaluated, count)),
             np.empty(count, dtype=bool))
 
 
@@ -302,45 +307,85 @@ def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: n
     """(Per weight, (sum, sum of squares) over one chunk of the (i, j) wall
     sphere; the chunk's mask of Sigma_ij).
 
-    frame is the wall's subsphere_frame and directions the chunk's unit
-    directions in its tangent frame. One sampling.row_blocks block at a time,
-    the block's points are placed in the scratch's buffer (as subsphere_chunk
-    places them), classified (wall_mask of their cell_values) into its mask
-    and handed, read-only, to every weight, whose values go into its
-    (weights, count) array; so a product in a weight stays on this thread, and
-    no chunk-sized point array is built. Each weight's values are multiplied
-    by the mask of Sigma_ij in place and summed, then squared in place and
-    summed; a weight None integrates the constant 1, so both of its sums are
-    the hits. scratch is a _wall_scratch for len(directions) points; a pass
-    over the walls of one chunk hands each wall the same one, so the mask
-    returned is the scratch's, valid until its next call.
+    frame = (center, r, T) is the wall's subsphere_frame and directions the
+    chunk's unit directions w in R^n; the wall point of w is center + r T w.
+    The cells' affine values there are (r C T) w + (C center + kappa), so one
+    q x n map and one offset, made once per wall, give them for a
+    sampling.row_blocks block of directions in one product into the
+    scratch's cell values, which wall_mask turns into the block's mask. No
+    point is placed to classify it. This mask equals wall_interior's on the
+    placed points (subsphere_chunk) bit for bit wherever no third cell is
+    within rounding of the pair, which a property test checks on random
+    clusters. The exception is a cluster with two identical cells: their
+    values tie exactly everywhere, so a wall one of them bounds has a mask
+    that follows rounding on both paths, and the two may differ.
+
+    Only the hits are placed and weighed. Each block's hit directions are
+    gathered, in chunk order, after those left over from earlier blocks;
+    whenever more than BLOCK + 1 wait, the first BLOCK are placed in the
+    scratch (as subsphere_chunk places them) and handed, read-only, to every
+    weight, whose values go into the next columns of its row of the
+    (weights, count) array. The rest are placed and weighed at the end. So a
+    product in a weight stays on this thread, no run has a single row unless
+    the chunk does (a single hit is weighed beside a copy of itself), and
+    BLOCK sets no bit. Each weight's values at the hits are summed in chunk
+    order, then squared in place and summed; a weight None integrates the
+    constant 1, so both of its sums are the hits. With no weight but None no
+    point is gathered at all.
+
+    scratch is a _wall_scratch for len(directions) directions and at least
+    params.q cells; a pass over the walls of one chunk hands each wall the
+    same one, so the mask returned is the scratch's, valid until its next call.
     """
     center, radius, tangent = frame
     count = len(directions)
+    cells, gathered, placed, values, inside = scratch
+    slope = radius * (params.quasi_centers @ tangent)
+    offset = (params.quasi_centers @ center + params.curvatures)[:, None]
+    evaluated = [weight for weight in weights if weight is not None]
     # kept C-ordered: the bits of products that weight callbacks take, such as
     # pts @ xi, depend on the memory layout
     basis = np.ascontiguousarray(tangent.T)
-    evaluated = [weight for weight in weights if weight is not None]
-    buffer, values, inside = scratch
-    for rows in sampling.row_blocks(count):
-        pts = buffer[: rows.stop - rows.start]
-        np.matmul(directions[rows], basis, out=pts)
+
+    def weigh(run: np.ndarray, start: int) -> None:
+        pts = placed[: len(run)]
+        np.matmul(run, basis, out=pts)
         pts *= radius
         pts += center
-        wall_mask(cell_values(params, pts), i, j, 0.0, inside[rows])
-        view = pts.view()
-        view.setflags(write=False)
+        pts.setflags(write=False)
         for row, weight in zip(values, evaluated):
-            row[rows] = weight(view)
-    hits = float(np.count_nonzero(inside))
+            row[start: start + len(run)] = weight(pts)
+
+    waiting = weighed = 0  # hits gathered and not yet weighed; hits weighed
+    for rows in sampling.row_blocks(count):
+        block = cells[: params.q, : rows.stop - rows.start]
+        np.matmul(slope, directions[rows].T, out=block)
+        block += offset
+        mask = inside[rows]
+        wall_mask(block, i, j, 0.0, mask)
+        if not evaluated:
+            continue
+        found = int(np.count_nonzero(mask))
+        np.compress(mask, directions[rows], axis=0, out=gathered[waiting: waiting + found])
+        waiting += found
+        while waiting > sampling.BLOCK + 1:
+            weigh(gathered[: sampling.BLOCK], weighed)
+            weighed += sampling.BLOCK
+            waiting -= sampling.BLOCK
+            gathered[:waiting] = gathered[sampling.BLOCK: sampling.BLOCK + waiting]
+    if waiting == 1 and count > 1:
+        gathered[1] = gathered[0]
+        weigh(gathered[:2], weighed)
+    elif waiting:
+        weigh(gathered[:waiting], weighed)
+    hits = int(np.count_nonzero(inside))
     weight_values = iter(values)
     sums = []
     for weight in weights:
         if weight is None:
-            sums.append((hits, hits))
+            sums.append((float(hits), float(hits)))
         else:
-            contrib = next(weight_values)
-            np.multiply(contrib, inside, out=contrib)
+            contrib = next(weight_values)[:hits]
             sums.append((contrib.sum(), np.multiply(contrib, contrib, out=contrib).sum()))
     return sums, inside
 
@@ -369,8 +414,9 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     by draw(seed, _WALL_STREAM, chunk, count, n), in a task of
     sampling.run_tasks, which runs _wall_chunk_sums on it for the wall of
     every pair of every graph, with one scratch reused across them: each
-    direction gives one point on every wall. A wall that misses S^n has no
-    frame and integrates to zero. With `perimeter` set the task also sums,
+    direction gives one point on every wall, classified in that wall's own
+    coordinates, and only the wall's hits are placed and weighed. A wall that
+    misses S^n has no frame and integrates to zero. With `perimeter` set the task also sums,
     per cluster, the per-direction total T(k) = sum over its walls of
     |wall_ij| / |S^n| * hit_ij(k), and T(k)^2, over the chunk; the chunk sums
     reduce pairwise in layout order, like a weight's, and the perimeter's
@@ -392,7 +438,7 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
 
     def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float] | None]]:
         directions = draw(seed, _WALL_STREAM, chunk, count, n)
-        scratch = _wall_scratch(count, n + 1, evaluated)
+        scratch = _wall_scratch(count, n, max(params.q for params, _ in clusters), evaluated)
         if perimeter:
             total, term = np.empty(count), np.empty(count)
         out = []
@@ -790,11 +836,13 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
     is left out, and the perimeter's error is 0), or each chunk of wall
     directions is taken once from the sample memo (sampling.unit_chunk, so
-    calls at one seed share their draws) and every wall is placed,
-    classified and weighed on it (_wall_pass). On Monte Carlo the chunk tasks
-    run through sampling.run_tasks, so the weights may run on worker threads;
-    each weight's mean over a wall is a pairwise sum of its chunk sums in
-    layout order, and its stderr the binomial one of those samples. The walls
+    calls at one seed share their draws) and every wall is classified on it
+    in its own coordinates, with only its hits placed and weighed
+    (_wall_pass). On Monte Carlo the chunk tasks run through
+    sampling.run_tasks, so the weights may run on worker threads; a weight's
+    chunk sum runs over the wall's hits in chunk order, its mean over a wall
+    is a pairwise sum of those chunk sums in layout order, and its stderr the
+    binomial one of those samples. The walls
     share their directions, so the perimeter's error is the joint one of
     MeasureReport.perimeter_stderr, not the quadrature of the pair errors;
     only a caller that sets `perimeter` pays for it.
@@ -868,7 +916,9 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
     All weights are integrated in one pass over the same points (see
     _pair_integrals); "auto" picks exact on S^2 and Monte Carlo otherwise.
     Each result equals the single-weight weighted_laplacian bit for bit. On
-    Monte Carlo the weights may run on worker threads, so they must be pure.
+    Monte Carlo a weight sees only the wall points that lie on the interface,
+    in read-only runs of up to sampling.BLOCK + 1 rows, and may run on a
+    worker thread, so it must be pure and act on each row alone.
     """
     q = params.q
     integrals, _ = _pair_integrals(params, graph, weights, backend, samples, seed)

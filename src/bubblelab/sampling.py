@@ -5,18 +5,19 @@ Philox keys, so any chunk can be regenerated in isolation: results depend only
 on (seed, sample count), never on how the work is split. A unit direction is a
 Gaussian row divided by its norm, the square root of a left fold of its
 squared coordinates. draw_unit_chunk draws a chunk of directions afresh, and
-unit_chunk memoizes its draws per address for the seed drawn last, which makes
-repeated common-random-number evaluations at one seed (volume Newton, finite
-differences, the one wall stream that measure_mc and the operators place
-every wall from) reuse identical directions at no generation cost. A pass
-that reads each chunk once, such as measure.measure_mc_many over the points
-of a deformation path, draws afresh and adds nothing to the memo. A draw at
-any other seed, fresh or memoized, empties the memo, and within one seed an
-entry is admitted only while the memo stays within UNIT_CACHE_BUDGET floats. An entry holds exactly the rows
-drawn for it; a longer request at the same address redraws and replaces it,
-and a shorter one is served from its prefix, which a shorter draw would
-equal. Returned arrays are read-only, so no caller can change what later
-callers at the same address receive.
+unit_chunk memoizes its draws per address for the seed drawn last, which
+makes repeated common-random-number evaluations at one seed (volume Newton,
+finite differences, the one wall stream that measure_mc and the operators
+place every wall from) reuse identical directions at no generation cost. A
+pass that reads each chunk once, such as measure.measure_mc_many over the
+points of a deformation path, draws afresh and adds nothing to the memo. A
+draw at any other seed, fresh or memoized, empties the memo, and within one
+seed an entry is admitted only while the memo stays within
+UNIT_CACHE_BUDGET floats. An entry holds exactly the rows drawn for it; a
+longer request at the same address redraws and replaces it, and a shorter
+one is served from its prefix, which a shorter draw would equal. Returned
+arrays are read-only, so no caller can change what later callers at the
+same address receive.
 
 Chunks run at the same time: run_tasks spreads independent chunk tasks over
 every usable core, and each chunk's per-point passes run in blocks of BLOCK

@@ -200,6 +200,23 @@ def perimeter_totals(params: ClusterParams, graph: InterfaceGraph, samples: int,
     return totals
 
 
+def masked_wall_sums(pts: np.ndarray, inside: np.ndarray,
+                     weights) -> list[tuple[float, float, float]]:
+    """Per weight, (sum, sum of squares, sum of absolute values) of the weight
+    times the wall mask over every point, misses included.
+
+    The wall kernel's sums as they were formed before it summed over the hits
+    alone: the same terms with zeros among them, so the two agree to rounding,
+    measured against the sum of absolute values (a weight's sum may cancel).
+    None integrates the constant 1.
+    """
+    sums = []
+    for weight in weights:
+        contrib = inside * (np.ones(len(pts)) if weight is None else weight(pts))
+        sums.append((contrib.sum(), (contrib ** 2).sum(), np.abs(contrib).sum()))
+    return sums
+
+
 def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
                        rng_seed: int) -> dict[tuple[int, int], np.ndarray]:
     """Interfaces found by sampling each wall sphere, with a witness for each.

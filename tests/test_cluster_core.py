@@ -17,7 +17,7 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                complete_graph, spherical_residuals, tie_subsphere,
                                trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
-from reference import random_orthogonal, sampled_interfaces, unit_directions
+from reference import masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions
 
 
 def hemisphere_params():
@@ -311,17 +311,37 @@ def reference_interior(params, i, j, pts, tie_tol=0.0):
     return others.min(axis=1) > lead + tie_tol
 
 
-def reference_chunk_sums(params, i, j, samples, seed, weight=None):
-    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight times
-    the reference interior mask."""
+def reference_wall_chunks(params, i, j, samples, seed):
+    """(placed points, reference interior mask) of each chunk of the (i, j) wall."""
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
-    out = []
     for chunk, count in sampling.chunk_layout(samples):
         pts = sampling.subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
-        inside = reference_interior(params, i, j, pts)
-        contrib = inside.astype(float) if weight is None else inside * weight(pts)
+        yield pts, reference_interior(params, i, j, pts)
+
+
+def reference_chunk_sums(params, i, j, samples, seed, weight=None):
+    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight over
+    the hit rows of the reference interior mask, in chunk order."""
+    out = []
+    for pts, inside in reference_wall_chunks(params, i, j, samples, seed):
+        contrib = (np.ones(np.count_nonzero(inside)) if weight is None
+                   else np.compress(inside, weight(pts)))
         out.append((contrib.sum(), (contrib ** 2).sum()))
     return out
+
+
+def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
+    """The wall kernel's mask of each framed wall equals wall_interior on the
+    same directions placed by subsphere_chunk, bit for bit."""
+    for i, j in combinations(range(params.q), 2):
+        frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
+        if frame is None:
+            continue
+        directions = sampling.unit_chunk(seed, TEST_LABEL + 2, 0, count, params.n)
+        _, mask = measure._wall_chunk_sums(params, i, j, frame, directions, [None],
+                                           measure._wall_scratch(count, params.n, params.q, 0))
+        pts = sampling.subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
+        assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
 
 
 def reference_fraction(params, i, j, samples, seed, weight=None):
@@ -419,16 +439,51 @@ class TestCellMajorKernels:
             label = measure._WALL_STREAM
             chunk_sums = [measure._wall_chunk_sums(
                 params, i, j, frame, sampling.unit_chunk(seed, label, chunk, count, params.n),
-                [weight], measure._wall_scratch(count, params.n + 1, int(weight is not None)))[0]
+                [weight], measure._wall_scratch(count, params.n, params.q,
+                                                int(weight is not None)))[0]
                 for chunk, count in sampling.chunk_layout(samples)]
             assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
+            # the old masked sums over every point, misses included
+            for ((total, squares),), (pts, inside) in zip(
+                    chunk_sums, reference_wall_chunks(params, i, j, samples, seed)):
+                (masked, masked_squares, scale), = masked_wall_sums(pts, inside, [weight])
+                assert abs(total - masked) <= 1e-14 * scale
+                assert abs(squares - masked_squares) <= 1e-14 * masked_squares
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
             assert measure._wall_moments(chunk_sums, samples) == [(mean, stderr)]
             ((values, errs),), _ = measure._pair_integrals(
                 params, InterfaceGraph(params.q, one_pair), [weight], "mc", samples, seed)
             assert values == {(i, j): mean * wall / norm}
             assert errs == {(i, j): stderr * wall / norm}
+
+    @given(random_clusters(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_wall_kernel_mask_matches_placed_points(self, cluster, seed):
+        # Not drawn from random_clusters(duplicate=True): two identical cells
+        # tie exactly at every point, so a wall one of them bounds has a mask
+        # that follows rounding, and the kernel's tangent coordinates round
+        # otherwise than placed points do.
+        params, _ = cluster
+        assert_wall_kernel_masks_match(params, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_wall_kernel_mask_matches_placed_points_on_seeded_clusters(self, n):
+        # every q from 3 to n + 2, with curvatures small enough that most
+        # walls meet S^n
+        for q in range(3, n + 3):
+            rng = np.random.default_rng(100 * n + q)
+            params = recentered(n, rng.standard_normal((q, n + 1)),
+                                0.3 * rng.standard_normal(q))
+            assert_wall_kernel_masks_match(params, q, sampling.CHUNK)
+
+    @pytest.mark.parametrize("params", [
+        gallery.five_cell_meeting_point(), gallery.affine_cushion(), gallery.cross_junction(2),
+        gallery.cross_junction(3), gallery.band_stack(), gallery.band_stack(4, (-0.5, 0.1, 0.55)),
+        gallery.sectored_cap(4, 0.8)], ids=["five-cell", "cushion", "cross-2", "cross-3",
+                                            "bands", "bands-skew", "sectored-cap"])
+    def test_wall_kernel_mask_matches_placed_points_on_gallery(self, params):
+        assert_wall_kernel_masks_match(params, 7, sampling.CHUNK)
 
     def test_subsphere_chunk_is_c_ordered_broadcast_formula(self):
         params = standard_of_curvature(4, 3, [0.3, 0.1, -0.4])

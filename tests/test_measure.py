@@ -1,6 +1,7 @@
 """Monte Carlo and exact measures, weighted Laplacians, backend agreement."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -845,3 +846,31 @@ class TestDrawPath:
         assert np.shares_memory(shorter, entry)
         assert np.array_equal(shorter, first[:10])
         assert list(sample_memo) == [(0, 5, 0, 3)]
+
+
+class TestWallPassMemory:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["area", "weighted"])
+    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted):
+        # the kernel classifies wall points in the wall's own coordinates and
+        # places only the hits, in runs of at most BLOCK + 1 rows: beyond its
+        # scratch, a pass over one chunk holds less than that chunk's points
+        # placed in R^(n+1) would take. The area-only pass is measure_mc's
+        # (with the perimeter's totals), the weighted one the operators'.
+        n, count = 3, sampling.CHUNK
+        params = standard_of_curvature(n, 5, fresh_shape_kappa(5))
+        graph = detect_interfaces(params)
+        xi = np.linspace(-0.3, 0.3, n + 1)
+        weights = [None] + ([lambda pts: 1.0 - pts @ xi] + [lambda pts, a=a: pts[:, a]
+                                                             for a in range(n + 1)]
+                            if weighted else [])
+        evaluated = len(weights) - 1
+        directions = sampling.draw_unit_chunk(5, measure._WALL_STREAM, 0, count, n)
+        scratch = sum(a.nbytes for a in measure._wall_scratch(count, n, params.q, evaluated))
+        tracemalloc.start()
+        try:
+            measure._wall_pass([(params, graph)], weights, count, 5, lambda *_: directions,
+                               perimeter=not weighted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - scratch < count * (n + 1) * 8

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bubblelab import measure, recentered, sampling, standard_of_curvature
 from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell, wall_interior
-from reference import unit_directions
+from reference import masked_wall_sums, unit_directions
 
 BLOCK, CHUNK = sampling.BLOCK, sampling.CHUNK
 ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 137856, 213568, CHUNK]
@@ -106,13 +106,16 @@ class TestRowBlocks:
 
 
 def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
-    """measure._wall_chunk_sums on the whole chunk at once: its points in one
-    product, its mask from one cell_values product, each weight in one call."""
+    """measure._wall_chunk_sums on the whole chunk at once: its points placed in
+    one product, its mask from one cell_values product on those points, each
+    weight in one call, and each weight's values summed over the hit rows in
+    chunk order."""
     pts = whole_subsphere_points(directions, *frame)
     inside = whole_wall_interior(params, i, j, pts)
     sums = []
     for weight in weights:
-        contrib = inside * (np.ones(len(pts)) if weight is None else weight(pts))
+        contrib = (np.ones(np.count_nonzero(inside)) if weight is None
+                   else np.compress(inside, weight(pts)))
         sums.append((contrib.sum(), (contrib ** 2).sum()))
     return sums
 
@@ -120,24 +123,33 @@ def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
 @pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
-    # the fused kernel builds, classifies and weighs one block at a time in a
-    # reused buffer; the weights are those of the operators (a coordinate,
-    # 1 - <p, xi> and <p, pole>^2) and None, whose sums are the hits
+    # the kernel classifies one block at a time in the wall's own coordinates,
+    # then places and weighs the gathered hits in runs of BLOCK rows; the
+    # weights are those of the operators (a coordinate, 1 - <p, xi> and
+    # <p, pole>^2) and None, whose sums are the hits. The two-cell cluster
+    # hits everywhere, so every block fills the gather buffer.
     rng = np.random.default_rng(n)
-    params = recentered(n, rng.standard_normal((4, n + 1)), 0.3 * rng.standard_normal(4))
+    four = recentered(n, rng.standard_normal((4, n + 1)), 0.3 * rng.standard_normal(4))
+    two = recentered(n, rng.standard_normal((2, n + 1)), 0.3 * rng.standard_normal(2))
     xi, pole = 0.3 * rng.standard_normal(n + 1), rng.standard_normal(n + 1)
     weights = [lambda pts: pts[:, 1], None, lambda pts: 1.0 - pts @ xi,
                lambda pts: (pts @ pole) ** 2]
-    for i, j in [(0, 1), (1, 3)]:
+    for params, i, j in [(four, 0, 1), (four, 1, 3), (two, 0, 1)]:
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
         directions = sampling.draw_unit_chunk(11, i * params.q + j + 1, 0, rows, n)
         args = (params, i, j, frame, directions, weights)
-        got, inside = measure._wall_chunk_sums(*args, measure._wall_scratch(rows, n + 1, 3))
+        got, inside = measure._wall_chunk_sums(*args, measure._wall_scratch(rows, n, 4, 3))
         assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
         pts = whole_subsphere_points(directions, *frame)
         assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
+        # the sums before they ran over the hits alone: the same terms with
+        # the misses' zeros among them, so equal to rounding
+        for (total, squares), (masked, masked_squares, scale) in zip(
+                got, masked_wall_sums(pts, inside, weights)):
+            assert abs(total - masked) <= 1e-14 * scale
+            assert abs(squares - masked_squares) <= 1e-14 * masked_squares
 
 
 def reversed_runner(tasks):
