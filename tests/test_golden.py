@@ -16,7 +16,11 @@ its per-arc closed forms from ToeplitzArcs, which moved its last bits, and
 measure_mc, normal_moment_operator and conformal_to_volume_pcf when every
 wall came to be placed from one stream of directions (measure._WALL_STREAM)
 instead of one stream per pair, which moved every wall sample; the volume
-cases kept their bits. The bits depend on the numpy build and its BLAS,
+cases kept their bits. normal_moment_operator and conformal_to_volume_pcf
+were re-recorded again when the wall kernel came to sum each weight over the
+interface's points alone, in chunk order, instead of over every point times
+the mask: the same terms in another order, which moved their entries by at
+most 6.0e-16 of each matrix's largest entry. The bits depend on the numpy build and its BLAS,
 so the cases skip under any other numpy version. A change that means to move
 these bits must re-record them with the same command and say why.
 """
@@ -41,8 +45,8 @@ NUMPY_VERSION = "2.4.6"
 GOLDEN = {
     "cell_volumes_mc": "3fc904543a323e398b8a",
     "measure_mc": "33ea950b89aae0f65b8b",
-    "normal_moment_operator": "96efa223e61fa135e17d",
-    "conformal_to_volume_pcf": "4e0983f5c7b5464b4eef",
+    "normal_moment_operator": "6e29436948c51bae9674",
+    "conformal_to_volume_pcf": "3afda5801401cf842ff8",
     "standard_of_volume": "28bf625818e90a9de4cb",
     "model_profile": "00f6caf72f015f21db8a",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
