@@ -117,10 +117,12 @@ def apply_mobius(params: ClusterParams, pole, t: float) -> ClusterParams:
 # Prescribed volumes: damped Newton on the curvature vector
 # ---------------------------------------------------------------------------
 
-# iteration cap, steps per Jacobian, halvings, Jacobian step on Monte Carlo volumes
+# iteration cap, steps per Jacobian, trials per line search, doublings of a
+# step that moves no volume, Jacobian step on Monte Carlo volumes
 MAX_ITER = 60
 JACOBIAN_REUSE = 3
 MAX_HALVINGS = 25
+MAX_GROWTH = 8
 MC_FD_STEP = 2e-4
 
 
@@ -238,15 +240,27 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
-        scale, base_norm = 1.0, np.linalg.norm(r)
+        scale, base_norm, grown, halved, moved = 1.0, np.linalg.norm(r), 0, False, False
         for _ in range(MAX_HALVINGS):
             trial = evaluate(y + scale * delta)
             r_try = residual(trial[2])
             if np.linalg.norm(r_try) < base_norm:
                 (y, params, volumes), r, jac_age, fresh = trial, r_try, jac_age + 1, False
+                moved = True
                 break
-            scale *= 0.5
-        else:
+            # Monte Carlo volumes are a staircase: a step that moves no sample
+            # point gives the volumes at y bit for bit, and so would a shorter
+            # one. Such a step grows, unless a longer one already failed; a
+            # longer step that fails after a flat one ends the search too.
+            if np.array_equal(trial[2], volumes):
+                if halved or grown == MAX_GROWTH:
+                    break
+                scale, grown = 2.0 * scale, grown + 1
+            elif grown:
+                break
+            else:
+                scale, halved = 0.5 * scale, True
+        if not moved:
             # line search stalled: rebuild the Jacobian, at most twice, then
             # give up. Both Jacobians are deterministic functions of y, so a
             # rebuild at the y it was built at would repeat this round exactly.
@@ -262,8 +276,9 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     """Standard bubble with the prescribed cell volumes.
 
     Damped Newton on the curvature vector in sum-zero coordinates,
-    backtracking by halving on the volume residual, with a Jacobian reused
-    across a few steps: on exact volumes it is _volume_jacobian, the first
+    backtracking by halving on the volume residual (a step that leaves the
+    Monte Carlo volumes as they were doubles instead, at most MAX_GROWTH
+    times), with a Jacobian reused across a few steps: on exact volumes it is _volume_jacobian, the first
     variation of volume on the arcs of the residual at the same point, and on
     Monte Carlo volumes central differences. Monte Carlo volume evaluations share one
     seed so the objective is a fixed (piecewise smooth) function of kappa and

@@ -20,7 +20,11 @@ cases kept their bits. normal_moment_operator and conformal_to_volume_pcf
 were re-recorded again when the wall kernel came to sum each weight over the
 interface's points alone, in chunk order, instead of over every point times
 the mask: the same terms in another order, which moved their entries by at
-most 6.0e-16 of each matrix's largest entry. The bits depend on the numpy build and its BLAS,
+most 6.0e-16 of each matrix's largest entry. model_profile was re-recorded
+when a Monte Carlo Newton step that moves no sample point came to grow
+instead of halving: its grid solve at v - h had stalled after 58 volume
+evaluations at a residual of 3.5e-6 and now converges in 8 to 5.1e-7, which
+moved the gradient from 0.11016 to 0.11021. The bits depend on the numpy build and its BLAS,
 so the cases skip under any other numpy version. A change that means to move
 these bits must re-record them with the same command and say why.
 """
@@ -48,7 +52,7 @@ GOLDEN = {
     "normal_moment_operator": "6e29436948c51bae9674",
     "conformal_to_volume_pcf": "3afda5801401cf842ff8",
     "standard_of_volume": "28bf625818e90a9de4cb",
-    "model_profile": "00f6caf72f015f21db8a",
+    "model_profile": "3b5096dc2c39974ca59e",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
     "near_kernel_and_solve": "2672278395fc3857c279",
     "measure_exact_s2": "cb43914de30ccb4b0d10",

@@ -318,6 +318,24 @@ class TestNewtonStall:
         assert calls["new"] < calls["old"]
 
 
+    def test_step_that_moves_no_sample_point_grows(self):
+        # At this profile center on 1M samples the full Newton step (about
+        # 6.6e-6 in kappa) moves no sample point, so every halving gave the
+        # volumes at y again, a rebuilt Jacobian repeated the round, and the
+        # solve stopped at a residual of 1.17e-5 against 3 tol = 9e-6. A flat
+        # step now grows until it moves a point.
+        a = 0.5412262449554734
+        cfg = NewtonConfig(backend="mc", mc_samples=1_000_000, mc_seed=6958050478058414142)
+        volume_of = measure.cell_volume_function(complete_graph(2), 3, "mc", cfg.mc_samples,
+                                                 cfg.mc_seed)
+        _, res = standard._volume_newton(3, 2, np.array([a, 1.0 - a]), cfg, volume_of)
+        assert res <= cfg.tolerances(3)[0]
+        point = model_profile(3, 2, [a, 1.0 - a], fd_step_grad=1e-2, fd_step_hess=5e-2,
+                              cfg=cfg)
+        assert gradient_vs_curvature(point) <= 1e-2
+        assert abs(pde_residual(point)) <= 5e-2
+
+
 class TestModelProfile:
     def test_single_bubble_closed_form(self):
         cfg = NewtonConfig(tol=1e-11)
