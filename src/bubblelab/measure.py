@@ -416,14 +416,14 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     every pair of every graph, with one scratch reused across them: each
     direction gives one point on every wall, classified in that wall's own
     coordinates, and only the wall's hits are placed and weighed. A wall that
-    misses S^n has no frame and integrates to zero. With `perimeter` set the task also sums,
-    per cluster, the per-direction total T(k) = sum over its walls of
-    |wall_ij| / |S^n| * hit_ij(k), and T(k)^2, over the chunk; the chunk sums
-    reduce pairwise in layout order, like a weight's, and the perimeter's
-    standard error is sqrt(var(T) / samples). With two cells and no weight
-    but None every direction is a hit on the one wall: that cluster's walls
-    are not sampled, each mean is exactly 1 and both errors are 0. With no
-    wall to sample nothing is drawn.
+    misses S^n has no frame and integrates to zero. With `perimeter` set the
+    task also sums, per cluster, the per-direction total T(k) = sum over its
+    walls of |wall_ij| / |S^n| * hit_ij(k), and T(k)^2, over the chunk; the
+    chunk sums reduce pairwise in layout order, like a weight's, and the
+    perimeter's standard error is sqrt(var(T) / samples). With two cells and
+    no weight but None every direction is a hit on the one wall: that
+    cluster's walls are not sampled, each mean is exactly 1 and both errors
+    are 0. With no wall to sample nothing is drawn.
     """
     n = clusters[0][0].n
     norm = sphere_surface_measure(n)
@@ -842,10 +842,10 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     sampling.run_tasks, so the weights may run on worker threads; a weight's
     chunk sum runs over the wall's hits in chunk order, its mean over a wall
     is a pairwise sum of those chunk sums in layout order, and its stderr the
-    binomial one of those samples. The walls
-    share their directions, so the perimeter's error is the joint one of
-    MeasureReport.perimeter_stderr, not the quadrature of the pair errors;
-    only a caller that sets `perimeter` pays for it.
+    binomial one of those samples. The walls share their directions, so the
+    perimeter's error is the joint one of MeasureReport.perimeter_stderr, not
+    the quadrature of the pair errors; only a caller that sets `perimeter`
+    pays for it.
     """
     if resolve_backend(backend, params.n) == "exact":
         return ArcVolumes(graph).pair_integrals(params, weights), 0.0 if perimeter else None

@@ -240,7 +240,7 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             delta = -np.linalg.lstsq(jac, r, rcond=None)[0]
-        scale, base_norm, grown, halved, moved = 1.0, np.linalg.norm(r), 0, False, False
+        scale, base_norm, moved = 1.0, np.linalg.norm(r), False
         for _ in range(MAX_HALVINGS):
             trial = evaluate(y + scale * delta)
             r_try = residual(trial[2])
@@ -253,13 +253,13 @@ def _volume_newton(n: int, q: int, v_target: np.ndarray, cfg: NewtonConfig, volu
             # one. Such a step grows, unless a longer one already failed; a
             # longer step that fails after a flat one ends the search too.
             if np.array_equal(trial[2], volumes):
-                if halved or grown == MAX_GROWTH:
+                if scale < 1.0 or scale == 2.0 ** MAX_GROWTH:
                     break
-                scale, grown = 2.0 * scale, grown + 1
-            elif grown:
+                scale *= 2.0
+            elif scale > 1.0:
                 break
             else:
-                scale, halved = 0.5 * scale, True
+                scale *= 0.5
         if not moved:
             # line search stalled: rebuild the Jacobian, at most twice, then
             # give up. Both Jacobians are deterministic functions of y, so a
@@ -278,9 +278,10 @@ def standard_of_volume(n: int, q: int, volumes, cfg: NewtonConfig | None = None)
     Damped Newton on the curvature vector in sum-zero coordinates,
     backtracking by halving on the volume residual (a step that leaves the
     Monte Carlo volumes as they were doubles instead, at most MAX_GROWTH
-    times), with a Jacobian reused across a few steps: on exact volumes it is _volume_jacobian, the first
-    variation of volume on the arcs of the residual at the same point, and on
-    Monte Carlo volumes central differences. Monte Carlo volume evaluations share one
+    times), with a Jacobian reused across a few steps: on exact volumes it
+    is _volume_jacobian, the first variation of volume on the arcs of the
+    residual at the same point, and on Monte Carlo volumes central
+    differences. Monte Carlo volume evaluations share one
     seed so the objective is a fixed (piecewise smooth) function of kappa and
     Newton can converge to its root far below the statistical error; they go
     through one measure.VolumeTracker, which lives for this call and
