@@ -295,11 +295,9 @@ def _wall_scratch(count: int, n: int, q: int, evaluated: int) -> tuple[np.ndarra
     (cell values of a block, gathered hit directions, placed points, the
     (weights, count) values at the hits, mask). With no weight to evaluate no
     point is gathered or placed, and those two buffers are empty."""
-    block = sampling.BLOCK
-    rows = 2 * block + 2 if evaluated else 0
-    return (np.empty((q, block + 1)), np.empty((rows, n)),
-            np.empty((min(rows, block + 1), n + 1)), np.empty((evaluated, count)),
-            np.empty(count, dtype=bool))
+    run = sampling.BLOCK + 1 if evaluated else 0  # the longest run weighed at once
+    return (np.empty((q, sampling.BLOCK + 1)), np.empty((2 * run, n)), np.empty((run, n + 1)),
+            np.empty((evaluated, count)), np.empty(count, dtype=bool))
 
 
 def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: np.ndarray,

@@ -205,10 +205,10 @@ def masked_wall_sums(pts: np.ndarray, inside: np.ndarray,
     """Per weight, (sum, sum of squares, sum of absolute values) of the weight
     times the wall mask over every point, misses included.
 
-    The wall kernel's sums as they were formed before it summed over the hits
-    alone: the same terms with zeros among them, so the two agree to rounding,
-    measured against the sum of absolute values (a weight's sum may cancel).
-    None integrates the constant 1.
+    The wall kernel's sums formed as a masked product over the whole chunk:
+    the same terms as its sums over the hits, with zeros among them, so the
+    two agree to rounding, measured against the sum of absolute values (a
+    weight's sum may cancel). None integrates the constant 1.
     """
     sums = []
     for weight in weights:

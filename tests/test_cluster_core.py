@@ -444,7 +444,7 @@ class TestCellMajorKernels:
                 for chunk, count in sampling.chunk_layout(samples)]
             assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
-            # the old masked sums over every point, misses included
+            # the masked sums over every point, misses as zeros, equal to rounding
             for ((total, squares),), (pts, inside) in zip(
                     chunk_sums, reference_wall_chunks(params, i, j, samples, seed)):
                 (masked, masked_squares, scale), = masked_wall_sums(pts, inside, [weight])

@@ -24,9 +24,10 @@ most 6.0e-16 of each matrix's largest entry. model_profile was re-recorded
 when a Monte Carlo Newton step that moves no sample point came to grow
 instead of halving: its grid solve at v - h had stalled after 58 volume
 evaluations at a residual of 3.5e-6 and now converges in 8 to 5.1e-7, which
-moved the gradient from 0.11016 to 0.11021. The bits depend on the numpy build and its BLAS,
-so the cases skip under any other numpy version. A change that means to move
-these bits must re-record them with the same command and say why.
+moved the gradient from 0.11016 to 0.11021. The bits depend on the numpy
+build and its BLAS, so the cases skip under any other numpy version. A
+change that means to move these bits must re-record them with the same
+command and say why.
 """
 
 import hashlib

@@ -144,8 +144,8 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
         assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
         pts = whole_subsphere_points(directions, *frame)
         assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
-        # the sums before they ran over the hits alone: the same terms with
-        # the misses' zeros among them, so equal to rounding
+        # the masked sums over every point, misses as zeros: the same terms
+        # in another order, so equal to rounding
         for (total, squares), (masked, masked_squares, scale) in zip(
                 got, masked_wall_sums(pts, inside, weights)):
             assert abs(total - masked) <= 1e-14 * scale

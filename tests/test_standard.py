@@ -317,13 +317,12 @@ class TestNewtonStall:
         assert res == want_res
         assert calls["new"] < calls["old"]
 
-
     def test_step_that_moves_no_sample_point_grows(self):
         # At this profile center on 1M samples the full Newton step (about
-        # 6.6e-6 in kappa) moves no sample point, so every halving gave the
-        # volumes at y again, a rebuilt Jacobian repeated the round, and the
-        # solve stopped at a residual of 1.17e-5 against 3 tol = 9e-6. A flat
-        # step now grows until it moves a point.
+        # 6.6e-6 in kappa) moves no sample point, so every shorter step gives
+        # the volumes at y again: halving alone, with a rebuilt Jacobian
+        # repeating the round, stops at a residual of 1.17e-5 against
+        # 3 tol = 9e-6. Growing the flat step moves a point.
         a = 0.5412262449554734
         cfg = NewtonConfig(backend="mc", mc_samples=1_000_000, mc_seed=6958050478058414142)
         volume_of = measure.cell_volume_function(complete_graph(2), 3, "mc", cfg.mc_samples,
