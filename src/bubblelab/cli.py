@@ -156,6 +156,7 @@ def cmd_deform(args) -> int:
             "perimeter_deviation": inv.perimeter_deviation,
             "allowed_deviation": inv.allowed_deviation,
             "first_new_interface_t": inv.first_new_interface_t,
+            "times_compared": inv.times_compared,
             "within_tolerance": inv.invariant_within_tolerance}
     _emit(payload, args.out)
     if args.report:

@@ -154,17 +154,26 @@ def gram_eigenvalue_floor(params: ClusterParams, t: float) -> float:
 
 @dataclass
 class GramInvarianceReport:
+    """Deviations from the t = 0 measures over the times_compared grid times
+    before the first new interface, t = 0 included.
+
+    With fewer than two times compared nothing was compared with t = 0, so
+    the deviations are 0 by construction and invariance is not shown.
+    """
+
     times: np.ndarray
     volume_deviation: float
     perimeter_deviation: float
     allowed_deviation: float
     first_new_interface_t: float | None
     new_interface_pair: tuple[int, int] | None
+    times_compared: int
     reports: list[MeasureReport]
 
     @property
     def invariant_within_tolerance(self) -> bool:
-        return (self.volume_deviation <= self.allowed_deviation
+        return (self.times_compared >= 2
+                and self.volume_deviation <= self.allowed_deviation
                 and self.perimeter_deviation <= self.allowed_deviation)
 
 
@@ -180,8 +189,8 @@ def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
     one. The points share the seed, so their differences are measured with
     common random numbers: each volume chunk and each chunk of the one wall
     stream is drawn once, afresh, and integrated against every point (every
-    wall of every point for a wall chunk), and nothing is kept in the sample
-    memo. Each report's perimeter_stderr is the joint error of its walls.
+    wall of every point for a wall chunk), and no draw outlives the pass.
+    Each report's perimeter_stderr is the joint error of its walls.
     """
     graphs = [graph if t == 0.0 else detect_interfaces(step_params)
               for t, step_params in zip(times, path)]
@@ -198,9 +207,10 @@ def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,
                           samples: int = 400_000, seed: int = 7) -> GramInvarianceReport:
     """Measure volumes and perimeter along the Gram path (measure_path).
 
-    Reports the worst deviation from the t = 0 values over the grid of
-    steps + 1 times, and the first time at which a previously empty pair
-    acquires an interface (the guarantees only hold before that).
+    Reports the worst deviation from the t = 0 values over the times of the
+    grid of steps + 1 times before the first one at which a previously empty
+    pair acquires an interface (the guarantees only hold before that), that
+    time, and how many times were compared.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -220,4 +230,4 @@ def gram_invariance_check(params: ClusterParams, graph: InterfaceGraph,
                  for r in reports[:upto])
     allowed = max(4.0 * stderr * np.sqrt(2.0), 1e-12)
     return GramInvarianceReport(times, vol_dev, per_dev, allowed, first_new,
-                                new_pair, reports)
+                                new_pair, upto, reports)

@@ -101,8 +101,9 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
     """params -> the volumes of measure_cluster on S^n, for the evaluations of one call.
 
     No wall is integrated. On exact volumes it is an ArcVolumes, which keeps each
-    point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, so
-    an evaluation near the one before it reclassifies only the points its step can move.
+    point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, which
+    draws each volume chunk once and keeps it, so an evaluation near the one before it
+    reclassifies only the points its step can move.
     """
     if resolve_backend(backend, n) == "exact":
         return ArcVolumes(graph)
@@ -122,29 +123,31 @@ _WALL_STREAM = 0xA11
 
 
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized cell volumes by uniform sampling of S^n, with binomial stderr."""
-    return _cell_volumes_mc(params, samples, seed, _classified_counts)
+    """Normalized cell volumes by uniform sampling of S^n, with binomial stderr.
+
+    Each volume chunk is drawn afresh."""
+
+    def chunk_counts(chunk: int, count: int) -> np.ndarray:
+        pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
+        return _classified_counts(params, pts)
+
+    return _cell_volumes_mc(samples, chunk_counts)
 
 
-def _classified_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
+def _classified_counts(params: ClusterParams, pts: np.ndarray) -> np.ndarray:
     return np.bincount(classify_many(params, pts), minlength=params.q)
 
 
-def _cell_volumes_mc(params: ClusterParams, samples: int, seed: int,
-                     chunk_counts) -> tuple[np.ndarray, np.ndarray]:
-    """cell_volumes_mc with each chunk's integer cell counts from chunk_counts(chunk, params, pts).
+def _cell_volumes_mc(samples: int, chunk_counts) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized volumes and binomial stderr from chunk_counts(chunk, count), the
+    integer cell counts of each volume chunk of the layout of samples.
 
-    Each chunk is drawn and counted by a task of sampling.run_tasks, so
-    chunk_counts may run on a worker thread.
+    Each chunk is counted by a task of sampling.run_tasks, so chunk_counts may
+    run on a worker thread.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-
-    def task(chunk: int, count: int) -> np.ndarray:
-        pts = sampling.unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
-        return chunk_counts(chunk, params, pts)
-
-    counts = sampling.run_tasks([partial(task, chunk, count)
+    counts = sampling.run_tasks([partial(chunk_counts, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
     return _volume_fractions(counts, samples)
 
@@ -180,12 +183,15 @@ def _label_bound(ref: ClusterParams, cur: ClusterParams) -> float:
 class VolumeTracker:
     """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
 
-    For each volume chunk it keeps a reference: the parameters P of the
-    chunk's last evaluation, each point's label l in the smallest integer type
-    that holds q, each point's stored gap s, the cell counts and one offset o.
-    A full classification stores the computed gaps (second-least minus least
-    affine value) with o = 0. A later evaluation at P' reclassifies, with the
-    same classify_many code, only the near points, s <= limit with
+    Each volume chunk is drawn on its first evaluation, by the same
+    sampling.draw_unit_chunk call as cell_volumes_mc's, and kept, read-only,
+    for the tracker's life. Beside it the tracker keeps the chunk's
+    reference: the parameters P of the chunk's last evaluation, each point's
+    label l in the smallest integer type that holds q, each point's stored gap
+    s, the cell counts and one offset o. A full classification stores the
+    computed gaps (second-least minus least affine value) with o = 0. A later
+    evaluation at P' reclassifies, with the same classify_many code, only the
+    near points, s <= limit with
     limit = o + delta rounded up, and takes the counts as
     counts - bincount(old labels) + bincount(new labels). Counts are integers,
     so the volumes equal cell_volumes_mc's bit for bit. The evaluation then
@@ -231,16 +237,18 @@ class VolumeTracker:
     of the chunk lies within the limit, the chunk is classified in full and
     becomes the new reference.
 
-    A tracker holds about 9 bytes per volume point (a label and a gap), so it
-    is meant to live for one call. full, incremental and reclassified count
-    chunk classifications in full, incremental chunk evaluations and the
-    points they reclassified. Chunks run on worker threads, each reading and
-    replacing only its own chunk's reference; the calling thread tallies the
+    A tracker holds 8(n+1) + 9 bytes per volume point (the point, a label
+    and a gap), about 82 MB at 2M points on S^3, so it is meant to live for
+    one call. full, incremental and reclassified count chunk classifications
+    in full, incremental chunk evaluations and the points they reclassified.
+    Chunks run on worker threads, each drawing, reading and replacing only
+    its own chunk's points and reference; the calling thread tallies the
     counters.
     """
 
     def __init__(self, samples: int, seed: int):
         self.samples, self.seed = samples, seed
+        self._points: dict[int, np.ndarray] = {}
         self._references: dict[int, tuple] = {}
         self.full = self.incremental = self.reclassified = 0
 
@@ -248,11 +256,11 @@ class VolumeTracker:
         """cell_volumes_mc(params, samples, seed), bit for bit."""
         moved = {}  # chunk -> points reclassified, or None for a full classification
 
-        def chunk_counts(chunk: int, params: ClusterParams, pts: np.ndarray) -> np.ndarray:
-            counts, moved[chunk] = self._chunk_counts(chunk, params, pts)
+        def chunk_counts(chunk: int, count: int) -> np.ndarray:
+            counts, moved[chunk] = self._chunk_counts(chunk, count, params)
             return counts
 
-        result = _cell_volumes_mc(params, self.samples, self.seed, chunk_counts)
+        result = _cell_volumes_mc(self.samples, chunk_counts)
         for points in moved.values():
             if points is None:
                 self.full += 1
@@ -261,13 +269,17 @@ class VolumeTracker:
                 self.reclassified += points
         return result
 
-    def _chunk_counts(self, chunk: int, params: ClusterParams, pts: np.ndarray):
-        """(counts, points reclassified or None) of one chunk.
+    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams):
+        """(counts, points reclassified or None) of one chunk of count points.
 
-        Every evaluation becomes the chunk's reference as soon as it is made;
-        each chunk's task reads and writes only its own reference.
+        The chunk's points are drawn on its first evaluation. Every evaluation
+        becomes the chunk's reference as soon as it is made; each chunk's task
+        reads and writes only its own points and reference.
         """
-        q = params.q
+        if chunk not in self._points:
+            self._points[chunk] = sampling.draw_unit_chunk(self.seed, _VOLUME_STREAM, chunk,
+                                                           count, params.n + 1)
+        pts, q = self._points[chunk], params.q
         reference = self._references.get(chunk)
         if reference is not None:
             ref_params, labels, gaps, counts, offset = reference
@@ -402,17 +414,16 @@ def _wall_measure(n: int, frame) -> float:
 
 
 def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, samples: int,
-               seed: int, draw, perimeter: bool) -> list[tuple[list[tuple[dict, dict]],
-                                                             float | None]]:
+               seed: int, perimeter: bool) -> list[tuple[list[tuple[dict, dict]], float | None]]:
     """Per (params, graph), (_wall_integrals of its walls, the standard error of
     its perimeter if `perimeter` is set, else None), from one pass over the
     chunks of wall directions.
 
     The clusters share n. Each chunk of unit directions in R^n is drawn once,
-    by draw(seed, _WALL_STREAM, chunk, count, n), in a task of
-    sampling.run_tasks, which runs _wall_chunk_sums on it for the wall of
-    every pair of every graph, with one scratch reused across them: each
-    direction gives one point on every wall, classified in that wall's own
+    afresh, by sampling.draw_unit_chunk(seed, _WALL_STREAM, chunk, count, n),
+    in a task of sampling.run_tasks, which runs _wall_chunk_sums on it for the
+    wall of every pair of every graph, with one scratch reused across them:
+    each direction gives one point on every wall, classified in that wall's own
     coordinates, and only the wall's hits are placed and weighed. A wall that
     misses S^n has no frame and integrates to zero. With `perimeter` set the
     task also sums, per cluster, the per-direction total T(k) = sum over its
@@ -435,7 +446,7 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
                for (params, _), cluster_walls in zip(clusters, walls)]
 
     def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float] | None]]:
-        directions = draw(seed, _WALL_STREAM, chunk, count, n)
+        directions = sampling.draw_unit_chunk(seed, _WALL_STREAM, chunk, count, n)
         scratch = _wall_scratch(count, n, max(params.q for params, _ in clusters), evaluated)
         if perimeter:
             total, term = np.empty(count), np.empty(count)
@@ -477,29 +488,24 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
 
 def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_000_000,
                seed: int = 0) -> MeasureReport:
-    """Monte Carlo volumes and interface areas with their standard errors.
-
-    The walls are integrated by _pair_integrals, and the perimeter's error is
-    the joint one of their shared directions (see MeasureReport)."""
-    volumes, vol_err = cell_volumes_mc(params, samples, seed)
-    ((areas, area_err),), perimeter_err = _pair_integrals(params, graph, [None], "mc",
-                                                          samples, seed, perimeter=True)
-    return MeasureReport(volumes, _symmetric(params.q, areas), vol_err,
-                         _symmetric(params.q, area_err), perimeter_err,
-                         {"kind": "monte_carlo", "seed": seed, "samples": samples})
+    """Monte Carlo volumes and interface areas with their standard errors: the
+    one-cluster measure_mc_many, so each sample is drawn afresh."""
+    return measure_mc_many([(params, graph)], samples, seed)[0]
 
 
 def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], samples: int,
                     seed: int) -> list[MeasureReport]:
-    """measure_mc(params, graph, samples, seed) of each (params, graph), bit for bit,
-    in one pass over each sample chunk.
+    """Monte Carlo volumes and interface areas of each (params, graph), with their
+    standard errors, in one pass over each sample chunk.
 
     The clusters share n and q, as the points of a deformation path do. Each
-    volume chunk is drawn once and classified against every cluster, and each
-    chunk of wall directions is drawn once and integrated over every wall of
-    every cluster (_wall_pass). With two cells no wall direction is drawn, as
-    in measure_mc. All draws are fresh (sampling.draw_unit_chunk): the pass
-    adds nothing to the sample memo.
+    volume chunk is drawn once, afresh, and classified against every cluster,
+    and each chunk of wall directions is drawn once, afresh, and integrated
+    over every wall of every cluster (_wall_pass). So each cluster's volumes
+    and errors equal cell_volumes_mc's, and its areas and errors
+    interface_areas', bit for bit, and its perimeter's error is the joint one
+    of the walls' shared directions (see MeasureReport). With two cells no
+    wall direction is drawn.
     """
     if not clusters:
         return []
@@ -511,12 +517,11 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
 
     def volume_task(chunk: int, count: int) -> list[np.ndarray]:
         pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, n + 1)
-        return [_classified_counts(chunk, params, pts) for params, _ in clusters]
+        return [_classified_counts(params, pts) for params, _ in clusters]
 
     counts = sampling.run_tasks([partial(volume_task, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
-    walls = _wall_pass(clusters, [None], samples, seed, sampling.draw_unit_chunk,
-                       perimeter=True)
+    walls = _wall_pass(clusters, [None], samples, seed, perimeter=True)
     reports = []
     for k, (((areas, errs),), perimeter_err) in enumerate(walls):
         volumes, vol_err = _volume_fractions([c[k] for c in counts], samples)
@@ -824,33 +829,27 @@ def _arc_integrals(arc: Arc, weights) -> list[float]:
 
 
 def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backend: str,
-                    samples: int, seed: int, perimeter: bool = False
-                    ) -> tuple[list[tuple[dict, dict]], float | None]:
-    """(per weight ({pair: normalized integral over Sigma_ij}, {pair: stderr}),
-    standard error of the perimeter if `perimeter` is set, else None).
+                    samples: int, seed: int) -> list[tuple[dict, dict]]:
+    """Per weight, ({pair: normalized integral over Sigma_ij}, {pair: stderr}).
 
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
-    is left out, and the perimeter's error is 0), or each chunk of wall
-    directions is taken once from the sample memo (sampling.unit_chunk, so
-    calls at one seed share their draws) and every wall is classified on it
-    in its own coordinates, with only its hits placed and weighed
-    (_wall_pass). On Monte Carlo the chunk tasks run through
-    sampling.run_tasks, so the weights may run on worker threads; a weight's
-    chunk sum runs over the wall's hits in chunk order, its mean over a wall
-    is a pairwise sum of those chunk sums in layout order, and its stderr the
-    binomial one of those samples. The walls share their directions, so the
-    perimeter's error is the joint one of MeasureReport.perimeter_stderr, not
-    the quadrature of the pair errors; only a caller that sets `perimeter`
-    pays for it.
+    is left out), or each chunk of wall directions is drawn once, afresh, and
+    every wall is classified on it in its own coordinates, with only its hits
+    placed and weighed (_wall_pass). On Monte Carlo the chunk tasks run
+    through sampling.run_tasks, so the weights may run on worker threads; a
+    weight's chunk sum runs over the wall's hits in chunk order, its mean over
+    a wall is a pairwise sum of those chunk sums in layout order, and its
+    stderr the binomial one of those samples. The walls share their
+    directions, so the pair errors are correlated; the perimeter's joint error
+    is measure_mc's.
     """
     if resolve_backend(backend, params.n) == "exact":
-        return ArcVolumes(graph).pair_integrals(params, weights), 0.0 if perimeter else None
+        return ArcVolumes(graph).pair_integrals(params, weights)
     if samples <= 0:
         raise ValueError("samples must be positive")
-    return _wall_pass([(params, graph)], weights, samples, seed, sampling.unit_chunk,
-                      perimeter)[0]
+    return _wall_pass([(params, graph)], weights, samples, seed, perimeter=False)[0][0]
 
 
 def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int,
@@ -902,7 +901,7 @@ def interface_areas(params: ClusterParams, graph: InterfaceGraph, backend: str =
 
     No volume sample is drawn.
     """
-    ((areas, errs),), _ = _pair_integrals(params, graph, [None], backend, samples, seed)
+    ((areas, errs),) = _pair_integrals(params, graph, [None], backend, samples, seed)
     return _symmetric(params.q, areas), _symmetric(params.q, errs)
 
 
@@ -919,7 +918,7 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
     worker thread, so it must be pure and act on each row alone.
     """
     q = params.q
-    integrals, _ = _pair_integrals(params, graph, weights, backend, samples, seed)
+    integrals = _pair_integrals(params, graph, weights, backend, samples, seed)
     return [WeightedLaplacian(pair_weight_matrix(q, values), _symmetric(q, errs))
             for values, errs in integrals]
 

@@ -5,19 +5,11 @@ Philox keys, so any chunk can be regenerated in isolation: results depend only
 on (seed, sample count), never on how the work is split. A unit direction is a
 Gaussian row divided by its norm, the square root of a left fold of its
 squared coordinates. draw_unit_chunk draws a chunk of directions afresh, and
-unit_chunk memoizes its draws per address for the seed drawn last, which
-makes repeated common-random-number evaluations at one seed (volume Newton,
-finite differences, the one wall stream that measure_mc and the operators
-place every wall from) reuse identical directions at no generation cost. A
-pass that reads each chunk once, such as measure.measure_mc_many over the
-points of a deformation path, draws afresh and adds nothing to the memo. A
-draw at any other seed, fresh or memoized, empties the memo, and within one
-seed an entry is admitted only while the memo stays within
-UNIT_CACHE_BUDGET floats. An entry holds exactly the rows drawn for it; a
-longer request at the same address redraws and replaces it, and a shorter
-one is served from its prefix, which a shorter draw would equal. Returned
-arrays are read-only, so no caller can change what later callers at the
-same address receive.
+every sampler here draws through it. No module keeps draws between calls: a
+caller that reads one address again and again, such as measure.VolumeTracker
+over the evaluations of a volume Newton solve, keeps the chunks it drew for
+as long as it lives. Returned arrays are read-only, so a caller that shares
+them cannot change what another reads.
 
 Chunks run at the same time: run_tasks spreads independent chunk tasks over
 every usable core, and each chunk's per-point passes run in blocks of BLOCK
@@ -27,16 +19,11 @@ its own Philox key, every reduction whose order sets the bits runs over whole
 chunks in layout order on the calling thread, and no block is a single row.
 Callbacks handed to the package, such as the weights of
 measure.weighted_laplacians, may run on worker threads, so they must be pure.
-The memo is shared by those threads; its lookup, seed-scope clear and budget
-admission run under one lock, and a draw runs outside it. Near the budget,
-which draws are admitted may depend on timing, but never what a draw returns.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -52,11 +39,6 @@ BLOCK = 1 << 13
 _MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-# (seed, label, chunk, dim) -> read-only directions, all at one seed
-_unit_cache: dict[tuple, np.ndarray] = {}
-_unit_cache_lock = threading.Lock()
-UNIT_CACHE_BUDGET = 250_000_000  # floats, ~2 GB
-
 
 def _key(seed: int, label: int, chunk: int) -> np.uint64:
     mixed = (seed & _MASK)
@@ -70,34 +52,10 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, label, chunk)))
 
 
-def unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), at the address.
-
-    draw_unit_chunk's rows, memoized; read-only, and maybe a view of a
-    memoized array."""
-    key = (seed, label, chunk, dim)
-    with _unit_cache_lock:
-        arr = _unit_cache.get(key)
-        if arr is not None and arr.shape[0] >= count:
-            return arr[:count]
-        # a longer draw from the same stream replaces the short entry
-        _unit_cache.pop(key, None)
-    arr = draw_unit_chunk(seed, label, chunk, count, dim)
-    with _unit_cache_lock:
-        _drop_other_seeds(seed)
-        if sum(a.size for a in _unit_cache.values()) + arr.size <= UNIT_CACHE_BUDGET:
-            _unit_cache[key] = arr
-    return arr
-
-
 def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """unit_chunk's directions drawn afresh, read-only, and kept by no memo.
-
-    A memo that holds another seed's draws is emptied first, so it still
-    holds only the draws of the seed drawn last."""
-    with _unit_cache_lock:
-        _drop_other_seeds(seed)
-    arr = _mapped(count, dim)
+    """Uniform unit directions in R^dim, shape (count, dim), drawn afresh at the
+    address; read-only."""
+    arr = np.empty((count, dim))
     stream(seed, label, chunk).standard_normal(out=arr)
     for rows in row_blocks(count):
         block = arr[rows]
@@ -110,26 +68,6 @@ def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> 
         block /= norms[:, None]
     arr.setflags(write=False)
     return arr
-
-
-def _mapped(count: int, dim: int) -> np.ndarray:
-    """A writable (count, dim) float array in its own private anonymous mapping.
-
-    Draws run on worker threads, and malloc serves each thread from an arena
-    that keeps freed memory for that arena's later requests. Memo entries
-    outlive the call that drew them, so malloc'd draws left the peak memory
-    to depend on which threads happened to draw and free them (358 to 422 MB
-    over runs of one mc_fresh benchmark seed on 2 cores). A mapping goes back
-    to the OS as soon as its last array is dropped, whichever thread drew it.
-    """
-    buf = mmap.mmap(-1, max(count * dim * 8, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(buf, dtype=float, count=count * dim).reshape(count, dim)
-
-
-def _drop_other_seeds(seed: int) -> None:
-    """Empty the memo if it holds another seed's draws; the caller holds the lock."""
-    if _unit_cache and next(iter(_unit_cache))[0] != seed:
-        _unit_cache.clear()
 
 
 def row_blocks(rows: int) -> list[slice]:
@@ -195,7 +133,7 @@ def unit_sphere(seed: int, count: int, ambient_dim: int, label: int = 0) -> np.n
     """Uniform points on the unit sphere of R^ambient_dim at the (seed, label) address."""
     if count <= 0:
         raise ValueError("count must be positive")
-    blocks = [unit_chunk(seed, label, c, m, ambient_dim) for c, m in chunk_layout(count)]
+    blocks = [draw_unit_chunk(seed, label, c, m, ambient_dim) for c, m in chunk_layout(count)]
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
@@ -236,7 +174,7 @@ def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
     center + radius * frame @ w for each unit direction w, as a new array."""
     # built in place and kept C-ordered: the bits of products that weight
     # callbacks take, such as pts @ xi, depend on the memory layout
-    directions = unit_chunk(seed, label, chunk, count, frame.shape[1])
+    directions = draw_unit_chunk(seed, label, chunk, count, frame.shape[1])
     basis = np.ascontiguousarray(frame.T)
     pts = np.empty((count, basis.shape[1]))
     for rows in row_blocks(count):

@@ -396,6 +396,9 @@ def suite_gram_invariance(seed: int = 7, samples: int = 500_000) -> SuiteReport:
                  f"first new interface at t = {inv.first_new_interface_t}")
     rep.check_mc("perimeter_deviation_along_path", inv.perimeter_deviation,
                  inv.allowed_deviation / 4.0)
+    rep.check_flag("times_compared", inv.times_compared >= 2,
+                   f"{inv.times_compared} grid times before the first new interface, "
+                   f"t = 0 included")
     floor_ok = all(gram_eigenvalue_floor(cap, t) >= t / 2.0 - 1e-9
                    for t in (0.1, 0.3, 0.5, 0.75, 1.0))
     rep.check_flag("gram_eigenvalue_floor", floor_ok,

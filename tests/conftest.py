@@ -6,11 +6,18 @@ from bubblelab import gallery, sampling
 
 
 @pytest.fixture
-def sample_memo(monkeypatch):
-    """An empty sample memo of the test's own, returned for inspection."""
-    memo = {}
-    monkeypatch.setattr(sampling, "_unit_cache", memo)
-    return memo
+def draws(monkeypatch):
+    """The arguments (seed, label, chunk, count, dim) of every
+    sampling.draw_unit_chunk call the test makes, in order of request."""
+    calls = []
+    draw = sampling.draw_unit_chunk
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(sampling, "draw_unit_chunk", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def arpack_top_eigenvalues(system, k_top: int) -> np.ndarray:
 
 
 def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """sampling.unit_chunk drawn afresh: Philox normals over np.linalg.norm."""
+    """sampling.draw_unit_chunk by the formula: Philox normals over np.linalg.norm."""
     arr = sampling.stream(seed, label, chunk).standard_normal((count, dim))
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 

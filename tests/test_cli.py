@@ -144,6 +144,8 @@ class TestDeformCommand:
                        "--t", "0.4", "--steps", "2", "--check-invariance",
                        "--samples", "30000", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
+        # a standard bubble's three cells already meet pairwise: every time is compared
+        assert payload["invariance"]["times_compared"] == 3
         assert payload["invariance"]["within_tolerance"] is True
 
     def test_conformal_path(self, cluster_file, tmp_path):

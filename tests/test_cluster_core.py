@@ -17,7 +17,7 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                complete_graph, spherical_residuals, tie_subsphere,
                                trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
-from reference import masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions
+from reference import masked_wall_sums, random_orthogonal, sampled_interfaces
 
 
 def hemisphere_params():
@@ -158,10 +158,10 @@ class TestDetectInterfaces:
             assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
             assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
 
-    def test_draws_no_sample_and_reads_no_seed(self, sample_memo):
+    def test_draws_no_sample_and_reads_no_seed(self, draws):
         for params in (gallery.five_cell_meeting_point(), equal_volume_standard(4, 6)):
             first, second = (detect_interfaces(params, rng_seed=seed) for seed in (0, 91))
-            assert not sample_memo
+            assert draws == []
             assert np.array_equal(first.nonempty, second.nonempty)
             assert list(first.witnesses) == list(second.witnesses) == first.pairs()
             for pair, witness in first.witnesses.items():
@@ -337,7 +337,7 @@ def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        directions = sampling.unit_chunk(seed, TEST_LABEL + 2, 0, count, params.n)
+        directions = sampling.draw_unit_chunk(seed, TEST_LABEL + 2, 0, count, params.n)
         _, mask = measure._wall_chunk_sums(params, i, j, frame, directions, [None],
                                            measure._wall_scratch(count, params.n, params.q, 0))
         pts = sampling.subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
@@ -379,7 +379,7 @@ def random_clusters(draw, duplicate=False):
 def chunk_sources(params, pair, seed):
     """One 2^18-point chunk on S^n and one on the wall sphere of the pair, if any."""
     n = params.n
-    yield sampling.unit_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
+    yield sampling.draw_unit_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
     frame = sampling.subsphere_frame(params.pair_center(*pair), params.pair_curvature(*pair))
     if frame is not None:
         yield sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
@@ -438,7 +438,8 @@ class TestCellMajorKernels:
         for weight in (None, lambda pts: 1.0 - pts @ xi):
             label = measure._WALL_STREAM
             chunk_sums = [measure._wall_chunk_sums(
-                params, i, j, frame, sampling.unit_chunk(seed, label, chunk, count, params.n),
+                params, i, j, frame,
+                sampling.draw_unit_chunk(seed, label, chunk, count, params.n),
                 [weight], measure._wall_scratch(count, params.n, params.q,
                                                 int(weight is not None)))[0]
                 for chunk, count in sampling.chunk_layout(samples)]
@@ -452,7 +453,7 @@ class TestCellMajorKernels:
                 assert abs(squares - masked_squares) <= 1e-14 * masked_squares
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
             assert measure._wall_moments(chunk_sums, samples) == [(mean, stderr)]
-            ((values, errs),), _ = measure._pair_integrals(
+            ((values, errs),) = measure._pair_integrals(
                 params, InterfaceGraph(params.q, one_pair), [weight], "mc", samples, seed)
             assert values == {(i, j): mean * wall / norm}
             assert errs == {(i, j): stderr * wall / norm}
@@ -490,16 +491,16 @@ class TestCellMajorKernels:
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 2),
                                                          params.pair_curvature(0, 2))
         pts = sampling.subsphere_chunk(5, TEST_LABEL, 0, 1000, center, radius, frame)
-        w = sampling.unit_chunk(5, TEST_LABEL, 0, 1000, frame.shape[1])
+        w = sampling.draw_unit_chunk(5, TEST_LABEL, 0, 1000, frame.shape[1])
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, center[None, :] + radius * (w @ frame.T))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_two_cell_area_shortcut_equals_sampled_value(self, n, sample_memo):
+    def test_two_cell_area_shortcut_equals_sampled_value(self, n, draws):
         params = standard_of_curvature(n, 2, [0.35, -0.35])
         samples = 2 * sampling.CHUNK + 17
         areas, errs = measure.interface_areas(params, complete_graph(2), "mc", samples, 11)
-        assert not sample_memo  # no wall point was drawn
+        assert draws == []  # no wall point was drawn
         mean, stderr, wall = reference_fraction(params, 0, 1, samples, 11)
         assert (mean, stderr) == (1.0, 0.0)
         norm = sphere_surface_measure(n)
@@ -510,57 +511,13 @@ class TestCellMajorKernels:
         assert wall_interior(equal_volume_standard(3, 2), 0, 1, pts).all()
 
 
-class TestSampleMemo:
-    def test_returned_directions_are_read_only(self, sample_memo):
-        first = sampling.unit_sphere(0, 5, 3, label=9)
+class TestUnitDraws:
+    def test_returned_directions_are_read_only(self):
+        first = sampling.draw_unit_chunk(0, 9, 0, 5, 3)
         original = first.copy()
         with pytest.raises(ValueError):
             first[0, 0] = 42.0
-        again = sampling.unit_sphere(0, 5, 3, label=9)  # served from the memo
+        again = sampling.draw_unit_chunk(0, 9, 0, 5, 3)  # drawn afresh
         assert not again.flags.writeable and np.array_equal(again, original)
-
-    def test_draw_at_another_seed_releases_the_old_entries(self, sample_memo):
-        for label in (1, 2):
-            sampling.unit_chunk(0, label, 0, 64, 3)
-        kept = sampling.unit_chunk(0, 1, 0, 64, 3)
-        assert len(sample_memo) == 2 and np.shares_memory(kept, sample_memo[(0, 1, 0, 3)])
-        sampling.unit_chunk(1, 1, 0, 64, 3)
-        assert list(sample_memo) == [(1, 1, 0, 3)]
-        again = sampling.unit_chunk(0, 1, 0, 64, 3)
-        assert list(sample_memo) == [(0, 1, 0, 3)]
-        assert again.tobytes() == kept.tobytes()
-
-    def test_held_floats_never_exceed_the_budget(self, sample_memo, monkeypatch):
-        count, dim = 64, 3
-        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 2 * count * dim + 5)
-        draws = [sampling.unit_chunk(0, label, 0, count, dim) for label in (1, 2, 3)]
-        assert list(sample_memo) == [(0, 1, 0, dim), (0, 2, 0, dim)]
-        # not admitted, but drawn all the same, read-only, and drawn again on request
-        assert not draws[2].flags.writeable
-        assert draws[2].tobytes() == sampling.unit_chunk(0, 3, 0, count, dim).tobytes()
-        # a longer draw releases the short entry and is admitted only if it fits
-        sampling.unit_chunk(0, 1, 0, count + 10, dim)
-        assert list(sample_memo) == [(0, 2, 0, dim)]
-        sampling.unit_chunk(0, 1, 0, count + 1, dim)
-        assert list(sample_memo) == [(0, 2, 0, dim), (0, 1, 0, dim)]
-        assert sum(a.size for a in sample_memo.values()) <= sampling.UNIT_CACHE_BUDGET
-
-    def test_fresh_draw_equals_the_memoized_one_and_is_not_kept(self, sample_memo):
-        kept = sampling.unit_chunk(0, 4, 0, 20, 3)
-        fresh = sampling.draw_unit_chunk(0, 5, 0, 20, 3)
-        assert not fresh.flags.writeable
-        assert fresh.tobytes() == unit_directions(0, 5, 0, 20, 3).tobytes()
-        assert list(sample_memo) == [(0, 4, 0, 3)]
-        assert sampling.draw_unit_chunk(0, 4, 0, 20, 3).tobytes() == kept.tobytes()
-        # a fresh draw at another seed empties the memo: it holds the seed drawn last
-        sampling.draw_unit_chunk(1, 4, 0, 20, 3)
-        assert not sample_memo
-
-    def test_longer_draw_replaces_and_shorter_gets_a_prefix_view(self, sample_memo):
-        short = sampling.unit_chunk(0, 4, 0, 10, 3).copy()
-        longer = sampling.unit_chunk(0, 4, 0, 50, 3)
-        assert np.array_equal(longer[:10], short)
-        assert sample_memo[(0, 4, 0, 3)].shape == (50, 3)
-        prefix = sampling.unit_chunk(0, 4, 0, 20, 3)
-        assert prefix.shape == (20, 3) and np.shares_memory(prefix, longer)
-        assert prefix.tobytes() == unit_directions(0, 4, 0, 20, 3).tobytes()
+        assert not np.shares_memory(again, first)
+        assert not sampling.unit_sphere(0, 5, 3, label=9).flags.writeable

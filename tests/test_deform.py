@@ -171,6 +171,16 @@ class TestGramInvariance:
                                     t_max=0.4, steps=4, samples=200_000, seed=6)
         assert rep.invariant_within_tolerance
 
+    def test_fails_when_only_t0_is_compared(self):
+        # pair (0, 2) appears at t = 0.1, so t = 0 would be compared with itself
+        bands = gallery.band_stack(2, (0.2, 0.6))
+        rep = gram_invariance_check(bands, detect_interfaces(bands))
+        assert rep.first_new_interface_t == pytest.approx(0.1)
+        assert rep.new_interface_pair == (0, 2)
+        assert rep.times_compared == 1
+        assert rep.volume_deviation == rep.perimeter_deviation == 0.0
+        assert not rep.invariant_within_tolerance
+
     @pytest.mark.parametrize("steps", [-1, -2])
     def test_rejects_negative_steps(self, equal_bubble_s2, equal_bubble_graph, steps):
         with pytest.raises(ValueError, match="steps must be non-negative"):
@@ -180,40 +190,37 @@ class TestGramInvariance:
 class TestMeasurePath:
     """measure_path measures a Monte Carlo path in one pass over each sample chunk."""
 
-    def test_one_pass_equals_measure_mc_at_each_time(self, monkeypatch, sample_memo,
-                                                     sectored_cap_cluster, sectored_cap_graph):
+    def test_one_pass_equals_measure_mc_at_each_time(self, draws, sectored_cap_cluster,
+                                                     sectored_cap_graph):
         samples, seed = sampling.CHUNK + 1000, 13
-        draws = []
-        draw = sampling.draw_unit_chunk
-
-        def counted(*args):
-            draws.append(args[1:3])  # (stream label, chunk index)
-            return draw(*args)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(sampling, "draw_unit_chunk", counted)
-            rep = gram_invariance_check(sectored_cap_cluster, sectored_cap_graph, t_max=0.5,
-                                        steps=5, samples=samples, seed=seed)
+        rep = gram_invariance_check(sectored_cap_cluster, sectored_cap_graph, t_max=0.5,
+                                    steps=5, samples=samples, seed=seed)
+        addresses = sorted(args[1:3] for args in draws)  # (stream label, chunk index)
         # pairs (0, 3) and (1, 3) appear at t = 0.3, so the path's graphs differ
         graphs = [sectored_cap_graph] + [detect_interfaces(gram_path(sectored_cap_cluster,
                                                                      float(t)))
                                          for t in rep.times[1:]]
         assert rep.first_new_interface_t == pytest.approx(0.3)
+        assert rep.new_interface_pair == (0, 3)
+        assert rep.times_compared == 3  # t = 0, 0.1 and 0.2
         union = sorted({pair for graph in graphs for pair in graph.pairs()})
         assert {(0, 3), (1, 3)} <= set(union) - set(sectored_cap_graph.pairs())
-        # every (label, chunk) is drawn once, and no draw is left in the memo: one
-        # volume stream and one wall stream for every pair of every time
+        # every (label, chunk) is drawn once: one volume stream and one wall
+        # stream for every pair of every time
         layout = sampling.chunk_layout(samples)
         labels = [measure._VOLUME_STREAM, measure._WALL_STREAM]
-        assert sorted(draws) == sorted((label, chunk) for label in labels
-                                       for chunk, _ in layout)
-        assert not any(key[0] == seed for key in sample_memo)
+        assert addresses == sorted((label, chunk) for label in labels for chunk, _ in layout)
+        # measure_mc is the one-cluster pass, so the oracle is the volumes and
+        # the areas measured apart
         for t, graph, got in zip(rep.times, graphs, rep.reports):
-            want = measure.measure_mc(gram_path(sectored_cap_cluster, float(t)), graph,
-                                      samples, seed)
-            for name in ("volumes", "areas", "volume_stderr", "area_stderr"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (t, name)
-            assert got.backend == want.backend
+            params = gram_path(sectored_cap_cluster, float(t))
+            volumes, volume_stderr = measure.cell_volumes_mc(params, samples, seed)
+            areas, area_stderr = measure.interface_areas(params, graph, "mc", samples, seed)
+            want = {"volumes": volumes, "areas": areas, "volume_stderr": volume_stderr,
+                    "area_stderr": area_stderr}
+            for name, array in want.items():
+                assert getattr(got, name).tobytes() == array.tobytes(), (t, name)
+            assert got.backend == {"kind": "monte_carlo", "seed": seed, "samples": samples}
 
     def test_s2_path_stays_exact(self, monkeypatch, skew_bubble_s2, skew_bubble_graph):
         draws = []

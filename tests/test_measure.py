@@ -110,24 +110,31 @@ class TestPerimeterStderr:
         assert quadrature > 1.15 * spread
 
     def test_zero_where_nothing_is_sampled(self, skew_bubble_s2, skew_bubble_graph,
-                                           hemispheres, monkeypatch):
+                                           hemispheres, draws):
         assert measure_exact_s2(skew_bubble_s2, skew_bubble_graph).perimeter_stderr == 0.0
-        draws = []
-        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *args: draws.append(args))
-        monkeypatch.setattr(measure, "cell_volumes_mc", lambda *args: (np.zeros(2),) * 2)
         rep = measure_mc(hemispheres, complete_graph(2), 10_000, 3)
-        assert rep.perimeter_stderr == 0.0 and draws == []
+        assert rep.perimeter_stderr == 0.0
+        assert [args[1] for args in draws] == [measure._VOLUME_STREAM]  # no wall direction
 
-    def test_does_not_depend_on_the_runner(self, monkeypatch, sample_memo):
+    def test_does_not_depend_on_the_runner(self, monkeypatch, draws):
+        # three calls at one address: each draws every volume and wall chunk
+        # afresh, once, and all return the same bits
         params = standard_of_curvature(3, 4, fresh_shape_kappa(4))
         graph = detect_interfaces(params)
+        samples = 2 * sampling.CHUNK + 5
         got = set()
         serial = lambda tasks: [task() for task in tasks]  # noqa: E731
         last_first = lambda tasks: [task() for task in tasks[::-1]][::-1]  # noqa: E731
         for runner in (sampling.run_tasks, serial, last_first):
             monkeypatch.setattr(sampling, "run_tasks", runner)
-            sample_memo.clear()
-            got.add(measure_mc(params, graph, 2 * sampling.CHUNK + 5, 7).perimeter_stderr)
+            draws.clear()
+            rep = measure_mc(params, graph, samples, 7)
+            assert sorted(args[1:3] for args in draws) == sorted(
+                (label, chunk) for label in (measure._VOLUME_STREAM, measure._WALL_STREAM)
+                for chunk, _ in sampling.chunk_layout(samples))
+            got.add(b"".join(a.tobytes() for a in (rep.volumes, rep.areas, rep.volume_stderr,
+                                                    rep.area_stderr,
+                                                    np.array(rep.perimeter_stderr))))
         assert len(got) == 1
 
 
@@ -483,9 +490,9 @@ class TestMeasureCluster:
         def no_walls(*args, **kwargs):
             raise AssertionError("a wall was integrated")
 
-        # every wall integration, Monte Carlo or exact, and its q = 2 shortcut
-        # runs through _pair_integrals
-        monkeypatch.setattr(measure, "_pair_integrals", no_walls)
+        # every Monte Carlo wall integration, measure_mc's and its q = 2
+        # shortcut included, runs through _wall_pass
+        monkeypatch.setattr(measure, "_wall_pass", no_walls)
         cfg = NewtonConfig(mc_samples=100_000, mc_seed=2)
         standard_of_volume(3, 2, [0.4, 0.6], cfg)
 
@@ -707,7 +714,8 @@ class TestVolumeTracker:
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             for chunk, count in sampling.chunk_layout(samples):
-                pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, chunk, count, base.n + 1)
+                pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
+                                               base.n + 1)
                 labels = classify_many(params, pts)
                 if chunk in references:
                     # the limit: a point whose stored gap exceeds it keeps its label
@@ -741,8 +749,8 @@ class TestVolumeTracker:
             assert got[1].tobytes() == want[1].tobytes()
             rounding = measure._label_bound(params, params)
             for chunk, count in sampling.chunk_layout(samples):
-                pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
-                                          params.n + 1)
+                pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
+                                               params.n + 1)
                 ref_params, labels, gaps, counts, offset = tracker._references[chunk]
                 assert ref_params is params
                 want_labels, want_gaps = classify_many(params, pts, gaps=True)
@@ -757,7 +765,7 @@ class TestVolumeTracker:
     @given(random_affine_clusters(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_subset_labels_equal_the_full_chunk(self, params, seed):
-        pts = sampling.unit_chunk(seed, measure._VOLUME_STREAM, 0, 5_000, params.n + 1)
+        pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, 0, 5_000, params.n + 1)
         labels = classify_many(params, pts)
         values = cell_values(params, pts)
         ordered = np.sort(values, axis=0)
@@ -796,6 +804,26 @@ class TestVolumeTracker:
         assert (tracker.full, tracker.incremental) == (4, 0)
         assert again[0].tobytes() == measure.cell_volumes_mc(twin, samples, seed)[0].tobytes()
 
+    def test_draws_each_chunk_once_and_keeps_it_read_only(self, draws):
+        samples, seed = 2 * sampling.CHUNK + 7, 8
+        tracker = measure.VolumeTracker(samples, seed)
+        base = np.array([0.2, -0.05, -0.15])
+        for step in (0.0, 1e-6, 2e-6, 0.0, 0.3):  # the last step classifies in full
+            params = standard_of_curvature(3, 3, base * (1.0 + step))
+            got = tracker.volumes(params)
+            assert got[0].tobytes() == measure.cell_volumes_mc(params, samples, seed)[0].tobytes()
+        volume_draws = [args for args in draws if args[:2] == (seed, measure._VOLUME_STREAM)]
+        # the oracle draws every chunk at each of its five calls, the tracker once
+        layout = sampling.chunk_layout(samples)
+        assert len(volume_draws) == 6 * len(layout)
+        assert tracker.full > len(layout) and tracker.incremental > 0
+        assert sorted(tracker._points) == [chunk for chunk, _ in layout]
+        for chunk, count in layout:
+            pts = tracker._points[chunk]
+            assert pts.shape == (count, 4) and not pts.flags.writeable
+            want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
+            assert pts.tobytes() == want.tobytes()
+
     def test_near_share_above_threshold_classifies_in_full(self):
         samples, seed = 20_000, 6
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
@@ -818,11 +846,11 @@ class TestDrawPath:
     def test_unit_rows_equal_the_norm_formula(self, dim):
         for count in (1, 7, 1_000, sampling.CHUNK):
             want = unit_directions(3, 77, 1, count, dim)
-            assert sampling.unit_chunk(3, 77, 1, count, dim).tobytes() == want.tobytes()
+            assert sampling.draw_unit_chunk(3, 77, 1, count, dim).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", range(8, 13))
     def test_unit_rows_are_unit_beyond_dimension_seven(self, dim):
-        rows = sampling.unit_chunk(3, 77, 1, 10_000, dim)
+        rows = sampling.draw_unit_chunk(3, 77, 1, 10_000, dim)
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -831,26 +859,16 @@ class TestDrawPath:
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 1),
                                                          params.pair_curvature(0, 1))
         for count in (1, 7, 1_000, sampling.CHUNK):
-            want = sampling.unit_chunk(4, 78, 0, count, n) @ frame.T
+            want = sampling.draw_unit_chunk(4, 78, 0, count, n) @ frame.T
             want *= radius
             want += center
             got = sampling.subsphere_chunk(4, 78, 0, count, center, radius, frame)
             assert got.tobytes() == want.tobytes()
 
-    def test_memo_entry_holds_exactly_the_rows_drawn(self, sample_memo):
-        count = sampling.CHUNK // 2 + 1  # more than half a chunk, short of a whole one
-        first = sampling.unit_chunk(0, 5, 0, count, 3)
-        entry = sample_memo[(0, 5, 0, 3)]
-        assert entry.shape == (count, 3)
-        shorter = sampling.unit_chunk(0, 5, 0, 10, 3)
-        assert np.shares_memory(shorter, entry)
-        assert np.array_equal(shorter, first[:10])
-        assert list(sample_memo) == [(0, 5, 0, 3)]
-
 
 class TestWallPassMemory:
     @pytest.mark.parametrize("weighted", [False, True], ids=["area", "weighted"])
-    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted):
+    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted, monkeypatch):
         # the kernel classifies wall points in the wall's own coordinates and
         # places only the hits, in runs of at most BLOCK + 1 rows: beyond its
         # scratch, a pass over one chunk holds less than that chunk's points
@@ -866,10 +884,10 @@ class TestWallPassMemory:
         evaluated = len(weights) - 1
         directions = sampling.draw_unit_chunk(5, measure._WALL_STREAM, 0, count, n)
         scratch = sum(a.nbytes for a in measure._wall_scratch(count, n, params.q, evaluated))
+        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *_: directions)
         tracemalloc.start()
         try:
-            measure._wall_pass([(params, graph)], weights, count, 5, lambda *_: directions,
-                               perimeter=not weighted)
+            measure._wall_pass([(params, graph)], weights, count, 5, perimeter=not weighted)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

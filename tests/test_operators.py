@@ -79,23 +79,15 @@ class TestNormalMomentOperator:
             assert np.array_equal(n_op.matrix, ones.matrix), backend
             assert np.array_equal(n_op.entry_stderr, ones.entry_stderr), backend
 
-    def test_one_wall_pass_per_pair(self, monkeypatch, sample_memo):
+    def test_one_wall_pass_per_pair(self, draws):
         # area and n+1 moments of every pair are reduced over one draw of each
-        # wall chunk; with nothing memoized, every request for directions is a draw
+        # wall chunk
         params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
         graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
         samples = sampling.CHUNK + 500
-        calls = []
-        draw = sampling.draw_unit_chunk
-
-        def counted(*args):
-            calls.append(args[1:3])  # (stream label, chunk index)
-            return draw(*args)
-
-        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 0)
-        monkeypatch.setattr(sampling, "draw_unit_chunk", counted)
         normal_moment_operator(params, graph, backend="mc", samples=samples, seed=5)
+        calls = [args[1:3] for args in draws]  # (stream label, chunk index)
         # each wall chunk is drawn once per call, whatever the pair count
         assert len(calls) == len(sampling.chunk_layout(samples))
         assert len(set(calls)) == len(calls)

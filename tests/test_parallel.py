@@ -1,4 +1,4 @@
-"""Row blocks, the chunk task runner and the sample memo under threads.
+"""Row blocks, the chunk task runner and draws under threads.
 
 Results depend only on (seed, sample count): never on the block size, the
 number of workers or the order in which chunk tasks finish.
@@ -23,7 +23,7 @@ TEST_LABEL = 0x7A5C0000
 
 
 def whole_unit_rows(seed, label, count, dim):
-    """unit_chunk over the whole array at once: a left fold of squared columns."""
+    """draw_unit_chunk over the whole array at once: a left fold of squared columns."""
     arr = sampling.stream(seed, label, 0).standard_normal((count, dim))
     norms = arr[:, 0] * arr[:, 0]
     for k in range(1, dim):
@@ -77,32 +77,27 @@ class TestRowBlocks:
     @settings(max_examples=8, deadline=None)
     def test_blocked_passes_equal_whole_array_formulas(self, rows, params, seed):
         n = params.n
-        with pytest.MonkeyPatch.context() as mp:
-            # nothing is memoized, so every draw is made and blocked afresh
-            mp.setattr(sampling, "_unit_cache", {})
-            mp.setattr(sampling, "UNIT_CACHE_BUDGET", 0)
-            directions = sampling.unit_chunk(seed, TEST_LABEL, 0, rows, n + 1)
-            assert directions.tobytes() == whole_unit_rows(seed, TEST_LABEL, rows,
+        directions = sampling.draw_unit_chunk(seed, TEST_LABEL, 0, rows, n + 1)
+        assert directions.tobytes() == whole_unit_rows(seed, TEST_LABEL, rows, n + 1).tobytes()
+        if n + 1 <= 7:
+            assert directions.tobytes() == unit_directions(seed, TEST_LABEL, 0, rows,
                                                            n + 1).tobytes()
-            if n + 1 <= 7:
-                assert directions.tobytes() == unit_directions(seed, TEST_LABEL, 0, rows,
-                                                               n + 1).tobytes()
-            labels, gaps = classify_many(params, directions, gaps=True)
-            want_labels, want_gaps = least_cell(cell_values(params, directions), gaps=True)
-            assert labels.tobytes() == want_labels.tobytes()
-            assert gaps.tobytes() == want_gaps.tobytes()
-            plain = least_cell(cell_values(params, directions))
-            assert classify_many(params, directions).tobytes() == plain.tobytes()
-            for i, j in [(0, 1), (0, params.q - 1)][: 1 if params.q == 2 else 2]:
-                frame = sampling.subsphere_frame(params.pair_center(i, j),
-                                                 params.pair_curvature(i, j))
-                if frame is None:
-                    continue
-                pts = sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, rows, *frame)
-                wall_dirs = whole_unit_rows(seed, TEST_LABEL + 1, rows, n)
-                assert pts.tobytes() == whole_subsphere_points(wall_dirs, *frame).tobytes()
-                assert (wall_interior(params, i, j, pts).tobytes()
-                        == whole_wall_interior(params, i, j, pts).tobytes())
+        labels, gaps = classify_many(params, directions, gaps=True)
+        want_labels, want_gaps = least_cell(cell_values(params, directions), gaps=True)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert gaps.tobytes() == want_gaps.tobytes()
+        plain = least_cell(cell_values(params, directions))
+        assert classify_many(params, directions).tobytes() == plain.tobytes()
+        for i, j in [(0, 1), (0, params.q - 1)][: 1 if params.q == 2 else 2]:
+            frame = sampling.subsphere_frame(params.pair_center(i, j),
+                                             params.pair_curvature(i, j))
+            if frame is None:
+                continue
+            pts = sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, rows, *frame)
+            wall_dirs = whole_unit_rows(seed, TEST_LABEL + 1, rows, n)
+            assert pts.tobytes() == whole_subsphere_points(wall_dirs, *frame).tobytes()
+            assert (wall_interior(params, i, j, pts).tobytes()
+                    == whole_wall_interior(params, i, j, pts).tobytes())
 
 
 def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
@@ -174,10 +169,18 @@ RUNNERS = {
 
 
 def monte_carlo_bytes(runner) -> bytes:
-    """Every Monte Carlo result of one fixed sequence, run by runner, as bytes."""
+    """Every Monte Carlo result of one fixed sequence, run by runner, and the
+    sorted arguments of its draws, as bytes."""
+    draws = []
+    draw = sampling.draw_unit_chunk
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "run_tasks", runner)
-        mp.setattr(sampling, "_unit_cache", {})
+        mp.setattr(sampling, "draw_unit_chunk", counted)
         params = standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25]))
         graph = complete_graph(4)
         samples, seed = 2 * CHUNK + 5, 7
@@ -202,6 +205,7 @@ def monte_carlo_bytes(runner) -> bytes:
         for chunk in sorted(tracker._references):
             _, labels, gaps, counts, offset = tracker._references[chunk]
             out += [labels, gaps, counts, np.array(offset)]
+    out.append(np.array(sorted(draws)))
     return b"".join(np.ascontiguousarray(a).tobytes() for a in out)
 
 
@@ -237,23 +241,23 @@ class TestRunTasks:
         assert sampling.usable_cores() >= 1
 
 
-class TestMemoUnderThreads:
-    def test_threads_at_one_seed_get_the_reference_arrays(self, sample_memo, monkeypatch):
-        # more threads than cores, switching often: an admission that raced
-        # another past the budget check would leave the memo over budget
+class TestDrawsUnderThreads:
+    def test_threads_at_one_seed_get_the_reference_arrays(self):
+        # more threads than cores, switching often: draws share no state, so
+        # each returns its address's directions whatever runs beside it
         count, dim, seed = 20_000, 4, 5
-        monkeypatch.setattr(sampling, "UNIT_CACHE_BUDGET", 5 * count * dim)
         labels = list(range(100, 108))
         start = threading.Barrier(len(labels), timeout=60)
 
         def draw(label):
             start.wait()
-            return [sampling.unit_chunk(seed, label, chunk, count, dim) for chunk in range(3)]
+            return [sampling.draw_unit_chunk(seed, label, chunk, count, dim)
+                    for chunk in range(3)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(2):  # the second round finds some draws memoized
+            for _ in range(2):
                 with ThreadPoolExecutor(len(labels)) as pool:
                     drawn = list(pool.map(draw, labels, timeout=120))
                 for label, arrays in zip(labels, drawn):
@@ -261,10 +265,6 @@ class TestMemoUnderThreads:
                         assert not arr.flags.writeable
                         want = unit_directions(seed, label, chunk, count, dim)
                         assert arr.tobytes() == want.tobytes()
-                held = sum(a.size for a in sample_memo.values())
-                assert 0 < held <= sampling.UNIT_CACHE_BUDGET
-                assert {key[0] for key in sample_memo} == {seed}
-                assert all(not a.flags.writeable for a in sample_memo.values())
         finally:
             sys.setswitchinterval(interval)
 
@@ -275,7 +275,6 @@ def test_unit_sphere_rejects_no_samples(count):
         sampling.unit_sphere(0, count, 3)
 
 
-def test_unit_chunk_draws_no_rows(sample_memo):
-    # a draw lives in its own memory mapping, which cannot be empty
-    arr = sampling.unit_chunk(3, TEST_LABEL, 0, 0, 4)
+def test_unit_chunk_draws_no_rows():
+    arr = sampling.draw_unit_chunk(3, TEST_LABEL, 0, 0, 4)
     assert arr.shape == (0, 4) and not arr.flags.writeable

@@ -276,7 +276,7 @@ class TestStratumDraws:
         graph = detect_interfaces(params)
         certs = [certify_plateau(params, graph, sample_budget=300, seed=s)
                  for s in (8101, 8102)]
-        # reference: the same strata drawn afresh, outside the sample memo
+        # reference: the same strata drawn by the broadcast formula
         monkeypatch.setattr(plateau, "sampling", SimpleNamespace(
             subsphere_chunk=subsphere_points))
         for seed, cert in zip((8101, 8102), certs):
