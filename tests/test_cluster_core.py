@@ -17,7 +17,7 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                complete_graph, spherical_residuals, tie_subsphere,
                                trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
-from reference import masked_wall_sums, random_orthogonal, sampled_interfaces
+from reference import masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions
 
 
 def hemisphere_params():
@@ -521,3 +521,20 @@ class TestUnitDraws:
         assert not again.flags.writeable and np.array_equal(again, original)
         assert not np.shares_memory(again, first)
         assert not sampling.unit_sphere(0, 5, 3, label=9).flags.writeable
+
+    def test_draw_at_another_seed_leaves_the_first_seed_unchanged(self):
+        first = sampling.draw_unit_chunk(0, 1, 0, 64, 3)
+        other = sampling.draw_unit_chunk(1, 1, 0, 64, 3)
+        again = sampling.draw_unit_chunk(0, 1, 0, 64, 3)
+        assert again.tobytes() == first.tobytes()
+        assert first.tobytes() == unit_directions(0, 1, 0, 64, 3).tobytes()
+        assert other.tobytes() == unit_directions(1, 1, 0, 64, 3).tobytes()
+        assert not np.array_equal(other, first)
+
+    def test_shorter_draw_is_a_prefix_of_a_longer_one(self):
+        # rows are drawn and normed one by one, across block edges too
+        longer = sampling.draw_unit_chunk(0, 4, 0, sampling.CHUNK // 2 + 1, 3)
+        for count in (1, 10, 50, sampling.BLOCK + 1):
+            shorter = sampling.draw_unit_chunk(0, 4, 0, count, 3)
+            assert shorter.tobytes() == longer[:count].tobytes()
+            assert not np.shares_memory(shorter, longer)

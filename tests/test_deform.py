@@ -181,6 +181,21 @@ class TestGramInvariance:
         assert rep.volume_deviation == rep.perimeter_deviation == 0.0
         assert not rep.invariant_within_tolerance
 
+    def test_compares_every_time_when_no_interface_appears(self, equal_bubble_s2,
+                                                           equal_bubble_graph):
+        rep = gram_invariance_check(equal_bubble_s2, equal_bubble_graph, t_max=0.8, steps=3)
+        assert rep.first_new_interface_t is None and rep.new_interface_pair is None
+        assert rep.times_compared == 4
+        assert rep.invariant_within_tolerance
+
+    def test_a_single_grid_time_shows_no_invariance(self, equal_bubble_s2,
+                                                    equal_bubble_graph):
+        rep = gram_invariance_check(equal_bubble_s2, equal_bubble_graph, steps=0)
+        assert rep.times.tolist() == [0.0]
+        assert rep.times_compared == 1
+        assert rep.volume_deviation == rep.perimeter_deviation == 0.0
+        assert not rep.invariant_within_tolerance
+
     @pytest.mark.parametrize("steps", [-1, -2])
     def test_rejects_negative_steps(self, equal_bubble_s2, equal_bubble_graph, steps):
         with pytest.raises(ValueError, match="steps must be non-negative"):

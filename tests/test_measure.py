@@ -824,6 +824,19 @@ class TestVolumeTracker:
             want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
             assert pts.tobytes() == want.tobytes()
 
+    def test_trackers_at_one_seed_keep_their_own_points(self, draws):
+        # no draw outlives its tracker: a second tracker at the same address
+        # draws its chunks again and shares no memory with the first
+        samples, seed = 5_000, 9
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        first, second = measure.VolumeTracker(samples, seed), measure.VolumeTracker(samples, seed)
+        got = [tracker.volumes(params)[0].tobytes() for tracker in (first, second)]
+        assert got[0] == got[1]
+        assert len(draws) == 2 * len(sampling.chunk_layout(samples))
+        for chunk in first._points:
+            assert first._points[chunk].tobytes() == second._points[chunk].tobytes()
+            assert not np.shares_memory(first._points[chunk], second._points[chunk])
+
     def test_near_share_above_threshold_classifies_in_full(self):
         samples, seed = 20_000, 6
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
