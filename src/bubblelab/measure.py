@@ -125,17 +125,24 @@ _WALL_STREAM = 0xA11
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cell volumes by uniform sampling of S^n, with binomial stderr.
 
-    Each volume chunk is drawn afresh."""
+    Each volume chunk is drawn afresh and classified one block at a time."""
 
     def chunk_counts(chunk: int, count: int) -> np.ndarray:
-        pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, params.n + 1)
-        return _classified_counts(params, pts)
+        return _volume_counts([params], seed, chunk, count)[0]
 
     return _cell_volumes_mc(samples, chunk_counts)
 
 
-def _classified_counts(params: ClusterParams, pts: np.ndarray) -> np.ndarray:
-    return np.bincount(classify_many(params, pts), minlength=params.q)
+def _volume_counts(all_params: list[ClusterParams], seed: int, chunk: int,
+                   count: int) -> list[np.ndarray]:
+    """The integer cell counts of each of all_params (sharing n and q) over one
+    volume chunk, whose blocks are classified against each as they are drawn."""
+    n, q = all_params[0].n, all_params[0].q
+    counts = [np.zeros(q, dtype=np.intp) for _ in all_params]
+    for block in sampling.unit_blocks(seed, _VOLUME_STREAM, chunk, count, n + 1):
+        for total, params in zip(counts, all_params):
+            total += np.bincount(classify_many(params, block), minlength=q)
+    return counts
 
 
 def _cell_volumes_mc(samples: int, chunk_counts) -> tuple[np.ndarray, np.ndarray]:
@@ -183,13 +190,14 @@ def _label_bound(ref: ClusterParams, cur: ClusterParams) -> float:
 class VolumeTracker:
     """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
 
-    Each volume chunk is drawn on its first evaluation, by the same
-    sampling.draw_unit_chunk call as cell_volumes_mc's, and kept, read-only,
-    for the tracker's life. Beside it the tracker keeps the chunk's
-    reference: the parameters P of the chunk's last evaluation, each point's
-    label l in the smallest integer type that holds q, each point's stored gap
-    s, the cell counts and one offset o. A full classification stores the
-    computed gaps (second-least minus least affine value) with o = 0. A later
+    Each volume chunk is drawn on its first evaluation, by
+    sampling.draw_unit_chunk, whose rows are those of the blocks
+    cell_volumes_mc classifies, and kept, read-only, for the tracker's life.
+    Beside it the tracker keeps the chunk's reference: the parameters P of
+    the chunk's last evaluation, each point's label l in the smallest integer
+    type that holds q, each point's stored gap s, the cell counts and one
+    offset o. A full classification stores the computed gaps (second-least
+    minus least affine value) with o = 0. A later
     evaluation at P' reclassifies, with the same classify_many code, only the
     near points, s <= limit with
     limit = o + delta rounded up, and takes the counts as
@@ -255,9 +263,14 @@ class VolumeTracker:
     def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
         """cell_volumes_mc(params, samples, seed), bit for bit."""
         moved = {}  # chunk -> points reclassified, or None for a full classification
+        # the bounds depend on the parameters alone, and after an evaluation every
+        # chunk's reference holds its parameters: each is computed once per call
+        references = {id(ref[0]): ref[0] for ref in self._references.values()}
+        bounds = {key: _label_bound(ref, params) for key, ref in references.items()}
+        unchanged = _label_bound(params, params) if bounds else None
 
         def chunk_counts(chunk: int, count: int) -> np.ndarray:
-            counts, moved[chunk] = self._chunk_counts(chunk, count, params)
+            counts, moved[chunk] = self._chunk_counts(chunk, count, params, bounds, unchanged)
             return counts
 
         result = _cell_volumes_mc(self.samples, chunk_counts)
@@ -269,9 +282,12 @@ class VolumeTracker:
                 self.reclassified += points
         return result
 
-    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams):
+    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams, bounds: dict,
+                      unchanged: float | None):
         """(counts, points reclassified or None) of one chunk of count points.
 
+        bounds maps the id of each reference's parameters to their
+        _label_bound to params, and unchanged is _label_bound(params, params).
         The chunk's points are drawn on its first evaluation. Every evaluation
         becomes the chunk's reference as soon as it is made; each chunk's task
         reads and writes only its own points and reference.
@@ -283,11 +299,11 @@ class VolumeTracker:
         reference = self._references.get(chunk)
         if reference is not None:
             ref_params, labels, gaps, counts, offset = reference
-            limit = np.nextafter(offset + _label_bound(ref_params, params), np.inf)
+            limit = np.nextafter(offset + bounds[id(ref_params)], np.inf)
             near = np.flatnonzero(gaps <= limit)
             if near.size <= FULL_CLASSIFY_SHARE * gaps.size:
                 moved, moved_gaps = classify_many(params, np.take(pts, near, axis=0), gaps=True)
-                if np.all(moved_gaps > _label_bound(params, params)):
+                if np.all(moved_gaps > unchanged):
                     counts = (counts - np.bincount(np.take(labels, near), minlength=q)
                               + np.bincount(moved, minlength=q))
                     labels[near] = moved
@@ -301,103 +317,161 @@ class VolumeTracker:
         return counts, None
 
 
-def _wall_scratch(count: int, n: int, q: int, evaluated: int) -> tuple[np.ndarray, ...]:
-    """Scratch of _wall_chunk_sums for a chunk of count directions in R^n, walls
-    of clusters of at most q cells and `evaluated` weights other than None:
-    (cell values of a block, gathered hit directions, placed points, the
-    (weights, count) values at the hits, mask). With no weight to evaluate no
-    point is gathered or placed, and those two buffers are empty."""
-    run = sampling.BLOCK + 1 if evaluated else 0  # the longest run weighed at once
-    return (np.empty((q, sampling.BLOCK + 1)), np.empty((2 * run, n)), np.empty((run, n + 1)),
-            np.empty((evaluated, count)), np.empty(count, dtype=bool))
-
-
-def _wall_chunk_sums(params: ClusterParams, i: int, j: int, frame, directions: np.ndarray,
-                     weights, scratch) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """(Per weight, (sum, sum of squares) over one chunk of the (i, j) wall
-    sphere; the chunk's mask of Sigma_ij).
-
-    frame = (center, r, T) is the wall's subsphere_frame and directions the
-    chunk's unit directions w in R^n; the wall point of w is center + r T w.
-    The cells' affine values there are (r C T) w + (C center + kappa), so one
-    q x n map and one offset, made once per wall, give them for a
-    sampling.row_blocks block of directions in one product into the
-    scratch's cell values, which wall_mask turns into the block's mask. No
-    point is placed to classify it. This mask equals wall_interior's on the
-    placed points (subsphere_chunk) bit for bit wherever no third cell is
-    within rounding of the pair, which a property test checks on random
-    clusters. The exception is a cluster with two identical cells: their
-    values tie exactly everywhere, so a wall one of them bounds has a mask
-    that follows rounding on both paths, and the two may differ.
-
-    Only the hits are placed and weighed. Each block's hit directions are
-    gathered, in chunk order, after those left over from earlier blocks;
-    whenever more than BLOCK + 1 wait, the first BLOCK are placed in the
-    scratch (as subsphere_chunk places them) and handed, read-only, to every
-    weight, whose values go into the next columns of its row of the
-    (weights, count) array. The rest are placed and weighed at the end. So a
-    product in a weight stays on this thread, no run has a single row unless
-    the chunk does (a single hit is weighed beside a copy of itself), and
-    BLOCK sets no bit. Each weight's values at the hits are summed in chunk
-    order, then squared in place and summed; a weight None integrates the
-    constant 1, so both of its sums are the hits. With no weight but None no
-    point is gathered at all.
-
-    scratch is a _wall_scratch for len(directions) directions and at least
-    params.q cells; a pass over the walls of one chunk hands each wall the
-    same one, so the mask returned is the scratch's, valid until its next call.
-    """
+def _wall_map(params: ClusterParams, frame) -> tuple:
+    """(slope, offset, affine) of a wall with subsphere_frame frame =
+    (center, r, T), made once per wall. At the wall point center + r T w of a
+    unit direction w in R^n the cells' affine values are slope @ w + offset,
+    and the point itself is (w, 1) @ affine, one product for the stacked rows
+    r T^T and center."""
     center, radius, tangent = frame
-    count = len(directions)
-    cells, gathered, placed, values, inside = scratch
-    slope = radius * (params.quasi_centers @ tangent)
-    offset = (params.quasi_centers @ center + params.curvatures)[:, None]
-    evaluated = [weight for weight in weights if weight is not None]
-    # kept C-ordered: the bits of products that weight callbacks take, such as
-    # pts @ xi, depend on the memory layout
-    basis = np.ascontiguousarray(tangent.T)
+    # affine is C-ordered, as the points it places are: the bits of products
+    # that weight callbacks take, such as pts @ xi, depend on the memory layout
+    return (radius * (params.quasi_centers @ tangent),
+            (params.quasi_centers @ center + params.curvatures)[:, None],
+            np.vstack([radius * tangent.T, center]))
 
-    def weigh(run: np.ndarray, start: int) -> None:
-        pts = placed[: len(run)]
-        np.matmul(run, basis, out=pts)
-        pts *= radius
-        pts += center
-        pts.setflags(write=False)
-        for row, weight in zip(values, evaluated):
-            row[start: start + len(run)] = weight(pts)
 
-    waiting = weighed = 0  # hits gathered and not yet weighed; hits weighed
-    for rows in sampling.row_blocks(count):
-        block = cells[: params.q, : rows.stop - rows.start]
-        np.matmul(slope, directions[rows].T, out=block)
-        block += offset
-        mask = inside[rows]
-        wall_mask(block, i, j, 0.0, mask)
-        if not evaluated:
-            continue
-        found = int(np.count_nonzero(mask))
-        np.compress(mask, directions[rows], axis=0, out=gathered[waiting: waiting + found])
-        waiting += found
-        while waiting > sampling.BLOCK + 1:
-            weigh(gathered[: sampling.BLOCK], weighed)
-            weighed += sampling.BLOCK
-            waiting -= sampling.BLOCK
-            gathered[:waiting] = gathered[sampling.BLOCK: sampling.BLOCK + waiting]
-    if waiting == 1 and count > 1:
+def _wall_hits(params: ClusterParams, i: int, j: int, wall: tuple, columns: np.ndarray,
+               cells: np.ndarray, mask: np.ndarray) -> int:
+    """The hits of one block of directions on the (i, j) wall sphere, whose
+    mask of Sigma_ij is written to mask.
+
+    wall is the wall's _wall_map, and columns the transpose of one
+    sampling.row_blocks block of unit directions in R^n, each row contiguous:
+    copied once per block, it takes a third off each product, whose bits it
+    keeps. One product into cells, a (q, BLOCK + 1) scratch, gives the cells'
+    affine values at the block's wall points, and wall_mask turns them into
+    the mask: no point is placed to classify it. This mask equals
+    wall_interior's on the points subsphere_chunk places bit for bit wherever
+    no third cell is within rounding of the pair, which a property test checks
+    on random clusters. The exception is a cluster with two identical cells:
+    their values tie exactly everywhere, so a wall one of them bounds has a
+    mask that follows rounding on both paths, and the two may differ.
+    """
+    slope, offset, _ = wall
+    block = cells[: params.q, : columns.shape[1]]
+    np.matmul(slope, columns, out=block)
+    block += offset
+    wall_mask(block, i, j, 0.0, mask)
+    return int(np.count_nonzero(mask))
+
+
+def _place_hits(affine: np.ndarray, lifted: np.ndarray, mask: np.ndarray, hits: int,
+                gathered: np.ndarray, placed: np.ndarray) -> None:
+    """Place a block's hits (mask) on a wall in the first rows of placed: the
+    rows (w, 1) of lifted at the hits, times the wall's affine map. A single
+    hit of a longer block is placed beside a copy of itself, in the next row,
+    so that no product has a single row unless the block does."""
+    run = 2 if hits == 1 and len(lifted) > 1 else hits
+    lifted.compress(mask, axis=0, out=gathered[:hits])
+    if run > hits:
         gathered[1] = gathered[0]
-        weigh(gathered[:2], weighed)
-    elif waiting:
-        weigh(gathered[:waiting], weighed)
-    hits = int(np.count_nonzero(inside))
-    weight_values = iter(values)
-    sums = []
-    for weight in weights:
-        if weight is None:
-            sums.append((float(hits), float(hits)))
-        else:
-            contrib = next(weight_values)[:hits]
-            sums.append((contrib.sum(), np.multiply(contrib, contrib, out=contrib).sum()))
-    return sums, inside
+    np.matmul(gathered[:run], affine, out=placed[:run])
+
+
+def _wall_chunk(sampled: list[tuple[ClusterParams, list[tuple]]], weights, blocks,
+                count: int, perimeter: bool) -> list[tuple[list, np.ndarray | None]]:
+    """Per cluster, (per sampled wall, each weight's (sum, sum of squares)
+    over one chunk as a (weights, 2) array; the (1, 2) array of the sums of T
+    and T^2 over the chunk if `perimeter` is set, else None).
+
+    sampled holds each cluster's params and its sampled walls
+    (i, j, _wall_map, |wall_ij| / |S^n|); blocks yields the chunk's count unit
+    directions in R^n one sampling.row_blocks block at a time, as
+    sampling.unit_blocks does. Each block is classified on every wall of
+    every cluster (_wall_hits), and its hits placed and weighed, before the
+    next is drawn; the scratch is made once per chunk, for blocks of at most
+    BLOCK + 1 rows.
+
+    Only the hits are placed (_place_hits), wall after wall, and each weight
+    is called on the placed hits of a cluster's walls in one block, handed
+    over read-only in runs of at most BLOCK + 1 rows: a run is weighed when
+    the next wall's hits would not fit. So a product in a weight stays on
+    this thread, and no run has a single row unless the block does (a single
+    hit is weighed beside a copy of itself). Each weight's values at a wall's
+    hits in a block are summed in block order, then squared and summed, and a
+    wall's chunk sums are the sampling.pairwise_sum of its per-block sums in
+    block order. A weight None integrates the constant 1, so both of its sums
+    are the hits; with no weight but None no point is gathered at all.
+
+    With `perimeter` set each cluster keeps its per-direction totals
+    T(k) = sum over its walls of |wall_ij| / |S^n| * hit_ij(k), added wall
+    after wall for each block, and sums them and their squares over the whole
+    chunk.
+    """
+    n = sampled[0][0].n
+    longest = sampling.BLOCK + 1
+    layout = sampling.row_blocks(count)
+    evaluated = np.array([k for k, weight in enumerate(weights) if weight is not None],
+                         dtype=np.intp)
+    plain = [k for k, weight in enumerate(weights) if weight is None]
+    room = longest + 1 if evaluated.size else 0  # a run and the copy of a last single hit
+    most = max(len(walls) for _, walls in sampled)
+    cells = np.empty((max(params.q for params, _ in sampled), longest))
+    cols = np.empty((n, longest))  # each block's directions as columns, for _wall_hits
+    masks = np.empty((most, longest), dtype=bool)
+    term = np.empty(longest) if perimeter else None
+    lift = np.ones((longest if evaluated.size else 0, n + 1))  # each block's rows (w, 1)
+    gathered, placed = np.empty((room, n + 1)), np.empty((room, n + 1))
+    values = np.empty((2, evaluated.size, room))  # the weights' values and their squares
+
+    def weigh(run: int, waiting: list, rows: int) -> None:
+        """Weigh the run placed hits of the walls waiting, (sums, start, hits)."""
+        if run == 1 and rows > 1:  # the copy _place_hits placed beside it
+            run = 2
+        pts = placed[:run]
+        pts.setflags(write=False)
+        for row, k in zip(values[0], evaluated):
+            row[:run] = weights[k](pts)
+        np.multiply(values[0, :, :run], values[0, :, :run], out=values[1, :, :run])
+        for sums, start, hits in waiting:
+            # each row summed as one contiguous run, as contrib.sum() would
+            sums[evaluated] = np.add.reduce(values[:, :, start: start + hits], axis=2).T
+
+    # each sampled wall's (sum, sum of squares) per block and weight, and its
+    # hits per block
+    block_sums = [[np.zeros((len(layout), len(weights), 2)) for _ in walls]
+                  for _, walls in sampled]
+    block_hits = [np.empty((len(walls), len(layout))) for _, walls in sampled]
+    totals = [np.empty(count) if perimeter and walls else None for _, walls in sampled]
+    shares = [[share for *_, share in walls] for _, walls in sampled]
+    for b, (rows, directions) in enumerate(zip(layout, blocks)):
+        size = rows.stop - rows.start
+        fits = longest if size > 1 else 1
+        columns = cols[:, :size]
+        np.copyto(columns, directions.T)
+        if evaluated.size:
+            lifted = lift[:size]
+            lifted[:, :n] = directions
+        for (params, walls), wall_sums, hit_counts, total, share in zip(
+                sampled, block_sums, block_hits, totals, shares):
+            waiting, run = [], 0
+            for m, (i, j, wall, _) in enumerate(walls):
+                mask = masks[m, :size]
+                hits = hit_counts[m, b] = _wall_hits(params, i, j, wall, columns, cells, mask)
+                if not (evaluated.size and hits):
+                    continue
+                if run + hits > fits:
+                    weigh(run, waiting, size)
+                    waiting, run = [], 0
+                _place_hits(wall[2], lifted, mask, hits, gathered[run:], placed[run:])
+                waiting.append((wall_sums[m][b], run, hits))
+                run += hits
+            if waiting:
+                weigh(run, waiting, size)
+            if total is not None:
+                block_total = total[rows]
+                block_total.fill(0.0)
+                for mask, wall_share in zip(masks, share):
+                    # a masked add (where=mask) takes about five times as long
+                    block_total += np.multiply(mask[:size], wall_share, out=term[:size])
+    for wall_sums, hit_counts in zip(block_sums, block_hits):
+        for sums, hits in zip(wall_sums, hit_counts):
+            sums[:, plain] = hits[:, None, None]
+    return [([sampling.pairwise_sum(list(sums)) for sums in wall_sums],
+             None if total is None else
+             np.array([[total.sum(), np.multiply(total, total, out=total).sum()]]))
+            for wall_sums, total in zip(block_sums, totals)]
 
 
 def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
@@ -420,15 +494,16 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     chunks of wall directions.
 
     The clusters share n. Each chunk of unit directions in R^n is drawn once,
-    afresh, by sampling.draw_unit_chunk(seed, _WALL_STREAM, chunk, count, n),
-    in a task of sampling.run_tasks, which runs _wall_chunk_sums on it for the
-    wall of every pair of every graph, with one scratch reused across them:
-    each direction gives one point on every wall, classified in that wall's own
-    coordinates, and only the wall's hits are placed and weighed. A wall that
-    misses S^n has no frame and integrates to zero. With `perimeter` set the
-    task also sums, per cluster, the per-direction total T(k) = sum over its
-    walls of |wall_ij| / |S^n| * hit_ij(k), and T(k)^2, over the chunk; the
-    chunk sums reduce pairwise in layout order, like a weight's, and the
+    afresh, one block at a time, by sampling.unit_blocks(seed, _WALL_STREAM,
+    chunk, count, n), in a task of sampling.run_tasks, which runs _wall_chunk
+    on it: block-major, each block gives one point on every wall of every
+    cluster, classified in that wall's own coordinates, and only the wall's
+    hits are placed and weighed. No task holds a chunk of directions or
+    points. A weight's chunk sum is the pairwise sum of its per-block sums in
+    block order, and its mean over a wall the pairwise sum of the chunk sums
+    in layout order. A wall that misses S^n has no frame and integrates to
+    zero. With `perimeter` set the chunk sums of the per-direction totals T
+    and T^2 reduce pairwise in layout order, like a weight's, and the
     perimeter's standard error is sqrt(var(T) / samples). With two cells and
     no weight but None every direction is a hit on the one wall: that
     cluster's walls are not sampled, each mean is exactly 1 and both errors
@@ -437,49 +512,32 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     n = clusters[0][0].n
     norm = sphere_surface_measure(n)
     only_area = all(weight is None for weight in weights)
-    evaluated = sum(weight is not None for weight in weights)
     walls = [_wall_frames(params, graph) for params, graph in clusters]
-    # (i, j, frame, |wall_ij| / |S^n|) of each wall that is sampled, per cluster
-    sampled = [[] if params.q == 2 and only_area else
-               [(i, j, frame, _wall_measure(n, frame) / norm)
-                for i, j, frame in cluster_walls if frame is not None]
+    # each cluster's params and (i, j, _wall_map, |wall_ij| / |S^n|) of each wall
+    # that is sampled
+    sampled = [(params, [] if params.q == 2 and only_area else
+                [(i, j, _wall_map(params, frame), _wall_measure(n, frame) / norm)
+                 for i, j, frame in cluster_walls if frame is not None])
                for (params, _), cluster_walls in zip(clusters, walls)]
 
-    def task(chunk: int, count: int) -> list[tuple[list, tuple[float, float] | None]]:
-        directions = sampling.draw_unit_chunk(seed, _WALL_STREAM, chunk, count, n)
-        scratch = _wall_scratch(count, n, max(params.q for params, _ in clusters), evaluated)
-        if perimeter:
-            total, term = np.empty(count), np.empty(count)
-        out = []
-        for (params, _), cluster_walls in zip(clusters, sampled):
-            chunk_sums, moments = [], None
-            if perimeter:
-                total.fill(0.0)
-            for i, j, frame, share in cluster_walls:
-                sums, inside = _wall_chunk_sums(params, i, j, frame, directions, weights,
-                                                scratch)
-                chunk_sums.append(sums)
-                if perimeter:
-                    # a masked add (where=inside) takes about five times as long
-                    total += np.multiply(inside, share, out=term)
-            if perimeter:
-                moments = (total.sum(), np.multiply(total, total, out=total).sum())
-            out.append((chunk_sums, moments))
-        return out
+    def task(chunk: int, count: int) -> list[tuple[list, np.ndarray | None]]:
+        blocks = sampling.unit_blocks(seed, _WALL_STREAM, chunk, count, n)
+        return _wall_chunk(sampled, weights, blocks, count, perimeter)
 
     layout = sampling.chunk_layout(samples)
     drawn = sampling.run_tasks([partial(task, chunk, count) for chunk, count in layout]
-                               if any(sampled) else [])
+                               if any(cluster_walls for _, cluster_walls in sampled) else [])
     out = []
     for k, ((params, _), cluster_walls) in enumerate(zip(clusters, walls)):
         perimeter_err = 0.0 if perimeter else None
-        if not sampled[k]:  # every sample is a hit, or no wall has a frame to read sums for
+        sampled_walls = sampled[k][1]
+        if not sampled_walls:  # every sample is a hit, or no wall has a frame to read sums for
             sums = None
         else:
             sums = {(i, j): [chunk[k][0][m] for chunk in drawn]
-                    for m, (i, j, _, _) in enumerate(sampled[k])}
+                    for m, (i, j, _, _) in enumerate(sampled_walls)}
             if perimeter:
-                (_, perimeter_err), = _wall_moments([[chunk[k][1]] for chunk in drawn],
+                (_, perimeter_err), = _wall_moments([chunk[k][1] for chunk in drawn],
                                                     samples)
         out.append((_wall_integrals(params, cluster_walls, len(weights), samples, sums),
                     perimeter_err))
@@ -499,9 +557,10 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
     standard errors, in one pass over each sample chunk.
 
     The clusters share n and q, as the points of a deformation path do. Each
-    volume chunk is drawn once, afresh, and classified against every cluster,
-    and each chunk of wall directions is drawn once, afresh, and integrated
-    over every wall of every cluster (_wall_pass). So each cluster's volumes
+    volume chunk is drawn once, afresh, one block at a time, and each block is
+    classified against every cluster as soon as it is drawn; each chunk of
+    wall directions is drawn the same way, and each block integrated over
+    every wall of every cluster (_wall_pass). So each cluster's volumes
     and errors equal cell_volumes_mc's, and its areas and errors
     interface_areas', bit for bit, and its perimeter's error is the joint one
     of the walls' shared directions (see MeasureReport). With two cells no
@@ -515,11 +574,8 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
     if any(params.n != n or params.q != q for params, _ in clusters):
         raise ValueError("the clusters of one pass must share n and q")
 
-    def volume_task(chunk: int, count: int) -> list[np.ndarray]:
-        pts = sampling.draw_unit_chunk(seed, _VOLUME_STREAM, chunk, count, n + 1)
-        return [_classified_counts(params, pts) for params, _ in clusters]
-
-    counts = sampling.run_tasks([partial(volume_task, chunk, count)
+    counts = sampling.run_tasks([partial(_volume_counts, [params for params, _ in clusters],
+                                         seed, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
     walls = _wall_pass(clusters, [None], samples, seed, perimeter=True)
     reports = []
@@ -835,12 +891,13 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
-    is left out), or each chunk of wall directions is drawn once, afresh, and
-    every wall is classified on it in its own coordinates, with only its hits
-    placed and weighed (_wall_pass). On Monte Carlo the chunk tasks run
-    through sampling.run_tasks, so the weights may run on worker threads; a
-    weight's chunk sum runs over the wall's hits in chunk order, its mean over
-    a wall is a pairwise sum of those chunk sums in layout order, and its
+    is left out), or each chunk of wall directions is drawn once, afresh, one
+    block at a time, and every wall is classified on each block in its own
+    coordinates, with only the block's hits placed and weighed (_wall_pass).
+    On Monte Carlo the chunk tasks run through sampling.run_tasks, so the
+    weights may run on worker threads; a weight's chunk sum is the pairwise
+    sum of its per-block sums over the wall's hits in block order, its mean
+    over a wall is a pairwise sum of those chunk sums in layout order, and its
     stderr the binomial one of those samples. The walls share their
     directions, so the pair errors are correlated; the perimeter's joint error
     is measure_mc's.
@@ -856,7 +913,7 @@ def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int
                     samples: int, sums: dict | None) -> list[tuple[dict, dict]]:
     """Per weight, ({pair: normalized integral}, {pair: stderr}) over the walls (i, j, frame).
 
-    sums holds each framed wall's _wall_chunk_sums in layout order; None
+    sums holds each framed wall's _wall_chunk sums in layout order; None
     means that every sample is a hit. A wall whose frame is None (its
     hyperplane misses S^n) integrates to zero.
     """
@@ -876,12 +933,13 @@ def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int
     return list(zip(values, errs))
 
 
-def _wall_moments(chunk_sums: list, samples: int) -> list[tuple[float, float]]:
-    """Per weight, (mean, stderr) over a wall from its _wall_chunk_sums in layout order."""
+def _wall_moments(chunk_sums: list[np.ndarray], samples: int) -> list[tuple[float, float]]:
+    """Per weight, (mean, stderr) over a wall from its chunk sums, (weights, 2)
+    arrays of (sum, sum of squares) reduced pairwise in layout order."""
     out = []
-    for w_sums in zip(*chunk_sums):
-        mean = float(sampling.pairwise_sum([s for s, _ in w_sums])) / samples
-        second = float(sampling.pairwise_sum([sq for _, sq in w_sums])) / samples
+    for total, squares in sampling.pairwise_sum(chunk_sums):
+        mean = float(total) / samples
+        second = float(squares) / samples
         var = max(second - mean * mean, 0.0)
         out.append((mean, math.sqrt(var / samples)))
     return out
@@ -913,9 +971,11 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
     All weights are integrated in one pass over the same points (see
     _pair_integrals); "auto" picks exact on S^2 and Monte Carlo otherwise.
     Each result equals the single-weight weighted_laplacian bit for bit. On
-    Monte Carlo a weight sees only the wall points that lie on the interface,
-    in read-only runs of up to sampling.BLOCK + 1 rows, and may run on a
-    worker thread, so it must be pure and act on each row alone.
+    Monte Carlo a weight sees only the wall points that lie on the interface:
+    the hits of one block on one or more walls at a time, in read-only runs of
+    at most sampling.BLOCK + 1 rows (a single hit is weighed beside a copy of
+    itself). It may run on a worker thread, so it must be pure and act on each
+    row alone.
     """
     q = params.q
     integrals = _pair_integrals(params, graph, weights, backend, samples, seed)

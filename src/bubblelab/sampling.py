@@ -4,19 +4,25 @@ Streams are addressed by (seed, stream label, chunk index) through independent
 Philox keys, so any chunk can be regenerated in isolation: results depend only
 on (seed, sample count), never on how the work is split. A unit direction is a
 Gaussian row divided by its norm, the square root of a left fold of its
-squared coordinates. draw_unit_chunk draws a chunk of directions afresh, and
-every sampler here draws through it. No module keeps draws between calls: a
-caller that reads one address again and again, such as measure.VolumeTracker
-over the evaluations of a volume Newton solve, keeps the chunks it drew for
-as long as it lives. Returned arrays are read-only, so a caller that shares
-them cannot change what another reads.
+squared coordinates. unit_blocks is the one draw path: it draws a chunk's
+directions from the chunk's stream one row_blocks block at a time, and a
+Monte Carlo pass classifies and integrates each block as soon as it is drawn,
+so no pass holds a chunk of points. draw_unit_chunk writes that stream into
+one array, for a caller that keeps a chunk, and every sampler here draws
+through it. No module keeps draws between calls: a caller that reads one
+address again and again, such as measure.VolumeTracker over the evaluations
+of a volume Newton solve, keeps the chunks it drew for as long as it lives.
+Returned arrays and blocks are read-only, so a caller that shares them cannot
+change what another reads.
 
 Chunks run at the same time: run_tasks spreads independent chunk tasks over
 every usable core, and each chunk's per-point passes run in blocks of BLOCK
-rows (row_blocks). Results depend only on (seed, sample count), never on the
-core count, the block size or the order in which tasks finish: each chunk has
-its own Philox key, every reduction whose order sets the bits runs over whole
-chunks in layout order on the calling thread, and no block is a single row.
+rows (row_blocks). Results depend only on (seed, sample count), with CHUNK
+and BLOCK fixed, never on the core count or the order in which tasks finish:
+each chunk has its own Philox key, a weighted wall sum over a chunk is the
+pairwise_sum of its per-block sums in block order, every reduction across
+chunks runs in layout order on the calling thread, and no block is a single
+row unless its chunk is.
 Callbacks handed to the package, such as the weights of
 measure.weighted_laplacians, may run on worker threads, so they must be pure.
 """
@@ -28,12 +34,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Chunk size is part of the reproducibility contract: streams are drawn in
-# fixed-size chunks and reduced pairwise, so a result depends only on
+# Chunk and block sizes are part of the reproducibility contract: streams are
+# drawn in fixed-size chunks and reduced pairwise, so a result depends only on
 # (seed, sample count), never on how the work is split.
 CHUNK = 1 << 18
 # Rows per block of a chunk's per-point passes: small enough that a block's
-# values stay in cache and BLAS runs it on one thread. It never sets a bit.
+# values stay in cache and BLAS runs it on one thread. A weighted wall sum over
+# a chunk is the pairwise sum of its per-block sums, so BLOCK fixes its order.
 BLOCK = 1 << 13
 
 _MIX = 0x9E3779B97F4A7C15
@@ -52,13 +59,19 @@ def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, label, chunk)))
 
 
-def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), drawn afresh at the
-    address; read-only."""
-    arr = np.empty((count, dim))
-    stream(seed, label, chunk).standard_normal(out=arr)
+def unit_blocks(seed: int, label: int, chunk: int, count: int, dim: int):
+    """The count unit directions in R^dim at the address, one row_blocks(count)
+    block at a time: each block is drawn from the chunk's one Philox stream
+    when it is asked for, normalized, and handed out read-only as a new array.
+
+    Consecutive blocks continue one stream, so their rows are draw_unit_chunk's
+    rows bit for bit; a pass that reads each block once holds one block of
+    directions, never the chunk.
+    """
+    rng = stream(seed, label, chunk)
     for rows in row_blocks(count):
-        block = arr[rows]
+        block = np.empty((rows.stop - rows.start, dim))
+        rng.standard_normal(out=block)
         # a left fold of the squared columns: np.linalg.norm bit for bit up to
         # dim 7, where numpy's reduction over a short axis folds left as well
         norms = block[:, 0] * block[:, 0]
@@ -66,6 +79,16 @@ def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> 
             norms += block[:, k] * block[:, k]
         np.sqrt(norms, out=norms)
         block /= norms[:, None]
+        block.setflags(write=False)
+        yield block
+
+
+def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
+    """Uniform unit directions in R^dim, shape (count, dim), drawn afresh at the
+    address: the unit_blocks stream written into one array; read-only."""
+    arr = np.empty((count, dim))
+    for rows, block in zip(row_blocks(count), unit_blocks(seed, label, chunk, count, dim)):
+        arr[rows] = block
     arr.setflags(write=False)
     return arr
 

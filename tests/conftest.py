@@ -7,16 +7,17 @@ from bubblelab import gallery, sampling
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The arguments (seed, label, chunk, count, dim) of every
-    sampling.draw_unit_chunk call the test makes, in order of request."""
+    """The address and size (seed, label, chunk, count, dim) of every chunk
+    the test draws, in order of request: each sampling.unit_blocks stream it
+    opens, the one draw path, which sampling.draw_unit_chunk runs too."""
     calls = []
-    draw = sampling.draw_unit_chunk
+    blocks = sampling.unit_blocks
 
     def counted(*args):
         calls.append(args)
-        return draw(*args)
+        return blocks(*args)
 
-    monkeypatch.setattr(sampling, "draw_unit_chunk", counted)
+    monkeypatch.setattr(sampling, "unit_blocks", counted)
     return calls
 
 

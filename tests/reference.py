@@ -170,6 +170,15 @@ def subsphere_points(seed: int, label: int, chunk: int, count: int,
     return center[None, :] + radius * (w @ frame.T)
 
 
+def wall_points(directions: np.ndarray, center: np.ndarray, radius: float,
+                frame: np.ndarray) -> np.ndarray:
+    """The wall pass's points center + radius * frame @ w of unit directions
+    w: each row (w, 1) times the stacked rows radius * frame^T and center, in
+    one product over the whole array."""
+    lifted = np.hstack([directions, np.ones((len(directions), 1))])
+    return lifted @ np.vstack([radius * frame.T, center])
+
+
 def perimeter_totals(params: ClusterParams, graph: InterfaceGraph, samples: int,
                      seed: int) -> np.ndarray:
     """The per-direction totals T(k) = sum over the pairs of graph of

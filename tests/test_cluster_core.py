@@ -17,7 +17,8 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                complete_graph, spherical_residuals, tie_subsphere,
                                trace_vertices, wall_interior)
 from bubblelab.simplex import sphere_surface_measure
-from reference import masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions
+from reference import (masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions,
+                       wall_points)
 
 
 def hemisphere_params():
@@ -312,21 +313,29 @@ def reference_interior(params, i, j, pts, tie_tol=0.0):
 
 
 def reference_wall_chunks(params, i, j, samples, seed):
-    """(placed points, reference interior mask) of each chunk of the (i, j) wall."""
+    """(points the wall pass weighs, reference interior mask of the points
+    subsphere_chunk places) of each chunk of the (i, j) wall."""
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
     for chunk, count in sampling.chunk_layout(samples):
         pts = sampling.subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
-        yield pts, reference_interior(params, i, j, pts)
+        directions = unit_directions(seed, measure._WALL_STREAM, chunk, count, params.n)
+        yield wall_points(directions, *frame), reference_interior(params, i, j, pts)
 
 
 def reference_chunk_sums(params, i, j, samples, seed, weight=None):
-    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight over
-    the hit rows of the reference interior mask, in chunk order."""
+    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight: on
+    each sampling.row_blocks block, the weight's values over the hit rows of
+    the reference interior mask summed in block order, and the per-block sums
+    reduced pairwise in block order."""
     out = []
     for pts, inside in reference_wall_chunks(params, i, j, samples, seed):
-        contrib = (np.ones(np.count_nonzero(inside)) if weight is None
-                   else np.compress(inside, weight(pts)))
-        out.append((contrib.sum(), (contrib ** 2).sum()))
+        sums, squares = [], []
+        for rows in sampling.row_blocks(len(pts)):
+            contrib = (np.ones(np.count_nonzero(inside[rows])) if weight is None
+                       else np.compress(inside[rows], weight(pts[rows])))
+            sums.append(contrib.sum())
+            squares.append((contrib ** 2).sum())
+        out.append((sampling.pairwise_sum(sums), sampling.pairwise_sum(squares)))
     return out
 
 
@@ -337,9 +346,11 @@ def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        directions = sampling.draw_unit_chunk(seed, TEST_LABEL + 2, 0, count, params.n)
-        _, mask = measure._wall_chunk_sums(params, i, j, frame, directions, [None],
-                                           measure._wall_scratch(count, params.n, params.q, 0))
+        wall = measure._wall_map(params, frame)
+        cells, mask = np.empty((params.q, sampling.BLOCK + 1)), np.empty(count, dtype=bool)
+        blocks = sampling.unit_blocks(seed, TEST_LABEL + 2, 0, count, params.n)
+        for rows, directions in zip(sampling.row_blocks(count), blocks):
+            measure._wall_hits(params, i, j, wall, directions.T.copy(), cells, mask[rows])
         pts = sampling.subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
         assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
 
@@ -436,14 +447,13 @@ class TestCellMajorKernels:
         norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            label = measure._WALL_STREAM
-            chunk_sums = [measure._wall_chunk_sums(
-                params, i, j, frame,
-                sampling.draw_unit_chunk(seed, label, chunk, count, params.n),
-                [weight], measure._wall_scratch(count, params.n, params.q,
-                                                int(weight is not None)))[0]
+            wall = (i, j, measure._wall_map(params, frame), 1.0)
+            chunk_sums = [measure._wall_chunk(
+                [(params, [wall])], [weight],
+                sampling.unit_blocks(seed, measure._WALL_STREAM, chunk, count, params.n),
+                count, perimeter=False)[0][0][0]
                 for chunk, count in sampling.chunk_layout(samples)]
-            assert [sums[0] for sums in chunk_sums] == reference_chunk_sums(
+            assert [tuple(sums[0]) for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
             # the masked sums over every point, misses as zeros, equal to rounding
             for ((total, squares),), (pts, inside) in zip(

@@ -239,7 +239,7 @@ class TestMeasurePath:
 
     def test_s2_path_stays_exact(self, monkeypatch, skew_bubble_s2, skew_bubble_graph):
         draws = []
-        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *args: draws.append(args))
+        monkeypatch.setattr(sampling, "unit_blocks", lambda *args: draws.append(args))
         rep = gram_invariance_check(skew_bubble_s2, skew_bubble_graph, t_max=0.5, steps=2,
                                     samples=10_000, seed=3)
         assert [r.backend for r in rep.reports] == [{"kind": "exact_s2"}] * 3

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (build_graph, conformal_step, detect_interfaces, equal_volume_standard,
-                       gram_path, measure_exact_s2, measure_mc, perpendicular_pole, recentered,
-                       standard_of_curvature, standard_of_volume, weighted_laplacian,
-                       weighted_laplacians)
+                       gram_path, measure_exact_s2, measure_mc, normal_moment_operator,
+                       perpendicular_pole, recentered, standard_of_curvature,
+                       standard_of_volume, weighted_laplacian, weighted_laplacians)
 from bubblelab import gallery, measure, sampling, standard
 from bubblelab.cluster import (ClusterParams, cell_values, classify_many, complete_graph,
                                least_cell)
@@ -824,6 +824,27 @@ class TestVolumeTracker:
             want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
             assert pts.tobytes() == want.tobytes()
 
+    def test_computes_the_bounds_once_per_evaluation(self, monkeypatch):
+        # after an evaluation every chunk's reference holds its parameters, so
+        # each later evaluation bounds its step from them once, and its own
+        # rounding once, whatever the chunk count
+        calls = []
+        bound = measure._label_bound
+        monkeypatch.setattr(measure, "_label_bound",
+                            lambda ref, cur: calls.append((ref, cur)) or bound(ref, cur))
+        samples, seed = 3 * sampling.CHUNK, 8
+        tracker = measure.VolumeTracker(samples, seed)
+        base = np.array([0.2, -0.05, -0.15])
+        path = [standard_of_curvature(3, 3, base * (1.0 + step)) for step in (0.0, 1e-6, 2e-6)]
+        for params in path:
+            got = tracker.volumes(params)
+            assert got[0].tobytes() == measure.cell_volumes_mc(params, samples, seed)[0].tobytes()
+        assert (tracker.full, tracker.incremental) == (3, 6)
+        want = [(path[0], path[1]), (path[1], path[1]), (path[1], path[2]), (path[2], path[2])]
+        assert len(calls) == len(want)
+        assert all(ref is want_ref and cur is want_cur
+                   for (ref, cur), (want_ref, want_cur) in zip(calls, want))
+
     def test_trackers_at_one_seed_keep_their_own_points(self, draws):
         # no draw outlives its tracker: a second tracker at the same address
         # draws its chunks again and shares no memory with the first
@@ -881,12 +902,13 @@ class TestDrawPath:
 
 class TestWallPassMemory:
     @pytest.mark.parametrize("weighted", [False, True], ids=["area", "weighted"])
-    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted, monkeypatch):
-        # the kernel classifies wall points in the wall's own coordinates and
-        # places only the hits, in runs of at most BLOCK + 1 rows: beyond its
-        # scratch, a pass over one chunk holds less than that chunk's points
-        # placed in R^(n+1) would take. The area-only pass is measure_mc's
-        # (with the perimeter's totals), the weighted one the operators'.
+    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted):
+        # the pass draws the chunk's wall directions one block at a time,
+        # classifies each block in every wall's own coordinates and places
+        # only its hits: a pass over one chunk, its draws included, holds less
+        # than that chunk's points placed in R^(n+1) would take. The area-only
+        # pass is measure_mc's (with the perimeter's totals), the weighted one
+        # the operators'.
         n, count = 3, sampling.CHUNK
         params = standard_of_curvature(n, 5, fresh_shape_kappa(5))
         graph = detect_interfaces(params)
@@ -894,14 +916,37 @@ class TestWallPassMemory:
         weights = [None] + ([lambda pts: 1.0 - pts @ xi] + [lambda pts, a=a: pts[:, a]
                                                              for a in range(n + 1)]
                             if weighted else [])
-        evaluated = len(weights) - 1
-        directions = sampling.draw_unit_chunk(5, measure._WALL_STREAM, 0, count, n)
-        scratch = sum(a.nbytes for a in measure._wall_scratch(count, n, params.q, evaluated))
-        monkeypatch.setattr(sampling, "draw_unit_chunk", lambda *_: directions)
         tracemalloc.start()
         try:
             measure._wall_pass([(params, graph)], weights, count, 5, perimeter=not weighted)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - scratch < count * (n + 1) * 8
+        assert peak < count * (n + 1) * 8
+
+
+class TestPassMemory:
+    """Each Monte Carlo pass draws, classifies and integrates a chunk one BLOCK
+    at a time, so a chunk task holds no chunk of points: at most one array of
+    CHUNK floats (the perimeter's per-direction totals) and its blocks, which
+    2 MiB covers. The tasks run on min(tasks, usable_cores()) threads."""
+
+    @pytest.mark.parametrize("name", ["measure_mc", "normal_moment_operator"])
+    def test_peak_is_one_chunk_of_floats_per_running_task(self, name):
+        n, q = 3, 5
+        params = standard_of_curvature(n, q, fresh_shape_kappa(q))
+        graph = detect_interfaces(params)
+        samples = 2 * sampling.CHUNK
+        passes = {"measure_mc": lambda count: measure_mc(params, graph, count, 5),
+                  "normal_moment_operator": lambda count: normal_moment_operator(
+                      params, graph, "mc", count, 5)}
+        tasks = len(sampling.chunk_layout(samples))
+        budget = min(tasks, sampling.usable_cores()) * (sampling.CHUNK * 8 + (2 << 20))
+        passes[name](1000)  # the modules a first call imports are not the pass's
+        tracemalloc.start()
+        try:
+            passes[name](samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bubblelab import measure, recentered, sampling, standard_of_curvature
 from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell, wall_interior
-from reference import masked_wall_sums, unit_directions
+from reference import masked_wall_sums, unit_directions, wall_points
 
 BLOCK, CHUNK = sampling.BLOCK, sampling.CHUNK
 ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 137856, 213568, CHUNK]
@@ -101,28 +101,36 @@ class TestRowBlocks:
 
 
 def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
-    """measure._wall_chunk_sums on the whole chunk at once: its points placed in
-    one product, its mask from one cell_values product on those points, each
-    weight in one call, and each weight's values summed over the hit rows in
-    chunk order."""
-    pts = whole_subsphere_points(directions, *frame)
-    inside = whole_wall_interior(params, i, j, pts)
-    sums = []
-    for weight in weights:
-        contrib = (np.ones(np.count_nonzero(inside)) if weight is None
-                   else np.compress(inside, weight(pts)))
-        sums.append((contrib.sum(), (contrib ** 2).sum()))
-    return sums
+    """A wall's chunk sums of measure._wall_chunk by whole-array formulas on each
+    sampling.row_blocks block: its mask from one cell_values product on the
+    block's points placed as subsphere_chunk places them, each weight in one
+    call on every point of the block placed as the wall pass places them
+    (reference.wall_points) and its values summed over the hit rows in block
+    order. Each weight's per-block sums are reduced pairwise in block order."""
+    per_block = []
+    for rows in sampling.row_blocks(len(directions)):
+        inside = whole_wall_interior(params, i, j,
+                                     whole_subsphere_points(directions[rows], *frame))
+        pts = wall_points(directions[rows], *frame)
+        sums = []
+        for weight in weights:
+            contrib = (np.ones(np.count_nonzero(inside)) if weight is None
+                       else np.compress(inside, weight(pts)))
+            sums.append((contrib.sum(), (contrib ** 2).sum()))
+        per_block.append(sums)
+    return [(sampling.pairwise_sum([sums[w][0] for sums in per_block]),
+             sampling.pairwise_sum([sums[w][1] for sums in per_block]))
+            for w in range(len(weights))]
 
 
 @pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
     # the kernel classifies one block at a time in the wall's own coordinates,
-    # then places and weighs the gathered hits in runs of BLOCK rows; the
-    # weights are those of the operators (a coordinate, 1 - <p, xi> and
-    # <p, pole>^2) and None, whose sums are the hits. The two-cell cluster
-    # hits everywhere, so every block fills the gather buffer.
+    # then places and weighs that block's hits at once; the weights are those
+    # of the operators (a coordinate, 1 - <p, xi> and <p, pole>^2) and None,
+    # whose sums are the hits. The two-cell cluster hits everywhere, so each
+    # block's run is the whole block.
     rng = np.random.default_rng(n)
     four = recentered(n, rng.standard_normal((4, n + 1)), 0.3 * rng.standard_normal(4))
     two = recentered(n, rng.standard_normal((2, n + 1)), 0.3 * rng.standard_normal(2))
@@ -133,18 +141,65 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        directions = sampling.draw_unit_chunk(11, i * params.q + j + 1, 0, rows, n)
-        args = (params, i, j, frame, directions, weights)
-        got, inside = measure._wall_chunk_sums(*args, measure._wall_scratch(rows, n, 4, 3))
-        assert np.array(got).tobytes() == np.array(whole_wall_chunk_sums(*args)).tobytes()
+        label = i * params.q + j + 1
+        directions = sampling.draw_unit_chunk(11, label, 0, rows, n)
+        wall = measure._wall_map(params, frame)
+        [([got], _)] = measure._wall_chunk([(params, [(i, j, wall, 1.0)])], weights,
+                                           sampling.unit_blocks(11, label, 0, rows, n), rows,
+                                           perimeter=False)
+        want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        cells, inside = np.empty((params.q, BLOCK + 1)), np.empty(rows, dtype=bool)
+        for block in sampling.row_blocks(rows):
+            measure._wall_hits(params, i, j, wall, directions[block].T.copy(), cells,
+                               inside[block])
         pts = whole_subsphere_points(directions, *frame)
         assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
         # the masked sums over every point, misses as zeros: the same terms
         # in another order, so equal to rounding
         for (total, squares), (masked, masked_squares, scale) in zip(
-                got, masked_wall_sums(pts, inside, weights)):
+                got, masked_wall_sums(wall_points(directions, *frame), inside, weights)):
             assert abs(total - masked) <= 1e-14 * scale
             assert abs(squares - masked_squares) <= 1e-14 * masked_squares
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_walls_weighed_together_equal_each_wall_alone(n, rows):
+    # the hits of a block on several walls share a run until the next wall's
+    # would not fit in BLOCK + 1 rows; a one-row block weighs each wall alone
+    rng = np.random.default_rng(n + 10)
+    params = recentered(n, rng.standard_normal((5, n + 1)), 0.3 * rng.standard_normal(5))
+    xi = 0.3 * rng.standard_normal(n + 1)
+    weights = [None, lambda pts: 1.0 - pts @ xi, lambda pts: pts[:, 0]]
+    frames = [(i, j, sampling.subsphere_frame(params.pair_center(i, j),
+                                              params.pair_curvature(i, j)))
+              for i in range(5) for j in range(i + 1, 5)]
+    frames = [(i, j, frame) for i, j, frame in frames if frame is not None]
+    assert len(frames) >= 3
+    walls = [(i, j, measure._wall_map(params, frame), 1.0) for i, j, frame in frames]
+    [(got, _)] = measure._wall_chunk([(params, walls)], weights,
+                                     sampling.unit_blocks(12, TEST_LABEL + 4, 0, rows, n), rows,
+                                     perimeter=True)
+    directions = sampling.draw_unit_chunk(12, TEST_LABEL + 4, 0, rows, n)
+    for (i, j, frame), sums in zip(frames, got):
+        want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
+        assert sums.tobytes() == np.array(want).tobytes(), (i, j)
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_unit_blocks_are_the_chunk_rows(dim, rows):
+    # the one draw path: a chunk's blocks, read-only and each its own array,
+    # concatenate to draw_unit_chunk's rows and to the whole-array formula's
+    blocks = list(sampling.unit_blocks(13, TEST_LABEL + 3, 0, rows, dim))
+    assert [len(block) for block in blocks] == [b.stop - b.start
+                                                for b in sampling.row_blocks(rows)]
+    assert all(not block.flags.writeable for block in blocks)
+    assert len(blocks) == 1 or not np.shares_memory(blocks[0], blocks[-1])
+    joined = np.concatenate(blocks).tobytes()
+    assert joined == sampling.draw_unit_chunk(13, TEST_LABEL + 3, 0, rows, dim).tobytes()
+    assert joined == whole_unit_rows(13, TEST_LABEL + 3, rows, dim).tobytes()
 
 
 def reversed_runner(tasks):
@@ -172,15 +227,15 @@ def monte_carlo_bytes(runner) -> bytes:
     """Every Monte Carlo result of one fixed sequence, run by runner, and the
     sorted arguments of its draws, as bytes."""
     draws = []
-    draw = sampling.draw_unit_chunk
+    blocks = sampling.unit_blocks
 
     def counted(*args):
         draws.append(args)
-        return draw(*args)
+        return blocks(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "run_tasks", runner)
-        mp.setattr(sampling, "draw_unit_chunk", counted)
+        mp.setattr(sampling, "unit_blocks", counted)
         params = standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25]))
         graph = complete_graph(4)
         samples, seed = 2 * CHUNK + 5, 7
