@@ -20,7 +20,15 @@ cases kept their bits. normal_moment_operator and conformal_to_volume_pcf
 were re-recorded again when the wall kernel came to sum each weight over the
 interface's points alone, in chunk order, instead of over every point times
 the mask: the same terms in another order, which moved their entries by at
-most 6.0e-16 of each matrix's largest entry. model_profile was re-recorded
+most 6.0e-16 of each matrix's largest entry. Both were re-recorded once
+more when each chunk came to be integrated one sampling.BLOCK at a time, a
+weight's chunk sum becoming the pairwise sum of its per-block sums in block
+order, and each wall point the product of (w, 1) with the wall's affine map:
+the same terms in another order, from points that round otherwise, which
+moved normal_moment_operator's matrix by at most 1.8e-19 of its largest entry
+(3.4e-16 of the entry) and its entry errors by at most 8.9e-17 of their
+largest, and conformal_to_volume_pcf's entry errors by at most 6.0e-16 of
+their largest; its matrix kept its bits. model_profile was re-recorded
 when a Monte Carlo Newton step that moves no sample point came to grow
 instead of halving: its grid solve at v - h had stalled after 58 volume
 evaluations at a residual of 3.5e-6 and now converges in 8 to 5.1e-7, which
@@ -50,8 +58,8 @@ NUMPY_VERSION = "2.4.6"
 GOLDEN = {
     "cell_volumes_mc": "3fc904543a323e398b8a",
     "measure_mc": "33ea950b89aae0f65b8b",
-    "normal_moment_operator": "6e29436948c51bae9674",
-    "conformal_to_volume_pcf": "3afda5801401cf842ff8",
+    "normal_moment_operator": "b6a9508329a6116a8daa",
+    "conformal_to_volume_pcf": "d6bd7c41beec23260111",
     "standard_of_volume": "28bf625818e90a9de4cb",
     "model_profile": "3b5096dc2c39974ca59e",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
