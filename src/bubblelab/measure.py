@@ -11,13 +11,14 @@ the `raw` helpers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many, wall_mask
+from .cluster import ClusterParams, InterfaceGraph, classify_many
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -152,8 +153,8 @@ def _cell_volumes_mc(samples: int, chunk_counts) -> tuple[np.ndarray, np.ndarray
     Each chunk is counted by a task of sampling.run_tasks, so chunk_counts may
     run on a worker thread.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     counts = sampling.run_tasks([partial(chunk_counts, chunk, count)
                                  for chunk, count in sampling.chunk_layout(samples)])
     return _volume_fractions(counts, samples)
@@ -317,42 +318,54 @@ class VolumeTracker:
         return counts, None
 
 
-def _wall_map(params: ClusterParams, frame) -> tuple:
-    """(slope, offset, affine) of a wall with subsphere_frame frame =
-    (center, r, T), made once per wall. At the wall point center + r T w of a
-    unit direction w in R^n the cells' affine values are slope @ w + offset,
-    and the point itself is (w, 1) @ affine, one product for the stacked rows
-    r T^T and center."""
+def _wall_map(params: ClusterParams, i: int, j: int, frame) -> tuple:
+    """(slope, offset, affine) of the (i, j) wall with subsphere_frame frame =
+    (center, r, T), made once per wall. slope and offset hold the difference
+    rows of the q - 2 cells k other than i and j, in cell order: at the wall
+    point center + r T w of a unit direction w in R^n, slope @ w + offset are
+    the differences h_k - h_i of the cells' affine values, taken from
+    c_k - c_i and kappa_k - kappa_i. The point itself is (w, 1) @ affine, one
+    product for the stacked rows r T^T and center."""
     center, radius, tangent = frame
+    others = [k for k in range(params.q) if k not in (i, j)]
+    rows = params.quasi_centers[others] - params.quasi_centers[i]
     # affine is C-ordered, as the points it places are: the bits of products
     # that weight callbacks take, such as pts @ xi, depend on the memory layout
-    return (radius * (params.quasi_centers @ tangent),
-            (params.quasi_centers @ center + params.curvatures)[:, None],
+    return (radius * (rows @ tangent),
+            (rows @ center + (params.curvatures[others] - params.curvatures[i]))[:, None],
             np.vstack([radius * tangent.T, center]))
 
 
-def _wall_hits(params: ClusterParams, i: int, j: int, wall: tuple, columns: np.ndarray,
-               cells: np.ndarray, mask: np.ndarray) -> int:
-    """The hits of one block of directions on the (i, j) wall sphere, whose
-    mask of Sigma_ij is written to mask.
+def _hit_mask(wall: tuple, columns: np.ndarray, differences: np.ndarray, low: np.ndarray,
+              mask: np.ndarray) -> int:
+    """The hits of one block of directions on a wall sphere, whose mask of
+    Sigma_ij is written to mask.
 
     wall is the wall's _wall_map, and columns the transpose of one
     sampling.row_blocks block of unit directions in R^n, each row contiguous:
     copied once per block, it takes a third off each product, whose bits it
-    keeps. One product into cells, a (q, BLOCK + 1) scratch, gives the cells'
-    affine values at the block's wall points, and wall_mask turns them into
-    the mask: no point is placed to classify it. This mask equals
-    wall_interior's on the points subsphere_chunk places bit for bit wherever
-    no third cell is within rounding of the pair, which a property test checks
-    on random clusters. The exception is a cluster with two identical cells:
-    their values tie exactly everywhere, so a wall one of them bounds has a
-    mask that follows rounding on both paths, and the two may differ.
+    keeps. One product into differences, a scratch of at least q - 2 rows of
+    the block's length, gives each third cell's difference h_k - h_i at the
+    block's wall points; a point is a hit where their least (into low, one
+    scratch row) is above 0. No point is placed to classify it, and a wall
+    with no third cell is all hits.
+
+    The mask equals wall_interior's on the points subsphere_chunk places bit
+    for bit wherever no third cell is within rounding of the pair, which
+    property tests check on random, seeded and gallery clusters. The
+    exception is a cluster with two identical cells. A twin of cell i has a
+    zero difference row, so the wall reads empty, where wall_interior follows
+    rounding. A twin of j ties with the pair exactly on the whole wall, so
+    its row is 0 up to rounding and both masks follow rounding there.
     """
     slope, offset, _ = wall
-    block = cells[: params.q, : columns.shape[1]]
-    np.matmul(slope, columns, out=block)
-    block += offset
-    wall_mask(block, i, j, 0.0, mask)
+    if not len(slope):
+        mask.fill(True)
+        return mask.size
+    values = differences[: len(slope), : columns.shape[1]]
+    np.matmul(slope, columns, out=values)
+    values += offset
+    np.greater(np.minimum.reduce(values, axis=0, out=low[: columns.shape[1]]), 0.0, out=mask)
     return int(np.count_nonzero(mask))
 
 
@@ -369,8 +382,105 @@ def _place_hits(affine: np.ndarray, lifted: np.ndarray, mask: np.ndarray, hits: 
     np.matmul(gathered[:run], affine, out=placed[:run])
 
 
+class _WallChunk:
+    """The scratch and the per-block sums of one chunk task of _wall_pass.
+
+    The scratch is made once, for blocks of at most BLOCK + 1 rows. block()
+    is the per-block kernel: it classifies one block of directions on every
+    wall of every cluster, places and weighs the hits and adds to the
+    perimeter totals. sums() is the chunk's result.
+    """
+
+    def __init__(self, sampled: list[tuple[ClusterParams, list[tuple]]], weights, count: int,
+                 perimeter: bool):
+        n = sampled[0][0].n
+        longest = sampling.BLOCK + 1
+        self.sampled, self.weights = sampled, weights
+        self.layout = sampling.row_blocks(count)
+        self.evaluated = np.array([k for k, weight in enumerate(weights) if weight is not None],
+                                  dtype=np.intp)
+        self.plain = [k for k, weight in enumerate(weights) if weight is None]
+        # a run and the copy of a last single hit
+        room = longest + 1 if self.evaluated.size else 0
+        self.differences = np.empty((max(params.q for params, _ in sampled) - 2, longest))
+        self.low = np.empty(longest)
+        self.cols = np.empty((n, longest))  # each block's directions as columns, for _hit_mask
+        self.masks = np.empty((max(len(walls) for _, walls in sampled), longest), dtype=bool)
+        self.term = np.empty(longest) if perimeter else None
+        # each block's rows (w, 1)
+        self.lift = np.ones((longest if self.evaluated.size else 0, n + 1))
+        self.gathered, self.placed = np.empty((room, n + 1)), np.empty((room, n + 1))
+        self.values = np.empty((2, self.evaluated.size, room))  # the weights' values, squared
+        # each sampled wall's (sum, sum of squares) per block and weight, and its
+        # hits per block
+        self.block_sums = [[np.zeros((len(self.layout), len(weights), 2)) for _ in walls]
+                           for _, walls in sampled]
+        self.block_hits = [np.empty((len(walls), len(self.layout))) for _, walls in sampled]
+        self.totals = [np.empty(count) if perimeter and walls else None
+                       for _, walls in sampled]
+        self.shares = [[share for *_, share in walls] for _, walls in sampled]
+
+    def weigh(self, run: int, waiting: list, rows: int) -> None:
+        """Weigh the run placed hits of the walls waiting, (sums, start, hits)."""
+        if run == 1 and rows > 1:  # the copy _place_hits placed beside it
+            run = 2
+        pts, values, evaluated = self.placed[:run], self.values, self.evaluated
+        pts.setflags(write=False)
+        for row, k in zip(values[0], evaluated):
+            row[:run] = self.weights[k](pts)
+        np.multiply(values[0, :, :run], values[0, :, :run], out=values[1, :, :run])
+        for sums, start, hits in waiting:
+            # each row summed as one contiguous run, as contrib.sum() would
+            sums[evaluated] = np.add.reduce(values[:, :, start: start + hits], axis=2).T
+
+    def block(self, b: int, rows: slice, directions: np.ndarray) -> None:
+        """Classify block b of the layout, directions, on every wall of every
+        cluster, and place, weigh and total its hits."""
+        size = rows.stop - rows.start
+        fits = sampling.BLOCK + 1 if size > 1 else 1
+        weighed = self.evaluated.size
+        columns = self.cols[:, :size]
+        np.copyto(columns, directions.T)
+        if weighed:
+            lifted = self.lift[:size]
+            lifted[:, :directions.shape[1]] = directions
+        for (_, walls), wall_sums, hit_counts, total, share in zip(
+                self.sampled, self.block_sums, self.block_hits, self.totals, self.shares):
+            waiting, run = [], 0
+            for m, (_, _, wall, _) in enumerate(walls):
+                mask = self.masks[m, :size]
+                hits = hit_counts[m, b] = _hit_mask(wall, columns, self.differences, self.low,
+                                                    mask)
+                if not (weighed and hits):
+                    continue
+                if run + hits > fits:
+                    self.weigh(run, waiting, size)
+                    waiting, run = [], 0
+                _place_hits(wall[2], lifted, mask, hits, self.gathered[run:], self.placed[run:])
+                waiting.append((wall_sums[m][b], run, hits))
+                run += hits
+            if waiting:
+                self.weigh(run, waiting, size)
+            if total is not None:
+                block_total, term = total[rows], self.term[:size]
+                block_total.fill(0.0)
+                for mask, wall_share in zip(self.masks, share):
+                    # a masked add (where=mask) takes about five times as long
+                    block_total += np.multiply(mask[:size], wall_share, out=term)
+
+    def sums(self) -> list[tuple[list, np.ndarray | None]]:
+        """The chunk's result, as _wall_chunk returns it."""
+        for wall_sums, hit_counts in zip(self.block_sums, self.block_hits):
+            for sums, hits in zip(wall_sums, hit_counts):
+                sums[:, self.plain] = hits[:, None, None]
+        return [([sampling.pairwise_sum(list(sums)) for sums in wall_sums],
+                 None if total is None else
+                 np.array([[total.sum(), np.multiply(total, total, out=total).sum()]]))
+                for wall_sums, total in zip(self.block_sums, self.totals)]
+
+
 def _wall_chunk(sampled: list[tuple[ClusterParams, list[tuple]]], weights, blocks,
-                count: int, perimeter: bool) -> list[tuple[list, np.ndarray | None]]:
+                count: int, perimeter: bool, lock) -> list[tuple[list, np.ndarray | None]]:
     """Per cluster, (per sampled wall, each weight's (sum, sum of squares)
     over one chunk as a (weights, 2) array; the (1, 2) array of the sums of T
     and T^2 over the chunk if `perimeter` is set, else None).
@@ -378,10 +488,14 @@ def _wall_chunk(sampled: list[tuple[ClusterParams, list[tuple]]], weights, block
     sampled holds each cluster's params and its sampled walls
     (i, j, _wall_map, |wall_ij| / |S^n|); blocks yields the chunk's count unit
     directions in R^n one sampling.row_blocks block at a time, as
-    sampling.unit_blocks does. Each block is classified on every wall of
-    every cluster (_wall_hits), and its hits placed and weighed, before the
-    next is drawn; the scratch is made once per chunk, for blocks of at most
-    BLOCK + 1 rows.
+    sampling.unit_blocks does. Each block is drawn outside lock, the pass's
+    lock, and then, holding it, classified on every wall of every cluster
+    (_hit_mask), its hits placed and weighed and its perimeter totals added
+    (_WallChunk.block), before the next is drawn. So the draws of a pass's
+    chunk tasks run at the same time, and its blocks are classified one at
+    a time: each makes a few dozen numpy calls of a few microseconds, which
+    gain nothing from a second thread and would trade the interpreter lock
+    between them.
 
     Only the hits are placed (_place_hits), wall after wall, and each weight
     is called on the placed hits of a cluster's walls in one block, handed
@@ -399,79 +513,11 @@ def _wall_chunk(sampled: list[tuple[ClusterParams, list[tuple]]], weights, block
     after wall for each block, and sums them and their squares over the whole
     chunk.
     """
-    n = sampled[0][0].n
-    longest = sampling.BLOCK + 1
-    layout = sampling.row_blocks(count)
-    evaluated = np.array([k for k, weight in enumerate(weights) if weight is not None],
-                         dtype=np.intp)
-    plain = [k for k, weight in enumerate(weights) if weight is None]
-    room = longest + 1 if evaluated.size else 0  # a run and the copy of a last single hit
-    most = max(len(walls) for _, walls in sampled)
-    cells = np.empty((max(params.q for params, _ in sampled), longest))
-    cols = np.empty((n, longest))  # each block's directions as columns, for _wall_hits
-    masks = np.empty((most, longest), dtype=bool)
-    term = np.empty(longest) if perimeter else None
-    lift = np.ones((longest if evaluated.size else 0, n + 1))  # each block's rows (w, 1)
-    gathered, placed = np.empty((room, n + 1)), np.empty((room, n + 1))
-    values = np.empty((2, evaluated.size, room))  # the weights' values and their squares
-
-    def weigh(run: int, waiting: list, rows: int) -> None:
-        """Weigh the run placed hits of the walls waiting, (sums, start, hits)."""
-        if run == 1 and rows > 1:  # the copy _place_hits placed beside it
-            run = 2
-        pts = placed[:run]
-        pts.setflags(write=False)
-        for row, k in zip(values[0], evaluated):
-            row[:run] = weights[k](pts)
-        np.multiply(values[0, :, :run], values[0, :, :run], out=values[1, :, :run])
-        for sums, start, hits in waiting:
-            # each row summed as one contiguous run, as contrib.sum() would
-            sums[evaluated] = np.add.reduce(values[:, :, start: start + hits], axis=2).T
-
-    # each sampled wall's (sum, sum of squares) per block and weight, and its
-    # hits per block
-    block_sums = [[np.zeros((len(layout), len(weights), 2)) for _ in walls]
-                  for _, walls in sampled]
-    block_hits = [np.empty((len(walls), len(layout))) for _, walls in sampled]
-    totals = [np.empty(count) if perimeter and walls else None for _, walls in sampled]
-    shares = [[share for *_, share in walls] for _, walls in sampled]
-    for b, (rows, directions) in enumerate(zip(layout, blocks)):
-        size = rows.stop - rows.start
-        fits = longest if size > 1 else 1
-        columns = cols[:, :size]
-        np.copyto(columns, directions.T)
-        if evaluated.size:
-            lifted = lift[:size]
-            lifted[:, :n] = directions
-        for (params, walls), wall_sums, hit_counts, total, share in zip(
-                sampled, block_sums, block_hits, totals, shares):
-            waiting, run = [], 0
-            for m, (i, j, wall, _) in enumerate(walls):
-                mask = masks[m, :size]
-                hits = hit_counts[m, b] = _wall_hits(params, i, j, wall, columns, cells, mask)
-                if not (evaluated.size and hits):
-                    continue
-                if run + hits > fits:
-                    weigh(run, waiting, size)
-                    waiting, run = [], 0
-                _place_hits(wall[2], lifted, mask, hits, gathered[run:], placed[run:])
-                waiting.append((wall_sums[m][b], run, hits))
-                run += hits
-            if waiting:
-                weigh(run, waiting, size)
-            if total is not None:
-                block_total = total[rows]
-                block_total.fill(0.0)
-                for mask, wall_share in zip(masks, share):
-                    # a masked add (where=mask) takes about five times as long
-                    block_total += np.multiply(mask[:size], wall_share, out=term[:size])
-    for wall_sums, hit_counts in zip(block_sums, block_hits):
-        for sums, hits in zip(wall_sums, hit_counts):
-            sums[:, plain] = hits[:, None, None]
-    return [([sampling.pairwise_sum(list(sums)) for sums in wall_sums],
-             None if total is None else
-             np.array([[total.sum(), np.multiply(total, total, out=total).sum()]]))
-            for wall_sums, total in zip(block_sums, totals)]
+    chunk = _WallChunk(sampled, weights, count, perimeter)
+    for b, (rows, directions) in enumerate(zip(chunk.layout, blocks)):
+        with lock:
+            chunk.block(b, rows, directions)
+    return chunk.sums()
 
 
 def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
@@ -497,17 +543,21 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     afresh, one block at a time, by sampling.unit_blocks(seed, _WALL_STREAM,
     chunk, count, n), in a task of sampling.run_tasks, which runs _wall_chunk
     on it: block-major, each block gives one point on every wall of every
-    cluster, classified in that wall's own coordinates, and only the wall's
-    hits are placed and weighed. No task holds a chunk of directions or
-    points. A weight's chunk sum is the pairwise sum of its per-block sums in
-    block order, and its mean over a wall the pairwise sum of the chunk sums
-    in layout order. A wall that misses S^n has no frame and integrates to
-    zero. With `perimeter` set the chunk sums of the per-direction totals T
-    and T^2 reduce pairwise in layout order, like a weight's, and the
-    perimeter's standard error is sqrt(var(T) / samples). With two cells and
-    no weight but None every direction is a hit on the one wall: that
-    cluster's walls are not sampled, each mean is exactly 1 and both errors
-    are 0. With no wall to sample nothing is drawn.
+    cluster, classified in that wall's own coordinates from its difference
+    rows (_wall_map), and only the wall's hits are placed and weighed. The
+    pass makes one lock for its call and hands it to its tasks: they draw
+    their blocks at the same time and classify them one at a time, so no
+    lock outlives the call and two passes never wait on each other. No task
+    holds a chunk of directions or points. A weight's chunk sum is the
+    pairwise sum of its per-block sums in block order, and its mean over a
+    wall the pairwise sum of the chunk sums in layout order. A wall that
+    misses S^n has no frame and integrates to zero. With `perimeter` set the
+    chunk sums of the per-direction totals T and T^2 reduce pairwise in
+    layout order, like a weight's, and the perimeter's standard error is
+    sqrt(var(T) / samples). With two cells and no weight but None every
+    direction is a hit on the one wall: that cluster's walls are not
+    sampled, each mean is exactly 1 and both errors are 0. With no wall to
+    sample nothing is drawn.
     """
     n = clusters[0][0].n
     norm = sphere_surface_measure(n)
@@ -516,13 +566,15 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
     # each cluster's params and (i, j, _wall_map, |wall_ij| / |S^n|) of each wall
     # that is sampled
     sampled = [(params, [] if params.q == 2 and only_area else
-                [(i, j, _wall_map(params, frame), _wall_measure(n, frame) / norm)
+                [(i, j, _wall_map(params, i, j, frame), _wall_measure(n, frame) / norm)
                  for i, j, frame in cluster_walls if frame is not None])
                for (params, _), cluster_walls in zip(clusters, walls)]
 
+    lock = threading.Lock()  # this pass's: its blocks are classified one at a time
+
     def task(chunk: int, count: int) -> list[tuple[list, np.ndarray | None]]:
         blocks = sampling.unit_blocks(seed, _WALL_STREAM, chunk, count, n)
-        return _wall_chunk(sampled, weights, blocks, count, perimeter)
+        return _wall_chunk(sampled, weights, blocks, count, perimeter, lock)
 
     layout = sampling.chunk_layout(samples)
     drawn = sampling.run_tasks([partial(task, chunk, count) for chunk, count in layout]
@@ -568,8 +620,8 @@ def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], sample
     """
     if not clusters:
         return []
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     n, q = clusters[0][0].n, clusters[0][0].q
     if any(params.n != n or params.q != q for params, _ in clusters):
         raise ValueError("the clusters of one pass must share n and q")
@@ -895,17 +947,18 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     block at a time, and every wall is classified on each block in its own
     coordinates, with only the block's hits placed and weighed (_wall_pass).
     On Monte Carlo the chunk tasks run through sampling.run_tasks, so the
-    weights may run on worker threads; a weight's chunk sum is the pairwise
-    sum of its per-block sums over the wall's hits in block order, its mean
-    over a wall is a pairwise sum of those chunk sums in layout order, and its
-    stderr the binomial one of those samples. The walls share their
+    weights may run on worker threads, one block at a time under the pass's
+    lock; a weight's chunk sum is the pairwise sum of its per-block sums over
+    the wall's hits in block order, its mean over a wall is a pairwise sum of
+    those chunk sums in layout order, and its stderr the binomial one of
+    those samples. The walls share their
     directions, so the pair errors are correlated; the perimeter's joint error
     is measure_mc's.
     """
     if resolve_backend(backend, params.n) == "exact":
         return ArcVolumes(graph).pair_integrals(params, weights)
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     return _wall_pass([(params, graph)], weights, samples, seed, perimeter=False)[0][0]
 
 
@@ -974,8 +1027,8 @@ def weighted_laplacians(params: ClusterParams, graph: InterfaceGraph, weights,
     Monte Carlo a weight sees only the wall points that lie on the interface:
     the hits of one block on one or more walls at a time, in read-only runs of
     at most sampling.BLOCK + 1 rows (a single hit is weighed beside a copy of
-    itself). It may run on a worker thread, so it must be pure and act on each
-    row alone.
+    itself). It may run on worker threads, one block at a time under the
+    pass's lock, so it must be pure and act on each row alone.
     """
     q = params.q
     integrals = _pair_integrals(params, graph, weights, backend, samples, seed)

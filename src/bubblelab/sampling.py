@@ -23,8 +23,18 @@ each chunk has its own Philox key, a weighted wall sum over a chunk is the
 pairwise_sum of its per-block sums in block order, every reduction across
 chunks runs in layout order on the calling thread, and no block is a single
 row unless its chunk is.
+
+What the threads gain, as measured on 2 cores (tests/thread_scaling.py): the
+Philox draws release the interpreter lock for a whole block and scale with
+the cores, but a block's classification is a few dozen numpy calls of a few
+microseconds each, and two threads making such calls at once mostly trade
+the interpreter lock between them. So a Monte Carlo wall pass
+(measure._wall_pass) draws its blocks on every worker at once and classifies
+them one at a time, under one lock the pass makes for its call; the volume
+passes classify theirs freely.
 Callbacks handed to the package, such as the weights of
-measure.weighted_laplacians, may run on worker threads, so they must be pure.
+measure.weighted_laplacians, run on worker threads, one block at a time
+under their pass's lock, so they must be pure.
 """
 
 from __future__ import annotations
@@ -118,9 +128,10 @@ def run_tasks(tasks: list) -> list:
     """Call each task with no argument and return the results in task order.
 
     The tasks run on a pool of min(len(tasks), usable_cores()) threads made
-    for this call, or inline with one task or one core. numpy releases the
-    GIL in the draws and the array passes, so chunk tasks run in parallel.
-    A task's exception is raised here.
+    for this call, or inline with one task or one core. Only the parts of a
+    task that hold no interpreter lock run in parallel, such as the Philox
+    draws; short numpy calls gain little (see the module docstring). A
+    task's exception is raised here.
     """
     workers = min(len(tasks), usable_cores())
     if workers <= 1:

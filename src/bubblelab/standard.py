@@ -143,14 +143,15 @@ class NewtonConfig:
         is analytic; on Monte Carlo volumes it is MC_FD_STEP, and tol is floored.
 
         The floor is mc_tol, or two steps of the empirical volume map (steps of
-        1/mc_samples) if larger. tol and mc_tol must be positive and finite.
+        1/mc_samples) if larger. tol and mc_tol must be positive and finite, and
+        mc_samples at least 2.
         """
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if resolve_backend(self.backend, n) == "exact":
             return self.tol, None
-        if self.mc_samples <= 0:
-            raise ValueError("samples must be positive")
+        if self.mc_samples < 2:
+            raise ValueError("samples must be at least 2")
         if not 0 < self.mc_tol < math.inf:
             raise ValueError(f"mc_tol must be positive and finite, got {self.mc_tol}")
         return max(self.tol, self.mc_tol, 2.0 / self.mc_samples), MC_FD_STEP

@@ -389,7 +389,7 @@ class TestErrorPayloads:
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "ValueError", "message": "volumes must be positive and sum to 1"}
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("samples", ["0", "-5", "1"])
     @pytest.mark.parametrize("argv", [
         ("standard", "--n", "3", "--q", "3", "--volumes", "0.5,0.3,0.2"),
         ("profile", "--n", "3", "--q", "2")], ids=["standard", "profile"])
@@ -400,8 +400,25 @@ class TestErrorPayloads:
         assert run_cli(*argv, "--samples", samples, *out) == EXIT_ERROR
         assert not path.exists()
         payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == {"type": "ValueError", "message": "samples must be positive"}
+        assert payload["error"] == {"type": "ValueError", "message": "samples must be at least 2"}
         assert payload["command"] == argv[0] and payload["samples"] == int(samples)
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--backend", "mc"), ("operators", "--backend", "mc"),
+        ("deform", "--mode", "gram", "--check-invariance")],
+        ids=["measure", "operators", "deform"])
+    def test_monte_carlo_reports_reject_fewer_than_two_samples(self, tmp_path, argv, samples):
+        # one sample makes every standard error exactly 0, so it is rejected
+        cluster, out = tmp_path / "cluster.json", tmp_path / "out.json"
+        assert run_cli("standard", "--n", "3", "--q", "3", "--kappa", "0.3,-0.1,-0.2",
+                       "--out", str(cluster)) == 0
+        command, *options = argv
+        assert run_cli(command, str(cluster), *options, "--samples", samples,
+                       "--out", str(out)) == EXIT_ERROR
+        payload = json.loads(out.read_text())
+        assert payload["error"] == {"type": "ValueError", "message": "samples must be at least 2"}
+        assert payload["command"] == command and payload["samples"] == int(samples)
 
     @pytest.mark.parametrize("text, problem", [
         ('{"n": 2, "quasi_centers": [[0, 0, 1], [0, 0, -1]], "curvatures": [0, 0]}', " lacks q"),

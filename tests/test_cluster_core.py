@@ -1,6 +1,7 @@
 """Cluster parameters, point classification, interface detection, validation."""
 
-from itertools import combinations
+import threading
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -339,6 +340,18 @@ def reference_chunk_sums(params, i, j, samples, seed, weight=None):
     return out
 
 
+def kernel_mask(wall, blocks, count):
+    """The wall kernel's mask of a wall (its _wall_map) over count directions,
+    blocks of them, one sampling.row_blocks block at a time, with the hit
+    counts it returns checked against the mask."""
+    differences = np.empty((len(wall[0]), sampling.BLOCK + 1))
+    low, mask = np.empty(sampling.BLOCK + 1), np.empty(count, dtype=bool)
+    for rows, directions in zip(sampling.row_blocks(count), blocks):
+        hits = measure._hit_mask(wall, directions.T.copy(), differences, low, mask[rows])
+        assert hits == np.count_nonzero(mask[rows])
+    return mask
+
+
 def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
     """The wall kernel's mask of each framed wall equals wall_interior on the
     same directions placed by subsphere_chunk, bit for bit."""
@@ -346,11 +359,8 @@ def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        wall = measure._wall_map(params, frame)
-        cells, mask = np.empty((params.q, sampling.BLOCK + 1)), np.empty(count, dtype=bool)
-        blocks = sampling.unit_blocks(seed, TEST_LABEL + 2, 0, count, params.n)
-        for rows, directions in zip(sampling.row_blocks(count), blocks):
-            measure._wall_hits(params, i, j, wall, directions.T.copy(), cells, mask[rows])
+        mask = kernel_mask(measure._wall_map(params, i, j, frame),
+                           sampling.unit_blocks(seed, TEST_LABEL + 2, 0, count, params.n), count)
         pts = sampling.subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
         assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
 
@@ -447,11 +457,11 @@ class TestCellMajorKernels:
         norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
-            wall = (i, j, measure._wall_map(params, frame), 1.0)
+            wall = (i, j, measure._wall_map(params, i, j, frame), 1.0)
             chunk_sums = [measure._wall_chunk(
                 [(params, [wall])], [weight],
                 sampling.unit_blocks(seed, measure._WALL_STREAM, chunk, count, params.n),
-                count, perimeter=False)[0][0][0]
+                count, False, threading.Lock())[0][0][0]
                 for chunk, count in sampling.chunk_layout(samples)]
             assert [tuple(sums[0]) for sums in chunk_sums] == reference_chunk_sums(
                 params, i, j, samples, seed, weight)
@@ -477,6 +487,42 @@ class TestCellMajorKernels:
         # otherwise than placed points do.
         params, _ = cluster
         assert_wall_kernel_masks_match(params, seed)
+
+    @given(random_clusters(duplicate=True), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_wall_kernel_mask_with_a_duplicated_cell(self, cluster, seed):
+        # cells a and b are identical. A twin of i among the third cells of a
+        # wall (i, j) has a zero difference row, so the wall reads empty. A
+        # twin of j has the row of j, whose values are 0 up to rounding on the
+        # whole wall: the mask is the one without that row, cut by rounding.
+        # Every other wall keeps the bit-for-bit match with wall_interior.
+        params, (a, b) = cluster
+        count, twin = 1 << 14, {a: b, b: a}
+
+        def blocks():
+            return sampling.unit_blocks(seed, TEST_LABEL + 5, 0, count, params.n)
+
+        for i, j in permutations(range(params.q), 2):
+            frame = sampling.subsphere_frame(params.pair_center(i, j),
+                                             params.pair_curvature(i, j))
+            if frame is None:
+                continue
+            slope, offset, affine = wall = measure._wall_map(params, i, j, frame)
+            mask = kernel_mask(wall, blocks(), count)
+            if twin.get(i, j) != j:
+                assert not mask.any(), (i, j)
+            elif twin.get(j, i) != i:
+                row = [k for k in range(params.q) if k not in (i, j)].index(twin[j])
+                pair = [i, j]
+                bound = 1e-13 * (1.0 + np.abs(params.quasi_centers[pair]).sum()
+                                 + np.abs(params.curvatures[pair]).sum())
+                assert np.abs(slope[row]).max() <= bound and abs(offset[row, 0]) <= bound
+                free = kernel_mask((np.delete(slope, row, 0), np.delete(offset, row, 0), affine),
+                                   blocks(), count)
+                assert not np.any(mask & ~free), (i, j)
+            else:
+                pts = sampling.subsphere_chunk(seed, TEST_LABEL + 5, 0, count, *frame)
+                assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_wall_kernel_mask_matches_placed_points_on_seeded_clusters(self, n):

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (build_graph, conformal_step, detect_interfaces, equal_volume_standard,
-                       gram_path, measure_exact_s2, measure_mc, normal_moment_operator,
-                       perpendicular_pole, recentered, standard_of_curvature,
-                       standard_of_volume, weighted_laplacian, weighted_laplacians)
+                       gram_invariance_check, gram_path, measure_exact_s2, measure_mc,
+                       normal_moment_operator, perpendicular_pole, recentered,
+                       standard_of_curvature, standard_of_volume, weighted_laplacian,
+                       weighted_laplacians)
 from bubblelab import gallery, measure, sampling, standard
 from bubblelab.cluster import (ClusterParams, cell_values, classify_many, complete_graph,
                                least_cell)
@@ -59,6 +60,48 @@ class TestMeasureMC:
     def test_rejects_nonpositive_samples(self, hemispheres):
         with pytest.raises(ValueError):
             measure_mc(hemispheres, complete_graph(2), samples=0)
+
+
+def _one_bubble():
+    params = standard_of_curvature(3, 3, np.array([0.3, -0.1, -0.2]))
+    return params, detect_interfaces(params)
+
+
+# every public Monte Carlo entry point, called with a sample count
+MONTE_CARLO_ENTRY_POINTS = {
+    "measure_mc": lambda p, g, m: measure_mc(p, g, m, 1),
+    "measure_mc_many": lambda p, g, m: measure.measure_mc_many([(p, g), (p, g)], m, 1),
+    "measure_cluster": lambda p, g, m: measure_cluster(p, g, "mc", m, 1),
+    "cell_volumes_mc": lambda p, g, m: measure.cell_volumes_mc(p, m, 1),
+    "cell_volume_function": lambda p, g, m: measure.cell_volume_function(g, 3, "mc", m, 1)(p),
+    "interface_areas": lambda p, g, m: interface_areas(p, g, "mc", m, 1),
+    "weighted_laplacians": lambda p, g, m: weighted_laplacians(
+        p, g, [None, lambda pts: pts[:, 0]], "mc", m, 1),
+    "weighted_laplacian": lambda p, g, m: weighted_laplacian(p, g, None, "mc", m, 1),
+    "normal_moment_operator": lambda p, g, m: normal_moment_operator(p, g, "mc", m, 1),
+    "gram_invariance_check": lambda p, g, m: gram_invariance_check(p, g, 0.2, 1, m, 1),
+    "NewtonConfig.tolerances": lambda p, g, m: NewtonConfig(mc_samples=m).tolerances(3),
+    "standard_of_volume": lambda p, g, m: standard_of_volume(
+        3, 3, [0.5, 0.3, 0.2], NewtonConfig(mc_samples=m)),
+}
+
+
+class TestSampleCount:
+    """With one sample every Monte Carlo standard error is exactly 0, so every
+    entry point asks for at least two."""
+
+    @pytest.mark.parametrize("samples", [-3, 0, 1])
+    @pytest.mark.parametrize("name", list(MONTE_CARLO_ENTRY_POINTS))
+    def test_fewer_than_two_samples_are_rejected(self, name, samples):
+        params, graph = _one_bubble()
+        with pytest.raises(ValueError, match="^samples must be at least 2$"):
+            MONTE_CARLO_ENTRY_POINTS[name](params, graph, samples)
+
+    def test_two_samples_are_measured(self):
+        params, graph = _one_bubble()
+        report = measure_mc(params, graph, 2, 1)
+        assert report.volumes.sum() == 1.0
+        assert np.all(np.isfinite(report.area_stderr))
 
 
 def fresh_shape_kappa(q: int) -> np.ndarray:

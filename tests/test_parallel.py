@@ -6,6 +6,7 @@ number of workers or the order in which chunk tasks finish.
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -143,16 +144,16 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
             continue
         label = i * params.q + j + 1
         directions = sampling.draw_unit_chunk(11, label, 0, rows, n)
-        wall = measure._wall_map(params, frame)
+        wall = measure._wall_map(params, i, j, frame)
         [([got], _)] = measure._wall_chunk([(params, [(i, j, wall, 1.0)])], weights,
                                            sampling.unit_blocks(11, label, 0, rows, n), rows,
-                                           perimeter=False)
+                                           False, threading.Lock())
         want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        cells, inside = np.empty((params.q, BLOCK + 1)), np.empty(rows, dtype=bool)
+        differences, low = np.empty((params.q - 2, BLOCK + 1)), np.empty(BLOCK + 1)
+        inside = np.empty(rows, dtype=bool)
         for block in sampling.row_blocks(rows):
-            measure._wall_hits(params, i, j, wall, directions[block].T.copy(), cells,
-                               inside[block])
+            measure._hit_mask(wall, directions[block].T.copy(), differences, low, inside[block])
         pts = whole_subsphere_points(directions, *frame)
         assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
         # the masked sums over every point, misses as zeros: the same terms
@@ -177,10 +178,10 @@ def test_walls_weighed_together_equal_each_wall_alone(n, rows):
               for i in range(5) for j in range(i + 1, 5)]
     frames = [(i, j, frame) for i, j, frame in frames if frame is not None]
     assert len(frames) >= 3
-    walls = [(i, j, measure._wall_map(params, frame), 1.0) for i, j, frame in frames]
+    walls = [(i, j, measure._wall_map(params, i, j, frame), 1.0) for i, j, frame in frames]
     [(got, _)] = measure._wall_chunk([(params, walls)], weights,
                                      sampling.unit_blocks(12, TEST_LABEL + 4, 0, rows, n), rows,
-                                     perimeter=True)
+                                     True, threading.Lock())
     directions = sampling.draw_unit_chunk(12, TEST_LABEL + 4, 0, rows, n)
     for (i, j, frame), sums in zip(frames, got):
         want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
@@ -267,6 +268,78 @@ def monte_carlo_bytes(runner) -> bytes:
 def test_results_do_not_depend_on_the_runner():
     blobs = {name: monte_carlo_bytes(runner) for name, runner in RUNNERS.items()}
     assert len(set(blobs.values())) == 1, sorted(blobs)
+
+
+def watched_blocks(monkeypatch, first_block=None):
+    """Wrap measure._WallChunk.block, the per-block kernel of a wall pass, and
+    return the log it fills: the most blocks of one pass inside the kernel at
+    once, keyed by the pass's shared sampled walls, and the threads that ran
+    blocks. first_block(), if given, runs inside the first block of each pass.
+    Each block sleeps a little inside, so that a block of another task would
+    enter meanwhile if nothing kept it out."""
+    block, guard = measure._WallChunk.block, threading.Lock()
+    inside, log = {}, {"most": {}, "threads": set()}
+
+    def watched(self, *args):
+        key = id(self.sampled)
+        with guard:
+            first = key not in inside
+            inside[key] = inside.get(key, 0) + 1
+            log["most"][key] = max(log["most"].get(key, 0), inside[key])
+            log["threads"].add(threading.get_ident())
+        try:
+            if first and first_block is not None:
+                first_block()
+            time.sleep(2e-4)
+            block(self, *args)
+        finally:
+            with guard:
+                inside[key] -= 1
+
+    monkeypatch.setattr(measure._WallChunk, "block", watched)
+    return log
+
+
+def laplacian_bytes(params, seed, xi):
+    graph = complete_graph(params.q)
+    laps = measure.weighted_laplacians(params, graph, [None, lambda pts: 1.0 - pts @ xi],
+                                       "mc", 2 * CHUNK + 9, seed)
+    return b"".join(lap.matrix.tobytes() + lap.entry_stderr.tobytes() for lap in laps)
+
+
+class TestWallPassLock:
+    """A wall pass draws its blocks on every worker at once and classifies them
+    one at a time, under one lock the pass makes for its call."""
+
+    @pytest.mark.parametrize("name", ["measure_mc", "weighted_laplacians"])
+    def test_no_two_blocks_of_one_pass_are_classified_at_once(self, monkeypatch, name):
+        monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
+        params = standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25]))
+        xi = np.linspace(-0.3, 0.3, 4)
+        run = {"measure_mc": lambda: measure.measure_mc(params, complete_graph(4),
+                                                        2 * CHUNK + 9, 4).areas.tobytes(),
+               "weighted_laplacians": lambda: laplacian_bytes(params, 4, xi)}[name]
+        want = run()
+        log = watched_blocks(monkeypatch)
+        assert run() == want
+        assert list(log["most"].values()) == [1]
+        assert len(log["threads"]) == 2
+
+    def test_two_passes_at_once_equal_the_passes_in_turn(self, monkeypatch):
+        # the first block of each pass waits inside the kernel for the other
+        # pass's first block: a lock shared between passes would deadlock it
+        monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
+        calls = [(standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25])), 5,
+                  np.linspace(-0.3, 0.3, 4)),
+                 (standard_of_curvature(3, 5, np.array([0.35, 0.1, 0.0, -0.2, -0.25])), 6,
+                  np.linspace(0.2, -0.4, 4))]
+        alone = [laplacian_bytes(*call) for call in calls]
+        meet = threading.Barrier(2, timeout=60)
+        log = watched_blocks(monkeypatch, meet.wait)
+        with ThreadPoolExecutor(2) as pool:
+            together = list(pool.map(lambda call: laplacian_bytes(*call), calls, timeout=120))
+        assert together == alone
+        assert sorted(log["most"].values()) == [1, 1]
 
 
 class TestRunTasks:
