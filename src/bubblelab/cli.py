@@ -41,7 +41,7 @@ EXIT_ERROR = 3
 def _base_report(args, **extra) -> dict:
     cfg = {"command": args.command, "version": __version__,
            "schema_version": SCHEMA_VERSION}
-    for key in ("seed", "samples", "h", "backend", "steps", "t", "budget"):
+    for key in ("seed", "samples", "h", "backend", "steps", "t"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     cfg.update(extra)
@@ -220,7 +220,7 @@ def cmd_operators(args) -> int:
 def cmd_plateau(args) -> int:
     params = load_cluster(args.cluster)
     graph = detect_interfaces(params)
-    cert = certify_plateau(params, graph, sample_budget=args.budget, seed=args.seed)
+    cert = certify_plateau(params, graph)
     verdict = classify_q3(params, cert)
     payload = _base_report(args, cluster=params.label,
                            plateau_up_to=cert.plateau_up_to,
@@ -345,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.set_defaults(func=cmd_operators)
 
-    p = sub.add_parser("plateau", parents=[report], help="blow-up cone certification")
+    p = sub.add_parser("plateau", help="exact Plateau certification of the strata")
     p.add_argument("cluster")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_plateau)
 
     p = sub.add_parser("spectrum", help="second-variation spectrum on S^2")

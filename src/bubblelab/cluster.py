@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .simplex import SUM_TOL, project_sum_zero
 DEFAULT_TIE_TOL = 1e-9
 SPHERICAL_TOL = 1e-9
 RANK_CUTOFF = 1e-7
-SINGULAR_TIE_TOL = 1e-7
 # the exact interface test's linear functional: no entry is zero, as cos(k) != 0
 _LEVEL_FUNCTIONAL = np.cos(np.arange(1.0, 65.0))
 _LEVEL_FUNCTIONAL.setflags(write=False)
@@ -194,34 +193,35 @@ def least_cell(values: np.ndarray, gaps: bool = False):
     return labels, second
 
 
-def wall_interior(params: ClusterParams, i: int, j: int, points: np.ndarray,
-                  tie_tol: float = 0.0) -> np.ndarray:
-    """Mask of the points at which no third cell reaches min(h_i, h_j) + tie_tol.
+def stratum_interior(params: ClusterParams, cells: tuple[int, ...], points: np.ndarray,
+                     tie_tol: float = 0.0) -> np.ndarray:
+    """Mask of the points at which no other cell reaches the least of the cells'
+    affine values plus tie_tol.
 
-    h_k is the affine value of cell k. wall_mask of the cell_values of one
-    block of sampling.row_blocks at a time; with two cells every point is
-    interior.
+    stratum_mask of the cell_values of one block of sampling.row_blocks at a
+    time; with no other cell every point is interior.
     """
-    if params.q == 2:
+    if len(cells) == params.q:
         return np.ones(len(points), dtype=bool)
     inside = np.empty(len(points), dtype=bool)
     for rows in sampling.row_blocks(len(points)):
-        wall_mask(cell_values(params, points[rows]), i, j, tie_tol, inside[rows])
+        stratum_mask(cell_values(params, points[rows]), cells, tie_tol, inside[rows])
     return inside
 
 
-def wall_mask(values: np.ndarray, i: int, j: int, tie_tol: float, out: np.ndarray) -> None:
-    """Write wall_interior's mask to out, from cell-major values (cell_values),
+def stratum_mask(values: np.ndarray, cells: tuple[int, ...], tie_tol: float,
+                 out: np.ndarray) -> None:
+    """Write stratum_interior's mask to out, from cell-major values (cell_values),
     which it overwrites.
 
-    A running minimum over the rows of the cells other than i and j; with no
-    other cell every point is interior.
+    A running minimum over the rows of the other cells; with no other cell
+    every point is interior.
     """
-    others = [k for k in range(len(values)) if k not in (i, j)]
+    others = [k for k in range(len(values)) if k not in cells]
     if not others:
         out[...] = True
         return
-    lead = np.minimum(values[i], values[j])
+    lead = np.minimum.reduce(values[list(cells)])
     if tie_tol:
         lead += tie_tol
     low = values[others[0]]
@@ -242,73 +242,84 @@ def spherical_residuals(params: ClusterParams) -> np.ndarray:
     return res
 
 
-def tie_subsphere(rows: np.ndarray, offs: np.ndarray) -> tuple | None:
+def tie_subsphere(rows: np.ndarray, offs: np.ndarray, tol: float) -> tuple | None:
     """Trace on S^n of {p : rows @ p + offs = 0}: the subsphere p0 + radius N S^(dim N - 1).
 
     p0 is the min-norm solution and N the null space of the rows, from one SVD
     with rank cutoff RANK_CUTOFF. None when the ties are inconsistent or miss
-    S^n, to SINGULAR_TIE_TOL.
+    S^n, to tol.
     """
     u, s, vt = np.linalg.svd(rows)
     rank = int(np.sum(s > RANK_CUTOFF * (s[0] or 1.0)))
     p0 = -vt[:rank].T @ ((u[:, :rank].T @ offs) / s[:rank])
     frame = vt[rank:].T
     r2 = 1.0 - p0 @ p0
-    if (np.max(np.abs(rows @ p0 + offs)) > SINGULAR_TIE_TOL or r2 < -SINGULAR_TIE_TOL
-            or (frame.shape[1] == 0 and r2 > SINGULAR_TIE_TOL)):
+    if (np.max(np.abs(rows @ p0 + offs)) > tol or r2 < -tol
+            or (frame.shape[1] == 0 and r2 > tol)):
         return None
     return p0, np.sqrt(max(r2, 0.0)), frame
 
 
 def trace_vertices(p0: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """p0 +- radius N for a trace with one null direction N; p0 twice with none."""
-    return p0 + radius * np.outer([1.0, -1.0], frame.sum(axis=1))
+    """p0 +- radius N for a trace with one null direction N; p0 once with none."""
+    pts = p0 + radius * np.outer([1.0, -1.0], frame.sum(axis=1))
+    return pts if frame.shape[1] else pts[:1]
 
 
-def _exact_interface_point(params: ClusterParams, i: int, j: int,
-                           tie_tol: float) -> np.ndarray | None:
-    """A point of the (i, j) wall that wall_interior accepts, or None if there is none.
+def stratum_points(params: ClusterParams, cells: tuple[int, ...],
+                   tie_tol: float) -> np.ndarray | None:
+    """Points of the stratum of the sorted cells: where their affine values tie
+    and stratum_interior accepts at tie_tol. None if their tie set misses S^n.
 
-    If {h_i = h_j, h_k >= h_i + 2 tie_tol for all other k} meets S^n, a fixed
-    linear functional attains its minimum there at the minimum on the trace
-    of the active tie set, and a row basis of those ties leaves at most n
-    other cells. So subsets of at most n cells are tried, smallest first,
-    each with the vertices of its trace or the functional's extremes on it.
-    A set containing one whose trace missed S^n is skipped: its ties add rows,
-    so its trace lies in the smaller one's and misses S^n too.
+    With i = cells[0], if {h_s = h_i for s in cells, h_k >= h_i + 2 tie_tol for
+    every other k} meets S^n, a fixed linear functional attains its minimum
+    there at the minimum on the trace of the active tie set, and a row basis
+    of those ties leaves at most n other cells. So sets of at most n other
+    cells are tried, smallest first, each with the vertices of its trace or
+    the functional's extremes on it (the minimizer first). The accepted
+    vertices of the first trace that has one are returned, read-only; an
+    empty (0, n + 1) array if none has. A trace counts only where its ties
+    hold to tie_tol, the margin its points are then checked at. A set
+    containing one whose trace missed S^n is skipped: its ties add rows, so
+    its trace lies in the smaller one's and misses S^n too.
     """
     c, k = params.quasi_centers, params.curvatures
-    others = [m for m in range(params.q) if m not in (i, j)]
-    missed: list[int] = []  # bit masks of the cell sets whose trace missed S^n
-    for size in range(min(params.n, len(others)) + 1):
-        for cells in combinations(others, size):
-            mask = sum(1 << m for m in cells)
-            if any(mask & miss == miss for miss in missed):
-                continue
-            ties = [j, *cells]
-            offs = k[ties] - k[i]
-            offs[1:] -= 2.0 * tie_tol
-            trace = tie_subsphere(c[ties] - c[i], offs)
-            if trace is None:
-                missed.append(mask)
-                continue
-            p0, radius, frame = trace
-            if frame.shape[1] > 1:  # the minimizer first, then the maximizer
-                slope = frame.T @ _LEVEL_FUNCTIONAL[: params.n + 1]
-                frame = -(frame @ slope)[:, None] / np.linalg.norm(slope)
-            pts = trace_vertices(p0, radius, frame)
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
-            if hits.size:
-                return pts[hits[0]]
-    return None
+    i, ties = cells[0], list(cells[1:])
+    others = [m for m in range(params.q) if m not in cells]
+    missed: list[int] = []  # bit masks of the other-cell sets whose trace missed S^n
+    found = np.empty((0, params.n + 1))
+    for extra in chain.from_iterable(combinations(others, size)
+                                     for size in range(min(params.n, len(others)) + 1)):
+        mask = sum(1 << m for m in extra)
+        if any(mask & miss == miss for miss in missed):
+            continue
+        rows = ties + list(extra)
+        offs = k[rows] - k[i]
+        offs[len(ties):] -= 2.0 * tie_tol
+        trace = tie_subsphere(c[rows] - c[i], offs, tie_tol)
+        if trace is None:
+            if not extra:
+                return None
+            missed.append(mask)
+            continue
+        p0, radius, frame = trace
+        if frame.shape[1] > 1:  # the minimizer first, then the maximizer
+            slope = frame.T @ _LEVEL_FUNCTIONAL[: params.n + 1]
+            frame = -(frame @ slope)[:, None] / np.linalg.norm(slope)
+        pts = trace_vertices(p0, radius, frame)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        found = pts[stratum_interior(params, cells, pts, tie_tol)]
+        if len(found):
+            break
+    found.setflags(write=False)
+    return found
 
 
 def detect_interfaces(params: ClusterParams, *, rng_seed: int = 0) -> InterfaceGraph:
     """Decide which pairs carry an interface, with a witness point for each.
 
-    Every pair is decided by the exact tie test, _exact_interface_point,
-    whose point is the pair's witness; nothing is sampled. Walls that miss
+    Every pair is decided by the exact tie test, stratum_points, whose first
+    point is the pair's witness; nothing is sampled. Walls that miss
     the sphere get a diagnostic, and so do nonempty pairs that violate the
     compatibility constraint. rng_seed selects nothing: it remains only
     because the benchmark workloads under bench/ still pass it.
@@ -324,11 +335,11 @@ def detect_interfaces(params: ClusterParams, *, rng_seed: int = 0) -> InterfaceG
                                            params.pair_curvature(i, j)):
                 diagnostics[(i, j)] = "degenerate wall: hyperplane misses S^n"
                 continue
-            witness = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
-            if witness is None:
+            points = stratum_points(params, (i, j), DEFAULT_TIE_TOL)
+            if points is None or not len(points):
                 continue
             nonempty[i, j] = nonempty[j, i] = True
-            witnesses[(i, j)] = witness
+            witnesses[(i, j)] = points[0]
             if abs(residuals[i, j]) > SPHERICAL_TOL:
                 diagnostics[(i, j)] = (
                     f"nonempty interface violates |c_ij|^2 = 1 + kappa_ij^2 "

@@ -350,11 +350,12 @@ def _hit_mask(wall: tuple, columns: np.ndarray, differences: np.ndarray, low: np
     scratch row) is above 0. No point is placed to classify it, and a wall
     with no third cell is all hits.
 
-    The mask equals wall_interior's on the points subsphere_chunk places bit
+    The mask equals cluster.stratum_interior's of the pair on the same wall
+    points, placed center + radius * frame @ w one row block at a time, bit
     for bit wherever no third cell is within rounding of the pair, which
     property tests check on random, seeded and gallery clusters. The
     exception is a cluster with two identical cells. A twin of cell i has a
-    zero difference row, so the wall reads empty, where wall_interior follows
+    zero difference row, so the wall reads empty, where stratum_interior follows
     rounding. A twin of j ties with the pair exactly on the whole wall, so
     its row is 0 up to rounding and both masks follow rounding there.
     """

@@ -4,7 +4,9 @@ At a point p the cluster blows up to a conical partition whose walls are the
 projected quasi-centers, centered over the incidence set. The cluster is
 Plateau at p when those centered normals span a space of dimension one less
 than the incidence count, equivalently when they form a centered regular
-unit-simplex (the 120-degree law and its higher analogues).
+unit-simplex (the 120-degree law and its higher analogues). On a stratum,
+where a fixed subset of cells ties, the Gram matrix of those normals is the
+same at every point, so certify_plateau checks each stratum once, exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from . import sampling
-from .cluster import (RANK_CUTOFF, SINGULAR_TIE_TOL, ClusterParams, InterfaceGraph,
-                      cell_values, classify_point, tie_subsphere, trace_vertices)
+from .cluster import (DEFAULT_TIE_TOL, RANK_CUTOFF, ClusterParams, InterfaceGraph,
+                      classify_point, stratum_points)
 from .deform import pcf_detect
 from .simplex import sum_zero_projector
-
-_STRATUM_STREAM = 0xB10
 
 
 @dataclass
@@ -38,10 +37,13 @@ def blowup_at(params: ClusterParams, p, tie_tol: float = 1e-9) -> BlowUpCone:
     proj = params.quasi_centers[incidence] - np.outer(
         params.quasi_centers[incidence] @ p, p)
     centered = proj - proj.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-    rank = int(np.sum(svals > RANK_CUTOFF * scale))
-    return BlowUpCone(p, incidence, centered, rank)
+    return BlowUpCone(p, incidence, centered,
+                      _affine_rank(np.linalg.svd(centered, compute_uv=False)))
+
+
+def _affine_rank(svals: np.ndarray) -> int:
+    """How many singular values exceed RANK_CUTOFF times the largest (or 1 if that is 0)."""
+    return int(np.sum(svals > RANK_CUTOFF * (svals.max(initial=0.0) or 1.0)))
 
 
 @dataclass
@@ -63,11 +65,18 @@ def plateau_at(cone: BlowUpCone) -> PlateauDiagnostics:
     m = len(cone.incidence)
     if m < 2:
         raise ValueError("plateau test needs at least two incident cells")
-    gram = cone.centered_normals @ cone.centered_normals.T
-    residual = float(np.max(np.abs(gram - 0.5 * sum_zero_projector(m))))
-    rank_ok = cone.affine_rank == m - 1
-    return PlateauDiagnostics(rank_ok and residual <= 1e-7, rank_ok, residual,
+    residual, is_plateau = _simplex_test(cone.centered_normals @ cone.centered_normals.T,
+                                         cone.affine_rank)
+    return PlateauDiagnostics(is_plateau, cone.affine_rank == m - 1, residual,
                               cone.affine_rank, m)
+
+
+def _simplex_test(gram: np.ndarray, rank: int) -> tuple[float, bool]:
+    """The largest entry of |gram - P/2|, P the sum-zero projector, and whether
+    it is at most 1e-7 with rank one less than the cell count."""
+    m = len(gram)
+    residual = float(np.max(np.abs(gram - 0.5 * sum_zero_projector(m))))
+    return residual, rank == m - 1 and residual <= 1e-7
 
 
 def _triple_normals(params: ClusterParams, p, tie_tol: float) -> list[np.ndarray]:
@@ -106,34 +115,12 @@ def boundary_normal_sum(params: ClusterParams, p, tie_tol: float = 1e-9) -> floa
 # Certification
 # ---------------------------------------------------------------------------
 
-def _stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
-                    index: int, count: int) -> np.ndarray:
-    """Unit points at which the given cells' affine values tie.
-
-    The tie set's trace on S^n is the round subsphere of tie_subsphere. A point
-    or a pair of points is returned exactly, a larger trace as count uniform
-    samples at the (seed, stratum stream, index) address, and none when the
-    ties are inconsistent or the subspace misses S^n.
-    """
-    rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
-    offs = params.curvatures[list(cells[1:])] - params.curvatures[cells[0]]
-    trace = tie_subsphere(rows, offs)
-    if trace is None:
-        return np.empty((0, params.n + 1))
-    p0, radius, frame = trace
-    if frame.shape[1] <= 1:
-        pts = trace_vertices(p0, radius, frame)
-    else:
-        pts = sampling.subsphere_chunk(seed, _STRATUM_STREAM, index, count, p0, radius, frame)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
 @dataclass
 class PlateauCertificate:
     plateau_up_to: int
     worst_points: list[dict]
-    points_examined: int
-    multi_points_found: int
+    points_examined: int  # nonempty strata
+    multi_points_found: int  # witnesses of strata of three or more cells
     fully_plateau: bool
     failures: list[dict] = field(default_factory=list)
     junction_points: list[dict] = field(default_factory=list)
@@ -141,107 +128,79 @@ class PlateauCertificate:
 
 def certify_plateau(params: ClusterParams, graph: InterfaceGraph,
                     sample_budget: int = 2000, seed: int = 0) -> PlateauCertificate:
-    """Examine the singular strata and certify the largest safe Plateau level.
+    """Examine every singular stratum exactly and certify the largest safe Plateau level.
 
-    Candidate points are the interface witnesses plus the stratum points of
-    every pairwise (where the graph has an interface), triple and higher tie
-    set at which all of its cells are incident; sample_budget (at least 1)
-    is shared among the strata, each of which gets at least 3 points. The
-    deduplicated candidates are classified in one cell_values pass, with
-    classify_point's unit-norm check and incidence rule. Every two-cell
-    point is settled in one vectorized pass (_two_cell_cones), and only
-    junctions, with three or more incident cells, go through blowup_at and
-    plateau_at. Returns the largest level l such that every examined point
-    whose normals span at most l dimensions passed the regular-simplex test;
-    points failing it are counterexamples.
+    The stratum of a cell subset S is where the cells of S tie and no other
+    cell comes within DEFAULT_TIE_TOL of them. Subsets of order 2 to q are
+    enumerated. A pair's witness is the graph's; a pair the graph marks
+    nonempty without one, and every larger subset, is searched by
+    cluster.stratum_points, whose points become its witnesses. A subset
+    containing one whose tie set missed S^n is skipped.
+
+    A stratum's verdict needs no point. On the tie set of S,
+    <c_i, p> + kappa_i = lambda(p) for every i in S, so with |p| = 1 the
+    projected normals c_i - <c_i, p> p have the Gram matrix
+    C_S C_S^T - (lambda 1 - kappa_S)(lambda 1 - kappa_S)^T. The centering
+    projector P_S = Id - 11^T/|S| kills 1, so the centered normals have the
+    Gram matrix P_S (C_S C_S^T - kappa_S kappa_S^T) P_S, the same at every
+    point of the stratum. Its rank, with blowup_at's cutoff, and plateau_at's
+    regular-simplex test give the verdict, which every witness of the
+    stratum reports. points_examined counts the nonempty strata and
+    multi_points_found the witnesses of strata of three or more cells.
+    Returns the largest level l such that every stratum whose normals span
+    at most l dimensions passed the regular-simplex test; the witnesses of
+    strata failing it are counterexamples.
+
+    sample_budget and seed select nothing: they remain only because the
+    benchmark workloads under bench/ still pass them.
     """
-    if sample_budget < 1:
-        raise ValueError(f"sample_budget must be at least 1, got {sample_budget}")
     q = params.q
-    candidates: list[np.ndarray] = []
-
-    for i, j in graph.pairs():
-        if (i, j) in graph.witnesses:
-            candidates.append(np.asarray(graph.witnesses[(i, j)]))
-
-    max_order = min(q, params.n + 2)
-    subsets: list[tuple[int, ...]] = []
-    for order in range(2, max_order + 1):
-        for cells in combinations(range(q), order):
-            # only strata whose pairs are plausibly adjacent are worth probing
-            if order == 2 and not graph.nonempty[cells[0], cells[1]]:
-                continue
-            subsets.append(cells)
-    seeds_per_subset = max(3, sample_budget // max(len(subsets), 1))
-    for index, cells in enumerate(subsets):
-        pts = _stratum_points(params, cells, seed, index, seeds_per_subset)
-        # the incidence rule of classify_point, for all points at once
-        values = cell_values(params, pts)
-        low = values.min(axis=0) + SINGULAR_TIE_TOL
-        candidates.extend(pts[np.all(values[list(cells)] <= low, axis=0)])
-
-    # deduplicate by rounding
-    unique: dict[tuple, np.ndarray] = {}
-    for p in candidates:
-        unique[tuple(np.round(p, 6))] = p
-    examined = list(unique.values())
-    points = np.array(examined).reshape(len(examined), params.n + 1)
-    norms = np.einsum("ij,ij->i", points, points)
-    off_sphere = np.flatnonzero(np.abs(norms - 1.0) > 2e-12)
-    if off_sphere.size:
-        raise ValueError(f"point is not on the unit sphere: |p|^2 = {norms[off_sphere[0]]!r}")
-    values = cell_values(params, points)
-    incident = values <= values.min(axis=0) + SINGULAR_TIE_TOL
-    sizes = incident.sum(axis=0)
-    two_cell = _two_cell_cones(params, points[sizes == 2], incident[:, sizes == 2])
-
     worst: list[dict] = []
     failures: list[dict] = []
     junctions: list[dict] = []
+    strata = 0
     best_fail_rank = None
-    for p, size in zip(examined, sizes.tolist()):
-        if size < 2:
-            continue
-        if size == 2:
-            incidence, rank, residual, is_plateau = next(two_cell)
-        else:
-            cone = blowup_at(params, p, tie_tol=SINGULAR_TIE_TOL)
-            diag = plateau_at(cone)
-            incidence, rank, residual, is_plateau = (cone.incidence.tolist(), cone.affine_rank,
-                                                     diag.gram_residual, diag.is_plateau)
-        entry = {"point": p, "incidence": incidence, "affine_rank": rank,
-                 "gram_residual": residual, "is_plateau": is_plateau}
-        if len(incidence) >= 3:
-            junctions.append(entry)
-        if not is_plateau:
-            failures.append(entry)
-            if best_fail_rank is None or rank < best_fail_rank:
-                best_fail_rank = rank
-        worst.append(entry)
+    missed: list[int] = []  # bit masks of the subsets whose tie set missed S^n
+    for order in range(2, q + 1):
+        for cells in combinations(range(q), order):
+            mask = sum(1 << m for m in cells)
+            if any(mask & miss == miss for miss in missed):
+                continue
+            if cells in graph.witnesses:
+                points = [graph.witnesses[cells]]
+            elif order == 2 and not graph.nonempty[cells]:
+                continue
+            else:
+                points = stratum_points(params, cells, DEFAULT_TIE_TOL)
+                if points is None:
+                    missed.append(mask)
+                    continue
+            if not len(points):
+                continue
+            strata += 1
+            sel = list(cells)
+            proj = sum_zero_projector(order)
+            c, k = params.quasi_centers[sel], params.curvatures[sel]
+            gram = proj @ (c @ c.T - np.outer(k, k)) @ proj
+            # the centered normals' singular values are the square roots of
+            # the Gram eigenvalues, which rounding may leave slightly negative
+            rank = _affine_rank(np.sqrt(np.abs(np.linalg.eigvalsh(gram))))
+            residual, is_plateau = _simplex_test(gram, rank)
+            for p in points:
+                entry = {"point": p, "incidence": sel, "affine_rank": rank,
+                         "gram_residual": residual, "is_plateau": is_plateau}
+                if order >= 3:
+                    junctions.append(entry)
+                if not is_plateau:
+                    failures.append(entry)
+                    if best_fail_rank is None or rank < best_fail_rank:
+                        best_fail_rank = rank
+                worst.append(entry)
     worst.sort(key=lambda e: (e["is_plateau"], -e["gram_residual"]))
     level = (min(params.n, q - 1) if best_fail_rank is None
              else max(best_fail_rank - 1, 0))
-    fully = best_fail_rank is None
-    return PlateauCertificate(level, worst[:10], len(unique), len(junctions),
-                              fully, failures, junctions)
-
-
-def _two_cell_cones(params: ClusterParams, points: np.ndarray, incident: np.ndarray):
-    """Iterator of (incidence, affine_rank, gram_residual, is_plateau), as blowup_at
-    and plateau_at give them, at points incident to exactly two cells.
-
-    incident is the (q, m) incidence mask of the m points. At a point p on
-    the (i, j) wall the centered normals are +-d/2 with d = c_ij - <c_ij, p> p,
-    so the affine rank is 1 if d != 0 and 0 otherwise, and the Gram matrix
-    differs from half the sum-zero projector by |d|^2/4 - 1/4 in every entry.
-    """
-    cells = np.nonzero(incident.T)[1].reshape(-1, 2)
-    c_ij = params.quasi_centers[cells[:, 0]] - params.quasi_centers[cells[:, 1]]
-    d = c_ij - np.einsum("ij,ij->i", c_ij, points)[:, None] * points
-    ranks = np.any(d != 0.0, axis=1).astype(int)
-    residuals = np.abs(0.25 * np.einsum("ij,ij->i", d, d) - 0.25)
-    passed = (ranks == 1) & (residuals <= 1e-7)
-    return zip(cells.tolist(), ranks.tolist(), residuals.tolist(), passed.tolist())
+    return PlateauCertificate(level, worst[:10], strata, len(junctions),
+                              best_fail_rank is None, failures, junctions)
 
 
 @dataclass

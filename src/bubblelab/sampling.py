@@ -200,20 +200,3 @@ def subsphere_frame(c: np.ndarray, kappa: float) -> tuple[np.ndarray, float, np.
     frame = orthonormal_complement(c[None, :], c.size)  # columns span c-perp
     return center, float(np.sqrt(r2)), frame
 
-
-def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
-                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """Uniform points on the geodesic subsphere described by subsphere_frame.
-
-    center + radius * frame @ w for each unit direction w, as a new array."""
-    # built in place and kept C-ordered: the bits of products that weight
-    # callbacks take, such as pts @ xi, depend on the memory layout
-    directions = draw_unit_chunk(seed, label, chunk, count, frame.shape[1])
-    basis = np.ascontiguousarray(frame.T)
-    pts = np.empty((count, basis.shape[1]))
-    for rows in row_blocks(count):
-        block = pts[rows]
-        np.matmul(directions[rows], basis, out=block)
-        block *= radius
-        block += center
-    return pts

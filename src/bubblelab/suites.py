@@ -383,9 +383,10 @@ def suite_gram_invariance(seed: int = 7, samples: int = 500_000) -> SuiteReport:
     cap = gallery.sectored_cap(4, 0.8)
     graph = detect_interfaces(cap)
     rep.check_flag("cluster_is_spherical", validate_spherical(cap, graph).passed)
-    cert = certify_plateau(cap, graph, sample_budget=600, seed=seed)
+    cert = certify_plateau(cap, graph)
     rep.check_flag("cluster_certified_plateau", cert.fully_plateau,
-                   f"{cert.multi_points_found} junction points examined")
+                   f"{cert.multi_points_found} junction points on "
+                   f"{cert.points_examined} strata examined")
     rep.check_flag("cluster_lower_dimensional",
                    perpendicular_pole(cap) is not None
                    and np.linalg.matrix_rank(cap.quasi_centers, tol=1e-9) < cap.q - 1)
@@ -418,7 +419,7 @@ def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
         kappa = _random_sum_zero(q, rng, scale) if scale else np.zeros(q)
         params = standard_of_curvature(2, q, kappa)
         graph = detect_interfaces(params)
-        cert = certify_plateau(params, graph, sample_budget=400, seed=seed)
+        cert = certify_plateau(params, graph)
         rep.check_flag(f"standard_q{q}_scale{scale}_plateau", cert.fully_plateau)
         for entry in cert.junction_points:
             if len(entry["incidence"]) == 3:
@@ -432,7 +433,7 @@ def suite_plateau_geometry(seed: int = 8) -> SuiteReport:
 
     cross = gallery.cross_junction(2)
     graph_x = detect_interfaces(cross)
-    cert_x = certify_plateau(cross, graph_x, sample_budget=400, seed=seed)
+    cert_x = certify_plateau(cross, graph_x)
     rep.check_flag("cross_junction_flagged_not_2_plateau",
                    (not cert_x.fully_plateau) and cert_x.plateau_up_to < 2
                    and len(cert_x.failures) > 0,

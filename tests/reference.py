@@ -15,11 +15,11 @@ import scipy.sparse.linalg as spla
 
 from bubblelab import measure, sampling
 from bubblelab.cluster import (DEFAULT_TIE_TOL, ClusterParams, InterfaceGraph, cell_values,
-                               complete_graph, validate_spherical, wall_interior)
+                               complete_graph, stratum_interior, tie_subsphere,
+                               trace_vertices, validate_spherical)
 from bubblelab.deform import gram_path
 from bubblelab.measure import ArcVolumes
-from bubblelab.plateau import (SINGULAR_TIE_TOL, PlateauCertificate, _stratum_points,
-                               blowup_at, plateau_at)
+from bubblelab.plateau import PlateauCertificate, blowup_at, plateau_at
 from bubblelab.quantum_graph import NORM_S2, SpectrumError, dependent_trace, kernel_tolerance
 from bubblelab.simplex import sphere_surface_measure, sum_zero_basis
 from bubblelab.standard import (JACOBIAN_REUSE, MAX_HALVINGS, MAX_ITER, _volume_jacobian,
@@ -165,9 +165,29 @@ def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> 
 
 def subsphere_points(seed: int, label: int, chunk: int, count: int,
                      center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """sampling.subsphere_chunk drawn afresh, by the broadcast formula."""
+    """subsphere_chunk drawn afresh, by the broadcast formula."""
     w = unit_directions(seed, label, chunk, count, frame.shape[1])
     return center[None, :] + radius * (w @ frame.T)
+
+
+def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
+                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+    """Uniform points on the geodesic subsphere described by sampling.subsphere_frame.
+
+    center + radius * frame @ w for each unit direction w of
+    sampling.draw_unit_chunk, as a new array, built in place one row block at
+    a time and kept C-ordered: the bits of products that weight callbacks
+    take, such as pts @ xi, depend on the memory layout.
+    """
+    directions = sampling.draw_unit_chunk(seed, label, chunk, count, frame.shape[1])
+    basis = np.ascontiguousarray(frame.T)
+    pts = np.empty((count, basis.shape[1]))
+    for rows in sampling.row_blocks(count):
+        block = pts[rows]
+        np.matmul(directions[rows], basis, out=block)
+        block *= radius
+        block += center
+    return pts
 
 
 def wall_points(directions: np.ndarray, center: np.ndarray, radius: float,
@@ -231,7 +251,7 @@ def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
     """Interfaces found by sampling each wall sphere, with a witness for each.
 
     The (i, j) wall is sampled uniformly at the (rng_seed, i*q + j + 1)
-    address, and its first sample that wall_interior accepts at
+    address, and its first sample that stratum_interior accepts at
     DEFAULT_TIE_TOL, normalized, is the witness. Pairs with no such sample,
     and pairs whose wall misses S^n, are absent. A sampled hit is proof of
     an interface, but a miss is not proof of none.
@@ -244,7 +264,7 @@ def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
             continue
         for chunk, count in sampling.chunk_layout(samples_per_pair):
             pts = subsphere_points(rng_seed, i * q + j + 1, chunk, count, *frame)
-            hits = np.flatnonzero(wall_interior(params, i, j, pts, DEFAULT_TIE_TOL))
+            hits = np.flatnonzero(stratum_interior(params, (i, j), pts, DEFAULT_TIE_TOL))
             if hits.size:
                 found[(i, j)] = pts[hits[0]] / np.linalg.norm(pts[hits[0]])
                 break
@@ -428,10 +448,45 @@ def lanczos_near_kernel(system) -> np.ndarray:
     return vec
 
 
+# The sampled Plateau certificate that plateau.certify_plateau replaced: ties
+# held to SINGULAR_TIE_TOL, and strata of dimension >= 1 were sampled at the
+# (seed, STRATUM_STREAM, subset index) address.
+SINGULAR_TIE_TOL = 1e-7
+STRATUM_STREAM = 0xB10
+
+
+def sampled_stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: int,
+                           index: int, count: int) -> np.ndarray:
+    """Unit points at which the given cells' affine values tie.
+
+    The tie set's trace on S^n is the round subsphere of tie_subsphere, to
+    SINGULAR_TIE_TOL. A point or a pair of points is returned exactly, a
+    larger trace as count uniform samples at the (seed, STRATUM_STREAM,
+    index) address, and none when the ties are inconsistent or the subspace
+    misses S^n.
+    """
+    rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
+    offs = params.curvatures[list(cells[1:])] - params.curvatures[cells[0]]
+    trace = tie_subsphere(rows, offs, SINGULAR_TIE_TOL)
+    if trace is None:
+        return np.empty((0, params.n + 1))
+    p0, radius, frame = trace
+    if frame.shape[1] <= 1:
+        pts = trace_vertices(p0, radius, frame)
+    else:
+        pts = subsphere_chunk(seed, STRATUM_STREAM, index, count, p0, radius, frame)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 def per_point_certificate(params: ClusterParams, graph: InterfaceGraph,
                           sample_budget: int = 2000, seed: int = 0) -> PlateauCertificate:
-    """plateau.certify_plateau with every candidate, two-cell or not, run through
-    blowup_at and plateau_at one point at a time."""
+    """The sampled certificate: the witnesses of graph and the points of
+    sampled_stratum_points on every pair the graph marks nonempty and every
+    subset of 3 to n + 2 cells, sample_budget shared among the subsets (at
+    least 3 each), kept where the subset is incident to SINGULAR_TIE_TOL and
+    deduplicated by rounding to 6 decimals; each point is run through
+    blowup_at and plateau_at at SINGULAR_TIE_TOL. A stratum that no sample
+    hits is never checked."""
     q = params.q
     candidates = [np.asarray(graph.witnesses[pair]) for pair in graph.pairs()
                   if pair in graph.witnesses]
@@ -440,7 +495,7 @@ def per_point_certificate(params: ClusterParams, graph: InterfaceGraph,
                if order > 2 or graph.nonempty[cells[0], cells[1]]]
     per_subset = max(3, sample_budget // max(len(subsets), 1))
     for index, cells in enumerate(subsets):
-        pts = _stratum_points(params, cells, seed, index, per_subset)
+        pts = sampled_stratum_points(params, cells, seed, index, per_subset)
         values = cell_values(params, pts)
         low = values.min(axis=0) + SINGULAR_TIE_TOL
         candidates.extend(pts[np.all(values[list(cells)] <= low, axis=0)])

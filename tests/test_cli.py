@@ -205,22 +205,20 @@ class TestAnalysisCommands:
 
     def test_plateau(self, cluster_file, tmp_path):
         out = tmp_path / "plateau.json"
-        assert run_cli("plateau", str(cluster_file), "--budget", "150",
-                       "--out", str(out)) == 0
+        assert run_cli("plateau", str(cluster_file), "--out", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload["budget"] == 150 and payload["seed"] == 0
+        assert "budget" not in payload and "seed" not in payload
         assert payload["fully_plateau"] is True
         assert payload["classification"] == "both"
 
     def test_plateau_byte_identical_rerun(self, cluster_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            assert run_cli("plateau", str(cluster_file), "--budget", "150",
-                           "--seed", "1", "--out", str(out)) == 0
+            assert run_cli("plateau", str(cluster_file), "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["multi_points_found"] == 2  # the two triple points
-        assert payload["points_examined"] > 2
+        assert payload["points_examined"] == 4  # three walls and the triple stratum
 
     def test_spectrum(self, cluster_file, tmp_path):
         out = tmp_path / "spec.json"
@@ -357,14 +355,13 @@ class TestErrorPayloads:
             "type": "ValueError",
             "message": f"pole {pole} must be 3 numbers with a finite nonzero norm"}
 
-    def test_plateau_rejects_negative_budget(self, cluster_file, tmp_path):
+    @pytest.mark.parametrize("flag", ["--budget", "--seed"])
+    def test_plateau_takes_no_budget_or_seed(self, cluster_file, tmp_path, flag):
         out = tmp_path / "plateau.json"
-        assert run_cli("plateau", str(cluster_file), "--budget", "-5",
-                       "--out", str(out)) == EXIT_ERROR
-        payload = json.loads(out.read_text())
-        assert payload["error"] == {"type": "ValueError",
-                                    "message": "sample_budget must be at least 1, got -5"}
-        assert payload["command"] == "plateau"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plateau", str(cluster_file), flag, "5", "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_profile_newton_failure(self, monkeypatch, capsys):
         def stalled(n, q, v_target, cfg, volume_of, start=None):

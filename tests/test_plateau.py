@@ -3,21 +3,24 @@
 import json
 from dataclasses import asdict
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bubblelab import (blowup_at, certify_plateau,
+import reference
+from bubblelab import (BlowUpCone, blowup_at, certify_plateau,
                        classify_q3, conformal_step, detect_interfaces,
                        equal_volume_standard, pcf_detect, perpendicular_pole,
-                       plateau_at, standard_of_curvature, triple_point_angles)
-from bubblelab import gallery, plateau
-from bubblelab.cluster import classify_point, complete_graph, recentered
+                       plateau_at, standard_of_curvature, triple_point_angles,
+                       validate_spherical)
+from bubblelab import gallery
+from bubblelab.cluster import (DEFAULT_TIE_TOL, RANK_CUTOFF, classify_point, complete_graph,
+                               recentered, stratum_points)
 from bubblelab.measure import extract_arcs
-from bubblelab.plateau import SINGULAR_TIE_TOL, _stratum_points, boundary_normal_sum
+from bubblelab.plateau import boundary_normal_sum
 from bubblelab.simplex import sum_zero_projector
-from reference import per_point_certificate, random_orthogonal, rotated, subsphere_points
+from reference import (SINGULAR_TIE_TOL, per_point_certificate, random_orthogonal, rotated,
+                       sampled_stratum_points, subsphere_points)
 
 
 class TestBlowupAt:
@@ -91,8 +94,7 @@ class TestTripleAngles:
         assert boundary_normal_sum(equal_bubble_s2, [0.0, 0.0, 1.0]) < 1e-12
 
     def test_general_bubble_120(self, skew_bubble_s2, skew_bubble_graph):
-        cert = certify_plateau(skew_bubble_s2, skew_bubble_graph,
-                               sample_budget=200, seed=0)
+        cert = certify_plateau(skew_bubble_s2, skew_bubble_graph)
         triples = [e for e in cert.junction_points if len(e["incidence"]) == 3]
         assert triples
         for entry in triples:
@@ -116,14 +118,14 @@ class TestCertifyPlateau:
             kappa = scale * rng.standard_normal(q)
             params = standard_of_curvature(n, q, kappa - kappa.mean())
             graph = detect_interfaces(params)
-            cert = certify_plateau(params, graph, sample_budget=300, seed=1)
+            cert = certify_plateau(params, graph)
             assert cert.fully_plateau
             assert cert.plateau_up_to == min(n, q - 1)
 
     def test_cross_junction_counterexample(self):
         cross = gallery.cross_junction(2)
         graph = detect_interfaces(cross)
-        cert = certify_plateau(cross, graph, sample_budget=300, seed=1)
+        cert = certify_plateau(cross, graph)
         assert not cert.fully_plateau
         assert cert.plateau_up_to < 2
         assert any(len(f["incidence"]) == 4 for f in cert.failures)
@@ -131,20 +133,42 @@ class TestCertifyPlateau:
     def test_two_cells_vacuous(self):
         params = equal_volume_standard(3, 2)
         graph = detect_interfaces(params)
-        cert = certify_plateau(params, graph, sample_budget=100, seed=0)
+        cert = certify_plateau(params, graph)
         assert cert.fully_plateau
         assert cert.multi_points_found == 0  # only interface points exist
 
     def test_band_cluster_vacuously_plateau(self, band_cluster, band_graph):
-        cert = certify_plateau(band_cluster, band_graph, sample_budget=200, seed=2)
+        cert = certify_plateau(band_cluster, band_graph)
         assert cert.fully_plateau
         assert cert.multi_points_found == 0
 
+    def test_reads_neither_budget_nor_seed(self, skew_bubble_s2, skew_bubble_graph):
+        # both remain in the signature only for the benchmark's calls
+        want = _plain(certify_plateau(skew_bubble_s2, skew_bubble_graph))
+        for budget, seed in ((0, 0), (-5, 3), (400, 91)):
+            got = certify_plateau(skew_bubble_s2, skew_bubble_graph,
+                                  sample_budget=budget, seed=seed)
+            assert _plain(got) == want
 
-    @pytest.mark.parametrize("budget", [0, -5])
-    def test_rejects_budget_below_one(self, skew_bubble_s2, skew_bubble_graph, budget):
-        with pytest.raises(ValueError, match=f"sample_budget must be at least 1, got {budget}"):
-            certify_plateau(skew_bubble_s2, skew_bubble_graph, sample_budget=budget)
+    def test_planted_junction_that_sampling_misses_fails(self):
+        # the cross on S^3 plus a spherical fifth cell that covers all but an
+        # arc of about 2e-3 of the circle where the four cross cells tie: at
+        # budget 400 no sample lands on the arc, and the exact search finds
+        # the arc's two points and fails them (rank 2, not 3)
+        cross = gallery.cross_junction(3)
+        mu = 100.0
+        params = recentered(3, np.vstack([cross.quasi_centers, [0.0, 0.0, -mu, 0.0]]),
+                            np.append(cross.curvatures, -np.sqrt(mu * mu - 0.5)))
+        graph = detect_interfaces(params)
+        assert validate_spherical(params, graph).passed
+        ref = per_point_certificate(params, graph, sample_budget=400, seed=0)
+        assert [0, 1, 2, 3] not in [e["incidence"] for e in ref.junction_points]
+        cert = certify_plateau(params, graph)
+        arc = [f for f in cert.failures if f["incidence"] == [0, 1, 2, 3]]
+        assert len(arc) == 2 and all(f["affine_rank"] == 2 for f in arc)
+        for f in arc:
+            values = params.affine_values(f["point"])
+            assert np.ptp(values[:4]) <= 1e-13 and values[4] > values[:4].min() + DEFAULT_TIE_TOL
 
 
 def _random_standard(n, q, seed):
@@ -157,9 +181,19 @@ _STRETCHED = _random_standard(2, 4, 7)
 _STRETCHED = recentered(2, 1.02 * _STRETCHED.quasi_centers, _STRETCHED.curvatures)
 
 
-class TestBatchedCertificate:
-    """certify_plateau settles two-cell points in one pass; the oracle runs every
-    candidate through blowup_at and plateau_at."""
+def _cone_over(params, cells, p):
+    """blowup_at at p with its incidence set to the given cells."""
+    incidence = np.array(cells)
+    proj = params.quasi_centers[incidence] - np.outer(params.quasi_centers[incidence] @ p, p)
+    centered = proj - proj.mean(axis=0)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    rank = int(np.sum(svals > RANK_CUTOFF * (svals[0] if svals[0] > 0 else 1.0)))
+    return BlowUpCone(p, incidence, centered, rank)
+
+
+class TestExactCertificate:
+    """certify_plateau takes each stratum's verdict from the closed-form Gram
+    matrix; blowup_at and plateau_at take it from the normals at a point."""
 
     @pytest.mark.parametrize("params", [
         gallery.cross_junction(2), gallery.sectored_cap(4, 0.8),
@@ -167,37 +201,34 @@ class TestBatchedCertificate:
         _random_standard(2, 3, 1), _random_standard(2, 4, 2), _random_standard(3, 4, 3),
         _random_standard(3, 5, 4), _STRETCHED],
         ids=["cross", "cap", "bands", "five", "s2q3", "s2q4", "s3q4", "s3q5", "stretched"])
-    def test_equals_per_point_path(self, params):
+    def test_entries_equal_per_point_cones(self, params):
         graph = detect_interfaces(params)
-        cert = certify_plateau(params, graph, sample_budget=400, seed=5)
-        ref = per_point_certificate(params, graph, sample_budget=400, seed=5)
-        assert (cert.plateau_up_to, cert.fully_plateau, cert.points_examined,
-                cert.multi_points_found) == (ref.plateau_up_to, ref.fully_plateau,
-                                             ref.points_examined, ref.multi_points_found)
-        for got, want in ((cert.failures, ref.failures),
-                          (cert.junction_points, ref.junction_points)):
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a["point"], b["point"])
-                assert (a["incidence"], a["affine_rank"], a["is_plateau"]) == \
-                    (b["incidence"], b["affine_rank"], b["is_plateau"])
-                assert abs(a["gram_residual"] - b["gram_residual"]) <= 1e-15
-        # worst points may reorder only among residuals equal to rounding
-        assert [e["is_plateau"] for e in cert.worst_points] == \
-            [e["is_plateau"] for e in ref.worst_points]
-        residuals = np.array([[a["gram_residual"], b["gram_residual"]]
-                              for a, b in zip(cert.worst_points, ref.worst_points)])
-        assert np.max(np.abs(residuals[:, 0] - residuals[:, 1]), initial=0.0) <= 1e-15
-        for entry in cert.worst_points:
-            cone = blowup_at(params, entry["point"], tie_tol=SINGULAR_TIE_TOL)
+        cert = certify_plateau(params, graph)
+        entries = cert.failures + cert.junction_points + cert.worst_points
+        assert len(cert.junction_points) == cert.multi_points_found
+        assert all(len(e["incidence"]) >= 3 for e in cert.junction_points)
+        for entry in entries:
+            p = entry["point"]
+            assert abs(p @ p - 1.0) <= 1e-15
+            values = params.affine_values(p)
+            cells = entry["incidence"]
+            others = np.delete(values, cells)
+            # the witness lies in its stratum at DEFAULT_TIE_TOL
+            assert np.ptp(values[cells]) <= 2 * DEFAULT_TIE_TOL
+            assert others.size == 0 or others.min() > values[cells].min() + DEFAULT_TIE_TOL
+            cone = _cone_over(params, cells, p)
             diag = plateau_at(cone)
-            assert (entry["incidence"], entry["affine_rank"], entry["is_plateau"]) == \
-                (cone.incidence.tolist(), cone.affine_rank, diag.is_plateau)
-            assert abs(entry["gram_residual"] - diag.gram_residual) <= 1e-15
+            assert (entry["affine_rank"], entry["is_plateau"]) == (cone.affine_rank,
+                                                                   diag.is_plateau)
+            assert abs(entry["gram_residual"] - diag.gram_residual) <= 1e-8
+            if np.ptp(values[cells]) <= 1e-14:  # an exact tie: rounding apart
+                assert abs(entry["gram_residual"] - diag.gram_residual) <= 1e-13
+        assert [e["is_plateau"] for e in cert.worst_points] == sorted(
+            e["is_plateau"] for e in cert.worst_points)
 
     def test_stretched_cluster_fails_at_two_cell_points(self):
         graph = detect_interfaces(_STRETCHED)
-        cert = certify_plateau(_STRETCHED, graph, sample_budget=400, seed=5)
+        cert = certify_plateau(_STRETCHED, graph)
         two_cell = [f for f in cert.failures if len(f["incidence"]) == 2]
         assert two_cell and all(f["affine_rank"] == 1 for f in two_cell)
         assert cert.plateau_up_to == 0 and not cert.fully_plateau
@@ -207,47 +238,59 @@ def _plain(cert) -> str:
     return json.dumps(asdict(cert), default=lambda a: a.tolist())
 
 
+_TRIPLE_CASES = {3: [(0.0, 0.0, 0.0), (0.3, -0.1, -0.2)],
+                 4: [(0.0, 0.0, 0.0, 0.0), (0.2, -0.1, 0.05, -0.15)]}
+
+
 class TestStratumFrames:
-    @pytest.mark.parametrize("q, kappa", [
-        (3, (0.0, 0.0, 0.0)), (3, (0.3, -0.1, -0.2)),
-        (4, (0.0, 0.0, 0.0, 0.0)), (4, (0.2, -0.1, 0.05, -0.15))])
-    def test_triple_points_are_arc_endpoints(self, q, kappa):
-        params = standard_of_curvature(2, q, np.array(kappa))
-        graph = detect_interfaces(params)
-        cert = certify_plateau(params, graph, sample_budget=300, seed=1)
-        triples = np.array([e["point"] for e in cert.junction_points
-                            if len(e["incidence"]) == 3])
-        ends = np.array([p for arc in extract_arcs(params, graph) if not arc.full_circle
-                         for p in arc.point(np.array([arc.t0, arc.t1]))])
-        meets = np.array([p for p in ends
-                          if len(classify_point(params, p, SINGULAR_TIE_TOL)) == 3])
-        assert len(triples) == 2 * (q - 2) and len(meets) == len(ends)
-        dist = np.linalg.norm(triples[:, None, :] - meets[None, :, :], axis=2)
-        assert dist.min(axis=1).max() < 1e-12  # every triple point is an endpoint
-        assert dist.min(axis=0).max() < 1e-12  # every endpoint is found
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_triple_points_are_arc_endpoints(self, q):
+        # the fixed curvature vectors, then 60 seeded ones
+        rng = np.random.default_rng(4000 + q)
+        kappas = [np.array(k) for k in _TRIPLE_CASES[q]]
+        kappas += [k - k.mean() for k in 0.4 * rng.standard_normal((60, q))]
+        for kappa in kappas:
+            params = standard_of_curvature(2, q, kappa)
+            graph = detect_interfaces(params)
+            cert = certify_plateau(params, graph)
+            triples = np.array([e["point"] for e in cert.junction_points
+                                if len(e["incidence"]) == 3])
+            ends = np.array([p for arc in extract_arcs(params, graph) if not arc.full_circle
+                             for p in arc.point(np.array([arc.t0, arc.t1]))])
+            meets = np.array([p for p in ends
+                              if len(classify_point(params, p, SINGULAR_TIE_TOL)) == 3])
+            assert len(triples) == 2 * (q - 2) == cert.multi_points_found, kappa
+            assert len(meets) == len(ends)
+            dist = np.linalg.norm(triples[:, None, :] - meets[None, :, :], axis=2)
+            assert dist.min(axis=1).max() < 1e-12  # every triple point is an endpoint
+            assert dist.min(axis=0).max() < 1e-12  # every endpoint is found
+            assert _plain(certify_plateau(params, graph)) == _plain(cert)
 
     def test_cross_pole_from_rank_deficient_ties(self):
         cross = gallery.cross_junction(2)
         rows = cross.quasi_centers[1:] - cross.quasi_centers[0]
         assert np.linalg.matrix_rank(rows) == 2
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        assert np.array_equal(_stratum_points(cross, (0, 1, 2, 3), 1, 0, 50), poles)
+        assert np.array_equal(sampled_stratum_points(cross, (0, 1, 2, 3), 1, 0, 50), poles)
+        assert np.array_equal(stratum_points(cross, (0, 1, 2, 3), DEFAULT_TIE_TOL), poles)
         graph = detect_interfaces(cross)
-        cert = certify_plateau(cross, graph, sample_budget=300, seed=1)
+        cert = certify_plateau(cross, graph)
         found = [f["point"] for f in cert.failures if len(f["incidence"]) == 4]
         assert len(found) == 2
         assert all(np.min(np.abs(poles - p).max(axis=1)) == 0.0 for p in found)
-        again = certify_plateau(cross, graph, sample_budget=300, seed=1)
+        again = certify_plateau(cross, graph)
         assert _plain(again) == _plain(cert)
 
     def test_empty_tie_sets_yield_nothing(self, band_cluster):
         # parallel walls: every triple and quadruple of bands has no common tie
         for index, cells in enumerate([(0, 1, 2), (1, 2, 3), (0, 1, 2, 3)]):
-            assert _stratum_points(band_cluster, cells, 0, index, 5).shape == (0, 5)
+            assert sampled_stratum_points(band_cluster, cells, 0, index, 5).shape == (0, 5)
+            assert stratum_points(band_cluster, cells, DEFAULT_TIE_TOL) is None
         # a wall hyperplane at distance 4 from the origin misses S^2
         far = recentered(2, [[0.0, 0.0, 0.25], [0.0, 0.0, -0.25]], [1.0, -1.0])
-        assert _stratum_points(far, (0, 1), 0, 0, 5).shape == (0, 3)
-        cert = certify_plateau(far, complete_graph(2), sample_budget=100, seed=0)
+        assert sampled_stratum_points(far, (0, 1), 0, 0, 5).shape == (0, 3)
+        assert stratum_points(far, (0, 1), DEFAULT_TIE_TOL) is None
+        cert = certify_plateau(far, complete_graph(2))
         assert cert.points_examined == 0 and cert.fully_plateau
 
     @pytest.mark.parametrize("params", [gallery.cross_junction(2), gallery.sectored_cap(4, 0.8)],
@@ -255,14 +298,14 @@ class TestStratumFrames:
     def test_incidence_filter_matches_classify_point(self, params):
         # reference: the stratum points kept one by one by classify_point
         graph = detect_interfaces(params)
-        cert = certify_plateau(params, graph, sample_budget=300, seed=2)
+        cert = per_point_certificate(params, graph, sample_budget=300, seed=2)
         subsets = [cells for order in range(2, min(params.q, params.n + 2) + 1)
                    for cells in combinations(range(params.q), order)
                    if order > 2 or graph.nonempty[cells]]
         per_subset = max(3, 300 // len(subsets))
         kept = {tuple(np.round(w, 6)) for w in graph.witnesses.values()}
         for index, cells in enumerate(subsets):
-            for p in _stratum_points(params, cells, 2, index, per_subset):
+            for p in sampled_stratum_points(params, cells, 2, index, per_subset):
                 if set(cells) <= set(classify_point(params, p, SINGULAR_TIE_TOL).tolist()):
                     kept.add(tuple(np.round(p, 6)))
         assert cert.points_examined == len(kept)
@@ -274,20 +317,72 @@ class TestStratumDraws:
                              ids=["cap", "s3"])
     def test_certificate_equals_fresh_reference_draws(self, params, monkeypatch):
         graph = detect_interfaces(params)
-        certs = [certify_plateau(params, graph, sample_budget=300, seed=s)
+        certs = [per_point_certificate(params, graph, sample_budget=300, seed=s)
                  for s in (8101, 8102)]
         # reference: the same strata drawn by the broadcast formula
-        monkeypatch.setattr(plateau, "sampling", SimpleNamespace(
-            subsphere_chunk=subsphere_points))
+        monkeypatch.setattr(reference, "subsphere_chunk", subsphere_points)
         for seed, cert in zip((8101, 8102), certs):
-            assert _plain(certify_plateau(params, graph, sample_budget=300, seed=seed)) \
+            assert _plain(per_point_certificate(params, graph, sample_budget=300, seed=seed)) \
                 == _plain(cert)
+
+
+def _oracle_clusters(family: str):
+    """(name, cluster): the gallery, or 200 seeded random standard bubbles
+    (n = 2..5, q = 3..n + 2), or 200 seeded random affine clusters."""
+    if family == "gallery":
+        yield from (("cross-2", gallery.cross_junction(2)), ("cross-3", gallery.cross_junction(3)),
+                    ("cap", gallery.sectored_cap(4, 0.8)), ("cushion", gallery.affine_cushion()),
+                    ("bands", gallery.band_stack(4, (-0.5, 0.1, 0.55))),
+                    ("five-cell", gallery.five_cell_meeting_point()))
+        return
+    for seed in range(200):
+        rng = np.random.default_rng((7100 if family == "standard" else 7300) + seed)
+        n = int(rng.integers(2, 6))
+        if family == "standard":
+            q = int(rng.integers(3, n + 3))
+            kappa = 0.4 * rng.standard_normal(q)
+            yield f"standard-{seed}", standard_of_curvature(n, q, kappa - kappa.mean())
+        else:
+            q = int(rng.integers(3, n + 4))
+            c = rng.uniform(0.3, 1.5) * rng.standard_normal((q, n + 1))
+            yield f"affine-{seed}", recentered(n, c, rng.uniform(0.0, 1.0) * rng.standard_normal(q))
+
+
+class TestSampledOracle:
+    """The sampled certificate that certify_plateau replaced
+    (reference.per_point_certificate, budget 400) against the exact one."""
+
+    @pytest.mark.parametrize("family", ["gallery", "standard", "affine"])
+    def test_verdicts_agree_and_sampled_junctions_are_strata(self, family):
+        for name, params in _oracle_clusters(family):
+            graph = detect_interfaces(params)
+            cert = certify_plateau(params, graph)
+            ref = per_point_certificate(params, graph, sample_budget=400, seed=0)
+            for entry in ref.junction_points + ref.failures + ref.worst_points:
+                cells = tuple(entry["incidence"])
+                if len(cells) == 2:
+                    assert graph.nonempty[cells], (name, cells)
+                else:
+                    points = stratum_points(params, cells, DEFAULT_TIE_TOL)
+                    assert points is not None and len(points), (name, cells)
+            if name == "five-cell":
+                # next to the degenerate point the tie line of (0, 1, 2) is
+                # tangent to S^2, so within the incidence tolerance points
+                # exist where exactly (0, 1, 2) are incident; the exact search
+                # finds them (rank 1), and no sample lands there
+                assert (cert.plateau_up_to, cert.fully_plateau) == (0, False)
+                assert (ref.plateau_up_to, ref.fully_plateau) == (1, False)
+                assert [0, 1, 2] not in [e["incidence"] for e in ref.junction_points]
+                assert any(f["incidence"] == [0, 1, 2] and f["affine_rank"] == 1
+                           for f in cert.failures)
+            else:
+                assert (cert.plateau_up_to, cert.fully_plateau) == \
+                    (ref.plateau_up_to, ref.fully_plateau), name
 
 
 class TestClassifyQ3:
     def test_standard_bubble_both(self, skew_bubble_s2, skew_bubble_graph):
-        cert = certify_plateau(skew_bubble_s2, skew_bubble_graph,
-                               sample_budget=200, seed=3)
+        cert = certify_plateau(skew_bubble_s2, skew_bubble_graph)
         verdict = classify_q3(skew_bubble_s2, cert)
         assert verdict.verdict == "both"
         assert verdict.consistent
@@ -296,7 +391,7 @@ class TestClassifyQ3:
         pole = perpendicular_pole(skew_bubble_s2)
         stepped = conformal_step(skew_bubble_s2, pole, 0.5)
         graph = detect_interfaces(stepped)
-        cert = certify_plateau(stepped, graph, sample_budget=200, seed=4)
+        cert = certify_plateau(stepped, graph)
         verdict = classify_q3(stepped, cert)
         assert verdict.verdict == "both"
 
@@ -307,7 +402,7 @@ class TestClassifyQ3:
         assert rep.pcf
 
     def test_band_cluster_plateau_only(self, band_cluster, band_graph):
-        cert = certify_plateau(band_cluster, band_graph, sample_budget=200, seed=5)
+        cert = certify_plateau(band_cluster, band_graph)
         verdict = classify_q3(band_cluster, cert)
         assert verdict.verdict == "plateau"
         assert verdict.consistent
