@@ -266,6 +266,17 @@ def trace_vertices(p0: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarr
     return pts if frame.shape[1] else pts[:1]
 
 
+def _ties_hold(rows: np.ndarray, offs: np.ndarray, p0: np.ndarray, own: int) -> bool:
+    """Whether the first own ties of rows @ p + offs = 0 hold at its
+    least-squares point p0 to the rounding of the solve: 256 eps times
+    |rows| |p0| + |offs| in max norms, which no square underflows, and at
+    least the smallest normal float, below which rounding is absolute."""
+    finfo = np.finfo(float)
+    scale = np.abs(rows).sum(axis=1).max() * np.abs(p0).max() + np.abs(offs).max()
+    residual = np.abs(rows[:own] @ p0 + offs[:own])
+    return bool(np.max(residual, initial=0.0) <= 256.0 * finfo.eps * max(scale, finfo.tiny))
+
+
 def stratum_points(params: ClusterParams, cells: tuple[int, ...],
                    tie_tol: float) -> np.ndarray | None:
     """Points of the stratum of the sorted cells: where their affine values tie
@@ -279,9 +290,12 @@ def stratum_points(params: ClusterParams, cells: tuple[int, ...],
     the functional's extremes on it (the minimizer first). The accepted
     vertices of the first trace that has one are returned, read-only; an
     empty (0, n + 1) array if none has. A trace counts only where its ties
-    hold to tie_tol, the margin its points are then checked at. A set
-    containing one whose trace missed S^n is skipped: its ties add rows, so
-    its trace lies in the smaller one's and misses S^n too.
+    hold to tie_tol, the margin its points are then checked at, and the ties
+    of the cells themselves to rounding (_ties_hold): a least-squares trace
+    that spreads an inconsistency over them would put a stratum of the cells
+    at a larger junction, which is the larger set's. A set containing one
+    whose trace missed S^n is skipped: its ties add rows, so its trace lies
+    in the smaller one's and misses S^n too.
     """
     c, k = params.quasi_centers, params.curvatures
     i, ties = cells[0], list(cells[1:])
@@ -294,9 +308,11 @@ def stratum_points(params: ClusterParams, cells: tuple[int, ...],
         if any(mask & miss == miss for miss in missed):
             continue
         rows = ties + list(extra)
-        offs = k[rows] - k[i]
+        diffs, offs = c[rows] - c[i], k[rows] - k[i]
         offs[len(ties):] -= 2.0 * tie_tol
-        trace = tie_subsphere(c[rows] - c[i], offs, tie_tol)
+        trace = tie_subsphere(diffs, offs, tie_tol)
+        if trace is not None and not _ties_hold(diffs, offs, trace[0], len(ties)):
+            trace = None
         if trace is None:
             if not extra:
                 return None

@@ -18,7 +18,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import sampling
-from .cluster import ClusterParams, InterfaceGraph, classify_many
+from .cluster import ClusterParams, InterfaceGraph, cell_values, classify_many, least_cell
 from .simplex import pair_weight_matrix, sphere_surface_measure
 
 TWO_PI = 2.0 * math.pi
@@ -103,8 +103,8 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
 
     No wall is integrated. On exact volumes it is an ArcVolumes, which keeps each
     point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, which
-    draws each volume chunk once and keeps it, so an evaluation near the one before it
-    reclassifies only the points its step can move.
+    draws each volume chunk once and keeps the coordinates its clusters use, so an
+    evaluation near the one before it reclassifies only the points its step can move.
     """
     if resolve_backend(backend, n) == "exact":
         return ArcVolumes(graph)
@@ -188,20 +188,57 @@ def _label_bound(ref: ClusterParams, cur: ClusterParams) -> float:
     return 2.0 * float(np.max(step + error(ref) + error(cur))) * (1.0 + 1e-9)
 
 
+def _used_columns(params: ClusterParams) -> int:
+    """One more than the last column with a nonzero quasi-center entry, and at least 1."""
+    used = np.flatnonzero(np.any(params.quasi_centers != 0.0, axis=0))
+    return int(used[-1]) + 1 if used.size else 1
+
+
+def _leading(params: ClusterParams, width: int) -> ClusterParams:
+    """params on the first width coordinates, whose values at a point's first
+    width coordinates are exactly params' values at the point when every
+    quasi-center entry beyond them is 0."""
+    if width == params.n + 1:
+        return params
+    return ClusterParams(width - 1, params.quasi_centers[:, :width], params.curvatures)
+
+
+def _classify_blocks(params: ClusterParams, blocks, labels: np.ndarray, gaps: np.ndarray,
+                     bound: float | None = None, keep: np.ndarray | None = None):
+    """The cell counts of blocks, the rows of one sampling.row_blocks(len(labels))
+    slice in turn, whose least_cell labels and gaps it writes into labels and gaps.
+
+    keep takes each block's first keep.shape[1] columns. With a bound, stops
+    and returns None at the first block with a gap at most the bound.
+    """
+    counts = np.zeros(params.q, dtype=np.intp)
+    for rows, block in zip(sampling.row_blocks(len(labels)), blocks):
+        block_labels, gaps[rows] = least_cell(cell_values(params, block), gaps=True)
+        if bound is not None and not np.all(gaps[rows] > bound):
+            return None
+        labels[rows] = block_labels
+        counts += np.bincount(block_labels, minlength=params.q)
+        if keep is not None:
+            keep[rows] = block[:, :keep.shape[1]]
+    return counts
+
+
 class VolumeTracker:
     """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
 
-    Each volume chunk is drawn on its first evaluation, by
-    sampling.draw_unit_chunk, whose rows are those of the blocks
-    cell_volumes_mc classifies, and kept, read-only, for the tracker's life.
-    Beside it the tracker keeps the chunk's reference: the parameters P of
-    the chunk's last evaluation, each point's label l in the smallest integer
-    type that holds q, each point's stored gap s, the cell counts and one
-    offset o. A full classification stores the computed gaps (second-least
-    minus least affine value) with o = 0. A later
-    evaluation at P' reclassifies, with the same classify_many code, only the
-    near points, s <= limit with
-    limit = o + delta rounded up, and takes the counts as
+    The tracker's width s is one more than the last column in which any
+    cluster it evaluated has a nonzero quasi-center entry (a standard bubble
+    of q cells has s = q - 1). Each volume chunk is drawn on its first
+    evaluation, one sampling.unit_blocks block at a time, and each block is
+    classified on all n+1 coordinates as it is drawn, as cell_volumes_mc
+    classifies it; of the points the tracker keeps, read-only, only the first
+    s coordinates. Beside them it keeps the chunk's reference: the parameters
+    P of the chunk's last evaluation, each point's label l in the smallest
+    integer type that holds q, each point's stored gap s_p, the cell counts
+    and one offset o. A full classification stores the computed gaps
+    (second-least minus least affine value) with o = 0. A later evaluation at
+    P' reclassifies, from the kept coordinates, only the near points,
+    s_p <= limit with limit = o + delta rounded up, and takes the counts as
     counts - bincount(old labels) + bincount(new labels). Counts are integers,
     so the volumes equal cell_volumes_mc's bit for bit. The evaluation then
     becomes the reference in place: P', the near points' new labels, their
@@ -214,13 +251,15 @@ class VolumeTracker:
     any order and with or without fused multiply-adds, puts it within
     g (|c_k| |p| + |kappa_k|) of the exact value h_k, and a unit direction
     normalized in floating point has |p| <= 1 + g. So the error is at most
-    e_k = g (|c_k| (1+g) + |kappa_k|) at P (e'_k at P'). From P to P' the
-    exact value of cell k moves by at most
-    D_k = |c'_k - c_k| (1+g) + |kappa'_k - kappa_k|, and
+    e_k = g (|c_k| (1+g) + |kappa_k|) at P (e'_k at P'). The entries of c_k
+    beyond the first s are 0, so a product over the kept coordinates has the
+    same exact value h_k, and as a sum of fewer products a rounding bound no
+    larger: e_k bounds it too. From P to P' the exact value of cell k moves
+    by at most D_k = |c'_k - c_k| (1+g) + |kappa'_k - kappa_k|, and
     delta = 2 max_j (D_j + e_j + e'_j) (1 + 1e-9).
 
     The invariant. For every point with label l and every k != l,
-    h_k - h_l >= (s - o) / (1+u) - (e_k + e_l) at P.
+    h_k - h_l >= (s_p - o) / (1+u) - (e_k + e_l) at P.
     A full classification makes it true: the computed values put l least, so
     h_k - h_l >= G - (e_k + e_l), where G is the exact difference of the
     computed second-least and least values, and the stored gap is G rounded
@@ -228,41 +267,57 @@ class VolumeTracker:
     whose stored gap minus o' is at most its fresh gap.
 
     Why a point that is not near keeps its label, and the invariant. Its
-    s > limit >= o + delta. At P' the exact values give, by the old bound and
-    then the move,
-    h'_k - h'_l >= (s - o) / (1+u) - (e_k + e_l) - D_k - D_l,
+    s_p > limit >= o + delta. At P' the exact values give, by the old bound
+    and then the move,
+    h'_k - h'_l >= (s_p - o) / (1+u) - (e_k + e_l) - D_k - D_l,
     and the computed values lose e'_k + e'_l more, which leaves them above
     delta / (1+u) - 2 max_j (D_j + e_j + e'_j) > 0 (as u < 1e-9): l is the
     strict least computed cell, which the running minimum returns. And since
     (o' - o) / (1+u) >= delta / (1+u) covers
     (e_k + e_l) + D_k + D_l - (e'_k + e'_l), that bound on h'_k - h'_l is at
-    least (s - o') / (1+u) - (e'_k + e'_l): the invariant at P' with the same s.
+    least (s_p - o') / (1+u) - (e'_k + e'_l): the invariant at P' with the
+    same s_p.
 
     A reclassified point's label is used only when its new gap also exceeds
     delta for unchanged parameters, 4 max_j e'_j (1 + 1e-9), beyond which no
-    rounding of the full chunk can give another label: a product over a
-    subset of points may round differently (a single point runs a
-    matrix-vector kernel). Otherwise, and when more than FULL_CLASSIFY_SHARE
-    of the chunk lies within the limit, the chunk is classified in full and
-    becomes the new reference.
+    rounding of the full chunk on all coordinates can give another label: a
+    product over a subset of points or of coordinates may round differently
+    (a single point runs a matrix-vector kernel). When more than
+    FULL_CLASSIFY_SHARE of the chunk lies within the limit, the whole chunk
+    is reclassified from the kept coordinates, under the same test, and
+    becomes the new reference with o = 0; with s = n+1 the kept points are
+    the drawn blocks, which round as cell_volumes_mc's do, and need no test.
+    When a gap fails the test, or the evaluation widens s, the chunk is drawn
+    again and classified on all coordinates as on its first evaluation.
 
-    A tracker holds 8(n+1) + 9 bytes per volume point (the point, a label
-    and a gap), about 82 MB at 2M points on S^3, so it is meant to live for
-    one call. full, incremental and reclassified count chunk classifications
-    in full, incremental chunk evaluations and the points they reclassified.
-    Chunks run on worker threads, each drawing, reading and replacing only
-    its own chunk's points and reference; the calling thread tallies the
-    counters.
+    A tracker holds 8s + 9 bytes per volume point (its kept coordinates, a
+    label and a gap), about 50 MB at 2M points for q = 3 on S^3, so it is
+    meant to live for one call. Every evaluation must share the first one's
+    n and q. full, incremental and reclassified count chunk classifications
+    in full (from the kept coordinates or drawn again), incremental chunk
+    evaluations and the points they reclassified. Chunks run on worker
+    threads, each drawing, reading and replacing only its own chunk's points
+    and reference; the calling thread tallies the counters.
     """
 
     def __init__(self, samples: int, seed: int):
         self.samples, self.seed = samples, seed
+        self._shape: tuple[int, int] | None = None  # (q, n+1) of every evaluation
+        self._width = 0  # s: the coordinates kept per point
         self._points: dict[int, np.ndarray] = {}
         self._references: dict[int, tuple] = {}
         self.full = self.incremental = self.reclassified = 0
 
     def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
         """cell_volumes_mc(params, samples, seed), bit for bit."""
+        shape = params.quasi_centers.shape
+        if self._shape is None:
+            self._shape = shape
+        elif shape != self._shape:
+            raise ValueError(f"the tracker measures quasi-centers of shape {self._shape} "
+                             f"(q, n + 1), got {shape}")
+        self._width = max(self._width, _used_columns(params))
+        kept = _leading(params, self._width)
         moved = {}  # chunk -> points reclassified, or None for a full classification
         # the bounds depend on the parameters alone, and after an evaluation every
         # chunk's reference holds its parameters: each is computed once per call
@@ -271,7 +326,8 @@ class VolumeTracker:
         unchanged = _label_bound(params, params) if bounds else None
 
         def chunk_counts(chunk: int, count: int) -> np.ndarray:
-            counts, moved[chunk] = self._chunk_counts(chunk, count, params, bounds, unchanged)
+            counts, moved[chunk] = self._chunk_counts(chunk, count, params, kept, bounds,
+                                                      unchanged)
             return counts
 
         result = _cell_volumes_mc(self.samples, chunk_counts)
@@ -283,38 +339,53 @@ class VolumeTracker:
                 self.reclassified += points
         return result
 
-    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams, bounds: dict,
-                      unchanged: float | None):
+    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams,
+                      kept: ClusterParams, bounds: dict, unchanged: float | None):
         """(counts, points reclassified or None) of one chunk of count points.
 
-        bounds maps the id of each reference's parameters to their
-        _label_bound to params, and unchanged is _label_bound(params, params).
-        The chunk's points are drawn on its first evaluation. Every evaluation
-        becomes the chunk's reference as soon as it is made; each chunk's task
-        reads and writes only its own points and reference.
+        kept is params on the tracker's width, bounds maps the id of each
+        reference's parameters to their _label_bound to params, and unchanged
+        is _label_bound(params, params). Every evaluation becomes the chunk's
+        reference as soon as it is made; each chunk's task reads and writes
+        only its own points and reference.
         """
-        if chunk not in self._points:
-            self._points[chunk] = sampling.draw_unit_chunk(self.seed, _VOLUME_STREAM, chunk,
-                                                           count, params.n + 1)
-        pts, q = self._points[chunk], params.q
-        reference = self._references.get(chunk)
-        if reference is not None:
+        q, reference = params.q, self._references.get(chunk)
+        if reference is None:
+            labels, gaps = np.empty(count, dtype=np.min_scalar_type(q - 1)), np.empty(count)
+        else:
             ref_params, labels, gaps, counts, offset = reference
-            limit = np.nextafter(offset + bounds[id(ref_params)], np.inf)
-            near = np.flatnonzero(gaps <= limit)
-            if near.size <= FULL_CLASSIFY_SHARE * gaps.size:
-                moved, moved_gaps = classify_many(params, np.take(pts, near, axis=0), gaps=True)
-                if np.all(moved_gaps > unchanged):
-                    counts = (counts - np.bincount(np.take(labels, near), minlength=q)
-                              + np.bincount(moved, minlength=q))
-                    labels[near] = moved
-                    gaps[near] = np.nextafter(moved_gaps + limit, -np.inf)
-                    self._references[chunk] = (params, labels, gaps, counts, limit)
-                    return counts, near.size
-        labels, gaps = classify_many(params, pts, gaps=True)
-        counts = np.bincount(labels, minlength=q)
-        self._references[chunk] = (params, labels.astype(np.min_scalar_type(q - 1)), gaps,
-                                   counts, 0.0)
+            pts = self._points[chunk]
+            if pts.shape[1] == kept.n + 1:
+                limit = np.nextafter(offset + bounds[id(ref_params)], np.inf)
+                near = gaps <= limit
+                if np.count_nonzero(near) <= FULL_CLASSIFY_SHARE * gaps.size:
+                    near = np.flatnonzero(near)
+                    moved, moved_gaps = classify_many(kept, np.take(pts, near, axis=0),
+                                                      gaps=True)
+                    if np.all(moved_gaps > unchanged):
+                        counts = (counts - np.bincount(np.take(labels, near), minlength=q)
+                                  + np.bincount(moved, minlength=q))
+                        labels[near] = moved
+                        gaps[near] = np.nextafter(moved_gaps + limit, -np.inf)
+                        self._references[chunk] = (params, labels, gaps, counts, limit)
+                        return counts, near.size
+                else:
+                    blocks = (pts[rows] for rows in sampling.row_blocks(count))
+                    counts = _classify_blocks(kept, blocks, labels, gaps,
+                                              None if kept is params else unchanged)
+                    if counts is not None:
+                        self._references[chunk] = (params, labels, gaps, counts, 0.0)
+                        return counts, None
+        # a first evaluation, a widening or a rounding fallback
+        keep = None
+        if reference is None or pts.shape[1] != kept.n + 1:
+            keep = np.empty((count, kept.n + 1))
+        blocks = sampling.unit_blocks(self.seed, _VOLUME_STREAM, chunk, count, params.n + 1)
+        counts = _classify_blocks(params, blocks, labels, gaps, keep=keep)
+        if keep is not None:
+            keep.setflags(write=False)
+            self._points[chunk] = keep
+        self._references[chunk] = (params, labels, gaps, counts, 0.0)
         return counts, None
 
 

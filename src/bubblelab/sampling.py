@@ -11,7 +11,8 @@ so no pass holds a chunk of points. draw_unit_chunk writes that stream into
 one array, for a caller that keeps a chunk, and every sampler here draws
 through it. No module keeps draws between calls: a caller that reads one
 address again and again, such as measure.VolumeTracker over the evaluations
-of a volume Newton solve, keeps the chunks it drew for as long as it lives.
+of a volume Newton solve, keeps what it needs of the blocks it drew for as
+long as it lives (the tracker: the coordinates its clusters use).
 Returned arrays and blocks are read-only, so a caller that shares them cannot
 change what another reads.
 

@@ -692,9 +692,13 @@ def affine_s2_clusters(draw):
 def tracked_clusters(draw):
     """(base, later): a random affine cluster and perturbations of it at scales
     0 and 1e-14 to 1e-1. With a duplicated cell, two cells tie exactly on a
-    whole region, before and, if the perturbation keeps them equal, after."""
+    whole region, before and, if the perturbation keeps them equal, after.
+    The base may have quasi-center entries in its leading columns only, as a
+    standard bubble has, and a perturbation may keep that or not."""
     n, c, k, rng = draw(affine_parts())
     q = len(k)
+    width = draw(st.integers(1, n + 1))
+    c[:, width:] = 0.0
     a, b = sorted(rng.choice(q, 2, replace=False).tolist())
     duplicate = draw(st.booleans())
     if duplicate:
@@ -703,6 +707,8 @@ def tracked_clusters(draw):
     for scale in draw(st.lists(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 1e-2, 1e-1]),
                                min_size=1, max_size=3)):
         dc, dk = scale * rng.standard_normal(c.shape), scale * rng.standard_normal(q)
+        if draw(st.booleans()):
+            dc[:, width:] = 0.0
         if duplicate and draw(st.booleans()):
             dc[b], dk[b] = dc[a], dk[a]
         later.append(recentered(n, c + dc, k + dk))
@@ -849,6 +855,8 @@ class TestVolumeTracker:
         assert again[0].tobytes() == measure.cell_volumes_mc(twin, samples, seed)[0].tobytes()
 
     def test_draws_each_chunk_once_and_keeps_it_read_only(self, draws):
+        # a standard bubble of 3 cells has quasi-center entries in columns 0
+        # and 1 only, so the tracker keeps those two of each point's four
         samples, seed = 2 * sampling.CHUNK + 7, 8
         tracker = measure.VolumeTracker(samples, seed)
         base = np.array([0.2, -0.05, -0.15])
@@ -857,15 +865,16 @@ class TestVolumeTracker:
             got = tracker.volumes(params)
             assert got[0].tobytes() == measure.cell_volumes_mc(params, samples, seed)[0].tobytes()
         volume_draws = [args for args in draws if args[:2] == (seed, measure._VOLUME_STREAM)]
-        # the oracle draws every chunk at each of its five calls, the tracker once
+        # the oracle draws every chunk at each of its five calls, the tracker
+        # once: neither a widening nor a rounding fallback draws one again
         layout = sampling.chunk_layout(samples)
         assert len(volume_draws) == 6 * len(layout)
         assert tracker.full > len(layout) and tracker.incremental > 0
         assert sorted(tracker._points) == [chunk for chunk, _ in layout]
         for chunk, count in layout:
             pts = tracker._points[chunk]
-            assert pts.shape == (count, 4) and not pts.flags.writeable
-            want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
+            assert pts.shape == (count, 2) and not pts.flags.writeable
+            want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)[:, :2]
             assert pts.tobytes() == want.tobytes()
 
     def test_computes_the_bounds_once_per_evaluation(self, monkeypatch):
@@ -902,7 +911,7 @@ class TestVolumeTracker:
             assert first._points[chunk].tobytes() == second._points[chunk].tobytes()
             assert not np.shares_memory(first._points[chunk], second._points[chunk])
 
-    def test_near_share_above_threshold_classifies_in_full(self):
+    def test_near_share_above_threshold_classifies_in_full(self, draws):
         samples, seed = 20_000, 6
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
         tracker = measure.VolumeTracker(samples, seed)
@@ -917,6 +926,113 @@ class TestVolumeTracker:
         assert (tracker.full, tracker.incremental) == (2, 1)
         assert tracker._references[0][0] is large
         assert got[0].tobytes() == measure.cell_volumes_mc(large, samples, seed)[0].tobytes()
+        # from the kept columns: only the first evaluation and the oracle drew
+        assert len(draws) == 2
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """(tracker, params, volumes) of every tracker evaluation the test makes."""
+        calls = []
+        volumes = measure.VolumeTracker.volumes
+
+        def recorded(tracker, params):
+            calls.append((tracker, params, volumes(tracker, params)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(measure.VolumeTracker, "volumes", recorded)
+        return calls
+
+    @pytest.mark.parametrize("solve", ["standard_of_volume", "model_profile"])
+    def test_solve_paths_equal_fresh_passes(self, solve, monkeypatch):
+        calls = self._recorded(monkeypatch)
+        cfg = NewtonConfig(backend="mc", mc_samples=sampling.CHUNK + 40_000, mc_seed=11)
+        if solve == "standard_of_volume":
+            standard_of_volume(3, 3, [0.3, 0.45, 0.25], cfg)
+        else:
+            model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
+        trackers = {id(tracker): tracker for tracker, _, _ in calls}
+        assert len(calls) > 5 and sum(t.incremental for t in trackers.values()) > 0
+        for tracker, params, got in calls:
+            want = measure.cell_volumes_mc(params, cfg.mc_samples, cfg.mc_seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            # the profile's clusters have entries in column 0 only
+            assert all(pts.shape[1] == (2 if solve == "standard_of_volume" else 1)
+                       for pts in tracker._points.values())
+
+    def test_widening_draws_the_chunks_again(self, draws):
+        # a turned copy of a standard bubble has entries in every column: the
+        # tracker then draws each chunk again and keeps all four coordinates
+        samples, seed = sampling.CHUNK + 3_000, 12
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        turned = rotated(params, random_orthogonal(4, np.random.default_rng(5)))
+        layout = sampling.chunk_layout(samples)
+        tracker = measure.VolumeTracker(samples, seed)
+        for at, width, drawn in ((params, 2, 1), (turned, 4, 2), (params, 4, 2), (turned, 4, 2)):
+            got = tracker.volumes(at)
+            want = measure.cell_volumes_mc(at, samples, seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            del draws[-len(layout):]  # the oracle's draws
+            assert len(draws) == drawn * len(layout)
+            for chunk, count in layout:
+                pts = tracker._points[chunk]
+                want_pts = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
+                assert pts.tobytes() == want_pts[:, :width].tobytes()
+        # each step is large: every evaluation classifies every chunk in full
+        assert tracker.full == 4 * len(layout)
+
+    def test_rounding_fallback_draws_the_chunk_again(self, monkeypatch, draws):
+        # with a bound for unchanged parameters that no gap exceeds, neither
+        # an incremental step nor a full pass over the kept columns may keep a
+        # label: each chunk is drawn again and classified on all coordinates
+        bound = measure._label_bound
+        monkeypatch.setattr(measure, "_label_bound",
+                            lambda ref, cur: 1e300 if ref is cur else bound(ref, cur))
+        samples, seed = sampling.CHUNK + 100_000, 13
+        layout = sampling.chunk_layout(samples)
+        base = np.array([0.2, -0.05, -0.15])
+        tracker = measure.VolumeTracker(samples, seed)
+        # a small step (a few points near) and a large one (most points near)
+        for step in (0.0, 1e-3, 0.3):
+            params = standard_of_curvature(3, 3, base * (1.0 + step))
+            got = tracker.volumes(params)
+            want = measure.cell_volumes_mc(params, samples, seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert (tracker.full, tracker.incremental) == (3 * len(layout), 0)
+        # the tracker drew each chunk at each evaluation, as the oracle did
+        assert len(draws) == 6 * len(layout)
+
+    def test_rejects_another_shape_before_any_work(self, draws):
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        tracker = measure.VolumeTracker(5_000, 3)
+        tracker.volumes(params)
+        drawn = len(draws)
+        for other, shape in ((standard_of_curvature(3, 4, np.array([0.1, -0.1, 0.2, -0.2])),
+                              r"\(4, 4\)"),
+                             (standard_of_curvature(2, 3, np.array([0.2, -0.05, -0.15])),
+                              r"\(3, 3\)")):
+            with pytest.raises(ValueError, match=r"\(3, 4\).*" + shape):
+                tracker.volumes(other)
+        assert len(draws) == drawn and (tracker.full, tracker.incremental) == (1, 0)
+
+    def test_solve_holds_its_kept_columns_labels_and_gaps(self):
+        # standard_of_volume(3, 3) keeps s = 2 columns: 8s + 9 bytes a point,
+        # beside the scratch of the chunk tasks running at once
+        samples = 2_000_000
+        cfg = NewtonConfig(backend="mc", mc_samples=samples, mc_seed=3)
+        # the modules a first call imports are not the solve's
+        standard_of_volume(3, 3, [0.3, 0.45, 0.25], NewtonConfig(backend="mc",
+                                                                   mc_samples=100_000))
+        tasks = min(len(sampling.chunk_layout(samples)), sampling.usable_cores())
+        budget = samples * (8 * 2 + 9) + tasks * (2 << 20)
+        tracemalloc.start()
+        try:
+            standard_of_volume(3, 3, [0.3, 0.45, 0.25], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)
 
 
 class TestDrawPath:

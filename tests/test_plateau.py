@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from bubblelab import (BlowUpCone, blowup_at, certify_plateau,
@@ -122,13 +124,42 @@ class TestCertifyPlateau:
             assert cert.fully_plateau
             assert cert.plateau_up_to == min(n, q - 1)
 
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n + 2))),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_standard_strata_are_the_subsets_up_to_n_plus_one(self, shape, seed, scale):
+        # every set of at most n + 1 cells of a standard bubble meets in a
+        # stratum of its own, and no larger set does
+        n, q = shape
+        kappa = scale * np.random.default_rng(seed).standard_normal(q)
+        params = standard_of_curvature(n, q, kappa - kappa.mean())
+        graph = detect_interfaces(params)
+        cert = certify_plateau(params, graph)
+        want = {cells for order in range(2, min(q, n + 1) + 1)
+                for cells in combinations(range(q), order)}
+        strata = set(graph.pairs()) | {tuple(e["incidence"]) for e in cert.junction_points}
+        assert strata == want
+        assert cert.points_examined == len(want)
+        assert cert.fully_plateau and not cert.failures
+
     def test_cross_junction_counterexample(self):
         cross = gallery.cross_junction(2)
         graph = detect_interfaces(cross)
         cert = certify_plateau(cross, graph)
         assert not cert.fully_plateau
         assert cert.plateau_up_to < 2
-        assert any(len(f["incidence"]) == 4 for f in cert.failures)
+        # the four cells meet at the two poles, and no three of them meet
+        # without the fourth: within the tie tolerance a least-squares trace
+        # of three cells' ties beside the fourth's margin reaches the poles,
+        # but not with the three cells' ties exact
+        assert [f["incidence"] for f in cert.failures] == [[0, 1, 2, 3]] * 2
+        for cells in combinations(range(4), 3):
+            assert stratum_points(cross, cells, DEFAULT_TIE_TOL).shape == (0, 3)
+
+    def test_five_cell_failures_are_its_degenerate_strata(self):
+        params = gallery.five_cell_meeting_point()
+        cert = certify_plateau(params, detect_interfaces(params))
+        assert {tuple(f["incidence"]) for f in cert.failures} == {(0, 1, 2), (0, 1, 2, 3, 4)}
 
     def test_two_cells_vacuous(self):
         params = equal_volume_standard(3, 2)
