@@ -294,8 +294,8 @@ def stratum_points(params: ClusterParams, cells: tuple[int, ...],
     of the cells themselves to rounding (_ties_hold): a least-squares trace
     that spreads an inconsistency over them would put a stratum of the cells
     at a larger junction, which is the larger set's. A set containing one
-    whose trace missed S^n is skipped: its ties add rows, so its trace lies
-    in the smaller one's and misses S^n too.
+    whose trace missed S^n, or whose ties failed that test, is skipped: its
+    ties add rows, so its trace lies in the smaller one's and misses S^n too.
     """
     c, k = params.quasi_centers, params.curvatures
     i, ties = cells[0], list(cells[1:])
