@@ -187,10 +187,12 @@ def measure_path(path: list[ClusterParams], times, graph: InterfaceGraph,
     (measure_exact_s2); otherwise all points are measured by Monte Carlo in
     one pass (measure_mc_many), bit for bit as measure_mc would measure each
     one. The points share the seed, so their differences are measured with
-    common random numbers: each volume chunk and each chunk of the one wall
+    common random numbers: each volume block and each block of the one wall
     stream is drawn once, afresh, and integrated against every point (every
-    wall of every point for a wall chunk), and no draw outlives the pass.
-    Each report's perimeter_stderr is the joint error of its walls.
+    wall of every point for a wall block), and no draw outlives the pass.
+    Each report depends on (seed, samples, BLOCK) alone, never on the core
+    count or the schedule, and its perimeter_stderr is the joint error of
+    its walls.
     """
     graphs = [graph if t == 0.0 else detect_interfaces(step_params)
               for t, step_params in zip(times, path)]

@@ -103,7 +103,7 @@ def cell_volume_function(graph: InterfaceGraph, n: int, backend: str = "auto",
 
     No wall is integrated. On exact volumes it is an ArcVolumes, which keeps each
     point's arcs; on Monte Carlo it holds one VolumeTracker, released with it, which
-    draws each volume chunk once and keeps the coordinates its clusters use, so an
+    draws each volume block once and keeps the coordinates its clusters use, so an
     evaluation near the one before it reclassifies only the points its step can move.
     """
     if resolve_backend(backend, n) == "exact":
@@ -126,50 +126,40 @@ _WALL_STREAM = 0xA11
 def cell_volumes_mc(params: ClusterParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cell volumes by uniform sampling of S^n, with binomial stderr.
 
-    Each volume chunk is drawn afresh and classified one block at a time."""
-
-    def chunk_counts(chunk: int, count: int) -> np.ndarray:
-        return _volume_counts([params], seed, chunk, count)[0]
-
-    return _cell_volumes_mc(samples, chunk_counts)
+    Each volume block is drawn afresh and classified as soon as it is drawn."""
+    return _volume_fractions(_volume_counts([params], samples, seed)[0], samples)
 
 
-def _volume_counts(all_params: list[ClusterParams], seed: int, chunk: int,
-                   count: int) -> list[np.ndarray]:
-    """The integer cell counts of each of all_params (sharing n and q) over one
-    volume chunk, whose blocks are classified against each as they are drawn."""
-    n, q = all_params[0].n, all_params[0].q
-    counts = [np.zeros(q, dtype=np.intp) for _ in all_params]
-    for block in sampling.unit_blocks(seed, _VOLUME_STREAM, chunk, count, n + 1):
-        for total, params in zip(counts, all_params):
-            total += np.bincount(classify_many(params, block), minlength=q)
-    return counts
+def _volume_counts(all_params: list[ClusterParams], samples: int, seed: int) -> np.ndarray:
+    """The integer cell counts over the samples volume points of each of
+    all_params (sharing n and q), shape (clusters, q).
 
-
-def _cell_volumes_mc(samples: int, chunk_counts) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized volumes and binomial stderr from chunk_counts(chunk, count), the
-    integer cell counts of each volume chunk of the layout of samples.
-
-    Each chunk is counted by a task of sampling.run_tasks, so chunk_counts may
-    run on a worker thread.
+    Each block is drawn once, on a worker of sampling.run_blocks, and
+    classified against each cluster as soon as it is drawn; its counts go into
+    its own slot, and the slots are summed exactly.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    counts = sampling.run_tasks([partial(chunk_counts, chunk, count)
-                                 for chunk, count in sampling.chunk_layout(samples)])
-    return _volume_fractions(counts, samples)
+    blocks = sampling.pass_blocks(samples)
+    n, q = all_params[0].n, all_params[0].q
+    slots = np.zeros((len(blocks), len(all_params), q), dtype=np.intp)
+
+    def run(b: int, rows: slice) -> None:
+        block = sampling.unit_block(seed, _VOLUME_STREAM, b, rows.stop - rows.start, n + 1)
+        for slot, params in zip(slots[b], all_params):
+            slot[:] = np.bincount(classify_many(params, block), minlength=q)
+
+    sampling.run_blocks(blocks, lambda: run)
+    return slots.sum(axis=0)
 
 
-def _volume_fractions(counts: list[np.ndarray], samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized volumes and binomial stderr from each chunk's cell counts in layout order."""
-    total = sampling.pairwise_sum([c.astype(float) for c in counts])
-    frac = total / samples
+def _volume_fractions(counts: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized volumes and binomial stderr from the integer cell counts of samples points."""
+    frac = counts / samples
     stderr = np.sqrt(np.clip(frac * (1.0 - frac), 0.0, None) / samples)
     return frac, stderr
 
 
-# A chunk is classified in full, and becomes the reference, when more than this
-# share of its points lies within the bound. It sets speed only, never a result.
+# The points are classified in full, and become the reference, when more than
+# this share of them lies within the bound. It sets speed only, never a result.
 FULL_CLASSIFY_SHARE = 0.25
 
 
@@ -203,47 +193,27 @@ def _leading(params: ClusterParams, width: int) -> ClusterParams:
     return ClusterParams(width - 1, params.quasi_centers[:, :width], params.curvatures)
 
 
-def _classify_blocks(params: ClusterParams, blocks, labels: np.ndarray, gaps: np.ndarray,
-                     bound: float | None = None, keep: np.ndarray | None = None):
-    """The cell counts of blocks, the rows of one sampling.row_blocks(len(labels))
-    slice in turn, whose least_cell labels and gaps it writes into labels and gaps.
-
-    keep takes each block's first keep.shape[1] columns. With a bound, stops
-    and returns None at the first block with a gap at most the bound.
-    """
-    counts = np.zeros(params.q, dtype=np.intp)
-    for rows, block in zip(sampling.row_blocks(len(labels)), blocks):
-        block_labels, gaps[rows] = least_cell(cell_values(params, block), gaps=True)
-        if bound is not None and not np.all(gaps[rows] > bound):
-            return None
-        labels[rows] = block_labels
-        counts += np.bincount(block_labels, minlength=params.q)
-        if keep is not None:
-            keep[rows] = block[:, :keep.shape[1]]
-    return counts
-
-
 class VolumeTracker:
     """cell_volumes_mc at one (samples, seed), reclassifying only the points a change can move.
 
     The tracker's width s is one more than the last column in which any
     cluster it evaluated has a nonzero quasi-center entry (a standard bubble
-    of q cells has s = q - 1). Each volume chunk is drawn on its first
-    evaluation, one sampling.unit_blocks block at a time, and each block is
-    classified on all n+1 coordinates as it is drawn, as cell_volumes_mc
-    classifies it; of the points the tracker keeps, read-only, only the first
-    s coordinates. Beside them it keeps the chunk's reference: the parameters
-    P of the chunk's last evaluation, each point's label l in the smallest
-    integer type that holds q, each point's stored gap s_p, the cell counts
-    and one offset o. A full classification stores the computed gaps
-    (second-least minus least affine value) with o = 0. A later evaluation at
-    P' reclassifies, from the kept coordinates, only the near points,
-    s_p <= limit with limit = o + delta rounded up, and takes the counts as
-    counts - bincount(old labels) + bincount(new labels). Counts are integers,
-    so the volumes equal cell_volumes_mc's bit for bit. The evaluation then
-    becomes the reference in place: P', the near points' new labels, their
-    fresh gaps plus limit rounded down, and o' = limit. A point that is not
-    near is not written.
+    of q cells has s = q - 1). Each volume block is drawn on the first
+    evaluation, on the workers of sampling.run_blocks, and classified on all
+    n+1 coordinates as it is drawn, as cell_volumes_mc classifies it; of the
+    points the tracker keeps, read-only, only the first s coordinates. Beside
+    them it keeps one reference over all its points: the parameters P of the
+    last evaluation, each point's label l in the smallest integer type that
+    holds q, each point's stored gap s_p, the cell counts and one offset o. A
+    full classification stores the computed gaps (second-least minus least
+    affine value) with o = 0. A later evaluation at P' reclassifies, from the
+    kept coordinates and on the calling thread, only the near points,
+    s_p <= limit with limit = o + delta rounded up, in one classify_many call,
+    and takes the counts as counts - bincount(old labels) + bincount(new
+    labels). Counts are integers, so the volumes equal cell_volumes_mc's bit
+    for bit. The evaluation then becomes the reference in place: P', the near
+    points' new labels, their fresh gaps plus limit rounded down, and
+    o' = limit. A point that is not near is not written.
 
     The rounding terms. With d = n+1, u = 2^-53 and
     g = (d+2)u / (1 - (d+2)u), each computed value <c_k, p> + kappa_k is a
@@ -280,32 +250,34 @@ class VolumeTracker:
 
     A reclassified point's label is used only when its new gap also exceeds
     delta for unchanged parameters, 4 max_j e'_j (1 + 1e-9), beyond which no
-    rounding of the full chunk on all coordinates can give another label: a
+    rounding of its block on all coordinates can give another label: a
     product over a subset of points or of coordinates may round differently
     (a single point runs a matrix-vector kernel). When more than
-    FULL_CLASSIFY_SHARE of the chunk lies within the limit, the whole chunk
-    is reclassified from the kept coordinates, under the same test, and
-    becomes the new reference with o = 0; with s = n+1 the kept points are
-    the drawn blocks, which round as cell_volumes_mc's do, and need no test.
-    When a gap fails the test, or the evaluation widens s, the chunk is drawn
-    again and classified on all coordinates as on its first evaluation.
+    FULL_CLASSIFY_SHARE of the points lies within the limit, or a gap fails
+    that test, every point is classified in full and becomes the new
+    reference with o = 0: each block from the kept coordinates, under the
+    same test, on the workers (with s = n+1 the kept points are the drawn
+    blocks, which round as cell_volumes_mc's do, and need no test). A block
+    with a gap that fails the test, and every block of an evaluation that
+    widens s, is drawn again from its own key and classified on all
+    coordinates, as on the first evaluation.
 
     A tracker holds 8s + 9 bytes per volume point (its kept coordinates, a
     label and a gap), about 50 MB at 2M points for q = 3 on S^3, so it is
     meant to live for one call. Every evaluation must share the first one's
-    n and q. full, incremental and reclassified count chunk classifications
-    in full (from the kept coordinates or drawn again), incremental chunk
-    evaluations and the points they reclassified. Chunks run on worker
-    threads, each drawing, reading and replacing only its own chunk's points
-    and reference; the calling thread tallies the counters.
+    n and q. full, incremental and reclassified count the evaluations
+    classified in full, the incremental evaluations and the points they
+    reclassified. Its volumes depend on (seed, samples, BLOCK) alone, never on
+    the core count or the schedule: a worker writes only its own block's
+    points and slot, and the calling thread sums the counts.
     """
 
     def __init__(self, samples: int, seed: int):
         self.samples, self.seed = samples, seed
+        self._blocks = sampling.pass_blocks(samples)
         self._shape: tuple[int, int] | None = None  # (q, n+1) of every evaluation
-        self._width = 0  # s: the coordinates kept per point
-        self._points: dict[int, np.ndarray] = {}
-        self._references: dict[int, tuple] = {}
+        self._points: np.ndarray | None = None  # the first s coordinates of each point
+        self._reference: tuple | None = None  # (params, labels, gaps, counts, offset)
         self.full = self.incremental = self.reclassified = 0
 
     def volumes(self, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
@@ -316,77 +288,93 @@ class VolumeTracker:
         elif shape != self._shape:
             raise ValueError(f"the tracker measures quasi-centers of shape {self._shape} "
                              f"(q, n + 1), got {shape}")
-        self._width = max(self._width, _used_columns(params))
-        kept = _leading(params, self._width)
-        moved = {}  # chunk -> points reclassified, or None for a full classification
-        # the bounds depend on the parameters alone, and after an evaluation every
-        # chunk's reference holds its parameters: each is computed once per call
-        references = {id(ref[0]): ref[0] for ref in self._references.values()}
-        bounds = {key: _label_bound(ref, params) for key, ref in references.items()}
-        unchanged = _label_bound(params, params) if bounds else None
+        width = max(_used_columns(params), 0 if self._points is None else self._points.shape[1])
+        kept, unchanged, counts = _leading(params, width), None, None
+        if self._reference is not None:
+            ref_params, _, _, _, offset = self._reference
+            limit = np.nextafter(offset + _label_bound(ref_params, params), np.inf)
+            unchanged = _label_bound(params, params)
+            if width == self._points.shape[1]:
+                counts = self._reclassify_near(params, kept, limit, unchanged)
+        if counts is None:
+            self._classify(params, kept, unchanged)
+            self.full += 1
+            counts = self._reference[3]
+        return _volume_fractions(counts, self.samples)
 
-        def chunk_counts(chunk: int, count: int) -> np.ndarray:
-            counts, moved[chunk] = self._chunk_counts(chunk, count, params, kept, bounds,
-                                                      unchanged)
-            return counts
+    def _reclassify_near(self, params: ClusterParams, kept: ClusterParams, limit: float,
+                         unchanged: float) -> np.ndarray | None:
+        """The counts of an incremental evaluation, which becomes the reference,
+        or None where more than FULL_CLASSIFY_SHARE of the points is near or a
+        near point's new gap is at most unchanged.
 
-        result = _cell_volumes_mc(self.samples, chunk_counts)
-        for points in moved.values():
-            if points is None:
-                self.full += 1
-            else:
-                self.incremental += 1
-                self.reclassified += points
-        return result
-
-    def _chunk_counts(self, chunk: int, count: int, params: ClusterParams,
-                      kept: ClusterParams, bounds: dict, unchanged: float | None):
-        """(counts, points reclassified or None) of one chunk of count points.
-
-        kept is params on the tracker's width, bounds maps the id of each
-        reference's parameters to their _label_bound to params, and unchanged
-        is _label_bound(params, params). Every evaluation becomes the chunk's
-        reference as soon as it is made; each chunk's task reads and writes
-        only its own points and reference.
+        One near test over every point, then, on the calling thread, the near
+        points' kept coordinates are gathered and classified one row block of
+        them at a time, as classify_many would classify them all, so that the
+        step holds 17 bytes per near point beside the reference.
         """
-        q, reference = params.q, self._references.get(chunk)
-        if reference is None:
-            labels, gaps = np.empty(count, dtype=np.min_scalar_type(q - 1)), np.empty(count)
+        _, labels, gaps, counts, _ = self._reference
+        near = gaps <= limit
+        if np.count_nonzero(near) > FULL_CLASSIFY_SHARE * self.samples:
+            return None
+        near = np.flatnonzero(near)
+        moved, moved_gaps = np.empty(near.size, dtype=labels.dtype), np.empty(near.size)
+        for rows in sampling.row_blocks(near.size):
+            pts = np.take(self._points, near[rows], axis=0)
+            moved[rows], moved_gaps[rows] = least_cell(cell_values(kept, pts), gaps=True)
+        if not np.all(moved_gaps > unchanged):
+            return None
+        q = params.q
+        counts = (counts - np.bincount(np.take(labels, near), minlength=q)
+                  + np.bincount(moved, minlength=q))
+        labels[near] = moved
+        moved_gaps += limit
+        gaps[near] = np.nextafter(moved_gaps, -np.inf, out=moved_gaps)
+        self._reference = (params, labels, gaps, counts, limit)
+        self.incremental += 1
+        self.reclassified += near.size
+        return counts
+
+    def _classify(self, params: ClusterParams, kept: ClusterParams, unchanged: float | None):
+        """Classify every point in full at params and make it the reference, with o = 0.
+
+        kept is params on the tracker's width and unchanged is
+        _label_bound(params, params). Each block runs on a worker of
+        sampling.run_blocks: from the kept coordinates when they are as wide as
+        kept, and its labels stand if kept is params or every gap exceeds
+        unchanged; otherwise the block is drawn again from its own key and
+        classified on all coordinates, its first s coordinates kept when the
+        width grew. Each block writes only its own points and counts slot.
+        """
+        q, points = params.q, self._points
+        if points is not None and points.shape[1] == kept.n + 1:
+            keep = None
+        else:  # a first evaluation or a widening draws every block
+            points = keep = np.empty((self.samples, kept.n + 1))
+        if self._reference is None:
+            labels = np.empty(self.samples, dtype=np.min_scalar_type(q - 1))
+            gaps = np.empty(self.samples)
         else:
-            ref_params, labels, gaps, counts, offset = reference
-            pts = self._points[chunk]
-            if pts.shape[1] == kept.n + 1:
-                limit = np.nextafter(offset + bounds[id(ref_params)], np.inf)
-                near = gaps <= limit
-                if np.count_nonzero(near) <= FULL_CLASSIFY_SHARE * gaps.size:
-                    near = np.flatnonzero(near)
-                    moved, moved_gaps = classify_many(kept, np.take(pts, near, axis=0),
-                                                      gaps=True)
-                    if np.all(moved_gaps > unchanged):
-                        counts = (counts - np.bincount(np.take(labels, near), minlength=q)
-                                  + np.bincount(moved, minlength=q))
-                        labels[near] = moved
-                        gaps[near] = np.nextafter(moved_gaps + limit, -np.inf)
-                        self._references[chunk] = (params, labels, gaps, counts, limit)
-                        return counts, near.size
-                else:
-                    blocks = (pts[rows] for rows in sampling.row_blocks(count))
-                    counts = _classify_blocks(kept, blocks, labels, gaps,
-                                              None if kept is params else unchanged)
-                    if counts is not None:
-                        self._references[chunk] = (params, labels, gaps, counts, 0.0)
-                        return counts, None
-        # a first evaluation, a widening or a rounding fallback
-        keep = None
-        if reference is None or pts.shape[1] != kept.n + 1:
-            keep = np.empty((count, kept.n + 1))
-        blocks = sampling.unit_blocks(self.seed, _VOLUME_STREAM, chunk, count, params.n + 1)
-        counts = _classify_blocks(params, blocks, labels, gaps, keep=keep)
+            labels, gaps = self._reference[1:3]
+        counts = np.zeros((len(self._blocks), q), dtype=np.intp)
+
+        def run(b: int, rows: slice) -> None:
+            if keep is None:
+                block_labels, gaps[rows] = least_cell(cell_values(kept, points[rows]), gaps=True)
+            if keep is not None or not (kept is params or np.all(gaps[rows] > unchanged)):
+                block = sampling.unit_block(self.seed, _VOLUME_STREAM, b,
+                                            rows.stop - rows.start, params.n + 1)
+                block_labels, gaps[rows] = least_cell(cell_values(params, block), gaps=True)
+                if keep is not None:
+                    keep[rows] = block[:, :keep.shape[1]]
+            labels[rows] = block_labels
+            counts[b] = np.bincount(block_labels, minlength=q)
+
+        sampling.run_blocks(self._blocks, lambda: run)
         if keep is not None:
             keep.setflags(write=False)
-            self._points[chunk] = keep
-        self._references[chunk] = (params, labels, gaps, counts, 0.0)
-        return counts, None
+            self._points = keep
+        self._reference = (params, labels, gaps, counts.sum(axis=0), 0.0)
 
 
 def _wall_map(params: ClusterParams, i: int, j: int, frame) -> tuple:
@@ -454,43 +442,44 @@ def _place_hits(affine: np.ndarray, lifted: np.ndarray, mask: np.ndarray, hits: 
     np.matmul(gathered[:run], affine, out=placed[:run])
 
 
-class _WallChunk:
-    """The scratch and the per-block sums of one chunk task of _wall_pass.
+class _WallWorker:
+    """One worker of a _wall_slots pass: its scratch and its per-block kernel.
 
-    The scratch is made once, for blocks of at most BLOCK + 1 rows. block()
-    is the per-block kernel: it classifies one block of directions on every
-    wall of every cluster, places and weighs the hits and adds to the
-    perimeter totals. sums() is the chunk's result.
+    The scratch is made once per worker, for blocks of at most BLOCK + 1 rows.
+    Called as run(b, rows), it draws block b of the wall directions outside
+    the pass's lock and then, holding it, runs block(): it classifies the
+    block on every wall of every cluster, places and weighs the hits and
+    writes the block's slots.
     """
 
-    def __init__(self, sampled: list[tuple[ClusterParams, list[tuple]]], weights, count: int,
-                 perimeter: bool):
+    def __init__(self, sampled: list[tuple[ClusterParams, list[tuple]]], weights,
+                 slots: list[tuple], seed: int, lock):
         n = sampled[0][0].n
         longest = sampling.BLOCK + 1
-        self.sampled, self.weights = sampled, weights
-        self.layout = sampling.row_blocks(count)
+        self.sampled, self.weights, self.slots = sampled, weights, slots
+        self.seed, self.lock, self.n = seed, lock, n
         self.evaluated = np.array([k for k, weight in enumerate(weights) if weight is not None],
                                   dtype=np.intp)
-        self.plain = [k for k, weight in enumerate(weights) if weight is None]
         # a run and the copy of a last single hit
         room = longest + 1 if self.evaluated.size else 0
         self.differences = np.empty((max(params.q for params, _ in sampled) - 2, longest))
         self.low = np.empty(longest)
         self.cols = np.empty((n, longest))  # each block's directions as columns, for _hit_mask
         self.masks = np.empty((max(len(walls) for _, walls in sampled), longest), dtype=bool)
-        self.term = np.empty(longest) if perimeter else None
+        # each block's per-direction totals T and a term of them
+        self.totals = (np.empty((2, longest))
+                       if any(moments is not None for *_, moments in slots) else None)
         # each block's rows (w, 1)
         self.lift = np.ones((longest if self.evaluated.size else 0, n + 1))
         self.gathered, self.placed = np.empty((room, n + 1)), np.empty((room, n + 1))
         self.values = np.empty((2, self.evaluated.size, room))  # the weights' values, squared
-        # each sampled wall's (sum, sum of squares) per block and weight, and its
-        # hits per block
-        self.block_sums = [[np.zeros((len(self.layout), len(weights), 2)) for _ in walls]
-                           for _, walls in sampled]
-        self.block_hits = [np.empty((len(walls), len(self.layout))) for _, walls in sampled]
-        self.totals = [np.empty(count) if perimeter and walls else None
-                       for _, walls in sampled]
         self.shares = [[share for *_, share in walls] for _, walls in sampled]
+
+    def __call__(self, b: int, rows: slice) -> None:
+        directions = sampling.unit_block(self.seed, _WALL_STREAM, b, rows.stop - rows.start,
+                                         self.n)
+        with self.lock:
+            self.block(b, directions)
 
     def weigh(self, run: int, waiting: list, rows: int) -> None:
         """Weigh the run placed hits of the walls waiting, (sums, start, hits)."""
@@ -505,10 +494,10 @@ class _WallChunk:
             # each row summed as one contiguous run, as contrib.sum() would
             sums[evaluated] = np.add.reduce(values[:, :, start: start + hits], axis=2).T
 
-    def block(self, b: int, rows: slice, directions: np.ndarray) -> None:
-        """Classify block b of the layout, directions, on every wall of every
-        cluster, and place, weigh and total its hits."""
-        size = rows.stop - rows.start
+    def block(self, b: int, directions: np.ndarray) -> None:
+        """Classify block b, directions, on every wall of every cluster, place
+        and weigh its hits and write its slots."""
+        size = len(directions)
         fits = sampling.BLOCK + 1 if size > 1 else 1
         weighed = self.evaluated.size
         columns = self.cols[:, :size]
@@ -516,8 +505,8 @@ class _WallChunk:
         if weighed:
             lifted = self.lift[:size]
             lifted[:, :directions.shape[1]] = directions
-        for (_, walls), wall_sums, hit_counts, total, share in zip(
-                self.sampled, self.block_sums, self.block_hits, self.totals, self.shares):
+        for (_, walls), (wall_sums, hit_counts, moments), share in zip(
+                self.sampled, self.slots, self.shares):
             waiting, run = [], 0
             for m, (_, _, wall, _) in enumerate(walls):
                 mask = self.masks[m, :size]
@@ -529,67 +518,63 @@ class _WallChunk:
                     self.weigh(run, waiting, size)
                     waiting, run = [], 0
                 _place_hits(wall[2], lifted, mask, hits, self.gathered[run:], self.placed[run:])
-                waiting.append((wall_sums[m][b], run, hits))
+                waiting.append((wall_sums[m, b], run, hits))
                 run += hits
             if waiting:
                 self.weigh(run, waiting, size)
-            if total is not None:
-                block_total, term = total[rows], self.term[:size]
-                block_total.fill(0.0)
+            if moments is not None:
+                total, term = self.totals[:, :size]
+                total.fill(0.0)
                 for mask, wall_share in zip(self.masks, share):
                     # a masked add (where=mask) takes about five times as long
-                    block_total += np.multiply(mask[:size], wall_share, out=term)
-
-    def sums(self) -> list[tuple[list, np.ndarray | None]]:
-        """The chunk's result, as _wall_chunk returns it."""
-        for wall_sums, hit_counts in zip(self.block_sums, self.block_hits):
-            for sums, hits in zip(wall_sums, hit_counts):
-                sums[:, self.plain] = hits[:, None, None]
-        return [([sampling.pairwise_sum(list(sums)) for sums in wall_sums],
-                 None if total is None else
-                 np.array([[total.sum(), np.multiply(total, total, out=total).sum()]]))
-                for wall_sums, total in zip(self.block_sums, self.totals)]
+                    total += np.multiply(mask[:size], wall_share, out=term)
+                moments[b] = total.sum(), np.multiply(total, total, out=term).sum()
 
 
-def _wall_chunk(sampled: list[tuple[ClusterParams, list[tuple]]], weights, blocks,
-                count: int, perimeter: bool, lock) -> list[tuple[list, np.ndarray | None]]:
-    """Per cluster, (per sampled wall, each weight's (sum, sum of squares)
-    over one chunk as a (weights, 2) array; the (1, 2) array of the sums of T
-    and T^2 over the chunk if `perimeter` is set, else None).
+def _wall_slots(sampled: list[tuple[ClusterParams, list[tuple]]], weights,
+                blocks: list[slice], seed: int, perimeter: bool) -> list[tuple]:
+    """Per cluster, its slots after one pass over the wall directions of
+    blocks, a sampling.row_blocks layout: (each sampled wall's (sum, sum of squares) of each weight per
+    block, shape (walls, blocks, weights, 2); its hits per block, shape
+    (walls, blocks); the sums of T and T^2 per block, shape (blocks, 2), if
+    `perimeter` is set and the cluster has a sampled wall, else None).
 
     sampled holds each cluster's params and its sampled walls
-    (i, j, _wall_map, |wall_ij| / |S^n|); blocks yields the chunk's count unit
-    directions in R^n one sampling.row_blocks block at a time, as
-    sampling.unit_blocks does. Each block is drawn outside lock, the pass's
-    lock, and then, holding it, classified on every wall of every cluster
-    (_hit_mask), its hits placed and weighed and its perimeter totals added
-    (_WallChunk.block), before the next is drawn. So the draws of a pass's
-    chunk tasks run at the same time, and its blocks are classified one at
-    a time: each makes a few dozen numpy calls of a few microseconds, which
-    gain nothing from a second thread and would trade the interpreter lock
-    between them.
+    (i, j, _wall_map, |wall_ij| / |S^n|). Block b of the directions is
+    sampling.unit_block(seed, _WALL_STREAM, b, ...), drawn by a _WallWorker of
+    sampling.run_blocks outside the pass's lock, made for this call, and
+    then, holding it, classified on every wall of every cluster (_hit_mask),
+    its hits placed and weighed and its perimeter totals taken
+    (_WallWorker.block). So the workers draw at the same time, and the blocks
+    are classified one at a time: each makes a few dozen numpy calls of a few
+    microseconds, which gain nothing from a second thread and would trade the
+    interpreter lock between them. No lock outlives the call, so two passes
+    never wait on each other, and no worker holds more than a block of
+    directions or points.
 
     Only the hits are placed (_place_hits), wall after wall, and each weight
     is called on the placed hits of a cluster's walls in one block, handed
     over read-only in runs of at most BLOCK + 1 rows: a run is weighed when
-    the next wall's hits would not fit. So a product in a weight stays on
-    this thread, and no run has a single row unless the block does (a single
-    hit is weighed beside a copy of itself). Each weight's values at a wall's
-    hits in a block are summed in block order, then squared and summed, and a
-    wall's chunk sums are the sampling.pairwise_sum of its per-block sums in
-    block order. A weight None integrates the constant 1, so both of its sums
-    are the hits; with no weight but None no point is gathered at all.
-
-    With `perimeter` set each cluster keeps its per-direction totals
-    T(k) = sum over its walls of |wall_ij| / |S^n| * hit_ij(k), added wall
-    after wall for each block, and sums them and their squares over the whole
-    chunk.
+    the next wall's hits would not fit. So a product in a weight stays on its
+    worker, and no run has a single row unless the block does (a single hit
+    is weighed beside a copy of itself). Each weight's values at a wall's
+    hits in a block are summed in block order, then squared and summed. A
+    weight None integrates the constant 1, so both of its sums are the hits
+    (filled in here from the hit counts); with no weight but None no point is
+    gathered at all. With `perimeter` set the block's per-direction totals
+    T(k) = sum over the cluster's walls of |wall_ij| / |S^n| * hit_ij(k) are
+    added wall after wall in a scratch one block long, then T and T^2 summed.
     """
-    chunk = _WallChunk(sampled, weights, count, perimeter)
-    for b, (rows, directions) in enumerate(zip(chunk.layout, blocks)):
-        with lock:
-            chunk.block(b, rows, directions)
-    return chunk.sums()
+    count = len(blocks)
+    slots = [(np.zeros((len(walls), count, len(weights), 2)), np.empty((len(walls), count)),
+              np.empty((count, 2)) if perimeter and walls else None)
+             for _, walls in sampled]
+    lock = threading.Lock()  # this pass's: its blocks are classified one at a time
+    sampling.run_blocks(blocks, lambda: _WallWorker(sampled, weights, slots, seed, lock))
+    plain = [k for k, weight in enumerate(weights) if weight is None]
+    for wall_sums, hits, _ in slots:
+        wall_sums[:, :, plain] = hits[:, :, None, None]
+    return slots
 
 
 def _wall_frames(params: ClusterParams, graph: InterfaceGraph) -> list[tuple]:
@@ -609,28 +594,26 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
                seed: int, perimeter: bool) -> list[tuple[list[tuple[dict, dict]], float | None]]:
     """Per (params, graph), (_wall_integrals of its walls, the standard error of
     its perimeter if `perimeter` is set, else None), from one pass over the
-    chunks of wall directions.
+    blocks of wall directions.
 
-    The clusters share n. Each chunk of unit directions in R^n is drawn once,
-    afresh, one block at a time, by sampling.unit_blocks(seed, _WALL_STREAM,
-    chunk, count, n), in a task of sampling.run_tasks, which runs _wall_chunk
-    on it: block-major, each block gives one point on every wall of every
+    The clusters share n. Each block of unit directions in R^n is drawn once,
+    afresh, from its own key, and gives one point on every wall of every
     cluster, classified in that wall's own coordinates from its difference
-    rows (_wall_map), and only the wall's hits are placed and weighed. The
-    pass makes one lock for its call and hands it to its tasks: they draw
-    their blocks at the same time and classify them one at a time, so no
-    lock outlives the call and two passes never wait on each other. No task
-    holds a chunk of directions or points. A weight's chunk sum is the
-    pairwise sum of its per-block sums in block order, and its mean over a
-    wall the pairwise sum of the chunk sums in layout order. A wall that
+    rows (_wall_map); only the wall's hits are placed and weighed
+    (_wall_slots). The pass makes one lock for its call: its workers draw
+    their blocks at the same time and classify them one at a time. A
+    weight's mean over a wall is the pairwise sum of its per-block sums in
+    block order, on the calling thread, so it depends on (seed, samples,
+    BLOCK) alone, never on the core count or the schedule. A wall that
     misses S^n has no frame and integrates to zero. With `perimeter` set the
-    chunk sums of the per-direction totals T and T^2 reduce pairwise in
-    layout order, like a weight's, and the perimeter's standard error is
+    per-block sums of the per-direction totals T and T^2 reduce pairwise in
+    block order, like a weight's, and the perimeter's standard error is
     sqrt(var(T) / samples). With two cells and no weight but None every
     direction is a hit on the one wall: that cluster's walls are not
     sampled, each mean is exactly 1 and both errors are 0. With no wall to
     sample nothing is drawn.
     """
+    blocks = sampling.pass_blocks(samples)
     n = clusters[0][0].n
     norm = sphere_surface_measure(n)
     only_area = all(weight is None for weight in weights)
@@ -641,16 +624,8 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
                 [(i, j, _wall_map(params, i, j, frame), _wall_measure(n, frame) / norm)
                  for i, j, frame in cluster_walls if frame is not None])
                for (params, _), cluster_walls in zip(clusters, walls)]
-
-    lock = threading.Lock()  # this pass's: its blocks are classified one at a time
-
-    def task(chunk: int, count: int) -> list[tuple[list, np.ndarray | None]]:
-        blocks = sampling.unit_blocks(seed, _WALL_STREAM, chunk, count, n)
-        return _wall_chunk(sampled, weights, blocks, count, perimeter, lock)
-
-    layout = sampling.chunk_layout(samples)
-    drawn = sampling.run_tasks([partial(task, chunk, count) for chunk, count in layout]
-                               if any(cluster_walls for _, cluster_walls in sampled) else [])
+    if any(cluster_walls for _, cluster_walls in sampled):
+        slots = _wall_slots(sampled, weights, blocks, seed, perimeter)
     out = []
     for k, ((params, _), cluster_walls) in enumerate(zip(clusters, walls)):
         perimeter_err = 0.0 if perimeter else None
@@ -658,11 +633,11 @@ def _wall_pass(clusters: list[tuple[ClusterParams, InterfaceGraph]], weights, sa
         if not sampled_walls:  # every sample is a hit, or no wall has a frame to read sums for
             sums = None
         else:
-            sums = {(i, j): [chunk[k][0][m] for chunk in drawn]
-                    for m, (i, j, _, _) in enumerate(sampled_walls)}
+            wall_sums, _, moments = slots[k]
+            sums = {(i, j): block_sums
+                    for (i, j, _, _), block_sums in zip(sampled_walls, wall_sums)}
             if perimeter:
-                (_, perimeter_err), = _wall_moments([chunk[k][1] for chunk in drawn],
-                                                    samples)
+                (_, perimeter_err), = _wall_moments(moments[:, None], samples)
         out.append((_wall_integrals(params, cluster_walls, len(weights), samples, sums),
                     perimeter_err))
     return out
@@ -678,33 +653,28 @@ def measure_mc(params: ClusterParams, graph: InterfaceGraph, samples: int = 1_00
 def measure_mc_many(clusters: list[tuple[ClusterParams, InterfaceGraph]], samples: int,
                     seed: int) -> list[MeasureReport]:
     """Monte Carlo volumes and interface areas of each (params, graph), with their
-    standard errors, in one pass over each sample chunk.
+    standard errors, in one pass over each sample block.
 
     The clusters share n and q, as the points of a deformation path do. Each
-    volume chunk is drawn once, afresh, one block at a time, and each block is
-    classified against every cluster as soon as it is drawn; each chunk of
-    wall directions is drawn the same way, and each block integrated over
-    every wall of every cluster (_wall_pass). So each cluster's volumes
-    and errors equal cell_volumes_mc's, and its areas and errors
-    interface_areas', bit for bit, and its perimeter's error is the joint one
-    of the walls' shared directions (see MeasureReport). With two cells no
-    wall direction is drawn.
+    volume block is drawn once, afresh, and classified against every cluster
+    as soon as it is drawn; each block of wall directions is drawn the same
+    way, and integrated over every wall of every cluster (_wall_pass). So
+    each cluster's volumes and errors equal cell_volumes_mc's, and its areas
+    and errors interface_areas', bit for bit, and its perimeter's error is
+    the joint one of the walls' shared directions (see MeasureReport). With
+    two cells no wall direction is drawn.
     """
     if not clusters:
         return []
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     n, q = clusters[0][0].n, clusters[0][0].q
     if any(params.n != n or params.q != q for params, _ in clusters):
         raise ValueError("the clusters of one pass must share n and q")
 
-    counts = sampling.run_tasks([partial(_volume_counts, [params for params, _ in clusters],
-                                         seed, chunk, count)
-                                 for chunk, count in sampling.chunk_layout(samples)])
+    counts = _volume_counts([params for params, _ in clusters], samples, seed)
     walls = _wall_pass(clusters, [None], samples, seed, perimeter=True)
     reports = []
-    for k, (((areas, errs),), perimeter_err) in enumerate(walls):
-        volumes, vol_err = _volume_fractions([c[k] for c in counts], samples)
+    for cluster_counts, (((areas, errs),), perimeter_err) in zip(counts, walls):
+        volumes, vol_err = _volume_fractions(cluster_counts, samples)
         reports.append(MeasureReport(volumes, _symmetric(q, areas), vol_err, _symmetric(q, errs),
                                      perimeter_err,
                                      {"kind": "monte_carlo", "seed": seed, "samples": samples}))
@@ -1015,22 +985,18 @@ def _pair_integrals(params: ClusterParams, graph: InterfaceGraph, weights, backe
     Each weight maps an (m, n+1) array of points to m values; None integrates
     the constant 1 (plain area). All weights are integrated in one pass: the
     arcs are extracted once (backend "exact", n = 2 only; a pair with no arc
-    is left out), or each chunk of wall directions is drawn once, afresh, one
-    block at a time, and every wall is classified on each block in its own
-    coordinates, with only the block's hits placed and weighed (_wall_pass).
-    On Monte Carlo the chunk tasks run through sampling.run_tasks, so the
-    weights may run on worker threads, one block at a time under the pass's
-    lock; a weight's chunk sum is the pairwise sum of its per-block sums over
-    the wall's hits in block order, its mean over a wall is a pairwise sum of
-    those chunk sums in layout order, and its stderr the binomial one of
-    those samples. The walls share their
-    directions, so the pair errors are correlated; the perimeter's joint error
-    is measure_mc's.
+    is left out), or each block of wall directions is drawn once, afresh, and
+    every wall is classified on it in its own coordinates, with only the
+    block's hits placed and weighed (_wall_pass). On Monte Carlo the blocks
+    run on the workers of sampling.run_blocks, so the weights may run on
+    worker threads, one block at a time under the pass's lock; a weight's
+    mean over a wall is the pairwise sum of its per-block sums over the
+    wall's hits in block order, and its stderr the binomial one of those
+    samples. The walls share their directions, so the pair errors are
+    correlated; the perimeter's joint error is measure_mc's.
     """
     if resolve_backend(backend, params.n) == "exact":
         return ArcVolumes(graph).pair_integrals(params, weights)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     return _wall_pass([(params, graph)], weights, samples, seed, perimeter=False)[0][0]
 
 
@@ -1038,8 +1004,8 @@ def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int
                     samples: int, sums: dict | None) -> list[tuple[dict, dict]]:
     """Per weight, ({pair: normalized integral}, {pair: stderr}) over the walls (i, j, frame).
 
-    sums holds each framed wall's _wall_chunk sums in layout order; None
-    means that every sample is a hit. A wall whose frame is None (its
+    sums holds each framed wall's per-block sums, as _wall_slots writes them;
+    None means that every sample is a hit. A wall whose frame is None (its
     hyperplane misses S^n) integrates to zero.
     """
     values: list[dict[tuple[int, int], float]] = [{} for _ in range(weight_count)]
@@ -1058,11 +1024,11 @@ def _wall_integrals(params: ClusterParams, walls: list[tuple], weight_count: int
     return list(zip(values, errs))
 
 
-def _wall_moments(chunk_sums: list[np.ndarray], samples: int) -> list[tuple[float, float]]:
-    """Per weight, (mean, stderr) over a wall from its chunk sums, (weights, 2)
-    arrays of (sum, sum of squares) reduced pairwise in layout order."""
+def _wall_moments(block_sums: np.ndarray, samples: int) -> list[tuple[float, float]]:
+    """Per weight, (mean, stderr) over samples points from their per-block sums, a
+    (blocks, weights, 2) array of (sum, sum of squares) reduced pairwise in block order."""
     out = []
-    for total, squares in sampling.pairwise_sum(chunk_sums):
+    for total, squares in sampling.pairwise_sum(block_sums):
         mean = float(total) / samples
         second = float(squares) / samples
         var = max(second - mean * mean, 0.0)

@@ -1,29 +1,24 @@
 """Counter-based random streams and uniform samplers on spheres and geodesic subspheres.
 
-Streams are addressed by (seed, stream label, chunk index) through independent
-Philox keys, so any chunk can be regenerated in isolation: results depend only
-on (seed, sample count), never on how the work is split. A unit direction is a
-Gaussian row divided by its norm, the square root of a left fold of its
-squared coordinates. unit_blocks is the one draw path: it draws a chunk's
-directions from the chunk's stream one row_blocks block at a time, and a
-Monte Carlo pass classifies and integrates each block as soon as it is drawn,
-so no pass holds a chunk of points. draw_unit_chunk writes that stream into
-one array, for a caller that keeps a chunk, and every sampler here draws
-through it. No module keeps draws between calls: a caller that reads one
-address again and again, such as measure.VolumeTracker over the evaluations
-of a volume Newton solve, keeps what it needs of the blocks it drew for as
-long as it lives (the tracker: the coordinates its clusters use).
-Returned arrays and blocks are read-only, so a caller that shares them cannot
-change what another reads.
+A Monte Carlo pass over m samples is a list of blocks, pass_blocks(m): the
+row_blocks slices of BLOCK rows. Block b of the (seed, label) stream is drawn
+from its own Philox key, the two 64-bit words (seed mod 2^64, label | b << 32)
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+distinct addresses never share a key and any block can be drawn again alone.
+A unit direction is a Gaussian row divided by its norm, the square root of a
+left fold of its squared coordinates; unit_block draws one block of them, a
+new read-only array, and a pass classifies and integrates each block as soon
+as it is drawn, so no pass holds its sample set. No module keeps draws
+between calls: a caller that reads one address again and again, such as
+measure.VolumeTracker over the evaluations of a volume Newton solve, keeps
+what it needs of the blocks it drew for as long as it lives (the tracker: the
+coordinates its clusters use).
 
-Chunks run at the same time: run_tasks spreads independent chunk tasks over
-every usable core, and each chunk's per-point passes run in blocks of BLOCK
-rows (row_blocks). Results depend only on (seed, sample count), with CHUNK
-and BLOCK fixed, never on the core count or the order in which tasks finish:
-each chunk has its own Philox key, a weighted wall sum over a chunk is the
-pairwise_sum of its per-block sums in block order, every reduction across
-chunks runs in layout order on the calling thread, and no block is a single
-row unless its chunk is.
+run_blocks runs a pass's blocks on at most usable_cores() threads, which pull
+block indices from one shared counter. Each block writes its results into its
+own slot, and the calling thread reduces the slots in block order: integer
+counts by an exact sum, float sums by pairwise_sum. So a result depends on
+(seed, samples, BLOCK) alone, never on the core count or the schedule.
 
 What the threads gain, as measured on 2 cores (tests/thread_scaling.py): the
 Philox draws release the interpreter lock for a whole block and scale with
@@ -40,68 +35,49 @@ under their pass's lock, so they must be pure.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Chunk and block sizes are part of the reproducibility contract: streams are
-# drawn in fixed-size chunks and reduced pairwise, so a result depends only on
-# (seed, sample count), never on how the work is split.
-CHUNK = 1 << 18
-# Rows per block of a chunk's per-point passes: small enough that a block's
-# values stay in cache and BLAS runs it on one thread. A weighted wall sum over
-# a chunk is the pairwise sum of its per-block sums, so BLOCK fixes its order.
+# Rows per block: small enough that a block's values stay in cache and BLAS
+# runs it on one thread. Part of the reproducibility contract: it sets which
+# rows each key draws and the order of every reduction.
 BLOCK = 1 << 13
 
-_MIX = 0x9E3779B97F4A7C15
-_MASK = 0xFFFFFFFFFFFFFFFF
+_MASK = (1 << 64) - 1
+_WORD = 1 << 32
 
 
-def _key(seed: int, label: int, chunk: int) -> np.uint64:
-    mixed = (seed & _MASK)
-    for part in (label, chunk):
-        mixed = ((mixed ^ (part & _MASK)) * _MIX) & _MASK
-    return np.uint64(mixed)
+def _key(seed: int, label: int, block: int) -> np.ndarray:
+    """The Philox key of a block: the words (seed mod 2^64, label | block << 32)."""
+    if not (0 <= label < _WORD and 0 <= block < _WORD):
+        raise ValueError(f"a stream label and a block index must lie in [0, 2^32), "
+                         f"got {label} and {block}")
+    return np.array([seed & _MASK, label | block << 32], dtype=np.uint64)
 
 
-def stream(seed: int, label: int, chunk: int = 0) -> np.random.Generator:
-    """Philox generator for an independent (seed, label, chunk)-addressed stream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, label, chunk)))
+def stream(seed: int, label: int, block: int = 0) -> np.random.Generator:
+    """Philox generator for the independent (seed, label, block)-addressed stream."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, label, block)))
 
 
-def unit_blocks(seed: int, label: int, chunk: int, count: int, dim: int):
-    """The count unit directions in R^dim at the address, one row_blocks(count)
-    block at a time: each block is drawn from the chunk's one Philox stream
-    when it is asked for, normalized, and handed out read-only as a new array.
-
-    Consecutive blocks continue one stream, so their rows are draw_unit_chunk's
-    rows bit for bit; a pass that reads each block once holds one block of
-    directions, never the chunk.
-    """
-    rng = stream(seed, label, chunk)
-    for rows in row_blocks(count):
-        block = np.empty((rows.stop - rows.start, dim))
-        rng.standard_normal(out=block)
-        # a left fold of the squared columns: np.linalg.norm bit for bit up to
-        # dim 7, where numpy's reduction over a short axis folds left as well
-        norms = block[:, 0] * block[:, 0]
-        for k in range(1, dim):
-            norms += block[:, k] * block[:, k]
-        np.sqrt(norms, out=norms)
-        block /= norms[:, None]
-        block.setflags(write=False)
-        yield block
-
-
-def draw_unit_chunk(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """Uniform unit directions in R^dim, shape (count, dim), drawn afresh at the
-    address: the unit_blocks stream written into one array; read-only."""
-    arr = np.empty((count, dim))
-    for rows, block in zip(row_blocks(count), unit_blocks(seed, label, chunk, count, dim)):
-        arr[rows] = block
-    arr.setflags(write=False)
-    return arr
+def unit_block(seed: int, label: int, block: int, rows: int, dim: int) -> np.ndarray:
+    """Block `block` of the (seed, label) stream: rows unit directions in R^dim,
+    drawn afresh from the block's own key, as a new read-only array."""
+    out = np.empty((rows, dim))
+    stream(seed, label, block).standard_normal(out=out)
+    # a left fold of the squared columns: np.linalg.norm bit for bit up to
+    # dim 7, where numpy's reduction over a short axis folds left as well
+    norms = out[:, 0] * out[:, 0]
+    for k in range(1, dim):
+        norms += out[:, k] * out[:, k]
+    np.sqrt(norms, out=norms)
+    out /= norms[:, None]
+    out.setflags(write=False)
+    return out
 
 
 def row_blocks(rows: int) -> list[slice]:
@@ -118,6 +94,15 @@ def row_blocks(rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
 
 
+def pass_blocks(samples: int) -> list[slice]:
+    """The blocks of a Monte Carlo pass over samples points, row_blocks(samples):
+    block b is drawn from key b. With one sample every standard error would be
+    exactly 0, so a pass takes at least two."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    return row_blocks(samples)
+
+
 def usable_cores() -> int:
     """Cores this process may run on: its affinity set where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -125,51 +110,64 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def run_tasks(tasks: list) -> list:
-    """Call each task with no argument and return the results in task order.
+def run_blocks(blocks: list[slice], worker) -> None:
+    """Run every block of a pass (pass_blocks) on min(len(blocks), usable_cores())
+    threads made for this call, or on the calling thread with one.
 
-    The tasks run on a pool of min(len(tasks), usable_cores()) threads made
-    for this call, or inline with one task or one core. Only the parts of a
-    task that hold no interpreter lock run in parallel, such as the Philox
-    draws; short numpy calls gain little (see the module docstring). A
-    task's exception is raised here.
+    worker() is called once on each thread and returns the function that runs
+    one block, as run(b, blocks[b]): a thread's scratch lives in it. Each
+    thread takes the next block index from one shared counter until none is
+    left. A block writes its results into its own slot, which the caller
+    reduces in block order, so no result depends on which thread ran which
+    block. A block's exception is raised here.
     """
-    workers = min(len(tasks), usable_cores())
+    workers = min(len(blocks), usable_cores())
     if workers <= 1:
-        return [task() for task in tasks]
+        run = worker()
+        for b, rows in enumerate(blocks):
+            run(b, rows)
+        return
+    counter, lock = itertools.count(), threading.Lock()
+
+    def work() -> None:
+        run = worker()
+        while True:
+            with lock:
+                b = next(counter)
+            if b >= len(blocks):
+                return
+            run(b, blocks[b])
+
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+        running = [pool.submit(work) for _ in range(workers)]
+    for done in running:
+        done.result()
 
 
-def chunk_layout(total: int) -> list[tuple[int, int]]:
-    """(chunk index, count) pairs covering `total` samples in fixed-size blocks."""
-    out = []
-    drawn, chunk = 0, 0
-    while drawn < total:
-        count = min(CHUNK, total - drawn)
-        out.append((chunk, count))
-        drawn += count
-        chunk += 1
-    return out
-
-
-def pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
-    """Tree reduction with a deterministic association order."""
-    if not chunks:
+def pairwise_sum(items) -> np.ndarray:
+    """Tree reduction of items (a sequence of equal-shaped arrays or numbers)
+    along their first axis, with a deterministic association order: neighbours
+    are added in pairs, an odd last item carried to the next round."""
+    items = np.asarray(items)
+    if not len(items):
         raise ValueError("nothing to reduce")
-    items = list(chunks)
     while len(items) > 1:
-        items = [items[k] + items[k + 1] if k + 1 < len(items) else items[k]
-                 for k in range(0, len(items), 2)]
+        paired = items[0:len(items) - 1:2] + items[1::2]
+        items = np.concatenate([paired, items[-1:]]) if len(items) % 2 else paired
     return items[0]
 
 
 def unit_sphere(seed: int, count: int, ambient_dim: int, label: int = 0) -> np.ndarray:
-    """Uniform points on the unit sphere of R^ambient_dim at the (seed, label) address."""
+    """Uniform points on the unit sphere of R^ambient_dim at the (seed, label)
+    address: the unit_block draws of the row_blocks(count) blocks in one
+    read-only array."""
     if count <= 0:
         raise ValueError("count must be positive")
-    blocks = [draw_unit_chunk(seed, label, c, m, ambient_dim) for c, m in chunk_layout(count)]
-    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    out = np.empty((count, ambient_dim))
+    for b, rows in enumerate(row_blocks(count)):
+        out[rows] = unit_block(seed, label, b, rows.stop - rows.start, ambient_dim)
+    out.setflags(write=False)
+    return out
 
 
 def wall_misses_sphere(c: np.ndarray, kappa: float) -> bool:

@@ -7,17 +7,17 @@ from bubblelab import gallery, sampling
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The address and size (seed, label, chunk, count, dim) of every chunk
-    the test draws, in order of request: each sampling.unit_blocks stream it
-    opens, the one draw path, which sampling.draw_unit_chunk runs too."""
+    """The address and size (seed, label, block, rows, dim) of every block the
+    test draws, in order of request: each sampling.unit_block call, the one
+    draw path, which sampling.unit_sphere runs too."""
     calls = []
-    blocks = sampling.unit_blocks
+    block = sampling.unit_block
 
     def counted(*args):
         calls.append(args)
-        return blocks(*args)
+        return block(*args)
 
-    monkeypatch.setattr(sampling, "unit_blocks", counted)
+    monkeypatch.setattr(sampling, "unit_block", counted)
     return calls
 
 

@@ -157,29 +157,39 @@ def arpack_top_eigenvalues(system, k_top: int) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
-def unit_directions(seed: int, label: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """sampling.draw_unit_chunk by the formula: Philox normals over np.linalg.norm."""
-    arr = sampling.stream(seed, label, chunk).standard_normal((count, dim))
+def block_directions(seed: int, label: int, block: int, rows: int, dim: int) -> np.ndarray:
+    """sampling.unit_block by the formula: Philox normals from the key words
+    (seed mod 2^64, label | block << 32), over np.linalg.norm."""
+    key = np.array([seed % 2 ** 64, label | block << 32], dtype=np.uint64)
+    arr = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, dim))
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-def subsphere_points(seed: int, label: int, chunk: int, count: int,
+def unit_directions(seed: int, label: int, count: int, dim: int) -> np.ndarray:
+    """The count directions of a pass at (seed, label) by the formula: block b of
+    sampling.row_blocks(count) drawn by block_directions at block index b."""
+    return np.vstack([np.empty((0, dim))]
+                     + [block_directions(seed, label, b, rows.stop - rows.start, dim)
+                        for b, rows in enumerate(sampling.row_blocks(count))])
+
+
+def subsphere_points(seed: int, label: int, count: int,
                      center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
-    """subsphere_chunk drawn afresh, by the broadcast formula."""
-    w = unit_directions(seed, label, chunk, count, frame.shape[1])
+    """subsphere_sample drawn by the formula, placed by the broadcast formula."""
+    w = unit_directions(seed, label, count, frame.shape[1])
     return center[None, :] + radius * (w @ frame.T)
 
 
-def subsphere_chunk(seed: int, label: int, chunk: int, count: int,
-                    center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
+def subsphere_sample(seed: int, label: int, count: int,
+                     center: np.ndarray, radius: float, frame: np.ndarray) -> np.ndarray:
     """Uniform points on the geodesic subsphere described by sampling.subsphere_frame.
 
     center + radius * frame @ w for each unit direction w of
-    sampling.draw_unit_chunk, as a new array, built in place one row block at
-    a time and kept C-ordered: the bits of products that weight callbacks
-    take, such as pts @ xi, depend on the memory layout.
+    sampling.unit_sphere at (seed, label), as a new array, built in place one
+    row block at a time and kept C-ordered: the bits of products that weight
+    callbacks take, such as pts @ xi, depend on the memory layout.
     """
-    directions = sampling.draw_unit_chunk(seed, label, chunk, count, frame.shape[1])
+    directions = sampling.unit_sphere(seed, count, frame.shape[1], label=label)
     basis = np.ascontiguousarray(frame.T)
     pts = np.empty((count, basis.shape[1]))
     for rows in sampling.row_blocks(count):
@@ -204,9 +214,9 @@ def perimeter_totals(params: ClusterParams, graph: InterfaceGraph, samples: int,
     """The per-direction totals T(k) = sum over the pairs of graph of
     |wall_ij| / |S^n| * hit_ij(k), one for each of the samples wall directions.
 
-    Every direction is drawn afresh at (seed, measure._WALL_STREAM, chunk),
-    placed on each wall by the broadcast formula and classified by the
-    delete-min interior test (strict, with no tie tolerance); a wall that
+    Every direction is drawn afresh at (seed, measure._WALL_STREAM) by the
+    formula, placed on each wall by the broadcast formula and classified by
+    the delete-min interior test (strict, with no tie tolerance); a wall that
     misses S^n adds nothing. The mean of T is the Monte Carlo perimeter.
     """
     norm = sphere_surface_measure(params.n)
@@ -216,16 +226,12 @@ def perimeter_totals(params: ClusterParams, graph: InterfaceGraph, samples: int,
         if frame is None:
             continue
         share = sphere_surface_measure(params.n - 1) * frame[1] ** (params.n - 1) / norm
-        start = 0
-        for chunk, count in sampling.chunk_layout(samples):
-            pts = subsphere_points(seed, measure._WALL_STREAM, chunk, count, *frame)
-            values = params.affine_values(pts)
-            lead = np.minimum(values[:, i], values[:, j])
-            others = np.delete(values, [i, j], axis=1)
-            hits = (others.min(axis=1) > lead if others.size
-                    else np.ones(count, dtype=bool))
-            totals[start:start + count] += share * hits
-            start += count
+        pts = subsphere_points(seed, measure._WALL_STREAM, samples, *frame)
+        values = params.affine_values(pts)
+        lead = np.minimum(values[:, i], values[:, j])
+        others = np.delete(values, [i, j], axis=1)
+        totals += share * (others.min(axis=1) > lead if others.size
+                           else np.ones(samples, dtype=bool))
     return totals
 
 
@@ -234,7 +240,7 @@ def masked_wall_sums(pts: np.ndarray, inside: np.ndarray,
     """Per weight, (sum, sum of squares, sum of absolute values) of the weight
     times the wall mask over every point, misses included.
 
-    The wall kernel's sums formed as a masked product over the whole chunk:
+    The wall kernel's sums formed as a masked product over every point:
     the same terms as its sums over the hits, with zeros among them, so the
     two agree to rounding, measured against the sum of absolute values (a
     weight's sum may cancel). None integrates the constant 1.
@@ -251,10 +257,10 @@ def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
     """Interfaces found by sampling each wall sphere, with a witness for each.
 
     The (i, j) wall is sampled uniformly at the (rng_seed, i*q + j + 1)
-    address, and its first sample that stratum_interior accepts at
-    DEFAULT_TIE_TOL, normalized, is the witness. Pairs with no such sample,
-    and pairs whose wall misses S^n, are absent. A sampled hit is proof of
-    an interface, but a miss is not proof of none.
+    address, one block at a time, and its first sample that stratum_interior
+    accepts at DEFAULT_TIE_TOL, normalized, is the witness. Pairs with no
+    such sample, and pairs whose wall misses S^n, are absent. A sampled hit
+    is proof of an interface, but a miss is not proof of none.
     """
     q = params.q
     found = {}
@@ -262,8 +268,10 @@ def sampled_interfaces(params: ClusterParams, samples_per_pair: int,
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        for chunk, count in sampling.chunk_layout(samples_per_pair):
-            pts = subsphere_points(rng_seed, i * q + j + 1, chunk, count, *frame)
+        center, radius, basis = frame
+        for b, rows in enumerate(sampling.row_blocks(samples_per_pair)):
+            w = block_directions(rng_seed, i * q + j + 1, b, rows.stop - rows.start, params.n)
+            pts = center[None, :] + radius * (w @ basis.T)
             hits = np.flatnonzero(stratum_interior(params, (i, j), pts, DEFAULT_TIE_TOL))
             if hits.size:
                 found[(i, j)] = pts[hits[0]] / np.linalg.norm(pts[hits[0]])
@@ -450,7 +458,7 @@ def lanczos_near_kernel(system) -> np.ndarray:
 
 # The sampled Plateau certificate that plateau.certify_plateau replaced: ties
 # held to SINGULAR_TIE_TOL, and strata of dimension >= 1 were sampled at the
-# (seed, STRATUM_STREAM, subset index) address.
+# (seed, STRATUM_STREAM | subset index << 12) address.
 SINGULAR_TIE_TOL = 1e-7
 STRATUM_STREAM = 0xB10
 
@@ -461,8 +469,8 @@ def sampled_stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: 
 
     The tie set's trace on S^n is the round subsphere of tie_subsphere, to
     SINGULAR_TIE_TOL. A point or a pair of points is returned exactly, a
-    larger trace as count uniform samples at the (seed, STRATUM_STREAM,
-    index) address, and none when the ties are inconsistent or the subspace
+    larger trace as count uniform samples at the
+    (seed, STRATUM_STREAM | index << 12) address, and none when the ties are inconsistent or the subspace
     misses S^n.
     """
     rows = params.quasi_centers[list(cells[1:])] - params.quasi_centers[cells[0]]
@@ -474,7 +482,7 @@ def sampled_stratum_points(params: ClusterParams, cells: tuple[int, ...], seed: 
     if frame.shape[1] <= 1:
         pts = trace_vertices(p0, radius, frame)
     else:
-        pts = subsphere_chunk(seed, STRATUM_STREAM, index, count, p0, radius, frame)
+        pts = subsphere_sample(seed, STRATUM_STREAM | index << 12, count, p0, radius, frame)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 

@@ -1,6 +1,5 @@
 """Cluster parameters, point classification, interface detection, validation."""
 
-import threading
 from itertools import combinations, permutations
 
 import numpy as np
@@ -18,8 +17,8 @@ from bubblelab.cluster import (DEFAULT_TIE_TOL, _LEVEL_FUNCTIONAL, InterfaceGrap
                                spherical_residuals, stratum_interior, stratum_points,
                                tie_subsphere, trace_vertices)
 from bubblelab.simplex import sphere_surface_measure
-from reference import (masked_wall_sums, random_orthogonal, sampled_interfaces, subsphere_chunk,
-                       unit_directions, wall_points)
+from reference import (block_directions, masked_wall_sums, random_orthogonal, sampled_interfaces,
+                       subsphere_sample, unit_directions, wall_points)
 
 
 def hemisphere_params():
@@ -333,31 +332,34 @@ def reference_interior(params, i, j, pts, tie_tol=0.0):
     return others.min(axis=1) > lead + tie_tol
 
 
-def reference_wall_chunks(params, i, j, samples, seed):
+def reference_wall_blocks(params, i, j, samples, seed):
     """(points the wall pass weighs, reference interior mask of the points
-    subsphere_chunk places) of each chunk of the (i, j) wall."""
+    subsphere_sample places) of each sampling.row_blocks block of the (i, j)
+    wall."""
     frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
-    for chunk, count in sampling.chunk_layout(samples):
-        pts = subsphere_chunk(seed, measure._WALL_STREAM, chunk, count, *frame)
-        directions = unit_directions(seed, measure._WALL_STREAM, chunk, count, params.n)
-        yield wall_points(directions, *frame), reference_interior(params, i, j, pts)
+    pts = subsphere_sample(seed, measure._WALL_STREAM, samples, *frame)
+    directions = unit_directions(seed, measure._WALL_STREAM, samples, params.n)
+    for rows in sampling.row_blocks(samples):
+        yield (wall_points(directions[rows], *frame),
+               reference_interior(params, i, j, pts[rows]))
 
 
-def reference_chunk_sums(params, i, j, samples, seed, weight=None):
-    """Per chunk of the (i, j) wall, (sum, sum of squares) of one weight: on
-    each sampling.row_blocks block, the weight's values over the hit rows of
-    the reference interior mask summed in block order, and the per-block sums
-    reduced pairwise in block order."""
+def reference_block_sums(params, i, j, samples, seed, weight=None):
+    """Per block of the (i, j) wall, (sum, sum of squares) of one weight: its
+    values over the hit rows of the reference interior mask, summed in block
+    order."""
     out = []
-    for pts, inside in reference_wall_chunks(params, i, j, samples, seed):
-        sums, squares = [], []
-        for rows in sampling.row_blocks(len(pts)):
-            contrib = (np.ones(np.count_nonzero(inside[rows])) if weight is None
-                       else np.compress(inside[rows], weight(pts[rows])))
-            sums.append(contrib.sum())
-            squares.append((contrib ** 2).sum())
-        out.append((sampling.pairwise_sum(sums), sampling.pairwise_sum(squares)))
+    for pts, inside in reference_wall_blocks(params, i, j, samples, seed):
+        contrib = (np.ones(np.count_nonzero(inside)) if weight is None
+                   else np.compress(inside, weight(pts)))
+        out.append((contrib.sum(), (contrib ** 2).sum()))
     return out
+
+
+def direction_blocks(seed, label, count, dim):
+    """The sampling.row_blocks blocks of unit_sphere's count directions."""
+    directions = sampling.unit_sphere(seed, count, dim, label=label)
+    return (directions[rows] for rows in sampling.row_blocks(count))
 
 
 def kernel_mask(wall, blocks, count):
@@ -374,28 +376,26 @@ def kernel_mask(wall, blocks, count):
 
 def assert_wall_kernel_masks_match(params, seed, count=1 << 16):
     """The wall kernel's mask of each framed wall equals stratum_interior on the
-    same directions placed by subsphere_chunk, bit for bit."""
+    same directions placed by subsphere_sample, bit for bit."""
     for i, j in combinations(range(params.q), 2):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
         mask = kernel_mask(measure._wall_map(params, i, j, frame),
-                           sampling.unit_blocks(seed, TEST_LABEL + 2, 0, count, params.n), count)
-        pts = subsphere_chunk(seed, TEST_LABEL + 2, 0, count, *frame)
+                           direction_blocks(seed, TEST_LABEL + 2, count, params.n), count)
+        pts = subsphere_sample(seed, TEST_LABEL + 2, count, *frame)
         assert mask.tobytes() == stratum_interior(params, (i, j), pts).tobytes(), (i, j)
 
 
 def reference_fraction(params, i, j, samples, seed, weight=None):
     """(mean, stderr, wall measure) of one weight over Sigma_ij, from the
-    reference chunk sums reduced pairwise in layout order, with no shortcut."""
+    reference block sums reduced pairwise in block order, with no shortcut."""
     _, radius, _ = sampling.subsphere_frame(params.pair_center(i, j),
                                             params.pair_curvature(i, j))
     wall = sphere_surface_measure(params.n - 1) * radius ** (params.n - 1)
-    chunk_sums = reference_chunk_sums(params, i, j, samples, seed, weight)
-    sums = [np.array([s]) for s, _ in chunk_sums]
-    sq_sums = [np.array([sq]) for _, sq in chunk_sums]
-    mean = float(sampling.pairwise_sum(sums)[0]) / samples
-    second = float(sampling.pairwise_sum(sq_sums)[0]) / samples
+    block_sums = reference_block_sums(params, i, j, samples, seed, weight)
+    mean = float(sampling.pairwise_sum([np.array([s]) for s, _ in block_sums])[0]) / samples
+    second = float(sampling.pairwise_sum([np.array([sq]) for _, sq in block_sums])[0]) / samples
     return mean, np.sqrt(max(second - mean * mean, 0.0) / samples), wall
 
 
@@ -417,13 +417,13 @@ def random_clusters(draw, duplicate=False):
     return recentered(n, c, k), (a, b)
 
 
-def chunk_sources(params, pair, seed):
-    """One 2^18-point chunk on S^n and one on the wall sphere of the pair, if any."""
-    n = params.n
-    yield sampling.draw_unit_chunk(seed, TEST_LABEL, 0, sampling.CHUNK, n + 1)
+def sample_sources(params, pair, seed):
+    """2^18 points on S^n and 2^18 on the wall sphere of the pair, if any."""
+    n, count = params.n, 32 * sampling.BLOCK
+    yield sampling.unit_sphere(seed, count, n + 1, label=TEST_LABEL)
     frame = sampling.subsphere_frame(params.pair_center(*pair), params.pair_curvature(*pair))
     if frame is not None:
-        yield subsphere_chunk(seed, TEST_LABEL + 1, 0, sampling.CHUNK, *frame)
+        yield subsphere_sample(seed, TEST_LABEL + 1, count, *frame)
 
 
 class TestCellMajorKernels:
@@ -431,7 +431,7 @@ class TestCellMajorKernels:
     @settings(max_examples=15, deadline=None)
     def test_classify_many_matches_argmin(self, cluster, seed):
         params, pair = cluster
-        for pts in chunk_sources(params, pair, seed):
+        for pts in sample_sources(params, pair, seed):
             assert np.array_equal(cell_values(params, pts), params.affine_values(pts).T)
             labels = classify_many(params, pts)
             assert labels.dtype == np.intp
@@ -441,7 +441,7 @@ class TestCellMajorKernels:
     @settings(max_examples=10, deadline=None)
     def test_exact_ties_go_to_lower_index(self, cluster, seed):
         params, (a, b) = cluster
-        for pts in chunk_sources(params, (a, b), seed):
+        for pts in sample_sources(params, (a, b), seed):
             values = cell_values(params, pts)
             assert np.array_equal(values[a], values[b])
             labels = classify_many(params, pts)
@@ -458,7 +458,7 @@ class TestCellMajorKernels:
         # with a duplicated cell, the pair of its twin and a third cell has an
         # "other" cell that ties exactly with the lead
         third = [(i, k) for k in range(params.q) if k not in pair][:1]
-        for pts in chunk_sources(params, pair, seed):
+        for pts in sample_sources(params, pair, seed):
             for ii, jj in [(i, j), (j, i)] + third:
                 mask = stratum_interior(params, (ii, jj), pts, tie_tol)
                 assert mask.dtype == bool
@@ -471,28 +471,25 @@ class TestCellMajorKernels:
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             return
-        samples = sampling.CHUNK + 1000
+        samples = 32 * sampling.BLOCK + 1000
         one_pair = np.zeros((params.q, params.q), dtype=bool)
         one_pair[i, j] = one_pair[j, i] = True
         norm = sphere_surface_measure(params.n)
         xi = np.linspace(-0.3, 0.3, params.n + 1)
         for weight in (None, lambda pts: 1.0 - pts @ xi):
             wall = (i, j, measure._wall_map(params, i, j, frame), 1.0)
-            chunk_sums = [measure._wall_chunk(
-                [(params, [wall])], [weight],
-                sampling.unit_blocks(seed, measure._WALL_STREAM, chunk, count, params.n),
-                count, False, threading.Lock())[0][0][0]
-                for chunk, count in sampling.chunk_layout(samples)]
-            assert [tuple(sums[0]) for sums in chunk_sums] == reference_chunk_sums(
+            [([block_sums], _, _)] = measure._wall_slots(
+                [(params, [wall])], [weight], sampling.pass_blocks(samples), seed, False)
+            assert [tuple(sums[0]) for sums in block_sums] == reference_block_sums(
                 params, i, j, samples, seed, weight)
             # the masked sums over every point, misses as zeros, equal to rounding
             for ((total, squares),), (pts, inside) in zip(
-                    chunk_sums, reference_wall_chunks(params, i, j, samples, seed)):
+                    block_sums, reference_wall_blocks(params, i, j, samples, seed)):
                 (masked, masked_squares, scale), = masked_wall_sums(pts, inside, [weight])
                 assert abs(total - masked) <= 1e-14 * scale
                 assert abs(squares - masked_squares) <= 1e-14 * masked_squares
             mean, stderr, wall = reference_fraction(params, i, j, samples, seed, weight)
-            assert measure._wall_moments(chunk_sums, samples) == [(mean, stderr)]
+            assert measure._wall_moments(block_sums, samples) == [(mean, stderr)]
             ((values, errs),) = measure._pair_integrals(
                 params, InterfaceGraph(params.q, one_pair), [weight], "mc", samples, seed)
             assert values == {(i, j): mean * wall / norm}
@@ -520,7 +517,7 @@ class TestCellMajorKernels:
         count, twin = 1 << 14, {a: b, b: a}
 
         def blocks():
-            return sampling.unit_blocks(seed, TEST_LABEL + 5, 0, count, params.n)
+            return direction_blocks(seed, TEST_LABEL + 5, count, params.n)
 
         for i, j in permutations(range(params.q), 2):
             frame = sampling.subsphere_frame(params.pair_center(i, j),
@@ -541,7 +538,7 @@ class TestCellMajorKernels:
                                    blocks(), count)
                 assert not np.any(mask & ~free), (i, j)
             else:
-                pts = subsphere_chunk(seed, TEST_LABEL + 5, 0, count, *frame)
+                pts = subsphere_sample(seed, TEST_LABEL + 5, count, *frame)
                 assert mask.tobytes() == stratum_interior(params, (i, j), pts).tobytes(), (i, j)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -552,7 +549,7 @@ class TestCellMajorKernels:
             rng = np.random.default_rng(100 * n + q)
             params = recentered(n, rng.standard_normal((q, n + 1)),
                                 0.3 * rng.standard_normal(q))
-            assert_wall_kernel_masks_match(params, q, sampling.CHUNK)
+            assert_wall_kernel_masks_match(params, q, 32 * sampling.BLOCK)
 
     @pytest.mark.parametrize("params", [
         gallery.five_cell_meeting_point(), gallery.affine_cushion(), gallery.cross_junction(2),
@@ -560,21 +557,21 @@ class TestCellMajorKernels:
         gallery.sectored_cap(4, 0.8)], ids=["five-cell", "cushion", "cross-2", "cross-3",
                                             "bands", "bands-skew", "sectored-cap"])
     def test_wall_kernel_mask_matches_placed_points_on_gallery(self, params):
-        assert_wall_kernel_masks_match(params, 7, sampling.CHUNK)
+        assert_wall_kernel_masks_match(params, 7, 32 * sampling.BLOCK)
 
-    def test_subsphere_chunk_is_c_ordered_broadcast_formula(self):
+    def test_subsphere_sample_is_c_ordered_broadcast_formula(self):
         params = standard_of_curvature(4, 3, [0.3, 0.1, -0.4])
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 2),
                                                          params.pair_curvature(0, 2))
-        pts = subsphere_chunk(5, TEST_LABEL, 0, 1000, center, radius, frame)
-        w = sampling.draw_unit_chunk(5, TEST_LABEL, 0, 1000, frame.shape[1])
+        pts = subsphere_sample(5, TEST_LABEL, 1000, center, radius, frame)
+        w = sampling.unit_sphere(5, 1000, frame.shape[1], label=TEST_LABEL)
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, center[None, :] + radius * (w @ frame.T))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_two_cell_area_shortcut_equals_sampled_value(self, n, draws):
         params = standard_of_curvature(n, 2, [0.35, -0.35])
-        samples = 2 * sampling.CHUNK + 17
+        samples = 64 * sampling.BLOCK + 17
         areas, errs = measure.interface_areas(params, complete_graph(2), "mc", samples, 11)
         assert draws == []  # no wall point was drawn
         mean, stderr, wall = reference_fraction(params, 0, 1, samples, 11)
@@ -589,28 +586,38 @@ class TestCellMajorKernels:
 
 class TestUnitDraws:
     def test_returned_directions_are_read_only(self):
-        first = sampling.draw_unit_chunk(0, 9, 0, 5, 3)
+        first = sampling.unit_block(0, 9, 0, 5, 3)
         original = first.copy()
         with pytest.raises(ValueError):
             first[0, 0] = 42.0
-        again = sampling.draw_unit_chunk(0, 9, 0, 5, 3)  # drawn afresh
+        again = sampling.unit_block(0, 9, 0, 5, 3)  # drawn afresh
         assert not again.flags.writeable and np.array_equal(again, original)
         assert not np.shares_memory(again, first)
         assert not sampling.unit_sphere(0, 5, 3, label=9).flags.writeable
 
     def test_draw_at_another_seed_leaves_the_first_seed_unchanged(self):
-        first = sampling.draw_unit_chunk(0, 1, 0, 64, 3)
-        other = sampling.draw_unit_chunk(1, 1, 0, 64, 3)
-        again = sampling.draw_unit_chunk(0, 1, 0, 64, 3)
+        first = sampling.unit_block(0, 1, 0, 64, 3)
+        other = sampling.unit_block(1, 1, 0, 64, 3)
+        again = sampling.unit_block(0, 1, 0, 64, 3)
         assert again.tobytes() == first.tobytes()
-        assert first.tobytes() == unit_directions(0, 1, 0, 64, 3).tobytes()
-        assert other.tobytes() == unit_directions(1, 1, 0, 64, 3).tobytes()
+        assert first.tobytes() == block_directions(0, 1, 0, 64, 3).tobytes()
+        assert other.tobytes() == block_directions(1, 1, 0, 64, 3).tobytes()
         assert not np.array_equal(other, first)
 
     def test_shorter_draw_is_a_prefix_of_a_longer_one(self):
-        # rows are drawn and normed one by one, across block edges too
-        longer = sampling.draw_unit_chunk(0, 4, 0, sampling.CHUNK // 2 + 1, 3)
-        for count in (1, 10, 50, sampling.BLOCK + 1):
-            shorter = sampling.draw_unit_chunk(0, 4, 0, count, 3)
+        # rows are drawn and normed one by one, across block edges too: a
+        # block's key does not depend on the pass's length
+        longer = sampling.unit_sphere(0, 16 * sampling.BLOCK + 1, 3, label=4)
+        for count in (1, 10, 50, sampling.BLOCK + 2, 3 * sampling.BLOCK + 5):
+            shorter = sampling.unit_sphere(0, count, 3, label=4)
             assert shorter.tobytes() == longer[:count].tobytes()
             assert not np.shares_memory(shorter, longer)
+        block = sampling.unit_block(0, 4, 2, sampling.BLOCK + 1, 3)
+        assert block[:50].tobytes() == sampling.unit_block(0, 4, 2, 50, 3).tobytes()
+
+    def test_one_row_tail_is_drawn_by_the_block_before_it(self):
+        # row_blocks joins a one-row tail to the block before it, so that
+        # block draws one more row from its own key
+        count = 3 * sampling.BLOCK + 1
+        tail = sampling.unit_sphere(0, count, 3, label=4)[2 * sampling.BLOCK:]
+        assert tail.tobytes() == sampling.unit_block(0, 4, 2, sampling.BLOCK + 1, 3).tobytes()

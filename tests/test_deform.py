@@ -203,14 +203,14 @@ class TestGramInvariance:
 
 
 class TestMeasurePath:
-    """measure_path measures a Monte Carlo path in one pass over each sample chunk."""
+    """measure_path measures a Monte Carlo path in one pass over each sample block."""
 
     def test_one_pass_equals_measure_mc_at_each_time(self, draws, sectored_cap_cluster,
                                                      sectored_cap_graph):
-        samples, seed = sampling.CHUNK + 1000, 13
+        samples, seed = 32 * sampling.BLOCK + 1000, 13
         rep = gram_invariance_check(sectored_cap_cluster, sectored_cap_graph, t_max=0.5,
                                     steps=5, samples=samples, seed=seed)
-        addresses = sorted(args[1:3] for args in draws)  # (stream label, chunk index)
+        addresses = sorted(args[1:3] for args in draws)  # (stream label, block index)
         # pairs (0, 3) and (1, 3) appear at t = 0.3, so the path's graphs differ
         graphs = [sectored_cap_graph] + [detect_interfaces(gram_path(sectored_cap_cluster,
                                                                      float(t)))
@@ -220,11 +220,11 @@ class TestMeasurePath:
         assert rep.times_compared == 3  # t = 0, 0.1 and 0.2
         union = sorted({pair for graph in graphs for pair in graph.pairs()})
         assert {(0, 3), (1, 3)} <= set(union) - set(sectored_cap_graph.pairs())
-        # every (label, chunk) is drawn once: one volume stream and one wall
+        # every (label, block) is drawn once: one volume stream and one wall
         # stream for every pair of every time
-        layout = sampling.chunk_layout(samples)
+        layout = sampling.row_blocks(samples)
         labels = [measure._VOLUME_STREAM, measure._WALL_STREAM]
-        assert addresses == sorted((label, chunk) for label in labels for chunk, _ in layout)
+        assert addresses == sorted((label, b) for label in labels for b in range(len(layout)))
         # measure_mc is the one-cluster pass, so the oracle is the volumes and
         # the areas measured apart
         for t, graph, got in zip(rep.times, graphs, rep.reports):
@@ -239,7 +239,7 @@ class TestMeasurePath:
 
     def test_s2_path_stays_exact(self, monkeypatch, skew_bubble_s2, skew_bubble_graph):
         draws = []
-        monkeypatch.setattr(sampling, "unit_blocks", lambda *args: draws.append(args))
+        monkeypatch.setattr(sampling, "unit_block", lambda *args: draws.append(args))
         rep = gram_invariance_check(skew_bubble_s2, skew_bubble_graph, t_max=0.5, steps=2,
                                     samples=10_000, seed=3)
         assert [r.backend for r in rep.reports] == [{"kind": "exact_s2"}] * 3

@@ -21,7 +21,7 @@ from bubblelab.measure import (MeasureError, extract_arcs, interface_areas,
                                measure_cluster, resolve_backend)
 from bubblelab.standard import MC_FD_STEP, NewtonConfig, model_profile
 from bubblelab.simplex import restrict
-from reference import (perimeter_totals, random_orthogonal, rotated, subsphere_chunk,
+from reference import (perimeter_totals, random_orthogonal, rotated, subsphere_sample,
                        unit_directions)
 
 
@@ -121,7 +121,7 @@ class TestPerimeterStderr:
     def test_is_the_spread_of_per_direction_totals(self, n, q):
         params = standard_of_curvature(n, q, fresh_shape_kappa(q))
         graph = detect_interfaces(params)
-        samples, seed = sampling.CHUNK + 5000, 21
+        samples, seed = 32 * sampling.BLOCK + 5000, 21
         rep = measure_mc(params, graph, samples, seed)
         totals = perimeter_totals(params, graph, samples, seed)
         assert len(graph.pairs()) >= q
@@ -133,7 +133,7 @@ class TestPerimeterStderr:
         # at t = 0.3 the pairs (0, 3) and (1, 3) have appeared
         moved = gram_path(sectored_cap_cluster, 0.3)
         clusters = [(sectored_cap_cluster, sectored_cap_graph), (moved, detect_interfaces(moved))]
-        samples, seed = sampling.CHUNK + 5000, 22
+        samples, seed = 32 * sampling.BLOCK + 5000, 22
         for (params, graph), rep in zip(clusters,
                                         measure.measure_mc_many(clusters, samples, seed)):
             totals = perimeter_totals(params, graph, samples, seed)
@@ -158,24 +158,23 @@ class TestPerimeterStderr:
         assert measure_exact_s2(skew_bubble_s2, skew_bubble_graph).perimeter_stderr == 0.0
         rep = measure_mc(hemispheres, complete_graph(2), 10_000, 3)
         assert rep.perimeter_stderr == 0.0
-        assert [args[1] for args in draws] == [measure._VOLUME_STREAM]  # no wall direction
+        assert {args[1] for args in draws} == {measure._VOLUME_STREAM}  # no wall direction
 
-    def test_does_not_depend_on_the_runner(self, monkeypatch, draws):
-        # three calls at one address: each draws every volume and wall chunk
-        # afresh, once, and all return the same bits
+    def test_draws_every_block_once_per_call(self, draws):
+        # two calls at one address: each draws every volume and wall block
+        # afresh, once, and both return the same bits (tests/test_parallel.py
+        # checks the bits against other worker counts and schedules)
         params = standard_of_curvature(3, 4, fresh_shape_kappa(4))
         graph = detect_interfaces(params)
-        samples = 2 * sampling.CHUNK + 5
+        samples = 64 * sampling.BLOCK + 5
         got = set()
-        serial = lambda tasks: [task() for task in tasks]  # noqa: E731
-        last_first = lambda tasks: [task() for task in tasks[::-1]][::-1]  # noqa: E731
-        for runner in (sampling.run_tasks, serial, last_first):
-            monkeypatch.setattr(sampling, "run_tasks", runner)
+        for _ in range(2):
             draws.clear()
             rep = measure_mc(params, graph, samples, 7)
-            assert sorted(args[1:3] for args in draws) == sorted(
-                (label, chunk) for label in (measure._VOLUME_STREAM, measure._WALL_STREAM)
-                for chunk, _ in sampling.chunk_layout(samples))
+            assert sorted(args[1:4] for args in draws) == sorted(
+                (label, b, rows.stop - rows.start)
+                for label in (measure._VOLUME_STREAM, measure._WALL_STREAM)
+                for b, rows in enumerate(sampling.row_blocks(samples)))
             got.add(b"".join(a.tobytes() for a in (rep.volumes, rep.areas, rep.volume_stderr,
                                                     rep.area_stderr,
                                                     np.array(rep.perimeter_stderr))))
@@ -392,7 +391,7 @@ def mc_cases(draw):
     k = draw(st.floats(0.0, 2.0)) * rng.standard_normal(q)
     pool = weight_pool(0.4 * rng.standard_normal(n + 1))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
-    samples = draw(st.sampled_from([999, sampling.CHUNK + 999]))
+    samples = draw(st.sampled_from([999, 32 * sampling.BLOCK + 999]))
     return recentered(n, c, k), [pool[p] for p in picks], samples
 
 
@@ -417,9 +416,9 @@ class TestWeightedLaplacians:
         graph = complete_graph(2)
         weights = [weight_pool(np.linspace(-0.3, 0.3, n + 1))[p] for p in picks]
         multi = weighted_laplacians(params, graph, weights, backend="mc",
-                                    samples=sampling.CHUNK + 999, seed=n)
+                                    samples=32 * sampling.BLOCK + 999, seed=n)
         assert_same_bits(multi, singles_of(params, graph, weights, backend="mc",
-                                           samples=sampling.CHUNK + 999, seed=n))
+                                           samples=32 * sampling.BLOCK + 999, seed=n))
 
     @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
            st.lists(st.integers(1, 4), min_size=1, max_size=4))
@@ -553,7 +552,7 @@ class TestMeasureCluster:
 
     def test_profile_perimeter_classifies_no_volume_sample(self, monkeypatch):
         in_perimeter, perimeters, volume_calls = [], [], []
-        real_areas, real_volumes = standard.interface_areas, measure._cell_volumes_mc
+        real_areas, real_volumes = standard.interface_areas, measure.VolumeTracker.volumes
 
         def areas(*args):
             in_perimeter.append(True)
@@ -569,7 +568,7 @@ class TestMeasureCluster:
             return real_volumes(*args)
 
         monkeypatch.setattr(standard, "interface_areas", areas)
-        monkeypatch.setattr(measure, "_cell_volumes_mc", volumes)
+        monkeypatch.setattr(measure.VolumeTracker, "volumes", volumes)
         cfg = NewtonConfig(backend="mc", mc_samples=1_000_000, mc_seed=3)
         model_profile(3, 2, [0.45, 0.55], fd_step_grad=1e-2, fd_step_hess=5e-2, cfg=cfg)
         assert len(perimeters) == 5  # the center and two steps each way
@@ -747,75 +746,75 @@ class TestExactInvariance:
 
 
 class TestVolumeTracker:
-    @given(tracked_clusters(), st.sampled_from([5_000, sampling.CHUNK + 1_234]),
+    @staticmethod
+    def volume_points(samples, seed, dim):
+        return sampling.unit_sphere(seed, samples, dim, label=measure._VOLUME_STREAM)
+
+    @given(tracked_clusters(), st.sampled_from([5_000, 32 * sampling.BLOCK + 1_234]),
            st.integers(0, 1))
     @settings(max_examples=30, deadline=None)
     def test_counts_and_labels_equal_a_full_pass(self, cluster, samples, seed):
         base, later = cluster
         q = base.q
         tracker = measure.VolumeTracker(samples, seed)
+        pts = self.volume_points(samples, seed, base.n + 1)
         for params in [base, *later]:
             # the reference changes in place, so the snapshot copies its arrays
-            references = {chunk: (ref_params, labels.copy(), gaps.copy(), offset)
-                          for chunk, (ref_params, labels, gaps, _, offset)
-                          in tracker._references.items()}
+            reference = tracker._reference
+            if reference is not None:
+                ref_params, ref_labels, gaps, _, offset = reference
+                reference = (ref_params, ref_labels.copy(), gaps.copy(), offset)
             got = tracker.volumes(params)
             want = measure.cell_volumes_mc(params, samples, seed)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-            for chunk, count in sampling.chunk_layout(samples):
-                pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
-                                               base.n + 1)
-                labels = classify_many(params, pts)
-                if chunk in references:
-                    # the limit: a point whose stored gap exceeds it keeps its label
-                    ref_params, ref_labels, gaps, offset = references[chunk]
-                    limit = np.nextafter(offset + measure._label_bound(ref_params, params),
-                                         np.inf)
-                    keep = gaps > limit
-                    assert np.array_equal(labels[keep], ref_labels[keep])
-                ref_params, ref_labels, gaps, counts, _ = tracker._references[chunk]
-                assert ref_labels.dtype == np.uint8 and gaps.dtype == np.float64
-                assert np.array_equal(ref_labels, classify_many(ref_params, pts))
-                assert np.array_equal(counts, np.bincount(ref_labels, minlength=q))
-        chunks = len(sampling.chunk_layout(samples))
-        assert tracker.full + tracker.incremental == chunks * (1 + len(later))
+            labels = classify_many(params, pts)
+            if reference is not None:
+                # the limit: a point whose stored gap exceeds it keeps its label
+                ref_params, ref_labels, gaps, offset = reference
+                limit = np.nextafter(offset + measure._label_bound(ref_params, params), np.inf)
+                keep = gaps > limit
+                assert np.array_equal(labels[keep], ref_labels[keep])
+            ref_params, ref_labels, gaps, counts, _ = tracker._reference
+            assert ref_labels.dtype == np.uint8 and gaps.dtype == np.float64
+            assert np.array_equal(ref_labels, classify_many(ref_params, pts))
+            assert np.array_equal(counts, np.bincount(ref_labels, minlength=q))
+        assert tracker.full + tracker.incremental == 1 + len(later)
 
-    @given(rolling_paths(), st.sampled_from([5_000, sampling.CHUNK + 1_234]), st.integers(0, 1))
+    @given(rolling_paths(), st.sampled_from([5_000, 32 * sampling.BLOCK + 1_234]),
+           st.integers(0, 1))
     @settings(max_examples=30, deadline=None)
     def test_rolled_reference_keeps_the_invariant(self, path, samples, seed):
-        # each evaluation becomes its chunk's reference: its labels are the full
+        # each evaluation becomes the reference: its labels are the full
         # pass's, each stored gap less the offset is at most the gap computed at
         # the reference, and a roll advances the offset by at least the bound.
         # The invariant bounds exact differences, so the computed gap may lie
         # below it by the values' rounding, which the bound for unchanged
-        # parameters covers (a one-point subset rounds unlike the full chunk)
+        # parameters covers (a one-point subset rounds unlike the full pass)
         tracker = measure.VolumeTracker(samples, seed)
-        offsets = {}
+        pts = self.volume_points(samples, seed, path[0].n + 1)
+        last_offset = None
         for previous, params in zip([None, *path], path):
             got = tracker.volumes(params)
             want = measure.cell_volumes_mc(params, samples, seed)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             rounding = measure._label_bound(params, params)
-            for chunk, count in sampling.chunk_layout(samples):
-                pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, chunk, count,
-                                               params.n + 1)
-                ref_params, labels, gaps, counts, offset = tracker._references[chunk]
-                assert ref_params is params
-                want_labels, want_gaps = classify_many(params, pts, gaps=True)
-                assert np.array_equal(labels, want_labels)
-                assert np.array_equal(counts, np.bincount(want_labels, minlength=params.q))
-                assert np.all(gaps - offset <= want_gaps * (1.0 + 1e-12) + rounding)
-                if offset:  # rolled: the limit is rounded up, exactly
-                    advance = Fraction(offset) - Fraction(offsets[chunk])
-                    assert advance >= Fraction(measure._label_bound(previous, params))
-                offsets[chunk] = offset
+            ref_params, labels, gaps, counts, offset = tracker._reference
+            assert ref_params is params
+            want_labels, want_gaps = classify_many(params, pts, gaps=True)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(counts, np.bincount(want_labels, minlength=params.q))
+            assert np.all(gaps - offset <= want_gaps * (1.0 + 1e-12) + rounding)
+            if offset:  # rolled: the limit is rounded up, exactly
+                advance = Fraction(offset) - Fraction(last_offset)
+                assert advance >= Fraction(measure._label_bound(previous, params))
+            last_offset = offset
 
     @given(random_affine_clusters(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_subset_labels_equal_the_full_chunk(self, params, seed):
-        pts = sampling.draw_unit_chunk(seed, measure._VOLUME_STREAM, 0, 5_000, params.n + 1)
+    def test_subset_labels_equal_the_full_pass(self, params, seed):
+        pts = self.volume_points(5_000, seed, params.n + 1)
         labels = classify_many(params, pts)
         values = cell_values(params, pts)
         ordered = np.sort(values, axis=0)
@@ -827,37 +826,40 @@ class TestVolumeTracker:
             subset = np.sort(rng.choice(len(pts), size, replace=False))
             assert np.array_equal(least_cell(cell_values(params, pts[subset])), labels[subset])
 
-    def test_unchanged_parameters_reclassify_only_tied_points(self):
-        samples, seed = sampling.CHUNK + 1_000, 5
+    def test_unchanged_parameters_reclassify_only_tied_points(self, draws):
+        samples, seed = 32 * sampling.BLOCK + 1_000, 5
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
         tracker = measure.VolumeTracker(samples, seed)
         first = tracker.volumes(params)
-        assert (tracker.full, tracker.incremental) == (2, 0)
+        assert (tracker.full, tracker.incremental) == (1, 0)
         # after a full pass the offset is 0, so the limit is the bound rounded up
         limit = np.nextafter(measure._label_bound(params, params), np.inf)
-        tied = sum(int(np.count_nonzero(gaps <= limit))
-                   for _, _, gaps, _, _ in tracker._references.values())
+        tied = int(np.count_nonzero(tracker._reference[2] <= limit))
         again = tracker.volumes(params)
-        assert (tracker.full, tracker.incremental, tracker.reclassified) == (2, 2, tied)
+        assert (tracker.full, tracker.incremental, tracker.reclassified) == (1, 1, tied)
         assert again[0].tobytes() == first[0].tobytes()
         # a duplicated cell ties exactly on its whole region (a sixth of S^3,
-        # so the chunks stay below the full-classification share): tied labels
-        # rest on the chunk's own rounding, so each chunk is classified in full
+        # so the points stay below the full-classification share): tied labels
+        # rest on their block's own rounding, so every point is classified in
+        # full, and each block with a tie is drawn again
         c = np.vstack([params.quasi_centers, params.quasi_centers[0]])
         twin = recentered(3, c, np.append(params.curvatures, params.curvatures[0]))
         tracker = measure.VolumeTracker(samples, seed)
         tracker.volumes(twin)
-        for _, _, gaps, _, _ in tracker._references.values():
-            ties = np.count_nonzero(gaps == 0.0)
-            assert 0 < ties <= measure.FULL_CLASSIFY_SHARE * gaps.size
+        gaps = tracker._reference[2]
+        ties = [b for b, rows in enumerate(sampling.row_blocks(samples))
+                if np.any(gaps[rows] == 0.0)]
+        assert 0 < np.count_nonzero(gaps == 0.0) <= measure.FULL_CLASSIFY_SHARE * samples
+        draws.clear()
         again = tracker.volumes(twin)
-        assert (tracker.full, tracker.incremental) == (4, 0)
+        assert (tracker.full, tracker.incremental) == (2, 0)
+        assert sorted(args[2] for args in draws) == ties
         assert again[0].tobytes() == measure.cell_volumes_mc(twin, samples, seed)[0].tobytes()
 
-    def test_draws_each_chunk_once_and_keeps_it_read_only(self, draws):
+    def test_draws_each_block_once_and_keeps_it_read_only(self, draws):
         # a standard bubble of 3 cells has quasi-center entries in columns 0
         # and 1 only, so the tracker keeps those two of each point's four
-        samples, seed = 2 * sampling.CHUNK + 7, 8
+        samples, seed = 64 * sampling.BLOCK + 7, 8
         tracker = measure.VolumeTracker(samples, seed)
         base = np.array([0.2, -0.05, -0.15])
         for step in (0.0, 1e-6, 2e-6, 0.0, 0.3):  # the last step classifies in full
@@ -865,34 +867,32 @@ class TestVolumeTracker:
             got = tracker.volumes(params)
             assert got[0].tobytes() == measure.cell_volumes_mc(params, samples, seed)[0].tobytes()
         volume_draws = [args for args in draws if args[:2] == (seed, measure._VOLUME_STREAM)]
-        # the oracle draws every chunk at each of its five calls, the tracker
+        # the oracle draws every block at each of its five calls, the tracker
         # once: neither a widening nor a rounding fallback draws one again
-        layout = sampling.chunk_layout(samples)
+        layout = sampling.row_blocks(samples)
         assert len(volume_draws) == 6 * len(layout)
-        assert tracker.full > len(layout) and tracker.incremental > 0
-        assert sorted(tracker._points) == [chunk for chunk, _ in layout]
-        for chunk, count in layout:
-            pts = tracker._points[chunk]
-            assert pts.shape == (count, 2) and not pts.flags.writeable
-            want = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)[:, :2]
-            assert pts.tobytes() == want.tobytes()
+        assert tracker.full >= 2 and tracker.incremental > 0
+        pts = tracker._points
+        assert pts.shape == (samples, 2) and not pts.flags.writeable
+        want = unit_directions(seed, measure._VOLUME_STREAM, samples, 4)[:, :2]
+        assert pts.tobytes() == want.tobytes()
 
     def test_computes_the_bounds_once_per_evaluation(self, monkeypatch):
-        # after an evaluation every chunk's reference holds its parameters, so
-        # each later evaluation bounds its step from them once, and its own
-        # rounding once, whatever the chunk count
+        # the reference holds the last evaluation's parameters, so each later
+        # evaluation bounds its step from them once, and its own rounding
+        # once, whatever the block count
         calls = []
         bound = measure._label_bound
         monkeypatch.setattr(measure, "_label_bound",
                             lambda ref, cur: calls.append((ref, cur)) or bound(ref, cur))
-        samples, seed = 3 * sampling.CHUNK, 8
+        samples, seed = 96 * sampling.BLOCK, 8
         tracker = measure.VolumeTracker(samples, seed)
         base = np.array([0.2, -0.05, -0.15])
         path = [standard_of_curvature(3, 3, base * (1.0 + step)) for step in (0.0, 1e-6, 2e-6)]
         for params in path:
             got = tracker.volumes(params)
             assert got[0].tobytes() == measure.cell_volumes_mc(params, samples, seed)[0].tobytes()
-        assert (tracker.full, tracker.incremental) == (3, 6)
+        assert (tracker.full, tracker.incremental) == (1, 2)
         want = [(path[0], path[1]), (path[1], path[1]), (path[1], path[2]), (path[2], path[2])]
         assert len(calls) == len(want)
         assert all(ref is want_ref and cur is want_cur
@@ -900,16 +900,15 @@ class TestVolumeTracker:
 
     def test_trackers_at_one_seed_keep_their_own_points(self, draws):
         # no draw outlives its tracker: a second tracker at the same address
-        # draws its chunks again and shares no memory with the first
+        # draws its blocks again and shares no memory with the first
         samples, seed = 5_000, 9
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
         first, second = measure.VolumeTracker(samples, seed), measure.VolumeTracker(samples, seed)
         got = [tracker.volumes(params)[0].tobytes() for tracker in (first, second)]
         assert got[0] == got[1]
-        assert len(draws) == 2 * len(sampling.chunk_layout(samples))
-        for chunk in first._points:
-            assert first._points[chunk].tobytes() == second._points[chunk].tobytes()
-            assert not np.shares_memory(first._points[chunk], second._points[chunk])
+        assert len(draws) == 2 * len(sampling.row_blocks(samples))
+        assert first._points.tobytes() == second._points.tobytes()
+        assert not np.shares_memory(first._points, second._points)
 
     def test_near_share_above_threshold_classifies_in_full(self, draws):
         samples, seed = 20_000, 6
@@ -924,10 +923,10 @@ class TestVolumeTracker:
         large = standard_of_curvature(3, 3, np.array([0.6, -0.3, -0.3]))
         got = tracker.volumes(large)
         assert (tracker.full, tracker.incremental) == (2, 1)
-        assert tracker._references[0][0] is large
+        assert tracker._reference[0] is large
         assert got[0].tobytes() == measure.cell_volumes_mc(large, samples, seed)[0].tobytes()
         # from the kept columns: only the first evaluation and the oracle drew
-        assert len(draws) == 2
+        assert len(draws) == 2 * len(sampling.row_blocks(samples))
 
     @staticmethod
     def _recorded(monkeypatch):
@@ -945,7 +944,7 @@ class TestVolumeTracker:
     @pytest.mark.parametrize("solve", ["standard_of_volume", "model_profile"])
     def test_solve_paths_equal_fresh_passes(self, solve, monkeypatch):
         calls = self._recorded(monkeypatch)
-        cfg = NewtonConfig(backend="mc", mc_samples=sampling.CHUNK + 40_000, mc_seed=11)
+        cfg = NewtonConfig(backend="mc", mc_samples=32 * sampling.BLOCK + 40_000, mc_seed=11)
         if solve == "standard_of_volume":
             standard_of_volume(3, 3, [0.3, 0.45, 0.25], cfg)
         else:
@@ -957,16 +956,16 @@ class TestVolumeTracker:
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             # the profile's clusters have entries in column 0 only
-            assert all(pts.shape[1] == (2 if solve == "standard_of_volume" else 1)
-                       for pts in tracker._points.values())
+            assert tracker._points.shape[1] == (2 if solve == "standard_of_volume" else 1)
 
-    def test_widening_draws_the_chunks_again(self, draws):
+    def test_widening_draws_every_block_again(self, draws):
         # a turned copy of a standard bubble has entries in every column: the
-        # tracker then draws each chunk again and keeps all four coordinates
-        samples, seed = sampling.CHUNK + 3_000, 12
+        # tracker then draws each block again and keeps all four coordinates
+        samples, seed = 32 * sampling.BLOCK + 3_000, 12
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
         turned = rotated(params, random_orthogonal(4, np.random.default_rng(5)))
-        layout = sampling.chunk_layout(samples)
+        layout = sampling.row_blocks(samples)
+        want_pts = unit_directions(seed, measure._VOLUME_STREAM, samples, 4)
         tracker = measure.VolumeTracker(samples, seed)
         for at, width, drawn in ((params, 2, 1), (turned, 4, 2), (params, 4, 2), (turned, 4, 2)):
             got = tracker.volumes(at)
@@ -974,22 +973,19 @@ class TestVolumeTracker:
             assert got[0].tobytes() == want[0].tobytes()
             del draws[-len(layout):]  # the oracle's draws
             assert len(draws) == drawn * len(layout)
-            for chunk, count in layout:
-                pts = tracker._points[chunk]
-                want_pts = unit_directions(seed, measure._VOLUME_STREAM, chunk, count, 4)
-                assert pts.tobytes() == want_pts[:, :width].tobytes()
-        # each step is large: every evaluation classifies every chunk in full
-        assert tracker.full == 4 * len(layout)
+            assert tracker._points.tobytes() == want_pts[:, :width].tobytes()
+        # each step is large: every evaluation classifies every point in full
+        assert tracker.full == 4
 
-    def test_rounding_fallback_draws_the_chunk_again(self, monkeypatch, draws):
+    def test_rounding_fallback_draws_the_blocks_again(self, monkeypatch, draws):
         # with a bound for unchanged parameters that no gap exceeds, neither
         # an incremental step nor a full pass over the kept columns may keep a
-        # label: each chunk is drawn again and classified on all coordinates
+        # label: each block is drawn again and classified on all coordinates
         bound = measure._label_bound
         monkeypatch.setattr(measure, "_label_bound",
                             lambda ref, cur: 1e300 if ref is cur else bound(ref, cur))
-        samples, seed = sampling.CHUNK + 100_000, 13
-        layout = sampling.chunk_layout(samples)
+        samples, seed = 32 * sampling.BLOCK + 100_000, 13
+        layout = sampling.row_blocks(samples)
         base = np.array([0.2, -0.05, -0.15])
         tracker = measure.VolumeTracker(samples, seed)
         # a small step (a few points near) and a large one (most points near)
@@ -999,9 +995,34 @@ class TestVolumeTracker:
             want = measure.cell_volumes_mc(params, samples, seed)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        assert (tracker.full, tracker.incremental) == (3 * len(layout), 0)
-        # the tracker drew each chunk at each evaluation, as the oracle did
+        assert (tracker.full, tracker.incremental) == (3, 0)
+        # the tracker drew each block at each evaluation, as the oracle did
         assert len(draws) == 6 * len(layout)
+
+    def test_rounding_fallback_draws_only_the_failing_blocks(self, monkeypatch, draws):
+        # a bound for unchanged parameters at the fifth least gap: the
+        # incremental step fails on the points below it, and the full pass
+        # over the kept columns draws again only the blocks that hold them
+        samples, seed = 32 * sampling.BLOCK + 100_000, 14
+        params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
+        tracker = measure.VolumeTracker(samples, seed)
+        tracker.volumes(params)
+        gaps = tracker._reference[2].copy()
+        least = float(np.mean(np.partition(gaps, 5)[4:6]))  # far from both, beyond rounding
+        bound = measure._label_bound
+        monkeypatch.setattr(measure, "_label_bound",
+                            lambda ref, cur: least if ref is cur else bound(ref, cur))
+        layout = sampling.row_blocks(samples)
+        failing = [b for b, rows in enumerate(layout) if np.any(gaps[rows] <= least)]
+        assert 0 < len(failing) <= 5 < len(layout)
+        draws.clear()
+        got = tracker.volumes(params)
+        assert (tracker.full, tracker.incremental) == (2, 0)
+        assert sorted(args[2] for args in draws) == failing
+        want = measure.cell_volumes_mc(params, samples, seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        pts = self.volume_points(samples, seed, 4)
+        assert np.array_equal(tracker._reference[1], classify_many(params, pts))
 
     def test_rejects_another_shape_before_any_work(self, draws):
         params = standard_of_curvature(3, 3, np.array([0.2, -0.05, -0.15]))
@@ -1018,14 +1039,14 @@ class TestVolumeTracker:
 
     def test_solve_holds_its_kept_columns_labels_and_gaps(self):
         # standard_of_volume(3, 3) keeps s = 2 columns: 8s + 9 bytes a point,
-        # beside the scratch of the chunk tasks running at once
+        # beside the scratch of the workers running at once
         samples = 2_000_000
         cfg = NewtonConfig(backend="mc", mc_samples=samples, mc_seed=3)
         # the modules a first call imports are not the solve's
         standard_of_volume(3, 3, [0.3, 0.45, 0.25], NewtonConfig(backend="mc",
                                                                    mc_samples=100_000))
-        tasks = min(len(sampling.chunk_layout(samples)), sampling.usable_cores())
-        budget = samples * (8 * 2 + 9) + tasks * (2 << 20)
+        workers = min(len(sampling.row_blocks(samples)), sampling.usable_cores())
+        budget = samples * (8 * 2 + 9) + workers * (2 << 20)
         tracemalloc.start()
         try:
             standard_of_volume(3, 3, [0.3, 0.45, 0.25], cfg)
@@ -1038,13 +1059,13 @@ class TestVolumeTracker:
 class TestDrawPath:
     @pytest.mark.parametrize("dim", range(2, 8))
     def test_unit_rows_equal_the_norm_formula(self, dim):
-        for count in (1, 7, 1_000, sampling.CHUNK):
-            want = unit_directions(3, 77, 1, count, dim)
-            assert sampling.draw_unit_chunk(3, 77, 1, count, dim).tobytes() == want.tobytes()
+        for count in (1, 7, 1_000, 32 * sampling.BLOCK):
+            want = unit_directions(3, 77, count, dim)
+            assert sampling.unit_sphere(3, count, dim, label=77).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", range(8, 13))
     def test_unit_rows_are_unit_beyond_dimension_seven(self, dim):
-        rows = sampling.draw_unit_chunk(3, 77, 1, 10_000, dim)
+        rows = sampling.unit_sphere(3, 10_000, dim, label=77)
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -1052,24 +1073,24 @@ class TestDrawPath:
         params = standard_of_curvature(n, 3, np.array([0.3, -0.1, -0.2]))
         center, radius, frame = sampling.subsphere_frame(params.pair_center(0, 1),
                                                          params.pair_curvature(0, 1))
-        for count in (1, 7, 1_000, sampling.CHUNK):
-            want = sampling.draw_unit_chunk(4, 78, 0, count, n) @ frame.T
+        for count in (1, 7, 1_000, 32 * sampling.BLOCK):
+            want = sampling.unit_sphere(4, count, n, label=78) @ frame.T
             want *= radius
             want += center
-            got = subsphere_chunk(4, 78, 0, count, center, radius, frame)
+            got = subsphere_sample(4, 78, count, center, radius, frame)
             assert got.tobytes() == want.tobytes()
 
 
 class TestWallPassMemory:
     @pytest.mark.parametrize("weighted", [False, True], ids=["area", "weighted"])
-    def test_one_chunk_allocates_less_than_its_placed_points(self, weighted):
-        # the pass draws the chunk's wall directions one block at a time,
-        # classifies each block in every wall's own coordinates and places
-        # only its hits: a pass over one chunk, its draws included, holds less
-        # than that chunk's points placed in R^(n+1) would take. The area-only
-        # pass is measure_mc's (with the perimeter's totals), the weighted one
-        # the operators'.
-        n, count = 3, sampling.CHUNK
+    def test_pass_allocates_less_than_its_placed_points(self, weighted):
+        # the pass draws its wall directions one block at a time, classifies
+        # each block in every wall's own coordinates and places only its
+        # hits: a pass over 2^18 directions, its draws included, holds less
+        # than those points placed in R^(n+1) would take. The area-only pass
+        # is measure_mc's (with the perimeter's totals), the weighted one the
+        # operators'.
+        n, count = 3, 32 * sampling.BLOCK
         params = standard_of_curvature(n, 5, fresh_shape_kappa(5))
         graph = detect_interfaces(params)
         xi = np.linspace(-0.3, 0.3, n + 1)
@@ -1085,28 +1106,46 @@ class TestWallPassMemory:
         assert peak < count * (n + 1) * 8
 
 
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPassMemory:
-    """Each Monte Carlo pass draws, classifies and integrates a chunk one BLOCK
-    at a time, so a chunk task holds no chunk of points: at most one array of
-    CHUNK floats (the perimeter's per-direction totals) and its blocks, which
-    2 MiB covers. The tasks run on min(tasks, usable_cores()) threads."""
+    """Each Monte Carlo pass draws, classifies and integrates one BLOCK at a
+    time, and each block writes a few numbers into its own slots, so a worker
+    holds its blocks and its scratch, no array as long as the sample count:
+    4 MiB a worker covers that. The workers run on min(blocks,
+    usable_cores()) threads."""
 
     @pytest.mark.parametrize("name", ["measure_mc", "normal_moment_operator"])
-    def test_peak_is_one_chunk_of_floats_per_running_task(self, name):
+    def test_peak_is_a_few_blocks_per_running_worker(self, name):
         n, q = 3, 5
         params = standard_of_curvature(n, q, fresh_shape_kappa(q))
         graph = detect_interfaces(params)
-        samples = 2 * sampling.CHUNK
+        samples = 64 * sampling.BLOCK
         passes = {"measure_mc": lambda count: measure_mc(params, graph, count, 5),
                   "normal_moment_operator": lambda count: normal_moment_operator(
                       params, graph, "mc", count, 5)}
-        tasks = len(sampling.chunk_layout(samples))
-        budget = min(tasks, sampling.usable_cores()) * (sampling.CHUNK * 8 + (2 << 20))
+        workers = min(len(sampling.row_blocks(samples)), sampling.usable_cores())
+        budget = workers * (4 << 20)
         passes[name](1000)  # the modules a first call imports are not the pass's
-        tracemalloc.start()
-        try:
-            passes[name](samples)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: passes[name](samples))
         assert peak < budget, (peak, budget)
+
+    def test_gram_path_pass_does_not_grow_with_its_cluster_count(self, sectored_cap_cluster):
+        # the per-direction perimeter totals live in a scratch one block long:
+        # a cluster adds only its slots, a few numbers per wall and block,
+        # where a count-length array per cluster would add 4 MB at 500k
+        samples = 500_000
+        peaks = {}
+        for count in (2, 8):
+            path = [gram_path(sectored_cap_cluster, t) for t in np.linspace(0.0, 0.3, count)]
+            clusters = [(point, detect_interfaces(point)) for point in path]
+            measure.measure_mc_many(clusters, 1000, 7)  # imports and first-call caches
+            peaks[count] = traced_peak(lambda: measure.measure_mc_many(clusters, samples, 7))
+        assert peaks[8] - peaks[2] < 6 * (64 << 10), peaks

@@ -81,15 +81,15 @@ class TestNormalMomentOperator:
 
     def test_one_wall_pass_per_pair(self, draws):
         # area and n+1 moments of every pair are reduced over one draw of each
-        # wall chunk
+        # wall block
         params = standard_of_curvature(3, 4, np.array([0.2, -0.1, 0.05, -0.15]))
         graph = detect_interfaces(params)
         assert len(graph.pairs()) == 6
-        samples = sampling.CHUNK + 500
+        samples = 32 * sampling.BLOCK + 500
         normal_moment_operator(params, graph, backend="mc", samples=samples, seed=5)
-        calls = [args[1:3] for args in draws]  # (stream label, chunk index)
-        # each wall chunk is drawn once per call, whatever the pair count
-        assert len(calls) == len(sampling.chunk_layout(samples))
+        calls = [args[1:3] for args in draws]  # (stream label, block index)
+        # each wall block is drawn once per call, whatever the pair count
+        assert len(calls) == len(sampling.row_blocks(samples))
         assert len(set(calls)) == len(calls)
         assert {label for label, _ in calls} == {measure._WALL_STREAM}
 

@@ -1,9 +1,10 @@
-"""Row blocks, the chunk task runner and draws under threads.
+"""Row blocks, block keys, the block runner and draws under threads.
 
-Results depend only on (seed, sample count): never on the block size, the
-number of workers or the order in which chunk tasks finish.
+Results depend on (seed, samples, BLOCK) alone: never on the number of
+workers or the order in which they run the blocks.
 """
 
+import itertools
 import sys
 import threading
 import time
@@ -14,19 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab import measure, recentered, sampling, standard_of_curvature
+from bubblelab import (NewtonConfig, detect_interfaces, gallery, gram_path, measure, recentered,
+                       sampling, standard_of_curvature, standard_of_volume)
 from bubblelab.cluster import (cell_values, classify_many, complete_graph, least_cell,
                                stratum_interior)
-from reference import masked_wall_sums, subsphere_chunk, unit_directions, wall_points
+from reference import (block_directions, masked_wall_sums, subsphere_sample, unit_directions,
+                       wall_points)
 
-BLOCK, CHUNK = sampling.BLOCK, sampling.CHUNK
-ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 137856, 213568, CHUNK]
+BLOCK = sampling.BLOCK
+ROWS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 137856, 213568, 32 * BLOCK]
 TEST_LABEL = 0x7A5C0000
 
 
 def whole_unit_rows(seed, label, count, dim):
-    """draw_unit_chunk over the whole array at once: a left fold of squared columns."""
-    arr = sampling.stream(seed, label, 0).standard_normal((count, dim))
+    """unit_sphere with each block's normals drawn from its own key and
+    normalized over the whole array at once: a left fold of squared columns."""
+    arr = np.vstack([np.empty((0, dim))]
+                    + [sampling.stream(seed, label, b).standard_normal((rows.stop - rows.start,
+                                                                        dim))
+                       for b, rows in enumerate(sampling.row_blocks(count))])
     norms = arr[:, 0] * arr[:, 0]
     for k in range(1, dim):
         norms += arr[:, k] * arr[:, k]
@@ -36,7 +43,7 @@ def whole_unit_rows(seed, label, count, dim):
 
 
 def whole_subsphere_points(directions, center, radius, frame):
-    """subsphere_chunk over the whole array at once: one C-ordered product."""
+    """subsphere_sample over the whole array at once: one C-ordered product."""
     pts = directions @ np.ascontiguousarray(frame.T)
     pts *= radius
     pts += center
@@ -66,7 +73,7 @@ def affine_clusters(draw):
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("rows", [0, 1, 2, BLOCK, BLOCK + 1, 3 * BLOCK + 1, CHUNK - 1])
+    @pytest.mark.parametrize("rows", [0, 1, 2, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 32 * BLOCK - 1])
     def test_blocks_cover_the_rows_in_order_with_no_single_row_tail(self, rows):
         blocks = sampling.row_blocks(rows)
         assert [r for b in blocks for r in range(b.start, b.stop)] == list(range(rows))
@@ -80,10 +87,10 @@ class TestRowBlocks:
     @settings(max_examples=8, deadline=None)
     def test_blocked_passes_equal_whole_array_formulas(self, rows, params, seed):
         n = params.n
-        directions = sampling.draw_unit_chunk(seed, TEST_LABEL, 0, rows, n + 1)
+        directions = sampling.unit_sphere(seed, rows, n + 1, label=TEST_LABEL)
         assert directions.tobytes() == whole_unit_rows(seed, TEST_LABEL, rows, n + 1).tobytes()
         if n + 1 <= 7:
-            assert directions.tobytes() == unit_directions(seed, TEST_LABEL, 0, rows,
+            assert directions.tobytes() == unit_directions(seed, TEST_LABEL, rows,
                                                            n + 1).tobytes()
         labels, gaps = classify_many(params, directions, gaps=True)
         want_labels, want_gaps = least_cell(cell_values(params, directions), gaps=True)
@@ -96,20 +103,20 @@ class TestRowBlocks:
                                              params.pair_curvature(i, j))
             if frame is None:
                 continue
-            pts = subsphere_chunk(seed, TEST_LABEL + 1, 0, rows, *frame)
+            pts = subsphere_sample(seed, TEST_LABEL + 1, rows, *frame)
             wall_dirs = whole_unit_rows(seed, TEST_LABEL + 1, rows, n)
             assert pts.tobytes() == whole_subsphere_points(wall_dirs, *frame).tobytes()
             assert (stratum_interior(params, (i, j), pts).tobytes()
                     == whole_wall_interior(params, i, j, pts).tobytes())
 
 
-def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
-    """A wall's chunk sums of measure._wall_chunk by whole-array formulas on each
-    sampling.row_blocks block: its mask from one cell_values product on the
-    block's points placed as subsphere_chunk places them, each weight in one
-    call on every point of the block placed as the wall pass places them
-    (reference.wall_points) and its values summed over the hit rows in block
-    order. Each weight's per-block sums are reduced pairwise in block order."""
+def whole_wall_block_sums(params, i, j, frame, directions, weights):
+    """A wall's per-block sums of measure._wall_slots, shape (blocks, weights, 2),
+    by whole-array formulas on each sampling.row_blocks block: its mask from
+    one cell_values product on the block's points placed as subsphere_sample
+    places them, each weight in one call on every point of the block placed
+    as the wall pass places them (reference.wall_points) and its values
+    summed over the hit rows in block order."""
     per_block = []
     for rows in sampling.row_blocks(len(directions)):
         inside = whole_wall_interior(params, i, j,
@@ -121,12 +128,14 @@ def whole_wall_chunk_sums(params, i, j, frame, directions, weights):
                        else np.compress(inside, weight(pts)))
             sums.append((contrib.sum(), (contrib ** 2).sum()))
         per_block.append(sums)
-    return [(sampling.pairwise_sum([sums[w][0] for sums in per_block]),
-             sampling.pairwise_sum([sums[w][1] for sums in per_block]))
-            for w in range(len(weights))]
+    return np.array(per_block)
 
 
-@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
+def wall_directions(seed, rows, n):
+    return sampling.unit_sphere(seed, rows, n, label=measure._WALL_STREAM)
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, 32 * BLOCK])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
     # the kernel classifies one block at a time in the wall's own coordinates,
@@ -144,24 +153,27 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
         frame = sampling.subsphere_frame(params.pair_center(i, j), params.pair_curvature(i, j))
         if frame is None:
             continue
-        label = i * params.q + j + 1
-        directions = sampling.draw_unit_chunk(11, label, 0, rows, n)
+        seed = 11 + i * params.q + j
+        directions = wall_directions(seed, rows, n)
         wall = measure._wall_map(params, i, j, frame)
-        [([got], _)] = measure._wall_chunk([(params, [(i, j, wall, 1.0)])], weights,
-                                           sampling.unit_blocks(11, label, 0, rows, n), rows,
-                                           False, threading.Lock())
-        want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        [([got], [hits], moments)] = measure._wall_slots(
+            [(params, [(i, j, wall, 1.0)])], weights, sampling.row_blocks(rows), seed, False)
+        assert moments is None
+        want = whole_wall_block_sums(params, i, j, frame, directions, weights)
+        assert got.tobytes() == want.tobytes()
         differences, low = np.empty((params.q - 2, BLOCK + 1)), np.empty(BLOCK + 1)
         inside = np.empty(rows, dtype=bool)
         for block in sampling.row_blocks(rows):
             measure._hit_mask(wall, directions[block].T.copy(), differences, low, inside[block])
         pts = whole_subsphere_points(directions, *frame)
         assert inside.tobytes() == whole_wall_interior(params, i, j, pts).tobytes()
+        assert hits.tolist() == [np.count_nonzero(inside[block])
+                                 for block in sampling.row_blocks(rows)]
         # the masked sums over every point, misses as zeros: the same terms
         # in another order, so equal to rounding
         for (total, squares), (masked, masked_squares, scale) in zip(
-                got, masked_wall_sums(wall_points(directions, *frame), inside, weights)):
+                sampling.pairwise_sum(got),
+                masked_wall_sums(wall_points(directions, *frame), inside, weights)):
             assert abs(total - masked) <= 1e-14 * scale
             assert abs(squares - masked_squares) <= 1e-14 * masked_squares
 
@@ -170,7 +182,8 @@ def test_wall_weights_by_block_equal_whole_array_weights(n, rows):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walls_weighed_together_equal_each_wall_alone(n, rows):
     # the hits of a block on several walls share a run until the next wall's
-    # would not fit in BLOCK + 1 rows; a one-row block weighs each wall alone
+    # would not fit in BLOCK + 1 rows; a one-row block weighs each wall alone.
+    # Each block's perimeter sums are those of its per-direction totals.
     rng = np.random.default_rng(n + 10)
     params = recentered(n, rng.standard_normal((5, n + 1)), 0.3 * rng.standard_normal(5))
     xi = 0.3 * rng.standard_normal(n + 1)
@@ -180,106 +193,177 @@ def test_walls_weighed_together_equal_each_wall_alone(n, rows):
               for i in range(5) for j in range(i + 1, 5)]
     frames = [(i, j, frame) for i, j, frame in frames if frame is not None]
     assert len(frames) >= 3
-    walls = [(i, j, measure._wall_map(params, i, j, frame), 1.0) for i, j, frame in frames]
-    [(got, _)] = measure._wall_chunk([(params, walls)], weights,
-                                     sampling.unit_blocks(12, TEST_LABEL + 4, 0, rows, n), rows,
-                                     True, threading.Lock())
-    directions = sampling.draw_unit_chunk(12, TEST_LABEL + 4, 0, rows, n)
-    for (i, j, frame), sums in zip(frames, got):
-        want = whole_wall_chunk_sums(params, i, j, frame, directions, weights)
-        assert sums.tobytes() == np.array(want).tobytes(), (i, j)
+    shares = np.linspace(0.5, 1.5, len(frames))
+    walls = [(i, j, measure._wall_map(params, i, j, frame), share)
+             for (i, j, frame), share in zip(frames, shares)]
+    [(got, _, moments)] = measure._wall_slots([(params, walls)], weights,
+                                              sampling.row_blocks(rows), 12, True)
+    directions = wall_directions(12, rows, n)
+    totals = np.zeros(rows)
+    for (i, j, frame), sums, share in zip(frames, got, shares):
+        want = whole_wall_block_sums(params, i, j, frame, directions, weights)
+        assert sums.tobytes() == want.tobytes(), (i, j)
+        totals += share * whole_wall_interior(params, i, j,
+                                              whole_subsphere_points(directions, *frame))
+    for (total, squares), rows_of in zip(moments, sampling.row_blocks(rows)):
+        block = totals[rows_of]
+        assert total == pytest.approx(block.sum(), rel=1e-14, abs=1e-14)
+        assert squares == pytest.approx((block * block).sum(), rel=1e-14, abs=1e-14)
 
 
-@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, CHUNK])
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 137856, 32 * BLOCK])
 @pytest.mark.parametrize("dim", range(2, 7))
-def test_unit_blocks_are_the_chunk_rows(dim, rows):
-    # the one draw path: a chunk's blocks, read-only and each its own array,
-    # concatenate to draw_unit_chunk's rows and to the whole-array formula's
-    blocks = list(sampling.unit_blocks(13, TEST_LABEL + 3, 0, rows, dim))
-    assert [len(block) for block in blocks] == [b.stop - b.start
-                                                for b in sampling.row_blocks(rows)]
+def test_unit_sphere_is_the_pass_blocks(dim, rows):
+    # the one draw path: block b of a pass, read-only and each its own array,
+    # drawn from key b; the blocks concatenate to unit_sphere's rows, to the
+    # whole-array formula's and to the reference's
+    blocks = [sampling.unit_block(13, TEST_LABEL + 3, b, block.stop - block.start, dim)
+              for b, block in enumerate(sampling.row_blocks(rows))]
     assert all(not block.flags.writeable for block in blocks)
     assert len(blocks) == 1 or not np.shares_memory(blocks[0], blocks[-1])
     joined = np.concatenate(blocks).tobytes()
-    assert joined == sampling.draw_unit_chunk(13, TEST_LABEL + 3, 0, rows, dim).tobytes()
+    assert joined == sampling.unit_sphere(13, rows, dim, label=TEST_LABEL + 3).tobytes()
     assert joined == whole_unit_rows(13, TEST_LABEL + 3, rows, dim).tobytes()
+    assert joined == unit_directions(13, TEST_LABEL + 3, rows, dim).tobytes()
 
 
-def reversed_runner(tasks):
-    """Runs the tasks last first, so they finish in reverse order."""
-    results = [None] * len(tasks)
-    for k in reversed(range(len(tasks))):
-        results[k] = tasks[k]()
-    return results
+class TestKeys:
+    """Block b of the (seed, label) stream is drawn from the Philox key words
+    (seed mod 2^64, label | b << 32): distinct addresses, distinct keys."""
+
+    SEEDS = [0, 1, 3, 4, 7, 21507, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+    LABELS = [0, 1, measure._WALL_STREAM, measure._WALL_STREAM + 1, measure._VOLUME_STREAM,
+              TEST_LABEL, 2 ** 32 - 1]
+    INDICES = [0, 1, 2, 2 ** 31, 2 ** 32 - 1]
+
+    def test_distinct_addresses_get_distinct_key_words(self):
+        keys = {}
+        for address in itertools.product(self.SEEDS, self.LABELS, self.INDICES):
+            words = tuple(int(word) for word in sampling._key(*address))
+            assert words == (address[0] % 2 ** 64, address[1] + (address[2] << 32))
+            keys[words] = address
+        assert len(keys) == len(self.SEEDS) * len(self.LABELS) * len(self.INDICES)
+
+    @given(st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1),
+                     st.integers(0, 2 ** 32 - 1)),
+           st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1),
+                     st.integers(0, 2 ** 32 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_addresses_share_a_key_only_when_equal(self, first, second):
+        same = sampling._key(*first).tobytes() == sampling._key(*second).tobytes()
+        assert same == (first == second)
+
+    @pytest.mark.parametrize("first, second", [
+        ((4, 0xA12), (7, 0xA11)),
+        ((3, measure._VOLUME_STREAM), (21507, measure._WALL_STREAM))],
+        ids=["xor-pair", "volume-wall"])
+    def test_recorded_colliding_pairs_draw_different_rows(self, first, second):
+        # seed ^ label was once the first word of one mixed key, so these
+        # pairs drew the same rows
+        assert first[0] ^ first[1] == second[0] ^ second[1]
+        for b in (0, 1):
+            rows = [sampling.unit_block(seed, label, b, 64, 3) for seed, label in (first, second)]
+            assert not np.any(np.all(rows[0] == rows[1], axis=1))
+
+    @pytest.mark.parametrize("label, block", [(2 ** 32, 0), (0, 2 ** 32), (2 ** 40, 2 ** 33),
+                                              (-1, 0), (0, -1)])
+    def test_label_and_block_index_outside_32_bits_are_rejected(self, label, block):
+        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+            sampling.stream(5, label, block)
+        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+            sampling.unit_block(5, label, block, 4, 3)
+
+    def test_seed_is_taken_mod_two_to_the_64(self):
+        assert (sampling.unit_block(-1, 9, 2, 16, 3).tobytes()
+                == sampling.unit_block(2 ** 64 - 1, 9, 2, 16, 3).tobytes())
+        assert (sampling.unit_block(2 ** 64 + 5, 9, 2, 16, 3).tobytes()
+                == block_directions(5, 9, 2, 16, 3).tobytes())
 
 
-def four_workers(tasks):
-    with ThreadPoolExecutor(4) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+def shuffled_blocks(blocks, worker):
+    """Runs every block on one worker, in a shuffled order."""
+    run = worker()
+    for b in np.random.default_rng(len(blocks)).permutation(len(blocks)):
+        run(int(b), blocks[b])
 
 
-RUNNERS = {
-    "default": sampling.run_tasks,
-    "serial": lambda tasks: [task() for task in tasks],
-    "reversed": reversed_runner,
-    "four workers": four_workers,
+def fresh_worker_per_block(blocks, worker):
+    """Runs every block last first, each on a worker made for it alone."""
+    for b in reversed(range(len(blocks))):
+        worker()(b, blocks[b])
+
+
+SCHEDULES = {
+    "1 worker": (1, sampling.run_blocks),
+    "2 workers": (2, sampling.run_blocks),
+    "3 workers": (3, sampling.run_blocks),
+    "shuffled": (2, shuffled_blocks),
+    "fresh worker per block": (2, fresh_worker_per_block),
 }
 
 
-def monte_carlo_bytes(runner) -> bytes:
-    """Every Monte Carlo result of one fixed sequence, run by runner, and the
-    sorted arguments of its draws, as bytes."""
+def monte_carlo_bytes(cores, runner) -> bytes:
+    """Every Monte Carlo result of one fixed sequence, on cores usable cores
+    with runner for sampling.run_blocks, and the sorted addresses of its
+    draws, as bytes."""
     draws = []
-    blocks = sampling.unit_blocks
+    block = sampling.unit_block
 
     def counted(*args):
         draws.append(args)
-        return blocks(*args)
+        return block(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "run_tasks", runner)
-        mp.setattr(sampling, "unit_blocks", counted)
+        mp.setattr(sampling, "usable_cores", lambda: cores)
+        mp.setattr(sampling, "run_blocks", runner)
+        mp.setattr(sampling, "unit_block", counted)
         params = standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25]))
         graph = complete_graph(4)
-        samples, seed = 2 * CHUNK + 5, 7
+        samples, seed = 20 * BLOCK + 5, 7
         xi = np.linspace(-0.3, 0.3, 4)
         out = list(measure.cell_volumes_mc(params, samples, seed))
         rep = measure.measure_mc(params, graph, samples, seed)
-        out += [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr]
+        out += [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr,
+                np.array(rep.perimeter_stderr)]
         for lap in measure.weighted_laplacians(params, graph,
                                                [None, lambda pts: 1.0 - pts @ xi,
                                                 lambda pts: pts[:, 2] ** 2],
-                                               "mc", CHUNK + 77, seed):
+                                               "mc", 9 * BLOCK + 77, seed):
             out += [lap.matrix, lap.entry_stderr]
-        path = [standard_of_curvature(3, 4, params.curvatures * (1.0 + step))
-                for step in (0.0, 0.05)]
-        for rep in measure.measure_mc_many([(p, graph) for p in path], samples, seed):
-            out += [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr]
+        # a Gram path of the sectored cap, whose later points gain interfaces
+        cap = gallery.sectored_cap(4, 0.8)
+        path = [(gram_path(cap, t), None) for t in (0.0, 0.15, 0.3)]
+        path = [(point, detect_interfaces(point)) for point, _ in path]
+        for rep in measure.measure_mc_many(path, samples, seed):
+            out += [rep.volumes, rep.areas, rep.volume_stderr, rep.area_stderr,
+                    np.array(rep.perimeter_stderr)]
         tracker = measure.VolumeTracker(samples, seed)
         for step in (0.0, 1e-9, 1e-4, 0.0, 0.2):
             moved = standard_of_curvature(3, 4, params.curvatures * (1.0 + step))
             out += list(tracker.volumes(moved))
             out.append(np.array([tracker.full, tracker.incremental, tracker.reclassified]))
-        for chunk in sorted(tracker._references):
-            _, labels, gaps, counts, offset = tracker._references[chunk]
-            out += [labels, gaps, counts, np.array(offset)]
+        _, labels, gaps, counts, offset = tracker._reference
+        out += [tracker._points, labels, gaps, counts, np.array(offset)]
+        solved = standard_of_volume(3, 3, [0.3, 0.45, 0.25],
+                                    NewtonConfig(backend="mc", mc_samples=samples, mc_seed=seed))
+        out += [solved.quasi_centers, solved.curvatures]
     out.append(np.array(sorted(draws)))
     return b"".join(np.ascontiguousarray(a).tobytes() for a in out)
 
 
-def test_results_do_not_depend_on_the_runner():
-    blobs = {name: monte_carlo_bytes(runner) for name, runner in RUNNERS.items()}
+def test_results_do_not_depend_on_the_workers_or_the_schedule():
+    blobs = {name: monte_carlo_bytes(*schedule) for name, schedule in SCHEDULES.items()}
     assert len(set(blobs.values())) == 1, sorted(blobs)
 
 
 def watched_blocks(monkeypatch, first_block=None):
-    """Wrap measure._WallChunk.block, the per-block kernel of a wall pass, and
+    """Wrap measure._WallWorker.block, the per-block kernel of a wall pass, and
     return the log it fills: the most blocks of one pass inside the kernel at
     once, keyed by the pass's shared sampled walls, and the threads that ran
     blocks. first_block(), if given, runs inside the first block of each pass.
-    Each block sleeps a little inside, so that a block of another task would
+    Each block sleeps a little inside, so that a block of another worker would
     enter meanwhile if nothing kept it out."""
-    block, guard = measure._WallChunk.block, threading.Lock()
+    block, guard = measure._WallWorker.block, threading.Lock()
     inside, log = {}, {"most": {}, "threads": set()}
 
     def watched(self, *args):
@@ -298,14 +382,14 @@ def watched_blocks(monkeypatch, first_block=None):
             with guard:
                 inside[key] -= 1
 
-    monkeypatch.setattr(measure._WallChunk, "block", watched)
+    monkeypatch.setattr(measure._WallWorker, "block", watched)
     return log
 
 
 def laplacian_bytes(params, seed, xi):
     graph = complete_graph(params.q)
     laps = measure.weighted_laplacians(params, graph, [None, lambda pts: 1.0 - pts @ xi],
-                                       "mc", 2 * CHUNK + 9, seed)
+                                       "mc", 64 * BLOCK + 9, seed)
     return b"".join(lap.matrix.tobytes() + lap.entry_stderr.tobytes() for lap in laps)
 
 
@@ -319,7 +403,7 @@ class TestWallPassLock:
         params = standard_of_curvature(3, 4, np.array([0.3, 0.1, -0.15, -0.25]))
         xi = np.linspace(-0.3, 0.3, 4)
         run = {"measure_mc": lambda: measure.measure_mc(params, complete_graph(4),
-                                                        2 * CHUNK + 9, 4).areas.tobytes(),
+                                                        64 * BLOCK + 9, 4).areas.tobytes(),
                "weighted_laplacians": lambda: laplacian_bytes(params, 4, xi)}[name]
         want = run()
         log = watched_blocks(monkeypatch)
@@ -344,28 +428,46 @@ class TestWallPassLock:
         assert sorted(log["most"].values()) == [1, 1]
 
 
-class TestRunTasks:
-    def test_results_come_in_task_order(self, monkeypatch):
-        monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
-        tasks = [lambda k=k: (k, threading.get_ident()) for k in range(6)]
-        results = sampling.run_tasks(tasks)
-        assert [k for k, _ in results] == list(range(6))
-        assert threading.get_ident() not in {ident for _, ident in results}
+class TestRunBlocks:
+    @staticmethod
+    def logged(log):
+        """A worker factory whose workers log (worker, block, rows, thread)."""
+        made = itertools.count()
 
-    @pytest.mark.parametrize("cores, tasks", [(1, 5), (4, 1), (3, 0)])
-    def test_one_core_or_one_task_runs_inline(self, monkeypatch, cores, tasks):
+        def worker():
+            me = next(made)
+            return lambda b, rows: log.append((me, b, rows, threading.get_ident()))
+
+        return worker
+
+    def test_each_block_runs_once_on_the_workers(self, monkeypatch):
+        monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
+        blocks, log = sampling.row_blocks(40 * BLOCK + 3), []
+        sampling.run_blocks(blocks, self.logged(log))
+        assert sorted((b, rows.start, rows.stop) for _, b, rows, _ in log) == [
+            (b, rows.start, rows.stop) for b, rows in enumerate(blocks)]
+        # one worker per thread, each made once, none on the calling thread
+        assert len({(me, ident) for me, _, _, ident in log}) == len({me for me, *_ in log}) <= 2
+        assert threading.get_ident() not in {ident for *_, ident in log}
+
+    @pytest.mark.parametrize("cores, count", [(1, 5), (4, 1), (3, 0)])
+    def test_one_core_or_one_block_runs_inline_in_order(self, monkeypatch, cores, count):
         monkeypatch.setattr(sampling, "usable_cores", lambda: cores)
-        here = threading.get_ident()
-        assert sampling.run_tasks([threading.get_ident] * tasks) == [here] * tasks
+        blocks, log = [slice(b, b + 1) for b in range(count)], []
+        sampling.run_blocks(blocks, self.logged(log))
+        assert log == [(0, b, rows, threading.get_ident()) for b, rows in enumerate(blocks)]
 
-    def test_a_task_error_is_raised_to_the_caller(self, monkeypatch):
+    def test_a_block_error_is_raised_to_the_caller(self, monkeypatch):
         monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
 
-        def fail():
-            raise ArithmeticError("task failed")
+        def worker():
+            def run(b, rows):
+                if b == 3:
+                    raise ArithmeticError("block failed")
+            return run
 
-        with pytest.raises(ArithmeticError, match="task failed"):
-            sampling.run_tasks([lambda: 1, fail, lambda: 3])
+        with pytest.raises(ArithmeticError, match="block failed"):
+            sampling.run_blocks(sampling.row_blocks(8 * BLOCK), worker)
 
     def test_usable_cores_is_positive(self):
         assert sampling.usable_cores() >= 1
@@ -375,14 +477,13 @@ class TestDrawsUnderThreads:
     def test_threads_at_one_seed_get_the_reference_arrays(self):
         # more threads than cores, switching often: draws share no state, so
         # each returns its address's directions whatever runs beside it
-        count, dim, seed = 20_000, 4, 5
+        rows, dim, seed = 20_000, 4, 5
         labels = list(range(100, 108))
         start = threading.Barrier(len(labels), timeout=60)
 
         def draw(label):
             start.wait()
-            return [sampling.draw_unit_chunk(seed, label, chunk, count, dim)
-                    for chunk in range(3)]
+            return [sampling.unit_block(seed, label, b, rows, dim) for b in range(3)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -391,9 +492,9 @@ class TestDrawsUnderThreads:
                 with ThreadPoolExecutor(len(labels)) as pool:
                     drawn = list(pool.map(draw, labels, timeout=120))
                 for label, arrays in zip(labels, drawn):
-                    for chunk, arr in enumerate(arrays):
+                    for b, arr in enumerate(arrays):
                         assert not arr.flags.writeable
-                        want = unit_directions(seed, label, chunk, count, dim)
+                        want = block_directions(seed, label, b, rows, dim)
                         assert arr.tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -405,6 +506,6 @@ def test_unit_sphere_rejects_no_samples(count):
         sampling.unit_sphere(0, count, 3)
 
 
-def test_unit_chunk_draws_no_rows():
-    arr = sampling.draw_unit_chunk(3, TEST_LABEL, 0, 0, 4)
+def test_unit_block_draws_no_rows():
+    arr = sampling.unit_block(3, TEST_LABEL, 0, 0, 4)
     assert arr.shape == (0, 4) and not arr.flags.writeable

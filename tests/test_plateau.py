@@ -351,7 +351,7 @@ class TestStratumDraws:
         certs = [per_point_certificate(params, graph, sample_budget=300, seed=s)
                  for s in (8101, 8102)]
         # reference: the same strata drawn by the broadcast formula
-        monkeypatch.setattr(reference, "subsphere_chunk", subsphere_points)
+        monkeypatch.setattr(reference, "subsphere_sample", subsphere_points)
         for seed, cert in zip((8101, 8102), certs):
             assert _plain(per_point_certificate(params, graph, sample_budget=300, seed=seed)) \
                 == _plain(cert)

@@ -1,10 +1,10 @@
-"""How much the Monte Carlo passes gain from a second chunk thread.
+"""How much the Monte Carlo passes gain from a second worker thread.
 
 For the volume pass (cell_volumes_mc), the area pass (interface_areas) and
 the weighted pass (normal_moment_operator, n + 2 weights) on the three
 shapes of the mc_fresh benchmark, prints the median wall time of each pass
-run serially (usable_cores patched to 1, so run_tasks runs the chunk tasks
-inline) and on two threads, and their ratio. Serial and two-thread calls
+run serially (usable_cores patched to 1, so run_blocks runs every block
+inline) and on two worker threads, and their ratio. Serial and two-thread calls
 alternate. Both threads first draw Philox blocks for about 1.5 s: on a
 2-core box the first second of a process often shows no two-thread speedup
 at all, even on pure draws that reach 1.9x afterwards.
@@ -39,11 +39,10 @@ def warm_up(seconds: float) -> None:
     stop = time.perf_counter() + seconds
 
     def draw(label: int) -> None:
-        chunk = 0
+        block = 0
         while time.perf_counter() < stop:
-            for _ in sampling.unit_blocks(0, label, chunk, sampling.CHUNK, 4):
-                pass
-            chunk += 1
+            sampling.unit_block(0, label, block, sampling.BLOCK, 4)
+            block += 1
 
     threads = [threading.Thread(target=draw, args=(label,)) for label in (1, 2)]
     for thread in threads:
@@ -65,7 +64,7 @@ def timed(run, cores: int) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--samples", type=int, default=4 * sampling.CHUNK)
+    parser.add_argument("--samples", type=int, default=128 * sampling.BLOCK)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--warm-up", type=float, default=1.5)
     args = parser.parse_args()
