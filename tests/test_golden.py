@@ -32,7 +32,15 @@ their largest; its matrix kept its bits. model_profile was re-recorded
 when a Monte Carlo Newton step that moves no sample point came to grow
 instead of halving: its grid solve at v - h had stalled after 58 volume
 evaluations at a residual of 3.5e-6 and now converges in 8 to 5.1e-7, which
-moved the gradient from 0.11016 to 0.11021. The bits depend on the numpy
+moved the gradient from 0.11016 to 0.11021. All six Monte Carlo cases
+(cell_volumes_mc, measure_mc, both operators, standard_of_volume and
+model_profile) were re-recorded when the row block became the one unit of a
+pass: block b of a stream is now drawn from its own Philox key, the words
+(seed mod 2^64, label | b << 32), where a 2^18-row chunk shared one key
+that mixed the seed with the label by XOR (so that two addresses could
+collide), and every sum is reduced over the blocks in block order. That
+draws every sample afresh, so each result moved within its Monte Carlo
+error, not by rounding. The bits depend on the numpy
 build and its BLAS, so the cases skip under any other numpy version. A
 change that means to move these bits must re-record them with the same
 command and say why.
@@ -54,14 +62,14 @@ from bubblelab.measure import cell_volumes_mc
 
 NUMPY_VERSION = "2.4.6"
 
-# 300k and 700k samples end in a short chunk (2^18 points per chunk)
+# 300k and 700k samples end in a short block (sampling.BLOCK = 2^13 points)
 GOLDEN = {
-    "cell_volumes_mc": "3fc904543a323e398b8a",
-    "measure_mc": "33ea950b89aae0f65b8b",
-    "normal_moment_operator": "b6a9508329a6116a8daa",
-    "conformal_to_volume_pcf": "d6bd7c41beec23260111",
-    "standard_of_volume": "28bf625818e90a9de4cb",
-    "model_profile": "3b5096dc2c39974ca59e",
+    "cell_volumes_mc": "a92c1caad26b9b7c073e",
+    "measure_mc": "32c0d7a9a7b23605ca2d",
+    "normal_moment_operator": "a6654f9d467a83b3dde3",
+    "conformal_to_volume_pcf": "b6faebdde909c5ce2c67",
+    "standard_of_volume": "7e2573cbcb845980cc30",
+    "model_profile": "d2c550f91a4ecf4e9f43",
     "eigen_count_positive": "b5b2ed0ac680e79ad274",
     "near_kernel_and_solve": "2672278395fc3857c279",
     "measure_exact_s2": "cb43914de30ccb4b0d10",
