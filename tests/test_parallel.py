@@ -457,6 +457,27 @@ class TestRunBlocks:
         sampling.run_blocks(blocks, self.logged(log))
         assert log == [(0, b, rows, threading.get_ident()) for b, rows in enumerate(blocks)]
 
+    def test_shared_counter_hands_out_each_block_once_under_switching(self, monkeypatch):
+        # more workers than cores, switching often: a block index handed out
+        # twice, or never, shows in the per-block run counts
+        monkeypatch.setattr(sampling, "usable_cores", lambda: 8)
+        blocks = [slice(b, b + 1) for b in range(4000)]
+        runs = np.zeros(len(blocks), dtype=np.intp)
+
+        def worker():
+            def run(b, rows):
+                runs[b] += 1
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                pool.submit(sampling.run_blocks, blocks, worker).result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(runs == 1)
+
     def test_a_block_error_is_raised_to_the_caller(self, monkeypatch):
         monkeypatch.setattr(sampling, "usable_cores", lambda: 2)
 
