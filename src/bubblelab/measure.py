@@ -310,26 +310,29 @@ class VolumeTracker:
 
         One near test over every point, then, on the calling thread, the near
         points' kept coordinates are gathered and classified one row block of
-        them at a time, as classify_many would classify them all, so that the
-        step holds 17 bytes per near point beside the reference.
+        them at a time, as classify_many would classify them all, and each
+        block's labels and gaps are written as soon as they pass the test. So
+        the step holds 8 bytes per near point beside the reference and one
+        block of them; a None leaves some points written at params, which the
+        full classification that follows writes again.
         """
         _, labels, gaps, counts, _ = self._reference
         near = gaps <= limit
         if np.count_nonzero(near) > FULL_CLASSIFY_SHARE * self.samples:
             return None
         near = np.flatnonzero(near)
-        moved, moved_gaps = np.empty(near.size, dtype=labels.dtype), np.empty(near.size)
+        counts = counts.copy()
         for rows in sampling.row_blocks(near.size):
-            pts = np.take(self._points, near[rows], axis=0)
-            moved[rows], moved_gaps[rows] = least_cell(cell_values(kept, pts), gaps=True)
-        if not np.all(moved_gaps > unchanged):
-            return None
-        q = params.q
-        counts = (counts - np.bincount(np.take(labels, near), minlength=q)
-                  + np.bincount(moved, minlength=q))
-        labels[near] = moved
-        moved_gaps += limit
-        gaps[near] = np.nextafter(moved_gaps, -np.inf, out=moved_gaps)
+            at = near[rows]
+            moved, moved_gaps = least_cell(cell_values(kept, np.take(self._points, at, axis=0)),
+                                           gaps=True)
+            if not np.all(moved_gaps > unchanged):
+                return None
+            counts += (np.bincount(moved, minlength=params.q)
+                       - np.bincount(np.take(labels, at), minlength=params.q))
+            labels[at] = moved
+            moved_gaps += limit
+            gaps[at] = np.nextafter(moved_gaps, -np.inf, out=moved_gaps)
         self._reference = (params, labels, gaps, counts, limit)
         self.incremental += 1
         self.reclassified += near.size

@@ -47,13 +47,12 @@ import numpy as np
 # rows each key draws and the order of every reduction.
 BLOCK = 1 << 13
 
-_MASK = (1 << 64) - 1
-_WORD = 1 << 32
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _key(seed: int, label: int, block: int) -> np.ndarray:
     """The Philox key of a block: the words (seed mod 2^64, label | block << 32)."""
-    if not (0 <= label < _WORD and 0 <= block < _WORD):
+    if not (0 <= label < 1 << 32 and 0 <= block < 1 << 32):
         raise ValueError(f"a stream label and a block index must lie in [0, 2^32), "
                          f"got {label} and {block}")
     return np.array([seed & _MASK, label | block << 32], dtype=np.uint64)
