@@ -208,9 +208,9 @@ class VolumeTracker:
     full classification stores the computed gaps (second-least minus least
     affine value) with o = 0. A later evaluation at P' reclassifies, from the
     kept coordinates and on the calling thread, only the near points,
-    s_p <= limit with limit = o + delta rounded up, in one classify_many call,
-    and takes the counts as counts - bincount(old labels) + bincount(new
-    labels). Counts are integers, so the volumes equal cell_volumes_mc's bit
+    s_p <= limit with limit = o + delta rounded up, found by one test over
+    every point, and takes the counts as counts - bincount(old labels) +
+    bincount(new labels). Counts are integers, so the volumes equal cell_volumes_mc's bit
     for bit. The evaluation then becomes the reference in place: P', the near
     points' new labels, their fresh gaps plus limit rounded down, and
     o' = limit. A point that is not near is not written.
